@@ -41,8 +41,10 @@ from .energy import (
     CountTable,
     DeltaSet,
     EnergyProfile,
+    FoldLadder,
     delta_set,
     energy_profile,
+    energy_term,
     fold_counts,
     lambda_k,
     nu_P_k,

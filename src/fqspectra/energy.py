@@ -4,8 +4,15 @@ generalized distance sets, and second-moment/sumset quantities.
 Everything on the counting side is exact integer arithmetic: tables switch to
 Python-int (object dtype) storage automatically once |E|^k could overflow
 int64, so inequality audits always compare an exact integer against a
-floating bound.  Convolutions are sparse iterated folds (one np.roll per
-point of E), never transform-based, to stay exact.
+floating bound.  Convolutions are never *uncertified* transform-based.  A fold
+is taken from an inverse FFT of a power of the indicator's transform only
+under its rounding certificate: an a priori float-error bound below 1/2
+(derived in `fold_counts`), a total mass below 2^53, and, after rounding, the
+exact mass and no negative entry.  When any check fails, the sparse iterated
+fold (one np.roll per point of E) runs instead; it is the exact reference.
+
+A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
+most once.  Every function here that takes a point set E also takes a ladder.
 """
 
 import math
@@ -20,6 +27,7 @@ from .errors import (
     BudgetExceededError,
     EmptyXError,
     InconsistentTotalError,
+    InvariantError,
     NotDiagonalError,
     OddKError,
 )
@@ -29,6 +37,29 @@ from .spectra import AUDIT_RTOL, Spectrum, affine_cayley_spectrum, euclidean_spe
 
 FOLD_BUDGET = 10 ** 9
 _INT64_SAFE = 1 << 62
+# Integers below this are exact in float64, so a rounded FFT value can be one.
+_FLOAT_EXACT = 1 << 53
+# Constant C of the per-line DFT error C * p^(3/2) * u assumed in fold_counts.
+_DFT_ERROR_CONST = 8.0
+
+
+def _exact_total(values: np.ndarray) -> int:
+    if values.dtype != np.int64:
+        return int(values.sum(dtype=object))
+    # Each int64 entry is hi * 2^31 + lo; neither partial sum can overflow for
+    # fewer than 2^31 entries.
+    return (int((values >> 31).sum()) << 31) + int((values & 0x7FFFFFFF).sum())
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray, worst: int) -> int:
+    """sum_z a(z) b(z) for nonnegative count tables, exact.
+
+    `worst` bounds the result: below _INT64_SAFE an int64 dot product cannot
+    overflow, otherwise the products are taken in Python ints.
+    """
+    if worst < _INT64_SAFE:
+        return int(np.dot(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)))
+    return int(np.dot(a.astype(object), b.astype(object)))
 
 
 @dataclass(frozen=True)
@@ -41,7 +72,7 @@ class CountTable:
     values: np.ndarray
 
     def total(self) -> int:
-        return int(self.values.sum(dtype=object))
+        return _exact_total(self.values)
 
     def __getitem__(self, i) -> int:
         return int(self.values[i])
@@ -51,36 +82,170 @@ class CountTable:
             yield i, int(v)
 
 
-def _table_dtype(e_size: int, j: int):
-    return object if e_size ** max(j, 1) >= _INT64_SAFE else np.int64
+def _table_dtype(mass: int):
+    """int64 for a count table of this total mass, or object when it could overflow."""
+    return object if mass >= _INT64_SAFE else np.int64
+
+
+def _flat_indices(dom: PointDomain, E) -> np.ndarray:
+    """E as flat int64 indices: a 1-D integer array already is one, anything
+    else is read as a sequence of coordinate tuples."""
+    if isinstance(E, np.ndarray) and E.ndim == 1 and E.dtype.kind in "iu":
+        idx = E.astype(np.int64, copy=False)
+        if idx.size and (idx.min() < 0 or idx.max() >= dom.size):
+            raise ValueError(f"flat point index outside 0..{dom.size - 1}")
+        return idx
+    return dom.indices_of(E)
+
+
+def _shift_sum(dom: PointDomain, table: np.ndarray, shifts) -> np.ndarray:
+    """sum over e in shifts of table(z - e): one cyclic shift per element."""
+    out = np.zeros(dom.size, dtype=table.dtype)
+    for e in shifts:
+        out += dom.translate_table(table, int(e))
+    return out
+
+
+def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
+    """A priori bound on max |computed - exact| of the transform fold whose
+    factors have l1 norms `sizes` and l2 norms `norms`; see `fold_counts`."""
+    u = 2.0 ** -53
+    alpha = _DFT_ERROR_CONST * dom.ctx.p ** 1.5 * u
+    eps = math.expm1(dom.nd * math.log1p(alpha))
+    eps_inv = (1 + eps) * (1 + u) ** 2 - 1
+    eta = eps * math.sqrt(dom.size)
+    m = len(sizes)
+    theta = math.expm1((m - 1) * math.log1p(math.sqrt(2) * 2 * u / (1 - 2 * u)))
+    terms = [norms[i] * math.prod(sizes[:i] + sizes[i + 1:]) for i in range(m)]
+    spread = (1 + eta) ** (m - 1) * (eps * sum(terms) + theta * (1 + eps) * min(terms))
+    return spread * (1 + eps_inv) + eps_inv * min(terms)
+
+
+def _transform_fold(dom: PointDomain, factors):
+    """The convolution of the multiplicity vectors of `factors`, a list of
+    (flat indices, power) pairs, by an FFT over (Z_p)^(nd); int64 counts, or
+    None when the certificate described in `fold_counts` fails."""
+    counts = [np.bincount(idx, minlength=dom.size) for idx, _ in factors]
+    sizes, norms = [], []
+    for (idx, power), c in zip(factors, counts):
+        sizes += [len(idx)] * power
+        norms += [math.sqrt(_exact_dot(c, c, len(idx) ** 2))] * power
+    mass = math.prod(sizes)
+    if mass >= _FLOAT_EXACT:
+        return None
+    bound = _fold_error_bound(dom, sizes, norms)
+    if not bound < 0.5:
+        return None
+    prod = None
+    for (_, power), c in zip(factors, counts):
+        hat = np.fft.fftn(c.reshape(dom.shape))
+        for _ in range(power):
+            prod = hat if prod is None else prod * hat
+    real = np.fft.ifftn(prod).real.reshape(dom.size)
+    r = np.rint(real)
+    if np.max(np.abs(real - r), initial=0.0) > bound:
+        return None
+    r = r.astype(np.int64)
+    if np.min(r, initial=0) < 0 or _exact_total(r) != mass:
+        return None
+    return r
+
+
+def _roll_fold(dom: PointDomain, idx: np.ndarray, j: int, dtype) -> np.ndarray:
+    """The exact reference fold r_j = r_{j-1} (*) 1_E."""
+    r = np.bincount(idx, minlength=dom.size).astype(dtype)
+    for _ in range(j - 1):
+        r = _shift_sum(dom, r, idx)
+    if _exact_total(r) != len(idx) ** j:
+        raise InvariantError("fold mass conservation violated")
+    return r
 
 
 def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """r_j(z) = number of ordered j-tuples from E summing to z, exact.
 
-    Computed by the iterated sparse fold r_j = r_{j-1} (*) 1_E: one cyclic
-    shift of the running table per point of E and fold.
+    E is a sequence of points or a 1-D integer array of flat indices.  For
+    j >= 2 the table comes from the certified transform fold when its
+    certificate holds, otherwise from the iterated sparse fold
+    r_j = r_{j-1} (*) 1_E, one cyclic shift of the running table per point
+    of E, which is the reference path.
+
+    Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d and
+    F = fftn(1_E) over dom.shape, r_j = ifftn(F^j), rounded with rint.  Its
+    certificate, every check of which must pass:
+
+    * |E|^j < 2^53, so every count and the mass are exact in float64;
+    * the a priori bound B below on max |computed - r_j| is < 1/2, so rint
+      returns r_j exactly; the observed rounding residual must not exceed B;
+    * the rounded table has mass exactly |E|^j and no negative entry.
+
+    Derivation of B, for a product of m transforms F_i of count vectors f_i
+    with s_i = ||f_i||_1 and l_i = ||f_i||_2 (here f_i = 1_E, s_i = |E|,
+    l_i = sqrt|E|, m = j).  Let u = 2^-53.  Assume each length-p DFT along
+    one line has relative 2-norm error at most a = C p^(3/2) u, the classical
+    bound for the direct sum with C = 8; radix and Bluestein passes do
+    better.  The exact pass scales every line by sqrt(p), so nd passes give
+    fftn a relative error eps = (1 + a)^(nd) - 1, and ifftn with its 1/N
+    scaling eps' = (1 + eps)(1 + u)^2 - 1.
+
+    1. Forward: ||F~_i - F_i||_2 <= eps ||F_i||_2 = eps sqrt(N) l_i by
+       Parseval, and |F_i| <= s_i pointwise, so |F~_i| <= (1 + eta) s_i with
+       eta = eps sqrt(N).
+    2. Product: the m - 1 complex products each add relative error at most
+       mu = sqrt(2) gamma_2 (Higham, Accuracy and Stability of Numerical
+       Algorithms, Lemma 3.5); theta = (1 + mu)^(m-1) - 1.  Telescoping
+       prod F~ - prod F and putting A_i = l_i prod_{l != i} s_l,
+       ||G~ - G||_2 <= sqrt(N) (1 + eta)^(m-1) (eps sum_i A_i
+       + theta (1 + eps) min_i A_i) =: sqrt(N) D.
+    3. Inverse: ||ifftn x||_2 = ||x||_2 / sqrt(N) and ||r_j||_2 <= min_i A_i,
+       so ||r~ - r_j||_2 <= D + eps' (min_i A_i + D).
+
+    Hence max |Re r~ - r_j| <= ||r~ - r_j||_2 <= B = D (1 + eps') + eps'
+    min_i A_i.  For |E| = 345, j = 3 over F_31^3, B is about 4e-6.
     """
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
-    pts = list(E)
-    cost = len(pts) * dom.size * (j - 1)
+    idx = _flat_indices(dom, E)
+    cost = len(idx) * dom.size * (j - 1)
     if cost > FOLD_BUDGET:
         raise BudgetExceededError(
             f"fold cost |E|*q^d*(j-1) = {cost} exceeds budget {FOLD_BUDGET}")
-    dtype = _table_dtype(len(pts), j)
-    r = np.zeros(dom.size, dtype=dtype)
-    one = 1 if dtype is object else np.int64(1)
-    for pt in pts:
-        r[dom.index_of(pt)] += one
-    for _ in range(j - 1):
-        nxt = np.zeros(dom.size, dtype=dtype)
-        for pt in pts:
-            nxt += dom.translate_table(r, dom.index_of(pt))
-        r = nxt
-    table = CountTable(kind="points", d=dom.d, q=dom.ctx.q, values=r)
-    assert table.total() == len(pts) ** j, "fold mass conservation violated"
-    return table
+    dtype = _table_dtype(len(idx) ** j)
+    r = _transform_fold(dom, [(idx, j)]) if dtype is np.int64 and j > 1 else None
+    if r is None:
+        r = _roll_fold(dom, idx, j, dtype)
+    return CountTable(kind="points", d=dom.d, q=dom.ctx.q, values=r)
+
+
+class FoldLadder:
+    """The fold tables r_1, r_2, ... of one subset E of F_q^d.
+
+    Holds E as flat indices and builds depth j on first use by one call to
+    `fold_counts`, never twice.  It keeps its tables for its own lifetime
+    only, so callers make one per subset and drop it with the subset.
+    """
+
+    def __init__(self, dom: PointDomain, E):
+        self.dom = dom
+        self.indices = _flat_indices(dom, E)
+        self._tables = {}
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def fold(self, j: int) -> CountTable:
+        if j not in self._tables:
+            self._tables[j] = fold_counts(self.dom, self.indices, j)
+        return self._tables[j]
+
+
+def _ladder(dom: PointDomain, E) -> FoldLadder:
+    """E itself when it is a ladder over the same domain, else a new ladder."""
+    if not isinstance(E, FoldLadder):
+        return FoldLadder(dom, E)
+    if (E.dom.ctx.p, E.dom.ctx.n, E.dom.d) != (dom.ctx.p, dom.ctx.n, dom.d):
+        raise ValueError("fold ladder belongs to a different domain")
+    return E
 
 
 def lambda_k(dom: PointDomain, E, k: int) -> int:
@@ -88,8 +253,25 @@ def lambda_k(dom: PointDomain, E, k: int) -> int:
     if k % 2 != 0 or k < 2:
         raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
                         "odd k is handled through the product of neighbours")
-    r = fold_counts(dom, E, k // 2).values
-    return int(sum(int(v) * int(v) for v in r if v))
+    ladder = _ladder(dom, E)
+    r = ladder.fold(k // 2).values
+    return _exact_dot(r, r, len(ladder) ** k)
+
+
+def energy_term(ladder: FoldLadder, k: int) -> tuple:
+    """(lo, hi, detail): the even energies that control k-fold counts.
+
+    Even k gives lo = hi = Lambda_k; odd k gives Lambda_{k-1} and
+    Lambda_{k+1}.  Bounds use the geometric mean sqrt(lo * hi), and `detail`
+    is what reports record: {"k_energy": Lambda_k} for even k,
+    {"k_energy_product": lo * hi} for odd k.
+    """
+    if k % 2 == 0:
+        lam = lambda_k(ladder.dom, ladder, k)
+        return lam, lam, {"k_energy": lam}
+    lo = lambda_k(ladder.dom, ladder, k - 1)
+    hi = lambda_k(ladder.dom, ladder, k + 1)
+    return lo, hi, {"k_energy_product": lo * hi}
 
 
 @dataclass(frozen=True)
@@ -107,11 +289,11 @@ class EnergyProfile:
 
 
 def energy_profile(dom: PointDomain, E, max_k: int) -> EnergyProfile:
-    pts = list(E)
-    values = {k: lambda_k(dom, pts, k) for k in range(2, max_k + 1, 2)}
+    ladder = _ladder(dom, E)
+    values = {k: lambda_k(dom, ladder, k) for k in range(2, max_k + 1, 2)}
     odd = {k: values[k - 1] * values[k + 1]
            for k in range(3, max_k, 2) if k - 1 in values and k + 1 in values}
-    return EnergyProfile(size=len(pts), values=values, odd_products=odd)
+    return EnergyProfile(size=len(ladder), values=values, odd_products=odd)
 
 
 def _bin_by_value(ctx, values, r, expected_total):
@@ -125,7 +307,8 @@ def _bin_by_value(ctx, values, r, expected_total):
         for z in np.nonzero(r)[0]:
             out[values[z]] += int(r[z])
     table = CountTable(kind="scalars", d=1, q=q, values=out)
-    assert table.total() == expected_total, "value-binning lost mass"
+    if table.total() != expected_total:
+        raise InvariantError("value-binning lost mass")
     return table
 
 
@@ -134,10 +317,10 @@ def nu_k(dom: PointDomain, E, form: QuadraticForm, k: int) -> CountTable:
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     form.require_nondegenerate(dom.ctx)
-    pts = list(E)
-    r = fold_counts(dom, pts, k).values
+    ladder = _ladder(dom, E)
+    r = ladder.fold(k).values
     qvals = form.value_table(dom)
-    return _bin_by_value(dom.ctx, qvals, r, len(pts) ** k)
+    return _bin_by_value(dom.ctx, qvals, r, len(ladder) ** k)
 
 
 def nu_P_k(dom: PointDomain, E, X, pspec: PolySpec, k: int) -> CountTable:
@@ -147,18 +330,22 @@ def nu_P_k(dom: PointDomain, E, X, pspec: PolySpec, k: int) -> CountTable:
         raise EmptyXError("shift set X must be nonempty")
     if diagonal_shape(pspec) is None:
         raise NotDiagonalError("nu_{P,k} needs a diagonal polynomial P")
-    pts = list(E)
-    r = fold_counts(dom, pts, k).values
+    ladder = _ladder(dom, E)
+    r = ladder.fold(k).values
     pvals = eval_poly_table(dom, pspec)
-    base = _bin_by_value(dom.ctx, pvals, r, len(pts) ** k)
+    base = _bin_by_value(dom.ctx, pvals, r, len(ladder) ** k)
     ctx = dom.ctx
-    out = np.zeros(ctx.q, dtype=base.values.dtype)
+    mass = len(xs) * len(ladder) ** k
+    dtype = _table_dtype(mass)
+    shifted = base.values.astype(dtype)
+    ts = np.arange(ctx.q, dtype=np.int64)
+    out = np.zeros(ctx.q, dtype=dtype)
     for a in xs:
-        # nu(t) += base(t - a): shifting by a permutes the scalar domain
-        for t in range(ctx.q):
-            out[ctx.add(t, a)] += base.values[t]
+        # nu(t + a) += base(t): adding a permutes the scalar domain
+        out[ctx.add_vec(ts, np.int64(a))] += shifted
     table = CountTable(kind="scalars", d=1, q=ctx.q, values=out)
-    assert table.total() == len(xs) * len(pts) ** k, "shift-sum lost mass"
+    if table.total() != mass:
+        raise InvariantError("shift-sum lost mass")
     return table
 
 
@@ -180,20 +367,18 @@ def delta_set(dom: PointDomain, E, f, k: int) -> DeltaSet:
 
     f may be a PolySpec or a QuadraticForm.
     """
-    pts = list(E)
-    r = fold_counts(dom, pts, k).values
+    r = _ladder(dom, E).fold(k).values
     vals = f.value_table(dom) if isinstance(f, QuadraticForm) else eval_poly_table(dom, f)
-    support = np.nonzero(r)[0]
-    seen = sorted(set(int(vals[z]) for z in support))
+    seen = tuple(np.unique(vals[r > 0]).tolist())
     q = dom.ctx.q
     covers_star = len([v for v in seen if v != 0]) == q - 1
-    return DeltaSet(values=tuple(seen), covers_Fq_star=covers_star,
+    return DeltaSet(values=seen, covers_Fq_star=covers_star,
                     covers_Fq=len(seen) == q)
 
 
 def second_moment(table: CountTable) -> int:
     """Exact sum of squared counts."""
-    return int(sum(int(v) * int(v) for v in table.values if v))
+    return _exact_dot(table.values, table.values, table.total() ** 2)
 
 
 def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> Fraction:
@@ -249,41 +434,13 @@ def _verdict(deviation: float, bound: float) -> bool:
 
 
 def nu_deviation_audit(dom: PointDomain, E, form: QuadraticForm, k: int, t: int,
-                       graph: Spectrum, nu_table: CountTable | None = None) -> InequalityAudit:
-    """Deviation of nu_k(t) from its mixing main term, for t != 0.
+                       graph: Spectrum) -> InequalityAudit:
+    """Deviation of nu_k(t) from its mixing main term, for one t != 0.
 
-    Even k uses the k-energy; odd k uses the geometric mean of the two
-    neighbouring energies.  `graph` must be the spectrum of the t-level
-    Euclidean graph; its exact degree feeds the main term.
+    `graph` must be the spectrum of the t-level Euclidean graph; see
+    `nu_deviation_audits`.
     """
-    if t % dom.ctx.q == 0:
-        raise ValueError("deviation audit is stated for t != 0 only")
-    pts = list(E)
-    if nu_table is None:
-        nu_table = nu_k(dom, pts, form, k)
-    nu_t = nu_table[t]
-    if k % 2 == 0:
-        energy = float(lambda_k(dom, pts, k))
-        energy_label = {"k_energy": lambda_k(dom, pts, k)}
-    else:
-        lo = lambda_k(dom, pts, k - 1)
-        hi = lambda_k(dom, pts, k + 1)
-        energy = math.sqrt(float(lo) * float(hi))
-        energy_label = {"k_energy_product": lo * hi}
-    e_size = len(pts)
-    main = Fraction(graph.degree * e_size ** k, dom.size)
-    deviation = abs(float(Fraction(nu_t) - main))
-    bound = graph.lambda_mixing * energy
-    norm_main = Fraction(e_size ** k, dom.ctx.q)
-    norm_dev = abs(float(Fraction(nu_t) - norm_main))
-    norm_bound = 2.0 * dom.ctx.q ** ((dom.d - 1) / 2) * energy
-    return InequalityAudit(
-        name="nu-deviation", deviation=deviation, bound=bound,
-        ok=_verdict(deviation, bound),
-        normalized_deviation=norm_dev, normalized_bound=norm_bound,
-        normalized_ok=_verdict(norm_dev, norm_bound),
-        detail={"t": t, "nu_t": nu_t, "k": k, "size": e_size,
-                "main": float(main), **energy_label})
+    return nu_deviation_audits(dom, E, form, k, {t: graph}, ts=(t,))[0]
 
 
 def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit:
@@ -296,22 +453,27 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
-    pts = list(E)
-    vset = set(variety.points)
-    if any(pt not in vset for pt in pts):
+    ladder = _ladder(dom, E)
+    v_idx = variety.indices(dom)
+    if not np.isin(ladder.indices, v_idx).all():
         raise ValueError("E must be a subset of the variety")
     from .spectra import cayley_spectrum
     graph = cayley_spectrum(dom.ctx, variety.points, d=dom.d)
-    r_half = fold_counts(dom, pts, k // 2).values
-    r_less = fold_counts(dom, pts, k // 2 - 1).values
-    # e = sum_u r_{k/2-1}(u) * sum_{v in V} r_{k/2}(u + v)
-    acc = np.zeros(dom.size, dtype=r_half.dtype)
-    for pt in variety.points:
-        acc += dom.translate_table(r_half, int(dom.index_neg(dom.index_of(pt))))
-    e = int(sum(int(a) * int(b) for a, b in zip(r_less, acc) if a and b))
-    lam_k = int(sum(int(v) * int(v) for v in r_half if v))
-    lam_km2 = int(sum(int(v) * int(v) for v in r_less if v))
-    e_size = len(pts)
+    half = k // 2
+    e_size = len(ladder)
+    # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):
+    # acc is the fold of 1_{-V} with r_{k/2}, of mass |V| |E|^{k/2}.
+    neg_v = dom.index_neg(v_idx)
+    acc_mass = variety.size * e_size ** half
+    acc = None
+    if _table_dtype(acc_mass) is np.int64:
+        acc = _transform_fold(dom, [(neg_v, 1), (ladder.indices, half)])
+    if acc is None:
+        r_half = ladder.fold(half).values.astype(_table_dtype(acc_mass))
+        acc = _shift_sum(dom, r_half, neg_v)
+    e = _exact_dot(ladder.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
+    lam_k = lambda_k(dom, ladder, k)
+    lam_km2 = lambda_k(dom, ladder, k - 2)
     main = Fraction(variety.size * e_size ** (k - 1), dom.size)
     deviation = abs(float(Fraction(e) - main))
     bound = graph.lambda_mixing * math.sqrt(float(lam_km2) * float(lam_k))
@@ -335,26 +497,19 @@ def second_moment_audit(dom: PointDomain, E, X, pspec: PolySpec, k: int,
     `graph` is the affine Cayley digraph spectrum; passing a precomputed one
     avoids recomputing it across many (E, X) draws.
     """
-    pts = list(E)
+    ladder = _ladder(dom, E)
     xs = sorted(set(int(a) % dom.ctx.q for a in X))
     if graph is None:
         graph, _ = affine_cayley_spectrum(dom.ctx, pspec, dom.d)
-    table = nu_P_k(dom, pts, xs, pspec, k)
+    table = nu_P_k(dom, ladder, xs, pspec, k)
     sq = second_moment(table)
-    if k % 2 == 0:
-        lam = lambda_k(dom, pts, k)
-        energy_term = float(lam) * float(lam)
-        energy_detail = {"k_energy": lam}
-    else:
-        lo = lambda_k(dom, pts, k - 1)
-        hi = lambda_k(dom, pts, k + 1)
-        energy_term = float(lo) * float(hi)
-        energy_detail = {"k_energy_product": lo * hi}
-    e_size, x_size = len(pts), len(xs)
+    lo, hi, _ = energy_term(ladder, k)
+    energy = float(lo) * float(hi)
+    e_size, x_size = len(ladder), len(xs)
     main = Fraction(x_size ** 2 * e_size ** (2 * k), dom.ctx.q)
     excess = float(Fraction(sq) - main)   # audit is one-sided
-    bound = graph.lambda_mixing * x_size * energy_term
-    norm_bound = float(dom.ctx.q ** dom.d) * x_size * energy_term
+    bound = graph.lambda_mixing * x_size * energy
+    norm_bound = float(dom.ctx.q ** dom.d) * x_size * energy
     return InequalityAudit(
         name="second-moment", deviation=max(excess, 0.0), bound=bound,
         ok=_verdict(max(excess, 0.0), bound),
@@ -365,25 +520,25 @@ def second_moment_audit(dom: PointDomain, E, X, pspec: PolySpec, k: int,
 
 
 def nu_deviation_audits(dom: PointDomain, E, form: QuadraticForm, k: int,
-                        graphs_by_t: dict) -> list:
-    """Deviation audits for every t != 0 at once, sharing the fold tables.
+                        graphs_by_t: dict, ts=None) -> list:
+    """Deviation of nu_k(t) from its mixing main term, for each t in `ts`
+    (default every t != 0), sharing the fold tables.
 
-    graphs_by_t maps t -> Spectrum of the t-level Euclidean graph.
+    The energy is the geometric mean of `energy_term`.  graphs_by_t maps t to
+    the Spectrum of the t-level Euclidean graph, whose exact degree feeds the
+    main term.
     """
-    pts = list(E)
-    table = nu_k(dom, pts, form, k)
-    if k % 2 == 0:
-        energy = float(lambda_k(dom, pts, k))
-        energy_detail = {"k_energy": lambda_k(dom, pts, k)}
-    else:
-        lo = lambda_k(dom, pts, k - 1)
-        hi = lambda_k(dom, pts, k + 1)
-        energy = math.sqrt(float(lo) * float(hi))
-        energy_detail = {"k_energy_product": lo * hi}
-    e_size = len(pts)
     q = dom.ctx.q
+    ts = tuple(range(1, q) if ts is None else ts)
+    if any(t % q == 0 for t in ts):
+        raise ValueError("deviation audit is stated for t != 0 only")
+    ladder = _ladder(dom, E)
+    table = nu_k(dom, ladder, form, k)
+    lo, hi, energy_detail = energy_term(ladder, k)
+    energy = math.sqrt(float(lo) * float(hi))
+    e_size = len(ladder)
     out = []
-    for t in range(1, q):
+    for t in ts:
         graph = graphs_by_t[t]
         main = Fraction(graph.degree * e_size ** k, dom.size)
         deviation = abs(float(Fraction(table[t]) - main))
@@ -406,15 +561,15 @@ def energy_recursion_ratio(dom: PointDomain, E, k: int) -> dict:
     q^{(d-1)(k-2)/2} |E| + |E|^{k-1}/q.  Reported, never asserted."""
     if k % 2 != 0 or k < 2:
         raise OddKError(f"energy recursion ratio needs even k, got {k}")
-    pts = list(E)
-    lam = lambda_k(dom, pts, k)
-    q, d = dom.ctx.q, dom.d
-    denom = q ** ((d - 1) * (k - 2) / 2) * len(pts) + len(pts) ** (k - 1) / q
-    return {"k": k, "size": len(pts), "k_energy": lam,
+    ladder = _ladder(dom, E)
+    lam = lambda_k(dom, ladder, k)
+    q, d, size = dom.ctx.q, dom.d, len(ladder)
+    denom = q ** ((d - 1) * (k - 2) / 2) * size + size ** (k - 1) / q
+    return {"k": k, "size": size, "k_energy": lam,
             "bound_term": denom, "ratio": float(lam) / denom if denom else math.inf}
 
 
 def multiset_from_fold(dom: PointDomain, E, j: int) -> Counter:
     """The multiset of j-fold sums of E, as index -> multiplicity."""
-    r = fold_counts(dom, E, j).values
+    r = _ladder(dom, E).fold(j).values
     return Counter({int(z): int(r[z]) for z in np.nonzero(r)[0]})

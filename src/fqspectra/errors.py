@@ -9,6 +9,14 @@ class FqspectraError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvariantError(FqspectraError):
+    """An internal exactness invariant failed, such as fold mass conservation.
+
+    Raised by an explicit check, so it survives `python -O`; it signals a
+    defect in the package, not a bad argument.
+    """
+
+
 # -- field construction ------------------------------------------------------
 
 class NotPrimeError(FqspectraError):

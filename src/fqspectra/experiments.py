@@ -21,14 +21,15 @@ from fractions import Fraction
 from . import __version__
 from .domains import PointDomain
 from .energy import (
+    FoldLadder,
     delta_set,
     energy_growth_audit,
     energy_recursion_ratio,
+    energy_term,
     lambda_k,
     nu_deviation_audits,
     nu_k,
     nu_P_k,
-    second_moment,
     second_moment_audit,
     sumset,
     sumset_lower_bound,
@@ -261,7 +262,7 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     k, q = plan.k, ctx.q
     for size_index, size in enumerate(sizes):
         for trial in range(plan.trials):
-            E = sample_subset(variety, size, plan.seed, trial)
+            E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
             rec = {"size_index": size_index, "trial": trial, "size": len(E)}
             table = nu_k(dom, E, form, k)
             nonzero_t = [table[t] for t in range(1, q)]
@@ -272,13 +273,9 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
             if len(E) > 0:
                 main = len(E) ** k / q
                 rec["rel_deviation"] = max(abs(table[t] / main - 1) for t in range(1, q))
-                if k % 2 == 0:
-                    margin = q ** ((plan.d + 1) / 2) * lambda_k(dom, E, k) / len(E) ** k
-                else:
-                    lo = lambda_k(dom, E, k - 1)
-                    hi = lambda_k(dom, E, k + 1)
-                    margin = q ** ((plan.d + 1) / 2) * math.sqrt(lo * hi) / len(E) ** k
-                rec["hypothesis_margin"] = margin
+                lo, hi, _ = energy_term(E, k)
+                rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
+                                            * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
                 audits = nu_deviation_audits(dom, E, form, k, graphs)
                 failures = sum(1 for a in audits if not a.ok)
                 rec["audit_failures"] = failures
@@ -318,7 +315,7 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
     sizes = plan.resolve_sizes(variety.size)
     for size_index, size in enumerate(sizes):
         for trial in range(plan.trials):
-            E = sample_subset(variety, size, plan.seed, trial)
+            E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
             rec = {"size_index": size_index, "trial": trial, "size": len(E)}
             if len(E) <= hypothesis_floor:
                 rec["skipped"] = "SubsetTooSmall"
@@ -340,8 +337,7 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
                     if not audit.ok:
                         hard_failures += 1
                 else:
-                    lo = lambda_k(dom, E, k - 1)
-                    hi = lambda_k(dom, E, k + 1)
+                    lo, hi, _ = energy_term(E, k)
                     prod = lo * hi
                     bound = (q ** ((plan.d - 1) * (k - 2)) * len(E) ** 2
                              + q ** (((plan.d - 1) * (k - 3) - 2) / 2) * len(E) ** (k + 1)
@@ -373,7 +369,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     sizes = plan.resolve_sizes(variety.size)
     for size_index, size in enumerate(sizes):
         for trial in range(plan.trials):
-            E = sample_subset(variety, size, plan.seed, trial)
+            E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
             for x_size in plan.x_sizes:
                 X = sample_scalar_subset(q, x_size, plan.seed, trial)
                 rec = {"size_index": size_index, "trial": trial,

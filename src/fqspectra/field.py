@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DegreeTooLargeError,
     EvenCharacteristicError,
+    InvariantError,
     InverseOfZeroError,
     NotPrimeError,
     OrderTooLargeError,
@@ -212,7 +213,8 @@ class FieldContext:
             if all(self._pow_poly(cand, (q - 1) // f) != 1 for f in factors):
                 g = cand
                 break
-        assert g is not None, "F_q^* is cyclic; a generator must exist"
+        if g is None:
+            raise InvariantError("F_q^* is cyclic; a generator must exist")
         self.generator = g
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
@@ -221,7 +223,8 @@ class FieldContext:
             exp[i] = acc
             log[acc] = i
             acc = self._mul_poly(acc, g)
-        assert acc == 1, "generator order mismatch"
+        if acc != 1:
+            raise InvariantError("generator order mismatch")
         exp[q - 1:] = exp[: q - 1]
         self._exp = exp
         self._log = log
@@ -236,7 +239,8 @@ class FieldContext:
             for _ in range(self.n - 1):
                 cur = self._pow_poly(cur, self.p)
                 acc = self.add(acc, cur)
-            assert acc < self.p, "trace value escaped the prime subfield"
+            if acc >= self.p:
+                raise InvariantError("trace value escaped the prime subfield")
             out.append(acc)
         return tuple(out)
 

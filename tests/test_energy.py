@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.energy as energy_mod
-from fqspectra.domains import PointDomain
+from fqspectra.domains import PointDomain, character_sum_table
 from fqspectra.errors import (
     BudgetExceededError,
     DegenerateFormError,
@@ -20,14 +23,17 @@ from fqspectra.errors import (
 from fqspectra.field import FieldContext
 from fqspectra.energy import (
     CountTable,
+    FoldLadder,
     delta_set,
     energy_growth_audit,
     energy_profile,
     energy_recursion_ratio,
+    energy_term,
     fold_counts,
     lambda_k,
     nu_P_k,
     nu_deviation_audit,
+    nu_deviation_audits,
     nu_k,
     second_moment,
     second_moment_audit,
@@ -183,6 +189,17 @@ def test_nu_P_full_shift_set_flattens():
     E = [(1,), (2,)]
     table = nu_P_k(dom, E, list(range(3)), P, 2)
     assert [table[t] for t in range(3)] == [4, 4, 4]  # |E|^k each
+
+
+def test_nu_P_shift_sum_switches_to_big_integers(monkeypatch):
+    dom = PointDomain(F5, 1)
+    P = diagonal_poly(F5, 1, 2)
+    E, X = [(1,), (3,)], [0, 1, 4]
+    fast = nu_P_k(dom, E, X, P, 2)
+    monkeypatch.setattr(energy_mod, "_INT64_SAFE", 5)  # |E|^k = 4 < 5 <= |X||E|^k
+    slow = nu_P_k(dom, E, X, P, 2)
+    assert fast.values.dtype == np.int64 and slow.values.dtype == object
+    assert [int(v) for v in slow.values] == [int(v) for v in fast.values]
 
 
 def test_nu_P_empty_X_rejected():
@@ -354,3 +371,197 @@ def test_multiset_from_fold_matches_counter():
     assert ms[DOM32.index_of((0, 0))] == 4
     assert sum(ms.values()) == 16
     assert sum(m * m for m in ms.values()) == 36  # the 4-energy
+
+
+# -- certified transform fold and the fold ladder ----------------------------
+
+# (p, n, d): prime fields and extension fields of degree 2 and 3.
+FOLD_DOMAINS = [(3, 1, 2), (5, 1, 2), (7, 1, 1), (3, 1, 3), (3, 2, 1), (3, 2, 2),
+                (5, 2, 1), (3, 3, 1), (3, 3, 2)]
+
+
+def _digits(dom, idx):
+    """Flat index as its n*d base-p digits: F_q^d as (Z_p)^(nd)."""
+    p = dom.ctx.p
+    return tuple((int(idx) // p ** i) % p for i in reversed(range(dom.nd)))
+
+
+def _undigits(dom, digits):
+    return sum(c * dom.ctx.p ** i for i, c in enumerate(reversed(digits)))
+
+
+@given(st.sampled_from(FOLD_DOMAINS), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_transform_fold_equals_roll_fold_and_brute_force(shape, j, data):
+    p, n, d = shape
+    dom = PointDomain(FieldContext(p, n), d)
+    idx = np.array(data.draw(st.lists(st.integers(0, dom.size - 1), max_size=5)),
+                   dtype=np.int64)
+    transform = energy_mod._transform_fold(dom, [(idx, j)])
+    assert transform is not None
+    roll = energy_mod._roll_fold(dom, idx, j, np.int64)
+    assert np.array_equal(transform, roll)
+    want = np.zeros(dom.size, dtype=np.int64)
+    for digits, count in brute_fold(p, [_digits(dom, i) for i in idx], j).items():
+        want[_undigits(dom, digits)] = count
+    assert np.array_equal(transform, want)
+    points = [dom.point_of(int(i)) for i in idx]
+    assert np.array_equal(fold_counts(dom, points, j).values, want)
+
+
+def _count_translations(monkeypatch):
+    calls = []
+    original = PointDomain.translate_table
+
+    def counting(self, table, idx):
+        calls.append(idx)
+        return original(self, table, idx)
+
+    monkeypatch.setattr(PointDomain, "translate_table", counting)
+    return calls
+
+
+def test_failed_certificate_falls_back_to_roll_fold(monkeypatch):
+    dom = PointDomain(FieldContext(3, 2), 2)
+    v = builtin_variety(dom.ctx, "sphere", 2, 1)
+    E = sorted(random.Random(4).sample(list(v.points), 6))
+    calls = _count_translations(monkeypatch)
+    fast = [fold_counts(dom, E, j).values for j in (1, 2, 3)]
+    fast_audit = energy_growth_audit(dom, v, E, 4)
+    assert calls == []
+    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 0.5)
+    slow = [fold_counts(dom, E, j).values for j in (1, 2, 3)]
+    assert len(calls) == len(E) * (0 + 1 + 2)  # |E| shifts per depth after the first
+    assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+    calls.clear()
+    assert energy_growth_audit(dom, v, E, 4) == fast_audit
+    assert len(calls) == v.size + len(E)  # the correlation over V, then r_2
+
+
+def _extra_count(x):
+    x.flat[0] += 1.0          # off by an integer: mass check
+
+
+def _moved_count(x):
+    zero, nonzero = np.flatnonzero(np.abs(x) < 0.5)[0], np.flatnonzero(np.abs(x) > 0.5)[0]
+    x.flat[zero] -= 1.0       # mass kept, one count negative: sign check
+    x.flat[nonzero] += 1.0
+
+
+def _off_grid(x):
+    x.flat[0] += 0.25         # residual beyond the a priori bound
+
+
+@pytest.mark.parametrize("corrupt", [_extra_count, _moved_count, _off_grid])
+def test_corrupted_transform_output_falls_back(monkeypatch, corrupt):
+    dom = PointDomain(F3, 2)
+    E = [(0, 1), (1, 2), (2, 2)]
+    want = fold_counts(dom, E, 2).values
+    original = np.fft.ifftn
+
+    def corrupted(*args, **kwargs):
+        x = original(*args, **kwargs)
+        corrupt(x)
+        return x
+
+    monkeypatch.setattr(np.fft, "ifftn", corrupted)
+    calls = _count_translations(monkeypatch)
+    assert np.array_equal(fold_counts(dom, E, 2).values, want)
+    assert len(calls) == len(E)
+
+
+def test_transform_fold_refuses_masses_beyond_float_precision(monkeypatch):
+    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 0.0)
+    dom = PointDomain(F3, 2)
+    idx = np.arange(9, dtype=np.int64)
+    assert energy_mod._transform_fold(dom, [(idx, 17)]) is None  # 9^17 > 2^53
+    r = fold_counts(dom, idx, 17)
+    assert r.values.dtype == np.int64 and r.total() == 9 ** 17
+    assert set(r.values.tolist()) == {9 ** 16}  # the whole group, evenly
+
+
+def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
+    # A paraboloid is not symmetric under z -> -z, so the sign of the
+    # correlation shift matters here, unlike on a sphere.
+    for ctx in (F5, FieldContext(3, 2)):
+        dom = PointDomain(ctx, 2)
+        v = builtin_variety(ctx, "paraboloid", 2)
+        vset = set(dom.indices_of(v.points).tolist())
+        E = sorted(random.Random(ctx.q).sample(list(v.points), 5))
+        idx = dom.indices_of(E)
+        want = sum(1 for a in idx for b1 in idx for b2 in idx
+                   if int(dom.index_sub(dom.index_add(int(b1), int(b2)), int(a))) in vset)
+        assert energy_growth_audit(dom, v, E, 4).detail["edge_count"] == want
+
+
+@pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (7, 1, 2)])
+def test_spectral_identity_for_even_energies(p, n, d):
+    dom = PointDomain(FieldContext(p, n), d)
+    E = _random_subset(dom, 7, seed=p * n + d)
+    hat = np.abs(character_sum_table(dom, E, method="direct"))
+    for k in (2, 4, 6):
+        assert lambda_k(dom, E, k) == pytest.approx(
+            float(np.sum(hat ** k)) / dom.size, rel=1e-9)
+
+
+def test_ladder_builds_each_depth_once(monkeypatch):
+    depths = []
+    original = energy_mod.fold_counts
+
+    def counting(dom, E, j):
+        depths.append(j)
+        return original(dom, E, j)
+
+    monkeypatch.setattr(energy_mod, "fold_counts", counting)
+    dom = PointDomain(F5, 2)
+    form = QuadraticForm.identity(2)
+    graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
+    ladder = FoldLadder(dom, _random_subset(dom, 6, seed=5))
+    nu_k(dom, ladder, form, 3)
+    delta_set(dom, ladder, form, 3)
+    nu_deviation_audits(dom, ladder, form, 3, graphs)
+    energy_term(ladder, 3)
+    lambda_k(dom, ladder, 2)
+    energy_recursion_ratio(dom, ladder, 4)
+    assert sorted(depths) == [1, 2, 3]
+    assert len(ladder) == 6
+
+
+def test_ladder_and_point_list_give_identical_audits():
+    dom = PointDomain(F5, 2)
+    form = QuadraticForm.identity(2)
+    graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
+    E = _random_subset(dom, 6, seed=6)
+    for k in (2, 3, 4):
+        by_points = nu_deviation_audits(dom, E, form, k, graphs)
+        assert nu_deviation_audits(dom, FoldLadder(dom, E), form, k, graphs) == by_points
+        assert [nu_deviation_audit(dom, E, form, k, t, graphs[t]) for t in range(1, 5)] \
+            == by_points
+    with pytest.raises(ValueError):
+        lambda_k(PointDomain(F5, 3), FoldLadder(dom, E), 2)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    script = """
+import sys
+import numpy as np
+import fqspectra.energy as energy
+from fqspectra.domains import PointDomain
+from fqspectra.errors import InvariantError
+from fqspectra.field import FieldContext
+
+assert False, "asserts must be stripped under -O"
+energy._fold_error_bound = lambda *args: float("inf")
+PointDomain.translate_table = lambda self, table, idx: np.zeros_like(table)
+try:
+    energy.fold_counts(PointDomain(FieldContext(3), 2), [(0, 1), (1, 2)], 2)
+except InvariantError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "fold mass conservation violated" in proc.stdout
