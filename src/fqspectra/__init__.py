@@ -33,9 +33,7 @@ from .spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
     euclidean_spectrum,
-    is_normal_digraph,
     mixing_audit,
-    normality_check,
 )
 from .energy import (
     CountTable,

@@ -92,8 +92,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fqspectra",
                      description="Exact spectral/additive computations over F_q.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker parallelism; output is identical for any N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     variety = sub.add_parser("variety", help="enumerate or certify varieties")
@@ -191,16 +189,8 @@ def _variety(ctx, args) -> Variety:
 
 def _subset(variety, args):
     if args.subset == "all":
-        return list(variety.points)
+        return variety.indices
     return sample_subset(variety, int(args.subset), args.seed, args.trial)
-
-
-def _form(ctx, spec: str, d: int) -> QuadraticForm:
-    if spec == "identity":
-        return QuadraticForm.identity(d)
-    if spec.startswith("diag:"):
-        return QuadraticForm.diagonal(tuple(int(c) for c in spec[5:].split(",")))
-    raise FqspectraError(f"unknown form spec {spec!r}; use identity or diag:a1,a2,...")
 
 
 def _coeffs(args, d):
@@ -256,10 +246,10 @@ def _cmd_spectrum(args) -> int:
     ctx = _context(args)
     if args.subcommand == "cayley":
         variety = _variety(ctx, args)
-        spec = cayley_spectrum(ctx, variety.points, d=args.d)
+        spec = cayley_spectrum(ctx, variety.indices, d=args.d)
         check = None
     elif args.subcommand == "euclidean":
-        form = _form(ctx, args.form, args.d)
+        form = QuadraticForm.parse(args.form, args.d)
         spec, check = euclidean_spectrum(ctx, form, args.t, args.d)
     else:
         pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args, args.d))
@@ -298,7 +288,7 @@ def _cmd_energy(args) -> int:
         _emit({"k": args.k, "size": len(E), "lambda_k": value}, args, [str(value)])
         return EXIT_OK
     if args.subcommand == "nu":
-        form = _form(ctx, args.form, args.d)
+        form = QuadraticForm.parse(args.form, args.d)
         table = nu_k(dom, E, form, args.k)
         return _emit_table(table, args, extra={"k": args.k, "size": len(E)})
     if args.subcommand == "nup":
@@ -321,7 +311,7 @@ def _cmd_energy(args) -> int:
     if getattr(args, "s", None) is not None:
         form_or_poly = diagonal_poly(ctx, args.d, args.s, _coeffs(args, args.d))
     else:
-        form_or_poly = _form(ctx, args.form, args.d)
+        form_or_poly = QuadraticForm.parse(args.form, args.d)
     ds = delta_set(dom, E, form_or_poly, args.k)
     _emit({"k": args.k, "size": len(E), **ds.as_dict()}, args,
           [f"delta = {list(ds.values)}",
@@ -371,8 +361,8 @@ def _cmd_audit(args) -> int:
     ctx = _context(args)
     variety = _variety(ctx, args)
     dom = PointDomain(ctx, args.d)
-    spec = cayley_spectrum(ctx, variety.points, d=args.d)
-    oracle = cayley_edge_oracle(dom, variety.indices(dom))
+    spec = cayley_spectrum(ctx, variety.indices, d=args.d)
+    oracle = cayley_edge_oracle(dom, variety.indices)
     rng = _derive_rng(args.seed, 0, salt="mixing")
     violations = 0
     min_gap = None
@@ -405,8 +395,6 @@ def _random_multiset(rng, n, max_support, max_multiplicity) -> Counter:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         if args.command == "variety":
             return _cmd_variety(args)

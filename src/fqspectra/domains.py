@@ -16,6 +16,21 @@ from .field import FieldContext
 TABLE_MAX = 10 ** 7
 
 
+def flat_indices(points, q: int, d: int) -> np.ndarray:
+    """Flat int64 indices of a sequence of coordinate tuples over F_q^d.
+
+    Raises ValueError for a point of the wrong arity or a coordinate outside
+    [0, q).
+    """
+    rows = [tuple(pt) for pt in points]
+    if any(len(pt) != d for pt in rows):
+        raise ValueError(f"a point does not have d = {d} coordinates")
+    coords = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    if coords.size and (coords.min() < 0 or coords.max() >= q):
+        raise ValueError(f"a coordinate lies outside 0..{q - 1}")
+    return coords @ (q ** np.arange(d - 1, -1, -1, dtype=np.int64))
+
+
 class PointDomain:
     """The additive group F_q^d with canonical flat indexing.
 
@@ -51,8 +66,19 @@ class PointDomain:
             idx //= q
         return tuple(reversed(out))
 
-    def indices_of(self, points) -> np.ndarray:
-        return np.array([self.index_of(pt) for pt in points], dtype=np.int64)
+    def as_indices(self, E) -> np.ndarray:
+        """E as flat int64 indices, in E's order.
+
+        A 1-D integer array already is one; anything else is read as a
+        sequence of coordinate tuples.  Raises ValueError for a point of the
+        wrong arity, a coordinate outside [0, q) or an index outside [0, q^d).
+        """
+        if isinstance(E, np.ndarray) and E.ndim == 1 and E.dtype.kind in "iu":
+            idx = E.astype(np.int64, copy=False)
+            if idx.size and (idx.min() < 0 or idx.max() >= self.size):
+                raise ValueError(f"flat point index outside 0..{self.size - 1}")
+            return idx
+        return flat_indices(E, self.ctx.q, self.d)
 
     def coord_array(self, j: int) -> np.ndarray:
         """x_j over all points in index order (cached)."""
@@ -65,46 +91,26 @@ class PointDomain:
     # -- group arithmetic on flat indices ------------------------------------
 
     def index_add(self, A, B):
-        """Digit-wise base-p addition: the group law on flat indices."""
+        """Digit-wise base-p addition: the group law on flat indices.
+
+        A and B may be Python ints or integer arrays."""
         p = self.ctx.p
-        if self.nd == 1:
-            return (A + B) % p
-        if isinstance(A, int) and isinstance(B, int):
-            out, pk = 0, 1
-            for _ in range(self.nd):
-                out += ((A + B) % p) * pk
-                A //= p
-                B //= p
-                pk *= p
-            return out
-        out = np.zeros_like(np.asarray(A) + np.asarray(B))
-        pk = 1
+        out, pk = 0, 1
         for _ in range(self.nd):
-            out += (((A // pk) + (B // pk)) % p) * pk
+            out = out + (((A // pk) + (B // pk)) % p) * pk
             pk *= p
         return out
 
     def index_sub(self, A, B):
         p = self.ctx.p
-        if self.nd == 1:
-            return (A - B) % p
-        if isinstance(A, int) and isinstance(B, int):
-            out, pk = 0, 1
-            for _ in range(self.nd):
-                out += ((A - B) % p) * pk
-                A //= p
-                B //= p
-                pk *= p
-            return out
-        out = np.zeros_like(np.asarray(A) - np.asarray(B))
-        pk = 1
+        out, pk = 0, 1
         for _ in range(self.nd):
-            out += (((A // pk) - (B // pk)) % p) * pk
+            out = out + (((A // pk) - (B // pk)) % p) * pk
             pk *= p
         return out
 
     def index_neg(self, A):
-        return self.index_sub(np.zeros_like(np.asarray(A)), A)
+        return self.index_sub(0, A)
 
     def axis_shifts(self, idx: int) -> tuple:
         """Per-axis digits of a flat index, ordered for np.roll on self.shape."""
@@ -136,7 +142,8 @@ def _trace_form(ctx: FieldContext) -> np.ndarray:
 def character_sum_table(dom: PointDomain, points, method: str = "auto") -> np.ndarray:
     """lam[m] = sum over s in points of chi(m . s), for every m in F_q^d.
 
-    Two independent paths are available:
+    points is an index array or a sequence of coordinate tuples (see
+    `PointDomain.as_indices`).  Two independent paths are available:
       * 'direct'    — O(q^d * |S| * d) vectorized summation;
       * 'transform' — a (Z_p)^(n*d) Fourier transform of the indicator,
                       reindexed through the trace pairing, O(q^d * n * d * p).
@@ -144,35 +151,33 @@ def character_sum_table(dom: PointDomain, points, method: str = "auto") -> np.nd
     agree to floating precision and are cross-checked in the test suite.
     """
     ctx = dom.ctx
-    pts = list(points)
+    idx = dom.as_indices(points)
     if method == "auto":
-        method = "direct" if len(pts) <= ctx.p * ctx.n else "transform"
+        method = "direct" if len(idx) <= ctx.p * ctx.n else "transform"
     if method == "direct":
-        return _character_sums_direct(dom, pts)
+        return _character_sums_direct(dom, idx)
     if method == "transform":
-        return _character_sums_transform(dom, pts)
+        return _character_sums_transform(dom, idx)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _character_sums_direct(dom: PointDomain, pts) -> np.ndarray:
+def _character_sums_direct(dom: PointDomain, idx) -> np.ndarray:
     ctx = dom.ctx
+    points = np.stack([dom.coord_array(j)[idx] for j in range(dom.d)], axis=1)
     acc = np.zeros(dom.size, dtype=np.complex128)
-    for pt in pts:
+    for pt in points.tolist():
         dot = np.zeros(dom.size, dtype=np.int64)
-        for j in range(dom.d):
-            c = int(pt[j])
+        for j, c in enumerate(pt):
             if c:
                 dot = ctx.add_vec(dot, ctx.mul_vec(dom.coord_array(j), np.int64(c)))
         acc += ctx.char_vec(dot)
     return acc
 
 
-def _character_sums_transform(dom: PointDomain, pts) -> np.ndarray:
+def _character_sums_transform(dom: PointDomain, idx) -> np.ndarray:
     ctx = dom.ctx
     p, n, d = ctx.p, ctx.n, dom.d
-    f = np.zeros(dom.size, dtype=np.complex128)
-    for pt in pts:
-        f[dom.index_of(pt)] += 1.0
+    f = np.bincount(idx, minlength=dom.size).astype(np.complex128)
     F = f.reshape(dom.shape)
     W = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
     for axis in range(dom.nd):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import FieldContext
 from .geometry import PolySpec, QuadraticForm, diagonal_shape, eval_poly_table
-from .spectra import AUDIT_RTOL, Spectrum, affine_cayley_spectrum, euclidean_spectrum
+from .spectra import AUDIT_RTOL, Spectrum, affine_cayley_spectrum, cayley_spectrum
 
 FOLD_BUDGET = 10 ** 9
 _INT64_SAFE = 1 << 62
@@ -85,17 +85,6 @@ class CountTable:
 def _table_dtype(mass: int):
     """int64 for a count table of this total mass, or object when it could overflow."""
     return object if mass >= _INT64_SAFE else np.int64
-
-
-def _flat_indices(dom: PointDomain, E) -> np.ndarray:
-    """E as flat int64 indices: a 1-D integer array already is one, anything
-    else is read as a sequence of coordinate tuples."""
-    if isinstance(E, np.ndarray) and E.ndim == 1 and E.dtype.kind in "iu":
-        idx = E.astype(np.int64, copy=False)
-        if idx.size and (idx.min() < 0 or idx.max() >= dom.size):
-            raise ValueError(f"flat point index outside 0..{dom.size - 1}")
-        return idx
-    return dom.indices_of(E)
 
 
 def _shift_sum(dom: PointDomain, table: np.ndarray, shifts) -> np.ndarray:
@@ -205,7 +194,7 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
-    idx = _flat_indices(dom, E)
+    idx = dom.as_indices(E)
     cost = len(idx) * dom.size * (j - 1)
     if cost > FOLD_BUDGET:
         raise BudgetExceededError(
@@ -227,7 +216,7 @@ class FoldLadder:
 
     def __init__(self, dom: PointDomain, E):
         self.dom = dom
-        self.indices = _flat_indices(dom, E)
+        self.indices = dom.as_indices(E)
         self._tables = {}
 
     def __len__(self) -> int:
@@ -454,11 +443,10 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
     ladder = _ladder(dom, E)
-    v_idx = variety.indices(dom)
+    v_idx = variety.indices
     if not np.isin(ladder.indices, v_idx).all():
         raise ValueError("E must be a subset of the variety")
-    from .spectra import cayley_spectrum
-    graph = cayley_spectrum(dom.ctx, variety.points, d=dom.d)
+    graph = cayley_spectrum(dom.ctx, v_idx, d=dom.d)
     half = k // 2
     e_size = len(ladder)
     # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):

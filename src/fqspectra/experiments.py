@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .domains import PointDomain
 from .energy import (
@@ -34,7 +36,7 @@ from .energy import (
     sumset,
     sumset_lower_bound,
 )
-from .errors import SizeExceedsVarietyError
+from .errors import InvariantError, SizeExceedsVarietyError
 from .field import FieldContext
 from .geometry import (
     QuadraticForm,
@@ -53,21 +55,23 @@ def _derive_rng(seed: int, trial: int, salt: str = "subset") -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_subset(variety: Variety, size: int, seed: int, trial: int):
-    """Uniform random size-subset of the variety's canonical point list.
+def sample_subset(variety: Variety, size: int, seed: int, trial: int) -> np.ndarray:
+    """Uniform random size-subset of the variety, as sorted flat indices.
 
-    The full list is shuffled once per (seed, trial) and the subset is the
-    sorted prefix, so identical inputs give identical subsets and larger
-    sizes contain smaller ones (nested chains come for free).
+    The full index list is shuffled once per (seed, trial) and the subset is
+    the sorted prefix, so identical inputs give identical subsets and larger
+    sizes contain smaller ones (nested chains come for free).  The shuffle
+    depends only on the list's length, and index order is lexicographic
+    order, so the subsets are those of the sorted point list.
     """
     if size > variety.size:
         raise SizeExceedsVarietyError(
             f"requested {size} points from a variety of size {variety.size}")
     if size == variety.size:
-        return list(variety.points)
-    order = list(variety.points)
+        return variety.indices
+    order = variety.indices.tolist()
     _derive_rng(seed, trial).shuffle(order)
-    return sorted(order[:size])
+    return np.array(sorted(order[:size]), dtype=np.int64)
 
 
 def sample_scalar_subset(q: int, size: int, seed: int, trial: int):
@@ -108,14 +112,6 @@ class ExperimentPlan:
 
     def context(self) -> FieldContext:
         return FieldContext(self.p, self.n)
-
-    def quadratic_form(self) -> QuadraticForm:
-        if self.form == "identity":
-            return QuadraticForm.identity(self.d)
-        if self.form.startswith("diag:"):
-            coeffs = tuple(int(c) for c in self.form[5:].split(","))
-            return QuadraticForm.diagonal(coeffs)
-        raise ValueError(f"unknown form spec {self.form!r}")
 
     def threshold(self) -> float:
         q = self.p ** self.n
@@ -248,14 +244,14 @@ def _setup(plan: ExperimentPlan):
 def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Distance-count coverage: nu_k(t) across t, coverage of F_q^*, relative
     deviation from |E|^k/q, size-hypothesis margins, and hard deviation audits."""
+    form = QuadraticForm.parse(plan.form, plan.d)
     ctx, dom, variety, reg = _setup(plan)
-    form = plan.quadratic_form()
     graphs = {}
     for t in range(1, ctx.q):
         spec, check = euclidean_spectrum(ctx, form, t, plan.d)
         graphs[t] = spec
         if not check.within:
-            raise AssertionError(f"euclidean graph bound failed at t={t}")
+            raise InvariantError(f"euclidean graph bound failed at t={t}")
     records = []
     hard_failures = 0
     sizes = plan.resolve_sizes(variety.size)

@@ -119,7 +119,7 @@ def smallest_irreducible(p: int, n: int) -> tuple:
             continue  # divisible by X
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found (unreachable)")
+    raise InvariantError("no irreducible polynomial found (unreachable)")
 
 
 class FieldContext:
@@ -159,7 +159,7 @@ class FieldContext:
 
         self._trace_basis = self._build_trace_basis()
         if all(t == 0 for t in self._trace_basis):
-            raise AssertionError("trace is identically zero (modulus not separable?)")
+            raise InvariantError("trace is identically zero (modulus not separable?)")
         self.trace_table = self._build_trace_table()
         self.char_table = np.exp(2j * np.pi * np.arange(p) / p)
 

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import TABLE_MAX, PointDomain, character_sum_table
+from .domains import TABLE_MAX, PointDomain, character_sum_table, flat_indices
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
     EmptyVarietyError,
+    InvariantError,
     SearchSpaceTooLargeError,
     ZeroParameterError,
 )
@@ -128,23 +129,31 @@ def eval_poly(ctx: FieldContext, spec: PolySpec, x) -> int:
     return acc
 
 
-def eval_poly_table(dom: PointDomain, spec: PolySpec) -> np.ndarray:
-    """F(x) for every point of F_q^d, in canonical index order."""
+def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
+    """F(x) at the points with flat indices idx, by default every point of
+    F_q^d in canonical index order."""
     ctx = dom.ctx
     if spec.d != dom.d:
         raise DimensionMismatchError(
             f"polynomial arity {spec.d} != domain dimension {dom.d}")
+    if idx is None:
+        shape, coord = dom.size, dom.coord_array
+    else:
+        shape = idx.shape
+
+        def coord(j):
+            return (idx // ctx.q ** (dom.d - 1 - j)) % ctx.q
     pow_tables = {}
     for _, exps in spec.terms:
         for e in exps:
             if e and e not in pow_tables:
                 pow_tables[e] = ctx.pow_table(e)
-    out = np.zeros(dom.size, dtype=np.int64)
+    out = np.zeros(shape, dtype=np.int64)
     for coeff, exps in spec.terms:
-        term = np.full(dom.size, coeff, dtype=np.int64)
+        term = np.full(shape, coeff, dtype=np.int64)
         for j, e in enumerate(exps):
             if e:
-                term = ctx.mul_vec(term, pow_tables[e][dom.coord_array(j)])
+                term = ctx.mul_vec(term, pow_tables[e][coord(j)])
         out = ctx.add_vec(out, term)
     return out
 
@@ -174,6 +183,19 @@ class QuadraticForm:
         return cls(d, tuple(tuple(coeffs[i] if i == j else 0 for j in range(d))
                             for i in range(d)))
 
+    @classmethod
+    def parse(cls, spec: str, d: int) -> "QuadraticForm":
+        """The form on F_q^d named by 'identity' or 'diag:a1,...,ad'."""
+        if spec == "identity":
+            return cls.identity(d)
+        if not spec.startswith("diag:"):
+            raise ValueError(f"unknown form spec {spec!r}; use identity or diag:a1,a2,...")
+        form = cls.diagonal(tuple(int(c) for c in spec[5:].split(",")))
+        if form.d != d:
+            raise DimensionMismatchError(
+                f"form {spec!r} has dimension {form.d}, expected d = {d}")
+        return form
+
     def evaluate(self, ctx: FieldContext, x) -> int:
         if len(x) != self.d:
             raise DimensionMismatchError("point/form dimension mismatch")
@@ -187,6 +209,9 @@ class QuadraticForm:
 
     def value_table(self, dom: PointDomain) -> np.ndarray:
         """Q(x) over all of F_q^d in canonical index order."""
+        if self.d != dom.d:
+            raise DimensionMismatchError(
+                f"form dimension {self.d} != domain dimension {dom.d}")
         ctx = dom.ctx
         out = np.zeros(dom.size, dtype=np.int64)
         for i in range(self.d):
@@ -224,9 +249,10 @@ class QuadraticForm:
             raise DegenerateFormError("quadratic form is degenerate over F_q")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Variety:
-    """Zero set of a polynomial, points lexicographically ordered.
+    """Zero set of a polynomial as sorted flat indices, which is
+    lexicographic order of the points.
 
     spec is None for varieties loaded from a point file.
     """
@@ -234,14 +260,20 @@ class Variety:
     spec: PolySpec | None
     d: int
     q: int
-    points: tuple  # tuple of coordinate tuples, lexicographically sorted
+    indices: np.ndarray  # sorted, duplicate-free int64 flat indices
+
+    def __post_init__(self):
+        self.indices.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.indices)
 
-    def indices(self, dom: PointDomain) -> np.ndarray:
-        return dom.indices_of(self.points)
+    @property
+    def points(self) -> tuple:
+        """The points as coordinate tuples, lexicographically sorted."""
+        digits = self.indices[:, None] // self.q ** np.arange(self.d - 1, -1, -1) % self.q
+        return tuple(map(tuple, digits.tolist()))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -251,6 +283,8 @@ class Variety:
 
     @classmethod
     def load(cls, path) -> "Variety":
+        """Read a `save` file; rejects a wrong count, wrong arity, a
+        coordinate outside [0, q) and a repeated point."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 3:
@@ -263,9 +297,10 @@ class Variety:
                     pts.append(tuple(int(c) for c in line.split(",")))
         if len(pts) != size:
             raise ValueError(f"variety file lists {len(pts)} points, header says {size}")
-        if any(len(pt) != d for pt in pts):
-            raise ValueError("variety file contains a point of the wrong dimension")
-        return cls(spec=None, d=d, q=q, points=tuple(sorted(pts)))
+        idx = np.unique(flat_indices(pts, q, d))
+        if len(idx) != size:
+            raise ValueError("variety file lists a point more than once")
+        return cls(spec=None, d=d, q=q, indices=idx)
 
 
 def enumerate_variety(ctx: FieldContext, spec: PolySpec) -> Variety:
@@ -281,28 +316,10 @@ def enumerate_variety(ctx: FieldContext, spec: PolySpec) -> Variety:
     else:
         hits = []
         for lo in range(0, size, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, size)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            vals = _eval_poly_on_indices(ctx, spec, idx)
-            hits.append(idx[vals == 0])
-        idxs = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
-    points = tuple(dom.point_of(int(i)) for i in idxs)
-    return Variety(spec=spec, d=spec.d, q=ctx.q, points=points)
-
-
-def _eval_poly_on_indices(ctx, spec, idx):
-    q, d = ctx.q, spec.d
-    pow_tables = {e: ctx.pow_table(e)
-                  for _, exps in spec.terms for e in exps if e}
-    out = np.zeros(idx.shape, dtype=np.int64)
-    for coeff, exps in spec.terms:
-        term = np.full(idx.shape, coeff, dtype=np.int64)
-        for j, e in enumerate(exps):
-            if e:
-                xj = (idx // q ** (d - 1 - j)) % q
-                term = ctx.mul_vec(term, pow_tables[e][xj])
-        out = ctx.add_vec(out, term)
-    return out
+            idx = np.arange(lo, min(lo + _EVAL_CHUNK, size), dtype=np.int64)
+            hits.append(idx[eval_poly_table(dom, spec, idx) == 0])
+        idxs = np.concatenate(hits)
+    return Variety(spec=spec, d=spec.d, q=ctx.q, indices=idxs.astype(np.int64, copy=False))
 
 
 FAMILIES = ("sphere", "paraboloid", "minkowski")
@@ -375,13 +392,13 @@ def regularity_check(ctx: FieldContext, variety: Variety,
     if dom.size > TABLE_MAX:
         raise SearchSpaceTooLargeError(
             f"q^d = {dom.size} exceeds the m-scan budget {TABLE_MAX}")
-    sums = character_sum_table(dom, variety.points, method=method)
+    sums = character_sum_table(dom, variety.indices, method=method)
     mods = np.abs(sums)
     # Parseval audit: sum_m |sum_x chi(-m.x)|^2 == q^d * |V|
     total = float(np.sum(mods ** 2))
     expected = float(dom.size * variety.size)
     if abs(total - expected) > 1e-6 * expected:
-        raise AssertionError(
+        raise InvariantError(
             f"Parseval audit failed: {total} vs {expected} (scan is inconsistent)")
     mods[0] = -1.0  # exclude m = 0 from the maximum
     arg = int(np.argmax(mods))  # first maximizer in index order

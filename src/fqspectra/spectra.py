@@ -1,5 +1,5 @@
 """Cayley (di)graph spectra on F_q^d and F_q x F_q^{2d} via character sums,
-second-eigenvalue extraction, normality checks, and mixing-lemma audits.
+second-eigenvalue extraction, and mixing-lemma audits.
 
 Eigenvalues are always indexed by group characters m, never obtained from a
 materialized adjacency matrix: lam_m = sum_{s in S} chi(m . s).  The second
@@ -17,11 +17,12 @@ import numpy as np
 from .domains import TABLE_MAX, PointDomain, character_sum_table
 from .errors import (
     ExponentDivisibleByCharacteristicError,
+    InvariantError,
     NotDiagonalError,
     SearchSpaceTooLargeError,
 )
 from .field import FieldContext
-from .geometry import PolySpec, QuadraticForm, diagonal_shape
+from .geometry import PolySpec, QuadraticForm, diagonal_shape, eval_poly_table
 
 # Relative tolerance used to decide whether |lam_m| equals the degree.
 _DEGREE_EQ_RTOL = 1e-9
@@ -81,7 +82,7 @@ class Spectrum:
 def _finish_spectrum(ctx, dom, degree, eigenvalues, method) -> Spectrum:
     lam0 = eigenvalues[0]
     if abs(lam0 - degree) > 1e-9 * max(1.0, degree):
-        raise AssertionError(
+        raise InvariantError(
             f"trivial eigenvalue {lam0} != degree {degree}; spectrum inconsistent")
     mods = np.abs(eigenvalues)
     keep = np.abs(mods - degree) > _DEGREE_EQ_RTOL * max(1.0, degree)
@@ -99,22 +100,25 @@ def _finish_spectrum(ctx, dom, degree, eigenvalues, method) -> Spectrum:
 
 def cayley_spectrum(ctx: FieldContext, points, d: int | None = None,
                     method: str = "auto") -> Spectrum:
-    """Spectrum of the Cayley digraph on F_q^d with connection set `points`."""
-    pts = [tuple(int(c) for c in pt) for pt in points]
+    """Spectrum of the Cayley digraph on F_q^d with connection set `points`,
+    an index array or a sequence of coordinate tuples; d may be omitted for
+    a nonempty sequence of tuples."""
     if d is None:
-        if not pts:
-            raise ValueError("need d for an empty connection set")
-        d = len(pts[0])
-    if len(set(pts)) != len(pts):
-        raise ValueError("connection set must be duplicate-free")
+        points = list(points)
+        if not points or np.ndim(points[0]) != 1:
+            raise ValueError("need d for an empty connection set or flat indices")
+        d = len(points[0])
     dom = PointDomain(ctx, d)
     if dom.size > TABLE_MAX:
         raise SearchSpaceTooLargeError(
             f"q^d = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
-    eigenvalues = character_sum_table(dom, pts, method=method)
+    idx = dom.as_indices(points)
+    if np.any(np.diff(np.sort(idx)) == 0):
+        raise ValueError("connection set must be duplicate-free")
+    eigenvalues = character_sum_table(dom, idx, method=method)
     resolved = method if method != "auto" else (
-        "direct" if len(pts) <= ctx.p * ctx.n else "transform")
-    return _finish_spectrum(ctx, dom, len(pts), eigenvalues, resolved)
+        "direct" if len(idx) <= ctx.p * ctx.n else "transform")
+    return _finish_spectrum(ctx, dom, len(idx), eigenvalues, resolved)
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,7 @@ def euclidean_spectrum(ctx: FieldContext, form: QuadraticForm, t: int, d: int,
         raise SearchSpaceTooLargeError(
             f"q^d = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
     values = form.value_table(dom)
-    idxs = np.nonzero(values == t % ctx.q)[0]
-    pts = [dom.point_of(int(i)) for i in idxs]
-    spec = cayley_spectrum(ctx, pts, d=d, method=method)
+    spec = cayley_spectrum(ctx, np.nonzero(values == t % ctx.q)[0], d=d, method=method)
     bound = 2.0 * ctx.q ** ((d - 1) / 2)
     if t % ctx.q == 0:
         check = BoundCheck(spec.lambda_second, bound, True,
@@ -197,8 +199,8 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int,
             f"q^(2d+1) = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
     degree = ctx.q ** (2 * d)
     if method == "direct":
-        pts = _affine_connection_set(ctx, s, coeffs, d)
-        eigenvalues = character_sum_table(dom, pts, method="auto")
+        eigenvalues = character_sum_table(dom, _affine_connection_set(ctx, s, coeffs, d),
+                                          method="auto")
     elif method == "closed":
         eigenvalues = _affine_eigenvalues_closed(ctx, dom, s, coeffs, d)
     else:
@@ -212,103 +214,33 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int,
 
 
 def _affine_connection_set(ctx, s, coeffs, d):
+    """Flat indices in F_q^(2d+1) of the points (-(P(x) - P(y)), x, y)."""
+    unit = [tuple(s if i == j else 0 for i in range(2 * d)) for j in range(2 * d)]
+    terms = [(c, unit[j]) for j, c in enumerate(coeffs)]
+    terms += [(ctx.neg(c), unit[d + j]) for j, c in enumerate(coeffs)]
     dom2d = PointDomain(ctx, 2 * d)
-    pts = []
-    for idx in range(dom2d.size):
-        x = dom2d.point_of(idx)
-        val = 0
-        for j in range(d):
-            val = ctx.add(val, ctx.mul(coeffs[j], ctx.pow(x[j], s)))
-        for j in range(d, 2 * d):
-            val = ctx.sub(val, ctx.mul(coeffs[j - d], ctx.pow(x[j], s)))
-        pts.append((ctx.neg(val),) + x)
-    return pts
+    diff = eval_poly_table(dom2d, PolySpec(2 * d, tuple(terms)))
+    return ctx.neg_vec(diff) * dom2d.size + np.arange(dom2d.size, dtype=np.int64)
 
 
 def _affine_eigenvalues_closed(ctx, dom, s, coeffs, d):
+    """lam(m0, m_1..m_2d) = prod_j W(-+m0*a_j, m_j), one m0 slice at a time
+    as an outer product of 2d rows of W."""
     q = ctx.q
-    # W[a, b] = sum_u chi(a*u^s + b*u)
     u = np.arange(q, dtype=np.int64)
-    us = ctx.pow_table(s)
-    W = np.zeros((q, q), dtype=np.complex128)
-    for a in range(q):
-        base = ctx.mul_vec(np.int64(a), us)
-        for b in range(q):
-            W[a, b] = np.sum(ctx.char_vec(ctx.add_vec(base, ctx.mul_vec(np.int64(b), u))))
-    m = np.arange(dom.size, dtype=np.int64)
-    D = 2 * d + 1
-    m0 = (m // q ** (D - 1)) % q
-    lam = np.ones(dom.size, dtype=np.complex128)
-    neg_m0 = ctx.neg_vec(m0)
-    for j in range(d):
-        mj = (m // q ** (D - 2 - j)) % q
-        alpha = ctx.mul_vec(neg_m0, np.int64(coeffs[j]))
-        lam *= W[alpha, mj]
-    for j in range(d, 2 * d):
-        mj = (m // q ** (D - 2 - j)) % q
-        alpha = ctx.mul_vec(m0, np.int64(coeffs[j - d]))
-        lam *= W[alpha, mj]
-    return lam
-
-
-# -- normality ----------------------------------------------------------------
-
-def is_normal_digraph(num_vertices: int, edges) -> bool:
-    """Generic normality test: |N+(x,y)| == |N-(x,y)| for every vertex pair."""
-    succ = [set() for _ in range(num_vertices)]
-    pred = [set() for _ in range(num_vertices)]
-    for u, v in edges:
-        succ[u].add(v)
-        pred[v].add(u)
-    for x in range(num_vertices):
-        for y in range(x + 1, num_vertices):
-            if len(succ[x] & succ[y]) != len(pred[x] & pred[y]):
-                return False
-    return True
-
-
-NORMALITY_FULL_MAX = 10 ** 5
-
-
-def normality_check(ctx: FieldContext, points, d: int | None = None,
-                    max_pairs: int = 200_000, seed: int = 0) -> bool:
-    """Normality of the Cayley digraph with connection set `points`.
-
-    Checks |N+(x,y)| == |N-(x,y)| pair by pair; every pair when the pair count
-    fits the budget, otherwise a seeded sample.  Abelian Cayley digraphs are
-    always normal, so this doubles as a regression guard on edge orientation.
-    """
-    pts = [tuple(int(c) for c in pt) for pt in points]
-    if d is None:
-        d = len(pts[0])
-    dom = PointDomain(ctx, d)
-    if dom.size > NORMALITY_FULL_MAX:
-        raise SearchSpaceTooLargeError(
-            f"q^d = {dom.size} exceeds the normality budget {NORMALITY_FULL_MAX}")
-    sset = set(int(i) for i in dom.indices_of(pts))
-    n = dom.size
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= max_pairs:
-        pairs = ((x, y) for x in range(n) for y in range(x + 1, n))
-    else:
-        import random
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(max_pairs))
-    for x, y in pairs:
-        if x == y:
-            continue
-        n_plus = 0
-        n_minus = 0
-        for s in sset:
-            # z = x + s is a common out-neighbour iff z - y in S
-            if int(dom.index_sub(dom.index_add(x, s), y)) in sset:
-                n_plus += 1
-            # z = x - s is a common in-neighbour iff y - z in S
-            if int(dom.index_sub(y, dom.index_sub(x, s))) in sset:
-                n_minus += 1
-        if n_plus != n_minus:
-            return False
-    return True
+    # W[a, b] = sum_u chi(a*u^s + b*u)
+    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
+    bu = ctx.mul_vec(u[:, None], u[None, :])
+    W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
+    lam = np.empty((q, q ** (2 * d)), dtype=np.complex128)
+    for m0 in range(q):
+        alphas = ([ctx.mul(ctx.neg(m0), c) for c in coeffs]
+                  + [ctx.mul(m0, c) for c in coeffs])
+        row = np.ones((q,) * (2 * d), dtype=np.complex128)
+        for j, a in enumerate(alphas):
+            row = row * W[a].reshape((1,) * j + (q,) + (1,) * (2 * d - 1 - j))
+        lam[m0] = row.reshape(-1)
+    return lam.reshape(dom.size)
 
 
 # -- mixing audits -------------------------------------------------------------

@@ -189,7 +189,7 @@ def _criterion_graphs():
                                     1 if family != "paraboloid" else None)
                 dom = PointDomain(ctx, d)
                 spec = cayley_spectrum(ctx, v.points, d=d)
-                yield f"{family} p={p} d={d}", spec, dom, [int(i) for i in v.indices(dom)]
+                yield f"{family} p={p} d={d}", spec, dom, [int(i) for i in v.indices]
     for p, d, s in AFFINE_ROWS:
         ctx = FieldContext(p)
         dom = PointDomain(ctx, 2 * d + 1)

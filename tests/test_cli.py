@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+import fqspectra.spectra as spectra_mod
 from fqspectra.cli import main
+from fqspectra.geometry import Variety
 
 
 def run_cli(argv, capsys):
@@ -170,17 +172,71 @@ def test_experiment_missing_plan(capsys):
     assert code == 1
 
 
-def test_threads_flag_validated(capsys):
-    code, _, _ = run_cli(["--threads", "0", "variety", "check", "--p", "3",
+def test_threads_flag_is_a_usage_error(capsys):
+    code, _, _ = run_cli(["--threads", "4", "variety", "check", "--p", "3",
                           "--d", "2", "--family", "sphere"], capsys)
     assert code == 1
 
 
-def test_threads_flag_output_identical(capsys):
-    argv = ["variety", "check", "--p", "3", "--d", "2", "--family", "sphere"]
-    _, out1, _ = run_cli(["--threads", "1"] + argv, capsys)
-    _, out4, _ = run_cli(["--threads", "4"] + argv, capsys)
-    assert out1 == out4
+def _variety_file(tmp_path, text):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_variety_file_with_out_of_range_coordinate_is_rejected(tmp_path, capsys):
+    path = _variety_file(tmp_path, "5 2 1\n7,0\n")
+    with pytest.raises(ValueError):
+        Variety.load(path)
+    code, out, err = run_cli(["spectrum", "cayley", "--p", "5", "--d", "2",
+                              "--variety-file", path], capsys)
+    assert code == 1 and out == ""
+    assert "outside" in err
+
+
+def test_variety_file_with_repeated_point_is_rejected(tmp_path, capsys):
+    path = _variety_file(tmp_path, "5 2 2\n1,0\n1,0\n")
+    with pytest.raises(ValueError):
+        Variety.load(path)
+    code, out, err = run_cli(["energy", "lambda", "--p", "5", "--d", "2",
+                              "--variety-file", path, "--k", "2"], capsys)
+    assert code == 1 and out == ""
+    assert "more than once" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "euclidean", "--p", "3", "--d", "3", "--t", "1", "--form", "diag:1,1"],
+    ["energy", "nu", "--p", "3", "--d", "3", "--family", "sphere", "--k", "2",
+     "--form", "diag:1,1"],
+], ids=["spectrum-euclidean", "energy-nu"])
+def test_form_of_wrong_dimension_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "DimensionMismatchError" in err
+
+
+def test_experiment_form_of_wrong_dimension_is_a_usage_error(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("p = 3\nd = 3\nform = diag:1,1\nk = 2\n"
+                    "sizes = 4\nsizes_mode = absolute\ntrials = 1\n")
+    code, out, err = run_cli(["experiment", "coverage", "--plan", str(plan)], capsys)
+    assert code == 1 and out == ""
+    assert "DimensionMismatchError" in err
+
+
+def test_invariant_error_exits_1_without_traceback(monkeypatch, capsys):
+    real = spectra_mod.character_sum_table
+
+    def corrupted(dom, points, method="auto"):
+        lam = real(dom, points, method)
+        lam[0] += 1.0
+        return lam
+
+    monkeypatch.setattr(spectra_mod, "character_sum_table", corrupted)
+    code, _, err = run_cli(["spectrum", "cayley", "--p", "3", "--d", "2",
+                            "--family", "sphere"], capsys)
+    assert code == 1
+    assert err.startswith("error: InvariantError: trivial eigenvalue")
 
 
 def test_console_script_entry_point():

@@ -486,9 +486,9 @@ def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
     for ctx in (F5, FieldContext(3, 2)):
         dom = PointDomain(ctx, 2)
         v = builtin_variety(ctx, "paraboloid", 2)
-        vset = set(dom.indices_of(v.points).tolist())
+        vset = set(v.indices.tolist())
         E = sorted(random.Random(ctx.q).sample(list(v.points), 5))
-        idx = dom.indices_of(E)
+        idx = dom.as_indices(E)
         want = sum(1 for a in idx for b1 in idx for b2 in idx
                    if int(dom.index_sub(dom.index_add(int(b1), int(b2)), int(a))) in vset)
         assert energy_growth_audit(dom, v, E, 4).detail["edge_count"] == want

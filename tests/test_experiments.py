@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from fqspectra.domains import PointDomain
 from fqspectra.errors import SizeExceedsVarietyError
 from fqspectra.experiments import (
     ExperimentPlan,
+    _derive_rng,
     coverage_experiment,
     energy_bound_experiment,
     sample_scalar_subset,
@@ -20,23 +23,32 @@ F5 = FieldContext(5)
 
 def test_sample_full_and_empty():
     v = builtin_variety(F3, "sphere", 2, 1)
-    assert sample_subset(v, v.size, seed=123, trial=0) == list(v.points)
-    assert sample_subset(v, 0, seed=123, trial=0) == []
+    assert np.array_equal(sample_subset(v, v.size, seed=123, trial=0), v.indices)
+    assert sample_subset(v, 0, seed=123, trial=0).tolist() == []
 
 
 def test_sample_is_deterministic():
     v = builtin_variety(F5, "sphere", 3, 1)
     a = sample_subset(v, 7, seed=42, trial=0)
     b = sample_subset(v, 7, seed=42, trial=0)
-    assert a == b
-    assert sample_subset(v, 7, seed=42, trial=1) != a  # different stream
-    assert sample_subset(v, 7, seed=43, trial=0) != a
+    assert np.array_equal(a, b)
+    assert not np.array_equal(sample_subset(v, 7, seed=42, trial=1), a)  # different stream
+    assert not np.array_equal(sample_subset(v, 7, seed=43, trial=0), a)
+
+
+def test_sample_is_the_sorted_prefix_of_the_shuffled_point_list():
+    v = builtin_variety(F5, "sphere", 3, 1)
+    for trial in range(3):
+        order = list(v.points)
+        _derive_rng(42, trial).shuffle(order)
+        want = PointDomain(F5, 3).as_indices(sorted(order[:7]))
+        assert np.array_equal(sample_subset(v, 7, seed=42, trial=trial), want)
 
 
 def test_sample_chains_are_nested():
     v = builtin_variety(F5, "sphere", 3, 1)
-    small = set(map(tuple, sample_subset(v, 5, seed=11, trial=2)))
-    large = set(map(tuple, sample_subset(v, 12, seed=11, trial=2)))
+    small = set(sample_subset(v, 5, seed=11, trial=2).tolist())
+    large = set(sample_subset(v, 12, seed=11, trial=2).tolist())
     assert small <= large
 
 

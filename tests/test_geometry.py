@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import fqspectra.geometry as geometry_mod
+
 from fqspectra.domains import PointDomain, character_sum_table
 from fqspectra.errors import (
     DegenerateFormError,
@@ -117,6 +119,18 @@ def test_enumeration_is_deterministic():
     b = builtin_variety(F5, "sphere", 3, 2)
     assert a.points == b.points
     assert list(a.points) == sorted(a.points)
+
+
+@pytest.mark.parametrize("ctx,family,d", [
+    (F5, "sphere", 3), (FieldContext(3, 2), "paraboloid", 3), (F3, "minkowski", 2)])
+def test_chunked_enumeration_gives_the_same_variety(ctx, family, d, monkeypatch):
+    whole = builtin_variety(ctx, family, d)
+    monkeypatch.setattr(geometry_mod, "TABLE_MAX", 1)
+    monkeypatch.setattr(geometry_mod, "_EVAL_CHUNK", 7)
+    chunked = builtin_variety(ctx, family, d)
+    assert chunked.indices.dtype == np.int64
+    assert np.array_equal(chunked.indices, whole.indices)
+    assert chunked.points == whole.points
 
 
 def test_regularity_sphere_f3():

@@ -4,10 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import fqspectra.spectra as spectra_mod
+
 from fqspectra.domains import PointDomain
 from fqspectra.errors import (
     DegenerateFormError,
     ExponentDivisibleByCharacteristicError,
+    InvariantError,
     NotDiagonalError,
     SearchSpaceTooLargeError,
 )
@@ -18,9 +21,7 @@ from fqspectra.spectra import (
     cayley_edge_oracle,
     cayley_spectrum,
     euclidean_spectrum,
-    is_normal_digraph,
     mixing_audit,
-    normality_check,
 )
 
 from oracles import brute_second_eigenvalue, sphere_points
@@ -206,27 +207,45 @@ def test_spectrum_size_guard():
         cayley_spectrum(ctx, [(1, 0, 0)], d=3)
 
 
-def test_normality_of_cayley_graphs():
-    v = builtin_variety(F3, "sphere", 2, 1)
-    assert normality_check(F3, v.points)
-    assert normality_check(F3, [(1, 0)])
-    rng = random.Random(4)
-    dom = PointDomain(F5, 2)
-    idxs = rng.sample(range(dom.size), 7)
-    assert normality_check(F5, [dom.point_of(i) for i in idxs])
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_index_arithmetic_matches_field_arithmetic(p, n, d):
+    # Orientation and carries of the flat-index group law, coordinate by
+    # coordinate, for arrays and for Python ints.
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    rng = np.random.default_rng(p * 100 + n * 10 + d)
+    A = rng.integers(0, dom.size, 300)
+    B = rng.integers(0, dom.size, 300)
+    add, sub, neg = dom.index_add(A, B), dom.index_sub(A, B), dom.index_neg(A)
+    for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
+        x, y = dom.point_of(a), dom.point_of(b)
+        assert dom.index_of(x) == a
+        assert dom.point_of(add[i]) == tuple(ctx.add(u, v) for u, v in zip(x, y))
+        assert dom.point_of(sub[i]) == tuple(ctx.sub(u, v) for u, v in zip(x, y))
+        assert dom.point_of(neg[i]) == tuple(ctx.neg(u) for u in x)
+        assert dom.index_add(a, b) == add[i] and dom.index_sub(a, b) == sub[i]
+    assert np.array_equal(dom.as_indices([dom.point_of(a) for a in A.tolist()]), A)
 
 
-def test_adversarial_digraph_is_not_normal():
-    # u -> v, u -> w, v -> w: N+(v,w) = {} but N-(v,w) = {u}
-    assert not is_normal_digraph(3, [(0, 1), (0, 2), (1, 2)])
-    assert is_normal_digraph(3, [(0, 1), (1, 2), (2, 0)])  # directed cycle
+def test_corrupted_trivial_eigenvalue_raises_invariant_error(monkeypatch):
+    real = spectra_mod.character_sum_table
+
+    def corrupted(dom, points, method="auto"):
+        lam = real(dom, points, method)
+        lam[0] += 1.0
+        return lam
+
+    monkeypatch.setattr(spectra_mod, "character_sum_table", corrupted)
+    with pytest.raises(InvariantError):
+        cayley_spectrum(F3, [(1, 0), (0, 1)])
 
 
 def test_mixing_audit_whole_vertex_set():
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
     dom = PointDomain(F3, 2)
-    oracle = cayley_edge_oracle(dom, v.indices(dom))
+    oracle = cayley_edge_oracle(dom, v.indices)
     everything = Counter({i: 1 for i in range(dom.size)})
     audit = mixing_audit(spec, everything, everything, oracle)
     assert audit.e_observed == dom.size * spec.degree
@@ -238,8 +257,8 @@ def test_mixing_audit_sphere_worked_example():
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
     dom = PointDomain(F3, 2)
-    oracle = cayley_edge_oracle(dom, v.indices(dom))
-    B = Counter({int(i): 1 for i in v.indices(dom)})
+    oracle = cayley_edge_oracle(dom, v.indices)
+    B = Counter({int(i): 1 for i in v.indices})
     audit = mixing_audit(spec, B, B, oracle)
     assert audit.e_observed == 4
     assert audit.main_term == pytest.approx(64 / 9)
@@ -251,7 +270,7 @@ def test_mixing_audit_multiplicity_scaling():
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
     dom = PointDomain(F3, 2)
-    oracle = cayley_edge_oracle(dom, v.indices(dom))
+    oracle = cayley_edge_oracle(dom, v.indices)
     single = Counter({0: 1})
     triple = Counter({0: 3})
     a1 = mixing_audit(spec, single, single, oracle)
