@@ -82,9 +82,11 @@ def _add_subset_args(p):
     p.add_argument("--trial", type=int, default=0)
 
 
-def _add_output_args(p):
+def _add_out_arg(p):
     p.add_argument("--out", help="write the main artifact to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_pretty_arg(p):
     p.add_argument("--pretty", action="store_true", help="human-readable output")
 
 
@@ -99,11 +101,13 @@ def build_parser() -> _Parser:
     venum = vsub.add_parser("enum")
     _add_field_args(venum)
     _add_variety_args(venum)
-    _add_output_args(venum)
+    _add_out_arg(venum)
+    _add_pretty_arg(venum)
     vcheck = vsub.add_parser("check")
     _add_field_args(vcheck)
     _add_variety_args(vcheck)
-    _add_output_args(vcheck)
+    _add_out_arg(vcheck)
+    _add_pretty_arg(vcheck)
     vcheck.add_argument("--c1-lo", type=float, default=0.5)
     vcheck.add_argument("--c1-hi", type=float, default=2.0)
     vcheck.add_argument("--c2-max", type=float, default=3.0)
@@ -113,18 +117,21 @@ def build_parser() -> _Parser:
     scay = ssub.add_parser("cayley")
     _add_field_args(scay)
     _add_variety_args(scay)
-    _add_output_args(scay)
+    _add_out_arg(scay)
+    _add_pretty_arg(scay)
     seuc = ssub.add_parser("euclidean")
     _add_field_args(seuc)
     seuc.add_argument("--t", type=int, required=True, help="level of Q(x-y)=t")
     seuc.add_argument("--form", default="identity",
                       help="'identity' or 'diag:a1,a2,...'")
-    _add_output_args(seuc)
+    _add_out_arg(seuc)
+    _add_pretty_arg(seuc)
     saff = ssub.add_parser("affine")
     _add_field_args(saff)
     saff.add_argument("--s", type=int, default=2, help="diagonal exponent")
     saff.add_argument("--coeffs", help="comma-separated diagonal coefficients")
-    _add_output_args(saff)
+    _add_out_arg(saff)
+    _add_pretty_arg(saff)
 
     energy = sub.add_parser("energy", help="exact energies and count tables")
     esub = energy.add_subparsers(dest="subcommand", required=True)
@@ -133,8 +140,11 @@ def build_parser() -> _Parser:
         _add_field_args(ep)
         _add_variety_args(ep)
         _add_subset_args(ep)
-        _add_output_args(ep)
+        _add_pretty_arg(ep)
         ep.add_argument("--k", type=int, required=True)
+        if name in ("nu", "nup"):
+            _add_out_arg(ep)
+            ep.add_argument("--format", choices=("json", "csv"), default="json")
         if name in ("nu", "delta"):
             ep.add_argument("--form", default="identity")
         if name in ("nup", "delta"):
@@ -164,7 +174,7 @@ def build_parser() -> _Parser:
     amix.add_argument("--max-support", type=int, default=8)
     amix.add_argument("--max-multiplicity", type=int, default=3)
     amix.add_argument("--seed", type=int, default=0)
-    _add_output_args(amix)
+    _add_pretty_arg(amix)
     return parser
 
 
@@ -193,14 +203,14 @@ def _subset(variety, args):
     return sample_subset(variety, int(args.subset), args.seed, args.trial)
 
 
-def _coeffs(args, d):
-    if getattr(args, "coeffs", None):
+def _coeffs(args):
+    if args.coeffs:
         return tuple(int(c) for c in args.coeffs.split(","))
     return None
 
 
 def _emit(payload: dict, args, pretty_lines=None):
-    if getattr(args, "pretty", False) and pretty_lines is not None:
+    if args.pretty and pretty_lines is not None:
         for line in pretty_lines:
             print(line)
     else:
@@ -252,7 +262,7 @@ def _cmd_spectrum(args) -> int:
         form = QuadraticForm.parse(args.form, args.d)
         spec, check = euclidean_spectrum(ctx, form, args.t, args.d)
     else:
-        pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args, args.d))
+        pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
         spec, check = affine_cayley_spectrum(ctx, pspec, args.d)
     payload = spec.summary()
     lines = [f"n = {spec.order}, degree = {spec.degree}",
@@ -294,7 +304,7 @@ def _cmd_energy(args) -> int:
     if args.subcommand == "nup":
         if args.s is None:
             raise FqspectraError("energy nup needs --s (diagonal exponent)")
-        pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args, args.d))
+        pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
         X = [int(v) for v in args.x_set.split(",")]
         table = nu_P_k(dom, E, X, pspec, args.k)
         sq = second_moment(table)
@@ -307,9 +317,8 @@ def _cmd_energy(args) -> int:
                  "sumset_size": len(ss), "cs_bound_ok": len(ss) >= bound}
         rc = _emit_table(table, args, extra=extra)
         return max(rc, code)
-    form_or_poly = None
-    if getattr(args, "s", None) is not None:
-        form_or_poly = diagonal_poly(ctx, args.d, args.s, _coeffs(args, args.d))
+    if args.s is not None:
+        form_or_poly = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
     else:
         form_or_poly = QuadraticForm.parse(args.form, args.d)
     ds = delta_set(dom, E, form_or_poly, args.k)
@@ -320,7 +329,7 @@ def _cmd_energy(args) -> int:
 
 
 def _emit_table(table, args, extra=None) -> int:
-    if args.format == "csv" or (args.out and not getattr(args, "pretty", False)):
+    if args.format == "csv" or (args.out and not args.pretty):
         text = "t,count\n" + "\n".join(f"{t},{v}" for t, v in table.to_rows())
         if args.out:
             with open(args.out, "w") as fh:

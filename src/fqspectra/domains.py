@@ -139,6 +139,19 @@ def _trace_form(ctx: FieldContext) -> np.ndarray:
     return T
 
 
+def resolve_method(ctx: FieldContext, size: int, method: str = "auto") -> str:
+    """The path `character_sum_table` takes for a set of `size` points.
+
+    'auto' sums directly when size <= p*n, where the direct sum is cheaper
+    than the transform, and transforms otherwise.
+    """
+    if method == "auto":
+        return "direct" if size <= ctx.p * ctx.n else "transform"
+    if method not in ("direct", "transform"):
+        raise ValueError(f"unknown method {method!r}")
+    return method
+
+
 def character_sum_table(dom: PointDomain, points, method: str = "auto") -> np.ndarray:
     """lam[m] = sum over s in points of chi(m . s), for every m in F_q^d.
 
@@ -147,18 +160,13 @@ def character_sum_table(dom: PointDomain, points, method: str = "auto") -> np.nd
       * 'direct'    — O(q^d * |S| * d) vectorized summation;
       * 'transform' — a (Z_p)^(n*d) Fourier transform of the indicator,
                       reindexed through the trace pairing, O(q^d * n * d * p).
-    'auto' picks the transform unless the point set is very small.  Both paths
-    agree to floating precision and are cross-checked in the test suite.
+    'auto' picks one by `resolve_method`.  Both paths agree to floating
+    precision and are cross-checked in the test suite.
     """
-    ctx = dom.ctx
     idx = dom.as_indices(points)
-    if method == "auto":
-        method = "direct" if len(idx) <= ctx.p * ctx.n else "transform"
-    if method == "direct":
+    if resolve_method(dom.ctx, len(idx), method) == "direct":
         return _character_sums_direct(dom, idx)
-    if method == "transform":
-        return _character_sums_transform(dom, idx)
-    raise ValueError(f"unknown method {method!r}")
+    return _character_sums_transform(dom, idx)
 
 
 def _character_sums_direct(dom: PointDomain, idx) -> np.ndarray:

@@ -286,15 +286,14 @@ def energy_profile(dom: PointDomain, E, max_k: int) -> EnergyProfile:
 
 
 def _bin_by_value(ctx, values, r, expected_total):
-    """nu(t) = sum of r(z) over z with values(z) = t, exact."""
+    """nu(t) = sum of r(z) over z with values(z) = t, exact.
+
+    np.add.at adds int64 entries in int64 and object entries as Python ints.
+    """
     q = ctx.q
-    if r.dtype == np.int64:
-        out = np.zeros(q, dtype=np.int64)
-        np.add.at(out, values, r)
-    else:
-        out = np.zeros(q, dtype=object)
-        for z in np.nonzero(r)[0]:
-            out[values[z]] += int(r[z])
+    nz = np.flatnonzero(r)
+    out = np.zeros(q, dtype=r.dtype)
+    np.add.at(out, values[nz], r[nz])
     table = CountTable(kind="scalars", d=1, q=q, values=out)
     if table.total() != expected_total:
         raise InvariantError("value-binning lost mass")
@@ -420,16 +419,6 @@ class InequalityAudit:
 
 def _verdict(deviation: float, bound: float) -> bool:
     return deviation <= bound + AUDIT_RTOL * bound + 1e-12
-
-
-def nu_deviation_audit(dom: PointDomain, E, form: QuadraticForm, k: int, t: int,
-                       graph: Spectrum) -> InequalityAudit:
-    """Deviation of nu_k(t) from its mixing main term, for one t != 0.
-
-    `graph` must be the spectrum of the t-level Euclidean graph; see
-    `nu_deviation_audits`.
-    """
-    return nu_deviation_audits(dom, E, form, k, {t: graph}, ts=(t,))[0]
 
 
 def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit:

@@ -7,6 +7,11 @@ fixed monic irreducible polynomial of degree n.  The modulus is chosen
 deterministically (lexicographically smallest irreducible candidate), so the
 encoding is reproducible bit-for-bit across runs and machines.
 
+Prime fields (n = 1) multiply integers modulo p.  Every extension field
+(n >= 2, up to MAX_ORDER) multiplies through discrete log/antilog tables over
+a fixed generator of F_q^*; polynomial arithmetic only builds those tables
+and the trace.
+
 A FieldContext is immutable after construction and every operation is pure,
 so contexts can be shared freely between threads.
 """
@@ -26,9 +31,6 @@ from .errors import (
 
 MAX_DEGREE = 4
 MAX_ORDER = 1 << 20
-# Discrete log/antilog tables are built up to this order; beyond it extension
-# multiplication falls back to polynomial arithmetic.
-LOG_TABLE_MAX = 1 << 16
 
 
 def is_prime(m: int) -> bool:
@@ -128,6 +130,8 @@ class FieldContext:
     Attributes:
         p, n, q: characteristic, extension degree, order q = p^n.
         modulus: monic modulus coefficients (c_0, ..., c_n), c_n = 1.
+        generator: for n >= 2, the smallest encoding that generates F_q^*,
+            whose powers index the log/antilog tables; None for n = 1.
         trace_table: int64 array of length q, Tr(x) for every encoding.
         char_table: the p complex p-th roots of unity, indexed by Tr(x).
     """
@@ -147,15 +151,9 @@ class FieldContext:
         self.q = q
         self.modulus = smallest_irreducible(p, n)
 
-        self._exp = None
-        self._log = None
-        self.generator = None
+        self.generator = self._exp = self._log = None
         if n >= 2:
-            self._reduction = self._build_reduction_matrix()
-            if q <= LOG_TABLE_MAX:
-                self._build_log_tables()
-        else:
-            self._reduction = None
+            self._build_log_tables()
 
         self._trace_basis = self._build_trace_basis()
         if all(t == 0 for t in self._trace_basis):
@@ -164,21 +162,6 @@ class FieldContext:
         self.char_table = np.exp(2j * np.pi * np.arange(p) / p)
 
     # -- construction helpers -------------------------------------------
-
-    def _build_reduction_matrix(self):
-        """Row k: coefficient vector of X^k reduced mod the modulus, k < 2n-1."""
-        p, n = self.p, self.n
-        rows = []
-        cur = [1] + [0] * (n - 1)
-        for _ in range(2 * n - 1):
-            rows.append(list(cur))
-            # multiply by X and reduce
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i in range(n):
-                    cur[i] = (cur[i] - top * self.modulus[i]) % p
-        return np.array(rows, dtype=np.int64)
 
     def _mul_poly(self, a: int, b: int) -> int:
         da = self.digits(a)
@@ -216,15 +199,25 @@ class FieldContext:
         if g is None:
             raise InvariantError("F_q^* is cyclic; a generator must exist")
         self.generator = g
+        # Doubling: exp[k:2k] = exp[:k] * g^k.  Multiplying by the fixed
+        # element g^k is the F_p-linear map on digit vectors whose row i holds
+        # the digits of X^i * g^k.
+        p, n = self.p, self.n
+        place = p ** np.arange(n, dtype=np.int64)
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, g)
-        if acc != 1:
-            raise InvariantError("generator order mismatch")
+        exp[0] = 1
+        k, gk = 1, g
+        while k < q - 1:
+            m = min(k, q - 1 - k)
+            M = np.array([self.digits(self._mul_poly(p ** i, gk)) for i in range(n)],
+                         dtype=np.int64)
+            digs = (exp[:m, None] // place) % p
+            exp[k:k + m] = ((digs @ M) % p) @ place
+            k, gk = 2 * k, self._mul_poly(gk, gk)
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
+        if np.any(log[1:] < 0):
+            raise InvariantError("powers of the generator miss a nonzero element")
         exp[q - 1:] = exp[: q - 1]
         self._exp = exp
         self._log = log
@@ -293,20 +286,16 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a * b) % self.p
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[self._log[a] + self._log[b]])
-        return self._mul_poly(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InverseOfZeroError("0 has no multiplicative inverse")
         if self.n == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
-        return self._pow_poly(a, self.q - 2)
+        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -315,9 +304,7 @@ class FieldContext:
             return pow(a, e, self.p)
         if a == 0:
             return 0 if e else 1
-        if self._exp is not None:
-            return int(self._exp[(self._log[a] * e) % (self.q - 1)])
-        return self._pow_poly(a, e)
+        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
@@ -354,47 +341,26 @@ class FieldContext:
     def mul_vec(self, A, B):
         if self.n == 1:
             return (A * B) % self.p
-        if self._exp is not None:
-            A, B = np.broadcast_arrays(np.asarray(A), np.asarray(B))
-            out = np.zeros(A.shape, dtype=np.int64)
-            mask = (A != 0) & (B != 0)
-            out[mask] = self._exp[self._log[A[mask]] + self._log[B[mask]]]
-            return out
-        return self._mul_vec_poly(A, B)
-
-    def _mul_vec_poly(self, A, B):
-        """Digit-convolution product for large extension fields (q > 2^16)."""
         A, B = np.broadcast_arrays(np.asarray(A), np.asarray(B))
-        n, p = self.n, self.p
-        da = [(A // p ** i) % p for i in range(n)]
-        db = [(B // p ** i) % p for i in range(n)]
-        conv = [np.zeros(A.shape, dtype=np.int64) for _ in range(2 * n - 1)]
-        for i in range(n):
-            for j in range(n):
-                conv[i + j] += da[i] * db[j]
-        out_digits = [np.zeros(A.shape, dtype=np.int64) for _ in range(n)]
-        for k in range(2 * n - 1):
-            ck = conv[k] % p
-            for i in range(n):
-                r = int(self._reduction[k, i])
-                if r:
-                    out_digits[i] += ck * r
         out = np.zeros(A.shape, dtype=np.int64)
-        pk = 1
-        for i in range(n):
-            out += (out_digits[i] % p) * pk
-            pk *= p
+        mask = (A != 0) & (B != 0)
+        out[mask] = self._exp[self._log[A[mask]] + self._log[B[mask]]]
         return out
 
     def pow_table(self, e: int):
-        """Length-q table v -> v^e, used for vectorized monomial evaluation."""
-        idx = np.arange(self.q, dtype=np.int64)
-        if self.n == 1:
-            if e == 0:
-                return np.ones(self.q, dtype=np.int64)
-            # pow() per entry keeps exponents of any size exact
-            return np.array([pow(int(v), e, self.p) for v in idx], dtype=np.int64)
-        return np.array([self.pow(int(v), e) for v in idx], dtype=np.int64)
+        """Length-q table v -> v^e (with 0^0 = 1) for e >= 0, by
+        square-and-multiply over mul_vec; used for monomial evaluation."""
+        if e < 0:
+            raise ValueError(f"exponent e = {e} must be >= 0")
+        out = np.ones(self.q, dtype=np.int64)
+        base = np.arange(self.q, dtype=np.int64)
+        while e:
+            if e & 1:
+                out = self.mul_vec(out, base)
+            e >>= 1
+            if e:
+                base = self.mul_vec(base, base)
+        return out
 
     def char_vec(self, A):
         """chi evaluated on an int64 array of encodings."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import TABLE_MAX, PointDomain, character_sum_table
+from .domains import TABLE_MAX, PointDomain, character_sum_table, resolve_method
 from .errors import (
     ExponentDivisibleByCharacteristicError,
     InvariantError,
@@ -115,10 +115,9 @@ def cayley_spectrum(ctx: FieldContext, points, d: int | None = None,
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
+    method = resolve_method(ctx, len(idx), method)
     eigenvalues = character_sum_table(dom, idx, method=method)
-    resolved = method if method != "auto" else (
-        "direct" if len(idx) <= ctx.p * ctx.n else "transform")
-    return _finish_spectrum(ctx, dom, len(idx), eigenvalues, resolved)
+    return _finish_spectrum(ctx, dom, len(idx), eigenvalues, method)
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ class BoundCheck:
     normalized_bound: float | None = None
 
 
-def euclidean_spectrum(ctx: FieldContext, form: QuadraticForm, t: int, d: int,
-                       method: str = "auto"):
+def euclidean_spectrum(ctx: FieldContext, form: QuadraticForm, t: int, d: int):
     """Spectrum of the graph on F_q^d joining x,y with Q(x - y) = t.
 
     For t != 0 the returned check asserts the classical 2*q^((d-1)/2) bound;
@@ -152,7 +150,7 @@ def euclidean_spectrum(ctx: FieldContext, form: QuadraticForm, t: int, d: int,
         raise SearchSpaceTooLargeError(
             f"q^d = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
     values = form.value_table(dom)
-    spec = cayley_spectrum(ctx, np.nonzero(values == t % ctx.q)[0], d=d, method=method)
+    spec = cayley_spectrum(ctx, np.nonzero(values == t % ctx.q)[0], d=d)
     bound = 2.0 * ctx.q ** ((d - 1) / 2)
     if t % ctx.q == 0:
         check = BoundCheck(spec.lambda_second, bound, True,

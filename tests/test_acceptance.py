@@ -19,7 +19,7 @@ from fqspectra.energy import (
     delta_set,
     energy_growth_audit,
     lambda_k,
-    nu_deviation_audit,
+    nu_deviation_audits,
     nu_k,
     second_moment_audit,
 )
@@ -251,7 +251,7 @@ def test_acceptance_6_exact_inequality_ledger():
             for k in (2, 4, 3):
                 E = draw_subset(10)
                 t = rng.randint(1, ctx.q - 1)
-                audit = nu_deviation_audit(dom, E, form, k, t, spectra[t])
+                audit = nu_deviation_audits(dom, E, form, k, spectra, ts=(t,))[0]
                 configs += 1
                 if not audit.ok:
                     violations.append(("nu-deviation", p, d, k, audit.as_dict()))

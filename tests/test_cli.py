@@ -178,6 +178,23 @@ def test_threads_flag_is_a_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "lambda", "--p", "3", "--d", "2", "--family", "sphere", "--k", "4"],
+    ["audit", "mixing", "--p", "3", "--d", "2", "--family", "sphere", "--pairs", "5"],
+], ids=["energy-lambda", "audit-mixing"])
+def test_out_flag_is_a_usage_error_where_nothing_is_written(argv, tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    code, out, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert not path.exists()
+
+
+def test_format_flag_is_a_usage_error_outside_count_tables(capsys):
+    code, out, _ = run_cli(["spectrum", "cayley", "--p", "3", "--d", "2",
+                            "--family", "sphere", "--format", "csv"], capsys)
+    assert code == 1 and out == ""
+
+
 def _variety_file(tmp_path, text):
     path = tmp_path / "v.txt"
     path.write_text(text)

@@ -32,7 +32,6 @@ from fqspectra.energy import (
     fold_counts,
     lambda_k,
     nu_P_k,
-    nu_deviation_audit,
     nu_deviation_audits,
     nu_k,
     second_moment,
@@ -202,6 +201,26 @@ def test_nu_P_shift_sum_switches_to_big_integers(monkeypatch):
     assert [int(v) for v in slow.values] == [int(v) for v in fast.values]
 
 
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
+    dom = PointDomain(FieldContext(p, n), 2)
+    form = QuadraticForm.identity(2)
+    P = diagonal_poly(dom.ctx, 2, 2)
+    E = _random_subset(dom, 5, seed=p + n)
+
+    def run():
+        return (nu_k(dom, E, form, 3), nu_P_k(dom, E, [0, 1], P, 3),
+                delta_set(dom, E, P, 3))
+
+    fast = run()
+    monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # every fold table is object
+    slow = run()
+    for a, b in zip(fast[:2], slow[:2]):
+        assert a.values.dtype == np.int64 and b.values.dtype == object
+        assert [int(v) for v in b.values] == [int(v) for v in a.values]
+    assert slow[2] == fast[2]
+
+
 def test_nu_P_empty_X_rejected():
     dom = PointDomain(F3, 1)
     with pytest.raises(EmptyXError):
@@ -322,15 +341,15 @@ def test_nu_deviation_audit_never_fails(k):
         t = rng.randint(1, 4)
         if t not in spectra:
             spectra[t], _ = euclidean_spectrum(ctx, form, t, 2)
-        audit = nu_deviation_audit(dom, E, form, k, t, spectra[t])
+        audit = nu_deviation_audits(dom, E, form, k, {t: spectra[t]}, ts=(t,))[0]
         assert audit.ok, audit.as_dict()
 
 
 def test_nu_deviation_audit_rejects_t_zero():
     spec, _ = euclidean_spectrum(F5, QuadraticForm.identity(2), 1, 2)
     with pytest.raises(ValueError):
-        nu_deviation_audit(PointDomain(F5, 2), [(0, 1)],
-                           QuadraticForm.identity(2), 2, 0, spec)
+        nu_deviation_audits(PointDomain(F5, 2), [(0, 1)],
+                            QuadraticForm.identity(2), 2, {0: spec}, ts=(0,))
 
 
 def test_energy_growth_audit_on_sphere_subsets():
@@ -535,8 +554,8 @@ def test_ladder_and_point_list_give_identical_audits():
     for k in (2, 3, 4):
         by_points = nu_deviation_audits(dom, E, form, k, graphs)
         assert nu_deviation_audits(dom, FoldLadder(dom, E), form, k, graphs) == by_points
-        assert [nu_deviation_audit(dom, E, form, k, t, graphs[t]) for t in range(1, 5)] \
-            == by_points
+        assert [nu_deviation_audits(dom, E, form, k, {t: graphs[t]}, ts=(t,))[0]
+                for t in range(1, 5)] == by_points
     with pytest.raises(ValueError):
         lambda_k(PointDomain(F5, 3), FoldLadder(dom, E), 2)
 

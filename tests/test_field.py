@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fqspectra.errors import (
     DegreeTooLargeError,
     EvenCharacteristicError,
+    InvariantError,
     InverseOfZeroError,
     NotPrimeError,
     OrderTooLargeError,
@@ -147,13 +149,17 @@ def test_field_axioms_f9(a, b, c):
     assert ctx.add(a, ctx.neg(a)) == 0
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (17, 4)])
 def test_log_table_path_matches_polynomial_path(p, n):
     ctx = FieldContext(p, n)
     assert ctx.generator is not None
-    for a in range(ctx.q):
-        for b in range(ctx.q):
-            assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+    if ctx.q <= 27:
+        pairs = itertools.product(range(ctx.q), repeat=2)
+    else:  # F_{17^4}, q > 2^16: sampled pairs
+        rng = random.Random(ctx.q)
+        pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
 
 
 def test_vectorized_ops_match_scalar():
@@ -167,10 +173,9 @@ def test_vectorized_ops_match_scalar():
             got = vec(A, B)
             want = [scal(int(a), int(b)) for a, b in zip(A, B)]
             assert got.tolist() == want
-        if n >= 2:
-            got = ctx._mul_vec_poly(A, B)
-            want = [ctx._mul_poly(int(a), int(b)) for a, b in zip(A, B)]
-            assert got.tolist() == want
+        got = ctx.mul_vec(A, B)
+        want = [ctx._mul_poly(int(a), int(b)) for a, b in zip(A, B)]
+        assert got.tolist() == want
 
 
 def test_pow_table():
@@ -180,3 +185,77 @@ def test_pow_table():
     f9 = FieldContext(3, 2)
     t9 = f9.pow_table(2)
     assert all(t9[v] == f9.mul(v, v) for v in range(9))
+
+
+# Extension fields for the property tests: F_9, F_25, F_27, F_{13^4}, and
+# F_{17^4} with q > 2^16.
+EXT_FIELDS = [(3, 2), (5, 2), (3, 3), (13, 4), (17, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_field(p, n):
+    return FieldContext(p, n)
+
+
+@st.composite
+def _ext_elements(draw, count):
+    ctx = _cached_field(*draw(st.sampled_from(EXT_FIELDS)))
+    return ctx, [draw(st.integers(0, ctx.q - 1)) for _ in range(count)]
+
+
+@given(_ext_elements(2), st.integers(0, 2 * 17 ** 4))
+@settings(max_examples=300, deadline=None)
+def test_extension_scalar_ops_match_polynomial_reference(field_elements, e):
+    ctx, (a, b) = field_elements
+    assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+    assert ctx.pow(a, e) == ctx._pow_poly(a, e)
+    if a:
+        a_inv = ctx._pow_poly(a, ctx.q - 2)
+        assert ctx.inv(a) == a_inv
+        assert ctx.pow(a, -e) == ctx._pow_poly(a_inv, e)
+
+
+@given(_ext_elements(32))
+@settings(max_examples=100, deadline=None)
+def test_extension_mul_vec_matches_polynomial_reference(field_elements):
+    ctx, elements = field_elements
+    A = np.array(elements[:16], dtype=np.int64)
+    B = np.array(elements[16:], dtype=np.int64)
+    want = [ctx._mul_poly(int(a), int(b)) for a, b in zip(A, B)]
+    assert ctx.mul_vec(A, B).tolist() == want
+    assert ctx.mul_vec(A[:, None], B[None, :]).diagonal().tolist() == want
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (31, 1)] + EXT_FIELDS)
+def test_pow_table_matches_polynomial_reference(p, n):
+    ctx = _cached_field(p, n)
+    q = ctx.q
+    rng = random.Random(q)
+    sample = range(q) if q <= 1000 else [0, 1, q - 1] + [rng.randrange(q) for _ in range(64)]
+    for e in (0, 1, 2, 3, q - 1, q, q + 1):
+        table = ctx.pow_table(e)
+        assert table.dtype == np.int64 and table.shape == (q,)
+        assert [int(table[v]) for v in sample] == [ctx._pow_poly(v, e) for v in sample]
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+def test_pow_table_rejects_negative_exponent(p, n):
+    with pytest.raises(ValueError):
+        FieldContext(p, n).pow_table(-1)
+
+
+@pytest.mark.parametrize("p,n", EXT_FIELDS)
+def test_log_inverts_exp(p, n):
+    ctx = _cached_field(p, n)
+    i = np.arange(ctx.q - 1)
+    assert ctx._exp[1] == ctx.generator
+    assert np.array_equal(ctx._log[ctx._exp[i]], i)
+    assert np.array_equal(ctx._exp[ctx.q - 1:], ctx._exp[i])
+
+
+def test_non_generator_is_caught(monkeypatch):
+    # With every candidate passing the generator test, 2 = -1 in F_9, of
+    # order 2, is taken; its powers miss most of F_9^*.
+    monkeypatch.setattr(FieldContext, "_pow_poly", lambda self, a, e: 2)
+    with pytest.raises(InvariantError):
+        FieldContext(3, 2)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
 
 from fqspectra.domains import PointDomain
@@ -239,6 +240,29 @@ def test_corrupted_trivial_eigenvalue_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(spectra_mod, "character_sum_table", corrupted)
     with pytest.raises(InvariantError):
         cayley_spectrum(F3, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+def test_spectrum_method_names_the_path_that_ran(p, n, monkeypatch):
+    ran = []
+
+    def recording(path):
+        real = getattr(domains_mod, f"_character_sums_{path}")
+
+        def run(dom, idx):
+            ran.append(path)
+            return real(dom, idx)
+        return run
+
+    for path in ("direct", "transform"):
+        monkeypatch.setattr(domains_mod, f"_character_sums_{path}", recording(path))
+    ctx = FieldContext(p, n)
+    threshold = p * n  # direct up to p*n points, transform above
+    for size, want in [(1, "direct"), (threshold, "direct"),
+                       (threshold + 1, "transform"), (ctx.q ** 2, "transform")]:
+        ran.clear()
+        spec = cayley_spectrum(ctx, np.arange(size, dtype=np.int64), d=2)
+        assert spec.method == want and ran == [want]
 
 
 def test_mixing_audit_whole_vertex_set():
