@@ -38,10 +38,8 @@ from .spectra import (
 from .energy import (
     CountTable,
     DeltaSet,
-    EnergyProfile,
     FoldLadder,
     delta_set,
-    energy_profile,
     energy_term,
     fold_counts,
     lambda_k,

@@ -12,8 +12,6 @@ import json
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import __version__
 from .domains import PointDomain
 from .energy import (
@@ -60,6 +58,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_at_least(lo: int):
+    """argparse type: an int that is at least lo, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_field_args(p):
@@ -169,10 +178,10 @@ def build_parser() -> _Parser:
     amix = asub.add_parser("mixing")
     _add_field_args(amix)
     _add_variety_args(amix)
-    amix.add_argument("--pairs", type=int, default=1000,
+    amix.add_argument("--pairs", type=_int_at_least(0), default=1000,
                       help="number of random multiset pairs")
-    amix.add_argument("--max-support", type=int, default=8)
-    amix.add_argument("--max-multiplicity", type=int, default=3)
+    amix.add_argument("--max-support", type=_int_at_least(1), default=8)
+    amix.add_argument("--max-multiplicity", type=_int_at_least(1), default=3)
     amix.add_argument("--seed", type=int, default=0)
     _add_pretty_arg(amix)
     return parser
@@ -306,13 +315,14 @@ def _cmd_energy(args) -> int:
             raise FqspectraError("energy nup needs --s (diagonal exponent)")
         pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
         X = [int(v) for v in args.x_set.split(",")]
+        x_size = len(set(v % ctx.q for v in X))
         table = nu_P_k(dom, E, X, pspec, args.k)
         sq = second_moment(table)
-        bound = sumset_lower_bound(table, len(set(v % ctx.q for v in X)), len(E), args.k)
+        bound = sumset_lower_bound(table, x_size, len(E), args.k)
         ds = delta_set(dom, E, pspec, args.k)
         ss = sumset(ctx, X, ds.values)
         code = EXIT_OK if len(ss) >= bound else EXIT_AUDIT
-        extra = {"k": args.k, "size": len(E), "x_size": len(set(v % ctx.q for v in X)),
+        extra = {"k": args.k, "size": len(E), "x_size": x_size,
                  "second_moment": sq, "cs_bound": float(bound),
                  "sumset_size": len(ss), "cs_bound_ok": len(ss) >= bound}
         rc = _emit_table(table, args, extra=extra)

@@ -16,7 +16,6 @@ most once.  Every function here that takes a point set E also takes a ladder.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .field import FieldContext
 from .geometry import PolySpec, QuadraticForm, diagonal_shape, eval_poly_table
-from .spectra import AUDIT_RTOL, Spectrum, affine_cayley_spectrum, cayley_spectrum
+from .spectra import AUDIT_RTOL, Spectrum
 
 FOLD_BUDGET = 10 ** 9
 _INT64_SAFE = 1 << 62
@@ -207,17 +206,20 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
 
 
 class FoldLadder:
-    """The fold tables r_1, r_2, ... of one subset E of F_q^d.
+    """The fold tables r_1, r_2, ... of one subset E of F_q^d, and its even
+    energies Lambda_2, Lambda_4, ...
 
     Holds E as flat indices and builds depth j on first use by one call to
-    `fold_counts`, never twice.  It keeps its tables for its own lifetime
-    only, so callers make one per subset and drop it with the subset.
+    `fold_counts`, never twice; likewise each Lambda_k.  It keeps its tables
+    for its own lifetime only, so callers make one per subset and drop it
+    with the subset.
     """
 
     def __init__(self, dom: PointDomain, E):
         self.dom = dom
         self.indices = dom.as_indices(E)
         self._tables = {}
+        self._energies = {}
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -226,6 +228,16 @@ class FoldLadder:
         if j not in self._tables:
             self._tables[j] = fold_counts(self.dom, self.indices, j)
         return self._tables[j]
+
+    def energy(self, k: int) -> int:
+        """Lambda_k = sum of r_{k/2}^2, for even k >= 2."""
+        if k % 2 != 0 or k < 2:
+            raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
+                            "odd k is handled through the product of neighbours")
+        if k not in self._energies:
+            r = self.fold(k // 2).values
+            self._energies[k] = _exact_dot(r, r, len(self) ** k)
+        return self._energies[k]
 
 
 def _ladder(dom: PointDomain, E) -> FoldLadder:
@@ -239,12 +251,7 @@ def _ladder(dom: PointDomain, E) -> FoldLadder:
 
 def lambda_k(dom: PointDomain, E, k: int) -> int:
     """k-energy: ordered k-tuples whose two half-sums agree; sum of r_{k/2}^2."""
-    if k % 2 != 0 or k < 2:
-        raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
-                        "odd k is handled through the product of neighbours")
-    ladder = _ladder(dom, E)
-    r = ladder.fold(k // 2).values
-    return _exact_dot(r, r, len(ladder) ** k)
+    return _ladder(dom, E).energy(k)
 
 
 def energy_term(ladder: FoldLadder, k: int) -> tuple:
@@ -261,28 +268,6 @@ def energy_term(ladder: FoldLadder, k: int) -> tuple:
     lo = lambda_k(ladder.dom, ladder, k - 1)
     hi = lambda_k(ladder.dom, ladder, k + 1)
     return lo, hi, {"k_energy_product": lo * hi}
-
-
-@dataclass(frozen=True)
-class EnergyProfile:
-    """Even k-energies of a point set plus the odd-k neighbour products."""
-
-    size: int
-    values: dict          # even k -> Lambda_k
-    odd_products: dict    # odd k -> Lambda_{k-1} * Lambda_{k+1}
-
-    def as_dict(self) -> dict:
-        return {"size": self.size,
-                "lambda": {str(k): v for k, v in sorted(self.values.items())},
-                "odd_products": {str(k): v for k, v in sorted(self.odd_products.items())}}
-
-
-def energy_profile(dom: PointDomain, E, max_k: int) -> EnergyProfile:
-    ladder = _ladder(dom, E)
-    values = {k: lambda_k(dom, ladder, k) for k in range(2, max_k + 1, 2)}
-    odd = {k: values[k - 1] * values[k + 1]
-           for k in range(3, max_k, 2) if k - 1 in values and k + 1 in values}
-    return EnergyProfile(size=len(ladder), values=values, odd_products=odd)
 
 
 def _bin_by_value(ctx, values, r, expected_total):
@@ -364,17 +349,31 @@ def delta_set(dom: PointDomain, E, f, k: int) -> DeltaSet:
                     covers_Fq=len(seen) == q)
 
 
+def coverage_flags(table: CountTable) -> tuple:
+    """(covers_Fq_star, covers_Fq) of a value-binned table such as nu_k.
+
+    Its support {t : nu(t) > 0} is the generalized distance set, so these
+    are `delta_set`'s flags, read without binning the fold again.
+    """
+    star = bool(np.count_nonzero(table.values[1:]) == table.q - 1)
+    return star, star and table[0] > 0
+
+
 def second_moment(table: CountTable) -> int:
     """Exact sum of squared counts."""
     return _exact_dot(table.values, table.values, table.total() ** 2)
 
 
-def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> Fraction:
-    """Cauchy-Schwarz lower bound |X|^2 |E|^{2k} / sum_t nu(t)^2 as an exact rational."""
+def _require_total(table: CountTable, x_size: int, e_size: int, k: int):
     expected = x_size * e_size ** k
     if table.total() != expected:
         raise InconsistentTotalError(
-            f"nu table totals {table.total()}, expected |X|*|E|^k = {expected}")
+            f"nu table totals {table.total()}, expected {x_size}*{e_size}^{k} = {expected}")
+
+
+def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> Fraction:
+    """Cauchy-Schwarz lower bound |X|^2 |E|^{2k} / sum_t nu(t)^2 as an exact rational."""
+    _require_total(table, x_size, e_size, k)
     sq = second_moment(table)
     if sq == 0:
         return Fraction(0)
@@ -383,11 +382,9 @@ def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> F
 
 def sumset(ctx: FieldContext, X, values) -> tuple:
     """X + values inside F_q, as a sorted tuple of encodings."""
-    out = set()
-    for a in X:
-        for v in values:
-            out.add(ctx.add(int(a), int(v)))
-    return tuple(sorted(out))
+    xs = np.asarray(X, dtype=np.int64)
+    vs = np.asarray(values, dtype=np.int64)
+    return tuple(np.unique(ctx.add_vec(xs[:, None], vs[None, :])).tolist())
 
 
 # -- inequality audits ---------------------------------------------------------
@@ -421,13 +418,15 @@ def _verdict(deviation: float, bound: float) -> bool:
     return deviation <= bound + AUDIT_RTOL * bound + 1e-12
 
 
-def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit:
+def energy_growth_audit(dom: PointDomain, variety, E, k: int,
+                        graph: Spectrum) -> InequalityAudit:
     """Even-k energy of E inside a variety V, against the Cayley-graph bound.
 
-    Hard checks: (a) the multiset mixing inequality for the exact edge count
-    e between the half-sum multisets, and (b) Lambda_k <= e (every k-tuple
-    counted by the energy lands in V because E is contained in V).  The
-    normalized gap against |E|^{k-1}/q is reported only.
+    `graph` is the Cayley spectrum of V, which callers build once per
+    variety.  Hard checks: (a) the multiset mixing inequality for the exact
+    edge count e between the half-sum multisets, and (b) Lambda_k <= e (every
+    k-tuple counted by the energy lands in V because E is contained in V).
+    The normalized gap against |E|^{k-1}/q is reported only.
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
@@ -435,7 +434,6 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit
     v_idx = variety.indices
     if not np.isin(ladder.indices, v_idx).all():
         raise ValueError("E must be a subset of the variety")
-    graph = cayley_spectrum(dom.ctx, v_idx, d=dom.d)
     half = k // 2
     e_size = len(ladder)
     # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):
@@ -467,22 +465,19 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int) -> InequalityAudit
                 "energy_upper_slack": e - lam_k, "main": float(main)})
 
 
-def second_moment_audit(dom: PointDomain, E, X, pspec: PolySpec, k: int,
-                        graph: Spectrum | None = None) -> InequalityAudit:
+def second_moment_audit(dom: PointDomain, E, table: CountTable, x_size: int, k: int,
+                        graph: Spectrum) -> InequalityAudit:
     """sum_t nu_{P,k}(t)^2 against |X|^2|E|^{2k}/q + lambda * |X| * (energy term).
 
-    `graph` is the affine Cayley digraph spectrum; passing a precomputed one
-    avoids recomputing it across many (E, X) draws.
+    `table` is nu_{P,k} of E for a shift set of x_size distinct elements, and
+    `graph` the spectrum of the affine Cayley digraph of P.
     """
     ladder = _ladder(dom, E)
-    xs = sorted(set(int(a) % dom.ctx.q for a in X))
-    if graph is None:
-        graph, _ = affine_cayley_spectrum(dom.ctx, pspec, dom.d)
-    table = nu_P_k(dom, ladder, xs, pspec, k)
+    e_size = len(ladder)
+    _require_total(table, x_size, e_size, k)
     sq = second_moment(table)
     lo, hi, _ = energy_term(ladder, k)
     energy = float(lo) * float(hi)
-    e_size, x_size = len(ladder), len(xs)
     main = Fraction(x_size ** 2 * e_size ** (2 * k), dom.ctx.q)
     excess = float(Fraction(sq) - main)   # audit is one-sided
     bound = graph.lambda_mixing * x_size * energy
@@ -496,10 +491,10 @@ def second_moment_audit(dom: PointDomain, E, X, pspec: PolySpec, k: int,
                 "second_moment": sq, "main": float(main)})
 
 
-def nu_deviation_audits(dom: PointDomain, E, form: QuadraticForm, k: int,
+def nu_deviation_audits(dom: PointDomain, E, table: CountTable, k: int,
                         graphs_by_t: dict, ts=None) -> list:
     """Deviation of nu_k(t) from its mixing main term, for each t in `ts`
-    (default every t != 0), sharing the fold tables.
+    (default every t != 0), given the nu_k table of E.
 
     The energy is the geometric mean of `energy_term`.  graphs_by_t maps t to
     the Spectrum of the t-level Euclidean graph, whose exact degree feeds the
@@ -510,10 +505,10 @@ def nu_deviation_audits(dom: PointDomain, E, form: QuadraticForm, k: int,
     if any(t % q == 0 for t in ts):
         raise ValueError("deviation audit is stated for t != 0 only")
     ladder = _ladder(dom, E)
-    table = nu_k(dom, ladder, form, k)
+    e_size = len(ladder)
+    _require_total(table, 1, e_size, k)
     lo, hi, energy_detail = energy_term(ladder, k)
     energy = math.sqrt(float(lo) * float(hi))
-    e_size = len(ladder)
     out = []
     for t in ts:
         graph = graphs_by_t[t]
@@ -544,9 +539,3 @@ def energy_recursion_ratio(dom: PointDomain, E, k: int) -> dict:
     denom = q ** ((d - 1) * (k - 2) / 2) * size + size ** (k - 1) / q
     return {"k": k, "size": size, "k_energy": lam,
             "bound_term": denom, "ratio": float(lam) / denom if denom else math.inf}
-
-
-def multiset_from_fold(dom: PointDomain, E, j: int) -> Counter:
-    """The multiset of j-fold sums of E, as index -> multiplicity."""
-    r = _ladder(dom, E).fold(j).values
-    return Counter({int(z): int(r[z]) for z in np.nonzero(r)[0]})

@@ -93,7 +93,3 @@ class InconsistentTotalError(FqspectraError):
 
 class SizeExceedsVarietyError(FqspectraError):
     """Requested subset size exceeds the variety size."""
-
-
-class SubsetTooSmallError(FqspectraError):
-    """Subset violates the size hypothesis of the audited statement."""

@@ -16,7 +16,6 @@ import platform
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import __version__
 from .domains import PointDomain
 from .energy import (
     FoldLadder,
+    coverage_flags,
     delta_set,
     energy_growth_audit,
     energy_recursion_ratio,
@@ -45,7 +45,7 @@ from .geometry import (
     diagonal_poly,
     regularity_check,
 )
-from .spectra import affine_cayley_spectrum, euclidean_spectrum
+from .spectra import affine_cayley_spectrum, cayley_spectrum, euclidean_spectrum
 
 
 def _derive_rng(seed: int, trial: int, salt: str = "subset") -> random.Random:
@@ -263,16 +263,14 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
             table = nu_k(dom, E, form, k)
             nonzero_t = [table[t] for t in range(1, q)]
             rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
-            ds = delta_set(dom, E, form, k)
-            rec["covers_Fq_star"] = ds.covers_Fq_star
-            rec["covers_Fq"] = ds.covers_Fq
+            rec["covers_Fq_star"], rec["covers_Fq"] = coverage_flags(table)
             if len(E) > 0:
                 main = len(E) ** k / q
                 rec["rel_deviation"] = max(abs(table[t] / main - 1) for t in range(1, q))
                 lo, hi, _ = energy_term(E, k)
                 rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
                                             * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
-                audits = nu_deviation_audits(dom, E, form, k, graphs)
+                audits = nu_deviation_audits(dom, E, table, k, graphs)
                 failures = sum(1 for a in audits if not a.ok)
                 rec["audit_failures"] = failures
                 rec["max_audit_gap_used"] = max(
@@ -301,9 +299,11 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Measured constants in the energy growth bounds for subsets of a variety.
 
     Trials whose subset violates |E| > q^{(d-1)/2} are recorded as skipped.
-    Even k >= 4 additionally runs the hard multiset-mixing audit."""
+    Even k >= 4 additionally runs the hard multiset-mixing audit, against the
+    variety's Cayley spectrum, built on the first audit and shared by all."""
     ctx, dom, variety, reg = _setup(plan)
     ks = plan.ks or (plan.k,)
+    graph = None
     records = []
     hard_failures = 0
     q = ctx.q
@@ -328,7 +328,9 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
                     rr = energy_recursion_ratio(dom, E, k)
                     rec[f"k{k}_energy"] = rr["k_energy"]
                     rec[f"k{k}_ratio"] = rr["ratio"]
-                    audit = energy_growth_audit(dom, variety, E, k)
+                    if graph is None:
+                        graph = cayley_spectrum(ctx, variety.indices, d=plan.d)
+                    audit = energy_growth_audit(dom, variety, E, k, graph)
                     rec[f"k{k}_audit_ok"] = audit.ok
                     if not audit.ok:
                         hard_failures += 1
@@ -382,7 +384,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
                     rec["cs_bound_ok"] = len(ss) >= bound
                     if len(ss) < bound:
                         hard_failures += 1
-                    audit = second_moment_audit(dom, E, X, pspec, k, graph=graph)
+                    audit = second_moment_audit(dom, E, table, len(X), k, graph)
                     rec["second_moment"] = audit.detail["second_moment"]
                     rec["mixing_audit_ok"] = audit.ok
                     if not audit.ok:

@@ -16,8 +16,6 @@ A FieldContext is immutable after construction and every operation is pure,
 so contexts can be shared freely between threads.
 """
 
-import math
-
 import numpy as np
 
 from .errors import (

@@ -6,7 +6,6 @@ polynomial, enumerated exhaustively and stored in lexicographic coordinate
 order so that every downstream computation is reproducible.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -21,6 +21,7 @@ from fqspectra.energy import (
     lambda_k,
     nu_deviation_audits,
     nu_k,
+    nu_P_k,
     second_moment_audit,
 )
 from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly
@@ -238,6 +239,7 @@ def test_acceptance_6_exact_inequality_ledger():
         form = QuadraticForm.identity(d)
         spectra = {t: euclidean_spectrum(ctx, form, t, d)[0] for t in range(1, ctx.q)}
         variety = builtin_variety(ctx, "sphere", d, 1)
+        variety_graph = cayley_spectrum(ctx, variety.indices, d=d)
         pspec = diagonal_poly(ctx, d, 2)
         affine_graph, _ = affine_cayley_spectrum(ctx, pspec, d)
         rng = random.Random(600 + p * d)
@@ -251,14 +253,15 @@ def test_acceptance_6_exact_inequality_ledger():
             for k in (2, 4, 3):
                 E = draw_subset(10)
                 t = rng.randint(1, ctx.q - 1)
-                audit = nu_deviation_audits(dom, E, form, k, spectra, ts=(t,))[0]
+                table = nu_k(dom, E, form, k)
+                audit = nu_deviation_audits(dom, E, table, k, spectra, ts=(t,))[0]
                 configs += 1
                 if not audit.ok:
                     violations.append(("nu-deviation", p, d, k, audit.as_dict()))
             # energy growth inside the sphere, even k = 4
             size = rng.randint(1, variety.size)
             E = sorted(rng.sample(list(variety.points), size))
-            audit = energy_growth_audit(dom, variety, E, 4)
+            audit = energy_growth_audit(dom, variety, E, 4, variety_graph)
             configs += 1
             if not audit.ok:
                 violations.append(("energy-growth", p, d, 4, audit.as_dict()))
@@ -266,7 +269,8 @@ def test_acceptance_6_exact_inequality_ledger():
             for k in (2, 3):
                 E = draw_subset(8)
                 X = sorted(rng.sample(range(ctx.q), rng.randint(1, ctx.q)))
-                audit = second_moment_audit(dom, E, X, pspec, k, graph=affine_graph)
+                table = nu_P_k(dom, E, X, pspec, k)
+                audit = second_moment_audit(dom, E, table, len(X), k, affine_graph)
                 configs += 1
                 if not audit.ok:
                     violations.append(("second-moment", p, d, k, audit.as_dict()))

@@ -189,6 +189,28 @@ def test_out_flag_is_a_usage_error_where_nothing_is_written(argv, tmp_path, caps
     assert not path.exists()
 
 
+MIXING = ["audit", "mixing", "--p", "3", "--d", "2", "--family", "sphere"]
+
+
+@pytest.mark.parametrize("flag,value,least", [
+    ("--pairs", "-1", 0), ("--max-support", "0", 1), ("--max-multiplicity", "0", 1),
+], ids=["pairs", "max-support", "max-multiplicity"])
+def test_audit_mixing_count_below_its_least_value_is_a_usage_error(flag, value, least,
+                                                                   capsys):
+    code, out, err = run_cli(MIXING + [flag, value], capsys)
+    assert code == 1 and out == ""
+    assert f"argument {flag}: must be >= {least}, got {value}" in err
+
+
+def test_audit_mixing_accepts_least_values(capsys):
+    code, out, _ = run_cli(MIXING + ["--pairs", "0", "--max-support", "1",
+                                     "--max-multiplicity", "1"], capsys)
+    assert code == 0 and json.loads(out)["pairs"] == 0
+    code, out, _ = run_cli(MIXING + ["--pairs", "3", "--max-support", "1",
+                                     "--max-multiplicity", "1"], capsys)
+    assert code == 0 and json.loads(out)["pairs"] == 3
+
+
 def test_format_flag_is_a_usage_error_outside_count_tables(capsys):
     code, out, _ = run_cli(["spectrum", "cayley", "--p", "3", "--d", "2",
                             "--family", "sphere", "--format", "csv"], capsys)

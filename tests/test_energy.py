@@ -25,8 +25,8 @@ from fqspectra.energy import (
     CountTable,
     FoldLadder,
     delta_set,
+    coverage_flags,
     energy_growth_audit,
-    energy_profile,
     energy_recursion_ratio,
     energy_term,
     fold_counts,
@@ -40,7 +40,7 @@ from fqspectra.energy import (
     sumset_lower_bound,
 )
 from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly
-from fqspectra.spectra import affine_cayley_spectrum, euclidean_spectrum
+from fqspectra.spectra import affine_cayley_spectrum, cayley_spectrum, euclidean_spectrum
 
 from oracles import brute_delta, brute_fold, brute_lambda, brute_nu, brute_nu_P
 
@@ -219,6 +219,7 @@ def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
         assert a.values.dtype == np.int64 and b.values.dtype == object
         assert [int(v) for v in b.values] == [int(v) for v in a.values]
     assert slow[2] == fast[2]
+    assert coverage_flags(slow[0]) == coverage_flags(fast[0])
 
 
 def test_nu_P_empty_X_rejected():
@@ -228,6 +229,23 @@ def test_nu_P_empty_X_rejected():
     from fqspectra.geometry import PolySpec
     with pytest.raises(NotDiagonalError):
         nu_P_k(PointDomain(F3, 2), [(1, 0)], [0], PolySpec(2, ((1, (1, 1)),)), 2)
+
+
+COVERAGE_FIELDS = {(p, n): FieldContext(p, n) for p, n in ((5, 1), (3, 2), (3, 3))}
+
+
+@given(st.sampled_from(sorted(COVERAGE_FIELDS)), st.integers(1, 3), st.integers(1, 4),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_coverage_flags_from_nu_support_equal_delta_set_flags(pn, d, k, data):
+    dom = PointDomain(COVERAGE_FIELDS[pn], d)
+    idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=10))
+    ladder = FoldLadder(dom, np.array(sorted(idx), dtype=np.int64))
+    form = QuadraticForm.identity(d)
+    ds = delta_set(dom, ladder, form, k)
+    flags = coverage_flags(nu_k(dom, ladder, form, k))
+    assert flags == (ds.covers_Fq_star, ds.covers_Fq)
+    assert all(type(f) is bool for f in flags)
 
 
 def test_delta_sphere_covers_f3():
@@ -278,6 +296,29 @@ def test_sumset_bound_worked_example():
     assert ss == (0, 1) and len(ss) >= bound
 
 
+SUMSET_FIELDS = {(p, n): FieldContext(p, n) for p, n in ((7, 1), (3, 2), (3, 3))}
+
+
+@given(st.sampled_from(sorted(SUMSET_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sumset_matches_double_loop(pn, data):
+    ctx = SUMSET_FIELDS[pn]
+    # X may repeat elements and hold integers outside 0..q-1; Delta may be empty.
+    X = data.draw(st.lists(st.integers(-ctx.q, 3 * ctx.q), max_size=6))
+    values = tuple(data.draw(st.lists(st.integers(0, ctx.q - 1), unique=True,
+                                      max_size=ctx.q)))
+    want = tuple(sorted({ctx.add(int(a), int(v)) for a in X for v in values}))
+    got = sumset(ctx, X, values)
+    assert got == want
+    assert all(type(v) is int for v in got)
+
+
+def test_sumset_of_empty_delta_is_empty():
+    for ctx in SUMSET_FIELDS.values():
+        assert sumset(ctx, [0, 1, 1], ()) == ()
+        assert sumset(ctx, [], (0, 1)) == ()
+
+
 def test_sumset_inconsistent_total_rejected():
     vals = np.zeros(3, dtype=np.int64)
     vals[0] = 7
@@ -286,13 +327,13 @@ def test_sumset_inconsistent_total_rejected():
         sumset_lower_bound(table, 1, 2, 2)
 
 
-def test_energy_profile_and_odd_products():
-    prof = energy_profile(DOM32, S1_F3.points, 6)
-    assert prof.values[2] == 4 and prof.values[4] == 36
-    assert prof.odd_products[3] == 4 * 36
-    assert prof.odd_products[5] == 36 * prof.values[6]
-    d = prof.as_dict()
-    assert d["lambda"]["4"] == 36
+def test_energy_term_odd_k_products():
+    ladder = FoldLadder(DOM32, S1_F3.points)
+    assert energy_term(ladder, 3) == (4, 36, {"k_energy_product": 144})
+    lo, hi, detail = energy_term(ladder, 5)
+    assert lo == 36 and hi == lambda_k(DOM32, ladder, 6)
+    assert detail == {"k_energy_product": 36 * hi}
+    assert energy_term(ladder, 4) == (36, 36, {"k_energy": 36})
 
 
 def test_energy_recursion_ratio_fixture():
@@ -341,33 +382,55 @@ def test_nu_deviation_audit_never_fails(k):
         t = rng.randint(1, 4)
         if t not in spectra:
             spectra[t], _ = euclidean_spectrum(ctx, form, t, 2)
-        audit = nu_deviation_audits(dom, E, form, k, {t: spectra[t]}, ts=(t,))[0]
+        table = nu_k(dom, E, form, k)
+        audit = nu_deviation_audits(dom, E, table, k, {t: spectra[t]}, ts=(t,))[0]
         assert audit.ok, audit.as_dict()
 
 
 def test_nu_deviation_audit_rejects_t_zero():
     spec, _ = euclidean_spectrum(F5, QuadraticForm.identity(2), 1, 2)
+    dom = PointDomain(F5, 2)
+    table = nu_k(dom, [(0, 1)], QuadraticForm.identity(2), 2)
     with pytest.raises(ValueError):
-        nu_deviation_audits(PointDomain(F5, 2), [(0, 1)],
-                            QuadraticForm.identity(2), 2, {0: spec}, ts=(0,))
+        nu_deviation_audits(dom, [(0, 1)], table, 2, {0: spec}, ts=(0,))
+
+
+def test_table_taking_audits_reject_tables_of_wrong_total():
+    dom = PointDomain(F5, 1)
+    P = diagonal_poly(F5, 1, 2)
+    graph, _ = affine_cayley_spectrum(F5, P, 1)
+    E, X = [(1,), (3,)], [0, 2]
+    table = nu_P_k(dom, E, X, P, 2)
+    assert second_moment_audit(dom, E, table, len(X), 2, graph).ok
+    with pytest.raises(InconsistentTotalError):
+        second_moment_audit(dom, E, table, 1, 2, graph)  # |X| is 2
+    shifted = CountTable(kind="scalars", d=1, q=5, values=table.values + 1)
+    with pytest.raises(InconsistentTotalError):
+        second_moment_audit(dom, E, shifted, len(X), 2, graph)
+    form = QuadraticForm.identity(1)
+    spec, _ = euclidean_spectrum(F5, form, 1, 1)
+    with pytest.raises(InconsistentTotalError):
+        nu_deviation_audits(dom, E, nu_k(dom, E, form, 3), 2, {1: spec}, ts=(1,))
 
 
 def test_energy_growth_audit_on_sphere_subsets():
     v = builtin_variety(F5, "sphere", 2, 1)
     dom = PointDomain(F5, 2)
+    graph = cayley_spectrum(F5, v.indices, d=2)
     rng = random.Random(3)
     for _ in range(10):
         size = rng.randint(1, v.size)
         E = sorted(rng.sample(list(v.points), size))
-        audit = energy_growth_audit(dom, v, E, 4)
+        audit = energy_growth_audit(dom, v, E, 4, graph)
         assert audit.ok, audit.as_dict()
         assert audit.detail["k_energy"] <= audit.detail["edge_count"]
 
 
 def test_energy_growth_audit_requires_containment():
     v = builtin_variety(F5, "sphere", 2, 1)
+    graph = cayley_spectrum(F5, v.indices, d=2)
     with pytest.raises(ValueError):
-        energy_growth_audit(PointDomain(F5, 2), v, [(0, 0)], 4)
+        energy_growth_audit(PointDomain(F5, 2), v, [(0, 0)], 4, graph)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -381,15 +444,9 @@ def test_second_moment_audit_never_fails(k):
         size = rng.randint(1, 5)
         E = _random_subset(dom, size, seed=100 + seed)
         X = sorted(rng.sample(range(5), rng.randint(1, 5)))
-        audit = second_moment_audit(dom, E, X, P, k, graph=graph)
+        table = nu_P_k(dom, E, X, P, k)
+        audit = second_moment_audit(dom, E, table, len(X), k, graph)
         assert audit.ok, audit.as_dict()
-
-
-def test_multiset_from_fold_matches_counter():
-    ms = energy_mod.multiset_from_fold(DOM32, S1_F3.points, 2)
-    assert ms[DOM32.index_of((0, 0))] == 4
-    assert sum(ms.values()) == 16
-    assert sum(m * m for m in ms.values()) == 36  # the 4-energy
 
 
 # -- certified transform fold and the fold ladder ----------------------------
@@ -444,16 +501,17 @@ def test_failed_certificate_falls_back_to_roll_fold(monkeypatch):
     dom = PointDomain(FieldContext(3, 2), 2)
     v = builtin_variety(dom.ctx, "sphere", 2, 1)
     E = sorted(random.Random(4).sample(list(v.points), 6))
+    graph = cayley_spectrum(dom.ctx, v.indices, d=2)
     calls = _count_translations(monkeypatch)
     fast = [fold_counts(dom, E, j).values for j in (1, 2, 3)]
-    fast_audit = energy_growth_audit(dom, v, E, 4)
+    fast_audit = energy_growth_audit(dom, v, E, 4, graph)
     assert calls == []
     monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 0.5)
     slow = [fold_counts(dom, E, j).values for j in (1, 2, 3)]
     assert len(calls) == len(E) * (0 + 1 + 2)  # |E| shifts per depth after the first
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
     calls.clear()
-    assert energy_growth_audit(dom, v, E, 4) == fast_audit
+    assert energy_growth_audit(dom, v, E, 4, graph) == fast_audit
     assert len(calls) == v.size + len(E)  # the correlation over V, then r_2
 
 
@@ -505,12 +563,13 @@ def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
     for ctx in (F5, FieldContext(3, 2)):
         dom = PointDomain(ctx, 2)
         v = builtin_variety(ctx, "paraboloid", 2)
+        graph = cayley_spectrum(ctx, v.indices, d=2)
         vset = set(v.indices.tolist())
         E = sorted(random.Random(ctx.q).sample(list(v.points), 5))
         idx = dom.as_indices(E)
         want = sum(1 for a in idx for b1 in idx for b2 in idx
                    if int(dom.index_sub(dom.index_add(int(b1), int(b2)), int(a))) in vset)
-        assert energy_growth_audit(dom, v, E, 4).detail["edge_count"] == want
+        assert energy_growth_audit(dom, v, E, 4, graph).detail["edge_count"] == want
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (7, 1, 2)])
@@ -536,9 +595,9 @@ def test_ladder_builds_each_depth_once(monkeypatch):
     form = QuadraticForm.identity(2)
     graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
     ladder = FoldLadder(dom, _random_subset(dom, 6, seed=5))
-    nu_k(dom, ladder, form, 3)
+    table = nu_k(dom, ladder, form, 3)
     delta_set(dom, ladder, form, 3)
-    nu_deviation_audits(dom, ladder, form, 3, graphs)
+    nu_deviation_audits(dom, ladder, table, 3, graphs)
     energy_term(ladder, 3)
     lambda_k(dom, ladder, 2)
     energy_recursion_ratio(dom, ladder, 4)
@@ -552,9 +611,10 @@ def test_ladder_and_point_list_give_identical_audits():
     graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
     E = _random_subset(dom, 6, seed=6)
     for k in (2, 3, 4):
-        by_points = nu_deviation_audits(dom, E, form, k, graphs)
-        assert nu_deviation_audits(dom, FoldLadder(dom, E), form, k, graphs) == by_points
-        assert [nu_deviation_audits(dom, E, form, k, {t: graphs[t]}, ts=(t,))[0]
+        table = nu_k(dom, E, form, k)
+        by_points = nu_deviation_audits(dom, E, table, k, graphs)
+        assert nu_deviation_audits(dom, FoldLadder(dom, E), table, k, graphs) == by_points
+        assert [nu_deviation_audits(dom, E, table, k, {t: graphs[t]}, ts=(t,))[0]
                 for t in range(1, 5)] == by_points
     with pytest.raises(ValueError):
         lambda_k(PointDomain(F5, 3), FoldLadder(dom, E), 2)

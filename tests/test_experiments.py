@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fqspectra.experiments as experiments_mod
 from fqspectra.domains import PointDomain
 from fqspectra.errors import SizeExceedsVarietyError
 from fqspectra.experiments import (
@@ -135,6 +136,35 @@ def test_energy_experiment_skips_small_subsets():
     assert full["k4_energy"] == 36
     assert full["k4_audit_ok"]
     assert rep.hard_failures == 0
+
+
+def _count_cayley_spectra(monkeypatch):
+    calls = []
+    real = experiments_mod.cayley_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments_mod, "cayley_spectrum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ks,sizes,spectra", [
+    ((2, 3, 4), (2, 3, 4), 1),   # six growth audits share one spectrum
+    ((2, 3), (2, 3, 4), 0),      # no even k >= 4, so no growth audit
+    ((4,), (0, 1), 0),           # every trial skipped as too small
+], ids=["audited", "no-even-k", "all-skipped"])
+def test_energy_experiment_builds_the_cayley_spectrum_at_most_once(monkeypatch, ks,
+                                                                    sizes, spectra):
+    calls = _count_cayley_spectra(monkeypatch)
+    plan = ExperimentPlan(p=3, d=2, family="sphere", j=1, ks=ks, sizes=sizes,
+                          sizes_mode="absolute", trials=2, seed=3)
+    rep = energy_bound_experiment(plan)
+    assert len(calls) == spectra
+    assert rep.hard_failures == 0
+    audited = [r["k4_audit_ok"] for r in rep.records if "k4_audit_ok" in r]
+    assert len(audited) == (6 if spectra else 0) and all(audited)
 
 
 def test_energy_experiment_odd_k_ratio():
