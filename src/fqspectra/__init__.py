@@ -34,6 +34,7 @@ from .spectra import (
     cayley_spectrum,
     euclidean_spectrum,
     mixing_audit,
+    pad_multisets,
 )
 from .energy import (
     CountTable,

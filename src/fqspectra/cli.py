@@ -10,7 +10,8 @@ wall-clock entropy), so identical invocations produce identical output.
 import argparse
 import json
 import sys
-from collections import Counter
+
+import numpy as np
 
 from . import __version__
 from .domains import PointDomain
@@ -42,15 +43,18 @@ from .geometry import (
 )
 from .spectra import (
     affine_cayley_spectrum,
-    cayley_edge_oracle,
     cayley_spectrum,
     euclidean_spectrum,
     mixing_audit,
+    pad_multisets,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
+# Most (b, c) cells `audit mixing` counts in one block of pairs; a block holds
+# max(1, MIXING_BLOCK_CELLS // max_support^2) pairs, which bounds its memory.
+MIXING_BLOCK_CELLS = 1 << 15
 
 
 class _Parser(argparse.ArgumentParser):
@@ -381,18 +385,24 @@ def _cmd_audit(args) -> int:
     variety = _variety(ctx, args)
     dom = PointDomain(ctx, args.d)
     spec = cayley_spectrum(ctx, variety.indices, d=args.d)
-    oracle = cayley_edge_oracle(dom, variety.indices)
+    member = np.zeros(dom.size, dtype=bool)
+    member[variety.indices] = True
     rng = _derive_rng(args.seed, 0, salt="mixing")
+    block = max(1, MIXING_BLOCK_CELLS // args.max_support ** 2)
     violations = 0
     min_gap = None
-    for _ in range(args.pairs):
-        B = _random_multiset(rng, dom.size, args.max_support, args.max_multiplicity)
-        C = _random_multiset(rng, dom.size, args.max_support, args.max_multiplicity)
-        audit = mixing_audit(spec, B, C, oracle)
-        rel_gap = audit.gap / audit.bound if audit.bound else 0.0
-        min_gap = rel_gap if min_gap is None else min(min_gap, rel_gap)
-        if not audit.ok:
-            violations += 1
+    for start in range(0, args.pairs, block):
+        count = min(block, args.pairs - start)
+        idx, mult = _draw_multisets(rng, 2 * count, dom.size, args.max_support,
+                                    args.max_multiplicity)
+        # Rows alternate B_i, C_i: each pair draws B before C.
+        audit = mixing_audit(spec, dom, member, idx[0::2], mult[0::2],
+                             idx[1::2], mult[1::2])
+        rel_gap = np.divide(audit.gap, audit.bound, out=np.zeros(count),
+                            where=audit.bound != 0)
+        low = float(rel_gap.min())
+        min_gap = low if min_gap is None else min(min_gap, low)
+        violations += int(count - np.count_nonzero(audit.ok))
     payload = {"pairs": args.pairs, "violations": violations,
                "min_relative_gap": min_gap, "lambda": spec.lambda_second,
                "degree": spec.degree, "n": spec.order}
@@ -403,12 +413,25 @@ def _cmd_audit(args) -> int:
     return EXIT_AUDIT if violations else EXIT_OK
 
 
-def _random_multiset(rng, n, max_support, max_multiplicity) -> Counter:
-    support = rng.randint(1, max_support)
-    out = Counter()
-    for _ in range(support):
-        out[rng.randrange(n)] += rng.randint(1, max_multiplicity)
-    return out
+def _draw_multisets(rng, count, n, max_support, max_multiplicity):
+    """The next `count` random multisets of the stream, merged and padded by
+    `pad_multisets`.  Each draws its support size randint(1, max_support),
+    then per point randrange(n) followed by randint(1, max_multiplicity).
+
+    randint(a, b) is documented as an alias for randrange(a, b + 1); calling
+    randrange directly draws the same stream without the extra call.
+    """
+    randrange = rng.randrange
+    support_stop, mult_stop = max_support + 1, max_multiplicity + 1
+    sizes, points, mults = [], [], []
+    add_size, add_point, add_mult = sizes.append, points.append, mults.append
+    for _ in range(count):
+        size = randrange(1, support_stop)
+        add_size(size)
+        for _ in range(size):
+            add_point(randrange(n))
+            add_mult(randrange(1, mult_stop))
+    return pad_multisets(sizes, points, mults, n)
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,33 @@ from .field import FieldContext
 # Cap on q^d for any operation that materializes a full table over F_q^d.
 TABLE_MAX = 10 ** 7
 
+# The one overflow policy.  An exact integer accumulator runs in int64 only
+# when an a priori bound on everything it can hold (partial sums included;
+# all of them are sums of nonnegative terms or differences of two such sums)
+# is below _INT64_SAFE, and in Python ints (object dtype) otherwise.  It
+# covers:
+#   * fold count tables, whose dtype `energy._table_dtype` picks from the
+#     total mass |E|^j;
+#   * `energy._exact_dot`, from a caller's bound on the dot product;
+#   * the `energy.nu_P_k` shift sum, of mass |X| * |E|^k;
+#   * the growth-audit correlation in `energy.energy_growth_audit`, of mass
+#     |V| * |E|^(k/2), and its dot product with r_{k/2-1};
+#   * the `np.add.at` binning in `energy._bin_by_value`, which adds in the
+#     fold table's own dtype;
+#   * the batched mixing weights in `spectra.mixing_audit`: e, |B|, |C| and
+#     sum m^2 per pair, under n * mass^2 + degree * mass^2 for the block's
+#     largest multiset mass; the product of the two sums of m^2, under the
+#     product of their maxima; and the merged multiplicities of
+#     `spectra.pad_multisets`, under the largest draw times the largest
+#     support.
+# Each module imports the name, so a test can force the Python-int path of
+# one module by patching it there.
+_INT64_SAFE = 1 << 62
+# Integers below this are exact in float64: a rounded FFT value can be one,
+# and one float operation on such integers is as correctly rounded as the
+# same operation on Python ints.
+_FLOAT_EXACT = 1 << 53
+
 
 def flat_indices(points, q: int, d: int) -> np.ndarray:
     """Flat int64 indices of a sequence of coordinate tuples over F_q^d.

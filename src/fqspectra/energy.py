@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import PointDomain
+from .domains import _FLOAT_EXACT, _INT64_SAFE, PointDomain
 from .errors import (
     BudgetExceededError,
     EmptyXError,
@@ -35,9 +35,6 @@ from .geometry import PolySpec, QuadraticForm, diagonal_shape, eval_poly_table
 from .spectra import AUDIT_RTOL, Spectrum
 
 FOLD_BUDGET = 10 ** 9
-_INT64_SAFE = 1 << 62
-# Integers below this are exact in float64, so a rounded FFT value can be one.
-_FLOAT_EXACT = 1 << 53
 # Constant C of the per-line DFT error C * p^(3/2) * u assumed in fold_counts.
 _DFT_ERROR_CONST = 8.0
 

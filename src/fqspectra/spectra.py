@@ -5,16 +5,32 @@ Eigenvalues are always indexed by group characters m, never obtained from a
 materialized adjacency matrix: lam_m = sum_{s in S} chi(m . s).  The second
 eigenvalue lambda(G) is the maximum modulus over eigenvalues whose modulus
 differs from the degree.
+
+Mixing audits count a block of multiset pairs (B_i, C_i) at once.  The
+multisets are laid out as padded (pairs x width) arrays of flat indices and
+multiplicities (`pad_multisets`); one `PointDomain.index_sub` gives every
+difference c - b of the block, one lookup in a boolean membership table of
+the connection set (size q^d, built once by the caller) marks the edges, and
+a weighted reduce gives each exact edge count e(B_i, C_i).  Exactness
+contract: the integer quantities (e, |B|, |C|, sum m^2) are exact, in int64
+under the overflow policy of `domains._INT64_SAFE` and in Python ints
+otherwise, and every float is the correctly rounded value of an exact
+rational, so each verdict equals the per-pair one in Python ints and
+Fractions.
 """
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .domains import TABLE_MAX, PointDomain, character_sum_table, resolve_method
+from .domains import (
+    _FLOAT_EXACT,
+    _INT64_SAFE,
+    TABLE_MAX,
+    PointDomain,
+    character_sum_table,
+    resolve_method,
+)
 from .errors import (
     ExponentDivisibleByCharacteristicError,
     InvariantError,
@@ -243,61 +259,110 @@ def _affine_eigenvalues_closed(ctx, dom, s, coeffs, d):
 
 # -- mixing audits -------------------------------------------------------------
 
+def pad_multisets(sizes, points, mults, n: int):
+    """Merge and pad a run of multisets drawn as flat lists.
+
+    Multiset i is the next sizes[i] >= 1 entries of `points` (flat indices in
+    [0, n)) with multiplicities `mults`; repeated points are merged by adding
+    their multiplicities.  Returns (idx, mult), two (len(sizes) x width)
+    arrays with width the largest merged support: row i holds multiset i's
+    distinct points in ascending order, then padding of index 0 and
+    multiplicity 0.  mult is int64 when no merged multiplicity can reach
+    _INT64_SAFE, and Python ints (object dtype) otherwise.
+    """
+    rows = len(sizes)
+    dtype = np.int64 if max(mults) * max(sizes) < _INT64_SAFE else object
+    key = np.repeat(np.arange(rows, dtype=np.int64) * n, sizes)
+    key += np.asarray(points, dtype=np.int64)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    merged = np.add.reduceat(np.asarray(mults, dtype=dtype)[order], starts)
+    row, idx = np.divmod(key[starts], n)
+    support = np.bincount(row, minlength=rows)
+    col = np.arange(len(starts)) - np.repeat(np.cumsum(support) - support, support)
+    out_idx = np.zeros((rows, int(support.max())), dtype=np.int64)
+    out_mult = np.zeros(out_idx.shape, dtype=dtype)
+    out_idx[row, col] = idx
+    out_mult[row, col] = merged
+    return out_idx, out_mult
+
+
 @dataclass(frozen=True)
 class MixingAudit:
-    """One instance of the multiset expander-mixing inequality.
+    """The multiset expander-mixing inequality on a block of pairs (B_i, C_i).
 
-    gap = bound - |e(B,C) - degree*|B|*|C|/n|; the verdict allows the usual
-    1e-6-of-bound floating slack.
+    Every field is an array over the pairs.  e_observed holds exact
+    integers.  main_term = degree*|B||C|/n and deviation =
+    |e - main_term| are the correctly rounded floats of exact rationals;
+    gap = bound - deviation; ok allows the usual 1e-6-of-bound floating slack.
     """
 
-    e_observed: int
-    main_term: float
-    bound: float
-    gap: float
-    ok: bool
-    b_mass: int
-    c_mass: int
-
-    def as_dict(self) -> dict:
-        return {"e": self.e_observed, "main": self.main_term, "bound": self.bound,
-                "gap": self.gap, "ok": self.ok}
+    e_observed: np.ndarray
+    main_term: np.ndarray
+    deviation: np.ndarray
+    bound: np.ndarray
+    gap: np.ndarray
+    ok: np.ndarray
 
 
-def multiset_square_mass(multiset: Counter) -> int:
-    return sum(m * m for m in multiset.values())
+def _weight_dtype(factor: int, *mults):
+    """int64 when factor * mass^2 stays below _INT64_SAFE for the largest row
+    mass of the multiplicity arrays, object dtype otherwise."""
+    if any(m.dtype == object or int(m.max(initial=0)) * m.shape[1] >= _INT64_SAFE
+           for m in mults):
+        return object  # a row mass itself might not fit
+    mass = max(int(m.sum(axis=1).max(initial=0)) for m in mults)
+    return np.int64 if factor * mass * mass < _INT64_SAFE else object
 
 
-def mixing_audit(spectrum: Spectrum, B: Counter, C: Counter, edge_oracle) -> MixingAudit:
-    """Audit |e(B,C) - d|B||C|/n| <= lambda * sqrt(sum m_B^2) * sqrt(sum m_C^2).
+def _exact_floats(num, den: int = 1) -> np.ndarray:
+    """Correctly rounded floats of num / den for an array of nonnegative
+    integers and a positive int den < 2^53.
 
-    B and C map vertex indices to multiplicities; edge_oracle(u, v) decides
-    u -> v exactly.  e(B,C) is an exact integer.  The bound uses
+    Below _FLOAT_EXACT both operands are exact in float64, so one IEEE
+    division rounds correctly; otherwise Python-int true division does.
+    """
+    if num.dtype != object and int(num.max(initial=0)) < _FLOAT_EXACT:
+        return num.astype(np.float64) / den
+    return np.array([a / den for a in num.tolist()], dtype=np.float64)
+
+
+def mixing_audit(spectrum: Spectrum, dom: PointDomain, member: np.ndarray,
+                 B_idx, B_mult, C_idx, C_mult) -> MixingAudit:
+    """Audit |e(B,C) - d|B||C|/n| <= lambda * sqrt(sum m_B^2) * sqrt(sum m_C^2)
+    for every pair of a block at once.
+
+    Row i of (B_idx, B_mult) and of (C_idx, C_mult) holds the flat indices and
+    multiplicities of B_i and C_i, padded with multiplicity 0 (see
+    `pad_multisets`); a single pair is the one-row case.  member is the
+    boolean table over F_q^d of the connection set, so u -> v iff
+    member[v - u].  One `index_sub` over the block's (b, c) grid and one
+    lookup in member find every edge, and e(B_i, C_i) is the exact weighted
+    sum of m_B * m_C over them.  The counts run in int64 under the overflow
+    policy of `domains._INT64_SAFE` and in Python ints otherwise, and the
+    floats are correctly rounded from exact integers, so each pair's verdict
+    equals the one from Python ints and Fractions.  The bound uses
     lambda_mixing (max over every nontrivial eigenvalue), the constant under
     which the inequality is a theorem for normal Cayley digraphs.
     """
-    e = 0
-    for b, mb in B.items():
-        for c, mc in C.items():
-            if edge_oracle(b, c):
-                e += mb * mc
-    b_size = sum(B.values())
-    c_size = sum(C.values())
-    main = Fraction(spectrum.degree * b_size * c_size, spectrum.order)
-    bound = spectrum.lambda_mixing * math.sqrt(
-        multiset_square_mass(B) * multiset_square_mass(C))
-    deviation = abs(e - main)
-    gap = bound - float(deviation)
-    ok = float(deviation) <= bound + AUDIT_RTOL * bound + 1e-12
-    return MixingAudit(e_observed=e, main_term=float(main), bound=bound, gap=gap,
-                       ok=ok, b_mass=b_size, c_mass=c_size)
-
-
-def cayley_edge_oracle(dom: PointDomain, connection_indices):
-    """Membership oracle u -> v iff v - u lies in the connection set."""
-    sset = set(int(i) for i in connection_indices)
-
-    def oracle(u: int, v: int) -> bool:
-        return int(dom.index_sub(v, u)) in sset
-
-    return oracle
+    n, degree = spectrum.order, spectrum.degree
+    dtype = _weight_dtype(n + degree, B_mult, C_mult)
+    B_mult = B_mult.astype(dtype, copy=False)
+    C_mult = C_mult.astype(dtype, copy=False)
+    hit = member[dom.index_sub(C_idx[:, None, :], B_idx[:, :, None])]
+    e = ((hit * C_mult[:, None, :]).sum(axis=2) * B_mult).sum(axis=1)
+    b_mass = B_mult.sum(axis=1)
+    c_mass = C_mult.sum(axis=1)
+    b_sq = (B_mult * B_mult).sum(axis=1)
+    c_sq = (C_mult * C_mult).sum(axis=1)
+    if int(b_sq.max(initial=0)) * int(c_sq.max(initial=0)) >= _INT64_SAFE:
+        b_sq = b_sq.astype(object)
+    main_num = degree * b_mass * c_mass
+    deviation = _exact_floats(abs(n * e - main_num), n)
+    bound = spectrum.lambda_mixing * np.sqrt(_exact_floats(b_sq * c_sq))
+    return MixingAudit(e_observed=e, main_term=_exact_floats(main_num, n),
+                       deviation=deviation, bound=bound, gap=bound - deviation,
+                       ok=deviation <= bound + AUDIT_RTOL * bound + 1e-12)

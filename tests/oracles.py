@@ -2,12 +2,15 @@
 
 Everything here uses plain Python integers mod p and exhaustive loops over
 tuple spaces, so a bug in the convolution/transform machinery cannot hide:
-these never call into fqspectra's counting or spectrum code.
+these never call into fqspectra's counting or spectrum code.  The mixing
+reference also covers extension fields, through the digit-wise group law of
+flat indices, and stays here as the per-pair check of the batched audit.
 """
 
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,6 +105,61 @@ def brute_edge_count(p, S, B, C):
             if diff in sset:
                 total += mb * mc
     return total
+
+
+def digit_sub(p, n, v, u):
+    """v - u for flat indices of (Z_p)^k with p^k = n, digit by digit: the
+    additive group of F_q^d in the canonical indexing."""
+    out, pk = 0, 1
+    while pk < n:
+        out += ((v // pk - u // pk) % p) * pk
+        pk *= p
+    return out
+
+
+def mixing_reference(p, n, conn, lambda_mixing, degree, B, C):
+    """One pair's expander-mixing audit the per-pair way: a double loop over
+    the Counter supports of B and C, u -> v iff v - u lies in conn, and
+    Fraction arithmetic.  Returns (e, main, deviation, bound, gap, ok)."""
+    sset = set(conn)
+    e = 0
+    for b, mb in B.items():
+        for c, mc in C.items():
+            if digit_sub(p, n, c, b) in sset:
+                e += mb * mc
+    main = Fraction(degree * sum(B.values()) * sum(C.values()), n)
+    bound = lambda_mixing * math.sqrt(sum(m * m for m in B.values())
+                                      * sum(m * m for m in C.values()))
+    deviation = float(abs(e - main))
+    return (e, float(main), deviation, bound, bound - deviation,
+            deviation <= bound + 1e-6 * bound + 1e-12)
+
+
+def random_multiset(rng, n, max_support, max_multiplicity):
+    """A Counter drawn as `audit mixing` draws each multiset: its support
+    size, then per point its index followed by its multiplicity."""
+    out = Counter()
+    for _ in range(rng.randint(1, max_support)):
+        out[rng.randrange(n)] += rng.randint(1, max_multiplicity)
+    return out
+
+
+def mixing_payload_reference(rng, p, spec, conn, pairs, max_support,
+                             max_multiplicity):
+    """The `audit mixing` JSON payload, one pair at a time by
+    `mixing_reference`; spec supplies n, degree and the two lambdas."""
+    violations = 0
+    min_gap = None
+    for _ in range(pairs):
+        B = random_multiset(rng, spec.order, max_support, max_multiplicity)
+        C = random_multiset(rng, spec.order, max_support, max_multiplicity)
+        *_, bound, gap, ok = mixing_reference(p, spec.order, conn, spec.lambda_mixing,
+                                              spec.degree, B, C)
+        rel_gap = gap / bound if bound else 0.0
+        min_gap = rel_gap if min_gap is None else min(min_gap, rel_gap)
+        violations += not ok
+    return {"pairs": pairs, "violations": violations, "min_relative_gap": min_gap,
+            "lambda": spec.lambda_second, "degree": spec.degree, "n": spec.order}
 
 
 def sphere_points(p, d, t):

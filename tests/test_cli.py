@@ -4,15 +4,25 @@ The golden suite pins twelve invocations' exit codes; the round-trip test
 checks that an exported variety file reproduces the family-based results.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fqspectra.cli as cli_mod
 import fqspectra.spectra as spectra_mod
-from fqspectra.cli import main
-from fqspectra.geometry import Variety
+from fqspectra.cli import MIXING_BLOCK_CELLS, main
+from fqspectra.experiments import _derive_rng
+from fqspectra.field import FieldContext
+from fqspectra.geometry import Variety, builtin_variety
+from fqspectra.spectra import cayley_spectrum
+
+from oracles import mixing_payload_reference
 
 
 def run_cli(argv, capsys):
@@ -209,6 +219,83 @@ def test_audit_mixing_accepts_least_values(capsys):
     code, out, _ = run_cli(MIXING + ["--pairs", "3", "--max-support", "1",
                                      "--max-multiplicity", "1"], capsys)
     assert code == 0 and json.loads(out)["pairs"] == 3
+
+
+def _mixing_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _mixing_reference(p, n, d, seed, pairs, max_support, max_multiplicity):
+    """`audit mixing` on the sphere of radius 1, counted one pair at a time."""
+    ctx = FieldContext(p, n)
+    v = builtin_variety(ctx, "sphere", d, 1)
+    spec = cayley_spectrum(ctx, v.indices, d=d)
+    return mixing_payload_reference(_derive_rng(seed, 0, salt="mixing"), p, spec,
+                                    [int(i) for i in v.indices], pairs,
+                                    max_support, max_multiplicity)
+
+
+def _mixing_argv(p, n, d, seed, pairs, max_support, max_multiplicity):
+    return ["audit", "mixing", "--p", str(p), "--n", str(n), "--d", str(d),
+            "--family", "sphere", "--seed", str(seed), "--pairs", str(pairs),
+            "--max-support", str(max_support),
+            "--max-multiplicity", str(max_multiplicity)]
+
+
+@given(st.sampled_from([(5, 1), (3, 2), (3, 3)]), st.integers(2, 3),
+       st.integers(0, 2 ** 32), st.integers(16, 40), st.integers(1, 4),
+       st.sampled_from(["0", "1", "block-1", "block", "block+1"]))
+@settings(max_examples=25, deadline=None)
+def test_audit_mixing_matches_per_pair_reference_at_block_boundaries(
+        field, d, seed, max_support, max_multiplicity, where):
+    p, n = field
+    block = max(1, MIXING_BLOCK_CELLS // max_support ** 2)
+    pairs = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
+             "block+1": block + 1}[where]
+    args = (p, n, d, seed, pairs, max_support, max_multiplicity)
+    code, out = _mixing_stdout(_mixing_argv(*args))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload == _mixing_reference(*args)
+    if pairs == 0:
+        assert payload["min_relative_gap"] is None
+
+
+@pytest.mark.parametrize("argv,args", [
+    # weights and squared masses beyond 2^53: the bound's product in Python ints
+    (["--max-multiplicity", "1000000"], (5, 1, 2, 0, 1000, 8, 1000000)),
+    # n * mass^2 beyond the int64 policy: every count in Python ints
+    (["--max-multiplicity", "1000000000000", "--pairs", "200"],
+     (5, 1, 2, 0, 200, 8, 10 ** 12)),
+    # one pair per block, a padded width of up to 300
+    (["--max-support", "300", "--pairs", "3"], (7, 1, 2, 0, 3, 300, 3)),
+], ids=["multiplicity-1e6", "multiplicity-1e12", "support-300"])
+def test_audit_mixing_large_inputs_match_per_pair_reference(argv, args):
+    p, n, d = args[:3]
+    code, out = _mixing_stdout(["audit", "mixing", "--p", str(p), "--d", str(d)] + argv)
+    assert code == 0
+    assert json.loads(out) == _mixing_reference(*args)
+
+
+@pytest.mark.parametrize("extra", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_audit_mixing_python_int_path_is_byte_identical(extra, monkeypatch):
+    argv = ["audit", "mixing", "--p", "5", "--d", "2", "--pairs", "300",
+            "--max-support", "12", "--max-multiplicity", "4", "--seed", "3"] + extra
+    fast = _mixing_stdout(argv)
+    dtypes = []
+
+    def recording(*a):
+        audit = spectra_mod.mixing_audit(*a)
+        dtypes.append(audit.e_observed.dtype)
+        return audit
+
+    monkeypatch.setattr(spectra_mod, "_INT64_SAFE", 1)
+    monkeypatch.setattr(cli_mod, "mixing_audit", recording)
+    assert _mixing_stdout(argv) == fast
+    assert dtypes and all(dt == object for dt in dtypes)
 
 
 def test_format_flag_is_a_usage_error_outside_count_tables(capsys):

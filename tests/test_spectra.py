@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
@@ -19,13 +21,13 @@ from fqspectra.field import FieldContext
 from fqspectra.geometry import PolySpec, QuadraticForm, builtin_variety, diagonal_poly
 from fqspectra.spectra import (
     affine_cayley_spectrum,
-    cayley_edge_oracle,
     cayley_spectrum,
     euclidean_spectrum,
     mixing_audit,
+    pad_multisets,
 )
 
-from oracles import brute_second_eigenvalue, sphere_points
+from oracles import brute_second_eigenvalue, mixing_reference, sphere_points
 
 F3 = FieldContext(3)
 F5 = FieldContext(5)
@@ -265,43 +267,102 @@ def test_spectrum_method_names_the_path_that_ran(p, n, monkeypatch):
         assert spec.method == want and ran == [want]
 
 
+def _member(dom, conn):
+    member = np.zeros(dom.size, dtype=bool)
+    member[conn] = True
+    return member
+
+
+def _one_pair(B, C):
+    """Index and multiplicity rows of a single pair of {index: mult} dicts."""
+    def row(M):
+        return (np.array([list(M)], dtype=np.int64),
+                np.array([list(M.values())], dtype=np.int64))
+    return (*row(B), *row(C))
+
+
 def test_mixing_audit_whole_vertex_set():
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
     dom = PointDomain(F3, 2)
-    oracle = cayley_edge_oracle(dom, v.indices)
     everything = Counter({i: 1 for i in range(dom.size)})
-    audit = mixing_audit(spec, everything, everything, oracle)
-    assert audit.e_observed == dom.size * spec.degree
-    assert audit.main_term == pytest.approx(dom.size * spec.degree)
-    assert audit.gap >= 0 and audit.ok
+    audit = mixing_audit(spec, dom, _member(dom, v.indices),
+                         *_one_pair(everything, everything))
+    assert audit.e_observed[0] == dom.size * spec.degree
+    assert audit.main_term[0] == pytest.approx(dom.size * spec.degree)
+    assert audit.gap[0] >= 0 and audit.ok[0]
 
 
 def test_mixing_audit_sphere_worked_example():
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
     dom = PointDomain(F3, 2)
-    oracle = cayley_edge_oracle(dom, v.indices)
     B = Counter({int(i): 1 for i in v.indices})
-    audit = mixing_audit(spec, B, B, oracle)
-    assert audit.e_observed == 4
-    assert audit.main_term == pytest.approx(64 / 9)
-    assert audit.bound == pytest.approx(8.0)
-    assert audit.ok
+    audit = mixing_audit(spec, dom, _member(dom, v.indices), *_one_pair(B, B))
+    assert audit.e_observed[0] == 4
+    assert audit.main_term[0] == pytest.approx(64 / 9)
+    assert audit.bound[0] == pytest.approx(8.0)
+    assert audit.ok[0]
 
 
 def test_mixing_audit_multiplicity_scaling():
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
     dom = PointDomain(F3, 2)
-    oracle = cayley_edge_oracle(dom, v.indices)
+    member = _member(dom, v.indices)
     single = Counter({0: 1})
     triple = Counter({0: 3})
-    a1 = mixing_audit(spec, single, single, oracle)
-    a3 = mixing_audit(spec, triple, single, oracle)
+    a1 = mixing_audit(spec, dom, member, *_one_pair(single, single))
+    a3 = mixing_audit(spec, dom, member, *_one_pair(triple, single))
     # squared multiplicities on the B side sum to 9, contributing sqrt(9) = 3
-    assert a3.bound == pytest.approx(3 * a1.bound)
-    assert a3.e_observed == 3 * a1.e_observed
+    assert a3.bound[0] == pytest.approx(3 * a1.bound[0])
+    assert a3.e_observed[0] == 3 * a1.e_observed[0]
+
+
+MIXING_FIELDS = {5: F5, 9: FieldContext(3, 2), 27: FieldContext(3, 3)}
+
+
+@st.composite
+def _mixing_block(draw):
+    """A field, a connection set and a block of multiset pairs (B_i, C_i) as
+    lists of (point, multiplicity) draws.  The first pair always has a
+    support of size 1 and a repeated point."""
+    ctx = MIXING_FIELDS[draw(st.sampled_from(sorted(MIXING_FIELDS)))]
+    dom = PointDomain(ctx, draw(st.integers(1, 3)))
+    conn = draw(st.lists(st.integers(0, dom.size - 1), min_size=1,
+                         max_size=min(dom.size, 40), unique=True))
+    points = st.integers(0, min(dom.size, 6) - 1) | st.integers(0, dom.size - 1)
+    mults = st.integers(1, 5) | st.integers(1, 1 << 40)
+    draws = st.lists(st.tuples(points, mults), min_size=1, max_size=10)
+    a, m1, m2, m3 = draw(points), draw(mults), draw(mults), draw(mults)
+    pairs = [([(a, m1)], [(a, m2), (a, m3)])]
+    pairs += draw(st.lists(st.tuples(draws, draws), max_size=12))
+    return dom, conn, pairs
+
+
+@given(_mixing_block())
+@settings(max_examples=60, deadline=None)
+def test_mixing_batch_matches_per_pair_reference(block):
+    dom, conn, pairs = block
+    spec = cayley_spectrum(dom.ctx, np.array(conn, dtype=np.int64), d=dom.d)
+    sizes, points, mults = [], [], []
+    for multiset in (M for pair in pairs for M in pair):
+        sizes.append(len(multiset))
+        points += [x for x, _ in multiset]
+        mults += [m for _, m in multiset]
+    idx, mult = pad_multisets(sizes, points, mults, dom.size)
+    counters = []
+    for multiset in (M for pair in pairs for M in pair):
+        counters.append(Counter())
+        for x, m in multiset:
+            counters[-1][x] += m
+    assert idx.shape[1] == max(len(c) for c in counters)
+    audit = mixing_audit(spec, dom, _member(dom, conn), idx[0::2], mult[0::2],
+                         idx[1::2], mult[1::2])
+    for i, (B, C) in enumerate(zip(counters[0::2], counters[1::2])):
+        e, _, _, _, gap, ok = mixing_reference(dom.ctx.p, dom.size, conn,
+                                               spec.lambda_mixing, spec.degree, B, C)
+        assert (audit.e_observed[i], audit.gap[i], audit.ok[i]) == (e, gap, ok)
 
 
 @pytest.mark.parametrize("p", [3, 5])
