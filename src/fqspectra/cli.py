@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .domains import PointDomain
 from .energy import (
+    FoldLadder,
     delta_set,
     lambda_k,
     nu_P_k,
@@ -250,8 +251,8 @@ def _cmd_variety(args) -> int:
             for pt in variety.points:
                 sys.stdout.write(",".join(str(c) for c in pt) + "\n")
         return EXIT_OK
-    report = regularity_check(ctx, variety,
-                              thresholds=(args.c1_lo, args.c1_hi, args.c2_max))
+    graph = cayley_spectrum(ctx, variety.indices, d=variety.d)
+    report = regularity_check(graph, thresholds=(args.c1_lo, args.c1_hi, args.c2_max))
     payload = report.as_dict()
     if args.out:
         with open(args.out, "w") as fh:
@@ -305,7 +306,7 @@ def _cmd_energy(args) -> int:
     ctx = _context(args)
     variety = _variety(ctx, args)
     dom = PointDomain(ctx, args.d)
-    E = _subset(variety, args)
+    E = FoldLadder(dom, _subset(variety, args))
     if args.subcommand == "lambda":
         value = lambda_k(dom, E, args.k)
         _emit({"k": args.k, "size": len(E), "lambda_k": value}, args, [str(value)])

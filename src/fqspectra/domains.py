@@ -166,32 +166,27 @@ def _trace_form(ctx: FieldContext) -> np.ndarray:
     return T
 
 
-def resolve_method(ctx: FieldContext, size: int, method: str = "auto") -> str:
-    """The path `character_sum_table` takes for a set of `size` points.
-
-    'auto' sums directly when size <= p*n, where the direct sum is cheaper
-    than the transform, and transforms otherwise.
+def resolve_method(ctx: FieldContext, size: int) -> str:
+    """The path `character_sum_table` takes for a set of `size` points:
+    'direct' when size <= p*n, where the direct sum is cheaper than the
+    transform, and 'transform' otherwise.  The rule is fixed because the two
+    paths differ in the last bits of the sums they return.
     """
-    if method == "auto":
-        return "direct" if size <= ctx.p * ctx.n else "transform"
-    if method not in ("direct", "transform"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
+    return "direct" if size <= ctx.p * ctx.n else "transform"
 
 
-def character_sum_table(dom: PointDomain, points, method: str = "auto") -> np.ndarray:
+def character_sum_table(dom: PointDomain, points) -> np.ndarray:
     """lam[m] = sum over s in points of chi(m . s), for every m in F_q^d.
 
     points is an index array or a sequence of coordinate tuples (see
-    `PointDomain.as_indices`).  Two independent paths are available:
+    `PointDomain.as_indices`).  `resolve_method` picks one of two paths:
       * 'direct'    — O(q^d * |S| * d) vectorized summation;
       * 'transform' — a (Z_p)^(n*d) Fourier transform of the indicator,
                       reindexed through the trace pairing, O(q^d * n * d * p).
-    'auto' picks one by `resolve_method`.  Both paths agree to floating
-    precision and are cross-checked in the test suite.
+    Both agree to floating precision; the test suite cross-checks them.
     """
     idx = dom.as_indices(points)
-    if resolve_method(dom.ctx, len(idx), method) == "direct":
+    if resolve_method(dom.ctx, len(idx)) == "direct":
         return _character_sums_direct(dom, idx)
     return _character_sums_transform(dom, idx)
 
@@ -221,17 +216,8 @@ def _character_sums_transform(dom: PointDomain, idx) -> np.ndarray:
     if n == 1:
         return F
     # Reindex: chi(m . s) pairs digit blocks through the trace Gram matrix.
-    T = _trace_form(ctx)
-    m = np.arange(dom.size, dtype=np.int64)
-    flat = np.zeros(dom.size, dtype=np.int64)
-    q = ctx.q
-    for j in range(d):
-        mj = (m // q ** (d - 1 - j)) % q
-        digs = np.stack([(mj // p ** i) % p for i in range(n)], axis=1)
-        v = (digs @ T) % p
-        scale = q ** (d - 1 - j)
-        block = np.zeros(dom.size, dtype=np.int64)
-        for i in range(n):
-            block += v[:, i] * p ** i
-        flat += block * scale
+    # It acts on each coordinate alone: lin[u] encodes digits(u) . T mod p.
+    digits = np.arange(ctx.q, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+    lin = (digits @ _trace_form(ctx)) % p @ p ** np.arange(n)
+    flat = sum(lin[dom.coord_array(j)] * ctx.q ** (d - 1 - j) for j in range(d))
     return F[flat]

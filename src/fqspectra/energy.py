@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import _FLOAT_EXACT, _INT64_SAFE, PointDomain
+from .domains import _FLOAT_EXACT, _INT64_SAFE, TABLE_MAX, PointDomain
 from .errors import (
     BudgetExceededError,
     EmptyXError,
@@ -150,10 +150,12 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """r_j(z) = number of ordered j-tuples from E summing to z, exact.
 
     E is a sequence of points or a 1-D integer array of flat indices.  For
-    j >= 2 the table comes from the certified transform fold when its
-    certificate holds, otherwise from the iterated sparse fold
-    r_j = r_{j-1} (*) 1_E, one cyclic shift of the running table per point
-    of E, which is the reference path.
+    j >= 2 the table comes from the certified transform fold when the table
+    is int64, q^d <= TABLE_MAX and its certificate holds, otherwise from the
+    iterated sparse fold r_j = r_{j-1} (*) 1_E, one cyclic shift of the
+    running table per point of E, which is the reference path.  Only that
+    path is charged against FOLD_BUDGET, at its cost |E| * q^d * (j - 1);
+    the transform costs O(j * q^d * log q^d) under the TABLE_MAX cap.
 
     Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d and
     F = fftn(1_E) over dom.shape, r_j = ifftn(F^j), rounded with rint.  Its
@@ -191,13 +193,15 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
     idx = dom.as_indices(E)
-    cost = len(idx) * dom.size * (j - 1)
-    if cost > FOLD_BUDGET:
-        raise BudgetExceededError(
-            f"fold cost |E|*q^d*(j-1) = {cost} exceeds budget {FOLD_BUDGET}")
     dtype = _table_dtype(len(idx) ** j)
-    r = _transform_fold(dom, [(idx, j)]) if dtype is np.int64 and j > 1 else None
+    r = None
+    if dtype is np.int64 and j > 1 and dom.size <= TABLE_MAX:
+        r = _transform_fold(dom, [(idx, j)])
     if r is None:
+        cost = len(idx) * dom.size * (j - 1)
+        if cost > FOLD_BUDGET:
+            raise BudgetExceededError(
+                f"fold cost |E|*q^d*(j-1) = {cost} exceeds budget {FOLD_BUDGET}")
         r = _roll_fold(dom, idx, j, dtype)
     return CountTable(kind="points", d=dom.d, q=dom.ctx.q, values=r)
 

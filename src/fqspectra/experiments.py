@@ -233,19 +233,21 @@ def _stamp(plan: ExperimentPlan) -> dict:
 
 
 def _setup(plan: ExperimentPlan):
+    """The plan's field, domain and variety V, V's Cayley spectrum, and the
+    regularity report read off that spectrum."""
     ctx = plan.context()
     variety = builtin_variety(ctx, plan.family, plan.d,
                               plan.j if plan.family != "paraboloid" else None)
     dom = PointDomain(ctx, plan.d)
-    report = regularity_check(ctx, variety)
-    return ctx, dom, variety, report
+    graph = cayley_spectrum(ctx, variety.indices, d=plan.d)
+    return ctx, dom, variety, graph, regularity_check(graph)
 
 
 def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Distance-count coverage: nu_k(t) across t, coverage of F_q^*, relative
     deviation from |E|^k/q, size-hypothesis margins, and hard deviation audits."""
     form = QuadraticForm.parse(plan.form, plan.d)
-    ctx, dom, variety, reg = _setup(plan)
+    ctx, dom, variety, _, reg = _setup(plan)
     graphs = {}
     for t in range(1, ctx.q):
         spec, check = euclidean_spectrum(ctx, form, t, plan.d)
@@ -300,10 +302,10 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     Trials whose subset violates |E| > q^{(d-1)/2} are recorded as skipped.
     Even k >= 4 additionally runs the hard multiset-mixing audit, against the
-    variety's Cayley spectrum, built on the first audit and shared by all."""
-    ctx, dom, variety, reg = _setup(plan)
+    variety's Cayley spectrum: set-up builds it once for the regularity
+    report, and every audit shares it."""
+    ctx, dom, variety, graph, reg = _setup(plan)
     ks = plan.ks or (plan.k,)
-    graph = None
     records = []
     hard_failures = 0
     q = ctx.q
@@ -328,8 +330,6 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
                     rr = energy_recursion_ratio(dom, E, k)
                     rec[f"k{k}_energy"] = rr["k_energy"]
                     rec[f"k{k}_ratio"] = rr["ratio"]
-                    if graph is None:
-                        graph = cayley_spectrum(ctx, variety.indices, d=plan.d)
                     audit = energy_growth_audit(dom, variety, E, k, graph)
                     rec[f"k{k}_audit_ok"] = audit.ok
                     if not audit.ok:
@@ -358,7 +358,7 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
 def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Shifted distance-set growth |X + Delta| with the exact second-moment
     lower bound, hypothesis margins, and hard mixing/Cauchy-Schwarz audits."""
-    ctx, dom, variety, reg = _setup(plan)
+    ctx, dom, variety, _, reg = _setup(plan)
     pspec = diagonal_poly(ctx, plan.d, plan.s, plan.coeffs)
     graph, _check = affine_cayley_spectrum(ctx, pspec, plan.d)
     records = []
@@ -368,11 +368,11 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     for size_index, size in enumerate(sizes):
         for trial in range(plan.trials):
             E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
+            ds = delta_set(dom, E, pspec, k)
             for x_size in plan.x_sizes:
                 X = sample_scalar_subset(q, x_size, plan.seed, trial)
                 rec = {"size_index": size_index, "trial": trial,
                        "size": len(E), "x_size": len(X)}
-                ds = delta_set(dom, E, pspec, k)
                 ss = sumset(ctx, X, ds.values)
                 rec["delta_size"] = len(ds.values)
                 rec["sumset_size"] = len(ss)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import TABLE_MAX, PointDomain, character_sum_table, flat_indices
+from .domains import TABLE_MAX, PointDomain, flat_indices
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -377,37 +377,34 @@ class RegularityReport:
         }
 
 
-def regularity_check(ctx: FieldContext, variety: Variety,
-                     thresholds=DEFAULT_THRESHOLDS, method: str = "auto") -> RegularityReport:
-    """Measure the two regularity constants and apply the thresholds.
+def regularity_check(graph, thresholds=DEFAULT_THRESHOLDS) -> RegularityReport:
+    """Read the two regularity constants of a variety V off its Cayley
+    spectrum and apply the thresholds.
 
-    Scans every nonzero frequency m; the maximum modulus is reached at the
-    first maximizer in index order (deterministic).  A Parseval identity check
-    guards the scan on every invocation.
+    `graph` is the `spectra.Spectrum` of the Cayley digraph with connection
+    set V, as `spectra.cayley_spectrum` builds it: its degree is |V| and its
+    eigenvalues are V's character sums, so c1 = degree / q^(d-1) and
+    c2 = lambda_mixing / q^((d-1)/2).  argmax_m is the first maximizer
+    m != 0 in index order (deterministic).  A Parseval identity check guards
+    the eigenvalues on every invocation.
     """
-    if variety.size == 0:
+    q, d, size = graph.q, graph.d, graph.degree
+    if size == 0:
         raise EmptyVarietyError("regularity check needs a nonempty variety")
-    dom = PointDomain(ctx, variety.d)
-    if dom.size > TABLE_MAX:
-        raise SearchSpaceTooLargeError(
-            f"q^d = {dom.size} exceeds the m-scan budget {TABLE_MAX}")
-    sums = character_sum_table(dom, variety.indices, method=method)
-    mods = np.abs(sums)
+    mods = np.abs(graph.eigenvalues)
     # Parseval audit: sum_m |sum_x chi(-m.x)|^2 == q^d * |V|
     total = float(np.sum(mods ** 2))
-    expected = float(dom.size * variety.size)
+    expected = float(graph.order * size)
     if abs(total - expected) > 1e-6 * expected:
         raise InvariantError(
             f"Parseval audit failed: {total} vs {expected} (scan is inconsistent)")
-    mods[0] = -1.0  # exclude m = 0 from the maximum
-    arg = int(np.argmax(mods))  # first maximizer in index order
-    max_mod = float(mods[arg])
-    c1 = variety.size / ctx.q ** (variety.d - 1)
-    c2 = max_mod / ctx.q ** ((variety.d - 1) / 2)
+    arg = 1 + int(np.argmax(mods[1:]))  # first maximizer in index order
+    c1 = size / q ** (d - 1)
+    c2 = graph.lambda_mixing / q ** ((d - 1) / 2)
     c1_lo, c1_hi, c2_max = thresholds
     return RegularityReport(
-        q=ctx.q, d=variety.d, size=variety.size,
-        size_constant=c1, fourier_constant=c2,
-        argmax_m=dom.point_of(arg), thresholds=tuple(thresholds),
+        q=q, d=d, size=size, size_constant=c1, fourier_constant=c2,
+        argmax_m=tuple(int(c) for c in np.unravel_index(arg, (q,) * d)),
+        thresholds=tuple(thresholds),
         size_ok=bool(c1_lo <= c1 <= c1_hi), fourier_ok=bool(c2 <= c2_max),
     )

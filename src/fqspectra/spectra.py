@@ -38,7 +38,7 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .field import FieldContext
-from .geometry import PolySpec, QuadraticForm, diagonal_shape, eval_poly_table
+from .geometry import PolySpec, QuadraticForm, diagonal_shape
 
 # Relative tolerance used to decide whether |lam_m| equals the degree.
 _DEGREE_EQ_RTOL = 1e-9
@@ -114,11 +114,16 @@ def _finish_spectrum(ctx, dom, degree, eigenvalues, method) -> Spectrum:
                     argmax_m=arg, lambda_mixing=lam_mixing, method=method)
 
 
-def cayley_spectrum(ctx: FieldContext, points, d: int | None = None,
-                    method: str = "auto") -> Spectrum:
+def cayley_spectrum(ctx: FieldContext, points, d: int | None = None) -> Spectrum:
     """Spectrum of the Cayley digraph on F_q^d with connection set `points`,
     an index array or a sequence of coordinate tuples; d may be omitted for
-    a nonempty sequence of tuples."""
+    a nonempty sequence of tuples.
+
+    The eigenvalues are `character_sum_table` of the connection set, and
+    `Spectrum.method` names the path `resolve_method` chose for its size.
+    For a variety V this is also V's regularity data: the degree is |V| and
+    lambda_mixing the largest nontrivial Fourier modulus (see
+    `geometry.regularity_check`)."""
     if d is None:
         points = list(points)
         if not points or np.ndim(points[0]) != 1:
@@ -131,9 +136,9 @@ def cayley_spectrum(ctx: FieldContext, points, d: int | None = None,
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
-    method = resolve_method(ctx, len(idx), method)
-    eigenvalues = character_sum_table(dom, idx, method=method)
-    return _finish_spectrum(ctx, dom, len(idx), eigenvalues, method)
+    eigenvalues = character_sum_table(dom, idx)
+    return _finish_spectrum(ctx, dom, len(idx), eigenvalues,
+                            resolve_method(ctx, len(idx)))
 
 
 @dataclass(frozen=True)
@@ -177,15 +182,15 @@ def euclidean_spectrum(ctx: FieldContext, form: QuadraticForm, t: int, d: int):
     return spec, check
 
 
-def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int,
-                           method: str = "closed"):
+def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     """Spectrum of the Cayley digraph on F_q x F_q^{2d} whose connection set
     is the graph {(x0, x) : x0 + P(x_1..x_d) - P(x_{d+1}..x_{2d}) = 0} of a
     diagonal polynomial P.
 
-    method 'closed' evaluates the coordinate-factorized one-dimensional Weil
-    sums W(a, b) = sum_u chi(a*u^s + b*u); 'direct' enumerates the connection
-    set and sums characters, as an independent cross-check.
+    The eigenvalues come in closed form from the coordinate-factorized
+    one-dimensional Weil sums W(a, b) = sum_u chi(a*u^s + b*u), so the
+    connection set is never enumerated; `Spectrum.method` is 'closed'.  The
+    test suite checks them against character sums over the enumerated set.
 
     The eigenvalue at m = (m0, m_1..m_2d) is 0 when m0 = 0 and m != 0, and
     otherwise a product of 2d sums W(+-m0*a_j, m_j).  With every a_j != 0 and
@@ -212,29 +217,13 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int,
         raise SearchSpaceTooLargeError(
             f"q^(2d+1) = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
     degree = ctx.q ** (2 * d)
-    if method == "direct":
-        eigenvalues = character_sum_table(dom, _affine_connection_set(ctx, s, coeffs, d),
-                                          method="auto")
-    elif method == "closed":
-        eigenvalues = _affine_eigenvalues_closed(ctx, dom, s, coeffs, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    spec = _finish_spectrum(ctx, dom, degree, eigenvalues, method)
+    eigenvalues = _affine_eigenvalues_closed(ctx, dom, s, coeffs, d)
+    spec = _finish_spectrum(ctx, dom, degree, eigenvalues, "closed")
     bound = float((s - 1) ** (2 * d) * ctx.q ** d)
     check = BoundCheck(spec.lambda_second, bound,
                        spec.lambda_second <= bound + AUDIT_RTOL * bound, note="",
                        normalized_bound=float(ctx.q ** d))
     return spec, check
-
-
-def _affine_connection_set(ctx, s, coeffs, d):
-    """Flat indices in F_q^(2d+1) of the points (-(P(x) - P(y)), x, y)."""
-    unit = [tuple(s if i == j else 0 for i in range(2 * d)) for j in range(2 * d)]
-    terms = [(c, unit[j]) for j, c in enumerate(coeffs)]
-    terms += [(ctx.neg(c), unit[d + j]) for j, c in enumerate(coeffs)]
-    dom2d = PointDomain(ctx, 2 * d)
-    diff = eval_poly_table(dom2d, PolySpec(2 * d, tuple(terms)))
-    return ctx.neg_vec(diff) * dom2d.size + np.arange(dom2d.size, dtype=np.int64)
 
 
 def _affine_eigenvalues_closed(ctx, dom, s, coeffs, d):

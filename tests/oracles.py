@@ -5,6 +5,11 @@ tuple spaces, so a bug in the convolution/transform machinery cannot hide:
 these never call into fqspectra's counting or spectrum code.  The mixing
 reference also covers extension fields, through the digit-wise group law of
 flat indices, and stays here as the per-pair check of the batched audit.
+
+The affine reference is the one exception that uses the library: it
+enumerates the connection set with `eval_poly_table` and sums characters
+with `character_sum_table`, neither of which the closed-form affine
+spectrum it checks ever calls.
 """
 
 import itertools
@@ -13,6 +18,9 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from fqspectra.domains import PointDomain, character_sum_table
+from fqspectra.geometry import PolySpec, eval_poly_table
 
 
 def add_pts(p, x, y):
@@ -93,6 +101,19 @@ def brute_second_eigenvalue(p, S, d):
     deg = len(sset)
     keep = mods[np.abs(mods - deg) > 1e-6 * max(1.0, deg)]
     return float(keep.max()) if keep.size else 0.0
+
+
+def affine_eigenvalues_direct(ctx, s, coeffs, d):
+    """Eigenvalues of the affine Cayley digraph of P = sum_j coeffs[j] x_j^s,
+    as character sums over its enumerated connection set: the points
+    (-(P(x) - P(y)), x, y) of F_q^(2d+1)."""
+    unit = [tuple(s if i == j else 0 for i in range(2 * d)) for j in range(2 * d)]
+    terms = [(c, unit[j]) for j, c in enumerate(coeffs)]
+    terms += [(ctx.neg(c), unit[d + j]) for j, c in enumerate(coeffs)]
+    dom2d = PointDomain(ctx, 2 * d)
+    diff = eval_poly_table(dom2d, PolySpec(2 * d, tuple(terms)))
+    conn = ctx.neg_vec(diff) * dom2d.size + np.arange(dom2d.size, dtype=np.int64)
+    return character_sum_table(PointDomain(ctx, 2 * d + 1), conn)
 
 
 def brute_edge_count(p, S, B, C):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.cli as cli_mod
+import fqspectra.energy as energy_mod
 import fqspectra.spectra as spectra_mod
 from fqspectra.cli import MIXING_BLOCK_CELLS, main
 from fqspectra.experiments import _derive_rng
@@ -109,6 +110,20 @@ def test_nup_reports_bound(capsys):
     assert code == 0
     assert payload["cs_bound_ok"]
     assert payload["sumset_size"] >= payload["cs_bound"]
+
+
+def test_nup_folds_the_subset_once(monkeypatch, capsys):
+    depths = []
+    real = energy_mod.fold_counts
+
+    def counting(dom, E, j):
+        depths.append(j)
+        return real(dom, E, j)
+
+    monkeypatch.setattr(energy_mod, "fold_counts", counting)
+    code, _, _ = run_cli(["energy", "nup", "--p", "5", "--d", "2", "--family", "sphere",
+                          "--k", "3", "--s", "2", "--x-set", "0,1"], capsys)
+    assert code == 0 and depths == [3]
 
 
 def test_variety_roundtrip_preserves_downstream_results(tmp_path, capsys):
@@ -353,8 +368,8 @@ def test_experiment_form_of_wrong_dimension_is_a_usage_error(tmp_path, capsys):
 def test_invariant_error_exits_1_without_traceback(monkeypatch, capsys):
     real = spectra_mod.character_sum_table
 
-    def corrupted(dom, points, method="auto"):
-        lam = real(dom, points, method)
+    def corrupted(dom, points):
+        lam = real(dom, points)
         lam[0] += 1.0
         return lam
 

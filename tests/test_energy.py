@@ -118,6 +118,31 @@ def test_fold_budget_guard():
         fold_counts(dom, E, 11)
 
 
+def test_fold_budget_is_charged_to_the_roll_fold_only(monkeypatch):
+    dom = PointDomain(F5, 2)
+    E = _random_subset(dom, 6, seed=2)
+    roll = energy_mod._roll_fold(dom, dom.as_indices(E), 3, np.int64)
+    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", 1)
+    assert np.array_equal(fold_counts(dom, E, 3).values, roll)  # the transform ran
+    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 1.0)
+    with pytest.raises(BudgetExceededError):
+        fold_counts(dom, E, 3)
+
+
+def test_transform_fold_is_capped_by_table_max(monkeypatch):
+    dom = PointDomain(F5, 2)
+    E = _random_subset(dom, 6, seed=2)
+    want = fold_counts(dom, E, 3).values
+    calls = []
+    monkeypatch.setattr(energy_mod, "_transform_fold", lambda *args: calls.append(args))
+    monkeypatch.setattr(energy_mod, "TABLE_MAX", dom.size - 1)
+    assert np.array_equal(fold_counts(dom, E, 3).values, want)
+    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", 1)
+    with pytest.raises(BudgetExceededError):
+        fold_counts(dom, E, 3)
+    assert calls == []
+
+
 def test_lambda2_is_set_size():
     for size in (1, 2, 3, 4):
         E = _random_subset(DOM32, size, seed=size)
@@ -587,7 +612,7 @@ def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
 def test_spectral_identity_for_even_energies(p, n, d):
     dom = PointDomain(FieldContext(p, n), d)
     E = _random_subset(dom, 7, seed=p * n + d)
-    hat = np.abs(character_sum_table(dom, E, method="direct"))
+    hat = np.abs(character_sum_table(dom, E))
     for k in (2, 4, 6):
         assert lambda_k(dom, E, k) == pytest.approx(
             float(np.sum(hat ** k)) / dom.size, rel=1e-9)

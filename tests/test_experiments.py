@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fqspectra.experiments as experiments_mod
+import fqspectra.spectra as spectra_mod
 from fqspectra.domains import PointDomain
 from fqspectra.errors import SizeExceedsVarietyError
 from fqspectra.experiments import (
@@ -139,32 +140,38 @@ def test_energy_experiment_skips_small_subsets():
 
 
 def _count_cayley_spectra(monkeypatch):
-    calls = []
+    calls, sums = [], []
     real = experiments_mod.cayley_spectrum
+    real_sums = spectra_mod.character_sum_table
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def counting_sums(*args, **kwargs):
+        sums.append(args)
+        return real_sums(*args, **kwargs)
+
     monkeypatch.setattr(experiments_mod, "cayley_spectrum", counting)
-    return calls
+    monkeypatch.setattr(spectra_mod, "character_sum_table", counting_sums)
+    return calls, sums
 
 
-@pytest.mark.parametrize("ks,sizes,spectra", [
-    ((2, 3, 4), (2, 3, 4), 1),   # six growth audits share one spectrum
+@pytest.mark.parametrize("ks,sizes,audits", [
+    ((2, 3, 4), (2, 3, 4), 6),   # six growth audits share the set-up spectrum
     ((2, 3), (2, 3, 4), 0),      # no even k >= 4, so no growth audit
     ((4,), (0, 1), 0),           # every trial skipped as too small
 ], ids=["audited", "no-even-k", "all-skipped"])
 def test_energy_experiment_builds_the_cayley_spectrum_at_most_once(monkeypatch, ks,
-                                                                    sizes, spectra):
-    calls = _count_cayley_spectra(monkeypatch)
+                                                                    sizes, audits):
+    calls, sums = _count_cayley_spectra(monkeypatch)
     plan = ExperimentPlan(p=3, d=2, family="sphere", j=1, ks=ks, sizes=sizes,
                           sizes_mode="absolute", trials=2, seed=3)
     rep = energy_bound_experiment(plan)
-    assert len(calls) == spectra
+    assert len(calls) == 1 and len(sums) == 1  # set-up's, shared with regularity
     assert rep.hard_failures == 0
     audited = [r["k4_audit_ok"] for r in rep.records if "k4_audit_ok" in r]
-    assert len(audited) == (6 if spectra else 0) and all(audited)
+    assert len(audited) == audits and all(audited)
 
 
 def test_energy_experiment_odd_k_ratio():
@@ -184,6 +191,21 @@ def test_sumset_full_X_gives_whole_field():
     assert rec["sumset_size"] == 3
     assert rec["verdict_cq"]
     assert rep.hard_failures == 0
+
+
+def test_sumset_runner_computes_delta_once_per_trial(monkeypatch):
+    calls = []
+    real = experiments_mod.delta_set
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments_mod, "delta_set", counting)
+    plan = ExperimentPlan(p=5, d=2, family="sphere", j=1, k=2, s=2, sizes=(3, 6),
+                          sizes_mode="absolute", x_sizes=(1, 2, 4), trials=2, seed=1)
+    rep = sumset_experiment(plan)
+    assert len(calls) == 2 * 2 and len(rep.records) == 2 * 2 * 3
 
 
 def test_sumset_empty_E():

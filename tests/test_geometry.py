@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fqspectra.domains as domains_mod
 import fqspectra.geometry as geometry_mod
+import fqspectra.spectra as spectra_mod
 
 from fqspectra.domains import PointDomain, character_sum_table
 from fqspectra.errors import (
@@ -26,9 +30,14 @@ from fqspectra.geometry import (
     regularity_check,
     sphere_poly,
 )
+from fqspectra.spectra import cayley_spectrum
 
 F3 = FieldContext(3)
 F5 = FieldContext(5)
+
+
+def _regularity(ctx, v):
+    return regularity_check(cayley_spectrum(ctx, v.indices, d=v.d))
 
 
 def test_eval_poly_fixed_values():
@@ -135,7 +144,7 @@ def test_chunked_enumeration_gives_the_same_variety(ctx, family, d, monkeypatch)
 
 def test_regularity_sphere_f3():
     v = builtin_variety(F3, "sphere", 2, 1)
-    rep = regularity_check(F3, v)
+    rep = _regularity(F3, v)
     assert rep.size_constant == pytest.approx(4 / 3)
     # max nontrivial character sum has modulus 2 (scan over the 8 nonzero m)
     assert rep.fourier_constant == pytest.approx(2 / 3 ** 0.5)
@@ -144,7 +153,7 @@ def test_regularity_sphere_f3():
 
 def test_regularity_paraboloid_f3():
     v = builtin_variety(F3, "paraboloid", 2)
-    rep = regularity_check(F3, v)
+    rep = _regularity(F3, v)
     assert rep.size_constant == pytest.approx(1.0)
     # max modulus is the quadratic Gauss sum sqrt(3)
     assert rep.fourier_constant == pytest.approx(1.0)
@@ -155,7 +164,7 @@ def test_regularity_full_space_fails_size():
     spec = PolySpec(2, ())  # the zero polynomial: V = F_q^2
     v = enumerate_variety(F3, spec)
     assert v.size == 9
-    rep = regularity_check(F3, v)
+    rep = _regularity(F3, v)
     assert rep.fourier_constant == pytest.approx(0.0, abs=1e-9)
     assert rep.size_constant == pytest.approx(3.0)
     assert not rep.verdict and not rep.size_ok and rep.fourier_ok
@@ -166,14 +175,17 @@ def test_regularity_empty_variety():
     v = enumerate_variety(F3, spec)
     assert v.size == 0
     with pytest.raises(EmptyVarietyError):
-        regularity_check(F3, v)
+        _regularity(F3, v)
 
 
 def test_regularity_methods_agree():
     for ctx in (F3, F5, FieldContext(3, 2)):
         v = builtin_variety(ctx, "sphere", 2, 1)
-        a = regularity_check(ctx, v, method="direct")
-        b = regularity_check(ctx, v, method="transform")
+        dom = PointDomain(ctx, 2)
+        a, b = (regularity_check(spectra_mod._finish_spectrum(
+                    ctx, dom, v.size,
+                    getattr(domains_mod, f"_character_sums_{path}")(dom, v.indices), path))
+                for path in ("direct", "transform"))
         assert a.fourier_constant == pytest.approx(b.fourier_constant, rel=1e-6)
         assert a.argmax_m == b.argmax_m
 
@@ -186,9 +198,36 @@ def test_engine_paths_agree_on_random_sets():
             count = int(rng.integers(1, dom.size))
             idxs = rng.choice(dom.size, size=count, replace=False)
             pts = [dom.point_of(int(i)) for i in idxs]
-            a = character_sum_table(dom, pts, method="direct")
-            b = character_sum_table(dom, pts, method="transform")
+            a = domains_mod._character_sums_direct(dom, dom.as_indices(pts))
+            b = domains_mod._character_sums_transform(dom, dom.as_indices(pts))
             assert np.max(np.abs(a - b)) < 1e-6 * max(1, len(pts))
+
+
+# F_9 and F_27 over d = 1..3: the trace reindex of the transform path is
+# the identity over prime fields, so only extension fields exercise it.
+EXTENSION_DOMAINS = [PointDomain(FieldContext(3, n), d) for n in (2, 3) for d in (1, 2, 3)]
+EXTENSION_POINT_SETS = st.sampled_from(EXTENSION_DOMAINS).flatmap(
+    lambda dom: st.tuples(st.just(dom), st.lists(
+        st.integers(0, dom.size - 1), min_size=1, max_size=min(dom.size, 40), unique=True)))
+
+
+@given(EXTENSION_POINT_SETS)
+@settings(max_examples=60, deadline=None)
+def test_character_sum_paths_agree_over_extension_fields(case):
+    dom, points = case
+    idx = np.array(points, dtype=np.int64)
+    a = domains_mod._character_sums_direct(dom, idx)
+    b = domains_mod._character_sums_transform(dom, idx)
+    assert np.max(np.abs(a - b)) < 1e-9 * len(points)
+
+
+@given(EXTENSION_POINT_SETS)
+@settings(max_examples=60, deadline=None)
+def test_character_sum_table_satisfies_parseval(case):
+    dom, points = case
+    lam = character_sum_table(dom, np.array(points, dtype=np.int64))
+    assert float(np.sum(np.abs(lam) ** 2)) == pytest.approx(dom.size * len(points),
+                                                            rel=1e-9)
 
 
 def test_variety_serialization_roundtrip(tmp_path):

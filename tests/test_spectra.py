@@ -27,7 +27,12 @@ from fqspectra.spectra import (
     pad_multisets,
 )
 
-from oracles import brute_second_eigenvalue, mixing_reference, sphere_points
+from oracles import (
+    affine_eigenvalues_direct,
+    brute_second_eigenvalue,
+    mixing_reference,
+    sphere_points,
+)
 
 F3 = FieldContext(3)
 F5 = FieldContext(5)
@@ -76,11 +81,13 @@ def test_sphere_spectrum_f3():
 
 def test_direct_and_transform_agree_on_50_random_sets():
     for ctx in (F3, F5):
+        dom = PointDomain(ctx, 2)
         for pts in _random_sets(ctx, 2, 25, seed=ctx.q):
-            direct = cayley_spectrum(ctx, pts, d=2, method="direct")
-            transform = cayley_spectrum(ctx, pts, d=2, method="transform")
+            idx = dom.as_indices(pts)
+            direct = domains_mod._character_sums_direct(dom, idx)
+            transform = domains_mod._character_sums_transform(dom, idx)
             scale = max(1.0, len(pts))
-            assert np.max(np.abs(direct.eigenvalues - transform.eigenvalues)) < 1e-6 * scale
+            assert np.max(np.abs(direct - transform)) < 1e-6 * scale
 
 
 def test_second_eigenvalue_matches_adjacency_matrix_oracle():
@@ -167,9 +174,9 @@ def test_affine_spectrum_q5_s2():
 def test_affine_closed_matches_direct():
     for ctx, d, s in [(F3, 1, 2), (F5, 1, 2), (F5, 1, 3), (F3, 2, 2)]:
         P = diagonal_poly(ctx, d, s, tuple(range(1, d + 1)))
-        closed, _ = affine_cayley_spectrum(ctx, P, d, method="closed")
-        direct, _ = affine_cayley_spectrum(ctx, P, d, method="direct")
-        assert np.max(np.abs(closed.eigenvalues - direct.eigenvalues)) < 1e-6 * closed.degree
+        closed, _ = affine_cayley_spectrum(ctx, P, d)
+        direct = affine_eigenvalues_direct(ctx, s, tuple(range(1, d + 1)), d)
+        assert np.max(np.abs(closed.eigenvalues - direct)) < 1e-6 * closed.degree
 
 
 def test_affine_weil_ceiling_attained_over_f25():
@@ -177,9 +184,9 @@ def test_affine_weil_ceiling_attained_over_f25():
     # (s-1)^(2d) * q^d = 100 exactly, while q^d = 25 is exceeded fourfold.
     F25 = FieldContext(5, 2)
     P = diagonal_poly(F25, 1, 3)
-    closed, check = affine_cayley_spectrum(F25, P, 1, method="closed")
-    direct, _ = affine_cayley_spectrum(F25, P, 1, method="direct")
-    assert np.max(np.abs(closed.eigenvalues - direct.eigenvalues)) < 1e-6 * closed.degree
+    closed, check = affine_cayley_spectrum(F25, P, 1)
+    direct = affine_eigenvalues_direct(F25, 3, (1,), 1)
+    assert np.max(np.abs(closed.eigenvalues - direct)) < 1e-6 * closed.degree
     assert closed.lambda_second == pytest.approx(100.0, abs=1e-9)
     assert check.bound == 100.0 and check.within
     assert check.normalized_bound == 25.0
@@ -234,8 +241,8 @@ def test_index_arithmetic_matches_field_arithmetic(p, n, d):
 def test_corrupted_trivial_eigenvalue_raises_invariant_error(monkeypatch):
     real = spectra_mod.character_sum_table
 
-    def corrupted(dom, points, method="auto"):
-        lam = real(dom, points, method)
+    def corrupted(dom, points):
+        lam = real(dom, points)
         lam[0] += 1.0
         return lam
 
