@@ -40,6 +40,7 @@ from .geometry import (
     Variety,
     builtin_variety,
     diagonal_poly,
+    eval_poly_table,
     regularity_check,
 )
 from .spectra import (
@@ -318,13 +319,13 @@ def _cmd_energy(args) -> int:
     if args.subcommand == "nup":
         if args.s is None:
             raise FqspectraError("energy nup needs --s (diagonal exponent)")
-        pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
+        pvals = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
         X = [int(v) for v in args.x_set.split(",")]
         x_size = len(set(v % ctx.q for v in X))
-        table = nu_P_k(dom, E, X, pspec, args.k)
+        table = nu_P_k(dom, E, X, pvals, args.k)
         sq = second_moment(table)
         bound = sumset_lower_bound(table, x_size, len(E), args.k)
-        ds = delta_set(dom, E, pspec, args.k)
+        ds = delta_set(dom, E, pvals, args.k)
         ss = sumset(ctx, X, ds.values)
         code = EXIT_OK if len(ss) >= bound else EXIT_AUDIT
         extra = {"k": args.k, "size": len(E), "x_size": x_size,
@@ -333,10 +334,10 @@ def _cmd_energy(args) -> int:
         rc = _emit_table(table, args, extra=extra)
         return max(rc, code)
     if args.s is not None:
-        form_or_poly = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
+        values = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
     else:
-        form_or_poly = QuadraticForm.parse(args.form, args.d)
-    ds = delta_set(dom, E, form_or_poly, args.k)
+        values = QuadraticForm.parse(args.form, args.d).value_table(dom)
+    ds = delta_set(dom, E, values, args.k)
     _emit({"k": args.k, "size": len(E), **ds.as_dict()}, args,
           [f"delta = {list(ds.values)}",
            f"covers F_q^*: {ds.covers_Fq_star}, covers F_q: {ds.covers_Fq}"])

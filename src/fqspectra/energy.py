@@ -27,11 +27,10 @@ from .errors import (
     EmptyXError,
     InconsistentTotalError,
     InvariantError,
-    NotDiagonalError,
     OddKError,
 )
 from .field import FieldContext
-from .geometry import PolySpec, QuadraticForm, diagonal_shape, eval_poly_table
+from .geometry import QuadraticForm
 from .spectra import AUDIT_RTOL, Spectrum
 
 FOLD_BUDGET = 10 ** 9
@@ -297,16 +296,29 @@ def nu_k(dom: PointDomain, E, form: QuadraticForm, k: int) -> CountTable:
     return _bin_by_value(dom.ctx, qvals, r, len(ladder) ** k)
 
 
-def nu_P_k(dom: PointDomain, E, X, pspec: PolySpec, k: int) -> CountTable:
-    """nu_{P,k}(t) = triples (a, k-tuple) with a in X and a + P(sum) = t."""
+def _value_table(dom: PointDomain, values) -> np.ndarray:
+    """values as an int64 array, checked to hold one value per point of dom."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (dom.size,):
+        raise ValueError(f"value table has shape {values.shape}, "
+                         f"expected ({dom.size},): one value per point of F_q^d")
+    return values
+
+
+def nu_P_k(dom: PointDomain, E, X, pvals, k: int) -> CountTable:
+    """nu_{P,k}(t) = triples (a, k-tuple) with a in X and a + P(sum) = t.
+
+    pvals is P's value table over dom, `geometry.eval_poly_table(dom, P)`,
+    which callers build once per polynomial and domain.  The count is defined
+    for any P; the paper's P is diagonal, and the affine spectrum that the
+    second-moment audit reads rejects any other.
+    """
     xs = sorted(set(int(a) % dom.ctx.q for a in X))
     if not xs:
         raise EmptyXError("shift set X must be nonempty")
-    if diagonal_shape(pspec) is None:
-        raise NotDiagonalError("nu_{P,k} needs a diagonal polynomial P")
+    pvals = _value_table(dom, pvals)
     ladder = _ladder(dom, E)
     r = ladder.fold(k).values
-    pvals = eval_poly_table(dom, pspec)
     base = _bin_by_value(dom.ctx, pvals, r, len(ladder) ** k)
     ctx = dom.ctx
     mass = len(xs) * len(ladder) ** k
@@ -336,14 +348,15 @@ class DeltaSet:
                 "covers_Fq": self.covers_Fq}
 
 
-def delta_set(dom: PointDomain, E, f, k: int) -> DeltaSet:
+def delta_set(dom: PointDomain, E, values, k: int) -> DeltaSet:
     """Generalized distance set of E under F, over k-fold sums.
 
-    f may be a PolySpec or a QuadraticForm.
+    values is F's value table over dom: `QuadraticForm.value_table(dom)` or
+    `geometry.eval_poly_table(dom, P)`, built once by the caller.
     """
+    values = _value_table(dom, values)
     r = _ladder(dom, E).fold(k).values
-    vals = f.value_table(dom) if isinstance(f, QuadraticForm) else eval_poly_table(dom, f)
-    seen = tuple(np.unique(vals[r > 0]).tolist())
+    seen = tuple(np.unique(values[r > 0]).tolist())
     q = dom.ctx.q
     covers_star = len([v for v in seen if v != 0]) == q - 1
     return DeltaSet(values=seen, covers_Fq_star=covers_star,
@@ -428,6 +441,10 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int,
     edge count e between the half-sum multisets, and (b) Lambda_k <= e (every
     k-tuple counted by the energy lands in V because E is contained in V).
     The normalized gap against |E|^{k-1}/q is reported only.
+
+    The correlation acc below is a certified transform fold; when its
+    certificate fails, the exact fallback shifts a q^d table once per point
+    of V, and that cost |V| * q^d is charged against FOLD_BUDGET first.
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
@@ -445,6 +462,10 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int,
     if _table_dtype(acc_mass) is np.int64:
         acc = _transform_fold(dom, [(neg_v, 1), (ladder.indices, half)])
     if acc is None:
+        cost = variety.size * dom.size
+        if cost > FOLD_BUDGET:
+            raise BudgetExceededError(
+                f"growth-audit shift sum |V|*q^d = {cost} exceeds budget {FOLD_BUDGET}")
         r_half = ladder.fold(half).values.astype(_table_dtype(acc_mass))
         acc = _shift_sum(dom, r_half, neg_v)
     e = _exact_dot(ladder.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)

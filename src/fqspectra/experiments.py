@@ -43,6 +43,7 @@ from .geometry import (
     Variety,
     builtin_variety,
     diagonal_poly,
+    eval_poly_table,
     regularity_check,
 )
 from .spectra import affine_cayley_spectrum, cayley_spectrum, euclidean_spectrum
@@ -361,6 +362,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     ctx, dom, variety, _, reg = _setup(plan)
     pspec = diagonal_poly(ctx, plan.d, plan.s, plan.coeffs)
     graph, _check = affine_cayley_spectrum(ctx, pspec, plan.d)
+    pvals = eval_poly_table(dom, pspec)
     records = []
     hard_failures = 0
     q, k = ctx.q, plan.k
@@ -368,7 +370,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     for size_index, size in enumerate(sizes):
         for trial in range(plan.trials):
             E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
-            ds = delta_set(dom, E, pspec, k)
+            ds = delta_set(dom, E, pvals, k)
             for x_size in plan.x_sizes:
                 X = sample_scalar_subset(q, x_size, plan.seed, trial)
                 rec = {"size_index": size_index, "trial": trial,
@@ -378,7 +380,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 rec["sumset_size"] = len(ss)
                 rec["verdict_cq"] = len(ss) >= plan.c * q
                 if len(E) > 0:
-                    table = nu_P_k(dom, E, X, pspec, k)
+                    table = nu_P_k(dom, E, X, pvals, k)
                     bound = sumset_lower_bound(table, len(X), len(E), k)
                     rec["cs_bound"] = float(bound)
                     rec["cs_bound_ok"] = len(ss) >= bound

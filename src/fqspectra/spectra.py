@@ -6,6 +6,14 @@ materialized adjacency matrix: lam_m = sum_{s in S} chi(m . s).  The second
 eigenvalue lambda(G) is the maximum modulus over eigenvalues whose modulus
 differs from the degree.
 
+A spectrum is a streamed scan.  Its eigenvalues arrive as consecutive slices
+of the table in index order: the one character-sum table of a connection set
+in F_q^d, or, for the affine digraph on F_q x F_q^{2d}, one closed-form slice
+of q^(2d) cells per m0.  One blocked pass over the moduli gives the degree
+check, lambda_second with its first maximiser, and lambda_mixing; the full
+table is built only when someone reads it (`Spectrum.eigenvalues`), and
+`Spectrum.export_rows` streams the slices without building it.
+
 Mixing audits count a block of multiset pairs (B_i, C_i) at once.  The
 multisets are laid out as padded (pairs x width) arrays of flat indices and
 multiplicities (`pad_multisets`); one `PointDomain.index_sub` gives every
@@ -19,7 +27,9 @@ rational, so each verdict equals the per-pair one in Python ints and
 Fractions.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,16 +54,25 @@ from .geometry import PolySpec, QuadraticForm, diagonal_shape
 _DEGREE_EQ_RTOL = 1e-9
 # Additive slack for inequality audits, scaled by the bound.
 AUDIT_RTOL = 1e-6
+# Cells per block of the spectrum scan: bounds its float temporaries.
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigenvalue map of a Cayley digraph on F_q^D.
+    """Eigenvalue map of a Cayley digraph on F_q^D, read in one streamed scan.
 
-    eigenvalues[m] = sum_{s in S} chi(m . s) at the canonical flat index m;
+    The eigenvalue at the canonical flat index m is sum_{s in S} chi(m . s).
+    `slices` returns, on every call, an iterable of consecutive arrays whose
+    concatenation is that table in index order.  The summary constants below
+    come from one blocked scan of those arrays; the full table, `eigenvalues`,
+    is built from a fresh pass only when someone reads it, and `export_rows`
+    streams the slices without building it.
+
     lambda_second excludes exactly the eigenvalues of modulus equal to the
     degree (so a connection set equal to a coset union of a subgroup still
-    gets a sensible second eigenvalue).
+    gets a sensible second eigenvalue); argmax_m is its first maximiser in
+    index order.
 
     lambda_mixing is the maximum modulus over all m != 0 with no exclusion.
     It is the constant the expander-mixing inequality actually requires: for
@@ -66,11 +85,31 @@ class Spectrum:
     d: int
     order: int
     degree: int
-    eigenvalues: np.ndarray
     lambda_second: float
     argmax_m: int
     lambda_mixing: float
     method: str
+    slices: Callable[[], Iterable[np.ndarray]] = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The full eigenvalue table, built from `slices` on first read.
+
+        A single slice is the table itself and is not copied: a second
+        long-lived copy of a q^d table was measured to make later transform
+        folds of that size fault in fresh pages on every call.
+        """
+        parts = iter(self.slices())
+        first = next(parts)
+        if len(first) == self.order:
+            return first
+        table = np.empty(self.order, dtype=np.complex128)
+        table[:len(first)] = first
+        start = len(first)
+        for part in parts:
+            table[start:start + len(part)] = part
+            start += len(part)
+        return table
 
     def eigenvalue(self, m) -> complex:
         if isinstance(m, tuple):
@@ -89,29 +128,55 @@ class Spectrum:
         }
 
     def export_rows(self):
-        """Tabular rows `m_encoding re im modulus`."""
-        for m in range(self.order):
-            ev = self.eigenvalues[m]
-            yield m, float(ev.real), float(ev.imag), float(abs(ev))
+        """Tabular rows `m_encoding re im modulus`, slice by slice."""
+        m = 0
+        for part in self.slices():
+            for ev in part:
+                yield m, float(ev.real), float(ev.imag), float(abs(ev))
+                m += 1
 
 
-def _finish_spectrum(ctx, dom, degree, eigenvalues, method) -> Spectrum:
-    lam0 = eigenvalues[0]
-    if abs(lam0 - degree) > 1e-9 * max(1.0, degree):
-        raise InvariantError(
-            f"trivial eigenvalue {lam0} != degree {degree}; spectrum inconsistent")
-    mods = np.abs(eigenvalues)
-    keep = np.abs(mods - degree) > _DEGREE_EQ_RTOL * max(1.0, degree)
-    if np.any(keep):
-        masked = np.where(keep, mods, -1.0)
-        arg = int(np.argmax(masked))
-        lam = float(masked[arg])
-    else:
-        arg, lam = 0, 0.0
-    lam_mixing = float(mods[1:].max()) if dom.size > 1 else 0.0
+def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
+    """The Spectrum of the eigenvalue table that `slices()` yields in order,
+    read in blocks of at most _SCAN_BLOCK cells.
+
+    Each block's moduli are one np.abs; its largest modulus, when not within
+    tolerance of the degree, is the largest kept one, and only a block whose
+    largest modulus is within tolerance takes the masked path.  Maxima and
+    first maximisers are exact, and blocks are compared with a strict `>`, so
+    the result is that of one whole-table scan, bit for bit.
+    """
+    tol = _DEGREE_EQ_RTOL * max(1.0, degree)
+    arg, lam, lam_mixing = 0, -1.0, 0.0  # lam < 0 until a modulus is kept
+    offset = 0
+    for part in slices():
+        for start in range(0, len(part), _SCAN_BLOCK):
+            block = part[start:start + _SCAN_BLOCK]
+            mods = np.abs(block)
+            hi = int(np.argmax(mods))
+            top = mods[hi]
+            if offset == 0:
+                lam0 = block[0]
+                if abs(lam0 - degree) > 1e-9 * max(1.0, degree):
+                    raise InvariantError(
+                        f"trivial eigenvalue {lam0} != degree {degree}; "
+                        "spectrum inconsistent")
+                lam_mixing = float(mods[1:].max(initial=0.0))
+            elif top > lam_mixing:
+                lam_mixing = float(top)
+            if abs(top - degree) > tol:
+                i, value = hi, top
+            else:
+                masked = np.where(np.abs(mods - degree) > tol, mods, -1.0)
+                i = int(np.argmax(masked))
+                value = masked[i]
+            if value > lam:
+                arg, lam = offset + i, value
+            offset += len(block)
     return Spectrum(q=ctx.q, d=dom.d, order=dom.size, degree=degree,
-                    eigenvalues=eigenvalues, lambda_second=lam,
-                    argmax_m=arg, lambda_mixing=lam_mixing, method=method)
+                    lambda_second=max(float(lam), 0.0),
+                    argmax_m=arg, lambda_mixing=lam_mixing, method=method,
+                    slices=slices)
 
 
 def cayley_spectrum(ctx: FieldContext, points, d: int | None = None) -> Spectrum:
@@ -137,8 +202,8 @@ def cayley_spectrum(ctx: FieldContext, points, d: int | None = None) -> Spectrum
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
     eigenvalues = character_sum_table(dom, idx)
-    return _finish_spectrum(ctx, dom, len(idx), eigenvalues,
-                            resolve_method(ctx, len(idx)))
+    return _scan_spectrum(ctx, dom, len(idx), lambda: (eigenvalues,),
+                          resolve_method(ctx, len(idx)))
 
 
 @dataclass(frozen=True)
@@ -193,13 +258,19 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     test suite checks them against character sums over the enumerated set.
 
     The eigenvalue at m = (m0, m_1..m_2d) is 0 when m0 = 0 and m != 0, and
-    otherwise a product of 2d sums W(+-m0*a_j, m_j).  With every a_j != 0 and
-    p not dividing s, Weil's bound |W(a, b)| <= (s-1)*sqrt(q) for a != 0 gives
-    lambda <= (s-1)^(2d) * q^d; that is the bound the returned check asserts.
-    q^d is reported as its `normalized_bound` and not asserted: it is exact
-    for s = 2, where quadratic Gauss sums have modulus sqrt(q), but for s >= 3
-    it is not a theorem and fails (lambda = 13.09 > 5 over F_5 with d = 1,
-    s = 3; lambda = 100 = (s-1)^2 * q over F_25 with d = 1, s = 3).
+    otherwise a product of 2d sums W(+-m0*a_j, m_j).  `_affine_slices`
+    streams the q slices m0 = 0..q-1 of q^(2d) cells each, and the summary
+    constants come from one blocked scan of them: the q^(2d+1) table is built
+    only when `Spectrum.eigenvalues` is read, and `export_rows` writes the
+    rows slice by slice.
+
+    With every a_j != 0 and p not dividing s, Weil's bound
+    |W(a, b)| <= (s-1)*sqrt(q) for a != 0 gives lambda <= (s-1)^(2d) * q^d;
+    that is the bound the returned check asserts.  q^d is reported as its
+    `normalized_bound` and not asserted: it is exact for s = 2, where
+    quadratic Gauss sums have modulus sqrt(q), but for s >= 3 it is not a
+    theorem and fails (lambda = 13.09 > 5 over F_5 with d = 1, s = 3;
+    lambda = 100 = (s-1)^2 * q over F_25 with d = 1, s = 3).
     """
     shape = diagonal_shape(pspec)
     if shape is None:
@@ -211,14 +282,17 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     if s % ctx.p == 0:
         raise ExponentDivisibleByCharacteristicError(
             f"exponent s = {s} is divisible by p = {ctx.p}")
-    D = 2 * d + 1
-    dom = PointDomain(ctx, D)
+    dom = PointDomain(ctx, 2 * d + 1)
     if dom.size > TABLE_MAX:
         raise SearchSpaceTooLargeError(
             f"q^(2d+1) = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
-    degree = ctx.q ** (2 * d)
-    eigenvalues = _affine_eigenvalues_closed(ctx, dom, s, coeffs, d)
-    spec = _finish_spectrum(ctx, dom, degree, eigenvalues, "closed")
+    u = np.arange(ctx.q, dtype=np.int64)
+    # W[a, b] = sum_u chi(a*u^s + b*u)
+    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
+    bu = ctx.mul_vec(u[:, None], u[None, :])
+    W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
+    spec = _scan_spectrum(ctx, dom, ctx.q ** (2 * d),
+                          partial(_affine_slices, ctx, W, coeffs), "closed")
     bound = float((s - 1) ** (2 * d) * ctx.q ** d)
     check = BoundCheck(spec.lambda_second, bound,
                        spec.lambda_second <= bound + AUDIT_RTOL * bound, note="",
@@ -226,24 +300,19 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     return spec, check
 
 
-def _affine_eigenvalues_closed(ctx, dom, s, coeffs, d):
-    """lam(m0, m_1..m_2d) = prod_j W(-+m0*a_j, m_j), one m0 slice at a time
-    as an outer product of 2d rows of W."""
-    q = ctx.q
-    u = np.arange(q, dtype=np.int64)
-    # W[a, b] = sum_u chi(a*u^s + b*u)
-    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
-    bu = ctx.mul_vec(u[:, None], u[None, :])
-    W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
-    lam = np.empty((q, q ** (2 * d)), dtype=np.complex128)
-    for m0 in range(q):
+def _affine_slices(ctx, W, coeffs):
+    """Yield lam(m0, .) = prod_j W(-+m0*a_j, m_j) for m0 = 0..q-1, each slice
+    flat in index order and built as a progressive outer product of the 2d
+    rows W[-m0*a_1], .., W[-m0*a_d], W[m0*a_1], .., W[m0*a_d]."""
+    for m0 in range(ctx.q):
         alphas = ([ctx.mul(ctx.neg(m0), c) for c in coeffs]
                   + [ctx.mul(m0, c) for c in coeffs])
-        row = np.ones((q,) * (2 * d), dtype=np.complex128)
-        for j, a in enumerate(alphas):
-            row = row * W[a].reshape((1,) * j + (q,) + (1,) * (2 * d - 1 - j))
-        lam[m0] = row.reshape(-1)
-    return lam.reshape(dom.size)
+        # The product with ones gives every cell the multiplications of a
+        # broadcast over a ones array, so signed zeros come out the same.
+        row = np.ones(ctx.q, dtype=np.complex128) * W[alphas[0]]
+        for a in alphas[1:]:
+            row = np.multiply.outer(row, W[a])
+        yield row.reshape(-1)
 
 
 # -- mixing audits -------------------------------------------------------------

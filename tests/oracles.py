@@ -6,10 +6,13 @@ these never call into fqspectra's counting or spectrum code.  The mixing
 reference also covers extension fields, through the digit-wise group law of
 flat indices, and stays here as the per-pair check of the batched audit.
 
-The affine reference is the one exception that uses the library: it
-enumerates the connection set with `eval_poly_table` and sums characters
+The affine references are the exceptions that use the library.  The direct
+one enumerates the connection set with `eval_poly_table` and sums characters
 with `character_sum_table`, neither of which the closed-form affine
-spectrum it checks ever calls.
+spectrum it checks ever calls.  The broadcast one is the closed form as one
+whole table, built with the field's vector arithmetic; the streamed slices
+must equal it bit for bit.  `scan_reference` is the whole-table moduli scan
+that the blocked scan must reproduce.
 """
 
 import itertools
@@ -20,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from fqspectra.domains import PointDomain, character_sum_table
+from fqspectra.errors import InvariantError
 from fqspectra.geometry import PolySpec, eval_poly_table
 
 
@@ -114,6 +118,46 @@ def affine_eigenvalues_direct(ctx, s, coeffs, d):
     diff = eval_poly_table(dom2d, PolySpec(2 * d, tuple(terms)))
     conn = ctx.neg_vec(diff) * dom2d.size + np.arange(dom2d.size, dtype=np.int64)
     return character_sum_table(PointDomain(ctx, 2 * d + 1), conn)
+
+
+def affine_eigenvalues_broadcast(ctx, s, coeffs, d):
+    """The closed-form affine eigenvalue table in one piece:
+    lam(m0, m_1..m_2d) = prod_j W(-+m0*a_j, m_j), each m0 slice built by
+    broadcasting 2d rows of W into a q^(2d) array of ones."""
+    q = ctx.q
+    u = np.arange(q, dtype=np.int64)
+    # W[a, b] = sum_u chi(a*u^s + b*u)
+    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
+    bu = ctx.mul_vec(u[:, None], u[None, :])
+    W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
+    lam = np.empty((q, q ** (2 * d)), dtype=np.complex128)
+    for m0 in range(q):
+        alphas = ([ctx.mul(ctx.neg(m0), c) for c in coeffs]
+                  + [ctx.mul(m0, c) for c in coeffs])
+        row = np.ones((q,) * (2 * d), dtype=np.complex128)
+        for j, a in enumerate(alphas):
+            row = row * W[a].reshape((1,) * j + (q,) + (1,) * (2 * d - 1 - j))
+        lam[m0] = row.reshape(-1)
+    return lam.reshape(-1)
+
+
+def scan_reference(eigenvalues, degree):
+    """(lambda_second, argmax_m, lambda_mixing) of a whole eigenvalue table,
+    with every temporary the size of the table; InvariantError when the
+    trivial eigenvalue is not the degree."""
+    lam0 = eigenvalues[0]
+    if abs(lam0 - degree) > 1e-9 * max(1.0, degree):
+        raise InvariantError(f"trivial eigenvalue {lam0} != degree {degree}")
+    mods = np.abs(eigenvalues)
+    keep = np.abs(mods - degree) > 1e-9 * max(1.0, degree)
+    if np.any(keep):
+        masked = np.where(keep, mods, -1.0)
+        arg = int(np.argmax(masked))
+        lam = float(masked[arg])
+    else:
+        arg, lam = 0, 0.0
+    lam_mixing = float(mods[1:].max()) if len(mods) > 1 else 0.0
+    return lam, arg, lam_mixing
 
 
 def brute_edge_count(p, S, B, C):

@@ -24,7 +24,7 @@ from fqspectra.energy import (
     nu_P_k,
     second_moment_audit,
 )
-from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly
+from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly, eval_poly_table
 from fqspectra.spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
@@ -70,7 +70,7 @@ def test_acceptance_1_oracle_equivalence():
                 got = nu_k(dom, E, form, k)
                 want = brute_nu(p, E, matrix, k)
                 assert all(got[t] == want.get(t, 0) for t in range(p))
-                ds = delta_set(dom, E, form, k)
+                ds = delta_set(dom, E, form.value_table(dom), k)
                 assert set(ds.values) == brute_delta(p, E, q_of, k)
             checked += 1
     elapsed = time.time() - start
@@ -276,7 +276,7 @@ def test_acceptance_6_exact_inequality_ledger():
             for k in (2, 3):
                 E = draw_subset(8)
                 X = sorted(rng.sample(range(ctx.q), rng.randint(1, ctx.q)))
-                table = nu_P_k(dom, E, X, pspec, k)
+                table = nu_P_k(dom, E, X, eval_poly_table(dom, pspec), k)
                 audit = second_moment_audit(dom, E, table, len(X), k, affine_graph)
                 configs += 1
                 if not audit.ok:
@@ -331,7 +331,7 @@ def test_acceptance_8_worked_fixtures():
     v = builtin_variety(ctx, "sphere", 2, 1)
     form = QuadraticForm.identity(2)
     nu = nu_k(dom, v.points, form, 2)
-    ds = delta_set(dom, v.points, form, 2)
+    ds = delta_set(dom, v.points, form.value_table(dom), 2)
     spec = cayley_spectrum(ctx, v.points, d=2)
     ok = (v.size == 4
           and lambda_k(dom, v.points, 4) == 36

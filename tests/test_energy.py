@@ -17,7 +17,6 @@ from fqspectra.errors import (
     DegenerateFormError,
     EmptyXError,
     InconsistentTotalError,
-    NotDiagonalError,
     OddKError,
 )
 from fqspectra.field import FieldContext
@@ -39,7 +38,7 @@ from fqspectra.energy import (
     sumset,
     sumset_lower_bound,
 )
-from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly
+from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly, eval_poly_table
 from fqspectra.spectra import affine_cayley_spectrum, cayley_spectrum, euclidean_spectrum
 
 from oracles import brute_delta, brute_fold, brute_lambda, brute_nu, brute_nu_P
@@ -97,6 +96,22 @@ def test_fold_mass_conservation(size, j):
     idxs = rng.sample(range(DOM32.size), size)
     E = [DOM32.point_of(i) for i in idxs]
     assert fold_counts(DOM32, E, j).total() == size ** j
+
+
+EXTENSION_FIELDS = {(p, n): FieldContext(p, n) for p, n in ((3, 2), (5, 2), (3, 3))}
+
+
+@given(st.sampled_from(sorted(EXTENSION_FIELDS)), st.integers(1, 3), st.integers(1, 4),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_nu_k_total_is_size_to_the_k(pn, d, k, data):
+    ctx = EXTENSION_FIELDS[pn]
+    dom = PointDomain(ctx, d)
+    idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=8))
+    coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=d, max_size=d))
+    form = QuadraticForm.diagonal(tuple(coeffs))
+    table = nu_k(dom, np.array(sorted(idx), dtype=np.int64), form, k)
+    assert table.total() == len(idx) ** k
 
 
 def test_big_integer_path_matches_int64(monkeypatch):
@@ -192,7 +207,7 @@ def test_nu_degenerate_form_rejected():
 def test_nu_P_worked_example():
     dom = PointDomain(F3, 1)
     P = diagonal_poly(F3, 1, 2)
-    table = nu_P_k(dom, [(1,), (2,)], [0], P, 2)
+    table = nu_P_k(dom, [(1,), (2,)], [0], eval_poly_table(dom, P), 2)
     assert [table[t] for t in range(3)] == [2, 2, 0]
     want = brute_nu_P(3, [(1,), (2,)], [0], (1,), 2, 2)
     assert all(table[t] == want.get(t, 0) for t in range(3))
@@ -202,7 +217,7 @@ def test_nu_P_zero_shift_equals_plain_distance_count():
     dom = PointDomain(F5, 2)
     P = diagonal_poly(F5, 2, 2)
     E = _random_subset(dom, 4, seed=9)
-    with_zero = nu_P_k(dom, E, [0], P, 2)
+    with_zero = nu_P_k(dom, E, [0], eval_poly_table(dom, P), 2)
     want = brute_nu_P(5, E, [0], (1, 1), 2, 2)
     assert all(with_zero[t] == want.get(t, 0) for t in range(5))
 
@@ -211,7 +226,7 @@ def test_nu_P_full_shift_set_flattens():
     dom = PointDomain(F3, 1)
     P = diagonal_poly(F3, 1, 2)
     E = [(1,), (2,)]
-    table = nu_P_k(dom, E, list(range(3)), P, 2)
+    table = nu_P_k(dom, E, list(range(3)), eval_poly_table(dom, P), 2)
     assert [table[t] for t in range(3)] == [4, 4, 4]  # |E|^k each
 
 
@@ -219,9 +234,9 @@ def test_nu_P_shift_sum_switches_to_big_integers(monkeypatch):
     dom = PointDomain(F5, 1)
     P = diagonal_poly(F5, 1, 2)
     E, X = [(1,), (3,)], [0, 1, 4]
-    fast = nu_P_k(dom, E, X, P, 2)
+    fast = nu_P_k(dom, E, X, eval_poly_table(dom, P), 2)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 5)  # |E|^k = 4 < 5 <= |X||E|^k
-    slow = nu_P_k(dom, E, X, P, 2)
+    slow = nu_P_k(dom, E, X, eval_poly_table(dom, P), 2)
     assert fast.values.dtype == np.int64 and slow.values.dtype == object
     assert [int(v) for v in slow.values] == [int(v) for v in fast.values]
 
@@ -234,8 +249,8 @@ def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
     E = _random_subset(dom, 5, seed=p + n)
 
     def run():
-        return (nu_k(dom, E, form, 3), nu_P_k(dom, E, [0, 1], P, 3),
-                delta_set(dom, E, P, 3))
+        return (nu_k(dom, E, form, 3), nu_P_k(dom, E, [0, 1], eval_poly_table(dom, P), 3),
+                delta_set(dom, E, eval_poly_table(dom, P), 3))
 
     fast = run()
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # every fold table is object
@@ -250,10 +265,9 @@ def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
 def test_nu_P_empty_X_rejected():
     dom = PointDomain(F3, 1)
     with pytest.raises(EmptyXError):
-        nu_P_k(dom, [(1,)], [], diagonal_poly(F3, 1, 2), 2)
-    from fqspectra.geometry import PolySpec
-    with pytest.raises(NotDiagonalError):
-        nu_P_k(PointDomain(F3, 2), [(1, 0)], [0], PolySpec(2, ((1, (1, 1)),)), 2)
+        nu_P_k(dom, [(1,)], [], eval_poly_table(dom, diagonal_poly(F3, 1, 2)), 2)
+    with pytest.raises(ValueError):
+        nu_P_k(PointDomain(F3, 2), [(1, 0)], [0], np.zeros(3, dtype=np.int64), 2)
 
 
 COVERAGE_FIELDS = {(p, n): FieldContext(p, n) for p, n in ((5, 1), (3, 2), (3, 3))}
@@ -267,14 +281,14 @@ def test_coverage_flags_from_nu_support_equal_delta_set_flags(pn, d, k, data):
     idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=10))
     ladder = FoldLadder(dom, np.array(sorted(idx), dtype=np.int64))
     form = QuadraticForm.identity(d)
-    ds = delta_set(dom, ladder, form, k)
+    ds = delta_set(dom, ladder, form.value_table(dom), k)
     flags = coverage_flags(nu_k(dom, ladder, form, k))
     assert flags == (ds.covers_Fq_star, ds.covers_Fq)
     assert all(type(f) is bool for f in flags)
 
 
 def test_delta_sphere_covers_f3():
-    ds = delta_set(DOM32, S1_F3.points, QuadraticForm.identity(2), 2)
+    ds = delta_set(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 2)
     assert ds.values == (0, 1, 2)
     assert ds.covers_Fq and ds.covers_Fq_star
     want = brute_delta(3, list(S1_F3.points),
@@ -283,13 +297,13 @@ def test_delta_sphere_covers_f3():
 
 
 def test_delta_singleton_origin():
-    ds = delta_set(DOM32, [(0, 0)], QuadraticForm.identity(2), 3)
+    ds = delta_set(DOM32, [(0, 0)], QuadraticForm.identity(2).value_table(DOM32), 3)
     assert ds.values == (0,)
     assert not ds.covers_Fq_star
 
 
 def test_delta_k1_sphere():
-    ds = delta_set(DOM32, S1_F3.points, QuadraticForm.identity(2), 1)
+    ds = delta_set(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 1)
     assert ds.values == (1,)
 
 
@@ -312,11 +326,11 @@ def test_sumset_bound_worked_example():
     dom = PointDomain(F3, 1)
     P = diagonal_poly(F3, 1, 2)
     E = [(1,), (2,)]
-    table = nu_P_k(dom, E, [0], P, 2)
+    table = nu_P_k(dom, E, [0], eval_poly_table(dom, P), 2)
     assert second_moment(table) == 8
     bound = sumset_lower_bound(table, 1, 2, 2)
     assert bound == Fraction(16, 8) == 2
-    ds = delta_set(dom, E, P, 2)
+    ds = delta_set(dom, E, eval_poly_table(dom, P), 2)
     ss = sumset(F3, [0], ds.values)
     assert ss == (0, 1) and len(ss) >= bound
 
@@ -383,7 +397,7 @@ def test_oracle_equivalence_quick():
             got = nu_k(dom, E, form, 2)
             want = brute_nu(p, E, matrix, 2)
             assert all(got[t] == want.get(t, 0) for t in range(p))
-            ds = delta_set(dom, E, form, 2)
+            ds = delta_set(dom, E, form.value_table(dom), 2)
             want_delta = brute_delta(
                 p, E, lambda z: sum(c * c for c in z) % p, 2)
             assert set(ds.values) == want_delta
@@ -425,7 +439,7 @@ def test_table_taking_audits_reject_tables_of_wrong_total():
     P = diagonal_poly(F5, 1, 2)
     graph, _ = affine_cayley_spectrum(F5, P, 1)
     E, X = [(1,), (3,)], [0, 2]
-    table = nu_P_k(dom, E, X, P, 2)
+    table = nu_P_k(dom, E, X, eval_poly_table(dom, P), 2)
     assert second_moment_audit(dom, E, table, len(X), 2, graph).ok
     with pytest.raises(InconsistentTotalError):
         second_moment_audit(dom, E, table, 1, 2, graph)  # |X| is 2
@@ -462,6 +476,21 @@ def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
     assert slow.as_dict() == fast.as_dict()
 
 
+def test_growth_audit_shift_sum_fallback_is_charged_against_the_budget(monkeypatch):
+    ctx = FieldContext(3, 2)
+    dom = PointDomain(ctx, 2)
+    v = builtin_variety(ctx, "sphere", 2, 1)
+    graph = cayley_spectrum(ctx, v.indices, d=2)
+    ladder = FoldLadder(dom, v.indices[:5])
+    want = energy_growth_audit(dom, v, ladder, 4, graph).as_dict()  # transform path
+    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 1.0)
+    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", v.size * dom.size)
+    assert energy_growth_audit(dom, v, ladder, 4, graph).as_dict() == want
+    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="growth-audit"):
+        energy_growth_audit(dom, v, ladder, 4, graph)
+
+
 def test_energy_growth_audit_requires_containment():
     v = builtin_variety(F5, "sphere", 2, 1)
     graph = cayley_spectrum(F5, v.indices, d=2)
@@ -480,7 +509,7 @@ def test_second_moment_audit_never_fails(k):
         size = rng.randint(1, 5)
         E = _random_subset(dom, size, seed=100 + seed)
         X = sorted(rng.sample(range(5), rng.randint(1, 5)))
-        table = nu_P_k(dom, E, X, P, k)
+        table = nu_P_k(dom, E, X, eval_poly_table(dom, P), k)
         audit = second_moment_audit(dom, E, table, len(X), k, graph)
         assert audit.ok, audit.as_dict()
 
@@ -632,7 +661,7 @@ def test_ladder_builds_each_depth_once(monkeypatch):
     graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
     ladder = FoldLadder(dom, _random_subset(dom, 6, seed=5))
     table = nu_k(dom, ladder, form, 3)
-    delta_set(dom, ladder, form, 3)
+    delta_set(dom, ladder, form.value_table(dom), 3)
     nu_deviation_audits(dom, ladder, table, 3, graphs)
     energy_term(ladder, 3)
     lambda_k(dom, ladder, 2)

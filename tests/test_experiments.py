@@ -74,7 +74,7 @@ def test_delta_monotone_under_nesting():
     form = QuadraticForm.identity(2)
     for trial in range(4):
         chain = [sample_subset(v, s, seed=3, trial=trial) for s in (1, 2, 4)]
-        deltas = [set(delta_set(dom, E, form, 2).values) for E in chain]
+        deltas = [set(delta_set(dom, E, form.value_table(dom), 2).values) for E in chain]
         assert deltas[0] <= deltas[1] <= deltas[2]
 
 
@@ -206,6 +206,25 @@ def test_sumset_runner_computes_delta_once_per_trial(monkeypatch):
                           sizes_mode="absolute", x_sizes=(1, 2, 4), trials=2, seed=1)
     rep = sumset_experiment(plan)
     assert len(calls) == 2 * 2 and len(rep.records) == 2 * 2 * 3
+
+
+def test_sumset_runner_evaluates_P_once(monkeypatch):
+    import fqspectra.geometry as geometry_mod
+    calls = []
+    real = geometry_mod.eval_poly_table
+
+    def counting(dom, spec, idx=None):
+        calls.append((dom.d, spec, idx is None))
+        return real(dom, spec, idx)
+
+    monkeypatch.setattr(geometry_mod, "eval_poly_table", counting)
+    monkeypatch.setattr(experiments_mod, "eval_poly_table", counting)
+    plan = ExperimentPlan(p=5, d=2, family="sphere", j=1, k=3, s=3, sizes=(3, 6),
+                          sizes_mode="absolute", x_sizes=(1, 2, 4), trials=2, seed=1)
+    rep = sumset_experiment(plan)
+    pspec = experiments_mod.diagonal_poly(plan.context(), 2, 3)
+    assert [c for c in calls if c[1] == pspec] == [(2, pspec, True)]
+    assert len(rep.records) == 2 * 2 * 3
 
 
 def test_sumset_empty_E():

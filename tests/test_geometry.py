@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,10 +184,11 @@ def test_regularity_methods_agree():
     for ctx in (F3, F5, FieldContext(3, 2)):
         v = builtin_variety(ctx, "sphere", 2, 1)
         dom = PointDomain(ctx, 2)
-        a, b = (regularity_check(spectra_mod._finish_spectrum(
-                    ctx, dom, v.size,
-                    getattr(domains_mod, f"_character_sums_{path}")(dom, v.indices), path))
-                for path in ("direct", "transform"))
+        tables = {path: getattr(domains_mod, f"_character_sums_{path}")(dom, v.indices)
+                  for path in ("direct", "transform")}
+        a, b = (regularity_check(spectra_mod._scan_spectrum(
+                    ctx, dom, v.size, lambda table=table: (table,), path))
+                for path, table in tables.items())
         assert a.fourier_constant == pytest.approx(b.fourier_constant, rel=1e-6)
         assert a.argmax_m == b.argmax_m
 
@@ -239,6 +242,24 @@ def test_variety_serialization_roundtrip(tmp_path):
     loaded = Variety.load(path)
     assert loaded.points == v.points
     assert loaded.q == 5 and loaded.d == 3
+
+
+@given(EXTENSION_POINT_SETS)
+@settings(max_examples=60, deadline=None)
+def test_variety_save_load_roundtrip_over_extension_fields(case):
+    dom, points = case
+    v = Variety(spec=None, d=dom.d, q=dom.ctx.q,
+                indices=np.array(sorted(points), dtype=np.int64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.txt"
+        v.save(path)
+        text = path.read_text()
+        loaded = Variety.load(path)
+        loaded.save(path)
+        assert path.read_text() == text
+    assert (loaded.q, loaded.d, loaded.spec) == (v.q, v.d, None)
+    assert np.array_equal(loaded.indices, v.indices)
+    assert loaded.points == v.points
 
 
 def test_variety_load_rejects_bad_header(tmp_path):

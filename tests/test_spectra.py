@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
 
+from fqspectra.cli import main as cli_main
 from fqspectra.domains import PointDomain
+from fqspectra.experiments import ExperimentPlan, sumset_experiment
 from fqspectra.errors import (
     DegenerateFormError,
     ExponentDivisibleByCharacteristicError,
@@ -28,9 +31,11 @@ from fqspectra.spectra import (
 )
 
 from oracles import (
+    affine_eigenvalues_broadcast,
     affine_eigenvalues_direct,
     brute_second_eigenvalue,
     mixing_reference,
+    scan_reference,
     sphere_points,
 )
 
@@ -204,6 +209,130 @@ def test_affine_rejects_bad_exponent_and_shape():
     not_diag = PolySpec(2, ((1, (1, 1)),))
     with pytest.raises(NotDiagonalError):
         affine_cayley_spectrum(F5, not_diag, 2)
+
+
+# Fields F_5, F_7, F_9, F_13, F_23, F_25 with d = 1..3 and s = 2, 3, 4 (p not
+# dividing s), kept to q^(2d+1) <= 10^6 cells, plus the 23^5-cell F_23, d = 2
+# case that the sumset benchmark runs.
+AFFINE_GRID = [((p, n), d, s)
+               for p, n in ((5, 1), (7, 1), (3, 2), (13, 1), (23, 1), (5, 2))
+               for d in (1, 2, 3) for s in (2, 3, 4)
+               if s % p and (p ** n) ** (2 * d + 1) <= 10 ** 6] + [((23, 1), 2, 2)]
+
+
+@pytest.mark.parametrize("pn,d,s", AFFINE_GRID)
+def test_affine_slices_equal_the_broadcast_table_bit_for_bit(pn, d, s):
+    # uint64 views compare every bit, signed zeros included.
+    ctx = FieldContext(*pn)
+    coeffs = tuple(range(1, d + 1))
+    spec, _ = affine_cayley_spectrum(ctx, diagonal_poly(ctx, d, s, coeffs), d)
+    want = affine_eigenvalues_broadcast(ctx, s, coeffs, d).view(np.uint64)
+    width = 2 * ctx.q ** (2 * d)  # two uint64 words per complex cell
+    count = 0
+    for m0, part in enumerate(spec.slices()):
+        assert part.dtype == np.complex128 and part.shape == (width // 2,)
+        assert np.array_equal(part.view(np.uint64), want[m0 * width:(m0 + 1) * width])
+        count += 1
+    assert count == ctx.q
+    assert "eigenvalues" not in vars(spec)
+
+
+# (p, n), d, s, coeffs and the repr-exact lambda_second, argmax_m and
+# lambda_mixing of the closed-form affine spectrum.  Over F_9 with s = 4 the
+# connection set lies in a coset: lambda_mixing is the degree 9^6.
+AFFINE_PINS = [
+    ((23, 1), 2, 2, None, 529.0000000000013, 483173, 529.0000000000013),
+    ((5, 1), 1, 3, None, 13.090169943749475, 34, 13.090169943749475),
+    ((5, 2), 1, 3, None, 100.0, 625, 100.0),
+    ((7, 1), 2, 2, (1, 2), 49.00000000000003, 4855, 49.00000000000003),
+    ((3, 2), 2, 2, None, 81.0000000000001, 9001, 81.0000000000001),
+    ((13, 1), 2, 3, (2, 5), 1597.4282157187304, 85862, 1597.4282157187304),
+    ((3, 2), 3, 4, None, 729.0000000000014, 531441, 531441.0),
+]
+
+
+@pytest.mark.parametrize("pn,d,s,coeffs,lam,arg,lam_mixing", AFFINE_PINS)
+def test_affine_summary_constants_are_pinned(pn, d, s, coeffs, lam, arg, lam_mixing):
+    ctx = FieldContext(*pn)
+    spec, _ = affine_cayley_spectrum(ctx, diagonal_poly(ctx, d, s, coeffs), d)
+    got = (repr(spec.lambda_second), spec.argmax_m, repr(spec.lambda_mixing))
+    assert got == (repr(lam), arg, repr(lam_mixing))
+
+
+def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
+    ctx = FieldContext(23)
+    table_bytes = 23 ** 5 * np.dtype(np.complex128).itemsize  # 103 MB
+    tracemalloc.start()
+    try:
+        spec, _ = affine_cayley_spectrum(ctx, diagonal_poly(ctx, 2, 2), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4
+    assert repr(spec.lambda_second) == "529.0000000000013"
+
+
+def test_affine_table_is_built_only_when_read():
+    spec, _ = affine_cayley_spectrum(F5, diagonal_poly(F5, 2, 3), 2)
+    rows = list(spec.export_rows())
+    assert "eigenvalues" not in vars(spec)
+    table = spec.eigenvalues
+    assert spec.eigenvalues is table and len(table) == spec.order == 5 ** 5
+    assert rows == [(m, float(ev.real), float(ev.imag), float(abs(ev)))
+                    for m, ev in enumerate(table)]
+    assert spec.eigenvalue((2, 1, 0, 4, 3)) == complex(table[2 * 625 + 125 + 4 * 5 + 3])
+
+
+def test_sumset_runner_and_spectrum_affine_never_build_the_affine_table(
+        monkeypatch, capsys):
+    table = spectra_mod.Spectrum.eigenvalues
+
+    def guarded(self):
+        if self.method == "closed":
+            raise AssertionError("the affine eigenvalue table was built")
+        return table.func(self)
+
+    monkeypatch.setattr(spectra_mod.Spectrum, "eigenvalues", property(guarded))
+    plan = ExperimentPlan(p=7, d=2, k=3, s=2, sizes=(3, 6), sizes_mode="absolute",
+                          x_sizes=(1, 3), trials=2, seed=1)
+    assert sumset_experiment(plan).hard_failures == 0
+    assert cli_main(["spectrum", "affine", "--p", "5", "--d", "1", "--s", "3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError):
+        affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)[0].eigenvalues
+
+
+def _coset_spectra(ctx):
+    """Cayley spectra over F_q^2 of one and of two cosets of {0} x F_q: the
+    first has q eigenvalues of modulus equal to the degree, the second ties
+    at its second eigenvalue (m1 and -m1)."""
+    q = ctx.q
+    one = [(1, y) for y in range(q)]
+    two = one + [(2, y) for y in range(q)]
+    return [cayley_spectrum(ctx, conn, d=2) for conn in (one, two)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 64])
+def test_blocked_scan_equals_the_whole_table_scan(block, monkeypatch):
+    cases = []
+    for ctx in (F5, FieldContext(7), FieldContext(3, 2)):
+        cases += [(PointDomain(ctx, 2), spec.eigenvalues, spec.degree)
+                  for spec in _coset_spectra(ctx)]
+    for ctx, d, s in [(F5, 1, 3), (FieldContext(3, 2), 1, 4), (F3, 1, 2)]:
+        cases.append((PointDomain(ctx, 2 * d + 1),
+                      affine_eigenvalues_broadcast(ctx, s, (1,) * d, d), ctx.q ** (2 * d)))
+    monkeypatch.setattr(spectra_mod, "_SCAN_BLOCK", block)
+    for dom, table, degree in cases:
+        spec = spectra_mod._scan_spectrum(dom.ctx, dom, degree, lambda: (table,), "test")
+        got = (repr(spec.lambda_second), spec.argmax_m, repr(spec.lambda_mixing))
+        lam, arg, lam_mixing = scan_reference(table, degree)
+        assert got == (repr(lam), arg, repr(lam_mixing))
+        with pytest.raises(InvariantError):
+            spectra_mod._scan_spectrum(dom.ctx, dom, degree + 1, lambda: (table,), "test")
+    # the blocks must straddle the coset entries of modulus equal to the degree
+    one, _ = _coset_spectra(F5)
+    deg_idx = np.flatnonzero(np.abs(np.abs(one.eigenvalues) - one.degree) < 1e-9)
+    assert deg_idx.tolist() == [0, 5, 10, 15, 20]
 
 
 def test_cayley_duplicate_connection_set_rejected():
