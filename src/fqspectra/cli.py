@@ -5,10 +5,23 @@ inputs and outputs.  Exit codes: 0 = success and all hard audits passed,
 1 = usage or input error, 2 = a paper-exact inequality was violated by the
 measured data.  All randomness flows through --seed (default 0, never
 wall-clock entropy), so identical invocations produce identical output.
+
+`audit mixing` draws its multisets from the Mersenne Twister of
+`experiments._derive_rng(seed, 0, salt="mixing")`: per multiset
+randrange(1, max_support + 1) for the support size, then per point
+randrange(n) and randrange(1, max_multiplicity + 1), B before C in each pair.
+`_MultisetDraws` reproduces exactly that randrange stream from 32-bit words
+pulled in bulk, using two CPython facts the test suite pins: getrandbits(32m)
+is the next m outputs with the first least significant, and randrange(a, b)
+is a + the first getrandbits(k) attempt below b - a, k = (b - a).bit_length(),
+whose ceil(k/32) words are used whole except the last, shifted right by
+32 * ceil(k/32) - k.  The generator is local to the command, so it may end
+ahead of where the randrange calls would leave it.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,6 +62,7 @@ from .spectra import (
     euclidean_spectrum,
     mixing_audit,
     pad_multisets,
+    require_spectrum_budget,
 )
 
 EXIT_OK = 0
@@ -57,6 +71,12 @@ EXIT_AUDIT = 2
 # Most (b, c) cells `audit mixing` counts in one block of pairs; a block holds
 # max(1, MIXING_BLOCK_CELLS // max_support^2) pairs, which bounds its memory.
 MIXING_BLOCK_CELLS = 1 << 15
+# Most Mersenne Twister words `audit mixing` pulls at once; a multiset longer
+# than this is decoded after several pulls.
+_DRAW_MAX_WORDS = 1 << 16
+# Most rows `spectrum ... --out` formats in one write: bounds the Python
+# floats and text held at once.
+_WRITE_ROWS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,10 +253,33 @@ def _emit(payload: dict, args, pretty_lines=None):
 
 
 def _write_spectrum(spec, out_path):
+    """Write the rows `m re im modulus` of spec's eigenvalue table, streamed
+    slice by slice with one write per block of at most _WRITE_ROWS rows.
+
+    Each float is the repr of a Python float.  The modulus is np.hypot of
+    the real and imaginary parts, which rounds as abs() of each complex
+    eigenvalue does; np.abs over an array can differ in the last bit.
+    """
     with open(out_path, "w") as fh:
         fh.write("m re im modulus\n")
-        for m, re, im, mod in spec.export_rows():
-            fh.write(f"{m} {re!r} {im!r} {mod!r}\n")
+        m = 0
+        for part in spec.slices():
+            for start in range(0, len(part), _WRITE_ROWS):
+                block = part[start:start + _WRITE_ROWS]
+                re, im = block.real, block.imag
+                rows = zip(range(m, m + len(block)), _reprs(re), _reprs(im),
+                           _reprs(np.hypot(re, im)))
+                fh.write("".join(f"{i} {a} {b} {c}\n" for i, a, b, c in rows))
+                m += len(block)
+
+
+def _reprs(values):
+    """repr() of each float64 in values, formatted once per distinct bit
+    pattern: spectra repeat few values across many cells, and repr is most
+    of the writer's time."""
+    bits, where = np.unique(values.view(np.uint64), return_inverse=True)
+    text = [repr(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
 
 
 def _cmd_variety(args) -> int:
@@ -275,7 +318,10 @@ def _cmd_spectrum(args) -> int:
         check = None
     elif args.subcommand == "euclidean":
         form = QuadraticForm.parse(args.form, args.d)
-        spec, check = euclidean_spectrum(ctx, form, args.t, args.d)
+        form.require_nondegenerate(ctx)
+        dom = PointDomain(ctx, args.d)
+        require_spectrum_budget(dom)
+        spec, check = euclidean_spectrum(dom, form.value_table(dom), args.t)
     else:
         pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
         spec, check = affine_cayley_spectrum(ctx, pspec, args.d)
@@ -314,7 +360,8 @@ def _cmd_energy(args) -> int:
         return EXIT_OK
     if args.subcommand == "nu":
         form = QuadraticForm.parse(args.form, args.d)
-        table = nu_k(dom, E, form, args.k)
+        form.require_nondegenerate(ctx)
+        table = nu_k(dom, E, form.value_table(dom), args.k)
         return _emit_table(table, args, extra={"k": args.k, "size": len(E)})
     if args.subcommand == "nup":
         if args.s is None:
@@ -389,14 +436,14 @@ def _cmd_audit(args) -> int:
     spec = cayley_spectrum(ctx, variety.indices, d=args.d)
     member = np.zeros(dom.size, dtype=bool)
     member[variety.indices] = True
-    rng = _derive_rng(args.seed, 0, salt="mixing")
+    draws = _MultisetDraws(_derive_rng(args.seed, 0, salt="mixing"), dom.size,
+                           args.max_support, args.max_multiplicity)
     block = max(1, MIXING_BLOCK_CELLS // args.max_support ** 2)
     violations = 0
     min_gap = None
     for start in range(0, args.pairs, block):
         count = min(block, args.pairs - start)
-        idx, mult = _draw_multisets(rng, 2 * count, dom.size, args.max_support,
-                                    args.max_multiplicity)
+        idx, mult = pad_multisets(*draws.draw(2 * count), dom.size)
         # Rows alternate B_i, C_i: each pair draws B before C.
         audit = mixing_audit(spec, dom, member, idx[0::2], mult[0::2],
                              idx[1::2], mult[1::2])
@@ -415,25 +462,153 @@ def _cmd_audit(args) -> int:
     return EXIT_AUDIT if violations else EXIT_OK
 
 
-def _draw_multisets(rng, count, n, max_support, max_multiplicity):
-    """The next `count` random multisets of the stream, merged and padded by
-    `pad_multisets`.  Each draws its support size randint(1, max_support),
-    then per point randrange(n) followed by randint(1, max_multiplicity).
+class _MultisetDraws:
+    """The `audit mixing` multisets of one seeded stream, decoded from bulk
+    Mersenne Twister words.
 
-    randint(a, b) is documented as an alias for randrange(a, b + 1); calling
-    randrange directly draws the same stream without the extra call.
+    Each multiset is drawn as randrange(1, max_support + 1) for its support
+    size, then per point randrange(n) for its index followed by
+    randrange(1, max_multiplicity + 1) for its multiplicity; randint(a, b) is
+    documented as randrange(a, b + 1), so this is also the stream of those
+    randint calls.  The draws are read off words that rng.getrandbits(32 * m)
+    returns m at a time, by CPython's rule for randrange (pinned by the test
+    suite): randrange(a, b) is a + r, with r the first attempt below b - a,
+    and an attempt is getrandbits(k) for k = (b - a).bit_length(), the next
+    ceil(k/32) words with the low words whole and the last one shifted right
+    by 32 * ceil(k/32) - k.  The multisets are those of the randrange calls,
+    bit for bit.  Words pulled past the last multiset of a `draw` carry into
+    the next one, so rng ends ahead of where the randrange calls would leave
+    it; the caller owns rng and draws nothing else from it.
     """
-    randrange = rng.randrange
-    support_stop, mult_stop = max_support + 1, max_multiplicity + 1
-    sizes, points, mults = [], [], []
-    add_size, add_point, add_mult = sizes.append, points.append, mults.append
+
+    def __init__(self, rng, n, max_support, max_multiplicity):
+        self._rng = rng
+        self._widths = (max_support, n, max_multiplicity)
+        self._words = np.zeros(0, dtype=np.uint32)
+        # Expected words one draw of each range takes, and one multiset.
+        per = [_attempt_words(w) * 2 ** w.bit_length() / w for w in self._widths]
+        self._expected = per[0] + (max_support + 1) / 2 * (per[1] + per[2])
+
+    def _pull(self, count):
+        count = min(count, _DRAW_MAX_WORDS)
+        raw = self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        self._words = np.concatenate([self._words, np.frombuffer(raw, dtype="<u4")])
+
+    def draw(self, count):
+        """The next `count` multisets of the stream as flat arrays (sizes,
+        points, mults), laid out as `pad_multisets` takes them."""
+        parts, least = [], 0
+        while count:
+            # The expected words of the multisets left, with 5% and one
+            # multiset to spare, so that one pass usually decodes the whole
+            # block; after a pass that ended inside a multiset, at least one
+            # multiset's worth more.
+            pull = math.ceil(self._expected * (1.05 * count + 1)) - len(self._words)
+            if max(pull, least) > 0:
+                self._pull(max(pull, least))
+            *part, used = _decode_multisets(self._words, self._widths, count)
+            parts.append(part)
+            self._words = self._words[used:]
+            count -= len(part[0])
+            least = math.ceil(self._expected)
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _attempt_words(width):
+    """Words one getrandbits(k) attempt of randrange(width) takes:
+    ceil(k/32) for k = width.bit_length()."""
+    return -(-width.bit_length() // 32)
+
+
+def _attempts(padded, width, positions):
+    """The randrange(width) draws readable from a buffer of L = positions - 2
+    words, passed followed by at least w - 1 zero words, where an attempt
+    takes w = `_attempt_words(width)` words.
+
+    Positions run over 0..L, plus the sentinel L + 1 for "the buffer ended
+    first".  Returns (value, accepted, after), arrays over the positions:
+    value[i] is the getrandbits(k) attempt made from position i,
+    accepted[i] the first of i, i + w, i + 2w, ... whose attempt falls below
+    width, and after[i] the position after that attempt.  An attempt that
+    reads padding ends past L, and after clips it to the sentinel, which
+    maps to itself: no whole multiset contains a draw read from padding.
+    value is uint32 or uint64 for width < 2^64 and Python ints (object
+    dtype) past that.
+    """
+    k = width.bit_length()
+    w = _attempt_words(width)
+    sentinel = positions - 1
+    value = padded[w - 1:w - 1 + positions] >> (32 * w - k)
+    if w > 1:
+        dtype = np.uint64 if k <= 64 else object
+        value = value.astype(dtype)
+        for j in range(w - 2, -1, -1):
+            value = (value << 32) | padded[j:j + positions].astype(dtype)
+    rows = -(-positions // w)
+    accepted = np.full(rows * w, sentinel, dtype=np.int64)
+    accepted[:positions] = np.where((value < width).astype(bool), np.arange(positions),
+                                    sentinel)
+    # Reverse running minimum down each residue class mod w: the next
+    # accepted attempt at or after every position.
+    accepted = np.minimum.accumulate(accepted.reshape(rows, w)[::-1], axis=0)[::-1]
+    accepted = accepted.reshape(-1)[:positions]
+    return value, accepted, np.minimum(accepted + w, sentinel)
+
+
+def _decode_multisets(words, widths, count):
+    """Up to `count` whole multisets from the front of `words`, as (sizes,
+    points, mults, used): support sizes, then every point and multiplicity
+    in draw order, and the words the returned multisets take.
+
+    From the per-range tables of `_attempts`, `pair` maps a position to the
+    one after a (point, multiplicity) draw, and its binary powers give the
+    position after a whole multiset for every start at once.  Walking the
+    starts is one lookup per multiset; reading the points out takes one
+    array step per support slot across all multisets.
+    """
+    positions = len(words) + 2
+    padded = np.zeros(positions + max(map(_attempt_words, widths)), dtype=np.uint32)
+    padded[:len(words)] = words
+    size_value, size_at, after_size = _attempts(padded, widths[0], positions)
+    point_value, point_at, after_point = _attempts(padded, widths[1], positions)
+    mult_value, mult_at, after_mult = _attempts(padded, widths[2], positions)
+    # A support size is 1 + r, r < max_support: one pair, then r more.
+    pair = after_mult[after_point]
+    end = pair[after_size]
+    r = size_value[size_at]
+    for bit in range((widths[0] - 1).bit_length()):
+        if bit:
+            pair = pair[pair]
+        end = np.where((r >> bit) & 1 == 1, pair[end], end)
+    sentinel = positions - 1
+    following = memoryview(end)
+    starts, used = [], 0
     for _ in range(count):
-        size = randrange(1, support_stop)
-        add_size(size)
-        for _ in range(size):
-            add_point(randrange(n))
-            add_mult(randrange(1, mult_stop))
-    return pad_multisets(sizes, points, mults, n)
+        nxt = following[used]
+        if nxt == sentinel:
+            break
+        starts.append(used)
+        used = nxt
+    starts = np.array(starts, dtype=np.int64)
+    sizes = _as_ints(r[starts], widths[0]) + 1
+    slots = int(sizes.max(initial=0))
+    points = np.zeros((slots, len(starts)), dtype=point_value.dtype)
+    mults = np.zeros((slots, len(starts)), dtype=mult_value.dtype)
+    at = after_size[starts]
+    for slot in range(slots):
+        points[slot] = point_value[point_at[at]]
+        at = after_point[at]
+        mults[slot] = mult_value[mult_at[at]]
+        at = after_mult[at]
+    drawn = np.arange(slots) < sizes[:, None]
+    return (sizes, _as_ints(points.T[drawn], widths[1]),
+            _as_ints(mults.T[drawn], widths[2]) + 1, used)
+
+
+def _as_ints(values, width):
+    """Draws below width as int64, or as Python ints where 1 + a draw could
+    pass int64."""
+    return values.astype(np.int64 if width < 1 << 63 else object)
 
 
 def main(argv=None) -> int:

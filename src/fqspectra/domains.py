@@ -107,6 +107,18 @@ class PointDomain:
             return idx
         return flat_indices(E, self.ctx.q, self.d)
 
+    def as_values(self, values) -> np.ndarray:
+        """A value table (one field element per point, in index order, such
+        as `QuadraticForm.value_table(self)`) as an int64 array.
+
+        Raises ValueError unless it holds exactly one value per point.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.shape != (self.size,):
+            raise ValueError(f"value table has shape {values.shape}, "
+                             f"expected ({self.size},): one value per point of F_q^d")
+        return values
+
     def coord_array(self, j: int) -> np.ndarray:
         """x_j over all points in index order (cached)."""
         if j not in self._coords:
@@ -129,11 +141,21 @@ class PointDomain:
         return out
 
     def index_sub(self, A, B):
+        """Digit-wise base-p subtraction, A - B in the group, in one borrow
+        pass: with a_k, b_k the n*d base-p digits,
+
+            sum_k ((a_k - b_k) mod p) p^k = A - B + sum_k p^(k+1) [a_k < b_k],
+
+        since a digit that borrows gains p.  The digits come from A and B
+        alone, so a broadcast (rows, w, 1) - (rows, 1, w) grid sees one
+        subtraction and one compare-multiply-add per digit.  A and B may be
+        Python ints or integer arrays."""
         p = self.ctx.p
-        out, pk = 0, 1
+        out, pk = A - B, 1
         for _ in range(self.nd):
-            out = out + (((A // pk) - (B // pk)) % p) * pk
+            borrow = (A // pk) % p < (B // pk) % p
             pk *= p
+            out = out + borrow * pk
         return out
 
     def index_neg(self, A):

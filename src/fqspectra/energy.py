@@ -30,7 +30,6 @@ from .errors import (
     OddKError,
 )
 from .field import FieldContext
-from .geometry import QuadraticForm
 from .spectra import AUDIT_RTOL, Spectrum
 
 FOLD_BUDGET = 10 ** 9
@@ -285,24 +284,20 @@ def _bin_by_value(ctx, values, r, expected_total):
     return table
 
 
-def nu_k(dom: PointDomain, E, form: QuadraticForm, k: int) -> CountTable:
-    """nu_k(t) = k-tuples from E whose coordinate sum z has Q(z) = t."""
+def nu_k(dom: PointDomain, E, qvals, k: int) -> CountTable:
+    """nu_k(t) = k-tuples from E whose coordinate sum z has Q(z) = t.
+
+    qvals is Q's value table over dom, `QuadraticForm.value_table(dom)`,
+    which callers build once per form and domain.  The count is defined for
+    any form; callers that need a nondegenerate one check it with
+    `QuadraticForm.require_nondegenerate`.
+    """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
-    form.require_nondegenerate(dom.ctx)
+    qvals = dom.as_values(qvals)
     ladder = _ladder(dom, E)
     r = ladder.fold(k).values
-    qvals = form.value_table(dom)
     return _bin_by_value(dom.ctx, qvals, r, len(ladder) ** k)
-
-
-def _value_table(dom: PointDomain, values) -> np.ndarray:
-    """values as an int64 array, checked to hold one value per point of dom."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.shape != (dom.size,):
-        raise ValueError(f"value table has shape {values.shape}, "
-                         f"expected ({dom.size},): one value per point of F_q^d")
-    return values
 
 
 def nu_P_k(dom: PointDomain, E, X, pvals, k: int) -> CountTable:
@@ -316,7 +311,7 @@ def nu_P_k(dom: PointDomain, E, X, pvals, k: int) -> CountTable:
     xs = sorted(set(int(a) % dom.ctx.q for a in X))
     if not xs:
         raise EmptyXError("shift set X must be nonempty")
-    pvals = _value_table(dom, pvals)
+    pvals = dom.as_values(pvals)
     ladder = _ladder(dom, E)
     r = ladder.fold(k).values
     base = _bin_by_value(dom.ctx, pvals, r, len(ladder) ** k)
@@ -354,7 +349,7 @@ def delta_set(dom: PointDomain, E, values, k: int) -> DeltaSet:
     values is F's value table over dom: `QuadraticForm.value_table(dom)` or
     `geometry.eval_poly_table(dom, P)`, built once by the caller.
     """
-    values = _value_table(dom, values)
+    values = dom.as_values(values)
     r = _ladder(dom, E).fold(k).values
     seen = tuple(np.unique(values[r > 0]).tolist())
     q = dom.ctx.q

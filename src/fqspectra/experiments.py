@@ -249,9 +249,11 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     deviation from |E|^k/q, size-hypothesis margins, and hard deviation audits."""
     form = QuadraticForm.parse(plan.form, plan.d)
     ctx, dom, variety, _, reg = _setup(plan)
+    form.require_nondegenerate(ctx)
+    qvals = form.value_table(dom)
     graphs = {}
     for t in range(1, ctx.q):
-        spec, check = euclidean_spectrum(ctx, form, t, plan.d)
+        spec, check = euclidean_spectrum(dom, qvals, t)
         graphs[t] = spec
         if not check.within:
             raise InvariantError(f"euclidean graph bound failed at t={t}")
@@ -263,7 +265,7 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
         for trial in range(plan.trials):
             E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
             rec = {"size_index": size_index, "trial": trial, "size": len(E)}
-            table = nu_k(dom, E, form, k)
+            table = nu_k(dom, E, qvals, k)
             nonzero_t = [table[t] for t in range(1, q)]
             rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
             rec["covers_Fq_star"], rec["covers_Fq"] = coverage_flags(table)

@@ -168,6 +168,8 @@ class FieldContext:
         return self.encode(res)
 
     def _pow_poly(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply on polynomials: the reference the test
+        suite checks the table arithmetic against."""
         result = 1
         base = a
         while e > 0:
@@ -177,26 +179,62 @@ class FieldContext:
             e >>= 1
         return result
 
-    def _build_log_tables(self):
-        q = self.q
-        factors = set()
-        m = q - 1
-        f = 2
+    def _smallest_generator(self) -> int:
+        """The smallest encoding g that generates F_q^*: the first candidate
+        with g^((q-1)/f) != 1 for every prime f dividing q - 1.
+
+        The encodings below p are F_p^*, whose orders divide p - 1 < q - 1,
+        so the candidates start at p.  They are tested in batches, 16 first
+        and each next batch four times larger up to 4096, by
+        square-and-multiply on their digit vectors: one array product of all
+        (candidate, exponent) rows per step.  The product of digit vectors a and b is the outer
+        product a_i b_j reduced through the digits of X^(i+j) modulo the
+        modulus.
+        """
+        q, p, n = self.q, self.p, self.n
+        exponents, m, f = [], q - 1, 2
         while f * f <= m:
-            while m % f == 0:
-                factors.add(f)
-                m //= f
+            if m % f == 0:
+                exponents.append((q - 1) // f)
+                while m % f == 0:
+                    m //= f
             f += 1
         if m > 1:
-            factors.add(m)
-        g = None
-        for cand in range(2, q):
-            if all(self._pow_poly(cand, (q - 1) // f) != 1 for f in factors):
-                g = cand
-                break
-        if g is None:
-            raise InvariantError("F_q^* is cyclic; a generator must exist")
-        self.generator = g
+            exponents.append((q - 1) // m)
+        # Digits of X^0 .. X^(2n-2): X^(k+1) shifts X^k up one place and
+        # subtracts its top digit times the monic modulus.
+        x_powers = [[int(i == k) for i in range(n)] for k in range(n)]
+        for _ in range(n - 1):
+            prev = x_powers[-1]
+            x_powers.append([((prev[i - 1] if i else 0) - prev[-1] * self.modulus[i]) % p
+                             for i in range(n)])
+        reduce = np.array([x_powers[i + j] for i in range(n) for j in range(n)],
+                          dtype=np.int64)
+
+        def mul(a, b):
+            return (a[:, :, None] * b[:, None, :]).reshape(len(a), n * n) @ reduce % p
+
+        steps = max(exponents).bit_length()
+        start, batch = p, 16
+        while start < q:
+            cand = np.arange(start, min(start + batch, q), dtype=np.int64)
+            base = np.tile(cand[:, None] // p ** np.arange(n) % p, (len(exponents), 1))
+            e = np.repeat(np.array(exponents, dtype=np.int64), len(cand))
+            takes = (e[:, None] >> np.arange(steps)[:, None, None]) & 1 == 1
+            power = np.where(takes[0], base, np.eye(1, n, dtype=np.int64))
+            for bit in range(1, steps):
+                base = mul(base, base)
+                power = np.where(takes[bit], mul(power, base), power)
+            is_one = (power[:, 0] == 1) & ~power[:, 1:].any(axis=1)
+            generates = ~is_one.reshape(len(exponents), len(cand)).any(axis=0)
+            if generates.any():
+                return int(cand[np.argmax(generates)])
+            start, batch = start + batch, min(4 * batch, 1 << 12)
+        raise InvariantError("F_q^* is cyclic; a generator must exist")
+
+    def _build_log_tables(self):
+        q = self.q
+        self.generator = g = self._smallest_generator()
         # Doubling: exp[k:2k] = exp[:k] * g^k.  Multiplying by the fixed
         # element g^k is the F_p-linear map on digit vectors whose row i holds
         # the digits of X^i * g^k.
@@ -221,14 +259,15 @@ class FieldContext:
         self._log = log
 
     def _build_trace_basis(self):
-        """Tr(X^i) for the monomial basis, via repeated Frobenius."""
+        """Tr(X^i) for the monomial basis, via repeated Frobenius (powers
+        from the log/antilog tables, which n >= 2 builds first)."""
         out = []
         for i in range(self.n):
             b = self.encode([0] * i + [1])
             acc = b
             cur = b
             for _ in range(self.n - 1):
-                cur = self._pow_poly(cur, self.p)
+                cur = self.pow(cur, self.p)
                 acc = self.add(acc, cur)
             if acc >= self.p:
                 raise InvariantError("trace value escaped the prime subfield")

@@ -12,7 +12,7 @@ in F_q^d, or, for the affine digraph on F_q x F_q^{2d}, one closed-form slice
 of q^(2d) cells per m0.  One blocked pass over the moduli gives the degree
 check, lambda_second with its first maximiser, and lambda_mixing; the full
 table is built only when someone reads it (`Spectrum.eigenvalues`), and
-`Spectrum.export_rows` streams the slices without building it.
+`spectrum ... --out` writes the slices without building it.
 
 Mixing audits count a block of multiset pairs (B_i, C_i) at once.  The
 multisets are laid out as padded (pairs x width) arrays of flat indices and
@@ -48,7 +48,7 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .field import FieldContext
-from .geometry import PolySpec, QuadraticForm, diagonal_shape
+from .geometry import PolySpec, diagonal_shape
 
 # Relative tolerance used to decide whether |lam_m| equals the degree.
 _DEGREE_EQ_RTOL = 1e-9
@@ -66,8 +66,8 @@ class Spectrum:
     `slices` returns, on every call, an iterable of consecutive arrays whose
     concatenation is that table in index order.  The summary constants below
     come from one blocked scan of those arrays; the full table, `eigenvalues`,
-    is built from a fresh pass only when someone reads it, and `export_rows`
-    streams the slices without building it.
+    is built from a fresh pass only when someone reads it, and the CLI's
+    `--out` writer streams the slices without building it.
 
     lambda_second excludes exactly the eigenvalues of modulus equal to the
     degree (so a connection set equal to a coset union of a subgroup still
@@ -127,14 +127,6 @@ class Spectrum:
             "argmax_m": self.argmax_m,
         }
 
-    def export_rows(self):
-        """Tabular rows `m_encoding re im modulus`, slice by slice."""
-        m = 0
-        for part in self.slices():
-            for ev in part:
-                yield m, float(ev.real), float(ev.imag), float(abs(ev))
-                m += 1
-
 
 def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
     """The Spectrum of the eigenvalue table that `slices()` yields in order,
@@ -179,6 +171,15 @@ def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
                     slices=slices)
 
 
+def require_spectrum_budget(dom: PointDomain, name: str = "q^d"):
+    """Raise SearchSpaceTooLargeError when a spectrum over dom would have
+    more than TABLE_MAX eigenvalues; callers check before they build any
+    table over dom."""
+    if dom.size > TABLE_MAX:
+        raise SearchSpaceTooLargeError(
+            f"{name} = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
+
+
 def cayley_spectrum(ctx: FieldContext, points, d: int | None = None) -> Spectrum:
     """Spectrum of the Cayley digraph on F_q^d with connection set `points`,
     an index array or a sequence of coordinate tuples; d may be omitted for
@@ -195,9 +196,7 @@ def cayley_spectrum(ctx: FieldContext, points, d: int | None = None) -> Spectrum
             raise ValueError("need d for an empty connection set or flat indices")
         d = len(points[0])
     dom = PointDomain(ctx, d)
-    if dom.size > TABLE_MAX:
-        raise SearchSpaceTooLargeError(
-            f"q^d = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
+    require_spectrum_budget(dom)
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
@@ -224,19 +223,20 @@ class BoundCheck:
     normalized_bound: float | None = None
 
 
-def euclidean_spectrum(ctx: FieldContext, form: QuadraticForm, t: int, d: int):
+def euclidean_spectrum(dom: PointDomain, qvals, t: int):
     """Spectrum of the graph on F_q^d joining x,y with Q(x - y) = t.
 
-    For t != 0 the returned check asserts the classical 2*q^((d-1)/2) bound;
-    t = 0 is allowed but flagged as outside that statement's hypothesis.
+    qvals is Q's value table over dom, `QuadraticForm.value_table(dom)`,
+    which callers build once per form and domain after checking the budget
+    with `require_spectrum_budget` and the form with
+    `QuadraticForm.require_nondegenerate`: the bound below is stated for a
+    nondegenerate Q.  For t != 0 the returned check asserts the classical
+    2*q^((d-1)/2) bound; t = 0 is allowed but flagged as outside that
+    statement's hypothesis.
     """
-    form.require_nondegenerate(ctx)
-    dom = PointDomain(ctx, d)
-    if dom.size > TABLE_MAX:
-        raise SearchSpaceTooLargeError(
-            f"q^d = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
-    values = form.value_table(dom)
-    spec = cayley_spectrum(ctx, np.nonzero(values == t % ctx.q)[0], d=d)
+    qvals = dom.as_values(qvals)
+    ctx, d = dom.ctx, dom.d
+    spec = cayley_spectrum(ctx, np.flatnonzero(qvals == t % ctx.q), d=d)
     bound = 2.0 * ctx.q ** ((d - 1) / 2)
     if t % ctx.q == 0:
         check = BoundCheck(spec.lambda_second, bound, True,
@@ -261,8 +261,8 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     otherwise a product of 2d sums W(+-m0*a_j, m_j).  `_affine_slices`
     streams the q slices m0 = 0..q-1 of q^(2d) cells each, and the summary
     constants come from one blocked scan of them: the q^(2d+1) table is built
-    only when `Spectrum.eigenvalues` is read, and `export_rows` writes the
-    rows slice by slice.
+    only when `Spectrum.eigenvalues` is read, and `spectrum affine --out`
+    writes the rows slice by slice.
 
     With every a_j != 0 and p not dividing s, Weil's bound
     |W(a, b)| <= (s-1)*sqrt(q) for a != 0 gives lambda <= (s-1)^(2d) * q^d;
@@ -283,9 +283,7 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
         raise ExponentDivisibleByCharacteristicError(
             f"exponent s = {s} is divisible by p = {ctx.p}")
     dom = PointDomain(ctx, 2 * d + 1)
-    if dom.size > TABLE_MAX:
-        raise SearchSpaceTooLargeError(
-            f"q^(2d+1) = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
+    require_spectrum_budget(dom, "q^(2d+1)")
     u = np.arange(ctx.q, dtype=np.int64)
     # W[a, b] = sum_u chi(a*u^s + b*u)
     au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
@@ -318,18 +316,19 @@ def _affine_slices(ctx, W, coeffs):
 # -- mixing audits -------------------------------------------------------------
 
 def pad_multisets(sizes, points, mults, n: int):
-    """Merge and pad a run of multisets drawn as flat lists.
+    """Merge and pad a run of multisets drawn as flat arrays.
 
     Multiset i is the next sizes[i] >= 1 entries of `points` (flat indices in
-    [0, n)) with multiplicities `mults`; repeated points are merged by adding
-    their multiplicities.  Returns (idx, mult), two (len(sizes) x width)
-    arrays with width the largest merged support: row i holds multiset i's
-    distinct points in ascending order, then padding of index 0 and
-    multiplicity 0.  mult is int64 when no merged multiplicity can reach
-    _INT64_SAFE, and Python ints (object dtype) otherwise.
+    [0, n)) with multiplicities `mults` (int64, or Python ints in an object
+    array); repeated points are merged by adding their multiplicities.
+    Returns (idx, mult), two (len(sizes) x width) arrays with width the
+    largest merged support: row i holds multiset i's distinct points in
+    ascending order, then padding of index 0 and multiplicity 0.  mult is
+    int64 when no merged multiplicity can reach _INT64_SAFE, and Python ints
+    (object dtype) otherwise.
     """
     rows = len(sizes)
-    dtype = np.int64 if max(mults) * max(sizes) < _INT64_SAFE else object
+    dtype = np.int64 if int(mults.max()) * int(sizes.max()) < _INT64_SAFE else object
     key = np.repeat(np.arange(rows, dtype=np.int64) * n, sizes)
     key += np.asarray(points, dtype=np.int64)
     order = np.argsort(key)

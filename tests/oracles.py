@@ -4,7 +4,9 @@ Everything here uses plain Python integers mod p and exhaustive loops over
 tuple spaces, so a bug in the convolution/transform machinery cannot hide:
 these never call into fqspectra's counting or spectrum code.  The mixing
 reference also covers extension fields, through the digit-wise group law of
-flat indices, and stays here as the per-pair check of the batched audit.
+flat indices, and stays here as the per-pair check of the batched audit;
+`draw_multisets_reference` is the randrange loop whose stream the CLI's
+bulk decoder must reproduce.
 
 The affine references are the exceptions that use the library.  The direct
 one enumerates the connection set with `eval_poly_table` and sums characters
@@ -12,7 +14,10 @@ with `character_sum_table`, neither of which the closed-form affine
 spectrum it checks ever calls.  The broadcast one is the closed form as one
 whole table, built with the field's vector arithmetic; the streamed slices
 must equal it bit for bit.  `scan_reference` is the whole-table moduli scan
-that the blocked scan must reproduce.
+that the blocked scan must reproduce.  `smallest_generator_reference` is the
+scalar generator search, on the field's polynomial `_pow_poly`, that the
+batched search must agree with, and `spectrum_text_reference` the per-cell
+`--out` format the streamed writer must reproduce byte for byte.
 """
 
 import itertools
@@ -160,6 +165,14 @@ def scan_reference(eigenvalues, degree):
     return lam, arg, lam_mixing
 
 
+def spectrum_text_reference(eigenvalues):
+    """The `spectrum ... --out` text of an eigenvalue table, formatted one
+    cell at a time from Python floats."""
+    rows = [f"{m} {float(ev.real)!r} {float(ev.imag)!r} {float(abs(ev))!r}\n"
+            for m, ev in enumerate(eigenvalues)]
+    return "m re im modulus\n" + "".join(rows)
+
+
 def brute_edge_count(p, S, B, C):
     """Ordered multiset edge count: pairs (b, c) with c - b in S."""
     sset = set(S)
@@ -200,6 +213,22 @@ def mixing_reference(p, n, conn, lambda_mixing, degree, B, C):
             deviation <= bound + 1e-6 * bound + 1e-12)
 
 
+def draw_multisets_reference(rng, count, n, max_support, max_multiplicity):
+    """The next `count` `audit mixing` multisets as flat lists (sizes,
+    points, mults), one randrange call per draw: each multiset draws its
+    support size randrange(1, max_support + 1), then per point randrange(n)
+    followed by randrange(1, max_multiplicity + 1)."""
+    randrange = rng.randrange
+    sizes, points, mults = [], [], []
+    for _ in range(count):
+        size = randrange(1, max_support + 1)
+        sizes.append(size)
+        for _ in range(size):
+            points.append(randrange(n))
+            mults.append(randrange(1, max_multiplicity + 1))
+    return sizes, points, mults
+
+
 def random_multiset(rng, n, max_support, max_multiplicity):
     """A Counter drawn as `audit mixing` draws each multiset: its support
     size, then per point its index followed by its multiplicity."""
@@ -225,6 +254,25 @@ def mixing_payload_reference(rng, p, spec, conn, pairs, max_support,
         violations += not ok
     return {"pairs": pairs, "violations": violations, "min_relative_gap": min_gap,
             "lambda": spec.lambda_second, "degree": spec.degree, "n": spec.order}
+
+
+def smallest_generator_reference(ctx):
+    """The smallest generator of F_q^* the scalar way: candidates 2, 3, ...
+    in turn, each raised to (q-1)/f for every prime f dividing q - 1 by
+    polynomial square-and-multiply."""
+    q = ctx.q
+    factors, m, f = set(), q - 1, 2
+    while f * f <= m:
+        while m % f == 0:
+            factors.add(f)
+            m //= f
+        f += 1
+    if m > 1:
+        factors.add(m)
+    for cand in range(2, q):
+        if all(ctx._pow_poly(cand, (q - 1) // f) != 1 for f in factors):
+            return cand
+    return None
 
 
 def sphere_points(p, d, t):

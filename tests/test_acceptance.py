@@ -67,7 +67,7 @@ def test_acceptance_1_oracle_equivalence():
             for k in (2, 4):
                 assert lambda_k(dom, E, k) == brute_lambda(p, E, k)
             for k in (2, 3):
-                got = nu_k(dom, E, form, k)
+                got = nu_k(dom, E, form.value_table(dom), k)
                 want = brute_nu(p, E, matrix, k)
                 assert all(got[t] == want.get(t, 0) for t in range(p))
                 ds = delta_set(dom, E, form.value_table(dom), k)
@@ -87,10 +87,11 @@ def test_acceptance_2_euclidean_graph_bounds():
     for p in (3, 5, 7, 11):
         ctx = FieldContext(p)
         for d in (2, 3):
-            form = QuadraticForm.identity(d)
+            dom = PointDomain(ctx, d)
+            qvals = QuadraticForm.identity(d).value_table(dom)
             bound = 2 * ctx.q ** ((d - 1) / 2)
             for t in range(1, ctx.q):
-                spec, check = euclidean_spectrum(ctx, form, t, d)
+                spec, check = euclidean_spectrum(dom, qvals, t)
                 worst = max(worst, spec.lambda_second / ctx.q ** ((d - 1) / 2))
                 if spec.lambda_second > bound + 1e-6:
                     ok = False
@@ -216,7 +217,8 @@ def test_acceptance_5_mixing_never_violated():
                 sizes.append(len(M))
                 points += M.keys()
                 mults += M.values()
-        idx, mult = pad_multisets(sizes, points, mults, dom.size)
+        idx, mult = pad_multisets(np.array(sizes), np.array(points),
+                                  np.array(mults), dom.size)
         audit = mixing_audit(spec, dom, member, idx[0::2], mult[0::2],
                              idx[1::2], mult[1::2])
         audits += len(audit.ok)
@@ -244,7 +246,8 @@ def test_acceptance_6_exact_inequality_ledger():
         ctx = FieldContext(p)
         dom = PointDomain(ctx, d)
         form = QuadraticForm.identity(d)
-        spectra = {t: euclidean_spectrum(ctx, form, t, d)[0] for t in range(1, ctx.q)}
+        spectra = {t: euclidean_spectrum(dom, form.value_table(dom), t)[0]
+                   for t in range(1, ctx.q)}
         variety = builtin_variety(ctx, "sphere", d, 1)
         variety_graph = cayley_spectrum(ctx, variety.indices, d=d)
         pspec = diagonal_poly(ctx, d, 2)
@@ -260,7 +263,7 @@ def test_acceptance_6_exact_inequality_ledger():
             for k in (2, 4, 3):
                 E = draw_subset(10)
                 t = rng.randint(1, ctx.q - 1)
-                table = nu_k(dom, E, form, k)
+                table = nu_k(dom, E, form.value_table(dom), k)
                 audit = nu_deviation_audits(dom, E, table, k, spectra, ts=(t,))[0]
                 configs += 1
                 if not audit.ok:
@@ -330,7 +333,7 @@ def test_acceptance_8_worked_fixtures():
     dom = PointDomain(ctx, 2)
     v = builtin_variety(ctx, "sphere", 2, 1)
     form = QuadraticForm.identity(2)
-    nu = nu_k(dom, v.points, form, 2)
+    nu = nu_k(dom, v.points, form.value_table(dom), 2)
     ds = delta_set(dom, v.points, form.value_table(dom), 2)
     spec = cayley_spectrum(ctx, v.points, d=2)
     ok = (v.size == 4

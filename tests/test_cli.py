@@ -7,9 +7,11 @@ checks that an exported variety file reproduces the family-based results.
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from fqspectra.field import FieldContext
 from fqspectra.geometry import Variety, builtin_variety
 from fqspectra.spectra import cayley_spectrum
 
-from oracles import mixing_payload_reference
+from oracles import draw_multisets_reference, mixing_payload_reference
 
 
 def run_cli(argv, capsys):
@@ -287,7 +289,9 @@ def test_audit_mixing_matches_per_pair_reference_at_block_boundaries(
      (5, 1, 2, 0, 200, 8, 10 ** 12)),
     # one pair per block, a padded width of up to 300
     (["--max-support", "300", "--pairs", "3"], (7, 1, 2, 0, 3, 300, 3)),
-], ids=["multiplicity-1e6", "multiplicity-1e12", "support-300"])
+    # 71-bit draws, three words an attempt, decoded into Python ints
+    (["--max-multiplicity", str(2 ** 70), "--pairs", "60"], (5, 1, 2, 0, 60, 8, 2 ** 70)),
+], ids=["multiplicity-1e6", "multiplicity-1e12", "support-300", "multiplicity-2^70"])
 def test_audit_mixing_large_inputs_match_per_pair_reference(argv, args):
     p, n, d = args[:3]
     code, out = _mixing_stdout(["audit", "mixing", "--p", str(p), "--d", str(d)] + argv)
@@ -311,6 +315,82 @@ def test_audit_mixing_python_int_path_is_byte_identical(extra, monkeypatch):
     monkeypatch.setattr(cli_mod, "mixing_audit", recording)
     assert _mixing_stdout(argv) == fast
     assert dtypes and all(dt == object for dt in dtypes)
+
+
+# Bit lengths of the randrange widths the decoder must cover: one word, a
+# whole word, and two or three words an attempt, past int64 included.
+DRAW_BITS = [1, 31, 32, 33, 40, 64, 70]
+
+
+def _width(bits):
+    return st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+
+@pytest.mark.parametrize("mult_bits", DRAW_BITS)
+@given(n=st.sampled_from(DRAW_BITS).flatmap(_width),
+       max_support=st.sampled_from([1, 2, 8, 300]) | st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32), counts=st.lists(st.integers(1, 9), min_size=1,
+                                                      max_size=4),
+       data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_multiset_decoder_reproduces_the_randrange_stream(mult_bits, n, max_support,
+                                                         seed, counts, data):
+    max_multiplicity = data.draw(_width(mult_bits))
+    reference = random.Random(seed)
+    draws = cli_mod._MultisetDraws(random.Random(seed), n, max_support, max_multiplicity)
+    for count in counts:
+        want = draw_multisets_reference(reference, count, n, max_support, max_multiplicity)
+        sizes, points, mults = draws.draw(count)
+        assert (sizes.tolist(), points.tolist(), mults.tolist()) == want
+        assert points.dtype == (np.int64 if n < 1 << 63 else object)
+        assert mults.dtype == (np.int64 if max_multiplicity < 1 << 63 else object)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("n,max_support,max_multiplicity", [
+    (29791, 8, 3), (5, 300, 2 ** 70), (2 ** 40, 12, 2 ** 33)])
+def test_multiset_decoder_refills_mid_multiset(chunk, n, max_support, max_multiplicity,
+                                               monkeypatch):
+    passes = []
+
+    def recording(words, widths, count):
+        out = decode(words, widths, count)
+        passes.append(len(out[0]) < count)
+        return out
+
+    decode = cli_mod._decode_multisets
+    monkeypatch.setattr(cli_mod, "_DRAW_MAX_WORDS", chunk)
+    monkeypatch.setattr(cli_mod, "_decode_multisets", recording)
+    reference = random.Random(11)
+    draws = cli_mod._MultisetDraws(random.Random(11), n, max_support, max_multiplicity)
+    for count in (1, 5, 2):
+        want = draw_multisets_reference(reference, count, n, max_support, max_multiplicity)
+        assert tuple(c.tolist() for c in draws.draw(count)) == want
+    assert any(passes)  # some pass ended inside a multiset and pulled again
+
+
+@pytest.mark.parametrize("bits", DRAW_BITS)
+def test_cpython_randrange_stream_facts(bits):
+    # getrandbits(32 m) is the next m outputs, the first least significant.
+    rng = random.Random(bits)
+    words = [rng.getrandbits(32) for _ in range(5)]
+    bulk = random.Random(bits).getrandbits(32 * 5)
+    assert np.frombuffer(bulk.to_bytes(20, "little"), dtype="<u4").tolist() == words
+    # randrange(a, b) is a + the first getrandbits(k) attempt below b - a,
+    # k = (b - a).bit_length(), an attempt being ceil(k/32) words used whole
+    # except the last, shifted right by 32 * ceil(k/32) - k.
+    width = (1 << (bits - 1)) + (bits > 1)  # rejects about half the attempts
+    w = -(-bits // 32)
+    drawn, stream = random.Random(bits), random.Random(bits)
+    for _ in range(200):
+        while True:
+            attempt = [stream.getrandbits(32) for _ in range(w)]
+            attempt[-1] >>= 32 * w - bits
+            r = sum(word << (32 * j) for j, word in enumerate(attempt))
+            if r < width:
+                break
+        assert drawn.randrange(3, 3 + width) == 3 + r
+    assert drawn.getstate() == stream.getstate()
 
 
 def test_format_flag_is_a_usage_error_outside_count_tables(capsys):

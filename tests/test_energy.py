@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.energy as energy_mod
+from fqspectra.cli import main as cli_main
 from fqspectra.domains import PointDomain, character_sum_table
 from fqspectra.errors import (
     BudgetExceededError,
@@ -19,6 +20,7 @@ from fqspectra.errors import (
     InconsistentTotalError,
     OddKError,
 )
+from fqspectra.experiments import ExperimentPlan, coverage_experiment
 from fqspectra.field import FieldContext
 from fqspectra.energy import (
     CountTable,
@@ -110,7 +112,7 @@ def test_nu_k_total_is_size_to_the_k(pn, d, k, data):
     idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=8))
     coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=d, max_size=d))
     form = QuadraticForm.diagonal(tuple(coeffs))
-    table = nu_k(dom, np.array(sorted(idx), dtype=np.int64), form, k)
+    table = nu_k(dom, np.array(sorted(idx), dtype=np.int64), form.value_table(dom), k)
     assert table.total() == len(idx) ** k
 
 
@@ -180,7 +182,7 @@ def test_lambda_odd_k_rejected():
 
 
 def test_nu_sphere_worked_values():
-    table = nu_k(DOM32, S1_F3.points, QuadraticForm.identity(2), 2)
+    table = nu_k(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 2)
     assert [table[t] for t in range(3)] == [4, 4, 8]
     want = brute_nu(3, list(S1_F3.points), ((1, 0), (0, 1)), 2)
     assert all(table[t] == want.get(t, 0) for t in range(3))
@@ -190,18 +192,25 @@ def test_nu_total_mass_full_space():
     dom = PointDomain(F3, 2)
     full = [dom.point_of(i) for i in range(dom.size)]
     for k in (1, 2):
-        table = nu_k(dom, full, QuadraticForm.identity(2), k)
+        table = nu_k(dom, full, QuadraticForm.identity(2).value_table(dom), k)
         assert table.total() == dom.size ** k == 3 ** (2 * k)
 
 
 def test_nu_k1_sphere_definition():
-    table = nu_k(DOM32, S1_F3.points, QuadraticForm.identity(2), 1)
+    table = nu_k(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 1)
     assert table[1] == 4 and table[0] == 0 and table[2] == 0
 
 
-def test_nu_degenerate_form_rejected():
+def test_nu_degenerate_form_rejected(capsys):
+    # nu_k counts for any form; `energy nu` and the coverage runner, which
+    # build the form's value table, reject a degenerate one.
+    assert cli_main(["energy", "nu", "--p", "3", "--d", "2", "--family", "sphere",
+                     "--k", "2", "--form", "diag:1,0"]) == 1
+    assert "DegenerateFormError" in capsys.readouterr().err
+    plan = ExperimentPlan(p=3, d=2, form="diag:1,0", k=2, sizes=(2,),
+                          sizes_mode="absolute", trials=1)
     with pytest.raises(DegenerateFormError):
-        nu_k(DOM32, S1_F3.points, QuadraticForm.diagonal((1, 0)), 2)
+        coverage_experiment(plan)
 
 
 def test_nu_P_worked_example():
@@ -249,7 +258,8 @@ def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
     E = _random_subset(dom, 5, seed=p + n)
 
     def run():
-        return (nu_k(dom, E, form, 3), nu_P_k(dom, E, [0, 1], eval_poly_table(dom, P), 3),
+        return (nu_k(dom, E, form.value_table(dom), 3),
+                nu_P_k(dom, E, [0, 1], eval_poly_table(dom, P), 3),
                 delta_set(dom, E, eval_poly_table(dom, P), 3))
 
     fast = run()
@@ -282,7 +292,7 @@ def test_coverage_flags_from_nu_support_equal_delta_set_flags(pn, d, k, data):
     ladder = FoldLadder(dom, np.array(sorted(idx), dtype=np.int64))
     form = QuadraticForm.identity(d)
     ds = delta_set(dom, ladder, form.value_table(dom), k)
-    flags = coverage_flags(nu_k(dom, ladder, form, k))
+    flags = coverage_flags(nu_k(dom, ladder, form.value_table(dom), k))
     assert flags == (ds.covers_Fq_star, ds.covers_Fq)
     assert all(type(f) is bool for f in flags)
 
@@ -394,7 +404,7 @@ def test_oracle_equivalence_quick():
             E = _random_subset(dom, size, seed=1000 * p + trial)
             assert lambda_k(dom, E, 2) == brute_lambda(p, E, 2)
             assert lambda_k(dom, E, 4) == brute_lambda(p, E, 4)
-            got = nu_k(dom, E, form, 2)
+            got = nu_k(dom, E, form.value_table(dom), 2)
             want = brute_nu(p, E, matrix, 2)
             assert all(got[t] == want.get(t, 0) for t in range(p))
             ds = delta_set(dom, E, form.value_table(dom), 2)
@@ -420,16 +430,17 @@ def test_nu_deviation_audit_never_fails(k):
         ctx, dom, E, rng = _deviation_config(5, 2, seed)
         t = rng.randint(1, 4)
         if t not in spectra:
-            spectra[t], _ = euclidean_spectrum(ctx, form, t, 2)
-        table = nu_k(dom, E, form, k)
+            spectra[t], _ = euclidean_spectrum(dom, form.value_table(dom), t)
+        table = nu_k(dom, E, form.value_table(dom), k)
         audit = nu_deviation_audits(dom, E, table, k, {t: spectra[t]}, ts=(t,))[0]
         assert audit.ok, audit.as_dict()
 
 
 def test_nu_deviation_audit_rejects_t_zero():
-    spec, _ = euclidean_spectrum(F5, QuadraticForm.identity(2), 1, 2)
     dom = PointDomain(F5, 2)
-    table = nu_k(dom, [(0, 1)], QuadraticForm.identity(2), 2)
+    qvals = QuadraticForm.identity(2).value_table(dom)
+    spec, _ = euclidean_spectrum(dom, qvals, 1)
+    table = nu_k(dom, [(0, 1)], qvals, 2)
     with pytest.raises(ValueError):
         nu_deviation_audits(dom, [(0, 1)], table, 2, {0: spec}, ts=(0,))
 
@@ -447,9 +458,10 @@ def test_table_taking_audits_reject_tables_of_wrong_total():
     with pytest.raises(InconsistentTotalError):
         second_moment_audit(dom, E, shifted, len(X), 2, graph)
     form = QuadraticForm.identity(1)
-    spec, _ = euclidean_spectrum(F5, form, 1, 1)
+    qvals = form.value_table(dom)
+    spec, _ = euclidean_spectrum(dom, qvals, 1)
     with pytest.raises(InconsistentTotalError):
-        nu_deviation_audits(dom, E, nu_k(dom, E, form, 3), 2, {1: spec}, ts=(1,))
+        nu_deviation_audits(dom, E, nu_k(dom, E, qvals, 3), 2, {1: spec}, ts=(1,))
 
 
 def test_energy_growth_audit_on_sphere_subsets():
@@ -658,9 +670,9 @@ def test_ladder_builds_each_depth_once(monkeypatch):
     monkeypatch.setattr(energy_mod, "fold_counts", counting)
     dom = PointDomain(F5, 2)
     form = QuadraticForm.identity(2)
-    graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
+    graphs = {t: euclidean_spectrum(dom, form.value_table(dom), t)[0] for t in range(1, 5)}
     ladder = FoldLadder(dom, _random_subset(dom, 6, seed=5))
-    table = nu_k(dom, ladder, form, 3)
+    table = nu_k(dom, ladder, form.value_table(dom), 3)
     delta_set(dom, ladder, form.value_table(dom), 3)
     nu_deviation_audits(dom, ladder, table, 3, graphs)
     energy_term(ladder, 3)
@@ -673,10 +685,10 @@ def test_ladder_builds_each_depth_once(monkeypatch):
 def test_ladder_and_point_list_give_identical_audits():
     dom = PointDomain(F5, 2)
     form = QuadraticForm.identity(2)
-    graphs = {t: euclidean_spectrum(F5, form, t, 2)[0] for t in range(1, 5)}
+    graphs = {t: euclidean_spectrum(dom, form.value_table(dom), t)[0] for t in range(1, 5)}
     E = _random_subset(dom, 6, seed=6)
     for k in (2, 3, 4):
-        table = nu_k(dom, E, form, k)
+        table = nu_k(dom, E, form.value_table(dom), k)
         by_points = nu_deviation_audits(dom, E, table, k, graphs)
         assert nu_deviation_audits(dom, FoldLadder(dom, E), table, k, graphs) == by_points
         assert [nu_deviation_audits(dom, E, table, k, {t: graphs[t]}, ts=(t,))[0]

@@ -15,7 +15,9 @@ from fqspectra.errors import (
     NotPrimeError,
     OrderTooLargeError,
 )
-from fqspectra.field import FieldContext, smallest_irreducible
+from fqspectra.field import FieldContext, is_prime, smallest_irreducible
+
+from oracles import smallest_generator_reference
 
 
 def _poly_eval(coeffs, x, p):
@@ -254,8 +256,20 @@ def test_log_inverts_exp(p, n):
 
 
 def test_non_generator_is_caught(monkeypatch):
-    # With every candidate passing the generator test, 2 = -1 in F_9, of
-    # order 2, is taken; its powers miss most of F_9^*.
-    monkeypatch.setattr(FieldContext, "_pow_poly", lambda self, a, e: 2)
+    # With the generator search returning 2 = -1 in F_9, of order 2, its
+    # powers miss most of F_9^*.
+    monkeypatch.setattr(FieldContext, "_smallest_generator", lambda self: 2)
     with pytest.raises(InvariantError):
         FieldContext(3, 2)
+
+
+# Every extension field with q <= 2^12.
+SMALL_EXTENSIONS = [(p, n) for n in (2, 3, 4) for p in range(3, 65)
+                    if is_prime(p) and p ** n <= 1 << 12]
+
+
+@pytest.mark.parametrize("p,n", SMALL_EXTENSIONS)
+def test_generator_search_matches_the_scalar_search(p, n):
+    ctx = FieldContext(p, n)
+    assert ctx.generator == smallest_generator_reference(ctx)
+    assert ctx._exp[1] == ctx.generator

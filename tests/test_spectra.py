@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqspectra.cli as cli_mod
 import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
 
@@ -14,7 +16,6 @@ from fqspectra.cli import main as cli_main
 from fqspectra.domains import PointDomain
 from fqspectra.experiments import ExperimentPlan, sumset_experiment
 from fqspectra.errors import (
-    DegenerateFormError,
     ExponentDivisibleByCharacteristicError,
     InvariantError,
     NotDiagonalError,
@@ -36,6 +37,7 @@ from oracles import (
     brute_second_eigenvalue,
     mixing_reference,
     scan_reference,
+    spectrum_text_reference,
     sphere_points,
 )
 
@@ -127,15 +129,20 @@ def test_trace_identity():
             assert abs(np.sum(spec.eigenvalues) - expected) < 1e-6 * max(1, len(pts))
 
 
+def _euclidean(ctx, form, t, d):
+    dom = PointDomain(ctx, d)
+    return euclidean_spectrum(dom, form.value_table(dom), t)
+
+
 def test_euclidean_spectrum_f3_t1():
-    spec, check = euclidean_spectrum(F3, QuadraticForm.identity(2), 1, 2)
+    spec, check = _euclidean(F3, QuadraticForm.identity(2), 1, 2)
     assert spec.degree == 4
     assert spec.lambda_second == pytest.approx(2.0)
     assert check.within and check.bound == pytest.approx(2 * 3 ** 0.5)
 
 
 def test_euclidean_spectrum_f5_bound_and_oracle():
-    spec, check = euclidean_spectrum(F5, QuadraticForm.identity(2), 1, 2)
+    spec, check = _euclidean(F5, QuadraticForm.identity(2), 1, 2)
     assert check.within
     want = brute_second_eigenvalue(5, sphere_points(5, 2, 1), 2)
     assert spec.lambda_second == pytest.approx(want, abs=1e-6)
@@ -143,14 +150,28 @@ def test_euclidean_spectrum_f5_bound_and_oracle():
 
 
 def test_euclidean_t0_is_flagged_not_asserted():
-    spec, check = euclidean_spectrum(F3, QuadraticForm.identity(2), 0, 2)
+    spec, check = _euclidean(F3, QuadraticForm.identity(2), 0, 2)
     assert check.within  # vacuously: nothing asserted
     assert "outside" in check.note
 
 
-def test_euclidean_degenerate_form_rejected():
-    with pytest.raises(DegenerateFormError):
-        euclidean_spectrum(F5, QuadraticForm.diagonal((1, 0)), 1, 2)
+def test_euclidean_degenerate_form_rejected(capsys):
+    # `spectrum euclidean` checks the form before it builds the value table.
+    assert cli_main(["spectrum", "euclidean", "--p", "5", "--d", "2", "--t", "1",
+                     "--form", "diag:1,0"]) == 1
+    assert "DegenerateFormError" in capsys.readouterr().err
+
+
+def test_euclidean_checks_the_budget_before_the_value_table(monkeypatch, capsys):
+    monkeypatch.setattr(spectra_mod, "TABLE_MAX", 24)
+    built = []
+    monkeypatch.setattr(QuadraticForm, "value_table", lambda *a: built.append(a))
+    assert cli_main(["spectrum", "euclidean", "--p", "5", "--d", "2", "--t", "1"]) == 1
+    assert "SearchSpaceTooLargeError" in capsys.readouterr().err and not built
+    with pytest.raises(SearchSpaceTooLargeError):
+        euclidean_spectrum(PointDomain(F5, 2), np.zeros(25, dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        euclidean_spectrum(PointDomain(F5, 1), np.zeros(25, dtype=np.int64), 1)
 
 
 def test_affine_spectrum_q3_s2_exact():
@@ -272,14 +293,14 @@ def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
     assert repr(spec.lambda_second) == "529.0000000000013"
 
 
-def test_affine_table_is_built_only_when_read():
+def test_affine_table_is_built_only_when_read(tmp_path):
     spec, _ = affine_cayley_spectrum(F5, diagonal_poly(F5, 2, 3), 2)
-    rows = list(spec.export_rows())
+    path = tmp_path / "spectrum.txt"
+    cli_mod._write_spectrum(spec, path)
     assert "eigenvalues" not in vars(spec)
     table = spec.eigenvalues
     assert spec.eigenvalues is table and len(table) == spec.order == 5 ** 5
-    assert rows == [(m, float(ev.real), float(ev.imag), float(abs(ev)))
-                    for m, ev in enumerate(table)]
+    assert path.read_text() == spectrum_text_reference(table)
     assert spec.eigenvalue((2, 1, 0, 4, 3)) == complex(table[2 * 625 + 125 + 4 * 5 + 3])
 
 
@@ -365,6 +386,13 @@ def test_index_arithmetic_matches_field_arithmetic(p, n, d):
         assert dom.point_of(neg[i]) == tuple(ctx.neg(u) for u in x)
         assert dom.index_add(a, b) == add[i] and dom.index_sub(a, b) == sub[i]
     assert np.array_equal(dom.as_indices([dom.point_of(a) for a in A.tolist()]), A)
+    # The (rows, w, 1) - (rows, 1, w) grid `mixing_audit` subtracts.
+    C, D = A.reshape(30, 10), B.reshape(30, 10)
+    grid = dom.index_sub(C[:, :, None], D[:, None, :])
+    assert grid.shape == (30, 10, 10)
+    for r, i, j in itertools.product(range(30), range(10), range(10)):
+        assert grid[r, i, j] == dom.index_sub(int(C[r, i]), int(D[r, j]))
+    assert dom.index_neg(0) == 0
 
 
 def test_corrupted_trivial_eigenvalue_raises_invariant_error(monkeypatch):
@@ -486,7 +514,8 @@ def test_mixing_batch_matches_per_pair_reference(block):
         sizes.append(len(multiset))
         points += [x for x, _ in multiset]
         mults += [m for _, m in multiset]
-    idx, mult = pad_multisets(sizes, points, mults, dom.size)
+    idx, mult = pad_multisets(np.array(sizes), np.array(points), np.array(mults),
+                              dom.size)
     counters = []
     for multiset in (M for pair in pairs for M in pair):
         counters.append(Counter())
@@ -511,12 +540,39 @@ def test_variety_cayley_constant_small_grid(p, d, family):
     assert spec.lambda_second / ctx.q ** ((d - 1) / 2) <= 2.0 + 1e-6
 
 
-def test_export_rows_and_summary():
+@pytest.mark.parametrize("rows", [7, 1 << 16])
+@pytest.mark.parametrize("case", ["cayley-F9", "euclidean-F7", "affine-F5", "affine-F25"])
+def test_spectrum_out_text_equals_the_per_cell_format(case, rows, tmp_path, monkeypatch):
+    F9, F7, F25 = FieldContext(3, 2), FieldContext(7), FieldContext(5, 2)
+    spec = {
+        "cayley-F9": lambda: cayley_spectrum(F9, builtin_variety(F9, "sphere", 2, 1).indices,
+                                             d=2),
+        "euclidean-F7": lambda: _euclidean(F7, QuadraticForm.identity(2), 1, 2)[0],
+        "affine-F5": lambda: affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)[0],
+        "affine-F25": lambda: affine_cayley_spectrum(F25, diagonal_poly(F25, 1, 3), 1)[0],
+    }[case]()
+    monkeypatch.setattr(cli_mod, "_WRITE_ROWS", rows)
+    path = tmp_path / "spectrum.txt"
+    cli_mod._write_spectrum(spec, path)
+    assert path.read_text() == spectrum_text_reference(spec.eigenvalues)
+
+
+def test_spectrum_out_reprs_keep_signed_zeros_and_specials():
+    values = np.array([0.0, -0.0, 1.5, 1.5, -0.0, 5e-324, 1e300, np.inf, np.nan])
+    assert cli_mod._reprs(values) == [repr(x) for x in values.tolist()]
+    z = np.empty(len(values), dtype=np.complex128)
+    z.real, z.imag = values, values[::-1]
+    assert cli_mod._reprs(z.imag) == [repr(x) for x in z.imag.tolist()]
+
+
+def test_export_rows_and_summary(tmp_path):
     v = builtin_variety(F3, "sphere", 2, 1)
     spec = cayley_spectrum(F3, v.points)
-    rows = list(spec.export_rows())
-    assert len(rows) == 9
-    m, re, im, mod = rows[0]
+    path = tmp_path / "spectrum.txt"
+    cli_mod._write_spectrum(spec, path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "m re im modulus" and len(rows) == 9
+    m, re, im, mod = (float(x) for x in rows[0].split())
     assert m == 0 and re == pytest.approx(4.0) and mod == pytest.approx(4.0)
     summary = spec.summary()
     assert summary["n"] == 9 and summary["degree"] == 4
