@@ -20,7 +20,6 @@ from .geometry import (
     builtin_variety,
     diagonal_poly,
     enumerate_variety,
-    eval_poly,
     minkowski_poly,
     paraboloid_poly,
     regularity_check,

@@ -85,14 +85,6 @@ class PointDomain:
             acc = acc * self.ctx.q + int(x)
         return acc
 
-    def point_of(self, idx: int) -> tuple:
-        q = self.ctx.q
-        out = []
-        for _ in range(self.d):
-            out.append(int(idx % q))
-            idx //= q
-        return tuple(reversed(out))
-
     def as_indices(self, E) -> np.ndarray:
         """E as flat int64 indices, in E's order.
 
@@ -128,17 +120,6 @@ class PointDomain:
         return self._coords[j]
 
     # -- group arithmetic on flat indices ------------------------------------
-
-    def index_add(self, A, B):
-        """Digit-wise base-p addition: the group law on flat indices.
-
-        A and B may be Python ints or integer arrays."""
-        p = self.ctx.p
-        out, pk = 0, 1
-        for _ in range(self.nd):
-            out = out + (((A // pk) + (B // pk)) % p) * pk
-            pk *= p
-        return out
 
     def index_sub(self, A, B):
         """Digit-wise base-p subtraction, A - B in the group, in one borrow
@@ -188,27 +169,22 @@ def _trace_form(ctx: FieldContext) -> np.ndarray:
     return T
 
 
-def resolve_method(ctx: FieldContext, size: int) -> str:
-    """The path `character_sum_table` takes for a set of `size` points:
-    'direct' when size <= p*n, where the direct sum is cheaper than the
-    transform, and 'transform' otherwise.  The rule is fixed because the two
-    paths differ in the last bits of the sums they return.
-    """
-    return "direct" if size <= ctx.p * ctx.n else "transform"
-
-
 def character_sum_table(dom: PointDomain, points) -> np.ndarray:
     """lam[m] = sum over s in points of chi(m . s), for every m in F_q^d.
 
     points is an index array or a sequence of coordinate tuples (see
-    `PointDomain.as_indices`).  `resolve_method` picks one of two paths:
-      * 'direct'    — O(q^d * |S| * d) vectorized summation;
-      * 'transform' — a (Z_p)^(n*d) Fourier transform of the indicator,
-                      reindexed through the trace pairing, O(q^d * n * d * p).
-    Both agree to floating precision; the test suite cross-checks them.
+    `PointDomain.as_indices`).  The set's size picks one of two paths:
+      * direct    — for size <= p*n, where it is cheaper than the transform:
+                    O(q^d * |S| * d) vectorized summation;
+      * transform — otherwise: a (Z_p)^(n*d) Fourier transform of the
+                    indicator, reindexed through the trace pairing,
+                    O(q^d * n * d * p).
+    Both agree to floating precision, and the test suite cross-checks them.
+    The size rule is fixed because the two paths differ in the last bits of
+    the sums they return.
     """
     idx = dom.as_indices(points)
-    if resolve_method(dom.ctx, len(idx)) == "direct":
+    if len(idx) <= dom.ctx.p * dom.ctx.n:
         return _character_sums_direct(dom, idx)
     return _character_sums_transform(dom, idx)
 

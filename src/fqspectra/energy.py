@@ -301,14 +301,15 @@ def nu_k(dom: PointDomain, E, qvals, k: int) -> CountTable:
 
 
 def nu_P_k(dom: PointDomain, E, X, pvals, k: int) -> CountTable:
-    """nu_{P,k}(t) = triples (a, k-tuple) with a in X and a + P(sum) = t.
+    """nu_{P,k}(t) = triples (a, k-tuple) with a in X and a + P(sum) = t;
+    X holds field elements (see `FieldContext.element`).
 
     pvals is P's value table over dom, `geometry.eval_poly_table(dom, P)`,
     which callers build once per polynomial and domain.  The count is defined
     for any P; the paper's P is diagonal, and the affine spectrum that the
     second-moment audit reads rejects any other.
     """
-    xs = sorted(set(int(a) % dom.ctx.q for a in X))
+    xs = sorted(set(dom.ctx.element(a) for a in X))
     if not xs:
         raise EmptyXError("shift set X must be nonempty")
     pvals = dom.as_values(pvals)

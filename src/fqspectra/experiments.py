@@ -65,6 +65,8 @@ def sample_subset(variety: Variety, size: int, seed: int, trial: int) -> np.ndar
     depends only on the list's length, and index order is lexicographic
     order, so the subsets are those of the sorted point list.
     """
+    if size < 0:
+        raise ValueError(f"subset size {size} must be >= 0")
     if size > variety.size:
         raise SizeExceedsVarietyError(
             f"requested {size} points from a variety of size {variety.size}")
@@ -77,6 +79,8 @@ def sample_subset(variety: Variety, size: int, seed: int, trial: int) -> np.ndar
 
 def sample_scalar_subset(q: int, size: int, seed: int, trial: int):
     """Seeded subset of F_q, same prefix-of-shuffle scheme with its own salt."""
+    if size < 0:
+        raise ValueError(f"subset size {size} must be >= 0")
     if size >= q:
         return list(range(q))
     order = list(range(q))
@@ -108,6 +112,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.k < 2:
+            raise ValueError(f"k = {self.k} must be >= 2")
         if self.sizes_mode not in ("threshold", "absolute"):
             raise ValueError(f"unknown sizes_mode {self.sizes_mode!r}")
 

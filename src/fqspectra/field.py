@@ -167,18 +167,6 @@ class FieldContext:
         res = _poly_mul_mod(list(da), list(db), list(self.modulus), self.p)
         return self.encode(res)
 
-    def _pow_poly(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply on polynomials: the reference the test
-        suite checks the table arithmetic against."""
-        result = 1
-        base = a
-        while e > 0:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
-
     def _smallest_generator(self) -> int:
         """The smallest encoding g that generates F_q^*: the first candidate
         with g^((q-1)/f) != 1 for every prime f dividing q - 1.
@@ -300,8 +288,21 @@ class FieldContext:
             acc = acc * self.p + (c % self.p)
         return acc
 
-    def elements(self) -> range:
-        return range(self.q)
+    def element(self, a: int) -> int:
+        """The encoding of the field element an integer argument names.
+
+        Over a prime field every integer names its residue, a mod p.  Over an
+        extension field an integer is an encoding, and only 0..q-1 are
+        encodings: anything else raises ValueError rather than being read
+        as some other element.
+        """
+        a = int(a)
+        if self.n == 1:
+            return a % self.p
+        if not 0 <= a < self.q:
+            raise ValueError(f"{a} is not an element of F_{self.q}: "
+                             f"its elements are encoded 0..{self.q - 1}")
+        return a
 
     # -- scalar arithmetic --------------------------------------------------
 
@@ -346,10 +347,6 @@ class FieldContext:
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
 
-    def char(self, a: int) -> complex:
-        """Canonical additive character chi(a) = exp(2*pi*i*Tr(a)/p)."""
-        return complex(self.char_table[self.trace_table[a]])
-
     # -- vectorized arithmetic on int64 arrays of encodings ------------------
 
     def add_vec(self, A, B):
@@ -361,19 +358,6 @@ class FieldContext:
             out += (((A // pk) + (B // pk)) % self.p) * pk
             pk *= self.p
         return out
-
-    def sub_vec(self, A, B):
-        if self.n == 1:
-            return (A - B) % self.p
-        out = np.zeros_like(A - B)
-        pk = 1
-        for _ in range(self.n):
-            out += (((A // pk) - (B // pk)) % self.p) * pk
-            pk *= self.p
-        return out
-
-    def neg_vec(self, A):
-        return self.sub_vec(np.zeros_like(A), A)
 
     def mul_vec(self, A, B):
         if self.n == 1:

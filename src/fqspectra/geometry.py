@@ -15,7 +15,6 @@ from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
     EmptyVarietyError,
-    InvariantError,
     SearchSpaceTooLargeError,
     ZeroParameterError,
 )
@@ -56,8 +55,9 @@ class PolySpec:
 
 
 def sphere_poly(ctx: FieldContext, d: int, j: int) -> PolySpec:
-    """x_1^2 + ... + x_d^2 - j, defined for j != 0."""
-    if j % ctx.q == 0:
+    """x_1^2 + ... + x_d^2 - j, defined for a field element j != 0."""
+    j = ctx.element(j)
+    if j == 0:
         raise ZeroParameterError("sphere radius j must be nonzero")
     unit = tuple(tuple(2 if i == k else 0 for i in range(d)) for k in range(d))
     terms = [(1, e) for e in unit]
@@ -74,21 +74,22 @@ def paraboloid_poly(ctx: FieldContext, d: int) -> PolySpec:
 
 
 def minkowski_poly(ctx: FieldContext, d: int, j: int) -> PolySpec:
-    """x_1 * x_2 * ... * x_d - j, defined for j != 0."""
-    if j % ctx.q == 0:
+    """x_1 * x_2 * ... * x_d - j, defined for a field element j != 0."""
+    j = ctx.element(j)
+    if j == 0:
         raise ZeroParameterError("minkowski radius j must be nonzero")
     return PolySpec(d, (((1, (1,) * d)), (ctx.neg(j), (0,) * d)))
 
 
 def diagonal_poly(ctx: FieldContext, d: int, s: int, coeffs=None) -> PolySpec:
-    """a_1 x_1^s + ... + a_d x_d^s with every a_j nonzero, s >= 2."""
+    """a_1 x_1^s + ... + a_d x_d^s with every a_j a nonzero field element,
+    s >= 2."""
     if s < 2:
         raise ValueError(f"diagonal exponent s = {s} must be >= 2")
-    if coeffs is None:
-        coeffs = (1,) * d
-    if len(coeffs) != d or any(c % ctx.q == 0 for c in coeffs):
+    coeffs = (1,) * d if coeffs is None else tuple(ctx.element(c) for c in coeffs)
+    if len(coeffs) != d or 0 in coeffs:
         raise ValueError("diagonal polynomial needs d nonzero coefficients")
-    return PolySpec(d, tuple((int(c), tuple(s if i == k else 0 for i in range(d)))
+    return PolySpec(d, tuple((c, tuple(s if i == k else 0 for i in range(d)))
                              for k, c in enumerate(coeffs)))
 
 
@@ -111,21 +112,6 @@ def diagonal_shape(spec: PolySpec):
     if s is None or s < 2 or any(c == 0 for c in coeffs):
         return None
     return s, tuple(coeffs)
-
-
-def eval_poly(ctx: FieldContext, spec: PolySpec, x) -> int:
-    """Exact value of the polynomial at one point."""
-    if len(x) != spec.d:
-        raise DimensionMismatchError(
-            f"point has {len(x)} coordinates, polynomial arity is {spec.d}")
-    acc = 0
-    for coeff, exps in spec.terms:
-        t = coeff
-        for xi, e in zip(x, exps):
-            if e:
-                t = ctx.mul(t, ctx.pow(int(xi), e))
-        acc = ctx.add(acc, t)
-    return acc
 
 
 def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
@@ -159,7 +145,11 @@ def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric d x d matrix of field-element encodings; Q(x) = x^T M x."""
+    """Symmetric d x d matrix of field elements; Q(x) = x^T M x.
+
+    Entries are read through `FieldContext.element` wherever they meet a
+    field, so over an extension field an entry outside 0..q-1 is rejected.
+    """
 
     d: int
     matrix: tuple
@@ -195,17 +185,6 @@ class QuadraticForm:
                 f"form {spec!r} has dimension {form.d}, expected d = {d}")
         return form
 
-    def evaluate(self, ctx: FieldContext, x) -> int:
-        if len(x) != self.d:
-            raise DimensionMismatchError("point/form dimension mismatch")
-        acc = 0
-        for i in range(self.d):
-            for j in range(self.d):
-                m = self.matrix[i][j]
-                if m:
-                    acc = ctx.add(acc, ctx.mul(m, ctx.mul(int(x[i]), int(x[j]))))
-        return acc
-
     def value_table(self, dom: PointDomain) -> np.ndarray:
         """Q(x) over all of F_q^d in canonical index order."""
         if self.d != dom.d:
@@ -216,7 +195,7 @@ class QuadraticForm:
         for i in range(self.d):
             xi = dom.coord_array(i)
             for j in range(self.d):
-                m = self.matrix[i][j]
+                m = ctx.element(self.matrix[i][j])
                 if m:
                     term = ctx.mul_vec(ctx.mul_vec(xi, dom.coord_array(j)),
                                        np.int64(m))
@@ -225,7 +204,7 @@ class QuadraticForm:
 
     def determinant(self, ctx: FieldContext) -> int:
         """Exact determinant over F_q by Gaussian elimination."""
-        m = [list(row) for row in self.matrix]
+        m = [[ctx.element(c) for c in row] for row in self.matrix]
         det = 1
         for col in range(self.d):
             pivot = next((r for r in range(col, self.d) if m[r][col]), None)
@@ -378,33 +357,25 @@ class RegularityReport:
 
 
 def regularity_check(graph, thresholds=DEFAULT_THRESHOLDS) -> RegularityReport:
-    """Read the two regularity constants of a variety V off its Cayley
-    spectrum and apply the thresholds.
+    """Read the two regularity constants of a variety V off the scan of its
+    Cayley spectrum and apply the thresholds.
 
     `graph` is the `spectra.Spectrum` of the Cayley digraph with connection
     set V, as `spectra.cayley_spectrum` builds it: its degree is |V| and its
     eigenvalues are V's character sums, so c1 = degree / q^(d-1) and
-    c2 = lambda_mixing / q^((d-1)/2).  argmax_m is the first maximizer
-    m != 0 in index order (deterministic).  A Parseval identity check guards
-    the eigenvalues on every invocation.
+    c2 = lambda_mixing / q^((d-1)/2), and argmax_m is the scan's
+    argmax_mixing, the first maximizer m != 0 in index order.  The scan that
+    built `graph` already checked Parseval's identity on the eigenvalues.
     """
     q, d, size = graph.q, graph.d, graph.degree
     if size == 0:
         raise EmptyVarietyError("regularity check needs a nonempty variety")
-    mods = np.abs(graph.eigenvalues)
-    # Parseval audit: sum_m |sum_x chi(-m.x)|^2 == q^d * |V|
-    total = float(np.sum(mods ** 2))
-    expected = float(graph.order * size)
-    if abs(total - expected) > 1e-6 * expected:
-        raise InvariantError(
-            f"Parseval audit failed: {total} vs {expected} (scan is inconsistent)")
-    arg = 1 + int(np.argmax(mods[1:]))  # first maximizer in index order
     c1 = size / q ** (d - 1)
     c2 = graph.lambda_mixing / q ** ((d - 1) / 2)
     c1_lo, c1_hi, c2_max = thresholds
     return RegularityReport(
         q=q, d=d, size=size, size_constant=c1, fourier_constant=c2,
-        argmax_m=tuple(int(c) for c in np.unravel_index(arg, (q,) * d)),
+        argmax_m=tuple(int(c) for c in np.unravel_index(graph.argmax_mixing, (q,) * d)),
         thresholds=tuple(thresholds),
         size_ok=bool(c1_lo <= c1 <= c1_hi), fourier_ok=bool(c2 <= c2_max),
     )

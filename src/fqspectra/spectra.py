@@ -9,10 +9,11 @@ differs from the degree.
 A spectrum is a streamed scan.  Its eigenvalues arrive as consecutive slices
 of the table in index order: the one character-sum table of a connection set
 in F_q^d, or, for the affine digraph on F_q x F_q^{2d}, one closed-form slice
-of q^(2d) cells per m0.  One blocked pass over the moduli gives the degree
-check, lambda_second with its first maximiser, and lambda_mixing; the full
-table is built only when someone reads it (`Spectrum.eigenvalues`), and
-`spectrum ... --out` writes the slices without building it.
+of q^(2d) cells per m0.  One blocked pass over the moduli is the only reader
+of the eigenvalues: it checks the degree and Parseval's identity, and gives
+lambda_second and lambda_mixing with their first maximisers.  Nothing here
+builds a whole affine table; `spectrum ... --out` writes the slices as they
+stream.
 
 Mixing audits count a block of multiset pairs (B_i, C_i) at once.  The
 multisets are laid out as padded (pairs x width) arrays of flat indices and
@@ -29,7 +30,7 @@ Fractions.
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .domains import (
     TABLE_MAX,
     PointDomain,
     character_sum_table,
-    resolve_method,
 )
 from .errors import (
     ExponentDivisibleByCharacteristicError,
@@ -65,20 +65,24 @@ class Spectrum:
     The eigenvalue at the canonical flat index m is sum_{s in S} chi(m . s).
     `slices` returns, on every call, an iterable of consecutive arrays whose
     concatenation is that table in index order.  The summary constants below
-    come from one blocked scan of those arrays; the full table, `eigenvalues`,
-    is built from a fresh pass only when someone reads it, and the CLI's
-    `--out` writer streams the slices without building it.
+    come from one blocked scan of those arrays, which also checks the trivial
+    eigenvalue against the degree and the sum of |lam_m|^2 against
+    order * degree (Parseval).  A Cayley spectrum's one slice is the
+    character-sum table its closure holds; affine slices are rebuilt on each
+    call.  Nothing in the package joins the slices into one table: the
+    CLI's `--out` writer streams them.
 
     lambda_second excludes exactly the eigenvalues of modulus equal to the
     degree (so a connection set equal to a coset union of a subgroup still
     gets a sensible second eigenvalue); argmax_m is its first maximiser in
     index order.
 
-    lambda_mixing is the maximum modulus over all m != 0 with no exclusion.
-    It is the constant the expander-mixing inequality actually requires: for
-    a connection set inside a coset of a proper subgroup, some nontrivial
-    eigenvalue has modulus equal to the degree, lambda_second understates it,
-    and the mixing bound with lambda_second would be false.
+    lambda_mixing is the maximum modulus over all m != 0 with no exclusion,
+    and argmax_mixing its first maximiser m != 0.  It is the constant the
+    expander-mixing inequality actually requires: for a connection set inside
+    a coset of a proper subgroup, some nontrivial eigenvalue has modulus equal
+    to the degree, lambda_second understates it, and the mixing bound with
+    lambda_second would be false.
     """
 
     q: int
@@ -88,36 +92,8 @@ class Spectrum:
     lambda_second: float
     argmax_m: int
     lambda_mixing: float
-    method: str
+    argmax_mixing: int
     slices: Callable[[], Iterable[np.ndarray]] = field(repr=False, compare=False)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """The full eigenvalue table, built from `slices` on first read.
-
-        A single slice is the table itself and is not copied: a second
-        long-lived copy of a q^d table was measured to make later transform
-        folds of that size fault in fresh pages on every call.
-        """
-        parts = iter(self.slices())
-        first = next(parts)
-        if len(first) == self.order:
-            return first
-        table = np.empty(self.order, dtype=np.complex128)
-        table[:len(first)] = first
-        start = len(first)
-        for part in parts:
-            table[start:start + len(part)] = part
-            start += len(part)
-        return table
-
-    def eigenvalue(self, m) -> complex:
-        if isinstance(m, tuple):
-            acc = 0
-            for c in m:
-                acc = acc * self.q + int(c)
-            m = acc
-        return complex(self.eigenvalues[m])
 
     def summary(self) -> dict:
         return {
@@ -128,7 +104,7 @@ class Spectrum:
         }
 
 
-def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
+def _scan_spectrum(ctx, dom, degree, slices) -> Spectrum:
     """The Spectrum of the eigenvalue table that `slices()` yields in order,
     read in blocks of at most _SCAN_BLOCK cells.
 
@@ -136,15 +112,20 @@ def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
     tolerance of the degree, is the largest kept one, and only a block whose
     largest modulus is within tolerance takes the masked path.  Maxima and
     first maximisers are exact, and blocks are compared with a strict `>`, so
-    the result is that of one whole-table scan, bit for bit.
+    the result is that of one whole-table scan, bit for bit.  The squared
+    moduli are summed on the way; InvariantError unless the sum is
+    order * degree to within 1e-6 relative (Parseval), or unless the trivial
+    eigenvalue is the degree.
     """
     tol = _DEGREE_EQ_RTOL * max(1.0, degree)
-    arg, lam, lam_mixing = 0, -1.0, 0.0  # lam < 0 until a modulus is kept
-    offset = 0
+    arg, lam = 0, -1.0  # lam < 0 until a modulus is kept
+    arg_mixing, lam_mixing = 0, -1.0  # lam_mixing < 0 until an m != 0 is read
+    energy, offset = 0.0, 0
     for part in slices():
         for start in range(0, len(part), _SCAN_BLOCK):
             block = part[start:start + _SCAN_BLOCK]
             mods = np.abs(block)
+            energy += float(np.dot(mods, mods))
             hi = int(np.argmax(mods))
             top = mods[hi]
             if offset == 0:
@@ -153,9 +134,11 @@ def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
                     raise InvariantError(
                         f"trivial eigenvalue {lam0} != degree {degree}; "
                         "spectrum inconsistent")
-                lam_mixing = float(mods[1:].max(initial=0.0))
+                if len(block) > 1:
+                    arg_mixing = 1 + int(np.argmax(mods[1:]))
+                    lam_mixing = float(mods[arg_mixing])
             elif top > lam_mixing:
-                lam_mixing = float(top)
+                arg_mixing, lam_mixing = offset + hi, float(top)
             if abs(top - degree) > tol:
                 i, value = hi, top
             else:
@@ -165,9 +148,13 @@ def _scan_spectrum(ctx, dom, degree, slices, method) -> Spectrum:
             if value > lam:
                 arg, lam = offset + i, value
             offset += len(block)
+    expected = float(dom.size * degree)
+    if abs(energy - expected) > 1e-6 * expected:
+        raise InvariantError(
+            f"Parseval audit failed: {energy} vs {expected} (spectrum inconsistent)")
     return Spectrum(q=ctx.q, d=dom.d, order=dom.size, degree=degree,
-                    lambda_second=max(float(lam), 0.0),
-                    argmax_m=arg, lambda_mixing=lam_mixing, method=method,
+                    lambda_second=max(float(lam), 0.0), argmax_m=arg,
+                    lambda_mixing=max(lam_mixing, 0.0), argmax_mixing=arg_mixing,
                     slices=slices)
 
 
@@ -180,29 +167,21 @@ def require_spectrum_budget(dom: PointDomain, name: str = "q^d"):
             f"{name} = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
 
 
-def cayley_spectrum(ctx: FieldContext, points, d: int | None = None) -> Spectrum:
+def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:
     """Spectrum of the Cayley digraph on F_q^d with connection set `points`,
-    an index array or a sequence of coordinate tuples; d may be omitted for
-    a nonempty sequence of tuples.
+    an index array or a sequence of coordinate tuples.
 
-    The eigenvalues are `character_sum_table` of the connection set, and
-    `Spectrum.method` names the path `resolve_method` chose for its size.
-    For a variety V this is also V's regularity data: the degree is |V| and
+    The eigenvalues are `character_sum_table` of the connection set.  For a
+    variety V this is also V's regularity data: the degree is |V| and
     lambda_mixing the largest nontrivial Fourier modulus (see
     `geometry.regularity_check`)."""
-    if d is None:
-        points = list(points)
-        if not points or np.ndim(points[0]) != 1:
-            raise ValueError("need d for an empty connection set or flat indices")
-        d = len(points[0])
     dom = PointDomain(ctx, d)
     require_spectrum_budget(dom)
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
     eigenvalues = character_sum_table(dom, idx)
-    return _scan_spectrum(ctx, dom, len(idx), lambda: (eigenvalues,),
-                          resolve_method(ctx, len(idx)))
+    return _scan_spectrum(ctx, dom, len(idx), lambda: (eigenvalues,))
 
 
 @dataclass(frozen=True)
@@ -230,15 +209,17 @@ def euclidean_spectrum(dom: PointDomain, qvals, t: int):
     which callers build once per form and domain after checking the budget
     with `require_spectrum_budget` and the form with
     `QuadraticForm.require_nondegenerate`: the bound below is stated for a
-    nondegenerate Q.  For t != 0 the returned check asserts the classical
+    nondegenerate Q.  t is a field element (see `FieldContext.element`).
+    For t != 0 the returned check asserts the classical
     2*q^((d-1)/2) bound; t = 0 is allowed but flagged as outside that
     statement's hypothesis.
     """
     qvals = dom.as_values(qvals)
     ctx, d = dom.ctx, dom.d
-    spec = cayley_spectrum(ctx, np.flatnonzero(qvals == t % ctx.q), d=d)
+    t = ctx.element(t)
+    spec = cayley_spectrum(ctx, np.flatnonzero(qvals == t), d=d)
     bound = 2.0 * ctx.q ** ((d - 1) / 2)
-    if t % ctx.q == 0:
+    if t == 0:
         check = BoundCheck(spec.lambda_second, bound, True,
                            note="t = 0 is outside the bound's hypothesis; not asserted")
     else:
@@ -254,15 +235,14 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
 
     The eigenvalues come in closed form from the coordinate-factorized
     one-dimensional Weil sums W(a, b) = sum_u chi(a*u^s + b*u), so the
-    connection set is never enumerated; `Spectrum.method` is 'closed'.  The
-    test suite checks them against character sums over the enumerated set.
+    connection set is never enumerated.  The test suite checks them against
+    character sums over the enumerated set.
 
     The eigenvalue at m = (m0, m_1..m_2d) is 0 when m0 = 0 and m != 0, and
     otherwise a product of 2d sums W(+-m0*a_j, m_j).  `_affine_slices`
     streams the q slices m0 = 0..q-1 of q^(2d) cells each, and the summary
-    constants come from one blocked scan of them: the q^(2d+1) table is built
-    only when `Spectrum.eigenvalues` is read, and `spectrum affine --out`
-    writes the rows slice by slice.
+    constants come from one blocked scan of them: the q^(2d+1) table is never
+    built, and `spectrum affine --out` writes the rows slice by slice.
 
     With every a_j != 0 and p not dividing s, Weil's bound
     |W(a, b)| <= (s-1)*sqrt(q) for a != 0 gives lambda <= (s-1)^(2d) * q^d;
@@ -290,7 +270,7 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     bu = ctx.mul_vec(u[:, None], u[None, :])
     W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
     spec = _scan_spectrum(ctx, dom, ctx.q ** (2 * d),
-                          partial(_affine_slices, ctx, W, coeffs), "closed")
+                          partial(_affine_slices, ctx, W, coeffs))
     bound = float((s - 1) ** (2 * d) * ctx.q ** d)
     check = BoundCheck(spec.lambda_second, bound,
                        spec.lambda_second <= bound + AUDIT_RTOL * bound, note="",

@@ -14,10 +14,16 @@ with `character_sum_table`, neither of which the closed-form affine
 spectrum it checks ever calls.  The broadcast one is the closed form as one
 whole table, built with the field's vector arithmetic; the streamed slices
 must equal it bit for bit.  `scan_reference` is the whole-table moduli scan
-that the blocked scan must reproduce.  `smallest_generator_reference` is the
-scalar generator search, on the field's polynomial `_pow_poly`, that the
-batched search must agree with, and `spectrum_text_reference` the per-cell
-`--out` format the streamed writer must reproduce byte for byte.
+that the blocked scan must reproduce, and `eigenvalue_table` the one
+whole-table reader of a streamed spectrum.  `smallest_generator_reference` is
+the scalar generator search, on the polynomial `pow_poly`, that the batched
+search must agree with, and `spectrum_text_reference` the per-cell `--out`
+format the streamed writer must reproduce byte for byte.
+
+The scalar references (`point_of`, `index_add`, `eval_poly`,
+`eval_quadratic`, `char`, `pow_poly`) evaluate one point or element at a
+time with the field's scalar operations, for the array paths to be checked
+against.
 """
 
 import itertools
@@ -28,8 +34,80 @@ from fractions import Fraction
 import numpy as np
 
 from fqspectra.domains import PointDomain, character_sum_table
-from fqspectra.errors import InvariantError
+from fqspectra.errors import DimensionMismatchError, InvariantError
 from fqspectra.geometry import PolySpec, eval_poly_table
+
+
+def point_of(dom, idx):
+    """The coordinate tuple of the flat index idx of F_q^d."""
+    q = dom.ctx.q
+    out = []
+    for _ in range(dom.d):
+        out.append(int(idx % q))
+        idx //= q
+    return tuple(reversed(out))
+
+
+def index_add(dom, A, B):
+    """Digit-wise base-p addition, the group law on flat indices; A and B may
+    be Python ints or integer arrays."""
+    p = dom.ctx.p
+    out, pk = 0, 1
+    for _ in range(dom.nd):
+        out = out + (((A // pk) + (B // pk)) % p) * pk
+        pk *= p
+    return out
+
+
+def eval_poly(ctx, spec, x):
+    """Exact value of the polynomial spec at the point x."""
+    if len(x) != spec.d:
+        raise DimensionMismatchError(
+            f"point has {len(x)} coordinates, polynomial arity is {spec.d}")
+    acc = 0
+    for coeff, exps in spec.terms:
+        t = coeff
+        for xi, e in zip(x, exps):
+            if e:
+                t = ctx.mul(t, ctx.pow(int(xi), e))
+        acc = ctx.add(acc, t)
+    return acc
+
+
+def eval_quadratic(ctx, form, x):
+    """Q(x) = x^T M x of a QuadraticForm at the point x."""
+    if len(x) != form.d:
+        raise DimensionMismatchError("point/form dimension mismatch")
+    acc = 0
+    for i in range(form.d):
+        for j in range(form.d):
+            m = form.matrix[i][j]
+            if m:
+                acc = ctx.add(acc, ctx.mul(m, ctx.mul(int(x[i]), int(x[j]))))
+    return acc
+
+
+def char(ctx, a):
+    """The canonical additive character chi(a) = exp(2*pi*i*Tr(a)/p)."""
+    return complex(ctx.char_table[ctx.trace_table[a]])
+
+
+def pow_poly(ctx, a, e):
+    """a^e by square-and-multiply on polynomials, independent of the
+    field's log/antilog tables."""
+    result, base = 1, a
+    while e > 0:
+        if e & 1:
+            result = ctx._mul_poly(result, base)
+        base = ctx._mul_poly(base, base)
+        e >>= 1
+    return result
+
+
+def eigenvalue_table(spec):
+    """The whole eigenvalue table of a Spectrum: its slices concatenated in
+    index order."""
+    return np.concatenate(list(spec.slices()))
 
 
 def add_pts(p, x, y):
@@ -121,7 +199,8 @@ def affine_eigenvalues_direct(ctx, s, coeffs, d):
     terms += [(ctx.neg(c), unit[d + j]) for j, c in enumerate(coeffs)]
     dom2d = PointDomain(ctx, 2 * d)
     diff = eval_poly_table(dom2d, PolySpec(2 * d, tuple(terms)))
-    conn = ctx.neg_vec(diff) * dom2d.size + np.arange(dom2d.size, dtype=np.int64)
+    neg_diff = ctx.mul_vec(diff, np.int64(ctx.neg(1)))
+    conn = neg_diff * dom2d.size + np.arange(dom2d.size, dtype=np.int64)
     return character_sum_table(PointDomain(ctx, 2 * d + 1), conn)
 
 
@@ -147,9 +226,9 @@ def affine_eigenvalues_broadcast(ctx, s, coeffs, d):
 
 
 def scan_reference(eigenvalues, degree):
-    """(lambda_second, argmax_m, lambda_mixing) of a whole eigenvalue table,
-    with every temporary the size of the table; InvariantError when the
-    trivial eigenvalue is not the degree."""
+    """(lambda_second, argmax_m, lambda_mixing, argmax_mixing) of a whole
+    eigenvalue table, with every temporary the size of the table;
+    InvariantError when the trivial eigenvalue is not the degree."""
     lam0 = eigenvalues[0]
     if abs(lam0 - degree) > 1e-9 * max(1.0, degree):
         raise InvariantError(f"trivial eigenvalue {lam0} != degree {degree}")
@@ -161,8 +240,9 @@ def scan_reference(eigenvalues, degree):
         lam = float(masked[arg])
     else:
         arg, lam = 0, 0.0
-    lam_mixing = float(mods[1:].max()) if len(mods) > 1 else 0.0
-    return lam, arg, lam_mixing
+    arg_mixing = 1 + int(np.argmax(mods[1:])) if len(mods) > 1 else 0
+    lam_mixing = float(mods[arg_mixing]) if len(mods) > 1 else 0.0
+    return lam, arg, lam_mixing, arg_mixing
 
 
 def spectrum_text_reference(eigenvalues):
@@ -270,7 +350,7 @@ def smallest_generator_reference(ctx):
     if m > 1:
         factors.add(m)
     for cand in range(2, q):
-        if all(ctx._pow_poly(cand, (q - 1) // f) != 1 for f in factors):
+        if all(pow_poly(ctx, cand, (q - 1) // f) != 1 for f in factors):
             return cand
     return None
 

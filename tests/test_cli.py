@@ -445,6 +445,64 @@ def test_experiment_form_of_wrong_dimension_is_a_usage_error(tmp_path, capsys):
     assert "DimensionMismatchError" in err
 
 
+F9 = ["--p", "3", "--n", "2"]
+# Every flag that passes a field element, over F_9; "{}" is the element.
+ELEMENT_FLAGS = {
+    "spectrum-euclidean-form": ["spectrum", "euclidean", *F9, "--t", "1",
+                                "--form", "diag:1,{}"],
+    "energy-nu-form": ["energy", "nu", *F9, "--k", "2", "--form", "diag:1,{}"],
+    "energy-delta-form": ["energy", "delta", *F9, "--k", "2", "--form", "diag:1,{}"],
+    "spectrum-affine-coeffs": ["spectrum", "affine", *F9, "--d", "1", "--coeffs", "{}"],
+    "energy-nup-coeffs": ["energy", "nup", *F9, "--k", "2", "--s", "2",
+                          "--coeffs", "1,{}"],
+    "energy-delta-coeffs": ["energy", "delta", *F9, "--k", "2", "--s", "2",
+                            "--coeffs", "1,{}"],
+    "energy-nup-x-set": ["energy", "nup", *F9, "--k", "2", "--s", "2", "--x-set", "0,{}"],
+    "spectrum-euclidean-t": ["spectrum", "euclidean", *F9, "--t", "{}"],
+    "sphere-j": ["variety", "check", *F9, "--family", "sphere", "--j", "{}"],
+    "minkowski-j": ["variety", "check", *F9, "--family", "minkowski", "--j", "{}"],
+}
+
+
+@pytest.mark.parametrize("value", ["9", "-1"])
+@pytest.mark.parametrize("argv", ELEMENT_FLAGS.values(), ids=ELEMENT_FLAGS.keys())
+def test_non_element_of_an_extension_field_is_a_usage_error(argv, value, capsys):
+    # Over F_9 an integer argument is an encoding: 9 and -1 name no element.
+    code, out, err = run_cli([a.format(value) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {value} is not an element of F_9: its elements are encoded 0..8\n"
+
+
+def test_prime_field_elements_reduce_modulo_p(capsys):
+    def spectrum(t, form):
+        return run_cli(["spectrum", "euclidean", "--p", "5", "--t", t, "--form", form],
+                       capsys)
+    assert spectrum("-1", "diag:1,-6") == spectrum("4", "diag:1,4")
+    assert spectrum("-1", "diag:1,-6")[0] == 0
+
+
+def _plan(tmp_path, text):
+    path = tmp_path / "plan.txt"
+    path.write_text("p = 5\nd = 2\nsizes = 3\nsizes_mode = absolute\ntrials = 1\n" + text)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["coverage", "energy", "sumset"])
+def test_plan_k_below_2_is_a_usage_error(kind, tmp_path, capsys):
+    code, out, err = run_cli(["experiment", kind, "--plan", _plan(tmp_path, "k = 1\n")],
+                             capsys)
+    assert (code, out, err) == (1, "", "error: k = 1 must be >= 2\n")
+
+
+def test_negative_subset_sizes_are_usage_errors(tmp_path, capsys):
+    code, out, err = run_cli(["energy", "nu", "--p", "5", "--k", "2", "--subset", "-1"],
+                             capsys)
+    assert (code, out, err) == (1, "", "error: subset size -1 must be >= 0\n")
+    plan = _plan(tmp_path, "k = 2\nx_sizes = -1\n")
+    code, out, err = run_cli(["experiment", "sumset", "--plan", plan], capsys)
+    assert (code, out, err) == (1, "", "error: subset size -1 must be >= 0\n")
+
+
 def test_invariant_error_exits_1_without_traceback(monkeypatch, capsys):
     real = spectra_mod.character_sum_table
 

@@ -1,10 +1,10 @@
 """Every module-level import in the package source is used, and every
-module-level private function is read somewhere in the package.
+module-level function and public method is read somewhere in the package.
 
 No linter ships with the project, so these stdlib-only checks stand in for
 one.  `__init__.py` is skipped by the import check: its imports are the
-package's re-exports.  A private function that only the tests read belongs
-in the tests.
+package's re-exports, and a re-export is not a read.  A function or method
+that only the tests read belongs in the tests, as a reference.
 """
 
 import ast
@@ -41,17 +41,23 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_functions(sources: dict) -> list:
-    """Module-level `def _name` functions of `sources` (module name ->
-    source) that no module in it reads, by name or as an attribute."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def _read_names(trees) -> set:
+    """Every name the trees read, as a loaded name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_functions(sources: dict) -> list:
+    """Module-level `def _name` functions of `sources` (module name ->
+    source) that no module in it reads, by name or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names(trees.values())
     return sorted(f"{module}.{node.name} (line {node.lineno})"
                   for module, tree in trees.items() for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
@@ -72,3 +78,61 @@ def test_the_check_sees_unread_and_read_private_functions():
 def test_every_private_function_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unread_private_functions(sources) == []
+
+
+# Definitions no program module reads, each with the reason it stays.
+UNREAD_ALLOWED = {
+    # The benchmark's tracer wraps it (perfbench/spans.py), and a missing
+    # target fails the traced run; it leaves when the benchmark is re-aimed.
+    "domains.PointDomain.index_of",
+}
+
+
+def unread_definitions(sources: dict) -> list:
+    """Module-level functions, and public methods of module-level classes, of
+    `sources` (module name -> source) that no module in it reads, by name or
+    as an attribute.  Dunders are exempt."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names(trees.values())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                found = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                found = [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)
+                         and not sub.name.startswith("_")]
+            else:
+                continue
+            out += [f"{module}.{name}" for name, fn in found
+                    if not fn.name.startswith("__") and fn.name not in read]
+    return sorted(out)
+
+
+def test_the_check_sees_unread_public_functions_and_methods():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef unread():\n    pass\n\n\n"
+             "class K:\n    def __init__(self):\n        self.called()\n\n"
+             "    def called(self):\n        pass\n\n    def unread_method(self):\n"
+             "        pass\n\n    def _private(self):\n        pass\n",
+        "b": "from a import used\n\nused()\n",
+    }
+    assert unread_definitions(sources) == ["a.K.unread_method", "a.unread"]
+
+
+def test_the_check_flags_a_scalar_helper_left_in_the_package():
+    # The character chi(a) one element at a time, as FieldContext.char was:
+    # only the tests read it, so the check must flag it.
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    anchor = "    def trace(self, a: int) -> int:\n"
+    assert anchor in sources["field"]
+    sources["field"] = sources["field"].replace(anchor, (
+        "    def char(self, a: int) -> complex:\n"
+        "        return complex(self.char_table[self.trace_table[a]])\n\n" + anchor))
+    assert "field.FieldContext.char" in unread_definitions(sources)
+
+
+def test_every_function_and_public_method_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert set(unread_definitions(sources)) == UNREAD_ALLOWED

@@ -35,7 +35,10 @@ from oracles import (
     affine_eigenvalues_broadcast,
     affine_eigenvalues_direct,
     brute_second_eigenvalue,
+    eigenvalue_table,
+    index_add,
     mixing_reference,
+    point_of,
     scan_reference,
     spectrum_text_reference,
     sphere_points,
@@ -52,25 +55,27 @@ def _random_sets(ctx, d, how_many, seed):
     for _ in range(how_many):
         count = rng.randint(1, dom.size)
         idxs = rng.sample(range(dom.size), count)
-        out.append([dom.point_of(i) for i in idxs])
+        out.append([point_of(dom, i) for i in idxs])
     return out
 
 
 def test_whole_group_spectrum():
     pts = [(a, b) for a in range(3) for b in range(3)]
-    spec = cayley_spectrum(F3, pts)
+    spec = cayley_spectrum(F3, pts, d=2)
+    table = eigenvalue_table(spec)
     assert spec.degree == 9
-    assert abs(spec.eigenvalue((0, 0)) - 9) < 1e-9
-    assert max(abs(spec.eigenvalues[m]) for m in range(1, 9)) < 1e-10
+    assert abs(table[0] - 9) < 1e-9
+    assert max(abs(table[m]) for m in range(1, 9)) < 1e-10
     assert spec.lambda_second < 1e-10
 
 
 def test_paraboloid_spectrum_f3():
     v = builtin_variety(F3, "paraboloid", 2)
-    spec = cayley_spectrum(F3, v.points)
+    spec = cayley_spectrum(F3, v.points, d=2)
+    table = eigenvalue_table(spec)
     for m1 in range(3):
         for m2 in range(3):
-            lam = spec.eigenvalue((m1, m2))
+            lam = table[3 * m1 + m2]
             if m2 != 0:
                 assert abs(abs(lam) - 3 ** 0.5) < 1e-9
             elif m1 != 0:
@@ -80,9 +85,10 @@ def test_paraboloid_spectrum_f3():
 
 def test_sphere_spectrum_f3():
     v = builtin_variety(F3, "sphere", 2, 1)
-    spec = cayley_spectrum(F3, v.points)
-    assert spec.eigenvalue((1, 0)) == pytest.approx(1 + 0j, abs=1e-9)
-    assert spec.eigenvalue((1, 1)) == pytest.approx(-2 + 0j, abs=1e-9)
+    spec = cayley_spectrum(F3, v.points, d=2)
+    table = eigenvalue_table(spec)
+    assert table[3] == pytest.approx(1 + 0j, abs=1e-9)  # m = (1, 0)
+    assert table[4] == pytest.approx(-2 + 0j, abs=1e-9)  # m = (1, 1)
     assert spec.lambda_second == pytest.approx(2.0)
 
 
@@ -105,7 +111,7 @@ def test_second_eigenvalue_matches_adjacency_matrix_oracle():
         for _ in range(3):
             count = rng.randint(1, dom.size - 1)
             idxs = rng.sample(range(dom.size), count)
-            pts = [dom.point_of(i) for i in idxs]
+            pts = [point_of(dom, i) for i in idxs]
             spec = cayley_spectrum(ctx, pts, d=d)
             want = brute_second_eigenvalue(p, pts, d)
             assert spec.lambda_second == pytest.approx(want, abs=1e-6)
@@ -114,19 +120,18 @@ def test_second_eigenvalue_matches_adjacency_matrix_oracle():
 def test_eigenvalues_closed_under_conjugation():
     dom = PointDomain(F5, 2)
     for pts in _random_sets(F5, 2, 5, seed=99):
-        spec = cayley_spectrum(F5, pts, d=2)
+        table = eigenvalue_table(cayley_spectrum(F5, pts, d=2))
         for m in range(dom.size):
             neg = int(dom.index_neg(m))
-            assert spec.eigenvalues[neg] == pytest.approx(
-                np.conj(spec.eigenvalues[m]), abs=1e-8)
+            assert table[neg] == pytest.approx(np.conj(table[m]), abs=1e-8)
 
 
 def test_trace_identity():
     for ctx, d in [(F3, 2), (F5, 2), (F3, 3)]:
         for pts in _random_sets(ctx, d, 5, seed=13 * ctx.q + d):
-            spec = cayley_spectrum(ctx, pts, d=d)
+            table = eigenvalue_table(cayley_spectrum(ctx, pts, d=d))
             expected = ctx.q ** d if (0,) * d in set(pts) else 0
-            assert abs(np.sum(spec.eigenvalues) - expected) < 1e-6 * max(1, len(pts))
+            assert abs(np.sum(table) - expected) < 1e-6 * max(1, len(pts))
 
 
 def _euclidean(ctx, form, t, d):
@@ -179,9 +184,10 @@ def test_affine_spectrum_q3_s2_exact():
     spec, check = affine_cayley_spectrum(F3, P, 1)
     assert spec.order == 27 and spec.degree == 9
     dom = PointDomain(F3, 3)
+    table = eigenvalue_table(spec)
     for m in range(27):
-        m0 = dom.point_of(m)[0]
-        lam = abs(spec.eigenvalues[m])
+        m0 = point_of(dom, m)[0]
+        lam = abs(table[m])
         if m0 != 0:
             assert lam == pytest.approx(3.0, abs=1e-9)
         elif m != 0:
@@ -202,7 +208,7 @@ def test_affine_closed_matches_direct():
         P = diagonal_poly(ctx, d, s, tuple(range(1, d + 1)))
         closed, _ = affine_cayley_spectrum(ctx, P, d)
         direct = affine_eigenvalues_direct(ctx, s, tuple(range(1, d + 1)), d)
-        assert np.max(np.abs(closed.eigenvalues - direct)) < 1e-6 * closed.degree
+        assert np.max(np.abs(eigenvalue_table(closed) - direct)) < 1e-6 * closed.degree
 
 
 def test_affine_weil_ceiling_attained_over_f25():
@@ -212,7 +218,7 @@ def test_affine_weil_ceiling_attained_over_f25():
     P = diagonal_poly(F25, 1, 3)
     closed, check = affine_cayley_spectrum(F25, P, 1)
     direct = affine_eigenvalues_direct(F25, 3, (1,), 1)
-    assert np.max(np.abs(closed.eigenvalues - direct)) < 1e-6 * closed.degree
+    assert np.max(np.abs(eigenvalue_table(closed) - direct)) < 1e-6 * closed.degree
     assert closed.lambda_second == pytest.approx(100.0, abs=1e-9)
     assert check.bound == 100.0 and check.within
     assert check.normalized_bound == 25.0
@@ -221,7 +227,7 @@ def test_affine_weil_ceiling_attained_over_f25():
 def test_affine_trivial_eigenvalue_is_degree():
     P = diagonal_poly(F5, 1, 3)
     spec, _ = affine_cayley_spectrum(F5, P, 1)
-    assert spec.eigenvalues[0] == pytest.approx(25.0 + 0j, abs=1e-9)
+    assert eigenvalue_table(spec)[0] == pytest.approx(25.0 + 0j, abs=1e-9)
 
 
 def test_affine_rejects_bad_exponent_and_shape():
@@ -255,7 +261,6 @@ def test_affine_slices_equal_the_broadcast_table_bit_for_bit(pn, d, s):
         assert np.array_equal(part.view(np.uint64), want[m0 * width:(m0 + 1) * width])
         count += 1
     assert count == ctx.q
-    assert "eigenvalues" not in vars(spec)
 
 
 # (p, n), d, s, coeffs and the repr-exact lambda_second, argmax_m and
@@ -294,33 +299,38 @@ def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
 
 
 def test_affine_table_is_built_only_when_read(tmp_path):
+    # The spectrum holds its scan's constants and the slice generator, and
+    # no table; only a reader outside the program concatenates one.
     spec, _ = affine_cayley_spectrum(F5, diagonal_poly(F5, 2, 3), 2)
     path = tmp_path / "spectrum.txt"
     cli_mod._write_spectrum(spec, path)
-    assert "eigenvalues" not in vars(spec)
-    table = spec.eigenvalues
-    assert spec.eigenvalues is table and len(table) == spec.order == 5 ** 5
+    assert not any(isinstance(v, np.ndarray) for v in vars(spec).values())
+    table = eigenvalue_table(spec)
+    assert len(table) == spec.order == 5 ** 5
     assert path.read_text() == spectrum_text_reference(table)
-    assert spec.eigenvalue((2, 1, 0, 4, 3)) == complex(table[2 * 625 + 125 + 4 * 5 + 3])
 
 
 def test_sumset_runner_and_spectrum_affine_never_build_the_affine_table(
         monkeypatch, capsys):
-    table = spectra_mod.Spectrum.eigenvalues
+    # Each affine slice is read once, by the scan, and only one slice at a
+    # time is alive: the runner and the command never hold the table.
+    real = spectra_mod._affine_slices
+    passes = []
 
-    def guarded(self):
-        if self.method == "closed":
-            raise AssertionError("the affine eigenvalue table was built")
-        return table.func(self)
+    def counted(*args):
+        passes.append(0)
+        for part in real(*args):
+            passes[-1] += 1
+            yield part
 
-    monkeypatch.setattr(spectra_mod.Spectrum, "eigenvalues", property(guarded))
+    monkeypatch.setattr(spectra_mod, "_affine_slices", counted)
     plan = ExperimentPlan(p=7, d=2, k=3, s=2, sizes=(3, 6), sizes_mode="absolute",
                           x_sizes=(1, 3), trials=2, seed=1)
     assert sumset_experiment(plan).hard_failures == 0
+    assert passes == [7]
     assert cli_main(["spectrum", "affine", "--p", "5", "--d", "1", "--s", "3"]) == 0
     capsys.readouterr()
-    with pytest.raises(AssertionError):
-        affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)[0].eigenvalues
+    assert passes == [7, 5]
 
 
 def _coset_spectra(ctx):
@@ -337,28 +347,29 @@ def _coset_spectra(ctx):
 def test_blocked_scan_equals_the_whole_table_scan(block, monkeypatch):
     cases = []
     for ctx in (F5, FieldContext(7), FieldContext(3, 2)):
-        cases += [(PointDomain(ctx, 2), spec.eigenvalues, spec.degree)
+        cases += [(PointDomain(ctx, 2), eigenvalue_table(spec), spec.degree)
                   for spec in _coset_spectra(ctx)]
     for ctx, d, s in [(F5, 1, 3), (FieldContext(3, 2), 1, 4), (F3, 1, 2)]:
         cases.append((PointDomain(ctx, 2 * d + 1),
                       affine_eigenvalues_broadcast(ctx, s, (1,) * d, d), ctx.q ** (2 * d)))
     monkeypatch.setattr(spectra_mod, "_SCAN_BLOCK", block)
     for dom, table, degree in cases:
-        spec = spectra_mod._scan_spectrum(dom.ctx, dom, degree, lambda: (table,), "test")
-        got = (repr(spec.lambda_second), spec.argmax_m, repr(spec.lambda_mixing))
-        lam, arg, lam_mixing = scan_reference(table, degree)
-        assert got == (repr(lam), arg, repr(lam_mixing))
+        spec = spectra_mod._scan_spectrum(dom.ctx, dom, degree, lambda: (table,))
+        got = (repr(spec.lambda_second), spec.argmax_m, repr(spec.lambda_mixing),
+               spec.argmax_mixing)
+        lam, arg, lam_mixing, arg_mixing = scan_reference(table, degree)
+        assert got == (repr(lam), arg, repr(lam_mixing), arg_mixing)
         with pytest.raises(InvariantError):
-            spectra_mod._scan_spectrum(dom.ctx, dom, degree + 1, lambda: (table,), "test")
+            spectra_mod._scan_spectrum(dom.ctx, dom, degree + 1, lambda: (table,))
     # the blocks must straddle the coset entries of modulus equal to the degree
     one, _ = _coset_spectra(F5)
-    deg_idx = np.flatnonzero(np.abs(np.abs(one.eigenvalues) - one.degree) < 1e-9)
+    deg_idx = np.flatnonzero(np.abs(np.abs(eigenvalue_table(one)) - one.degree) < 1e-9)
     assert deg_idx.tolist() == [0, 5, 10, 15, 20]
 
 
 def test_cayley_duplicate_connection_set_rejected():
     with pytest.raises(ValueError):
-        cayley_spectrum(F3, [(1, 0), (1, 0)])
+        cayley_spectrum(F3, [(1, 0), (1, 0)], d=2)
 
 
 def test_spectrum_size_guard():
@@ -377,15 +388,15 @@ def test_index_arithmetic_matches_field_arithmetic(p, n, d):
     rng = np.random.default_rng(p * 100 + n * 10 + d)
     A = rng.integers(0, dom.size, 300)
     B = rng.integers(0, dom.size, 300)
-    add, sub, neg = dom.index_add(A, B), dom.index_sub(A, B), dom.index_neg(A)
+    add, sub, neg = index_add(dom, A, B), dom.index_sub(A, B), dom.index_neg(A)
     for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
-        x, y = dom.point_of(a), dom.point_of(b)
+        x, y = point_of(dom, a), point_of(dom, b)
         assert dom.index_of(x) == a
-        assert dom.point_of(add[i]) == tuple(ctx.add(u, v) for u, v in zip(x, y))
-        assert dom.point_of(sub[i]) == tuple(ctx.sub(u, v) for u, v in zip(x, y))
-        assert dom.point_of(neg[i]) == tuple(ctx.neg(u) for u in x)
-        assert dom.index_add(a, b) == add[i] and dom.index_sub(a, b) == sub[i]
-    assert np.array_equal(dom.as_indices([dom.point_of(a) for a in A.tolist()]), A)
+        assert point_of(dom, add[i]) == tuple(ctx.add(u, v) for u, v in zip(x, y))
+        assert point_of(dom, sub[i]) == tuple(ctx.sub(u, v) for u, v in zip(x, y))
+        assert point_of(dom, neg[i]) == tuple(ctx.neg(u) for u in x)
+        assert index_add(dom, a, b) == add[i] and dom.index_sub(a, b) == sub[i]
+    assert np.array_equal(dom.as_indices([point_of(dom, a) for a in A.tolist()]), A)
     # The (rows, w, 1) - (rows, 1, w) grid `mixing_audit` subtracts.
     C, D = A.reshape(30, 10), B.reshape(30, 10)
     grid = dom.index_sub(C[:, :, None], D[:, None, :])
@@ -405,11 +416,40 @@ def test_corrupted_trivial_eigenvalue_raises_invariant_error(monkeypatch):
 
     monkeypatch.setattr(spectra_mod, "character_sum_table", corrupted)
     with pytest.raises(InvariantError):
-        cayley_spectrum(F3, [(1, 0), (0, 1)])
+        cayley_spectrum(F3, [(1, 0), (0, 1)], d=2)
+
+
+def _double_largest_after_the_first(lam):
+    """A copy of a slice with its largest modulus past cell 0 doubled, so the
+    trivial eigenvalue of the first slice stays intact."""
+    lam = lam.copy()
+    lam[1 + int(np.argmax(np.abs(lam[1:])))] *= 2
+    return lam
+
+
+def test_corrupted_nontrivial_eigenvalue_fails_parseval(monkeypatch):
+    # Single slice: V's Cayley spectrum, built from one character-sum table.
+    real_table = spectra_mod.character_sum_table
+    monkeypatch.setattr(spectra_mod, "character_sum_table",
+                        lambda dom, points: _double_largest_after_the_first(
+                            real_table(dom, points)))
+    v = builtin_variety(F5, "sphere", 2, 1)
+    with pytest.raises(InvariantError, match="Parseval"):
+        cayley_spectrum(F5, v.indices, d=2)
+    # Many slices: the affine spectrum, corrupted in its third slice only.
+    real_slices = spectra_mod._affine_slices
+
+    def corrupted(*args):
+        for m0, part in enumerate(real_slices(*args)):
+            yield _double_largest_after_the_first(part) if m0 == 2 else part
+
+    monkeypatch.setattr(spectra_mod, "_affine_slices", corrupted)
+    with pytest.raises(InvariantError, match="Parseval"):
+        affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
-def test_spectrum_method_names_the_path_that_ran(p, n, monkeypatch):
+def test_character_sum_path_follows_the_size_rule(p, n, monkeypatch):
     ran = []
 
     def recording(path):
@@ -427,8 +467,8 @@ def test_spectrum_method_names_the_path_that_ran(p, n, monkeypatch):
     for size, want in [(1, "direct"), (threshold, "direct"),
                        (threshold + 1, "transform"), (ctx.q ** 2, "transform")]:
         ran.clear()
-        spec = cayley_spectrum(ctx, np.arange(size, dtype=np.int64), d=2)
-        assert spec.method == want and ran == [want]
+        cayley_spectrum(ctx, np.arange(size, dtype=np.int64), d=2)
+        assert ran == [want]
 
 
 def _member(dom, conn):
@@ -447,7 +487,7 @@ def _one_pair(B, C):
 
 def test_mixing_audit_whole_vertex_set():
     v = builtin_variety(F3, "sphere", 2, 1)
-    spec = cayley_spectrum(F3, v.points)
+    spec = cayley_spectrum(F3, v.points, d=2)
     dom = PointDomain(F3, 2)
     everything = Counter({i: 1 for i in range(dom.size)})
     audit = mixing_audit(spec, dom, _member(dom, v.indices),
@@ -459,7 +499,7 @@ def test_mixing_audit_whole_vertex_set():
 
 def test_mixing_audit_sphere_worked_example():
     v = builtin_variety(F3, "sphere", 2, 1)
-    spec = cayley_spectrum(F3, v.points)
+    spec = cayley_spectrum(F3, v.points, d=2)
     dom = PointDomain(F3, 2)
     B = Counter({int(i): 1 for i in v.indices})
     audit = mixing_audit(spec, dom, _member(dom, v.indices), *_one_pair(B, B))
@@ -471,7 +511,7 @@ def test_mixing_audit_sphere_worked_example():
 
 def test_mixing_audit_multiplicity_scaling():
     v = builtin_variety(F3, "sphere", 2, 1)
-    spec = cayley_spectrum(F3, v.points)
+    spec = cayley_spectrum(F3, v.points, d=2)
     dom = PointDomain(F3, 2)
     member = _member(dom, v.indices)
     single = Counter({0: 1})
@@ -554,7 +594,7 @@ def test_spectrum_out_text_equals_the_per_cell_format(case, rows, tmp_path, monk
     monkeypatch.setattr(cli_mod, "_WRITE_ROWS", rows)
     path = tmp_path / "spectrum.txt"
     cli_mod._write_spectrum(spec, path)
-    assert path.read_text() == spectrum_text_reference(spec.eigenvalues)
+    assert path.read_text() == spectrum_text_reference(eigenvalue_table(spec))
 
 
 def test_spectrum_out_reprs_keep_signed_zeros_and_specials():
@@ -567,7 +607,7 @@ def test_spectrum_out_reprs_keep_signed_zeros_and_specials():
 
 def test_export_rows_and_summary(tmp_path):
     v = builtin_variety(F3, "sphere", 2, 1)
-    spec = cayley_spectrum(F3, v.points)
+    spec = cayley_spectrum(F3, v.points, d=2)
     path = tmp_path / "spectrum.txt"
     cli_mod._write_spectrum(spec, path)
     header, *rows = path.read_text().splitlines()
