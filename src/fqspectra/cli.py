@@ -62,7 +62,7 @@ from .spectra import (
     euclidean_spectrum,
     mixing_audit,
     pad_multisets,
-    require_spectrum_budget,
+    require_table_budget,
 )
 
 EXIT_OK = 0
@@ -320,7 +320,7 @@ def _cmd_spectrum(args) -> int:
         form = QuadraticForm.parse(args.form, args.d)
         form.require_nondegenerate(ctx)
         dom = PointDomain(ctx, args.d)
-        require_spectrum_budget(dom)
+        require_table_budget(dom)
         spec, check = euclidean_spectrum(dom, form.value_table(dom), args.t)
     else:
         pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
@@ -392,17 +392,17 @@ def _cmd_energy(args) -> int:
 
 
 def _emit_table(table, args, extra=None) -> int:
-    if args.format == "csv" or (args.out and not args.pretty):
-        text = "t,count\n" + "\n".join(f"{t},{v}" for t, v in table.to_rows())
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            _emit({"out": args.out, **(extra or {})}, args, [f"table -> {args.out}"])
-        else:
-            print(text)
-        return EXIT_OK
-    payload = {"counts": {str(t): v for t, v in table.to_rows()}, **(extra or {})}
-    _emit(payload, args, [f"{t}: {v}" for t, v in table.to_rows()])
+    # --out always gets the CSV file; --pretty changes only what stdout shows.
+    text = "t,count\n" + "\n".join(f"{t},{v}" for t, v in table.to_rows())
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+        _emit({"out": args.out, **(extra or {})}, args, [f"table -> {args.out}"])
+    elif args.format == "csv":
+        print(text)
+    else:
+        payload = {"counts": {str(t): v for t, v in table.to_rows()}, **(extra or {})}
+        _emit(payload, args, [f"{t}: {v}" for t, v in table.to_rows()])
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ Points (x_1, ..., x_d) are flattened to the canonical index
 sum_j x_j * q^(d-1-j), so ascending index order is lexicographic order on
 coordinate tuples.  Because element encodings are base-p digit vectors, the
 flat index is simultaneously the base-p digit string of the point over
-n*d digits, which makes group translation a multi-axis np.roll and the
-full character table a (Z_p)^(n*d) transform.
+n*d digits.  So F_q^d is the group (Z_p)^(n*d) on tables of shape
+(p,) * (n*d): subtraction is digit-wise (`PointDomain.index_sub`), and the
+full character table and every fold (`energy.fold_counts`) are (Z_p)^(n*d)
+Fourier transforms.
 """
 
 import numpy as np
@@ -21,7 +23,8 @@ TABLE_MAX = 10 ** 7
 # is below _INT64_SAFE, and in Python ints (object dtype) otherwise.  It
 # covers:
 #   * fold count tables, whose dtype `energy._table_dtype` picks from the
-#     total mass |E|^j;
+#     total mass: |E|^j, or |a| * |b| for the sum of limb products in
+#     `energy._convolve`, none of whose partial sums exceeds the total;
 #   * `energy._exact_dot`, from a caller's bound on the dot product;
 #   * the `energy.nu_P_k` shift sum, of mass |X| * |E|^k;
 #   * the growth-audit correlation in `energy.energy_growth_audit`, of mass
@@ -142,18 +145,10 @@ class PointDomain:
     def index_neg(self, A):
         return self.index_sub(0, A)
 
-    def axis_shifts(self, idx: int) -> tuple:
-        """Per-axis digits of a flat index, ordered for np.roll on self.shape."""
-        p = self.ctx.p
-        digs = []
-        for _ in range(self.nd):
-            digs.append(int(idx % p))
-            idx //= p
-        return tuple(reversed(digs))
-
     def translate_table(self, table: np.ndarray, idx: int) -> np.ndarray:
-        """New table t'(z) = t(z - e) for the group element with flat index e."""
-        shifted = np.roll(table.reshape(self.shape), self.axis_shifts(idx),
+        """New table t'(z) = t(z - e) for the group element with flat index e:
+        a roll of each axis of self.shape by e's base-p digit on it."""
+        shifted = np.roll(table.reshape(self.shape), np.unravel_index(idx, self.shape),
                           axis=tuple(range(self.nd)))
         return shifted.reshape(table.shape)
 

@@ -4,12 +4,9 @@ generalized distance sets, and second-moment/sumset quantities.
 Everything on the counting side is exact integer arithmetic: tables switch to
 Python-int (object dtype) storage automatically once |E|^k could overflow
 int64, so inequality audits always compare an exact integer against a
-floating bound.  Convolutions are never *uncertified* transform-based.  A fold
-is taken from an inverse FFT of a power of the indicator's transform only
-under its rounding certificate: an a priori float-error bound below 1/2
-(derived in `fold_counts`), a total mass below 2^53, and, after rounding, the
-exact mass and no negative entry.  When any check fails, the sparse iterated
-fold (one np.roll per point of E) runs instead; it is the exact reference.
+floating bound.  Every fold is a product of Fourier transforms under the
+rounding certificate of `fold_counts`: the indicator's transform, or else
+limb products of two shallower folds; no count comes from an uncertified one.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
 most once.  Every function here that takes a point set E also takes a ladder.
@@ -21,18 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import _FLOAT_EXACT, _INT64_SAFE, TABLE_MAX, PointDomain
+from .domains import _FLOAT_EXACT, _INT64_SAFE, PointDomain
 from .errors import (
-    BudgetExceededError,
     EmptyXError,
     InconsistentTotalError,
     InvariantError,
     OddKError,
 )
 from .field import FieldContext
-from .spectra import AUDIT_RTOL, Spectrum
+from .spectra import AUDIT_RTOL, Spectrum, require_table_budget
 
-FOLD_BUDGET = 10 ** 9
 # Constant C of the per-line DFT error C * p^(3/2) * u assumed in fold_counts.
 _DFT_ERROR_CONST = 8.0
 
@@ -58,10 +53,8 @@ def _exact_dot(a: np.ndarray, b: np.ndarray, worst: int) -> int:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact nonnegative-integer counts over F_q^d ('points') or F_q ('scalars')."""
+    """Exact nonnegative-integer counts, over F_q^d or over F_q."""
 
-    kind: str
-    d: int
     q: int
     values: np.ndarray
 
@@ -81,14 +74,6 @@ def _table_dtype(mass: int):
     return object if mass >= _INT64_SAFE else np.int64
 
 
-def _shift_sum(dom: PointDomain, table: np.ndarray, shifts) -> np.ndarray:
-    """sum over e in shifts of table(z - e): one cyclic shift per element."""
-    out = np.zeros(dom.size, dtype=table.dtype)
-    for e in shifts:
-        out += dom.translate_table(table, int(e))
-    return out
-
-
 def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
     """A priori bound on max |computed - exact| of the transform fold whose
     factors have l1 norms `sizes` and l2 norms `norms`; see `fold_counts`."""
@@ -105,14 +90,14 @@ def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
 
 
 def _transform_fold(dom: PointDomain, factors):
-    """The convolution of the multiplicity vectors of `factors`, a list of
-    (flat indices, power) pairs, by an FFT over (Z_p)^(nd); int64 counts, or
-    None when the certificate described in `fold_counts` fails."""
-    counts = [np.bincount(idx, minlength=dom.size) for idx, _ in factors]
+    """The convolution of the nonnegative count tables of `factors`, a list of
+    (table, power) pairs, by an FFT over (Z_p)^(nd); int64 counts, or None
+    when the certificate described in `fold_counts` fails."""
     sizes, norms = [], []
-    for (idx, power), c in zip(factors, counts):
-        sizes += [len(idx)] * power
-        norms += [math.sqrt(_exact_dot(c, c, len(idx) ** 2))] * power
+    for c, power in factors:
+        s = _exact_total(c)
+        sizes += [s] * power
+        norms += [math.sqrt(_exact_dot(c, c, s * s))] * power
     mass = math.prod(sizes)
     if mass >= _FLOAT_EXACT:
         return None
@@ -120,7 +105,7 @@ def _transform_fold(dom: PointDomain, factors):
     if not bound < 0.5:
         return None
     prod = None
-    for (_, power), c in zip(factors, counts):
+    for c, power in factors:
         hat = np.fft.fftn(c.reshape(dom.shape))
         for _ in range(power):
             prod = hat if prod is None else prod * hat
@@ -134,44 +119,62 @@ def _transform_fold(dom: PointDomain, factors):
     return r
 
 
-def _roll_fold(dom: PointDomain, idx: np.ndarray, j: int, dtype) -> np.ndarray:
-    """The exact reference fold r_j = r_{j-1} (*) 1_E."""
-    r = np.bincount(idx, minlength=dom.size).astype(dtype)
-    for _ in range(j - 1):
-        r = _shift_sum(dom, r, idx)
-    if _exact_total(r) != len(idx) ** j:
-        raise InvariantError("fold mass conservation violated")
-    return r
+def _limbs(table: np.ndarray, w: int) -> list:
+    """(shift, int64 limb) for each nonzero base-2^w limb of a nonnegative
+    table: table = sum of limb * 2^shift."""
+    limbs = ((shift, ((table >> shift) & ((1 << w) - 1)).astype(np.int64))
+             for shift in range(0, int(table.max(initial=0)).bit_length(), w))
+    return [(shift, limb) for shift, limb in limbs if limb.any()]
+
+
+def _convolve(dom: PointDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (*) b for nonnegative integer tables, exact, from certified limb
+    products (see `fold_counts`); pass the same array twice for a square."""
+    mass = _exact_total(a) * _exact_total(b)
+    top = max(int(a.max(initial=0)), int(b.max(initial=0))).bit_length()
+    for w in range(max(1, min(top, 63)), 0, -1):
+        limbs_a = _limbs(a, w)
+        limbs_b = limbs_a if b is a else _limbs(b, w)
+        out = np.zeros(dom.size, dtype=_table_dtype(mass))
+        # A square is symmetric in its limbs: each unordered pair once, doubled.
+        for (sx, x), (sy, y) in ((x, y) for x in limbs_a for y in limbs_b
+                                 if b is not a or x[0] <= y[0]):
+            r = _transform_fold(dom, [(x, 2)] if x is y else [(x, 1), (y, 1)])
+            if r is None:
+                break
+            out += r.astype(out.dtype) * ((2 if b is a and x is not y else 1) << (sx + sy))
+        else:
+            if _exact_total(out) != mass:
+                raise InvariantError("fold mass conservation violated")
+            return out
+    raise InvariantError(f"no limb width certifies a fold of mass {mass}")
 
 
 def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """r_j(z) = number of ordered j-tuples from E summing to z, exact.
 
-    E is a sequence of points or a 1-D integer array of flat indices.  For
-    j >= 2 the table comes from the certified transform fold when the table
-    is int64, q^d <= TABLE_MAX and its certificate holds, otherwise from the
-    iterated sparse fold r_j = r_{j-1} (*) 1_E, one cyclic shift of the
-    running table per point of E, which is the reference path.  Only that
-    path is charged against FOLD_BUDGET, at its cost |E| * q^d * (j - 1);
-    the transform costs O(j * q^d * log q^d) under the TABLE_MAX cap.
+    E is a sequence of points or a 1-D integer array of flat indices.  Depth
+    1 is the bincount of E, over any q^d.  Depth j >= 2 needs q^d <=
+    TABLE_MAX (SearchSpaceTooLargeError otherwise).  It is the transform fold
+    of the indicator when the table is int64 and that fold certifies, and
+    otherwise r_a (*) r_b, a = ceil(j/2) and b = floor(j/2), by limb products.
 
-    Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d and
-    F = fftn(1_E) over dom.shape, r_j = ifftn(F^j), rounded with rint.  Its
-    certificate, every check of which must pass:
+    Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d
+    the convolution of count vectors f_1..f_m is ifftn(prod_i fftn(f_i)),
+    rounded with rint; r_j is ifftn(fftn(1_E)^j).  Its certificate: the mass
+    prod_i ||f_i||_1 < 2^53, so every count is exact in float64; the a priori
+    bound B below on max |computed - exact| is < 1/2, so rint is exact, and
+    the observed residual is at most B; the rounded table has that mass and
+    no negative entry.
 
-    * |E|^j < 2^53, so every count and the mass are exact in float64;
-    * the a priori bound B below on max |computed - r_j| is < 1/2, so rint
-      returns r_j exactly; the observed rounding residual must not exceed B;
-    * the rounded table has mass exactly |E|^j and no negative entry.
-
-    Derivation of B, for a product of m transforms F_i of count vectors f_i
-    with s_i = ||f_i||_1 and l_i = ||f_i||_2 (here f_i = 1_E, s_i = |E|,
-    l_i = sqrt|E|, m = j).  Let u = 2^-53.  Assume each length-p DFT along
-    one line has relative 2-norm error at most a = C p^(3/2) u, the classical
-    bound for the direct sum with C = 8; radix and Bluestein passes do
-    better.  The exact pass scales every line by sqrt(p), so nd passes give
-    fftn a relative error eps = (1 + a)^(nd) - 1, and ifftn with its 1/N
-    scaling eps' = (1 + eps)(1 + u)^2 - 1.
+    Derivation of B, for s_i = ||f_i||_1 and l_i = ||f_i||_2 (the indicator
+    fold has f_i = 1_E, s_i = |E|, l_i = sqrt|E|, m = j; a limb product has
+    m = 2).  Let u = 2^-53.  Assume each length-p DFT along one line has
+    relative 2-norm error at most a = C p^(3/2) u, the classical bound for
+    the direct sum with C = 8; radix and Bluestein passes do better.  The
+    exact pass scales every line by sqrt(p), so nd passes give fftn a
+    relative error eps = (1 + a)^(nd) - 1, and ifftn with its 1/N scaling
+    eps' = (1 + eps)(1 + u)^2 - 1.
 
     1. Forward: ||F~_i - F_i||_2 <= eps ||F_i||_2 = eps sqrt(N) l_i by
        Parseval, and |F_i| <= s_i pointwise, so |F~_i| <= (1 + eta) s_i with
@@ -182,26 +185,35 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
        prod F~ - prod F and putting A_i = l_i prod_{l != i} s_l,
        ||G~ - G||_2 <= sqrt(N) (1 + eta)^(m-1) (eps sum_i A_i
        + theta (1 + eps) min_i A_i) =: sqrt(N) D.
-    3. Inverse: ||ifftn x||_2 = ||x||_2 / sqrt(N) and ||r_j||_2 <= min_i A_i,
-       so ||r~ - r_j||_2 <= D + eps' (min_i A_i + D).
+    3. Inverse: ||ifftn x||_2 = ||x||_2 / sqrt(N) and, by Young, the exact
+       fold has ||r||_2 <= min_i A_i, so ||r~ - r||_2 <= D + eps' (min_i A_i + D).
 
-    Hence max |Re r~ - r_j| <= ||r~ - r_j||_2 <= B = D (1 + eps') + eps'
-    min_i A_i.  For |E| = 345, j = 3 over F_31^3, B is about 4e-6.
+    Hence max |Re r~ - r| <= B = D (1 + eps') + eps' min_i A_i.  For
+    |E| = 345, j = 3 over F_31^3, B is about 4e-6.
+
+    Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
+    a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
+    fold with its own certificate.  w is the widest width, at most 63 so that
+    limbs are int64, at which all products certify; InvariantError if none
+    does, or if their sum, in int64 or Python ints as `_table_dtype` picks
+    from ||a||_1 ||b||_1 (no partial sum exceeds the total), lacks that mass.
+    Cost: a square of L limbs takes L (L + 1) / 2 products (plus, at a refused
+    width, those before the refusal), each at most two fftn and one ifftn of
+    O(N log N); r_4 of the full F_101^3 sphere (|E| = 10,302) takes 5-bit limbs.
     """
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
     idx = dom.as_indices(E)
     dtype = _table_dtype(len(idx) ** j)
-    r = None
-    if dtype is np.int64 and j > 1 and dom.size <= TABLE_MAX:
-        r = _transform_fold(dom, [(idx, j)])
+    indicator = np.bincount(idx, minlength=dom.size)
+    if j == 1:
+        return CountTable(q=dom.ctx.q, values=indicator.astype(dtype))
+    require_table_budget(dom, "fold")
+    r = _transform_fold(dom, [(indicator, j)]) if dtype is np.int64 else None
     if r is None:
-        cost = len(idx) * dom.size * (j - 1)
-        if cost > FOLD_BUDGET:
-            raise BudgetExceededError(
-                f"fold cost |E|*q^d*(j-1) = {cost} exceeds budget {FOLD_BUDGET}")
-        r = _roll_fold(dom, idx, j, dtype)
-    return CountTable(kind="points", d=dom.d, q=dom.ctx.q, values=r)
+        a = fold_counts(dom, idx, (j + 1) // 2).values
+        r = _convolve(dom, a, a if j % 2 == 0 else fold_counts(dom, idx, j // 2).values)
+    return CountTable(q=dom.ctx.q, values=r)
 
 
 class FoldLadder:
@@ -278,7 +290,7 @@ def _bin_by_value(ctx, values, r, expected_total):
     nz = np.flatnonzero(r)
     out = np.zeros(q, dtype=r.dtype)
     np.add.at(out, values[nz], r[nz])
-    table = CountTable(kind="scalars", d=1, q=q, values=out)
+    table = CountTable(q=q, values=out)
     if table.total() != expected_total:
         raise InvariantError("value-binning lost mass")
     return table
@@ -325,7 +337,7 @@ def nu_P_k(dom: PointDomain, E, X, pvals, k: int) -> CountTable:
     for a in xs:
         # nu(t + a) += base(t): adding a permutes the scalar domain
         out[ctx.add_vec(ts, np.int64(a))] += shifted
-    table = CountTable(kind="scalars", d=1, q=ctx.q, values=out)
+    table = CountTable(q=ctx.q, values=out)
     if table.total() != mass:
         raise InvariantError("shift-sum lost mass")
     return table
@@ -438,9 +450,9 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int,
     k-tuple counted by the energy lands in V because E is contained in V).
     The normalized gap against |E|^{k-1}/q is reported only.
 
-    The correlation acc below is a certified transform fold; when its
-    certificate fails, the exact fallback shifts a q^d table once per point
-    of V, and that cost |V| * q^d is charged against FOLD_BUDGET first.
+    The correlation acc below is the fold 1_{-V} (*) r_{k/2}, exact by the
+    engine of `fold_counts`: the certified transform fftn(1_{-V}) fftn(1_E)^(k/2)
+    of the two indicators, or else limb products of 1_{-V} and r_{k/2}.
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
@@ -452,18 +464,14 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int,
     e_size = len(ladder)
     # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):
     # acc is the fold of 1_{-V} with r_{k/2}, of mass |V| |E|^{k/2}.
-    neg_v = dom.index_neg(v_idx)
+    neg_v = np.bincount(dom.index_neg(v_idx), minlength=dom.size)
     acc_mass = variety.size * e_size ** half
     acc = None
     if _table_dtype(acc_mass) is np.int64:
-        acc = _transform_fold(dom, [(neg_v, 1), (ladder.indices, half)])
+        indicator = np.bincount(ladder.indices, minlength=dom.size)
+        acc = _transform_fold(dom, [(neg_v, 1), (indicator, half)])
     if acc is None:
-        cost = variety.size * dom.size
-        if cost > FOLD_BUDGET:
-            raise BudgetExceededError(
-                f"growth-audit shift sum |V|*q^d = {cost} exceeds budget {FOLD_BUDGET}")
-        r_half = ladder.fold(half).values.astype(_table_dtype(acc_mass))
-        acc = _shift_sum(dom, r_half, neg_v)
+        acc = _convolve(dom, neg_v, ladder.fold(half).values)
     e = _exact_dot(ladder.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
     lam_k = lambda_k(dom, ladder, k)
     lam_km2 = lambda_k(dom, ladder, k - 2)

@@ -73,10 +73,6 @@ class NotDiagonalError(FqspectraError):
 
 # -- energy ------------------------------------------------------------------
 
-class BudgetExceededError(FqspectraError):
-    """Requested fold/count exceeds the operation budget."""
-
-
 class OddKError(FqspectraError):
     """k-energy is defined for even k only."""
 

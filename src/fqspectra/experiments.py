@@ -114,6 +114,10 @@ class ExperimentPlan:
             raise ValueError("trials must be >= 1")
         if self.k < 2:
             raise ValueError(f"k = {self.k} must be >= 2")
+        if self.ks and min(self.ks) < 2:
+            raise ValueError(f"ks entry k = {min(self.ks)} must be >= 2")
+        if min(self.sizes, default=0) < 0:
+            raise ValueError(f"sizes entry {min(self.sizes)} must be >= 0")
         if self.sizes_mode not in ("threshold", "absolute"):
             raise ValueError(f"unknown sizes_mode {self.sizes_mode!r}")
 
@@ -125,14 +129,9 @@ class ExperimentPlan:
         return q ** ((self.d - 1) / 2 + 1 / (self.k - 1))
 
     def resolve_sizes(self, variety_size: int):
-        out = []
-        for s in self.sizes:
-            if self.sizes_mode == "threshold":
-                target = int(round(s * self.threshold()))
-            else:
-                target = int(s)
-            out.append(max(0, min(target, variety_size)))
-        return out
+        if self.sizes_mode == "threshold":
+            return [min(int(round(s * self.threshold())), variety_size) for s in self.sizes]
+        return [min(int(s), variety_size) for s in self.sizes]
 
     def as_dict(self) -> dict:
         return {

@@ -158,13 +158,13 @@ def _scan_spectrum(ctx, dom, degree, slices) -> Spectrum:
                     slices=slices)
 
 
-def require_spectrum_budget(dom: PointDomain, name: str = "q^d"):
-    """Raise SearchSpaceTooLargeError when a spectrum over dom would have
-    more than TABLE_MAX eigenvalues; callers check before they build any
-    table over dom."""
+def require_table_budget(dom: PointDomain, use: str = "spectrum", name: str = "q^d"):
+    """Raise SearchSpaceTooLargeError when a table over dom, the eigenvalues
+    of a spectrum or a fold of depth 2 or more, would have more than
+    TABLE_MAX cells; callers check before they build any table over dom."""
     if dom.size > TABLE_MAX:
         raise SearchSpaceTooLargeError(
-            f"{name} = {dom.size} exceeds the spectrum budget {TABLE_MAX}")
+            f"{name} = {dom.size} exceeds the {use} budget {TABLE_MAX}")
 
 
 def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:
@@ -176,7 +176,7 @@ def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:
     lambda_mixing the largest nontrivial Fourier modulus (see
     `geometry.regularity_check`)."""
     dom = PointDomain(ctx, d)
-    require_spectrum_budget(dom)
+    require_table_budget(dom)
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
@@ -207,7 +207,7 @@ def euclidean_spectrum(dom: PointDomain, qvals, t: int):
 
     qvals is Q's value table over dom, `QuadraticForm.value_table(dom)`,
     which callers build once per form and domain after checking the budget
-    with `require_spectrum_budget` and the form with
+    with `require_table_budget` and the form with
     `QuadraticForm.require_nondegenerate`: the bound below is stated for a
     nondegenerate Q.  t is a field element (see `FieldContext.element`).
     For t != 0 the returned check asserts the classical
@@ -263,7 +263,7 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
         raise ExponentDivisibleByCharacteristicError(
             f"exponent s = {s} is divisible by p = {ctx.p}")
     dom = PointDomain(ctx, 2 * d + 1)
-    require_spectrum_budget(dom, "q^(2d+1)")
+    require_table_budget(dom, name="q^(2d+1)")
     u = np.arange(ctx.q, dtype=np.int64)
     # W[a, b] = sum_u chi(a*u^s + b*u)
     au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])

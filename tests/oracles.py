@@ -15,7 +15,9 @@ spectrum it checks ever calls.  The broadcast one is the closed form as one
 whole table, built with the field's vector arithmetic; the streamed slices
 must equal it bit for bit.  `scan_reference` is the whole-table moduli scan
 that the blocked scan must reproduce, and `eigenvalue_table` the one
-whole-table reader of a streamed spectrum.  `smallest_generator_reference` is
+whole-table reader of a streamed spectrum.  `roll_fold` is the sparse
+iterated fold, one `PointDomain.translate_table` per point, in Python ints:
+the exact reference that the certified transform folds must equal.  `smallest_generator_reference` is
 the scalar generator search, on the polynomial `pow_poly`, that the batched
 search must agree with, and `spectrum_text_reference` the per-cell `--out`
 format the streamed writer must reproduce byte for byte.
@@ -136,6 +138,18 @@ def brute_fold(p, E, j):
     for tup in itertools.product(E, repeat=j):
         out[sum_pts(p, tup)] += 1
     return out
+
+
+def roll_fold(dom, idx, j):
+    """r_j = r_{j-1} (*) 1_E over flat indices, one cyclic shift of the
+    running table per point of E, as an object array of Python ints."""
+    r = np.bincount(idx, minlength=dom.size).astype(object)
+    for _ in range(j - 1):
+        acc = np.zeros(dom.size, dtype=object)
+        for e in idx:
+            acc += dom.translate_table(r, int(e))
+        r = acc
+    return r
 
 
 def brute_lambda(p, E, k):

@@ -104,6 +104,20 @@ def test_nu_csv_table(capsys):
     assert out.splitlines() == ["t,count", "0,4", "1,4", "2,8"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "nu", "--p", "5", "--d", "2", "--k", "2"],
+    ["energy", "nup", "--p", "5", "--d", "2", "--k", "2", "--s", "2", "--x-set", "0,1"],
+], ids=["nu", "nup"])
+def test_count_table_out_is_written_also_with_pretty(argv, tmp_path, capsys):
+    plain, pretty = tmp_path / "plain.csv", tmp_path / "pretty.csv"
+    code, out, _ = run_cli(argv + ["--out", str(plain)], capsys)
+    assert json.loads(out)["out"] == str(plain)
+    assert plain.read_text().startswith("t,count\n0,")
+    assert run_cli(argv + ["--out", str(pretty), "--pretty"], capsys) == (
+        code, f"table -> {pretty}\n", "")
+    assert pretty.read_text() == plain.read_text()
+
+
 def test_nup_reports_bound(capsys):
     code, out, _ = run_cli(["energy", "nup", "--p", "3", "--d", "2",
                             "--family", "sphere", "--k", "2", "--s", "2",
@@ -501,6 +515,22 @@ def test_negative_subset_sizes_are_usage_errors(tmp_path, capsys):
     plan = _plan(tmp_path, "k = 2\nx_sizes = -1\n")
     code, out, err = run_cli(["experiment", "sumset", "--plan", plan], capsys)
     assert (code, out, err) == (1, "", "error: subset size -1 must be >= 0\n")
+
+
+@pytest.mark.parametrize("mode", ["absolute", "threshold"])
+@pytest.mark.parametrize("kind", ["coverage", "energy", "sumset"])
+def test_negative_plan_sizes_are_usage_errors(kind, mode, tmp_path, capsys):
+    plan = _plan(tmp_path, f"k = 2\nsizes = 1,-5\nsizes_mode = {mode}\n")
+    code, out, err = run_cli(["experiment", kind, "--plan", plan], capsys)
+    assert (code, out, err) == (1, "", "error: sizes entry -5.0 must be >= 0\n")
+
+
+@pytest.mark.parametrize("ks", ["1,2", "2,0", "-4"])
+def test_plan_ks_below_2_are_usage_errors(ks, tmp_path, capsys):
+    plan = _plan(tmp_path, f"k = 2\nks = {ks}\n")
+    code, out, err = run_cli(["experiment", "energy", "--plan", plan], capsys)
+    bad = next(k for k in ks.split(",") if int(k) < 2)
+    assert (code, out, err) == (1, "", f"error: ks entry k = {bad} must be >= 2\n")
 
 
 def test_invariant_error_exits_1_without_traceback(monkeypatch, capsys):

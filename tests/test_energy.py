@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.energy as energy_mod
+import fqspectra.spectra as spectra_mod
 from fqspectra.cli import main as cli_main
 from fqspectra.domains import PointDomain, character_sum_table
 from fqspectra.errors import (
-    BudgetExceededError,
     DegenerateFormError,
     EmptyXError,
     InconsistentTotalError,
+    InvariantError,
     OddKError,
+    SearchSpaceTooLargeError,
 )
 from fqspectra.experiments import ExperimentPlan, coverage_experiment
 from fqspectra.field import FieldContext
@@ -51,6 +53,7 @@ from oracles import (
     brute_nu_P,
     index_add,
     point_of,
+    roll_fold,
 )
 
 F3 = FieldContext(3)
@@ -135,36 +138,33 @@ def test_big_integer_path_matches_int64(monkeypatch):
     assert lambda_k(DOM32, E, 6) == sum(int(v) ** 2 for v in fast.values)
 
 
-def test_fold_budget_guard():
+def test_full_f101_sphere_fold_of_depth_4_is_exact():
+    # The indicator transform refuses here (B > 1/2), so r_4 = r_2 (*) r_2
+    # comes from limb products.
     ctx = FieldContext(101)
     dom = PointDomain(ctx, 3)
-    E = [(i, 0, 0) for i in range(101)]
-    with pytest.raises(BudgetExceededError):
-        fold_counts(dom, E, 11)
-
-
-def test_fold_budget_is_charged_to_the_roll_fold_only(monkeypatch):
-    dom = PointDomain(F5, 2)
-    E = _random_subset(dom, 6, seed=2)
-    roll = energy_mod._roll_fold(dom, dom.as_indices(E), 3, np.int64)
-    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", 1)
-    assert np.array_equal(fold_counts(dom, E, 3).values, roll)  # the transform ran
-    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 1.0)
-    with pytest.raises(BudgetExceededError):
-        fold_counts(dom, E, 3)
+    v = builtin_variety(ctx, "sphere", 3, 1)
+    assert v.size == 10302
+    r2 = fold_counts(dom, v.indices, 2).values
+    r4 = fold_counts(dom, v.indices, 4)
+    assert r4.values.dtype == np.int64
+    assert r4.total() == 10302 ** 4
+    # The sphere is symmetric, so r_4(0) = sum_z r_2(z) r_2(-z) = Lambda_4.
+    assert r4[0] == int(np.dot(r2, r2))
 
 
 def test_transform_fold_is_capped_by_table_max(monkeypatch):
     dom = PointDomain(F5, 2)
     E = _random_subset(dom, 6, seed=2)
-    want = fold_counts(dom, E, 3).values
     calls = []
     monkeypatch.setattr(energy_mod, "_transform_fold", lambda *args: calls.append(args))
-    monkeypatch.setattr(energy_mod, "TABLE_MAX", dom.size - 1)
-    assert np.array_equal(fold_counts(dom, E, 3).values, want)
-    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", 1)
-    with pytest.raises(BudgetExceededError):
-        fold_counts(dom, E, 3)
+    monkeypatch.setattr(spectra_mod, "TABLE_MAX", dom.size - 1)
+    assert fold_counts(dom, E, 1).values.tolist() == np.bincount(
+        dom.as_indices(E), minlength=dom.size).tolist()
+    for j in (2, 3):
+        with pytest.raises(SearchSpaceTooLargeError,
+                           match=r"^q\^d = 25 exceeds the fold budget 24$"):
+            fold_counts(dom, E, j)
     assert calls == []
 
 
@@ -327,7 +327,7 @@ def test_delta_k1_sphere():
 
 def test_second_moment_uniform_gives_max_bound():
     vals = np.full(5, 6, dtype=np.int64)  # |X||E|^k = 30 spread evenly
-    table = CountTable(kind="scalars", d=1, q=5, values=vals)
+    table = CountTable(q=5, values=vals)
     assert second_moment(table) == 5 * 36
     bound = sumset_lower_bound(table, 5, 6, 1)
     assert bound == Fraction(5)  # q is the maximum possible
@@ -336,7 +336,7 @@ def test_second_moment_uniform_gives_max_bound():
 def test_second_moment_concentrated_gives_one():
     vals = np.zeros(5, dtype=np.int64)
     vals[2] = 8  # |X| = 2, |E| = 2, k = 2
-    table = CountTable(kind="scalars", d=1, q=5, values=vals)
+    table = CountTable(q=5, values=vals)
     assert sumset_lower_bound(table, 2, 2, 2) == Fraction(1)
 
 
@@ -379,7 +379,7 @@ def test_sumset_of_empty_delta_is_empty():
 def test_sumset_inconsistent_total_rejected():
     vals = np.zeros(3, dtype=np.int64)
     vals[0] = 7
-    table = CountTable(kind="scalars", d=1, q=3, values=vals)
+    table = CountTable(q=3, values=vals)
     with pytest.raises(InconsistentTotalError):
         sumset_lower_bound(table, 1, 2, 2)
 
@@ -462,7 +462,7 @@ def test_table_taking_audits_reject_tables_of_wrong_total():
     assert second_moment_audit(dom, E, table, len(X), 2, graph).ok
     with pytest.raises(InconsistentTotalError):
         second_moment_audit(dom, E, table, 1, 2, graph)  # |X| is 2
-    shifted = CountTable(kind="scalars", d=1, q=5, values=table.values + 1)
+    shifted = CountTable(q=5, values=table.values + 1)
     with pytest.raises(InconsistentTotalError):
         second_moment_audit(dom, E, shifted, len(X), 2, graph)
     form = QuadraticForm.identity(1)
@@ -496,19 +496,39 @@ def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
     assert slow.as_dict() == fast.as_dict()
 
 
-def test_growth_audit_shift_sum_fallback_is_charged_against_the_budget(monkeypatch):
+def _refuse_indicator_transforms(monkeypatch):
+    """Refuse every transform of more than two factors, which leaves the limb
+    products (two factors each) and refuses the indicator transforms of folds
+    of depth 3 or more and of the growth-audit correlation; returns the list
+    of `_convolve` calls."""
+    real = energy_mod._fold_error_bound
+    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda dom, sizes, norms: (
+        1.0 if len(sizes) > 2 else real(dom, sizes, norms)))
+    calls = []
+    convolve = energy_mod._convolve
+
+    def counting(dom, a, b):
+        calls.append((a.sum(), b.sum()))
+        return convolve(dom, a, b)
+
+    monkeypatch.setattr(energy_mod, "_convolve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_growth_audit_with_the_indicator_transform_refused_equals_the_unrefused_audit(
+        monkeypatch, k):
     ctx = FieldContext(3, 2)
     dom = PointDomain(ctx, 2)
     v = builtin_variety(ctx, "sphere", 2, 1)
     graph = cayley_spectrum(ctx, v.indices, d=2)
-    ladder = FoldLadder(dom, v.indices[:5])
-    want = energy_growth_audit(dom, v, ladder, 4, graph).as_dict()  # transform path
-    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 1.0)
-    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", v.size * dom.size)
-    assert energy_growth_audit(dom, v, ladder, 4, graph).as_dict() == want
-    monkeypatch.setattr(energy_mod, "FOLD_BUDGET", 1)
-    with pytest.raises(BudgetExceededError, match="growth-audit"):
-        energy_growth_audit(dom, v, ladder, 4, graph)
+    for E in (v.indices[:5], v.indices):
+        want = energy_growth_audit(dom, v, E, k, graph).as_dict()
+        with monkeypatch.context() as m:
+            calls = _refuse_indicator_transforms(m)
+            assert energy_growth_audit(dom, v, E, k, graph).as_dict() == want
+        # the correlation 1_{-V} (*) r_{k/2}, of mass |V| |E|^{k/2}
+        assert (v.size, len(E) ** (k // 2)) in calls
 
 
 def test_energy_growth_audit_requires_containment():
@@ -558,10 +578,9 @@ def test_transform_fold_equals_roll_fold_and_brute_force(shape, j, data):
     dom = PointDomain(FieldContext(p, n), d)
     idx = np.array(data.draw(st.lists(st.integers(0, dom.size - 1), max_size=5)),
                    dtype=np.int64)
-    transform = energy_mod._transform_fold(dom, [(idx, j)])
+    transform = energy_mod._transform_fold(dom, [(np.bincount(idx, minlength=dom.size), j)])
     assert transform is not None
-    roll = energy_mod._roll_fold(dom, idx, j, np.int64)
-    assert np.array_equal(transform, roll)
+    assert np.array_equal(transform, roll_fold(dom, idx, j))
     want = np.zeros(dom.size, dtype=np.int64)
     for digits, count in brute_fold(p, [_digits(dom, i) for i in idx], j).items():
         want[_undigits(dom, digits)] = count
@@ -570,34 +589,69 @@ def test_transform_fold_equals_roll_fold_and_brute_force(shape, j, data):
     assert np.array_equal(fold_counts(dom, points, j).values, want)
 
 
-def _count_translations(monkeypatch):
-    calls = []
-    original = PointDomain.translate_table
-
-    def counting(self, table, idx):
-        calls.append(idx)
-        return original(self, table, idx)
-
-    monkeypatch.setattr(PointDomain, "translate_table", counting)
-    return calls
-
-
-def test_failed_certificate_falls_back_to_roll_fold(monkeypatch):
+def test_failed_certificate_falls_back_to_limb_products(monkeypatch):
     dom = PointDomain(FieldContext(3, 2), 2)
     v = builtin_variety(dom.ctx, "sphere", 2, 1)
     E = sorted(random.Random(4).sample(list(v.points), 6))
     graph = cayley_spectrum(dom.ctx, v.indices, d=2)
-    calls = _count_translations(monkeypatch)
-    fast = [fold_counts(dom, E, j).values for j in (1, 2, 3)]
+    fast = [fold_counts(dom, E, j).values for j in (1, 2, 3, 4)]
     fast_audit = energy_growth_audit(dom, v, E, 4, graph)
-    assert calls == []
-    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 0.5)
-    slow = [fold_counts(dom, E, j).values for j in (1, 2, 3)]
-    assert len(calls) == len(E) * (0 + 1 + 2)  # |E| shifts per depth after the first
+    calls = _refuse_indicator_transforms(monkeypatch)
+    slow = [fold_counts(dom, E, j).values for j in (1, 2, 3, 4)]
+    # r_3 = r_2 (*) r_1 and r_4 = r_2 (*) r_2; depths 1 and 2 need no product
+    assert calls == [(36, 6), (36, 36)]
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
     calls.clear()
     assert energy_growth_audit(dom, v, E, 4, graph) == fast_audit
-    assert len(calls) == v.size + len(E)  # the correlation over V, then r_2
+    assert calls == [(v.size, 36)]  # the correlation 1_{-V} (*) r_2
+
+
+# (p, n, d, log2 of the patched float-exact limit, fold depth, limbs per factor)
+LIMB_CASES = [(5, 1, 2, 53, 4, 1), (5, 1, 2, 12, 4, 2), (5, 1, 2, 10, 4, 3),
+              (5, 1, 2, 10, 5, 5), (3, 2, 2, 12, 4, 2), (3, 2, 2, 10, 5, 5),
+              (7, 1, 3, 12, 4, 2), (7, 1, 3, 10, 4, 3), (7, 1, 3, 12, 5, 5)]
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+@pytest.mark.parametrize("p,n,d,exact_bits,depth,limbs", LIMB_CASES)
+def test_limb_products_equal_the_roll_fold(monkeypatch, p, n, d, exact_bits, depth,
+                                           limbs, python_ints):
+    # A smaller float-exact limit refuses wide limb products, so the width
+    # shrinks and the limbs multiply; Python ints force the object sums.
+    dom = PointDomain(FieldContext(p, n), d)
+    idx = np.array(sorted(random.Random(p * n * d).sample(range(dom.size), 8)))
+    want = {j: roll_fold(dom, idx, j) for j in range(1, depth + 1)}
+    _refuse_indicator_transforms(monkeypatch)
+    monkeypatch.setattr(energy_mod, "_FLOAT_EXACT", 1 << exact_bits)
+    if python_ints:
+        monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)
+    seen = []
+    split = energy_mod._limbs
+
+    def counting(table, w):
+        out = split(table, w)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(energy_mod, "_limbs", counting)
+    for j in range(1, depth + 1):
+        got = fold_counts(dom, idx, j).values
+        assert got.dtype == (object if python_ints else np.int64)
+        assert np.array_equal(got, want[j]), j
+    # The width scan stops at the first width that certifies, which is the
+    # narrowest it tries: the most limbs seen are those of the last product.
+    assert max(seen) == limbs
+    tables = [fold_counts(dom, idx, j).values for j in range(1, depth)]
+    assert np.array_equal(energy_mod._convolve(dom, tables[0], tables[-1]), want[depth])
+    assert np.array_equal(energy_mod._convolve(dom, tables[-1], tables[0]), want[depth])
+
+
+def test_convolve_raises_when_no_width_certifies(monkeypatch):
+    dom = PointDomain(F5, 2)
+    r = fold_counts(dom, _random_subset(dom, 6, seed=1), 2).values
+    monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 0.5)
+    with pytest.raises(InvariantError, match="no limb width certifies"):
+        energy_mod._convolve(dom, r, r)
 
 
 def _extra_count(x):
@@ -616,9 +670,10 @@ def _off_grid(x):
 
 @pytest.mark.parametrize("corrupt", [_extra_count, _moved_count, _off_grid])
 def test_corrupted_transform_output_falls_back(monkeypatch, corrupt):
+    # The indicator transform refuses its output and falls back to limb
+    # products, which refuse theirs at every width: InvariantError.
     dom = PointDomain(F3, 2)
     E = [(0, 1), (1, 2), (2, 2)]
-    want = fold_counts(dom, E, 2).values
     original = np.fft.ifftn
 
     def corrupted(*args, **kwargs):
@@ -627,16 +682,16 @@ def test_corrupted_transform_output_falls_back(monkeypatch, corrupt):
         return x
 
     monkeypatch.setattr(np.fft, "ifftn", corrupted)
-    calls = _count_translations(monkeypatch)
-    assert np.array_equal(fold_counts(dom, E, 2).values, want)
-    assert len(calls) == len(E)
+    with pytest.raises(InvariantError, match="no limb width certifies"):
+        fold_counts(dom, E, 2)
 
 
 def test_transform_fold_refuses_masses_beyond_float_precision(monkeypatch):
     monkeypatch.setattr(energy_mod, "_fold_error_bound", lambda *args: 0.0)
     dom = PointDomain(F3, 2)
     idx = np.arange(9, dtype=np.int64)
-    assert energy_mod._transform_fold(dom, [(idx, 17)]) is None  # 9^17 > 2^53
+    indicator = np.ones(9, dtype=np.int64)
+    assert energy_mod._transform_fold(dom, [(indicator, 17)]) is None  # 9^17 > 2^53
     r = fold_counts(dom, idx, 17)
     assert r.values.dtype == np.int64 and r.total() == 9 ** 17
     assert set(r.values.tolist()) == {9 ** 16}  # the whole group, evenly
@@ -715,10 +770,11 @@ from fqspectra.errors import InvariantError
 from fqspectra.field import FieldContext
 
 assert False, "asserts must be stripped under -O"
-energy._fold_error_bound = lambda *args: float("inf")
-PointDomain.translate_table = lambda self, table, idx: np.zeros_like(table)
+# Every limb product returns zeros, so the recombined mass is 0, not 3 * 3.
+energy._transform_fold = lambda dom, factors: np.zeros(dom.size, dtype=np.int64)
+table = np.bincount([1, 5, 5], minlength=9)
 try:
-    energy.fold_counts(PointDomain(FieldContext(3), 2), [(0, 1), (1, 2)], 2)
+    energy._convolve(PointDomain(FieldContext(3), 2), table, table)
 except InvariantError as exc:
     print("raised:", exc)
     sys.exit(0)

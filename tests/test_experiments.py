@@ -278,3 +278,13 @@ def test_report_files(tmp_path):
     lines = cpath.read_text().splitlines()
     assert lines[0].startswith("size_index,trial,size")
     assert len(lines) == 1 + len(rep.records)
+
+
+def test_plan_sizes_clamp_down_to_the_variety_and_never_below_zero():
+    plan = ExperimentPlan(p=5, d=2, sizes=(0, 3, 1000), sizes_mode="absolute")
+    assert plan.resolve_sizes(8) == [0, 3, 8]
+    for mode in ("absolute", "threshold"):
+        with pytest.raises(ValueError, match="sizes entry -0.5 must be >= 0"):
+            ExperimentPlan(p=5, d=2, sizes=(1, -0.5), sizes_mode=mode)
+    with pytest.raises(ValueError, match="ks entry k = 1 must be >= 2"):
+        ExperimentPlan(p=5, d=2, k=2, ks=(1, 2))

@@ -1,5 +1,6 @@
-"""Every module-level import in the package source is used, and every
-module-level function and public method is read somewhere in the package.
+"""Every module-level import in the package source is used, every
+module-level function and public method is read somewhere in the package,
+and every exception class is raised or caught somewhere in it.
 
 No linter ships with the project, so these stdlib-only checks stand in for
 one.  `__init__.py` is skipped by the import check: its imports are the
@@ -82,9 +83,11 @@ def test_every_private_function_is_read_in_the_package():
 
 # Definitions no program module reads, each with the reason it stays.
 UNREAD_ALLOWED = {
-    # The benchmark's tracer wraps it (perfbench/spans.py), and a missing
-    # target fails the traced run; it leaves when the benchmark is re-aimed.
+    # The benchmark's tracer wraps both (perfbench/spans.py), and a missing
+    # target fails the traced run; they leave when the benchmark is re-aimed.
+    # translate_table is also the shift step of the tests' reference fold.
     "domains.PointDomain.index_of",
+    "domains.PointDomain.translate_table",
 }
 
 
@@ -136,3 +139,56 @@ def test_the_check_flags_a_scalar_helper_left_in_the_package():
 def test_every_function_and_public_method_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert set(unread_definitions(sources)) == UNREAD_ALLOWED
+
+
+def _exception_names(node) -> set:
+    """Class names an exception expression refers to: `X`, `X(...)`,
+    `errors.X`, or a tuple of these."""
+    if isinstance(node, ast.Call):
+        return _exception_names(node.func)
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_exception_names(elt) for elt in node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def unused_exceptions(sources: dict) -> list:
+    """Classes of the `errors` module of `sources` (module name -> source)
+    that no `raise` or `except` in any module of it names."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= _exception_names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= _exception_names(node.type)
+    return sorted(node.name for node in trees["errors"].body
+                  if isinstance(node, ast.ClassDef) and node.name not in used)
+
+
+def test_the_check_sees_unused_exception_classes():
+    sources = {
+        "errors": "class Base(Exception):\n    pass\n\n\nclass Raised(Base):\n    pass\n\n\n"
+                  "class ByAttribute(Base):\n    pass\n\n\nclass InTuple(Base):\n    pass\n\n\n"
+                  "class Unused(Base):\n    pass\n\n\nclass OnlyMentioned(Base):\n    pass\n",
+        "a": "import errors\nfrom errors import Base, InTuple, OnlyMentioned, Raised\n\n"
+             "KINDS = (OnlyMentioned,)\n\n\ndef f():\n    try:\n        raise Raised('x')\n"
+             "    except (InTuple, Base):\n        raise errors.ByAttribute\n",
+    }
+    assert unused_exceptions(sources) == ["OnlyMentioned", "Unused"]
+
+
+def test_the_check_flags_an_exception_class_left_in_the_package():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    sources["errors"] += ("\n\nclass BudgetExceededError(FqspectraError):\n"
+                          '    """Requested fold exceeds the operation budget."""\n')
+    assert unused_exceptions(sources) == ["BudgetExceededError"]
+
+
+def test_every_exception_class_is_raised_or_caught_in_the_package():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unused_exceptions(sources) == []
