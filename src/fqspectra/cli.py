@@ -355,24 +355,25 @@ def _cmd_energy(args) -> int:
     dom = PointDomain(ctx, args.d)
     E = FoldLadder(dom, _subset(variety, args))
     if args.subcommand == "lambda":
-        value = lambda_k(dom, E, args.k)
+        value = lambda_k(E, args.k)
         _emit({"k": args.k, "size": len(E), "lambda_k": value}, args, [str(value)])
         return EXIT_OK
     if args.subcommand == "nu":
         form = QuadraticForm.parse(args.form, args.d)
         form.require_nondegenerate(ctx)
-        table = nu_k(dom, E, form.value_table(dom), args.k)
+        table = nu_k(E, form.value_table(dom), args.k)
         return _emit_table(table, args, extra={"k": args.k, "size": len(E)})
     if args.subcommand == "nup":
         if args.s is None:
             raise FqspectraError("energy nup needs --s (diagonal exponent)")
         pvals = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
         X = [int(v) for v in args.x_set.split(",")]
-        x_size = len(set(v % ctx.q for v in X))
-        table = nu_P_k(dom, E, X, pvals, args.k)
+        x_size = len(set(ctx.element(v) for v in X))
+        binned = nu_k(E, pvals, args.k)
+        table = nu_P_k(ctx, binned, X)
         sq = second_moment(table)
         bound = sumset_lower_bound(table, x_size, len(E), args.k)
-        ds = delta_set(dom, E, pvals, args.k)
+        ds = delta_set(binned)
         ss = sumset(ctx, X, ds.values)
         code = EXIT_OK if len(ss) >= bound else EXIT_AUDIT
         extra = {"k": args.k, "size": len(E), "x_size": x_size,
@@ -384,7 +385,7 @@ def _cmd_energy(args) -> int:
         values = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
     else:
         values = QuadraticForm.parse(args.form, args.d).value_table(dom)
-    ds = delta_set(dom, E, values, args.k)
+    ds = delta_set(nu_k(E, values, args.k))
     _emit({"k": args.k, "size": len(E), **ds.as_dict()}, args,
           [f"delta = {list(ds.values)}",
            f"covers F_q^*: {ds.covers_Fq_star}, covers F_q: {ds.covers_Fq}"])

@@ -26,11 +26,11 @@ TABLE_MAX = 10 ** 7
 #     total mass: |E|^j, or |a| * |b| for the sum of limb products in
 #     `energy._convolve`, none of whose partial sums exceeds the total;
 #   * `energy._exact_dot`, from a caller's bound on the dot product;
-#   * the `energy.nu_P_k` shift sum, of mass |X| * |E|^k;
+#   * the `np.add.at` binning in `energy.nu_k`, which adds in the fold
+#     table's own dtype, and the `energy.nu_P_k` shift sum of that binned
+#     table, of mass |X| * |E|^k;
 #   * the growth-audit correlation in `energy.energy_growth_audit`, of mass
 #     |V| * |E|^(k/2), and its dot product with r_{k/2-1};
-#   * the `np.add.at` binning in `energy._bin_by_value`, which adds in the
-#     fold table's own dtype;
 #   * the batched mixing weights in `spectra.mixing_audit`: e, |B|, |C| and
 #     sum m^2 per pair, under n * mass^2 + degree * mass^2 for the block's
 #     largest multiset mass; the product of the two sums of m^2, under the

@@ -9,7 +9,9 @@ rounding certificate of `fold_counts`: the indicator's transform, or else
 limb products of two shallower folds; no count comes from an uncertified one.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
-most once.  Every function here that takes a point set E also takes a ladder.
+most once; it is the one form in which a subset reaches the counts and audits
+here.  `nu_k` bins a fold by any value table, and the generalized distance set
+(`delta_set`) and nu_{P,k} (`nu_P_k`) are both read off that one binned table.
 """
 
 import math
@@ -153,11 +155,13 @@ def _convolve(dom: PointDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """r_j(z) = number of ordered j-tuples from E summing to z, exact.
 
-    E is a sequence of points or a 1-D integer array of flat indices.  Depth
-    1 is the bincount of E, over any q^d.  Depth j >= 2 needs q^d <=
-    TABLE_MAX (SearchSpaceTooLargeError otherwise).  It is the transform fold
-    of the indicator when the table is int64 and that fold certifies, and
-    otherwise r_a (*) r_b, a = ceil(j/2) and b = floor(j/2), by limb products.
+    E is a `FoldLadder` over dom, a sequence of points or a 1-D integer
+    array of flat indices.  Depth 1 is the bincount of E, over any q^d.
+    Depth j >= 2 needs q^d <= TABLE_MAX (SearchSpaceTooLargeError otherwise).
+    It is the transform fold of the indicator when the table is int64 and
+    that fold certifies, and otherwise r_a (*) r_b, a = ceil(j/2) and
+    b = floor(j/2), by limb products, with r_a and r_b read from E's ladder
+    (a new one when E is not a ladder), so that no depth is folded twice.
 
     Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d
     the convolution of count vectors f_1..f_m is ifftn(prod_i fftn(f_i)),
@@ -203,25 +207,25 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
-    idx = dom.as_indices(E)
-    dtype = _table_dtype(len(idx) ** j)
-    indicator = np.bincount(idx, minlength=dom.size)
+    ladder = E if isinstance(E, FoldLadder) else FoldLadder(dom, E)
+    dtype = _table_dtype(len(ladder) ** j)
+    indicator = np.bincount(ladder.indices, minlength=dom.size)
     if j == 1:
         return CountTable(q=dom.ctx.q, values=indicator.astype(dtype))
     require_table_budget(dom, "fold")
     r = _transform_fold(dom, [(indicator, j)]) if dtype is np.int64 else None
     if r is None:
-        a = fold_counts(dom, idx, (j + 1) // 2).values
-        r = _convolve(dom, a, a if j % 2 == 0 else fold_counts(dom, idx, j // 2).values)
+        a = ladder.fold((j + 1) // 2).values
+        r = _convolve(dom, a, a if j % 2 == 0 else ladder.fold(j // 2).values)
     return CountTable(q=dom.ctx.q, values=r)
 
 
 class FoldLadder:
-    """The fold tables r_1, r_2, ... of one subset E of F_q^d, and its even
-    energies Lambda_2, Lambda_4, ...
+    """The fold tables r_1, r_2, ... of one subset E of F_q^d.
 
     Holds E as flat indices and builds depth j on first use by one call to
-    `fold_counts`, never twice; likewise each Lambda_k.  It keeps its tables
+    `fold_counts`, passing itself, so that a deep fold is composed from the
+    tables already held here; no depth is built twice.  It keeps its tables
     for its own lifetime only, so callers make one per subset and drop it
     with the subset.
     """
@@ -230,42 +234,31 @@ class FoldLadder:
         self.dom = dom
         self.indices = dom.as_indices(E)
         self._tables = {}
-        self._energies = {}
 
     def __len__(self) -> int:
         return len(self.indices)
 
+    def __array__(self, dtype=None, copy=None):
+        """E's flat indices: np.asarray reads a ladder as its subset."""
+        return np.array(self.indices, dtype=dtype, copy=copy)
+
     def fold(self, j: int) -> CountTable:
         if j not in self._tables:
-            self._tables[j] = fold_counts(self.dom, self.indices, j)
+            self._tables[j] = fold_counts(self.dom, self, j)
         return self._tables[j]
 
-    def energy(self, k: int) -> int:
-        """Lambda_k = sum of r_{k/2}^2, for even k >= 2."""
-        if k % 2 != 0 or k < 2:
-            raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
-                            "odd k is handled through the product of neighbours")
-        if k not in self._energies:
-            r = self.fold(k // 2).values
-            self._energies[k] = _exact_dot(r, r, len(self) ** k)
-        return self._energies[k]
+
+def lambda_k(E: FoldLadder, k: int) -> int:
+    """k-energy of E: ordered k-tuples whose two half-sums agree, the sum of
+    r_{k/2}^2, for even k >= 2."""
+    if k % 2 != 0 or k < 2:
+        raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
+                        "odd k is handled through the product of neighbours")
+    r = E.fold(k // 2).values
+    return _exact_dot(r, r, len(E) ** k)
 
 
-def _ladder(dom: PointDomain, E) -> FoldLadder:
-    """E itself when it is a ladder over the same domain, else a new ladder."""
-    if not isinstance(E, FoldLadder):
-        return FoldLadder(dom, E)
-    if (E.dom.ctx.p, E.dom.ctx.n, E.dom.d) != (dom.ctx.p, dom.ctx.n, dom.d):
-        raise ValueError("fold ladder belongs to a different domain")
-    return E
-
-
-def lambda_k(dom: PointDomain, E, k: int) -> int:
-    """k-energy: ordered k-tuples whose two half-sums agree; sum of r_{k/2}^2."""
-    return _ladder(dom, E).energy(k)
-
-
-def energy_term(ladder: FoldLadder, k: int) -> tuple:
+def energy_term(E: FoldLadder, k: int) -> tuple:
     """(lo, hi, detail): the even energies that control k-fold counts.
 
     Even k gives lo = hi = Lambda_k; odd k gives Lambda_{k-1} and
@@ -274,73 +267,61 @@ def energy_term(ladder: FoldLadder, k: int) -> tuple:
     {"k_energy_product": lo * hi} for odd k.
     """
     if k % 2 == 0:
-        lam = lambda_k(ladder.dom, ladder, k)
+        lam = lambda_k(E, k)
         return lam, lam, {"k_energy": lam}
-    lo = lambda_k(ladder.dom, ladder, k - 1)
-    hi = lambda_k(ladder.dom, ladder, k + 1)
+    lo = lambda_k(E, k - 1)
+    hi = lambda_k(E, k + 1)
     return lo, hi, {"k_energy_product": lo * hi}
 
 
-def _bin_by_value(ctx, values, r, expected_total):
-    """nu(t) = sum of r(z) over z with values(z) = t, exact.
+def nu_k(E: FoldLadder, values, k: int) -> CountTable:
+    """nu_k(t) = k-tuples from E whose coordinate sum z has F(z) = t.
 
-    np.add.at adds int64 entries in int64 and object entries as Python ints.
+    values is F's value table over E's domain, built once per F and domain
+    by the caller: `QuadraticForm.value_table(dom)` gives the distance
+    count, and `geometry.eval_poly_table(dom, P)` the table that `nu_P_k`
+    shifts; either one's support is `delta_set`.  The count is defined for
+    any F; callers that need a nondegenerate form check it with
+    `QuadraticForm.require_nondegenerate`.  np.add.at bins in the fold
+    table's own dtype: int64 entries in int64, object entries as Python ints.
     """
-    q = ctx.q
+    if k < 1:
+        raise ValueError(f"k = {k} must be >= 1")
+    values = E.dom.as_values(values)
+    r = E.fold(k).values
     nz = np.flatnonzero(r)
-    out = np.zeros(q, dtype=r.dtype)
-    np.add.at(out, values[nz], r[nz])
-    table = CountTable(q=q, values=out)
-    if table.total() != expected_total:
+    table = CountTable(q=E.dom.ctx.q, values=np.zeros(E.dom.ctx.q, dtype=r.dtype))
+    np.add.at(table.values, values[nz], r[nz])
+    if table.total() != len(E) ** k:
         raise InvariantError("value-binning lost mass")
     return table
 
 
-def nu_k(dom: PointDomain, E, qvals, k: int) -> CountTable:
-    """nu_k(t) = k-tuples from E whose coordinate sum z has Q(z) = t.
+def nu_P_k(ctx: FieldContext, table: CountTable, X) -> CountTable:
+    """nu_{P,k}(t) = pairs (a, k-tuple) with a in X and a + P(sum) = t, the
+    sum over a in X of table(t - a).
 
-    qvals is Q's value table over dom, `QuadraticForm.value_table(dom)`,
-    which callers build once per form and domain.  The count is defined for
-    any form; callers that need a nondegenerate one check it with
-    `QuadraticForm.require_nondegenerate`.
+    table is `nu_k(E, pvals, k)`, the k-fold count binned by P's value
+    table.  X holds field elements (see `FieldContext.element`); a repeated
+    element counts once.  The count is defined for any P; the paper's P is
+    diagonal, and the affine spectrum that the second-moment audit reads
+    rejects any other.
     """
-    if k < 1:
-        raise ValueError(f"k = {k} must be >= 1")
-    qvals = dom.as_values(qvals)
-    ladder = _ladder(dom, E)
-    r = ladder.fold(k).values
-    return _bin_by_value(dom.ctx, qvals, r, len(ladder) ** k)
-
-
-def nu_P_k(dom: PointDomain, E, X, pvals, k: int) -> CountTable:
-    """nu_{P,k}(t) = triples (a, k-tuple) with a in X and a + P(sum) = t;
-    X holds field elements (see `FieldContext.element`).
-
-    pvals is P's value table over dom, `geometry.eval_poly_table(dom, P)`,
-    which callers build once per polynomial and domain.  The count is defined
-    for any P; the paper's P is diagonal, and the affine spectrum that the
-    second-moment audit reads rejects any other.
-    """
-    xs = sorted(set(dom.ctx.element(a) for a in X))
+    xs = sorted(set(ctx.element(a) for a in X))
     if not xs:
         raise EmptyXError("shift set X must be nonempty")
-    pvals = dom.as_values(pvals)
-    ladder = _ladder(dom, E)
-    r = ladder.fold(k).values
-    base = _bin_by_value(dom.ctx, pvals, r, len(ladder) ** k)
-    ctx = dom.ctx
-    mass = len(xs) * len(ladder) ** k
+    mass = len(xs) * table.total()
     dtype = _table_dtype(mass)
-    shifted = base.values.astype(dtype)
+    shifted = table.values.astype(dtype)
     ts = np.arange(ctx.q, dtype=np.int64)
     out = np.zeros(ctx.q, dtype=dtype)
     for a in xs:
-        # nu(t + a) += base(t): adding a permutes the scalar domain
+        # nu(t + a) += table(t): adding a permutes the scalar domain
         out[ctx.add_vec(ts, np.int64(a))] += shifted
-    table = CountTable(q=ctx.q, values=out)
-    if table.total() != mass:
+    result = CountTable(q=ctx.q, values=out)
+    if result.total() != mass:
         raise InvariantError("shift-sum lost mass")
-    return table
+    return result
 
 
 @dataclass(frozen=True)
@@ -356,29 +337,13 @@ class DeltaSet:
                 "covers_Fq": self.covers_Fq}
 
 
-def delta_set(dom: PointDomain, E, values, k: int) -> DeltaSet:
-    """Generalized distance set of E under F, over k-fold sums.
-
-    values is F's value table over dom: `QuadraticForm.value_table(dom)` or
-    `geometry.eval_poly_table(dom, P)`, built once by the caller.
-    """
-    values = dom.as_values(values)
-    r = _ladder(dom, E).fold(k).values
-    seen = tuple(np.unique(values[r > 0]).tolist())
-    q = dom.ctx.q
-    covers_star = len([v for v in seen if v != 0]) == q - 1
-    return DeltaSet(values=seen, covers_Fq_star=covers_star,
-                    covers_Fq=len(seen) == q)
-
-
-def coverage_flags(table: CountTable) -> tuple:
-    """(covers_Fq_star, covers_Fq) of a value-binned table such as nu_k.
-
-    Its support {t : nu(t) > 0} is the generalized distance set, so these
-    are `delta_set`'s flags, read without binning the fold again.
-    """
-    star = bool(np.count_nonzero(table.values[1:]) == table.q - 1)
-    return star, star and table[0] > 0
+def delta_set(table: CountTable) -> DeltaSet:
+    """Generalized distance set of E under F, over k-fold sums: the support
+    {t : nu(t) > 0} of table = `nu_k(E, values, k)` for F's value table."""
+    seen = tuple(np.flatnonzero(table.values).tolist())
+    covers_star = np.count_nonzero(table.values[1:]) == table.q - 1
+    return DeltaSet(values=seen, covers_Fq_star=bool(covers_star),
+                    covers_Fq=len(seen) == table.q)
 
 
 def second_moment(table: CountTable) -> int:
@@ -440,8 +405,7 @@ def _verdict(deviation: float, bound: float) -> bool:
     return deviation <= bound + AUDIT_RTOL * bound + 1e-12
 
 
-def energy_growth_audit(dom: PointDomain, variety, E, k: int,
-                        graph: Spectrum) -> InequalityAudit:
+def energy_growth_audit(variety, E: FoldLadder, k: int, graph: Spectrum) -> InequalityAudit:
     """Even-k energy of E inside a variety V, against the Cayley-graph bound.
 
     `graph` is the Cayley spectrum of V, which callers build once per
@@ -456,25 +420,25 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int,
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
-    ladder = _ladder(dom, E)
+    dom = E.dom
     v_idx = variety.indices
-    if not np.isin(ladder.indices, v_idx).all():
+    if not np.isin(E.indices, v_idx).all():
         raise ValueError("E must be a subset of the variety")
     half = k // 2
-    e_size = len(ladder)
+    e_size = len(E)
     # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):
     # acc is the fold of 1_{-V} with r_{k/2}, of mass |V| |E|^{k/2}.
     neg_v = np.bincount(dom.index_neg(v_idx), minlength=dom.size)
     acc_mass = variety.size * e_size ** half
     acc = None
     if _table_dtype(acc_mass) is np.int64:
-        indicator = np.bincount(ladder.indices, minlength=dom.size)
+        indicator = np.bincount(E.indices, minlength=dom.size)
         acc = _transform_fold(dom, [(neg_v, 1), (indicator, half)])
     if acc is None:
-        acc = _convolve(dom, neg_v, ladder.fold(half).values)
-    e = _exact_dot(ladder.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
-    lam_k = lambda_k(dom, ladder, k)
-    lam_km2 = lambda_k(dom, ladder, k - 2)
+        acc = _convolve(dom, neg_v, E.fold(half).values)
+    e = _exact_dot(E.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
+    lam_k = lambda_k(E, k)
+    lam_km2 = lambda_k(E, k - 2)
     main = Fraction(variety.size * e_size ** (k - 1), dom.size)
     deviation = abs(float(Fraction(e) - main))
     bound = graph.lambda_mixing * math.sqrt(float(lam_km2) * float(lam_k))
@@ -491,18 +455,18 @@ def energy_growth_audit(dom: PointDomain, variety, E, k: int,
                 "energy_upper_slack": e - lam_k, "main": float(main)})
 
 
-def second_moment_audit(dom: PointDomain, E, table: CountTable, x_size: int, k: int,
+def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
                         graph: Spectrum) -> InequalityAudit:
     """sum_t nu_{P,k}(t)^2 against |X|^2|E|^{2k}/q + lambda * |X| * (energy term).
 
     `table` is nu_{P,k} of E for a shift set of x_size distinct elements, and
     `graph` the spectrum of the affine Cayley digraph of P.
     """
-    ladder = _ladder(dom, E)
-    e_size = len(ladder)
+    dom = E.dom
+    e_size = len(E)
     _require_total(table, x_size, e_size, k)
     sq = second_moment(table)
-    lo, hi, _ = energy_term(ladder, k)
+    lo, hi, _ = energy_term(E, k)
     energy = float(lo) * float(hi)
     main = Fraction(x_size ** 2 * e_size ** (2 * k), dom.ctx.q)
     excess = float(Fraction(sq) - main)   # audit is one-sided
@@ -517,7 +481,7 @@ def second_moment_audit(dom: PointDomain, E, table: CountTable, x_size: int, k: 
                 "second_moment": sq, "main": float(main)})
 
 
-def nu_deviation_audits(dom: PointDomain, E, table: CountTable, k: int,
+def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
                         graphs_by_t: dict, ts=None) -> list:
     """Deviation of nu_k(t) from its mixing main term, for each t in `ts`
     (default every t != 0), given the nu_k table of E.
@@ -526,14 +490,14 @@ def nu_deviation_audits(dom: PointDomain, E, table: CountTable, k: int,
     the Spectrum of the t-level Euclidean graph, whose exact degree feeds the
     main term.
     """
+    dom = E.dom
     q = dom.ctx.q
     ts = tuple(range(1, q) if ts is None else ts)
     if any(t % q == 0 for t in ts):
         raise ValueError("deviation audit is stated for t != 0 only")
-    ladder = _ladder(dom, E)
-    e_size = len(ladder)
+    e_size = len(E)
     _require_total(table, 1, e_size, k)
-    lo, hi, energy_detail = energy_term(ladder, k)
+    lo, hi, energy_detail = energy_term(E, k)
     energy = math.sqrt(float(lo) * float(hi))
     out = []
     for t in ts:
@@ -554,14 +518,13 @@ def nu_deviation_audits(dom: PointDomain, E, table: CountTable, k: int,
     return out
 
 
-def energy_recursion_ratio(dom: PointDomain, E, k: int) -> dict:
+def energy_recursion_ratio(E: FoldLadder, k: int) -> dict:
     """Measured constant in the even-k energy recursion: Lambda_k against
     q^{(d-1)(k-2)/2} |E| + |E|^{k-1}/q.  Reported, never asserted."""
     if k % 2 != 0 or k < 2:
         raise OddKError(f"energy recursion ratio needs even k, got {k}")
-    ladder = _ladder(dom, E)
-    lam = lambda_k(dom, ladder, k)
-    q, d, size = dom.ctx.q, dom.d, len(ladder)
+    lam = lambda_k(E, k)
+    q, d, size = E.dom.ctx.q, E.dom.d, len(E)
     denom = q ** ((d - 1) * (k - 2) / 2) * size + size ** (k - 1) / q
     return {"k": k, "size": size, "k_energy": lam,
             "bound_term": denom, "ratio": float(lam) / denom if denom else math.inf}

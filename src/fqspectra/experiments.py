@@ -23,7 +23,6 @@ from . import __version__
 from .domains import PointDomain
 from .energy import (
     FoldLadder,
-    coverage_flags,
     delta_set,
     energy_growth_audit,
     energy_recursion_ratio,
@@ -118,6 +117,8 @@ class ExperimentPlan:
             raise ValueError(f"ks entry k = {min(self.ks)} must be >= 2")
         if min(self.sizes, default=0) < 0:
             raise ValueError(f"sizes entry {min(self.sizes)} must be >= 0")
+        if min(self.x_sizes, default=1) < 1:
+            raise ValueError(f"x_sizes entry {min(self.x_sizes)} must be >= 1")
         if self.sizes_mode not in ("threshold", "absolute"):
             raise ValueError(f"unknown sizes_mode {self.sizes_mode!r}")
 
@@ -270,17 +271,18 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
         for trial in range(plan.trials):
             E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
             rec = {"size_index": size_index, "trial": trial, "size": len(E)}
-            table = nu_k(dom, E, qvals, k)
+            table = nu_k(E, qvals, k)
             nonzero_t = [table[t] for t in range(1, q)]
             rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
-            rec["covers_Fq_star"], rec["covers_Fq"] = coverage_flags(table)
+            ds = delta_set(table)
+            rec["covers_Fq_star"], rec["covers_Fq"] = ds.covers_Fq_star, ds.covers_Fq
             if len(E) > 0:
                 main = len(E) ** k / q
                 rec["rel_deviation"] = max(abs(table[t] / main - 1) for t in range(1, q))
                 lo, hi, _ = energy_term(E, k)
                 rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
                                             * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
-                audits = nu_deviation_audits(dom, E, table, k, graphs)
+                audits = nu_deviation_audits(E, table, k, graphs)
                 failures = sum(1 for a in audits if not a.ok)
                 rec["audit_failures"] = failures
                 rec["max_audit_gap_used"] = max(
@@ -330,15 +332,15 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
             for k in ks:
                 if k % 2 == 0:
                     if k == 2:
-                        lam2 = lambda_k(dom, E, 2)
+                        lam2 = lambda_k(E, 2)
                         rec["k2_identity_ok"] = (lam2 == len(E))
                         if lam2 != len(E):
                             hard_failures += 1
                         continue
-                    rr = energy_recursion_ratio(dom, E, k)
+                    rr = energy_recursion_ratio(E, k)
                     rec[f"k{k}_energy"] = rr["k_energy"]
                     rec[f"k{k}_ratio"] = rr["ratio"]
-                    audit = energy_growth_audit(dom, variety, E, k, graph)
+                    audit = energy_growth_audit(variety, E, k, graph)
                     rec[f"k{k}_audit_ok"] = audit.ok
                     if not audit.ok:
                         hard_failures += 1
@@ -377,7 +379,8 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     for size_index, size in enumerate(sizes):
         for trial in range(plan.trials):
             E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
-            ds = delta_set(dom, E, pvals, k)
+            binned = nu_k(E, pvals, k)
+            ds = delta_set(binned)
             for x_size in plan.x_sizes:
                 X = sample_scalar_subset(q, x_size, plan.seed, trial)
                 rec = {"size_index": size_index, "trial": trial,
@@ -387,13 +390,13 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 rec["sumset_size"] = len(ss)
                 rec["verdict_cq"] = len(ss) >= plan.c * q
                 if len(E) > 0:
-                    table = nu_P_k(dom, E, X, pvals, k)
+                    table = nu_P_k(ctx, binned, X)
                     bound = sumset_lower_bound(table, len(X), len(E), k)
                     rec["cs_bound"] = float(bound)
                     rec["cs_bound_ok"] = len(ss) >= bound
                     if len(ss) < bound:
                         hard_failures += 1
-                    audit = second_moment_audit(dom, E, table, len(X), k, graph)
+                    audit = second_moment_audit(E, table, len(X), k, graph)
                     rec["second_moment"] = audit.detail["second_moment"]
                     rec["mixing_audit_ok"] = audit.ok
                     if not audit.ok:

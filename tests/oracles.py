@@ -17,7 +17,11 @@ must equal it bit for bit.  `scan_reference` is the whole-table moduli scan
 that the blocked scan must reproduce, and `eigenvalue_table` the one
 whole-table reader of a streamed spectrum.  `roll_fold` is the sparse
 iterated fold, one `PointDomain.translate_table` per point, in Python ints:
-the exact reference that the certified transform folds must equal.  `smallest_generator_reference` is
+the exact reference that the certified transform folds must equal.
+`delta_reference` and `nu_P_reference` read the generalized distance set and
+nu_{P,k} off a fold directly, by np.unique and by binning the fold once per
+shift, for the library's reading of both off one binned table.
+`smallest_generator_reference` is
 the scalar generator search, on the polynomial `pow_poly`, that the batched
 search must agree with, and `spectrum_text_reference` the per-cell `--out`
 format the streamed writer must reproduce byte for byte.
@@ -183,6 +187,23 @@ def brute_delta(p, E, value_fn, k):
     out = set()
     for tup in itertools.product(E, repeat=k):
         out.add(value_fn(sum_pts(p, tup)))
+    return out
+
+
+def delta_reference(q, values, r):
+    """(Delta, covers F_q^*, covers F_q) as the value set of the fold's
+    support, np.unique(values[r > 0])."""
+    seen = tuple(np.unique(values[r > 0]).tolist())
+    return seen, len([v for v in seen if v != 0]) == q - 1, len(seen) == q
+
+
+def nu_P_reference(ctx, values, r, X):
+    """nu_{P,k} as a list over F_q, binning the fold r by P's value table
+    once for each distinct shift a in X, in Python ints."""
+    out = [0] * ctx.q
+    for a in sorted({ctx.element(x) for x in X}):
+        for z in np.flatnonzero(r):
+            out[ctx.add(a, int(values[z]))] += int(r[z])
     return out
 
 

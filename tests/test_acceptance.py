@@ -16,6 +16,7 @@ import pytest
 from fqspectra.domains import PointDomain
 from fqspectra.field import FieldContext
 from fqspectra.energy import (
+    FoldLadder,
     delta_set,
     energy_growth_audit,
     lambda_k,
@@ -64,13 +65,14 @@ def test_acceptance_1_oracle_equivalence():
             size = rng.randint(1, 6)
             idxs = rng.sample(range(dom.size), size)
             E = sorted(point_of(dom, i) for i in idxs)
+            ladder = FoldLadder(dom, E)
             for k in (2, 4):
-                assert lambda_k(dom, E, k) == brute_lambda(p, E, k)
+                assert lambda_k(ladder, k) == brute_lambda(p, E, k)
             for k in (2, 3):
-                got = nu_k(dom, E, form.value_table(dom), k)
+                got = nu_k(ladder, form.value_table(dom), k)
                 want = brute_nu(p, E, matrix, k)
                 assert all(got[t] == want.get(t, 0) for t in range(p))
-                ds = delta_set(dom, E, form.value_table(dom), k)
+                ds = delta_set(got)
                 assert set(ds.values) == brute_delta(p, E, q_of, k)
             checked += 1
     elapsed = time.time() - start
@@ -261,26 +263,26 @@ def test_acceptance_6_exact_inequality_ledger():
         for _ in range(100):
             # deviation audits, even and odd k
             for k in (2, 4, 3):
-                E = draw_subset(10)
+                E = FoldLadder(dom, draw_subset(10))
                 t = rng.randint(1, ctx.q - 1)
-                table = nu_k(dom, E, form.value_table(dom), k)
-                audit = nu_deviation_audits(dom, E, table, k, spectra, ts=(t,))[0]
+                table = nu_k(E, form.value_table(dom), k)
+                audit = nu_deviation_audits(E, table, k, spectra, ts=(t,))[0]
                 configs += 1
                 if not audit.ok:
                     violations.append(("nu-deviation", p, d, k, audit.as_dict()))
             # energy growth inside the sphere, even k = 4
             size = rng.randint(1, variety.size)
-            E = sorted(rng.sample(list(variety.points), size))
-            audit = energy_growth_audit(dom, variety, E, 4, variety_graph)
+            E = FoldLadder(dom, sorted(rng.sample(list(variety.points), size)))
+            audit = energy_growth_audit(variety, E, 4, variety_graph)
             configs += 1
             if not audit.ok:
                 violations.append(("energy-growth", p, d, 4, audit.as_dict()))
             # second-moment audits, even and odd k
             for k in (2, 3):
-                E = draw_subset(8)
+                E = FoldLadder(dom, draw_subset(8))
                 X = sorted(rng.sample(range(ctx.q), rng.randint(1, ctx.q)))
-                table = nu_P_k(dom, E, X, eval_poly_table(dom, pspec), k)
-                audit = second_moment_audit(dom, E, table, len(X), k, affine_graph)
+                table = nu_P_k(ctx, nu_k(E, eval_poly_table(dom, pspec), k), X)
+                audit = second_moment_audit(E, table, len(X), k, affine_graph)
                 configs += 1
                 if not audit.ok:
                     violations.append(("second-moment", p, d, k, audit.as_dict()))
@@ -333,11 +335,12 @@ def test_acceptance_8_worked_fixtures():
     dom = PointDomain(ctx, 2)
     v = builtin_variety(ctx, "sphere", 2, 1)
     form = QuadraticForm.identity(2)
-    nu = nu_k(dom, v.points, form.value_table(dom), 2)
-    ds = delta_set(dom, v.points, form.value_table(dom), 2)
+    E = FoldLadder(dom, v.points)
+    nu = nu_k(E, form.value_table(dom), 2)
+    ds = delta_set(nu)
     spec = cayley_spectrum(ctx, v.points, d=2)
     ok = (v.size == 4
-          and lambda_k(dom, v.points, 4) == 36
+          and lambda_k(E, 4) == 36
           and [nu[t] for t in range(3)] == [4, 4, 8]
           and ds.values == (0, 1, 2)
           and abs(spec.lambda_second - 2.0) < 1e-9)

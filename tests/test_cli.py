@@ -20,7 +20,7 @@ import fqspectra.cli as cli_mod
 import fqspectra.energy as energy_mod
 import fqspectra.spectra as spectra_mod
 from fqspectra.cli import MIXING_BLOCK_CELLS, main
-from fqspectra.experiments import _derive_rng
+from fqspectra.experiments import ExperimentPlan, _derive_rng
 from fqspectra.field import FieldContext
 from fqspectra.geometry import Variety, builtin_variety
 from fqspectra.spectra import cayley_spectrum
@@ -126,6 +126,15 @@ def test_nup_reports_bound(capsys):
     assert code == 0
     assert payload["cs_bound_ok"]
     assert payload["sumset_size"] >= payload["cs_bound"]
+
+
+def test_nup_counts_the_shift_set_as_field_elements(capsys):
+    argv = ["energy", "nup", "--p", "3", "--n", "2", "--d", "2", "--family", "sphere",
+            "--k", "2", "--s", "2", "--x-set"]
+    code, out, _ = run_cli(argv + ["0,1,1"], capsys)
+    assert code == 0 and json.loads(out)["x_size"] == 2
+    code, out, err = run_cli(argv + ["0,9"], capsys)
+    assert (code, out) == (1, "") and "9 is not an element of F_9" in err
 
 
 def test_nup_folds_the_subset_once(monkeypatch, capsys):
@@ -514,7 +523,17 @@ def test_negative_subset_sizes_are_usage_errors(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: subset size -1 must be >= 0\n")
     plan = _plan(tmp_path, "k = 2\nx_sizes = -1\n")
     code, out, err = run_cli(["experiment", "sumset", "--plan", plan], capsys)
-    assert (code, out, err) == (1, "", "error: subset size -1 must be >= 0\n")
+    assert (code, out, err) == (1, "", "error: x_sizes entry -1 must be >= 1\n")
+
+
+@pytest.mark.parametrize("x_sizes", ["0", "2,0"])
+def test_plan_x_sizes_below_1_are_usage_errors(x_sizes, tmp_path, capsys):
+    # An empty shift set has no nu_{P,k}: the plan is refused before any run.
+    plan = _plan(tmp_path, f"k = 2\nx_sizes = {x_sizes}\n")
+    with pytest.raises(ValueError, match="^x_sizes entry 0 must be >= 1$"):
+        ExperimentPlan.from_file(plan)
+    code, out, err = run_cli(["experiment", "sumset", "--plan", plan], capsys)
+    assert (code, out, err) == (1, "", "error: x_sizes entry 0 must be >= 1\n")
 
 
 @pytest.mark.parametrize("mode", ["absolute", "threshold"])

@@ -28,7 +28,6 @@ from fqspectra.energy import (
     CountTable,
     FoldLadder,
     delta_set,
-    coverage_flags,
     energy_growth_audit,
     energy_recursion_ratio,
     energy_term,
@@ -51,7 +50,9 @@ from oracles import (
     brute_lambda,
     brute_nu,
     brute_nu_P,
+    delta_reference,
     index_add,
+    nu_P_reference,
     point_of,
     roll_fold,
 )
@@ -66,6 +67,11 @@ def _random_subset(dom, size, seed):
     rng = random.Random(seed)
     idxs = rng.sample(range(dom.size), size)
     return [point_of(dom, i) for i in idxs]
+
+
+def _nu_P(dom, E, X, P, k):
+    """nu_{P,k} of the point list E, shifted from its one P-binned table."""
+    return nu_P_k(dom.ctx, nu_k(FoldLadder(dom, E), eval_poly_table(dom, P), k), X)
 
 
 def test_fold_depth_one_is_indicator():
@@ -123,7 +129,8 @@ def test_nu_k_total_is_size_to_the_k(pn, d, k, data):
     idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=8))
     coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=d, max_size=d))
     form = QuadraticForm.diagonal(tuple(coeffs))
-    table = nu_k(dom, np.array(sorted(idx), dtype=np.int64), form.value_table(dom), k)
+    table = nu_k(FoldLadder(dom, np.array(sorted(idx), dtype=np.int64)),
+                 form.value_table(dom), k)
     assert table.total() == len(idx) ** k
 
 
@@ -135,7 +142,7 @@ def test_big_integer_path_matches_int64(monkeypatch):
     slow = fold_counts(DOM32, E, 3)
     assert slow.values.dtype == object
     assert [int(v) for v in slow.values] == [int(v) for v in fast.values]
-    assert lambda_k(DOM32, E, 6) == sum(int(v) ** 2 for v in fast.values)
+    assert lambda_k(FoldLadder(DOM32, E), 6) == sum(int(v) ** 2 for v in fast.values)
 
 
 def test_full_f101_sphere_fold_of_depth_4_is_exact():
@@ -171,26 +178,27 @@ def test_transform_fold_is_capped_by_table_max(monkeypatch):
 def test_lambda2_is_set_size():
     for size in (1, 2, 3, 4):
         E = _random_subset(DOM32, size, seed=size)
-        assert lambda_k(DOM32, E, 2) == size
+        assert lambda_k(FoldLadder(DOM32, E), 2) == size
 
 
 def test_lambda4_sphere_is_36_with_brute_force():
-    assert lambda_k(DOM32, S1_F3.points, 4) == 36
+    assert lambda_k(FoldLadder(DOM32, S1_F3.points), 4) == 36
     assert brute_lambda(3, list(S1_F3.points), 4) == 36
 
 
 def test_lambda_singleton():
     for k in (2, 4, 6):
-        assert lambda_k(DOM32, [(0, 0)], k) == 1
+        assert lambda_k(FoldLadder(DOM32, [(0, 0)]), k) == 1
 
 
 def test_lambda_odd_k_rejected():
     with pytest.raises(OddKError):
-        lambda_k(DOM32, S1_F3.points, 3)
+        lambda_k(FoldLadder(DOM32, S1_F3.points), 3)
 
 
 def test_nu_sphere_worked_values():
-    table = nu_k(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 2)
+    table = nu_k(FoldLadder(DOM32, S1_F3.points),
+                 QuadraticForm.identity(2).value_table(DOM32), 2)
     assert [table[t] for t in range(3)] == [4, 4, 8]
     want = brute_nu(3, list(S1_F3.points), ((1, 0), (0, 1)), 2)
     assert all(table[t] == want.get(t, 0) for t in range(3))
@@ -200,12 +208,13 @@ def test_nu_total_mass_full_space():
     dom = PointDomain(F3, 2)
     full = [point_of(dom, i) for i in range(dom.size)]
     for k in (1, 2):
-        table = nu_k(dom, full, QuadraticForm.identity(2).value_table(dom), k)
+        table = nu_k(FoldLadder(dom, full), QuadraticForm.identity(2).value_table(dom), k)
         assert table.total() == dom.size ** k == 3 ** (2 * k)
 
 
 def test_nu_k1_sphere_definition():
-    table = nu_k(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 1)
+    table = nu_k(FoldLadder(DOM32, S1_F3.points),
+                 QuadraticForm.identity(2).value_table(DOM32), 1)
     assert table[1] == 4 and table[0] == 0 and table[2] == 0
 
 
@@ -224,7 +233,7 @@ def test_nu_degenerate_form_rejected(capsys):
 def test_nu_P_worked_example():
     dom = PointDomain(F3, 1)
     P = diagonal_poly(F3, 1, 2)
-    table = nu_P_k(dom, [(1,), (2,)], [0], eval_poly_table(dom, P), 2)
+    table = _nu_P(dom, [(1,), (2,)], [0], P, 2)
     assert [table[t] for t in range(3)] == [2, 2, 0]
     want = brute_nu_P(3, [(1,), (2,)], [0], (1,), 2, 2)
     assert all(table[t] == want.get(t, 0) for t in range(3))
@@ -234,7 +243,7 @@ def test_nu_P_zero_shift_equals_plain_distance_count():
     dom = PointDomain(F5, 2)
     P = diagonal_poly(F5, 2, 2)
     E = _random_subset(dom, 4, seed=9)
-    with_zero = nu_P_k(dom, E, [0], eval_poly_table(dom, P), 2)
+    with_zero = _nu_P(dom, E, [0], P, 2)
     want = brute_nu_P(5, E, [0], (1, 1), 2, 2)
     assert all(with_zero[t] == want.get(t, 0) for t in range(5))
 
@@ -243,7 +252,7 @@ def test_nu_P_full_shift_set_flattens():
     dom = PointDomain(F3, 1)
     P = diagonal_poly(F3, 1, 2)
     E = [(1,), (2,)]
-    table = nu_P_k(dom, E, list(range(3)), eval_poly_table(dom, P), 2)
+    table = _nu_P(dom, E, list(range(3)), P, 2)
     assert [table[t] for t in range(3)] == [4, 4, 4]  # |E|^k each
 
 
@@ -251,9 +260,9 @@ def test_nu_P_shift_sum_switches_to_big_integers(monkeypatch):
     dom = PointDomain(F5, 1)
     P = diagonal_poly(F5, 1, 2)
     E, X = [(1,), (3,)], [0, 1, 4]
-    fast = nu_P_k(dom, E, X, eval_poly_table(dom, P), 2)
+    fast = _nu_P(dom, E, X, P, 2)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 5)  # |E|^k = 4 < 5 <= |X||E|^k
-    slow = nu_P_k(dom, E, X, eval_poly_table(dom, P), 2)
+    slow = _nu_P(dom, E, X, P, 2)
     assert fast.values.dtype == np.int64 and slow.values.dtype == object
     assert [int(v) for v in slow.values] == [int(v) for v in fast.values]
 
@@ -266,9 +275,10 @@ def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
     E = _random_subset(dom, 5, seed=p + n)
 
     def run():
-        return (nu_k(dom, E, form.value_table(dom), 3),
-                nu_P_k(dom, E, [0, 1], eval_poly_table(dom, P), 3),
-                delta_set(dom, E, eval_poly_table(dom, P), 3))
+        ladder = FoldLadder(dom, E)
+        binned = nu_k(ladder, eval_poly_table(dom, P), 3)
+        return (nu_k(ladder, form.value_table(dom), 3), nu_P_k(dom.ctx, binned, [0, 1]),
+                delta_set(binned))
 
     fast = run()
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # every fold table is object
@@ -277,15 +287,15 @@ def test_value_binning_on_big_integer_tables(p, n, monkeypatch):
         assert a.values.dtype == np.int64 and b.values.dtype == object
         assert [int(v) for v in b.values] == [int(v) for v in a.values]
     assert slow[2] == fast[2]
-    assert coverage_flags(slow[0]) == coverage_flags(fast[0])
+    assert delta_set(slow[0]) == delta_set(fast[0])
 
 
 def test_nu_P_empty_X_rejected():
     dom = PointDomain(F3, 1)
     with pytest.raises(EmptyXError):
-        nu_P_k(dom, [(1,)], [], eval_poly_table(dom, diagonal_poly(F3, 1, 2)), 2)
-    with pytest.raises(ValueError):
-        nu_P_k(PointDomain(F3, 2), [(1, 0)], [0], np.zeros(3, dtype=np.int64), 2)
+        _nu_P(dom, [(1,)], [], diagonal_poly(F3, 1, 2), 2)
+    with pytest.raises(ValueError, match="value table has shape"):
+        nu_k(FoldLadder(PointDomain(F3, 2), [(1, 0)]), np.zeros(3, dtype=np.int64), 2)
 
 
 COVERAGE_FIELDS = {(p, n): FieldContext(p, n) for p, n in ((5, 1), (3, 2), (3, 3))}
@@ -298,15 +308,16 @@ def test_coverage_flags_from_nu_support_equal_delta_set_flags(pn, d, k, data):
     dom = PointDomain(COVERAGE_FIELDS[pn], d)
     idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=10))
     ladder = FoldLadder(dom, np.array(sorted(idx), dtype=np.int64))
-    form = QuadraticForm.identity(d)
-    ds = delta_set(dom, ladder, form.value_table(dom), k)
-    flags = coverage_flags(nu_k(dom, ladder, form.value_table(dom), k))
-    assert flags == (ds.covers_Fq_star, ds.covers_Fq)
+    qvals = QuadraticForm.identity(d).value_table(dom)
+    ds = delta_set(nu_k(ladder, qvals, k))
+    flags = (ds.covers_Fq_star, ds.covers_Fq)
+    assert (ds.values, *flags) == delta_reference(dom.ctx.q, qvals, ladder.fold(k).values)
     assert all(type(f) is bool for f in flags)
 
 
 def test_delta_sphere_covers_f3():
-    ds = delta_set(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 2)
+    ds = delta_set(nu_k(FoldLadder(DOM32, S1_F3.points),
+                         QuadraticForm.identity(2).value_table(DOM32), 2))
     assert ds.values == (0, 1, 2)
     assert ds.covers_Fq and ds.covers_Fq_star
     want = brute_delta(3, list(S1_F3.points),
@@ -315,13 +326,15 @@ def test_delta_sphere_covers_f3():
 
 
 def test_delta_singleton_origin():
-    ds = delta_set(DOM32, [(0, 0)], QuadraticForm.identity(2).value_table(DOM32), 3)
+    ds = delta_set(nu_k(FoldLadder(DOM32, [(0, 0)]),
+                        QuadraticForm.identity(2).value_table(DOM32), 3))
     assert ds.values == (0,)
     assert not ds.covers_Fq_star
 
 
 def test_delta_k1_sphere():
-    ds = delta_set(DOM32, S1_F3.points, QuadraticForm.identity(2).value_table(DOM32), 1)
+    ds = delta_set(nu_k(FoldLadder(DOM32, S1_F3.points),
+                         QuadraticForm.identity(2).value_table(DOM32), 1))
     assert ds.values == (1,)
 
 
@@ -344,11 +357,12 @@ def test_sumset_bound_worked_example():
     dom = PointDomain(F3, 1)
     P = diagonal_poly(F3, 1, 2)
     E = [(1,), (2,)]
-    table = nu_P_k(dom, E, [0], eval_poly_table(dom, P), 2)
+    binned = nu_k(FoldLadder(dom, E), eval_poly_table(dom, P), 2)
+    table = nu_P_k(F3, binned, [0])
     assert second_moment(table) == 8
     bound = sumset_lower_bound(table, 1, 2, 2)
     assert bound == Fraction(16, 8) == 2
-    ds = delta_set(dom, E, eval_poly_table(dom, P), 2)
+    ds = delta_set(binned)
     ss = sumset(F3, [0], ds.values)
     assert ss == (0, 1) and len(ss) >= bound
 
@@ -388,13 +402,13 @@ def test_energy_term_odd_k_products():
     ladder = FoldLadder(DOM32, S1_F3.points)
     assert energy_term(ladder, 3) == (4, 36, {"k_energy_product": 144})
     lo, hi, detail = energy_term(ladder, 5)
-    assert lo == 36 and hi == lambda_k(DOM32, ladder, 6)
+    assert lo == 36 and hi == lambda_k(ladder, 6)
     assert detail == {"k_energy_product": 36 * hi}
     assert energy_term(ladder, 4) == (36, 36, {"k_energy": 36})
 
 
 def test_energy_recursion_ratio_fixture():
-    out = energy_recursion_ratio(DOM32, S1_F3.points, 4)
+    out = energy_recursion_ratio(FoldLadder(DOM32, S1_F3.points), 4)
     assert out["k_energy"] == 36
     assert out["bound_term"] == pytest.approx(3 * 4 + 64 / 3)
     assert out["ratio"] == pytest.approx(36 / (12 + 64 / 3))
@@ -410,12 +424,13 @@ def test_oracle_equivalence_quick():
         for trial in range(20):
             size = rng.randint(1, 6)
             E = _random_subset(dom, size, seed=1000 * p + trial)
-            assert lambda_k(dom, E, 2) == brute_lambda(p, E, 2)
-            assert lambda_k(dom, E, 4) == brute_lambda(p, E, 4)
-            got = nu_k(dom, E, form.value_table(dom), 2)
+            ladder = FoldLadder(dom, E)
+            assert lambda_k(ladder, 2) == brute_lambda(p, E, 2)
+            assert lambda_k(ladder, 4) == brute_lambda(p, E, 4)
+            got = nu_k(ladder, form.value_table(dom), 2)
             want = brute_nu(p, E, matrix, 2)
             assert all(got[t] == want.get(t, 0) for t in range(p))
-            ds = delta_set(dom, E, form.value_table(dom), 2)
+            ds = delta_set(got)
             want_delta = brute_delta(
                 p, E, lambda z: sum(c * c for c in z) % p, 2)
             assert set(ds.values) == want_delta
@@ -439,8 +454,9 @@ def test_nu_deviation_audit_never_fails(k):
         t = rng.randint(1, 4)
         if t not in spectra:
             spectra[t], _ = euclidean_spectrum(dom, form.value_table(dom), t)
-        table = nu_k(dom, E, form.value_table(dom), k)
-        audit = nu_deviation_audits(dom, E, table, k, {t: spectra[t]}, ts=(t,))[0]
+        ladder = FoldLadder(dom, E)
+        table = nu_k(ladder, form.value_table(dom), k)
+        audit = nu_deviation_audits(ladder, table, k, {t: spectra[t]}, ts=(t,))[0]
         assert audit.ok, audit.as_dict()
 
 
@@ -448,28 +464,29 @@ def test_nu_deviation_audit_rejects_t_zero():
     dom = PointDomain(F5, 2)
     qvals = QuadraticForm.identity(2).value_table(dom)
     spec, _ = euclidean_spectrum(dom, qvals, 1)
-    table = nu_k(dom, [(0, 1)], qvals, 2)
+    ladder = FoldLadder(dom, [(0, 1)])
+    table = nu_k(ladder, qvals, 2)
     with pytest.raises(ValueError):
-        nu_deviation_audits(dom, [(0, 1)], table, 2, {0: spec}, ts=(0,))
+        nu_deviation_audits(ladder, table, 2, {0: spec}, ts=(0,))
 
 
 def test_table_taking_audits_reject_tables_of_wrong_total():
     dom = PointDomain(F5, 1)
     P = diagonal_poly(F5, 1, 2)
     graph, _ = affine_cayley_spectrum(F5, P, 1)
-    E, X = [(1,), (3,)], [0, 2]
-    table = nu_P_k(dom, E, X, eval_poly_table(dom, P), 2)
-    assert second_moment_audit(dom, E, table, len(X), 2, graph).ok
+    E, X = FoldLadder(dom, [(1,), (3,)]), [0, 2]
+    table = nu_P_k(F5, nu_k(E, eval_poly_table(dom, P), 2), X)
+    assert second_moment_audit(E, table, len(X), 2, graph).ok
     with pytest.raises(InconsistentTotalError):
-        second_moment_audit(dom, E, table, 1, 2, graph)  # |X| is 2
+        second_moment_audit(E, table, 1, 2, graph)  # |X| is 2
     shifted = CountTable(q=5, values=table.values + 1)
     with pytest.raises(InconsistentTotalError):
-        second_moment_audit(dom, E, shifted, len(X), 2, graph)
+        second_moment_audit(E, shifted, len(X), 2, graph)
     form = QuadraticForm.identity(1)
     qvals = form.value_table(dom)
     spec, _ = euclidean_spectrum(dom, qvals, 1)
     with pytest.raises(InconsistentTotalError):
-        nu_deviation_audits(dom, E, nu_k(dom, E, qvals, 3), 2, {1: spec}, ts=(1,))
+        nu_deviation_audits(E, nu_k(E, qvals, 3), 2, {1: spec}, ts=(1,))
 
 
 def test_energy_growth_audit_on_sphere_subsets():
@@ -480,7 +497,7 @@ def test_energy_growth_audit_on_sphere_subsets():
     for _ in range(10):
         size = rng.randint(1, v.size)
         E = sorted(rng.sample(list(v.points), size))
-        audit = energy_growth_audit(dom, v, E, 4, graph)
+        audit = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
         assert audit.ok, audit.as_dict()
         assert audit.detail["k_energy"] <= audit.detail["edge_count"]
 
@@ -490,9 +507,9 @@ def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
     dom = PointDomain(F5, 2)
     graph = cayley_spectrum(F5, v.indices, d=2)
     E = sorted(random.Random(4).sample(list(v.points), 3))
-    fast = energy_growth_audit(dom, v, E, 4, graph)
+    fast = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
-    slow = energy_growth_audit(dom, v, E, 4, graph)
+    slow = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
     assert slow.as_dict() == fast.as_dict()
 
 
@@ -523,10 +540,10 @@ def test_growth_audit_with_the_indicator_transform_refused_equals_the_unrefused_
     v = builtin_variety(ctx, "sphere", 2, 1)
     graph = cayley_spectrum(ctx, v.indices, d=2)
     for E in (v.indices[:5], v.indices):
-        want = energy_growth_audit(dom, v, E, k, graph).as_dict()
+        want = energy_growth_audit(v, FoldLadder(dom, E), k, graph).as_dict()
         with monkeypatch.context() as m:
             calls = _refuse_indicator_transforms(m)
-            assert energy_growth_audit(dom, v, E, k, graph).as_dict() == want
+            assert energy_growth_audit(v, FoldLadder(dom, E), k, graph).as_dict() == want
         # the correlation 1_{-V} (*) r_{k/2}, of mass |V| |E|^{k/2}
         assert (v.size, len(E) ** (k // 2)) in calls
 
@@ -535,7 +552,7 @@ def test_energy_growth_audit_requires_containment():
     v = builtin_variety(F5, "sphere", 2, 1)
     graph = cayley_spectrum(F5, v.indices, d=2)
     with pytest.raises(ValueError):
-        energy_growth_audit(PointDomain(F5, 2), v, [(0, 0)], 4, graph)
+        energy_growth_audit(v, FoldLadder(PointDomain(F5, 2), [(0, 0)]), 4, graph)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -547,10 +564,10 @@ def test_second_moment_audit_never_fails(k):
     rng = random.Random(8)
     for seed in range(15):
         size = rng.randint(1, 5)
-        E = _random_subset(dom, size, seed=100 + seed)
+        E = FoldLadder(dom, _random_subset(dom, size, seed=100 + seed))
         X = sorted(rng.sample(range(5), rng.randint(1, 5)))
-        table = nu_P_k(dom, E, X, eval_poly_table(dom, P), k)
-        audit = second_moment_audit(dom, E, table, len(X), k, graph)
+        table = nu_P_k(ctx, nu_k(E, eval_poly_table(dom, P), k), X)
+        audit = second_moment_audit(E, table, len(X), k, graph)
         assert audit.ok, audit.as_dict()
 
 
@@ -595,14 +612,14 @@ def test_failed_certificate_falls_back_to_limb_products(monkeypatch):
     E = sorted(random.Random(4).sample(list(v.points), 6))
     graph = cayley_spectrum(dom.ctx, v.indices, d=2)
     fast = [fold_counts(dom, E, j).values for j in (1, 2, 3, 4)]
-    fast_audit = energy_growth_audit(dom, v, E, 4, graph)
+    fast_audit = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
     calls = _refuse_indicator_transforms(monkeypatch)
     slow = [fold_counts(dom, E, j).values for j in (1, 2, 3, 4)]
     # r_3 = r_2 (*) r_1 and r_4 = r_2 (*) r_2; depths 1 and 2 need no product
     assert calls == [(36, 6), (36, 36)]
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
     calls.clear()
-    assert energy_growth_audit(dom, v, E, 4, graph) == fast_audit
+    assert energy_growth_audit(v, FoldLadder(dom, E), 4, graph) == fast_audit
     assert calls == [(v.size, 36)]  # the correlation 1_{-V} (*) r_2
 
 
@@ -709,7 +726,7 @@ def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
         idx = dom.as_indices(E)
         want = sum(1 for a in idx for b1 in idx for b2 in idx
                    if int(dom.index_sub(index_add(dom, int(b1), int(b2)), int(a))) in vset)
-        assert energy_growth_audit(dom, v, E, 4, graph).detail["edge_count"] == want
+        assert energy_growth_audit(v, FoldLadder(dom, E), 4, graph).detail["edge_count"] == want
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (7, 1, 2)])
@@ -718,11 +735,27 @@ def test_spectral_identity_for_even_energies(p, n, d):
     E = _random_subset(dom, 7, seed=p * n + d)
     hat = np.abs(character_sum_table(dom, E))
     for k in (2, 4, 6):
-        assert lambda_k(dom, E, k) == pytest.approx(
+        assert lambda_k(FoldLadder(dom, E), k) == pytest.approx(
             float(np.sum(hat ** k)) / dom.size, rel=1e-9)
 
 
 def test_ladder_builds_each_depth_once(monkeypatch):
+    depths = _counting_folds(monkeypatch)
+    dom = PointDomain(F5, 2)
+    form = QuadraticForm.identity(2)
+    graphs = {t: euclidean_spectrum(dom, form.value_table(dom), t)[0] for t in range(1, 5)}
+    ladder = FoldLadder(dom, _random_subset(dom, 6, seed=5))
+    table = nu_k(ladder, form.value_table(dom), 3)
+    delta_set(table)
+    nu_deviation_audits(ladder, table, 3, graphs)
+    energy_term(ladder, 3)
+    lambda_k(ladder, 2)
+    energy_recursion_ratio(ladder, 4)
+    assert sorted(depths) == [1, 2, 3]
+    assert len(ladder) == 6
+
+
+def _counting_folds(monkeypatch):
     depths = []
     original = energy_mod.fold_counts
 
@@ -731,33 +764,65 @@ def test_ladder_builds_each_depth_once(monkeypatch):
         return original(dom, E, j)
 
     monkeypatch.setattr(energy_mod, "fold_counts", counting)
+    return depths
+
+
+def test_refused_folds_are_composed_from_the_asking_ladder(monkeypatch):
+    dom = PointDomain(F5, 2)
+    idx = dom.as_indices(_random_subset(dom, 6, seed=5))
+    calls = _refuse_indicator_transforms(monkeypatch)
+    depths = _counting_folds(monkeypatch)
+    ladder = FoldLadder(dom, idx)
+    ladder.fold(2)
+    r4 = ladder.fold(4).values
+    assert depths == [2, 4]            # r_4 = r_2 (*) r_2, with r_2 the ladder's own
+    assert calls == [(36, 36)]
+    depths.clear()
+    r5 = energy_mod.fold_counts(dom, idx, 5).values
+    assert sorted(depths) == [1, 2, 3, 5]
+    assert np.array_equal(r4, roll_fold(dom, idx, 4))
+    assert np.array_equal(r5, roll_fold(dom, idx, 5))
+
+
+# (p, n, d) of F_5^2, F_9^2 and F_7^3
+BINNING_DOMAINS = [(5, 1, 2), (3, 2, 2), (7, 1, 3)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("by", ["Q", "P"])
+@pytest.mark.parametrize("p,n,d", BINNING_DOMAINS)
+def test_delta_and_nu_P_read_the_binned_table_as_the_references_do(p, n, d, by, k):
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    if by == "Q":
+        values = QuadraticForm.identity(d).value_table(dom)
+    else:
+        values = eval_poly_table(dom, diagonal_poly(ctx, d, 3, tuple(range(1, d + 1))))
+    rng = random.Random(p * n * d + k)
+    subsets = [[], rng.sample(range(dom.size), 5)]
+    shift_sets = [[0], [1, 2, 1, 0, 2], rng.sample(range(ctx.q), 3)]
+    for idx in subsets:
+        E = FoldLadder(dom, np.array(sorted(idx), dtype=np.int64))
+        table = nu_k(E, values, k)
+        r = E.fold(k).values
+        ds = delta_set(table)
+        assert (ds.values, ds.covers_Fq_star, ds.covers_Fq) == delta_reference(ctx.q, values, r)
+        for X in shift_sets:
+            got = nu_P_k(ctx, table, X)
+            assert [int(v) for v in got.values] == nu_P_reference(ctx, values, r, X)
+            assert got.total() == len(set(X)) * len(E) ** k
+
+
+def test_single_t_audits_equal_the_full_audit_list():
     dom = PointDomain(F5, 2)
     form = QuadraticForm.identity(2)
     graphs = {t: euclidean_spectrum(dom, form.value_table(dom), t)[0] for t in range(1, 5)}
-    ladder = FoldLadder(dom, _random_subset(dom, 6, seed=5))
-    table = nu_k(dom, ladder, form.value_table(dom), 3)
-    delta_set(dom, ladder, form.value_table(dom), 3)
-    nu_deviation_audits(dom, ladder, table, 3, graphs)
-    energy_term(ladder, 3)
-    lambda_k(dom, ladder, 2)
-    energy_recursion_ratio(dom, ladder, 4)
-    assert sorted(depths) == [1, 2, 3]
-    assert len(ladder) == 6
-
-
-def test_ladder_and_point_list_give_identical_audits():
-    dom = PointDomain(F5, 2)
-    form = QuadraticForm.identity(2)
-    graphs = {t: euclidean_spectrum(dom, form.value_table(dom), t)[0] for t in range(1, 5)}
-    E = _random_subset(dom, 6, seed=6)
+    E = FoldLadder(dom, _random_subset(dom, 6, seed=6))
     for k in (2, 3, 4):
-        table = nu_k(dom, E, form.value_table(dom), k)
-        by_points = nu_deviation_audits(dom, E, table, k, graphs)
-        assert nu_deviation_audits(dom, FoldLadder(dom, E), table, k, graphs) == by_points
-        assert [nu_deviation_audits(dom, E, table, k, {t: graphs[t]}, ts=(t,))[0]
-                for t in range(1, 5)] == by_points
-    with pytest.raises(ValueError):
-        lambda_k(PointDomain(F5, 3), FoldLadder(dom, E), 2)
+        table = nu_k(E, form.value_table(dom), k)
+        audits = nu_deviation_audits(E, table, k, graphs)
+        assert [nu_deviation_audits(E, table, k, {t: graphs[t]}, ts=(t,))[0]
+                for t in range(1, 5)] == audits
 
 
 def test_invariant_checks_survive_optimized_mode():

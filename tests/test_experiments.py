@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ from fqspectra.geometry import builtin_variety
 
 F3 = FieldContext(3)
 F5 = FieldContext(5)
+
+# The benchmark's workloads and checker, read from perfbench/ and run here too,
+# so that a report drifting from its pinned reference fails the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_sample_full_and_empty():
@@ -67,14 +75,14 @@ def test_scalar_subset_full_range():
 
 def test_delta_monotone_under_nesting():
     from fqspectra.domains import PointDomain
-    from fqspectra.energy import delta_set
+    from fqspectra.energy import FoldLadder, delta_set, nu_k
     from fqspectra.geometry import QuadraticForm
     v = builtin_variety(F5, "sphere", 2, 1)
     dom = PointDomain(F5, 2)
-    form = QuadraticForm.identity(2)
+    qvals = QuadraticForm.identity(2).value_table(dom)
     for trial in range(4):
         chain = [sample_subset(v, s, seed=3, trial=trial) for s in (1, 2, 4)]
-        deltas = [set(delta_set(dom, E, form.value_table(dom), 2).values) for E in chain]
+        deltas = [set(delta_set(nu_k(FoldLadder(dom, E), qvals, 2)).values) for E in chain]
         assert deltas[0] <= deltas[1] <= deltas[2]
 
 
@@ -208,6 +216,21 @@ def test_sumset_runner_computes_delta_once_per_trial(monkeypatch):
     assert len(calls) == 2 * 2 and len(rep.records) == 2 * 2 * 3
 
 
+def test_sumset_runner_bins_each_trial_fold_once(monkeypatch):
+    calls = []
+    real = experiments_mod.nu_k
+
+    def counting(E, values, k):
+        calls.append(k)
+        return real(E, values, k)
+
+    monkeypatch.setattr(experiments_mod, "nu_k", counting)
+    plan = ExperimentPlan(p=5, d=2, family="sphere", j=1, k=2, s=2, sizes=(3, 6),
+                          sizes_mode="absolute", x_sizes=(1, 2, 4), trials=2, seed=1)
+    rep = sumset_experiment(plan)
+    assert calls == [2] * (2 * 2) and len(rep.records) == 2 * 2 * 3
+
+
 def test_sumset_runner_evaluates_P_once(monkeypatch):
     import fqspectra.geometry as geometry_mod
     calls = []
@@ -288,3 +311,19 @@ def test_plan_sizes_clamp_down_to_the_variety_and_never_below_zero():
             ExperimentPlan(p=5, d=2, sizes=(1, -0.5), sizes_mode=mode)
     with pytest.raises(ValueError, match="ks entry k = 1 must be >= 2"):
         ExperimentPlan(p=5, d=2, k=2, ks=(1, 2))
+
+
+@pytest.fixture(scope="module")
+def program():
+    return workloads.load_program()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_perfbench_workload_matches_its_pinned_reference(program, name, seed):
+    w = workloads.WORKLOADS[name]
+    checker = checks.Checker(program, w, seed)
+    assert checker.expected, "no pinned reference for this seed"
+    for kind, plan in (("setup", workloads.setup_workload(w)), ("full", w)):
+        _, result = workloads.run_once(program, plan, seed)
+        assert checker.check(kind, result) == [], kind
