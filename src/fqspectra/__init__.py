@@ -46,7 +46,6 @@ from .energy import (
     nu_P_k,
     nu_k,
     second_moment,
-    sumset,
     sumset_lower_bound,
 )
 from .experiments import (

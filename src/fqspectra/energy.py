@@ -11,7 +11,8 @@ limb products of two shallower folds; no count comes from an uncertified one.
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
 most once; it is the one form in which a subset reaches the counts and audits
 here.  `nu_k` bins a fold by any value table, and the generalized distance set
-(`delta_set`) and nu_{P,k} (`nu_P_k`) are both read off that one binned table.
+(`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
+read off that one binned table.
 """
 
 import math
@@ -303,7 +304,9 @@ def nu_P_k(ctx: FieldContext, table: CountTable, X) -> CountTable:
 
     table is `nu_k(E, pvals, k)`, the k-fold count binned by P's value
     table.  X holds field elements (see `FieldContext.element`); a repeated
-    element counts once.  The count is defined for any P; the paper's P is
+    element counts once.  The table is nonzero exactly on X + Delta, as
+    every table(t - a) is nonnegative, so its count of nonzero cells is
+    |X + Delta|.  The count is defined for any P; the paper's P is
     diagonal, and the affine spectrum that the second-moment audit reads
     rejects any other.
     """
@@ -365,13 +368,6 @@ def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> F
     if sq == 0:
         return Fraction(0)
     return Fraction(x_size * x_size * e_size ** (2 * k), sq)
-
-
-def sumset(ctx: FieldContext, X, values) -> tuple:
-    """X + values inside F_q, as a sorted tuple of encodings."""
-    xs = np.asarray(X, dtype=np.int64)
-    vs = np.asarray(values, dtype=np.int64)
-    return tuple(np.unique(ctx.add_vec(xs[:, None], vs[None, :])).tolist())
 
 
 # -- inequality audits ---------------------------------------------------------

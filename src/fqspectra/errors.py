@@ -35,10 +35,6 @@ class OrderTooLargeError(FqspectraError):
     """Field order q = p^n exceeds 2^20."""
 
 
-class InverseOfZeroError(FqspectraError):
-    """Multiplicative inverse of 0 requested."""
-
-
 # -- geometry ----------------------------------------------------------------
 
 class DimensionMismatchError(FqspectraError):
@@ -58,7 +54,7 @@ class EmptyVarietyError(FqspectraError):
 
 
 class DegenerateFormError(FqspectraError):
-    """Quadratic form has determinant 0 over F_q."""
+    """Diagonal quadratic form has a coefficient 0 in F_q (determinant 0)."""
 
 
 # -- spectra -----------------------------------------------------------------

@@ -22,7 +22,6 @@ from .errors import (
     DegreeTooLargeError,
     EvenCharacteristicError,
     InvariantError,
-    InverseOfZeroError,
     NotPrimeError,
     OrderTooLargeError,
 )
@@ -311,11 +310,6 @@ class FieldContext:
             return (a + b) % self.p
         return self.encode((x + y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
 
-    def sub(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a - b) % self.p
-        return self.encode((x - y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
-
     def neg(self, a: int) -> int:
         if self.n == 1:
             return (-a) % self.p
@@ -328,16 +322,10 @@ class FieldContext:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InverseOfZeroError("0 has no multiplicative inverse")
-        if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
-
     def pow(self, a: int, e: int) -> int:
+        """a^e (with 0^0 = 1) for e >= 0."""
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            raise ValueError(f"exponent e = {e} must be >= 0")
         if self.n == 1:
             return pow(a, e, self.p)
         if a == 0:

@@ -1,5 +1,5 @@
-"""Polynomials over F_q^d, variety enumeration, built-in variety families,
-and the regularity certifier.
+"""Polynomials over F_q^d, diagonal quadratic forms, variety enumeration,
+built-in variety families, and the regularity certifier.
 
 A variety here is always the zero set {x in F_q^d : F(x) = 0} of a single
 polynomial, enumerated exhaustively and stored in lexicographic coordinate
@@ -49,9 +49,6 @@ class PolySpec:
             if sum(exps) > MAX_TOTAL_DEGREE:
                 raise ValueError(f"total degree {sum(exps)} exceeds {MAX_TOTAL_DEGREE}")
             seen.add(exps)
-
-    def degree(self) -> int:
-        return max((sum(e) for _, e in self.terms), default=0)
 
 
 def sphere_poly(ctx: FieldContext, d: int, j: int) -> PolySpec:
@@ -145,41 +142,33 @@ def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric d x d matrix of field elements; Q(x) = x^T M x.
+    """The diagonal quadratic form Q(x) = a_1 x_1^2 + ... + a_d x_d^2, stored
+    as its coefficients (a_1, ..., a_d).
 
-    Entries are read through `FieldContext.element` wherever they meet a
-    field, so over an extension field an entry outside 0..q-1 is rejected.
+    Over odd q a linear change of variables makes every nondegenerate form
+    diagonal, so these are all the distance forms up to equivalence.
+    Coefficients are read through `FieldContext.element` wherever they meet
+    a field, so over an extension field one outside 0..q-1 is rejected.
     """
 
-    d: int
-    matrix: tuple
+    coeffs: tuple
 
-    def __post_init__(self):
-        if len(self.matrix) != self.d or any(len(r) != self.d for r in self.matrix):
-            raise DimensionMismatchError("quadratic form matrix must be d x d")
-        for i in range(self.d):
-            for j in range(self.d):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError("quadratic form matrix must be symmetric")
+    @property
+    def d(self) -> int:
+        return len(self.coeffs)
 
     @classmethod
     def identity(cls, d: int) -> "QuadraticForm":
-        return cls(d, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
-
-    @classmethod
-    def diagonal(cls, coeffs) -> "QuadraticForm":
-        d = len(coeffs)
-        return cls(d, tuple(tuple(coeffs[i] if i == j else 0 for j in range(d))
-                            for i in range(d)))
+        return cls((1,) * d)
 
     @classmethod
     def parse(cls, spec: str, d: int) -> "QuadraticForm":
-        """The form on F_q^d named by 'identity' or 'diag:a1,...,ad'."""
+        """The diagonal form on F_q^d named by 'identity' or 'diag:a1,...,ad'."""
         if spec == "identity":
             return cls.identity(d)
         if not spec.startswith("diag:"):
             raise ValueError(f"unknown form spec {spec!r}; use identity or diag:a1,a2,...")
-        form = cls.diagonal(tuple(int(c) for c in spec[5:].split(",")))
+        form = cls(tuple(int(c) for c in spec[5:].split(",")))
         if form.d != d:
             raise DimensionMismatchError(
                 f"form {spec!r} has dimension {form.d}, expected d = {d}")
@@ -192,38 +181,16 @@ class QuadraticForm:
                 f"form dimension {self.d} != domain dimension {dom.d}")
         ctx = dom.ctx
         out = np.zeros(dom.size, dtype=np.int64)
-        for i in range(self.d):
-            xi = dom.coord_array(i)
-            for j in range(self.d):
-                m = ctx.element(self.matrix[i][j])
-                if m:
-                    term = ctx.mul_vec(ctx.mul_vec(xi, dom.coord_array(j)),
-                                       np.int64(m))
-                    out = ctx.add_vec(out, term)
+        for i, a in enumerate(self.coeffs):
+            a = ctx.element(a)
+            if a:
+                xi = dom.coord_array(i)
+                out = ctx.add_vec(out, ctx.mul_vec(ctx.mul_vec(xi, xi), np.int64(a)))
         return out
 
-    def determinant(self, ctx: FieldContext) -> int:
-        """Exact determinant over F_q by Gaussian elimination."""
-        m = [[ctx.element(c) for c in row] for row in self.matrix]
-        det = 1
-        for col in range(self.d):
-            pivot = next((r for r in range(col, self.d) if m[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = ctx.neg(det)
-            det = ctx.mul(det, m[col][col])
-            inv = ctx.inv(m[col][col])
-            for r in range(col + 1, self.d):
-                if m[r][col]:
-                    factor = ctx.mul(m[r][col], inv)
-                    for c in range(col, self.d):
-                        m[r][c] = ctx.sub(m[r][c], ctx.mul(factor, m[col][c]))
-        return det
-
     def require_nondegenerate(self, ctx: FieldContext):
-        if self.determinant(ctx) == 0:
+        """A diagonal form is nondegenerate iff no coefficient is 0 in F_q."""
+        if 0 in [ctx.element(a) for a in self.coeffs]:
             raise DegenerateFormError("quadratic form is degenerate over F_q")
 
 

@@ -67,10 +67,11 @@ class Spectrum:
     concatenation is that table in index order.  The summary constants below
     come from one blocked scan of those arrays, which also checks the trivial
     eigenvalue against the degree and the sum of |lam_m|^2 against
-    order * degree (Parseval).  A Cayley spectrum's one slice is the
-    character-sum table its closure holds; affine slices are rebuilt on each
-    call.  Nothing in the package joins the slices into one table: the
-    CLI's `--out` writer streams them.
+    order * degree (Parseval).  A Spectrum holds no eigenvalue table: every
+    call rebuilds the slices, a Cayley spectrum's one slice as the
+    character-sum table of its connection set and the affine ones from their
+    closed form.  Nothing in the package joins the slices into one table:
+    the CLI's `--out` writer streams them.
 
     lambda_second excludes exactly the eigenvalues of modulus equal to the
     degree (so a connection set equal to a coset union of a subgroup still
@@ -180,8 +181,10 @@ def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
-    eigenvalues = character_sum_table(dom, idx)
-    return _scan_spectrum(ctx, dom, len(idx), lambda: (eigenvalues,))
+    # Each call sums on a fresh domain, so no coordinate array it caches
+    # outlives the call.
+    return _scan_spectrum(ctx, dom, len(idx),
+                          lambda: (character_sum_table(PointDomain(ctx, d), idx),))
 
 
 @dataclass(frozen=True)

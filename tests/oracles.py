@@ -27,9 +27,10 @@ search must agree with, and `spectrum_text_reference` the per-cell `--out`
 format the streamed writer must reproduce byte for byte.
 
 The scalar references (`point_of`, `index_add`, `eval_poly`,
-`eval_quadratic`, `char`, `pow_poly`) evaluate one point or element at a
-time with the field's scalar operations, for the array paths to be checked
-against.
+`eval_quadratic`, `char`, `pow_poly`, `sub`, `inv`) evaluate one point or
+element at a time with the field's scalar operations, for the array paths
+to be checked against.  `sumset` is X + Delta from the value set Delta, the
+set whose size the library reads as the support of nu_{P,k}.
 """
 
 import itertools
@@ -81,21 +82,35 @@ def eval_poly(ctx, spec, x):
 
 
 def eval_quadratic(ctx, form, x):
-    """Q(x) = x^T M x of a QuadraticForm at the point x."""
+    """Q(x) = a_1 x_1^2 + ... + a_d x_d^2 of a QuadraticForm at the point x."""
     if len(x) != form.d:
         raise DimensionMismatchError("point/form dimension mismatch")
     acc = 0
-    for i in range(form.d):
-        for j in range(form.d):
-            m = form.matrix[i][j]
-            if m:
-                acc = ctx.add(acc, ctx.mul(m, ctx.mul(int(x[i]), int(x[j]))))
+    for a, xi in zip(form.coeffs, x):
+        acc = ctx.add(acc, ctx.mul(ctx.element(a), ctx.mul(int(xi), int(xi))))
     return acc
 
 
 def char(ctx, a):
     """The canonical additive character chi(a) = exp(2*pi*i*Tr(a)/p)."""
     return complex(ctx.char_table[ctx.trace_table[a]])
+
+
+def sub(ctx, a, b):
+    """a - b in F_q, digit by digit on the encodings."""
+    return ctx.encode((x - y) % ctx.p for x, y in zip(ctx.digits(a), ctx.digits(b)))
+
+
+def inv(ctx, a):
+    """a^(-1) = a^(q-2) for a != 0, by `pow_poly`."""
+    return pow_poly(ctx, a, ctx.q - 2)
+
+
+def sumset(ctx, X, values):
+    """X + values inside F_q, as a sorted tuple of encodings."""
+    xs = np.asarray(X, dtype=np.int64)
+    vs = np.asarray(values, dtype=np.int64)
+    return tuple(np.unique(ctx.add_vec(xs[:, None], vs[None, :])).tolist())
 
 
 def pow_poly(ctx, a, e):
@@ -125,11 +140,6 @@ def sum_pts(p, pts):
     for x in pts:
         acc = add_pts(p, acc, x)
     return acc
-
-
-def eval_form(p, matrix, z):
-    return sum(matrix[i][j] * z[i] * z[j] for i in range(len(z))
-               for j in range(len(z))) % p
 
 
 def eval_diag(p, coeffs, s, z):
@@ -167,11 +177,11 @@ def brute_lambda(p, E, k):
     return count
 
 
-def brute_nu(p, E, matrix, k):
-    """nu_k(t) for all t, by looping E^k."""
+def brute_nu(p, E, coeffs, k):
+    """nu_k(t) for all t under the form sum_j coeffs[j] x_j^2, by looping E^k."""
     out = Counter()
     for tup in itertools.product(E, repeat=k):
-        out[eval_form(p, matrix, sum_pts(p, tup))] += 1
+        out[eval_diag(p, coeffs, 2, sum_pts(p, tup))] += 1
     return out
 
 

@@ -137,6 +137,33 @@ def test_nup_counts_the_shift_set_as_field_elements(capsys):
     assert (code, out) == (1, "") and "9 is not an element of F_9" in err
 
 
+F7 = ["--p", "7", "--d", "2"]
+NEGATIVE_LISTS = {
+    "energy-nup-x-set": ["energy", "nup", *F7, "--family", "sphere", "--k", "2",
+                         "--s", "2", "--x-set", "-1,6,13"],
+    "energy-nup-coeffs": ["energy", "nup", *F7, "--k", "2", "--s", "2", "--coeffs", "-1,2"],
+    "energy-delta-coeffs": ["energy", "delta", *F7, "--k", "2", "--s", "2",
+                            "--coeffs", "-1,2"],
+    "spectrum-affine-coeffs": ["spectrum", "affine", *F7, "--coeffs", "-1,2"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_LISTS.values(), ids=NEGATIVE_LISTS.keys())
+def test_comma_list_that_starts_negative_is_a_value(argv, capsys):
+    # `--flag -1,2` is read as `--flag=-1,2`, not as an unknown option.
+    spaced = run_cli(argv, capsys)
+    assert spaced == run_cli(argv[:-2] + [f"{argv[-2]}={argv[-1]}"], capsys)
+    assert spaced[0] == 0 and spaced[2] == ""
+    # An option after the flag is still an option, not its value.
+    code, out, err = run_cli(argv[:-1] + ["--pretty"], capsys)
+    assert (code, out) == (1, "") and "expected one argument" in err
+
+
+def test_negative_shift_set_counts_its_residues(capsys):
+    _, out, _ = run_cli(NEGATIVE_LISTS["energy-nup-x-set"], capsys)
+    assert json.loads(out)["x_size"] == 1  # -1, 6 and 13 are all 6 in F_7
+
+
 def test_nup_folds_the_subset_once(monkeypatch, capsys):
     depths = []
     real = energy_mod.fold_counts

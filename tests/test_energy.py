@@ -38,7 +38,6 @@ from fqspectra.energy import (
     nu_k,
     second_moment,
     second_moment_audit,
-    sumset,
     sumset_lower_bound,
 )
 from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly, eval_poly_table
@@ -55,6 +54,7 @@ from oracles import (
     nu_P_reference,
     point_of,
     roll_fold,
+    sumset,
 )
 
 F3 = FieldContext(3)
@@ -128,7 +128,7 @@ def test_nu_k_total_is_size_to_the_k(pn, d, k, data):
     dom = PointDomain(ctx, d)
     idx = data.draw(st.lists(st.integers(0, dom.size - 1), unique=True, max_size=8))
     coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=d, max_size=d))
-    form = QuadraticForm.diagonal(tuple(coeffs))
+    form = QuadraticForm(tuple(coeffs))
     table = nu_k(FoldLadder(dom, np.array(sorted(idx), dtype=np.int64)),
                  form.value_table(dom), k)
     assert table.total() == len(idx) ** k
@@ -200,7 +200,7 @@ def test_nu_sphere_worked_values():
     table = nu_k(FoldLadder(DOM32, S1_F3.points),
                  QuadraticForm.identity(2).value_table(DOM32), 2)
     assert [table[t] for t in range(3)] == [4, 4, 8]
-    want = brute_nu(3, list(S1_F3.points), ((1, 0), (0, 1)), 2)
+    want = brute_nu(3, list(S1_F3.points), (1, 1), 2)
     assert all(table[t] == want.get(t, 0) for t in range(3))
 
 
@@ -365,6 +365,7 @@ def test_sumset_bound_worked_example():
     ds = delta_set(binned)
     ss = sumset(F3, [0], ds.values)
     assert ss == (0, 1) and len(ss) >= bound
+    assert np.flatnonzero(table.values).tolist() == [0, 1]
 
 
 SUMSET_FIELDS = {(p, n): FieldContext(p, n) for p, n in ((7, 1), (3, 2), (3, 3))}
@@ -388,6 +389,33 @@ def test_sumset_of_empty_delta_is_empty():
     for ctx in SUMSET_FIELDS.values():
         assert sumset(ctx, [0, 1, 1], ()) == ()
         assert sumset(ctx, [], (0, 1)) == ()
+        # An empty E bins to an all-zero table, whose shifts have no support.
+        dom = PointDomain(ctx, 2)
+        values = eval_poly_table(dom, diagonal_poly(ctx, 2, 2))
+        empty = FoldLadder(dom, np.array([], dtype=np.int64))
+        assert not nu_P_k(ctx, nu_k(empty, values, 2), [0, 1, 1]).values.any()
+
+
+@pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (7, 1, 3)])
+def test_nu_P_k_support_is_the_sumset(p, n, d):
+    # nu_{P,k}(t) sums the nonnegative nu_k(t - a) over a in X, so it is
+    # nonzero exactly on X + Delta: the runner and `energy nup` read
+    # |X + Delta| off it.
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    rng = random.Random(100 * p + 10 * n + d)
+    values = eval_poly_table(dom, diagonal_poly(ctx, d, 2, [rng.randrange(1, ctx.q)
+                                                             for _ in range(d)]))
+    for size in (0, 1, 2, 5):
+        E = FoldLadder(dom, np.array(sorted(rng.sample(range(dom.size), size)),
+                                     dtype=np.int64))
+        X = [rng.randrange(ctx.q) for _ in range(rng.randint(1, 4))]
+        X += X[:1]  # a repeated element counts once
+        for k in (1, 2, 3):
+            binned = nu_k(E, values, k)
+            table = nu_P_k(ctx, binned, X)
+            want = sumset(ctx, X, delta_set(binned).values)
+            assert tuple(np.flatnonzero(table.values).tolist()) == want
 
 
 def test_sumset_inconsistent_total_rejected():
@@ -420,7 +448,6 @@ def test_oracle_equivalence_quick():
         ctx = FieldContext(p)
         dom = PointDomain(ctx, d)
         form = QuadraticForm.identity(d)
-        matrix = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
         for trial in range(20):
             size = rng.randint(1, 6)
             E = _random_subset(dom, size, seed=1000 * p + trial)
@@ -428,7 +455,7 @@ def test_oracle_equivalence_quick():
             assert lambda_k(ladder, 2) == brute_lambda(p, E, 2)
             assert lambda_k(ladder, 4) == brute_lambda(p, E, 4)
             got = nu_k(ladder, form.value_table(dom), 2)
-            want = brute_nu(p, E, matrix, 2)
+            want = brute_nu(p, E, form.coeffs, 2)
             assert all(got[t] == want.get(t, 0) for t in range(p))
             ds = delta_set(got)
             want_delta = brute_delta(

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import fqspectra.experiments as experiments_mod
 import fqspectra.spectra as spectra_mod
 from fqspectra.domains import PointDomain
-from fqspectra.errors import SizeExceedsVarietyError
+from fqspectra.errors import InvariantError, SizeExceedsVarietyError
 from fqspectra.experiments import (
     ExperimentPlan,
     _derive_rng,
@@ -248,6 +249,20 @@ def test_sumset_runner_evaluates_P_once(monkeypatch):
     pspec = experiments_mod.diagonal_poly(plan.context(), 2, 3)
     assert [c for c in calls if c[1] == pspec] == [(2, pspec, True)]
     assert len(rep.records) == 2 * 2 * 3
+
+
+def test_sumset_runner_raises_when_the_weil_ceiling_fails(monkeypatch):
+    real = experiments_mod.affine_cayley_spectrum
+
+    def failing(*args):
+        spec, check = real(*args)
+        return spec, replace(check, within=False)
+
+    monkeypatch.setattr(experiments_mod, "affine_cayley_spectrum", failing)
+    plan = ExperimentPlan(p=5, d=2, family="sphere", j=1, k=2, s=2, sizes=(3,),
+                          sizes_mode="absolute", trials=1, seed=1)
+    with pytest.raises(InvariantError, match="Weil bound failed"):
+        sumset_experiment(plan)
 
 
 def test_sumset_empty_E():

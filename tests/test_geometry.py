@@ -270,27 +270,39 @@ def test_variety_load_rejects_bad_header(tmp_path):
         Variety.load(path)
 
 
-def test_quadratic_form_validation_and_determinant():
+def test_quadratic_form_validation_and_nondegeneracy():
     q = QuadraticForm.identity(3)
-    assert q.determinant(F5) == 1
-    deg = QuadraticForm.diagonal((1, 0))
-    assert deg.determinant(F5) == 0
-    with pytest.raises(DegenerateFormError):
-        deg.require_nondegenerate(F5)
+    assert q.coeffs == (1, 1, 1) and q.d == 3
+    q.require_nondegenerate(F5)
+    assert QuadraticForm.parse("diag:1,2,3", 3) == QuadraticForm((1, 2, 3))
+    with pytest.raises(DimensionMismatchError):
+        QuadraticForm.parse("diag:1,2", 3)
     with pytest.raises(ValueError):
-        QuadraticForm(2, ((0, 1), (2, 0)))
-    m = QuadraticForm(2, ((1, 2), (2, 3)))
-    assert m.determinant(F5) == (1 * 3 - 2 * 2) % 5
+        QuadraticForm.parse("matrix:1,2", 2)
+    # A coefficient that is 0 in F_q makes the form degenerate.
+    for coeffs in ((1, 0), (1, 5), (-5, 2)):
+        with pytest.raises(DegenerateFormError, match="degenerate over F_q"):
+            QuadraticForm(coeffs).require_nondegenerate(F5)
+    F9 = FieldContext(3, 2)
+    QuadraticForm((1, 8)).require_nondegenerate(F9)
+    # Over an extension field a coefficient outside 0..q-1 is no element,
+    # even next to a zero one.
+    with pytest.raises(ValueError, match="not an element"):
+        QuadraticForm((0, 9)).require_nondegenerate(F9)
 
 
 def test_quadratic_form_tables_match_pointwise():
-    form = QuadraticForm(2, ((1, 2), (2, 3)))
-    dom = PointDomain(F5, 2)
-    table = form.value_table(dom)
-    for idx in range(dom.size):
-        pt = point_of(dom, idx)
-        brute = (pt[0] * pt[0] + 2 * 2 * pt[0] * pt[1] + 3 * pt[1] * pt[1]) % 5
-        assert int(table[idx]) == eval_quadratic(F5, form, pt) == brute
+    for (p, n), coeffs in (((5, 1), (1, 3)), ((5, 1), (2, 0)), ((3, 2), (1, 5))):
+        ctx = FieldContext(p, n)
+        form = QuadraticForm(coeffs)
+        dom = PointDomain(ctx, 2)
+        table = form.value_table(dom)
+        for idx in range(dom.size):
+            pt = point_of(dom, idx)
+            assert int(table[idx]) == eval_quadratic(ctx, form, pt)
+            if n == 1:
+                a, b = coeffs
+                assert int(table[idx]) == (a * pt[0] ** 2 + b * pt[1] ** 2) % p
 
 
 def test_polyspec_validation():

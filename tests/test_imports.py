@@ -91,25 +91,64 @@ UNREAD_ALLOWED = {
 }
 
 
+def _is_property(fn) -> bool:
+    return any(isinstance(dec, ast.Name) and dec.id == "property"
+               for dec in fn.decorator_list)
+
+
+def _is_dataclass(cls) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _read_methods(trees) -> set:
+    """Names a plain method is read by: an attribute that is called, or one
+    read uncalled whose name is no dataclass field and no `self.<name> =`
+    attribute of the trees.  A bare name, or an uncalled read of a name that
+    data also has (`spec.degree` of a field), is no read of a method."""
+    called, uncalled, data = set(), set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    uncalled.add(node.attr)
+                elif getattr(node.value, "id", None) == "self":
+                    data.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                data |= {stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)}
+    return called | (uncalled - data)
+
+
 def unread_definitions(sources: dict) -> list:
     """Module-level functions, and public methods of module-level classes, of
-    `sources` (module name -> source) that no module in it reads, by name or
-    as an attribute.  Dunders are exempt."""
+    `sources` (module name -> source) that no module in it reads.  Dunders
+    are exempt.  A function is read by name or as an attribute, a property
+    as an attribute, and a plain method as `_read_methods` says."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = _read_names(trees.values())
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    methods = _read_methods(trees.values())
     out = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                found = [(node.name, node)]
+                if not node.name.startswith("__") and node.name not in read:
+                    out.append(f"{module}.{node.name}")
             elif isinstance(node, ast.ClassDef):
-                found = [(f"{node.name}.{sub.name}", sub) for sub in node.body
-                         if isinstance(sub, ast.FunctionDef)
-                         and not sub.name.startswith("_")]
-            else:
-                continue
-            out += [f"{module}.{name}" for name, fn in found
-                    if not fn.name.startswith("__") and fn.name not in read]
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef) or sub.name.startswith("_"):
+                        continue
+                    seen = attributes if _is_property(sub) else methods
+                    if sub.name not in seen:
+                        out.append(f"{module}.{node.name}.{sub.name}")
     return sorted(out)
 
 
@@ -122,6 +161,25 @@ def test_the_check_sees_unread_public_functions_and_methods():
         "b": "from a import used\n\nused()\n",
     }
     assert unread_definitions(sources) == ["a.K.unread_method", "a.unread"]
+
+
+def test_the_check_sees_a_method_shadowed_by_a_field_or_attribute():
+    # `spec.degree` reads Spectrum's field and a bare `degree` is a local, so
+    # neither reads PolySpec.degree; `dom.size` reads the attribute that
+    # Domain sets.  An uncalled read of a name no data has (`poly.handler`)
+    # and any attribute read of a property still count.
+    sources = {
+        "a": "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
+             "class Spectrum:\n    degree: int\n\n\nclass PolySpec:\n"
+             "    def degree(self):\n        return 0\n\n    def size(self):\n"
+             "        return 0\n\n    def called(self):\n        return 0\n\n"
+             "    def handler(self):\n        return 0\n\n    @property\n"
+             "    def order(self):\n        return 0\n",
+        "b": "def f(spec, poly, dom):\n    degree = spec.degree\n    poly.called()\n"
+             "    return degree, dom.size, poly.handler, spec.order\n\n\nf(1, 2, 3)\n",
+        "c": "class Domain:\n    def __init__(self):\n        self.size = 1\n",
+    }
+    assert unread_definitions(sources) == ["a.PolySpec.degree", "a.PolySpec.size"]
 
 
 def test_the_check_flags_a_scalar_helper_left_in_the_package():

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
 
 from fqspectra.cli import main as cli_main
-from fqspectra.domains import PointDomain
+from fqspectra.domains import PointDomain, character_sum_table
 from fqspectra.experiments import ExperimentPlan, sumset_experiment
 from fqspectra.errors import (
     ExponentDivisibleByCharacteristicError,
@@ -42,6 +44,7 @@ from oracles import (
     scan_reference,
     spectrum_text_reference,
     sphere_points,
+    sub,
 )
 
 F3 = FieldContext(3)
@@ -310,6 +313,51 @@ def test_affine_table_is_built_only_when_read(tmp_path):
     assert path.read_text() == spectrum_text_reference(table)
 
 
+def _reachable_arrays(root):
+    """The NumPy arrays reachable from root through instance attributes,
+    closure cells, partial arguments and containers; module globals are not
+    followed."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, functools.partial):
+            stack += [*obj.args, *obj.keywords.values()]
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, (list, tuple, set)):
+            stack += obj
+        elif hasattr(obj, "__dict__") and not isinstance(obj, (type, types.ModuleType)):
+            stack += vars(obj).values()
+    return out
+
+
+@pytest.mark.parametrize("p,n,d", [(5, 1, 3), (3, 2, 2)])
+def test_cayley_spectrum_holds_no_table_and_rebuilds_it(p, n, d):
+    # A Cayley spectrum keeps its connection set, not its q^d eigenvalues
+    # (nor a domain's cached coordinate arrays); each slices() call rebuilds
+    # the same table.  Two points take the direct character sums, the
+    # sphere and a Euclidean level set the transform.
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    level = QuadraticForm.identity(d).value_table(dom) == 1
+    for idx in (np.array([0, 1]), builtin_variety(ctx, "sphere", d, 1).indices,
+                np.flatnonzero(level)):
+        spec = cayley_spectrum(ctx, idx, d=d)
+        assert max(a.size for a in _reachable_arrays(spec)) < dom.size
+        table = eigenvalue_table(spec)
+        assert np.array_equal(table, character_sum_table(dom, idx))
+        assert np.array_equal(eigenvalue_table(spec), table)
+    spec, _ = euclidean_spectrum(dom, np.where(level, 1, 0), 1)
+    assert max(a.size for a in _reachable_arrays(spec)) < dom.size
+
+
 def test_sumset_runner_and_spectrum_affine_never_build_the_affine_table(
         monkeypatch, capsys):
     # Each affine slice is read once, by the scan, and only one slice at a
@@ -388,14 +436,14 @@ def test_index_arithmetic_matches_field_arithmetic(p, n, d):
     rng = np.random.default_rng(p * 100 + n * 10 + d)
     A = rng.integers(0, dom.size, 300)
     B = rng.integers(0, dom.size, 300)
-    add, sub, neg = index_add(dom, A, B), dom.index_sub(A, B), dom.index_neg(A)
+    add, diff, neg = index_add(dom, A, B), dom.index_sub(A, B), dom.index_neg(A)
     for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
         x, y = point_of(dom, a), point_of(dom, b)
         assert dom.index_of(x) == a
         assert point_of(dom, add[i]) == tuple(ctx.add(u, v) for u, v in zip(x, y))
-        assert point_of(dom, sub[i]) == tuple(ctx.sub(u, v) for u, v in zip(x, y))
+        assert point_of(dom, diff[i]) == tuple(sub(ctx, u, v) for u, v in zip(x, y))
         assert point_of(dom, neg[i]) == tuple(ctx.neg(u) for u in x)
-        assert index_add(dom, a, b) == add[i] and dom.index_sub(a, b) == sub[i]
+        assert index_add(dom, a, b) == add[i] and dom.index_sub(a, b) == diff[i]
     assert np.array_equal(dom.as_indices([point_of(dom, a) for a in A.tolist()]), A)
     # The (rows, w, 1) - (rows, 1, w) grid `mixing_audit` subtracts.
     C, D = A.reshape(30, 10), B.reshape(30, 10)
