@@ -9,10 +9,13 @@ rounding certificate of `fold_counts`: the indicator's transform, or else
 limb products of two shallower folds; no count comes from an uncertified one.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
-most once; it is the one form in which a subset reaches the counts and audits
-here.  `nu_k` bins a fold by any value table, and the generalized distance set
-(`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
-read off that one binned table.
+most once.  It also holds the real-input transform of its indicator, taken
+once, so that every certified transform fold of the subset, of any depth, is
+one inverse transform.  A ladder is the one form in which a subset reaches the
+counts and audits here, the growth audit's variety included.  `nu_k` bins a
+fold by any value table, and the generalized distance set (`delta_set`) and
+nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both read off that one
+binned table.
 """
 
 import math
@@ -82,8 +85,10 @@ def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
     factors have l1 norms `sizes` and l2 norms `norms`; see `fold_counts`."""
     u = 2.0 ** -53
     alpha = _DFT_ERROR_CONST * dom.ctx.p ** 1.5 * u
-    eps = math.expm1(dom.nd * math.log1p(alpha))
-    eps_inv = (1 + eps) * (1 + u) ** 2 - 1
+    per_pass = math.expm1(dom.nd * math.log1p(alpha))
+    # Half spectra: an error extends to the full grid with at most sqrt(2) times its norm.
+    eps = math.sqrt(2) * per_pass
+    eps_inv = math.sqrt(2) * ((1 + per_pass) * (1 + u) ** 2 - 1)
     eta = eps * math.sqrt(dom.size)
     m = len(sizes)
     theta = math.expm1((m - 1) * math.log1p(math.sqrt(2) * 2 * u / (1 - 2 * u)))
@@ -92,27 +97,45 @@ def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
     return spread * (1 + eps_inv) + eps_inv * min(terms)
 
 
-def _transform_fold(dom: PointDomain, factors):
-    """The convolution of the nonnegative count tables of `factors`, a list of
-    (table, power) pairs, by an FFT over (Z_p)^(nd); int64 counts, or None
-    when the certificate described in `fold_counts` fails."""
-    sizes, norms = [], []
-    for c, power in factors:
-        s = _exact_total(c)
-        sizes += [s] * power
-        norms += [math.sqrt(_exact_dot(c, c, s * s))] * power
+def _norms(table: np.ndarray) -> tuple:
+    """(l1, l2) of a nonnegative count table: l1 exact, l2 the root of the
+    exact sum of squares, which is at most l1 times the largest entry."""
+    s = _exact_total(table)
+    return s, math.sqrt(_exact_dot(table, table, s * int(table.max(initial=0))))
+
+
+def _certificate(dom: PointDomain, factors):
+    """(mass, B) of the transform fold of `factors`, ((l1, l2), power) pairs,
+    or None when the mass reaches 2^53 or B is not below 1/2 (see
+    `fold_counts`)."""
+    sizes = [s for (s, _), power in factors for _ in range(power)]
     mass = math.prod(sizes)
     if mass >= _FLOAT_EXACT:
         return None
+    norms = [l for (_, l), power in factors for _ in range(power)]
     bound = _fold_error_bound(dom, sizes, norms)
-    if not bound < 0.5:
+    return (mass, bound) if bound < 0.5 else None
+
+
+def _rfft(dom: PointDomain, table: np.ndarray) -> np.ndarray:
+    """The half spectrum of a real table over (Z_p)^(nd) (see `fold_counts`)."""
+    return np.fft.rfftn(table.reshape(dom.shape), axes=tuple(range(dom.nd)))
+
+
+def _transform_fold(dom: PointDomain, factors):
+    """The convolution of nonnegative count tables by an FFT over (Z_p)^(nd),
+    as int64 counts, or None when the certificate described in `fold_counts`
+    fails.  `factors` is a list of (norms, hat, power): a factor's `_norms`
+    and its half spectrum (`_rfft`)."""
+    cert = _certificate(dom, [(norms, power) for norms, _, power in factors])
+    if cert is None:
         return None
+    mass, bound = cert
     prod = None
-    for c, power in factors:
-        hat = np.fft.fftn(c.reshape(dom.shape))
+    for _, hat, power in factors:
         for _ in range(power):
             prod = hat if prod is None else prod * hat
-    real = np.fft.ifftn(prod).real.reshape(dom.size)
+    real = np.fft.irfftn(prod, s=dom.shape, axes=tuple(range(dom.nd))).reshape(dom.size)
     r = np.rint(real)
     if np.max(np.abs(real - r), initial=0.0) > bound:
         return None
@@ -136,16 +159,23 @@ def _convolve(dom: PointDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mass = _exact_total(a) * _exact_total(b)
     top = max(int(a.max(initial=0)), int(b.max(initial=0))).bit_length()
     for w in range(max(1, min(top, 63)), 0, -1):
-        limbs_a = _limbs(a, w)
-        limbs_b = limbs_a if b is a else _limbs(b, w)
-        out = np.zeros(dom.size, dtype=_table_dtype(mass))
+        limbs_a = [(shift, limb, _norms(limb)) for shift, limb in _limbs(a, w)]
+        limbs_b = limbs_a if b is a else [(shift, limb, _norms(limb))
+                                          for shift, limb in _limbs(b, w)]
         # A square is symmetric in its limbs: each unordered pair once, doubled.
-        for (sx, x), (sy, y) in ((x, y) for x in limbs_a for y in limbs_b
-                                 if b is not a or x[0] <= y[0]):
-            r = _transform_fold(dom, [(x, 2)] if x is y else [(x, 1), (y, 1)])
+        pairs = [(x, y) for x in limbs_a for y in limbs_b if b is not a or x[0] <= y[0]]
+        if any(_certificate(dom, [(x[2], 1), (y[2], 1)]) is None for x, y in pairs):
+            continue
+        hats_a = {shift: _rfft(dom, limb) for shift, limb, _ in limbs_a}
+        hats_b = hats_a if b is a else {shift: _rfft(dom, limb) for shift, limb, _ in limbs_b}
+        out = np.zeros(dom.size, dtype=_table_dtype(mass))
+        for (sx, _, nx), (sy, _, ny) in pairs:
+            square = b is a and sx == sy
+            r = _transform_fold(dom, [(nx, hats_a[sx], 2)] if square
+                                else [(nx, hats_a[sx], 1), (ny, hats_b[sy], 1)])
             if r is None:
                 break
-            out += r.astype(out.dtype) * ((2 if b is a and x is not y else 1) << (sx + sy))
+            out += r.astype(out.dtype) * ((2 if b is a and not square else 1) << (sx + sy))
         else:
             if _exact_total(out) != mass:
                 raise InvariantError("fold mass conservation violated")
@@ -165,8 +195,12 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     (a new one when E is not a ladder), so that no depth is folded twice.
 
     Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d
-    the convolution of count vectors f_1..f_m is ifftn(prod_i fftn(f_i)),
-    rounded with rint; r_j is ifftn(fftn(1_E)^j).  Its certificate: the mass
+    the convolution of count vectors f_1..f_m is the inverse transform of
+    prod_i F_i, F_i the transform of f_i, rounded with rint.  Every f_i is
+    real, so only half spectra are taken: rfftn keeps the last axis's
+    frequencies 0..floor(p/2), irfftn(x, s = (p,) * (nd)) reads x as half of
+    a Hermitian array, and r_j is irfftn(rfftn(1_E)^j), where E's ladder
+    takes rfftn(1_E) once and holds it.  Its certificate: the mass
     prod_i ||f_i||_1 < 2^53, so every count is exact in float64; the a priori
     bound B below on max |computed - exact| is < 1/2, so rint is exact, and
     the observed residual is at most B; the rounded table has that mass and
@@ -177,9 +211,16 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     m = 2).  Let u = 2^-53.  Assume each length-p DFT along one line has
     relative 2-norm error at most a = C p^(3/2) u, the classical bound for
     the direct sum with C = 8; radix and Bluestein passes do better.  The
-    exact pass scales every line by sqrt(p), so nd passes give fftn a
-    relative error eps = (1 + a)^(nd) - 1, and ifftn with its 1/N scaling
-    eps' = (1 + eps)(1 + u)^2 - 1.
+    exact pass scales every line by sqrt(p), so nd passes give a complex
+    transform the relative error e = (1 + a)^(nd) - 1, and its inverse with
+    the 1/N scaling e' = (1 + e)(1 + u)^2 - 1.  The Hermitian extension of a
+    half-spectrum array, its missing bins filled by conjugates of mirrored
+    ones, has at most sqrt(2) times its 2-norm, as no bin appears in it more
+    than twice.  So, read on the full grid, rfftn has the relative error
+    eps = sqrt(2) e, and irfftn, the real part of the inverse DFT (IDFT) of
+    the extension, has eps' = sqrt(2) e' against the extension's norm.
+    Products act bin by bin and commute with the extension, so steps 1-3 run
+    on the full grid.
 
     1. Forward: ||F~_i - F_i||_2 <= eps ||F_i||_2 = eps sqrt(N) l_i by
        Parseval, and |F_i| <= s_i pointwise, so |F~_i| <= (1 + eta) s_i with
@@ -190,11 +231,13 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
        prod F~ - prod F and putting A_i = l_i prod_{l != i} s_l,
        ||G~ - G||_2 <= sqrt(N) (1 + eta)^(m-1) (eps sum_i A_i
        + theta (1 + eps) min_i A_i) =: sqrt(N) D.
-    3. Inverse: ||ifftn x||_2 = ||x||_2 / sqrt(N) and, by Young, the exact
+    3. Inverse: ||IDFT x||_2 = ||x||_2 / sqrt(N) and, by Young, the exact
        fold has ||r||_2 <= min_i A_i, so ||r~ - r||_2 <= D + eps' (min_i A_i + D).
 
-    Hence max |Re r~ - r| <= B = D (1 + eps') + eps' min_i A_i.  For
-    |E| = 345, j = 3 over F_31^3, B is about 4e-6.
+    Hence max |r~ - r| <= B = D (1 + eps') + eps' min_i A_i, which grows
+    with eps and eps', so it is never below the bound of complex transforms
+    (e and e' in their place).  For |E| = 345, j = 3 over F_31^3, B is
+    about 6e-6.
 
     Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
     a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
@@ -202,9 +245,13 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     limbs are int64, at which all products certify; InvariantError if none
     does, or if their sum, in int64 or Python ints as `_table_dtype` picks
     from ||a||_1 ||b||_1 (no partial sum exceeds the total), lacks that mass.
-    Cost: a square of L limbs takes L (L + 1) / 2 products (plus, at a refused
-    width, those before the refusal), each at most two fftn and one ifftn of
-    O(N log N); r_4 of the full F_101^3 sphere (|E| = 10,302) takes 5-bit limbs.
+    Cost: every product's a priori bound is checked before any transform, so
+    a width that it refuses costs none.  At the width taken, each limb is
+    transformed once: a square of L limbs takes L rfftn and L (L + 1) / 2
+    irfftn, a product of L and L' limbs L + L' rfftn and L L' irfftn, each
+    O(N log N).  On the full F_101^3 sphere (|E| = 10,302), r_4 = r_2 (*) r_2
+    takes 5-bit limbs, 3 rfftn and 6 irfftn, and r_5 = r_3 (*) r_2 takes
+    3-bit limbs, 7 of r_3 and 5 of r_2, so 12 rfftn and 35 irfftn.
     """
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
@@ -214,7 +261,8 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     if j == 1:
         return CountTable(q=dom.ctx.q, values=indicator.astype(dtype))
     require_table_budget(dom, "fold")
-    r = _transform_fold(dom, [(indicator, j)]) if dtype is np.int64 else None
+    r = (_transform_fold(dom, [(_norms(indicator), ladder.transform(), j)])
+         if dtype is np.int64 else None)
     if r is None:
         a = ladder.fold((j + 1) // 2).values
         r = _convolve(dom, a, a if j % 2 == 0 else ladder.fold(j // 2).values)
@@ -226,15 +274,18 @@ class FoldLadder:
 
     Holds E as flat indices and builds depth j on first use by one call to
     `fold_counts`, passing itself, so that a deep fold is composed from the
-    tables already held here; no depth is built twice.  It keeps its tables
-    for its own lifetime only, so callers make one per subset and drop it
-    with the subset.
+    tables already held here; no depth is built twice.  The half spectrum of
+    E's indicator is taken on first need and held too, so every certified
+    transform fold of E, of any depth, is one inverse transform.  It keeps
+    its tables for its own lifetime only, so callers make one per subset and
+    drop it with the subset.
     """
 
     def __init__(self, dom: PointDomain, E):
         self.dom = dom
         self.indices = dom.as_indices(E)
         self._tables = {}
+        self._hat = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -247,6 +298,12 @@ class FoldLadder:
         if j not in self._tables:
             self._tables[j] = fold_counts(self.dom, self, j)
         return self._tables[j]
+
+    def transform(self) -> np.ndarray:
+        """`_rfft` of E's indicator, taken once and held."""
+        if self._hat is None:
+            self._hat = _rfft(self.dom, np.bincount(self.indices, minlength=self.dom.size))
+        return self._hat
 
 
 def lambda_k(E: FoldLadder, k: int) -> int:
@@ -401,41 +458,45 @@ def _verdict(deviation: float, bound: float) -> bool:
     return deviation <= bound + AUDIT_RTOL * bound + 1e-12
 
 
-def energy_growth_audit(variety, E: FoldLadder, k: int, graph: Spectrum) -> InequalityAudit:
+def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
+                        graph: Spectrum) -> InequalityAudit:
     """Even-k energy of E inside a variety V, against the Cayley-graph bound.
 
-    `graph` is the Cayley spectrum of V, which callers build once per
-    variety.  Hard checks: (a) the multiset mixing inequality for the exact
-    edge count e between the half-sum multisets, and (b) Lambda_k <= e (every
-    k-tuple counted by the energy lands in V because E is contained in V).
-    The normalized gap against |E|^{k-1}/q is reported only.
+    V is the variety's ladder and `graph` its Cayley spectrum, both of which
+    callers build once per variety.  Hard checks: (a) the multiset mixing
+    inequality for the exact edge count e between the half-sum multisets,
+    and (b) Lambda_k <= e (every k-tuple counted by the energy lands in V
+    because E is contained in V).  The normalized gap against |E|^{k-1}/q is
+    reported only.
 
     The correlation acc below is the fold 1_{-V} (*) r_{k/2}, exact by the
-    engine of `fold_counts`: the certified transform fftn(1_{-V}) fftn(1_E)^(k/2)
-    of the two indicators, or else limb products of 1_{-V} and r_{k/2}.
+    engine of `fold_counts`: the certified transform of the two indicators,
+    the conjugate of V's held half spectrum (the half spectrum of 1_{-V}, for
+    real 1_V) times E's to the power k/2, or else limb products of 1_{-V} and
+    r_{k/2}.
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
     dom = E.dom
-    v_idx = variety.indices
-    if not np.isin(E.indices, v_idx).all():
+    if not np.isin(E.indices, V.indices).all():
         raise ValueError("E must be a subset of the variety")
     half = k // 2
     e_size = len(E)
     # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):
     # acc is the fold of 1_{-V} with r_{k/2}, of mass |V| |E|^{k/2}.
-    neg_v = np.bincount(dom.index_neg(v_idx), minlength=dom.size)
-    acc_mass = variety.size * e_size ** half
+    acc_mass = len(V) * e_size ** half
     acc = None
     if _table_dtype(acc_mass) is np.int64:
-        indicator = np.bincount(E.indices, minlength=dom.size)
-        acc = _transform_fold(dom, [(neg_v, 1), (indicator, half)])
+        # 1_{-V} has the norms of 1_V, and its half spectrum is V's conjugate.
+        acc = _transform_fold(dom, [(_norms(V.fold(1).values), V.transform().conj(), 1),
+                                    (_norms(E.fold(1).values), E.transform(), half)])
     if acc is None:
+        neg_v = np.bincount(dom.index_neg(V.indices), minlength=dom.size)
         acc = _convolve(dom, neg_v, E.fold(half).values)
     e = _exact_dot(E.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
     lam_k = lambda_k(E, k)
     lam_km2 = lambda_k(E, k - 2)
-    main = Fraction(variety.size * e_size ** (k - 1), dom.size)
+    main = Fraction(len(V) * e_size ** (k - 1), dom.size)
     deviation = abs(float(Fraction(e) - main))
     bound = graph.lambda_mixing * math.sqrt(float(lam_km2) * float(lam_k))
     contained = lam_k <= e

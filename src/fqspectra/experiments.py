@@ -312,8 +312,10 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
     Trials whose subset violates |E| > q^{(d-1)/2} are recorded as skipped.
     Even k >= 4 additionally runs the hard multiset-mixing audit, against the
     variety's Cayley spectrum: set-up builds it once for the regularity
-    report, and every audit shares it."""
+    report, and every audit shares it, as it shares the variety's ladder and
+    so its one transform."""
     ctx, dom, variety, graph, reg = _setup(plan)
+    V = FoldLadder(dom, variety.indices)
     ks = plan.ks or (plan.k,)
     records = []
     hard_failures = 0
@@ -339,7 +341,7 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
                     rr = energy_recursion_ratio(E, k)
                     rec[f"k{k}_energy"] = rr["k_energy"]
                     rec[f"k{k}_ratio"] = rr["ratio"]
-                    audit = energy_growth_audit(variety, E, k, graph)
+                    audit = energy_growth_audit(V, E, k, graph)
                     rec[f"k{k}_audit_ok"] = audit.ok
                     if not audit.ok:
                         hard_failures += 1

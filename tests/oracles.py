@@ -25,6 +25,9 @@ shift, for the library's reading of both off one binned table.
 the scalar generator search, on the polynomial `pow_poly`, that the batched
 search must agree with, and `spectrum_text_reference` the per-cell `--out`
 format the streamed writer must reproduce byte for byte.
+`complex_fold_error_bound` is the rounding certificate of a transform fold
+taken with complex transforms, which the real-input certificate must never
+undercut.
 
 The scalar references (`point_of`, `index_add`, `eval_poly`,
 `eval_quadratic`, `char`, `pow_poly`, `sub`, `inv`) evaluate one point or
@@ -403,3 +406,19 @@ def smallest_generator_reference(ctx):
 def sphere_points(p, d, t):
     return [x for x in itertools.product(range(p), repeat=d)
             if sum(c * c for c in x) % p == t % p]
+
+
+def complex_fold_error_bound(dom, sizes, norms):
+    """The a priori rounding bound of a transform fold taken with the complex
+    pair fftn/ifftn, C = 8 (see `energy.fold_counts`): the real-input bound
+    may never fall below it."""
+    u = 2.0 ** -53
+    alpha = 8.0 * dom.ctx.p ** 1.5 * u
+    eps = math.expm1(dom.nd * math.log1p(alpha))
+    eps_inv = (1 + eps) * (1 + u) ** 2 - 1
+    eta = eps * math.sqrt(dom.size)
+    m = len(sizes)
+    theta = math.expm1((m - 1) * math.log1p(math.sqrt(2) * 2 * u / (1 - 2 * u)))
+    terms = [norms[i] * math.prod(sizes[:i] + sizes[i + 1:]) for i in range(m)]
+    spread = (1 + eta) ** (m - 1) * (eps * sum(terms) + theta * (1 + eps) * min(terms))
+    return spread * (1 + eps_inv) + eps_inv * min(terms)

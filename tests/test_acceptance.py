@@ -251,6 +251,7 @@ def test_acceptance_6_exact_inequality_ledger():
                    for t in range(1, ctx.q)}
         variety = builtin_variety(ctx, "sphere", d, 1)
         variety_graph = cayley_spectrum(ctx, variety.indices, d=d)
+        V = FoldLadder(dom, variety.indices)
         pspec = diagonal_poly(ctx, d, 2)
         affine_graph, _ = affine_cayley_spectrum(ctx, pspec, d)
         rng = random.Random(600 + p * d)
@@ -272,7 +273,7 @@ def test_acceptance_6_exact_inequality_ledger():
             # energy growth inside the sphere, even k = 4
             size = rng.randint(1, variety.size)
             E = FoldLadder(dom, sorted(rng.sample(list(variety.points), size)))
-            audit = energy_growth_audit(variety, E, 4, variety_graph)
+            audit = energy_growth_audit(V, E, 4, variety_graph)
             configs += 1
             if not audit.ok:
                 violations.append(("energy-growth", p, d, 4, audit.as_dict()))

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from fqspectra.errors import (
     OddKError,
     SearchSpaceTooLargeError,
 )
-from fqspectra.experiments import ExperimentPlan, coverage_experiment
+from fqspectra.experiments import ExperimentPlan, coverage_experiment, energy_bound_experiment
 from fqspectra.field import FieldContext
 from fqspectra.energy import (
     CountTable,
@@ -49,6 +50,7 @@ from oracles import (
     brute_lambda,
     brute_nu,
     brute_nu_P,
+    complex_fold_error_bound,
     delta_reference,
     index_add,
     nu_P_reference,
@@ -520,11 +522,12 @@ def test_energy_growth_audit_on_sphere_subsets():
     v = builtin_variety(F5, "sphere", 2, 1)
     dom = PointDomain(F5, 2)
     graph = cayley_spectrum(F5, v.indices, d=2)
+    V = FoldLadder(dom, v.indices)
     rng = random.Random(3)
     for _ in range(10):
         size = rng.randint(1, v.size)
         E = sorted(rng.sample(list(v.points), size))
-        audit = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
+        audit = energy_growth_audit(V, FoldLadder(dom, E), 4, graph)
         assert audit.ok, audit.as_dict()
         assert audit.detail["k_energy"] <= audit.detail["edge_count"]
 
@@ -534,9 +537,9 @@ def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
     dom = PointDomain(F5, 2)
     graph = cayley_spectrum(F5, v.indices, d=2)
     E = sorted(random.Random(4).sample(list(v.points), 3))
-    fast = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
+    fast = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
-    slow = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
+    slow = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
     assert slow.as_dict() == fast.as_dict()
 
 
@@ -567,10 +570,12 @@ def test_growth_audit_with_the_indicator_transform_refused_equals_the_unrefused_
     v = builtin_variety(ctx, "sphere", 2, 1)
     graph = cayley_spectrum(ctx, v.indices, d=2)
     for E in (v.indices[:5], v.indices):
-        want = energy_growth_audit(v, FoldLadder(dom, E), k, graph).as_dict()
+        want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k,
+                                   graph).as_dict()
         with monkeypatch.context() as m:
             calls = _refuse_indicator_transforms(m)
-            assert energy_growth_audit(v, FoldLadder(dom, E), k, graph).as_dict() == want
+            got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k, graph)
+            assert got.as_dict() == want
         # the correlation 1_{-V} (*) r_{k/2}, of mass |V| |E|^{k/2}
         assert (v.size, len(E) ** (k // 2)) in calls
 
@@ -578,8 +583,9 @@ def test_growth_audit_with_the_indicator_transform_refused_equals_the_unrefused_
 def test_energy_growth_audit_requires_containment():
     v = builtin_variety(F5, "sphere", 2, 1)
     graph = cayley_spectrum(F5, v.indices, d=2)
+    dom = PointDomain(F5, 2)
     with pytest.raises(ValueError):
-        energy_growth_audit(v, FoldLadder(PointDomain(F5, 2), [(0, 0)]), 4, graph)
+        energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, [(0, 0)]), 4, graph)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -615,14 +621,18 @@ def _undigits(dom, digits):
     return sum(c * dom.ctx.p ** i for i, c in enumerate(reversed(digits)))
 
 
-@given(st.sampled_from(FOLD_DOMAINS), st.integers(1, 4), st.data())
+@given(st.sampled_from(FOLD_DOMAINS), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_transform_fold_equals_roll_fold_and_brute_force(shape, j, data):
     p, n, d = shape
     dom = PointDomain(FieldContext(p, n), d)
-    idx = np.array(data.draw(st.lists(st.integers(0, dom.size - 1), max_size=5)),
-                   dtype=np.int64)
-    transform = energy_mod._transform_fold(dom, [(np.bincount(idx, minlength=dom.size), j)])
+    # A multiset: up to 4 points, then up to 2 repeats of them.
+    base = data.draw(st.lists(st.integers(0, dom.size - 1), max_size=4))
+    repeats = data.draw(st.lists(st.sampled_from(base), max_size=2)) if base else []
+    idx = np.array(base + repeats, dtype=np.int64)
+    table = np.bincount(idx, minlength=dom.size)
+    transform = energy_mod._transform_fold(
+        dom, [(energy_mod._norms(table), energy_mod._rfft(dom, table), j)])
     assert transform is not None
     assert np.array_equal(transform, roll_fold(dom, idx, j))
     want = np.zeros(dom.size, dtype=np.int64)
@@ -633,20 +643,36 @@ def test_transform_fold_equals_roll_fold_and_brute_force(shape, j, data):
     assert np.array_equal(fold_counts(dom, points, j).values, want)
 
 
+@given(st.sampled_from(FOLD_DOMAINS),
+       st.lists(st.tuples(st.integers(1, 10 ** 6), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_fold_error_bound_is_never_below_the_complex_transform_bound(shape, factors):
+    # Any l2 norm of a nonnegative integer table lies in [sqrt(l1), l1].
+    p, n, d = shape
+    dom = PointDomain(FieldContext(p, n), d)
+    sizes = [s for s, _ in factors]
+    norms = [math.sqrt(s) + t * (s - math.sqrt(s)) for s, t in factors]
+    assert energy_mod._fold_error_bound(dom, sizes, norms) >= complex_fold_error_bound(
+        dom, sizes, norms)
+
+
 def test_failed_certificate_falls_back_to_limb_products(monkeypatch):
     dom = PointDomain(FieldContext(3, 2), 2)
     v = builtin_variety(dom.ctx, "sphere", 2, 1)
     E = sorted(random.Random(4).sample(list(v.points), 6))
     graph = cayley_spectrum(dom.ctx, v.indices, d=2)
     fast = [fold_counts(dom, E, j).values for j in (1, 2, 3, 4)]
-    fast_audit = energy_growth_audit(v, FoldLadder(dom, E), 4, graph)
+    V = FoldLadder(dom, v.indices)
+    fast_audit = energy_growth_audit(V, FoldLadder(dom, E), 4, graph)
     calls = _refuse_indicator_transforms(monkeypatch)
     slow = [fold_counts(dom, E, j).values for j in (1, 2, 3, 4)]
     # r_3 = r_2 (*) r_1 and r_4 = r_2 (*) r_2; depths 1 and 2 need no product
     assert calls == [(36, 6), (36, 36)]
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
     calls.clear()
-    assert energy_growth_audit(v, FoldLadder(dom, E), 4, graph) == fast_audit
+    assert energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4,
+                               graph) == fast_audit
     assert calls == [(v.size, 36)]  # the correlation 1_{-V} (*) r_2
 
 
@@ -718,16 +744,34 @@ def test_corrupted_transform_output_falls_back(monkeypatch, corrupt):
     # products, which refuse theirs at every width: InvariantError.
     dom = PointDomain(F3, 2)
     E = [(0, 1), (1, 2), (2, 2)]
-    original = np.fft.ifftn
+    original = np.fft.irfftn
 
     def corrupted(*args, **kwargs):
         x = original(*args, **kwargs)
         corrupt(x)
         return x
 
-    monkeypatch.setattr(np.fft, "ifftn", corrupted)
+    monkeypatch.setattr(np.fft, "irfftn", corrupted)
     with pytest.raises(InvariantError, match="no limb width certifies"):
         fold_counts(dom, E, 2)
+
+
+def test_corrupted_forward_transform_output_falls_back(monkeypatch):
+    # One bin of every forward transform is off, the ladder's held one
+    # included: every depth ends in InvariantError, never in a count.
+    dom = PointDomain(F3, 2)
+    ladder = FoldLadder(dom, [(0, 1), (1, 2), (2, 2)])
+    original = np.fft.rfftn
+
+    def corrupted(*args, **kwargs):
+        x = original(*args, **kwargs)
+        x.flat[1] += 0.5
+        return x
+
+    monkeypatch.setattr(np.fft, "rfftn", corrupted)
+    for j in (2, 3, 4):
+        with pytest.raises(InvariantError, match="no limb width certifies"):
+            ladder.fold(j)
 
 
 def test_transform_fold_refuses_masses_beyond_float_precision(monkeypatch):
@@ -735,7 +779,8 @@ def test_transform_fold_refuses_masses_beyond_float_precision(monkeypatch):
     dom = PointDomain(F3, 2)
     idx = np.arange(9, dtype=np.int64)
     indicator = np.ones(9, dtype=np.int64)
-    assert energy_mod._transform_fold(dom, [(indicator, 17)]) is None  # 9^17 > 2^53
+    factor = (energy_mod._norms(indicator), energy_mod._rfft(dom, indicator), 17)
+    assert energy_mod._transform_fold(dom, [factor]) is None  # 9^17 > 2^53
     r = fold_counts(dom, idx, 17)
     assert r.values.dtype == np.int64 and r.total() == 9 ** 17
     assert set(r.values.tolist()) == {9 ** 16}  # the whole group, evenly
@@ -753,7 +798,9 @@ def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
         idx = dom.as_indices(E)
         want = sum(1 for a in idx for b1 in idx for b2 in idx
                    if int(dom.index_sub(index_add(dom, int(b1), int(b2)), int(a))) in vset)
-        assert energy_growth_audit(v, FoldLadder(dom, E), 4, graph).detail["edge_count"] == want
+        # through the conjugate of the V ladder's held transform
+        audit = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
+        assert audit.detail["edge_count"] == want
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (7, 1, 2)])
@@ -809,6 +856,65 @@ def test_refused_folds_are_composed_from_the_asking_ladder(monkeypatch):
     assert sorted(depths) == [1, 2, 3, 5]
     assert np.array_equal(r4, roll_fold(dom, idx, 4))
     assert np.array_equal(r5, roll_fold(dom, idx, 5))
+
+
+def _counting_rfftn(monkeypatch):
+    """Count forward transforms; returns the list of the nonzero-cell count of
+    each transformed table."""
+    seen = []
+    original = np.fft.rfftn
+
+    def counting(a, *args, **kwargs):
+        seen.append(int(np.count_nonzero(a)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    return seen
+
+
+def test_ladder_transforms_its_indicator_once(monkeypatch):
+    dom = PointDomain(FieldContext(31), 3)
+    idx = np.array(sorted(random.Random(31).sample(range(dom.size), 200)), dtype=np.int64)
+    seen = _counting_rfftn(monkeypatch)
+    ladder = FoldLadder(dom, idx)
+    for j in (2, 3, 4):
+        assert ladder.fold(j).total() == 200 ** j
+    assert seen == [200]
+
+
+def test_energy_plan_transforms_the_variety_once_and_each_audited_subset_once(
+        monkeypatch):
+    # The energy-f27 plan of the benchmark, one seed.
+    plan = ExperimentPlan(p=3, n=3, d=3, family="sphere", j=1, ks=(2, 3, 4),
+                          sizes=(1, 2, 4), trials=2, seed=1)
+    seen = _counting_rfftn(monkeypatch)
+    report = energy_bound_experiment(plan)
+    audited = [r["size"] for r in report.records if "k4_audit_ok" in r]
+    assert audited
+    v_size = builtin_variety(FieldContext(3, 3), "sphere", 3, 1).size
+    assert sorted(seen) == sorted([v_size] + audited)
+
+
+def test_limb_square_transforms_each_limb_once_and_nothing_at_refused_widths(
+        monkeypatch):
+    dom = PointDomain(F5, 2)
+    idx = np.array(sorted(random.Random(7).sample(range(dom.size), 8)))
+    r = fold_counts(dom, idx, 2).values
+    widths = []
+    split = energy_mod._limbs
+
+    def counting(table, w):
+        out = split(table, w)
+        widths.append((w, len(out)))
+        return out
+
+    monkeypatch.setattr(energy_mod, "_limbs", counting)
+    monkeypatch.setattr(energy_mod, "_FLOAT_EXACT", 1 << 10)  # refuses wide limbs
+    seen = _counting_rfftn(monkeypatch)
+    assert np.array_equal(energy_mod._convolve(dom, r, r), roll_fold(dom, idx, 4))
+    assert len(widths) > 1                     # some widths were refused
+    accepted_limbs = widths[-1][1]
+    assert accepted_limbs > 1 and len(seen) == accepted_limbs
 
 
 # (p, n, d) of F_5^2, F_9^2 and F_7^3
