@@ -7,7 +7,9 @@ flat index is simultaneously the base-p digit string of the point over
 n*d digits.  So F_q^d is the group (Z_p)^(n*d) on tables of shape
 (p,) * (n*d): subtraction is digit-wise (`PointDomain.index_sub`), and the
 full character table and every fold (`energy.fold_counts`) are (Z_p)^(n*d)
-Fourier transforms.
+Fourier transforms: per-axis matrix products with the length-p DFT matrix
+(`character_sum_table`, and the fold kernel below its crossover) or
+numpy.fft (the fold kernel above it).
 """
 
 import numpy as np
@@ -25,6 +27,11 @@ TABLE_MAX = 10 ** 7
 #   * fold count tables, whose dtype `energy._table_dtype` picks from the
 #     total mass: |E|^j, or |a| * |b| for the sum of limb products in
 #     `energy._convolve`, none of whose partial sums exceeds the total;
+#   * the int64 groups of `energy._convolve`, each the sum of the limb
+#     products that share one shift: every product is below 2^53 by its
+#     certificate, and at most 63 limbs a side give at most 63 ordered
+#     products per shift (a square's cross product counts as two), so a
+#     group stays below 63 * 2^53 < 2^59 whatever the mass;
 #   * `energy._exact_dot`, from a caller's bound on the dot product;
 #   * the `np.add.at` binning in `energy.nu_k`, which adds in the fold
 #     table's own dtype, and the `energy.nu_P_k` shift sum of that binned
@@ -40,7 +47,7 @@ TABLE_MAX = 10 ** 7
 # Each module imports the name, so a test can force the Python-int path of
 # one module by patching it there.
 _INT64_SAFE = 1 << 62
-# Integers below this are exact in float64: a rounded FFT value can be one,
+# Integers below this are exact in float64: a rounded transform value can be one,
 # and one float operation on such integers is as correctly rounded as the
 # same operation on Python ints.
 _FLOAT_EXACT = 1 << 53

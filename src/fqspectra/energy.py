@@ -7,6 +7,9 @@ int64, so inequality audits always compare an exact integer against a
 floating bound.  Every fold is a product of Fourier transforms under the
 rounding certificate of `fold_counts`: the indicator's transform, or else
 limb products of two shallower folds; no count comes from an uncertified one.
+The transforms are direct DFTs over (Z_p)^(nd), one BLAS matmul per axis
+(`_rfft`, `_irfft`), and numpy.fft only for p above the measured crossover
+`_MATMUL_P_MAX`, in the same half-spectrum layout.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
 most once.  It also holds the real-input transform of its indicator, taken
@@ -18,6 +21,7 @@ nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both read off that one
 binned table.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +38,12 @@ from .errors import (
 from .field import FieldContext
 from .spectra import AUDIT_RTOL, Spectrum, require_table_budget
 
-# Constant C of the per-line DFT error C * p^(3/2) * u assumed in fold_counts.
+# Constant C of the per-line error C * p^(3/2) * u of one length-p DFT pass,
+# which `fold_counts` derives for the direct sum that `_rfft` and `_irfft` run.
 _DFT_ERROR_CONST = 8.0
+# Largest p whose fold transforms run as direct DFTs, one BLAS matmul per
+# axis; above it the O(p) work per cell loses to numpy.fft (measured crossover).
+_MATMUL_P_MAX = 373
 
 
 def _exact_total(values: np.ndarray) -> int:
@@ -117,16 +125,68 @@ def _certificate(dom: PointDomain, factors):
     return (mass, bound) if bound < 0.5 else None
 
 
+@functools.lru_cache(maxsize=8)
+def _dft_matrices(p: int) -> tuple:
+    """(W, W*, first, last) of the direct length-p DFT (see `fold_counts`).
+
+    W[j, l] = exp(-2 pi i jl / p), from cos and sin of the reduced angle
+    pi g / p, g = 2 jl mod 2p taken in (-p, p], so |angle| <= pi.  first is
+    the top h = p // 2 + 1 rows of W, transposed; last is the first h
+    columns of W weighted 1, 2, ..., 2.  Both are (p, 2h) float64 arrays
+    with real and imaginary parts interleaved, so a float64 matmul against
+    them is a complex one."""
+    g = 2 * (np.outer(np.arange(p), np.arange(p)) % p)
+    g[g > p] -= 2 * p
+    angle = np.pi * g / p
+    w = np.empty((p, p), dtype=np.complex128)
+    w.real = np.cos(angle)
+    w.imag = -np.sin(angle)
+    h = p // 2 + 1
+    weights = np.full(h, 2.0)
+    weights[0] = 1.0
+    out = (w, w.conj(), np.ascontiguousarray(w[:h].T).view(np.float64),
+           np.ascontiguousarray(w[:, :h] * weights).view(np.float64))
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
 def _rfft(dom: PointDomain, table: np.ndarray) -> np.ndarray:
-    """The half spectrum of a real table over (Z_p)^(nd) (see `fold_counts`)."""
-    return np.fft.rfftn(table.reshape(dom.shape), axes=tuple(range(dom.nd)))
+    """The half spectrum of a real table over (Z_p)^(nd), halved along axis
+    0: shape (p // 2 + 1, p, ..., p) (see `fold_counts`)."""
+    p = dom.ctx.p
+    if p > _MATMUL_P_MAX:
+        return np.fft.rfftn(table.reshape(dom.shape), axes=(*range(1, dom.nd), 0))
+    w, _, first, _ = _dft_matrices(p)
+    # Each pass transforms the leading axis, and the transposed operand
+    # leaves it trailing, so after nd passes the axes are back in order.
+    y = (np.asarray(table, dtype=np.float64).reshape(p, -1).T @ first).view(np.complex128)
+    for _ in range(dom.nd - 1):
+        y = y.reshape(p, -1).T @ w
+    return y.reshape((p // 2 + 1,) + dom.shape[1:])
+
+
+def _irfft(dom: PointDomain, hat: np.ndarray) -> np.ndarray:
+    """The flat real table whose `_rfft` is the half spectrum hat."""
+    p = dom.ctx.p
+    if p > _MATMUL_P_MAX:
+        return np.fft.irfftn(hat, s=dom.shape, axes=(*range(1, dom.nd), 0)).reshape(dom.size)
+    _, w_conj, _, last = _dft_matrices(p)
+    # Each pass transforms the trailing axis and leaves it leading; the
+    # half axis, trailing after nd - 1 passes, goes last and gives reals.
+    z = hat
+    for _ in range(dom.nd - 1):
+        z = w_conj @ z.reshape(-1, p).T
+    real = last @ z.reshape(-1, p // 2 + 1).view(np.float64).T
+    real *= 1.0 / dom.size
+    return real.reshape(dom.size)
 
 
 def _transform_fold(dom: PointDomain, factors):
-    """The convolution of nonnegative count tables by an FFT over (Z_p)^(nd),
-    as int64 counts, or None when the certificate described in `fold_counts`
-    fails.  `factors` is a list of (norms, hat, power): a factor's `_norms`
-    and its half spectrum (`_rfft`)."""
+    """The convolution of nonnegative count tables by a Fourier transform over
+    (Z_p)^(nd), as int64 counts, or None when the certificate described in
+    `fold_counts` fails.  `factors` is a list of (norms, hat, power): a
+    factor's `_norms` and its half spectrum (`_rfft`)."""
     cert = _certificate(dom, [(norms, power) for norms, _, power in factors])
     if cert is None:
         return None
@@ -135,7 +195,7 @@ def _transform_fold(dom: PointDomain, factors):
     for _, hat, power in factors:
         for _ in range(power):
             prod = hat if prod is None else prod * hat
-    real = np.fft.irfftn(prod, s=dom.shape, axes=tuple(range(dom.nd))).reshape(dom.size)
+    real = _irfft(dom, prod)
     r = np.rint(real)
     if np.max(np.abs(real - r), initial=0.0) > bound:
         return None
@@ -168,15 +228,22 @@ def _convolve(dom: PointDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             continue
         hats_a = {shift: _rfft(dom, limb) for shift, limb, _ in limbs_a}
         hats_b = hats_a if b is a else {shift: _rfft(dom, limb) for shift, limb, _ in limbs_b}
-        out = np.zeros(dom.size, dtype=_table_dtype(mass))
+        groups = {}
         for (sx, _, nx), (sy, _, ny) in pairs:
             square = b is a and sx == sy
             r = _transform_fold(dom, [(nx, hats_a[sx], 2)] if square
                                 else [(nx, hats_a[sx], 1), (ny, hats_b[sy], 1)])
             if r is None:
                 break
-            out += r.astype(out.dtype) * ((2 if b is a and not square else 1) << (sx + sy))
+            if b is a and not square:
+                r *= 2
+            # Products that share a shift are summed in int64 (see _INT64_SAFE).
+            shift = sx + sy
+            groups[shift] = groups[shift] + r if shift in groups else r
         else:
+            out = np.zeros(dom.size, dtype=_table_dtype(mass))
+            for shift, group in groups.items():
+                out += group.astype(out.dtype, copy=False) * (1 << shift)
             if _exact_total(out) != mass:
                 raise InvariantError("fold mass conservation violated")
             return out
@@ -197,38 +264,67 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d
     the convolution of count vectors f_1..f_m is the inverse transform of
     prod_i F_i, F_i the transform of f_i, rounded with rint.  Every f_i is
-    real, so only half spectra are taken: rfftn keeps the last axis's
-    frequencies 0..floor(p/2), irfftn(x, s = (p,) * (nd)) reads x as half of
-    a Hermitian array, and r_j is irfftn(rfftn(1_E)^j), where E's ladder
-    takes rfftn(1_E) once and holds it.  Its certificate: the mass
-    prod_i ||f_i||_1 < 2^53, so every count is exact in float64; the a priori
-    bound B below on max |computed - exact| is < 1/2, so rint is exact, and
-    the observed residual is at most B; the rounded table has that mass and
-    no negative entry.
+    real, so only half spectra are taken: `_rfft` keeps axis 0's frequencies
+    0..floor(p/2) and all of the other axes', `_irfft` reads such an array
+    as half of a Hermitian one, and r_j is _irfft(_rfft(1_E)^j), where E's
+    ladder takes _rfft(1_E) once and holds it.  For p <= _MATMUL_P_MAX both
+    run the direct DFT: nd passes, each one BLAS matmul of the p x p twiddle
+    matrix W of `_dft_matrices` against the table read as (p, N / p), whose
+    transposed operand leaves the transformed axis at the back.  The forward
+    transform's first pass multiplies the real table by the real and
+    imaginary parts of the top h = floor(p/2) + 1 rows of W; the inverse's
+    last pass rebuilds the real table from the h bins of the half axis,
+    weighted 1, 2, ..., 2, and one 1/N scaling follows.  Above the crossover
+    both call numpy.fft with axis 0 halved, which gives the same layout.  Its
+    certificate: the mass prod_i ||f_i||_1 < 2^53, so every count is exact
+    in float64; the a priori bound B below on max |computed - exact| is
+    < 1/2, so rint is exact, and the observed residual is at most B; the
+    rounded table has that mass and no negative entry.
 
     Derivation of B, for s_i = ||f_i||_1 and l_i = ||f_i||_2 (the indicator
     fold has f_i = 1_E, s_i = |E|, l_i = sqrt|E|, m = j; a limb product has
-    m = 2).  Let u = 2^-53.  Assume each length-p DFT along one line has
-    relative 2-norm error at most a = C p^(3/2) u, the classical bound for
-    the direct sum with C = 8; radix and Bluestein passes do better.  The
-    exact pass scales every line by sqrt(p), so nd passes give a complex
+    m = 2).  Let u = 2^-53 and gamma_n = n u / (1 - n u).
+
+    0. One pass.  Each length-p DFT along one line, y_l = sum_j W[j, l] x_j,
+       has relative 2-norm error at most a = C p^(3/2) u with C = 8.  W[j, l]
+       is exp(-i theta), theta = pi g / p for the integer g = 2 jl mod 2p
+       taken in (-p, p], so |theta| <= pi.  np.pi is within 0.36 u of pi,
+       relative, and g is exact, so fl(fl(pi g) / p) is within
+       2.36 u |theta| <= 7.42 u of theta; with cos and sin within 4 ulp, at
+       most 4 u each on [-1, 1], every twiddle has |W~ - W| <= tau = 13.1 u.
+       The real and imaginary parts of y_l are each a sum of at most 2p real
+       products, in whatever order and with whatever fused multiply-adds BLAS
+       takes, so Higham's inner-product bound (Accuracy and Stability of
+       Numerical Algorithms, (3.5)), on both parts, gives |y~_l - y_l| <=
+       (tau + sqrt(2) gamma_2p (1 + tau)) sum_j |x_j|.  As sum_j |x_j| <=
+       sqrt(p) ||x||_2 and the exact pass has ||y||_2 = sqrt(p) ||x||_2, the
+       pass has the relative error sqrt(p) (tau + sqrt(2) gamma_2p (1 + tau)),
+       under a = sqrt(p) C p u for every p >= 3: at p = 3 the bracket is
+       (13.1 + 8.5) u against C p u = 24 u, and it grows by about 2.83 u
+       per unit of p, C p u by 8 u.  The forward transform's first pass (p
+       products per part) does no worse; the inverse's last pass (2h <= p + 1
+       products per output) is bounded the same way against the Hermitian
+       extension of its line, whose l1 norm the weights 1, 2, ..., 2 count.
+       Above _MATMUL_P_MAX the same a is assumed of numpy.fft's radix and
+       Bluestein passes, which do better than the direct sum.
+
+    The exact pass scales every line by sqrt(p), so nd passes give a complex
     transform the relative error e = (1 + a)^(nd) - 1, and its inverse with
     the 1/N scaling e' = (1 + e)(1 + u)^2 - 1.  The Hermitian extension of a
     half-spectrum array, its missing bins filled by conjugates of mirrored
     ones, has at most sqrt(2) times its 2-norm, as no bin appears in it more
-    than twice.  So, read on the full grid, rfftn has the relative error
-    eps = sqrt(2) e, and irfftn, the real part of the inverse DFT (IDFT) of
-    the extension, has eps' = sqrt(2) e' against the extension's norm.
-    Products act bin by bin and commute with the extension, so steps 1-3 run
-    on the full grid.
+    than twice; that holds whichever one axis is halved, here axis 0.  So,
+    read on the full grid, `_rfft` has the relative error eps = sqrt(2) e,
+    and `_irfft`, the real part of the inverse DFT (IDFT) of the extension,
+    has eps' = sqrt(2) e' against the extension's norm.  Products act bin by
+    bin and commute with the extension, so steps 1-3 run on the full grid.
 
     1. Forward: ||F~_i - F_i||_2 <= eps ||F_i||_2 = eps sqrt(N) l_i by
        Parseval, and |F_i| <= s_i pointwise, so |F~_i| <= (1 + eta) s_i with
        eta = eps sqrt(N).
     2. Product: the m - 1 complex products each add relative error at most
-       mu = sqrt(2) gamma_2 (Higham, Accuracy and Stability of Numerical
-       Algorithms, Lemma 3.5); theta = (1 + mu)^(m-1) - 1.  Telescoping
-       prod F~ - prod F and putting A_i = l_i prod_{l != i} s_l,
+       mu = sqrt(2) gamma_2 (Higham, Lemma 3.5); theta = (1 + mu)^(m-1) - 1.
+       Telescoping prod F~ - prod F and putting A_i = l_i prod_{l != i} s_l,
        ||G~ - G||_2 <= sqrt(N) (1 + eta)^(m-1) (eps sum_i A_i
        + theta (1 + eps) min_i A_i) =: sqrt(N) D.
     3. Inverse: ||IDFT x||_2 = ||x||_2 / sqrt(N) and, by Young, the exact
@@ -245,13 +341,17 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     limbs are int64, at which all products certify; InvariantError if none
     does, or if their sum, in int64 or Python ints as `_table_dtype` picks
     from ||a||_1 ||b||_1 (no partial sum exceeds the total), lacks that mass.
-    Cost: every product's a priori bound is checked before any transform, so
-    a width that it refuses costs none.  At the width taken, each limb is
-    transformed once: a square of L limbs takes L rfftn and L (L + 1) / 2
-    irfftn, a product of L and L' limbs L + L' rfftn and L L' irfftn, each
-    O(N log N).  On the full F_101^3 sphere (|E| = 10,302), r_4 = r_2 (*) r_2
-    takes 5-bit limbs, 3 rfftn and 6 irfftn, and r_5 = r_3 (*) r_2 takes
-    3-bit limbs, 7 of r_3 and 5 of r_2, so 12 rfftn and 35 irfftn.
+    The products that share a shift w(i+l) are first summed in int64 (see
+    `domains._INT64_SAFE`), so a product of L and L' limbs makes only
+    L + L' - 1 additions into that table.  Cost: every product's a priori
+    bound is checked before any transform, so a width that it refuses costs
+    none.  At the width taken, each limb is transformed once: a square of L
+    limbs takes L forward and L (L + 1) / 2 inverse transforms, a product of
+    L and L' limbs L + L' forward and L L' inverse, each O(N p nd) as direct
+    sums and O(N log N) above the crossover.  On the full F_101^3 sphere
+    (|E| = 10,302), r_4 = r_2 (*) r_2 takes 5-bit limbs, 3 forward and 6
+    inverse transforms, and r_5 = r_3 (*) r_2 takes 3-bit limbs, 7 of r_3
+    and 5 of r_2, so 12 forward and 35 inverse transforms.
     """
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")

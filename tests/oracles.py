@@ -27,7 +27,8 @@ search must agree with, and `spectrum_text_reference` the per-cell `--out`
 format the streamed writer must reproduce byte for byte.
 `complex_fold_error_bound` is the rounding certificate of a transform fold
 taken with complex transforms, which the real-input certificate must never
-undercut.
+undercut, and `half_spectrum_reference` the complex numpy.fft transform
+whose axis-0 half the matmul kernel must reproduce.
 
 The scalar references (`point_of`, `index_add`, `eval_poly`,
 `eval_quadratic`, `char`, `pow_poly`, `sub`, `inv`) evaluate one point or
@@ -422,3 +423,9 @@ def complex_fold_error_bound(dom, sizes, norms):
     terms = [norms[i] * math.prod(sizes[:i] + sizes[i + 1:]) for i in range(m)]
     spread = (1 + eta) ** (m - 1) * (eps * sum(terms) + theta * (1 + eps) * min(terms))
     return spread * (1 + eps_inv) + eps_inv * min(terms)
+
+
+def half_spectrum_reference(dom, table):
+    """The full complex transform of a table over (Z_p)^(nd) by np.fft.fftn,
+    cut to its first p // 2 + 1 bins along axis 0."""
+    return np.fft.fftn(np.asarray(table, dtype=float).reshape(dom.shape))[: dom.ctx.p // 2 + 1]

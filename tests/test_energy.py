@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -24,7 +25,7 @@ from fqspectra.errors import (
     SearchSpaceTooLargeError,
 )
 from fqspectra.experiments import ExperimentPlan, coverage_experiment, energy_bound_experiment
-from fqspectra.field import FieldContext
+from fqspectra.field import FieldContext, is_prime
 from fqspectra.energy import (
     CountTable,
     FoldLadder,
@@ -52,6 +53,7 @@ from oracles import (
     brute_nu_P,
     complex_fold_error_bound,
     delta_reference,
+    half_spectrum_reference,
     index_add,
     nu_P_reference,
     point_of,
@@ -657,6 +659,121 @@ def test_fold_error_bound_is_never_below_the_complex_transform_bound(shape, fact
         dom, sizes, norms)
 
 
+# The transform kernel: FOLD_DOMAINS and F_31^3.
+KERNEL_DOMAINS = FOLD_DOMAINS + [(31, 1, 3)]
+
+# The bound on |W~ - W| per entry that `fold_counts` states for the
+# twiddles of `energy._dft_matrices`.
+TWIDDLE_ERROR = 13.1 * 2.0 ** -53
+
+
+def _transform_error(dom):
+    """The derivation's relative error e = (1 + a)^(nd) - 1 of nd passes,
+    a = C p^(3/2) u (see `fold_counts`)."""
+    a = energy_mod._DFT_ERROR_CONST * dom.ctx.p ** 1.5 * 2.0 ** -53
+    return math.expm1(dom.nd * math.log1p(a))
+
+
+def _draw_table(dom, data):
+    idx = data.draw(st.lists(st.integers(0, dom.size - 1), min_size=1, max_size=40))
+    return np.bincount(idx, minlength=dom.size)
+
+
+def _counting_numpy_rfftn(monkeypatch):
+    """Count the calls of np.fft.rfftn, the forward transform above the crossover."""
+    calls = []
+    original = np.fft.rfftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    return calls
+
+
+def _half_spectrum_tolerance(dom, table):
+    # The kernel and the reference each lie within e ||F||_2 = e sqrt(N) ||x||_2
+    # of the exact transform.
+    return 2 * _transform_error(dom) * math.sqrt(dom.size) * np.linalg.norm(table)
+
+
+@given(st.sampled_from(KERNEL_DOMAINS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_forward_kernel_is_the_axis_0_half_of_the_complex_transform(shape, data):
+    p, n, d = shape
+    dom = PointDomain(FieldContext(p, n), d)
+    table = _draw_table(dom, data)
+    got = energy_mod._rfft(dom, table)
+    want = half_spectrum_reference(dom, table)
+    assert got.shape == want.shape == (p // 2 + 1,) + (p,) * (dom.nd - 1)
+    assert np.linalg.norm(got - want) <= _half_spectrum_tolerance(dom, table)
+
+
+@given(st.sampled_from(KERNEL_DOMAINS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_kernel_round_trips(shape, data):
+    p, n, d = shape
+    dom = PointDomain(FieldContext(p, n), d)
+    table = _draw_table(dom, data)
+    back = energy_mod._irfft(dom, energy_mod._rfft(dom, table))
+    assert back.shape == (dom.size,) and back.dtype == np.float64
+    # A round trip is the transform fold of one factor, under its bound.
+    s, l2 = energy_mod._norms(table)
+    assert np.max(np.abs(back - table)) <= energy_mod._fold_error_bound(dom, [s], [l2])
+    assert np.array_equal(np.rint(back).astype(np.int64), table)
+
+
+def test_matmul_and_numpy_fft_branches_agree(monkeypatch):
+    dom = PointDomain(FieldContext(5, 2), 2)
+    idx = np.array(sorted(random.Random(25).sample(range(dom.size), 12)))
+    table = np.bincount(idx, minlength=dom.size)
+    hat = energy_mod._rfft(dom, table)
+    matmul = FoldLadder(dom, idx)
+    folds = [matmul.fold(j).values for j in (2, 3, 4)]
+    calls = _counting_numpy_rfftn(monkeypatch)
+    monkeypatch.setattr(energy_mod, "_MATMUL_P_MAX", 0)  # every p takes numpy.fft
+    numpy_fft = FoldLadder(dom, idx)
+    assert all(np.array_equal(numpy_fft.fold(j).values, r) for j, r in zip((2, 3, 4), folds))
+    tol = _half_spectrum_tolerance(dom, table)
+    assert np.linalg.norm(energy_mod._rfft(dom, table) - hat) <= tol
+    assert len(calls) == 2
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="longdouble is no wider than float64")
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 101, 211, 373])
+def test_twiddles_are_within_the_stated_error_of_a_longdouble_reference(p):
+    w = energy_mod._dft_matrices(p)[0]
+    pi = 4 * np.arctan(np.longdouble(1))
+    angle = 2 * pi * (np.outer(np.arange(p), np.arange(p)) % p).astype(np.longdouble) / p
+    err = np.hypot(w.real.astype(np.longdouble) - np.cos(angle),
+                   w.imag.astype(np.longdouble) + np.sin(angle))
+    assert float(err.max()) <= TWIDDLE_ERROR
+
+
+def test_direct_sum_error_fits_under_the_stated_constant():
+    # Per pass and line: twiddle error plus the inner-product error
+    # sqrt(2) gamma_2p, within C p u for every odd p up to the crossover.
+    u = 2.0 ** -53
+    for p in range(3, energy_mod._MATMUL_P_MAX + 1, 2):
+        gamma = 2 * p * u / (1 - 2 * p * u)
+        slack = energy_mod._DFT_ERROR_CONST * p * u
+        assert TWIDDLE_ERROR + math.sqrt(2) * gamma * (1 + TWIDDLE_ERROR) <= slack, p
+
+
+def test_folds_above_the_matmul_crossover_run_on_numpy_fft(monkeypatch):
+    p = next(m for m in itertools.count(energy_mod._MATMUL_P_MAX + 1) if is_prime(m))
+    dom = PointDomain(FieldContext(p), 2)
+    idx = np.array(sorted(random.Random(p).sample(range(dom.size), 5)))
+    seen = _counting_rfft(monkeypatch)
+    calls = _counting_numpy_rfftn(monkeypatch)
+    ladder = FoldLadder(dom, idx)
+    for j in (2, 3, 4):
+        assert np.array_equal(ladder.fold(j).values, roll_fold(dom, idx, j)), j
+    assert seen == [5] and len(calls) == 1
+
+
 def test_failed_certificate_falls_back_to_limb_products(monkeypatch):
     dom = PointDomain(FieldContext(3, 2), 2)
     v = builtin_variety(dom.ctx, "sphere", 2, 1)
@@ -744,14 +861,14 @@ def test_corrupted_transform_output_falls_back(monkeypatch, corrupt):
     # products, which refuse theirs at every width: InvariantError.
     dom = PointDomain(F3, 2)
     E = [(0, 1), (1, 2), (2, 2)]
-    original = np.fft.irfftn
+    original = energy_mod._irfft
 
-    def corrupted(*args, **kwargs):
-        x = original(*args, **kwargs)
+    def corrupted(dom, hat):
+        x = original(dom, hat)
         corrupt(x)
         return x
 
-    monkeypatch.setattr(np.fft, "irfftn", corrupted)
+    monkeypatch.setattr(energy_mod, "_irfft", corrupted)
     with pytest.raises(InvariantError, match="no limb width certifies"):
         fold_counts(dom, E, 2)
 
@@ -761,14 +878,14 @@ def test_corrupted_forward_transform_output_falls_back(monkeypatch):
     # included: every depth ends in InvariantError, never in a count.
     dom = PointDomain(F3, 2)
     ladder = FoldLadder(dom, [(0, 1), (1, 2), (2, 2)])
-    original = np.fft.rfftn
+    original = energy_mod._rfft
 
-    def corrupted(*args, **kwargs):
-        x = original(*args, **kwargs)
+    def corrupted(dom, table):
+        x = original(dom, table)
         x.flat[1] += 0.5
         return x
 
-    monkeypatch.setattr(np.fft, "rfftn", corrupted)
+    monkeypatch.setattr(energy_mod, "_rfft", corrupted)
     for j in (2, 3, 4):
         with pytest.raises(InvariantError, match="no limb width certifies"):
             ladder.fold(j)
@@ -858,24 +975,24 @@ def test_refused_folds_are_composed_from_the_asking_ladder(monkeypatch):
     assert np.array_equal(r5, roll_fold(dom, idx, 5))
 
 
-def _counting_rfftn(monkeypatch):
+def _counting_rfft(monkeypatch):
     """Count forward transforms; returns the list of the nonzero-cell count of
     each transformed table."""
     seen = []
-    original = np.fft.rfftn
+    original = energy_mod._rfft
 
-    def counting(a, *args, **kwargs):
-        seen.append(int(np.count_nonzero(a)))
-        return original(a, *args, **kwargs)
+    def counting(dom, table):
+        seen.append(int(np.count_nonzero(table)))
+        return original(dom, table)
 
-    monkeypatch.setattr(np.fft, "rfftn", counting)
+    monkeypatch.setattr(energy_mod, "_rfft", counting)
     return seen
 
 
 def test_ladder_transforms_its_indicator_once(monkeypatch):
     dom = PointDomain(FieldContext(31), 3)
     idx = np.array(sorted(random.Random(31).sample(range(dom.size), 200)), dtype=np.int64)
-    seen = _counting_rfftn(monkeypatch)
+    seen = _counting_rfft(monkeypatch)
     ladder = FoldLadder(dom, idx)
     for j in (2, 3, 4):
         assert ladder.fold(j).total() == 200 ** j
@@ -887,7 +1004,7 @@ def test_energy_plan_transforms_the_variety_once_and_each_audited_subset_once(
     # The energy-f27 plan of the benchmark, one seed.
     plan = ExperimentPlan(p=3, n=3, d=3, family="sphere", j=1, ks=(2, 3, 4),
                           sizes=(1, 2, 4), trials=2, seed=1)
-    seen = _counting_rfftn(monkeypatch)
+    seen = _counting_rfft(monkeypatch)
     report = energy_bound_experiment(plan)
     audited = [r["size"] for r in report.records if "k4_audit_ok" in r]
     assert audited
@@ -910,7 +1027,7 @@ def test_limb_square_transforms_each_limb_once_and_nothing_at_refused_widths(
 
     monkeypatch.setattr(energy_mod, "_limbs", counting)
     monkeypatch.setattr(energy_mod, "_FLOAT_EXACT", 1 << 10)  # refuses wide limbs
-    seen = _counting_rfftn(monkeypatch)
+    seen = _counting_rfft(monkeypatch)
     assert np.array_equal(energy_mod._convolve(dom, r, r), roll_fold(dom, idx, 4))
     assert len(widths) > 1                     # some widths were refused
     accepted_limbs = widths[-1][1]
