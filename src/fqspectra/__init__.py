@@ -32,8 +32,8 @@ from .spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
     euclidean_spectrum,
+    merge_multisets,
     mixing_audit,
-    pad_multisets,
 )
 from .energy import (
     CountTable,

@@ -60,20 +60,21 @@ from .spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
     euclidean_spectrum,
+    merge_multisets,
     mixing_audit,
-    pad_multisets,
     require_table_budget,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
-# Most (b, c) cells `audit mixing` counts in one block of pairs; a block holds
-# max(1, MIXING_BLOCK_CELLS // max_support^2) pairs, which bounds its memory.
+# Most (b, c) pairs `audit mixing` counts in one block, the length of the
+# audit's flat pair arrays: a block holds max(1, this // max_support^2) pairs.
 MIXING_BLOCK_CELLS = 1 << 15
-# Most Mersenne Twister words `audit mixing` pulls at once; a multiset longer
-# than this is decoded after several pulls.
-_DRAW_MAX_WORDS = 1 << 16
+# Most Mersenne Twister words `audit mixing` pulls, and so decodes, at once: the
+# decode's dozen int64 tables then stay under a megabyte, and each pass reuses
+# freed memory rather than growing the heap.  A longer multiset takes several pulls.
+_DRAW_MAX_WORDS = 1 << 13
 # Most rows `spectrum ... --out` formats in one write: bounds the Python
 # floats and text held at once.
 _WRITE_ROWS = 1 << 16
@@ -452,10 +453,10 @@ def _cmd_audit(args) -> int:
     min_gap = None
     for start in range(0, args.pairs, block):
         count = min(block, args.pairs - start)
-        idx, mult = pad_multisets(*draws.draw(2 * count), dom.size)
-        # Rows alternate B_i, C_i: each pair draws B before C.
-        audit = mixing_audit(spec, dom, member, idx[0::2], mult[0::2],
-                             idx[1::2], mult[1::2])
+        support, idx, mult = merge_multisets(*draws.draw(2 * count), dom.size)
+        of_c = np.repeat(np.arange(2 * count) % 2 == 1, support)  # B_i is drawn before C_i
+        audit = mixing_audit(spec, dom, member, (support[0::2], idx[~of_c], mult[~of_c]),
+                             (support[1::2], idx[of_c], mult[of_c]))
         rel_gap = np.divide(audit.gap, audit.bound, out=np.zeros(count),
                             where=audit.bound != 0)
         low = float(rel_gap.min())
@@ -473,21 +474,12 @@ def _cmd_audit(args) -> int:
 
 class _MultisetDraws:
     """The `audit mixing` multisets of one seeded stream, decoded from bulk
-    Mersenne Twister words.
-
-    Each multiset is drawn as randrange(1, max_support + 1) for its support
-    size, then per point randrange(n) for its index followed by
-    randrange(1, max_multiplicity + 1) for its multiplicity; randint(a, b) is
-    documented as randrange(a, b + 1), so this is also the stream of those
-    randint calls.  The draws are read off words that rng.getrandbits(32 * m)
-    returns m at a time, by CPython's rule for randrange (pinned by the test
-    suite): randrange(a, b) is a + r, with r the first attempt below b - a,
-    and an attempt is getrandbits(k) for k = (b - a).bit_length(), the next
-    ceil(k/32) words with the low words whole and the last one shifted right
-    by 32 * ceil(k/32) - k.  The multisets are those of the randrange calls,
-    bit for bit.  Words pulled past the last multiset of a `draw` carry into
-    the next one, so rng ends ahead of where the randrange calls would leave
-    it; the caller owns rng and draws nothing else from it.
+    Mersenne Twister words by the randrange rule of the module docstring;
+    randint(a, b) is documented as randrange(a, b + 1), so this is also the
+    stream of those randint calls, bit for bit.  Words pulled past the last
+    multiset of a `draw` carry into the next one, so rng ends ahead of where
+    the randrange calls would leave it; the caller owns rng and draws nothing
+    else from it.
     """
 
     def __init__(self, rng, n, max_support, max_multiplicity):
@@ -505,7 +497,7 @@ class _MultisetDraws:
 
     def draw(self, count):
         """The next `count` multisets of the stream as flat arrays (sizes,
-        points, mults), laid out as `pad_multisets` takes them."""
+        points, mults), laid out as `merge_multisets` takes them."""
         parts, least = [], 0
         while count:
             # The expected words of the multisets left, with 5% and one
@@ -529,13 +521,13 @@ def _attempt_words(width):
     return -(-width.bit_length() // 32)
 
 
-def _attempts(padded, width, positions):
-    """The randrange(width) draws readable from a buffer of L = positions - 2
-    words, passed followed by at least w - 1 zero words, where an attempt
-    takes w = `_attempt_words(width)` words.
+def _attempts(padded, width, index):
+    """The randrange(width) draws readable from a buffer of L words, passed
+    followed by at least w - 1 zero words, where an attempt takes
+    w = `_attempt_words(width)` words.  index is np.arange(L + 2): the
+    positions 0..L and the sentinel L + 1 for "the buffer ended first".
 
-    Positions run over 0..L, plus the sentinel L + 1 for "the buffer ended
-    first".  Returns (value, accepted, after), arrays over the positions:
+    Returns (value, accepted, after), arrays over the positions:
     value[i] is the getrandbits(k) attempt made from position i,
     accepted[i] the first of i, i + w, i + 2w, ... whose attempt falls below
     width, and after[i] the position after that attempt.  An attempt that
@@ -546,6 +538,7 @@ def _attempts(padded, width, positions):
     """
     k = width.bit_length()
     w = _attempt_words(width)
+    positions = len(index)
     sentinel = positions - 1
     value = padded[w - 1:w - 1 + positions] >> (32 * w - k)
     if w > 1:
@@ -553,15 +546,13 @@ def _attempts(padded, width, positions):
         value = value.astype(dtype)
         for j in range(w - 2, -1, -1):
             value = (value << 32) | padded[j:j + positions].astype(dtype)
-    rows = -(-positions // w)
-    accepted = np.full(rows * w, sentinel, dtype=np.int64)
-    accepted[:positions] = np.where((value < width).astype(bool), np.arange(positions),
-                                    sentinel)
-    # Reverse running minimum down each residue class mod w: the next
-    # accepted attempt at or after every position.
-    accepted = np.minimum.accumulate(accepted.reshape(rows, w)[::-1], axis=0)[::-1]
-    accepted = accepted.reshape(-1)[:positions]
-    return value, accepted, np.minimum(accepted + w, sentinel)
+    accepted = np.where(value < width, index, sentinel)
+    # Reverse running minimum down each residue class mod w, in place: the
+    # next accepted attempt at or after every position.
+    for c in range(w):
+        np.minimum.accumulate(accepted[c::w][::-1], out=accepted[c::w][::-1])
+    after = accepted + w
+    return value, accepted, np.minimum(after, sentinel, out=after)
 
 
 def _decode_multisets(words, widths, count):
@@ -578,17 +569,18 @@ def _decode_multisets(words, widths, count):
     positions = len(words) + 2
     padded = np.zeros(positions + max(map(_attempt_words, widths)), dtype=np.uint32)
     padded[:len(words)] = words
-    size_value, size_at, after_size = _attempts(padded, widths[0], positions)
-    point_value, point_at, after_point = _attempts(padded, widths[1], positions)
-    mult_value, mult_at, after_mult = _attempts(padded, widths[2], positions)
+    index = np.arange(positions)
+    # Per range, the draw made from each position and the position after it.
+    (r, after_size), (point, after_point), (mult, after_mult) = (
+        (v[at], after) for v, at, after in (_attempts(padded, w, index) for w in widths))
     # A support size is 1 + r, r < max_support: one pair, then r more.
     pair = after_mult[after_point]
     end = pair[after_size]
-    r = size_value[size_at]
     for bit in range((widths[0] - 1).bit_length()):
         if bit:
             pair = pair[pair]
-        end = np.where((r >> bit) & 1 == 1, pair[end], end)
+        # end = pair[end] where the bit is set, branch-free: faster than np.where.
+        end += (pair[end] - end) * ((r >> bit) & 1 == 1)
     sentinel = positions - 1
     following = memoryview(end)
     starts, used = [], 0
@@ -601,17 +593,17 @@ def _decode_multisets(words, widths, count):
     starts = np.array(starts, dtype=np.int64)
     sizes = _as_ints(r[starts], widths[0]) + 1
     slots = int(sizes.max(initial=0))
-    points = np.zeros((slots, len(starts)), dtype=point_value.dtype)
-    mults = np.zeros((slots, len(starts)), dtype=mult_value.dtype)
+    points = np.zeros((len(starts), slots), dtype=point.dtype)
+    mults = np.zeros((len(starts), slots), dtype=mult.dtype)
     at = after_size[starts]
     for slot in range(slots):
-        points[slot] = point_value[point_at[at]]
+        points[:, slot] = point[at]
         at = after_point[at]
-        mults[slot] = mult_value[mult_at[at]]
+        mults[:, slot] = mult[at]
         at = after_mult[at]
     drawn = np.arange(slots) < sizes[:, None]
-    return (sizes, _as_ints(points.T[drawn], widths[1]),
-            _as_ints(mults.T[drawn], widths[2]) + 1, used)
+    return (sizes, _as_ints(points[drawn], widths[1]),
+            _as_ints(mults[drawn], widths[2]) + 1, used)
 
 
 def _as_ints(values, width):

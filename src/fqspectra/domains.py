@@ -38,12 +38,12 @@ TABLE_MAX = 10 ** 7
 #     table, of mass |X| * |E|^k;
 #   * the growth-audit correlation in `energy.energy_growth_audit`, of mass
 #     |V| * |E|^(k/2), and its dot product with r_{k/2-1};
-#   * the batched mixing weights in `spectra.mixing_audit`: e, |B|, |C| and
-#     sum m^2 per pair, under n * mass^2 + degree * mass^2 for the block's
-#     largest multiset mass; the product of the two sums of m^2, under the
-#     product of their maxima; and the merged multiplicities of
-#     `spectra.pad_multisets`, under the largest draw times the largest
-#     support.
+#   * the mixing weights in `spectra.mixing_audit`: e, |B|, |C| and sum m^2
+#     per pair, segment sums over the ragged entries, under (n + degree) *
+#     mass^2 for the block's largest multiset mass; the product of the sums
+#     of m^2, under the product of their maxima; and the merged
+#     multiplicities of `spectra.merge_multisets`, under the largest draw
+#     times the largest support.
 # Each module imports the name, so a test can force the Python-int path of
 # one module by patching it there.
 _INT64_SAFE = 1 << 62
@@ -131,22 +131,26 @@ class PointDomain:
 
     # -- group arithmetic on flat indices ------------------------------------
 
-    def index_sub(self, A, B):
+    def digits(self, A) -> tuple:
+        """The n*d base-p digits of A (int or array), lowest first, as small ints."""
+        small = np.min_scalar_type(self.ctx.p - 1)
+        return tuple(d.astype(small) for d in np.unravel_index(A, self.shape)[::-1])
+
+    def index_sub(self, A, B, gathered=None):
         """Digit-wise base-p subtraction, A - B in the group, in one borrow
         pass: with a_k, b_k the n*d base-p digits,
 
             sum_k ((a_k - b_k) mod p) p^k = A - B + sum_k p^(k+1) [a_k < b_k],
 
-        since a digit that borrows gains p.  The digits come from A and B
-        alone, so a broadcast (rows, w, 1) - (rows, 1, w) grid sees one
-        subtraction and one compare-multiply-add per digit.  A and B may be
-        Python ints or integer arrays."""
-        p = self.ctx.p
+        since a digit that borrows gains p.  A and B may be Python ints or
+        integer arrays.  gathered, when given, holds the digits of A and of B
+        as `digits` gives them: a caller that subtracts many pairs of a few
+        entries takes each entry's digits once and gathers them with A and B."""
+        a, b = gathered or (self.digits(A), self.digits(B))
         out, pk = A - B, 1
-        for _ in range(self.nd):
-            borrow = (A // pk) % p < (B // pk) % p
-            pk *= p
-            out = out + borrow * pk
+        for a_k, b_k in zip(a, b):
+            pk *= self.ctx.p
+            out = out + (a_k < b_k) * pk
         return out
 
     def index_neg(self, A):

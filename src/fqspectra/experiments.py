@@ -44,7 +44,12 @@ from .geometry import (
     eval_poly_table,
     regularity_check,
 )
-from .spectra import affine_cayley_spectrum, cayley_spectrum, euclidean_spectrum
+from .spectra import (
+    affine_cayley_spectrum,
+    cayley_spectrum,
+    euclidean_check,
+    euclidean_spectrum,
+)
 
 
 def _derive_rng(seed: int, trial: int, salt: str = "subset") -> random.Random:
@@ -253,12 +258,15 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Distance-count coverage: nu_k(t) across t, coverage of F_q^*, relative
     deviation from |E|^k/q, size-hypothesis margins, and hard deviation audits."""
     form = QuadraticForm.parse(plan.form, plan.d)
-    ctx, dom, variety, _, reg = _setup(plan)
+    ctx, dom, variety, graph, reg = _setup(plan)
     form.require_nondegenerate(ctx)
     qvals = form.value_table(dom)
     graphs = {}
     for t in range(1, ctx.q):
-        spec, check = euclidean_spectrum(dom, qvals, t)
+        if np.array_equal(np.flatnonzero(qvals == t), variety.indices):
+            spec, check = graph, euclidean_check(graph, t)  # the level is V
+        else:
+            spec, check = euclidean_spectrum(dom, qvals, t)
         graphs[t] = spec
         if not check.within:
             raise InvariantError(f"euclidean graph bound failed at t={t}")

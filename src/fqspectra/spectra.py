@@ -15,17 +15,17 @@ lambda_second and lambda_mixing with their first maximisers.  Nothing here
 builds a whole affine table; `spectrum ... --out` writes the slices as they
 stream.
 
-Mixing audits count a block of multiset pairs (B_i, C_i) at once.  The
-multisets are laid out as padded (pairs x width) arrays of flat indices and
-multiplicities (`pad_multisets`); one `PointDomain.index_sub` gives every
-difference c - b of the block, one lookup in a boolean membership table of
-the connection set (size q^d, built once by the caller) marks the edges, and
-a weighted reduce gives each exact edge count e(B_i, C_i).  Exactness
-contract: the integer quantities (e, |B|, |C|, sum m^2) are exact, in int64
-under the overflow policy of `domains._INT64_SAFE` and in Python ints
-otherwise, and every float is the correctly rounded value of an exact
-rational, so each verdict equals the per-pair one in Python ints and
-Fractions.
+Mixing audits count a block of multiset pairs (B_i, C_i) at once, over the
+sum of |B_i||C_i| actual pairs (b, c) only: each side is ragged, flat merged
+points and multiplicities with each multiset's support (`merge_multisets`).
+`PointDomain.index_sub` gives every difference c - b from digits taken once
+per entry, one lookup in a boolean membership table of the connection set
+(size q^d, built once by the caller) marks the edges, and segment sums give
+each exact edge count e(B_i, C_i).  Exactness contract: the integer
+quantities (e, |B|, |C|, sum m^2) are exact, in int64 under the overflow
+policy of `domains._INT64_SAFE` and in Python ints otherwise, and every
+float is the correctly rounded value of an exact rational, so each verdict
+equals the per-pair one in Python ints and Fractions.
 """
 
 from collections.abc import Callable, Iterable
@@ -206,29 +206,30 @@ class BoundCheck:
 
 
 def euclidean_spectrum(dom: PointDomain, qvals, t: int):
-    """Spectrum of the graph on F_q^d joining x,y with Q(x - y) = t.
+    """Spectrum of the graph on F_q^d joining x,y with Q(x - y) = t, and its
+    `euclidean_check`.
 
     qvals is Q's value table over dom, `QuadraticForm.value_table(dom)`,
     which callers build once per form and domain after checking the budget
     with `require_table_budget` and the form with
-    `QuadraticForm.require_nondegenerate`: the bound below is stated for a
+    `QuadraticForm.require_nondegenerate`: the bound is stated for a
     nondegenerate Q.  t is a field element (see `FieldContext.element`).
-    For t != 0 the returned check asserts the classical
-    2*q^((d-1)/2) bound; t = 0 is allowed but flagged as outside that
-    statement's hypothesis.
     """
     qvals = dom.as_values(qvals)
-    ctx, d = dom.ctx, dom.d
-    t = ctx.element(t)
-    spec = cayley_spectrum(ctx, np.flatnonzero(qvals == t), d=d)
-    bound = 2.0 * ctx.q ** ((d - 1) / 2)
+    t = dom.ctx.element(t)
+    spec = cayley_spectrum(dom.ctx, np.flatnonzero(qvals == t), d=dom.d)
+    return spec, euclidean_check(spec, t)
+
+
+def euclidean_check(spec: Spectrum, t: int) -> BoundCheck:
+    """The check of the level-t Euclidean spectrum `spec`: the classical
+    2*q^((d-1)/2) bound for t != 0; t = 0 is flagged, not asserted."""
+    bound = 2.0 * spec.q ** ((spec.d - 1) / 2)
     if t == 0:
-        check = BoundCheck(spec.lambda_second, bound, True,
-                           note="t = 0 is outside the bound's hypothesis; not asserted")
-    else:
-        check = BoundCheck(spec.lambda_second, bound,
-                           spec.lambda_second <= bound + AUDIT_RTOL * bound, note="")
-    return spec, check
+        return BoundCheck(spec.lambda_second, bound, True,
+                          note="t = 0 is outside the bound's hypothesis; not asserted")
+    return BoundCheck(spec.lambda_second, bound,
+                      spec.lambda_second <= bound + AUDIT_RTOL * bound, note="")
 
 
 def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
@@ -298,36 +299,26 @@ def _affine_slices(ctx, W, coeffs):
 
 # -- mixing audits -------------------------------------------------------------
 
-def pad_multisets(sizes, points, mults, n: int):
-    """Merge and pad a run of multisets drawn as flat arrays.
+def merge_multisets(sizes, points, mults, n: int):
+    """Merge the repeated points of a run of multisets drawn as flat arrays.
 
     Multiset i is the next sizes[i] >= 1 entries of `points` (flat indices in
     [0, n)) with multiplicities `mults` (int64, or Python ints in an object
-    array); repeated points are merged by adding their multiplicities.
-    Returns (idx, mult), two (len(sizes) x width) arrays with width the
-    largest merged support: row i holds multiset i's distinct points in
-    ascending order, then padding of index 0 and multiplicity 0.  mult is
-    int64 when no merged multiplicity can reach _INT64_SAFE, and Python ints
-    (object dtype) otherwise.
+    array).  Returns (support, idx, mult): each multiset's number of distinct
+    points, then those points ascending, multiset after multiset, with their
+    summed multiplicities, int64 when no sum can reach _INT64_SAFE and Python
+    ints (object dtype) otherwise.
     """
     rows = len(sizes)
     dtype = np.int64 if int(mults.max()) * int(sizes.max()) < _INT64_SAFE else object
     key = np.repeat(np.arange(rows, dtype=np.int64) * n, sizes)
     key += np.asarray(points, dtype=np.int64)
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")  # quick: the keys arrive sorted by row
     key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
     merged = np.add.reduceat(np.asarray(mults, dtype=dtype)[order], starts)
     row, idx = np.divmod(key[starts], n)
-    support = np.bincount(row, minlength=rows)
-    col = np.arange(len(starts)) - np.repeat(np.cumsum(support) - support, support)
-    out_idx = np.zeros((rows, int(support.max())), dtype=np.int64)
-    out_mult = np.zeros(out_idx.shape, dtype=dtype)
-    out_idx[row, col] = idx
-    out_mult[row, col] = merged
-    return out_idx, out_mult
+    return np.bincount(row, minlength=rows), idx, merged
 
 
 @dataclass(frozen=True)
@@ -348,14 +339,18 @@ class MixingAudit:
     ok: np.ndarray
 
 
-def _weight_dtype(factor: int, *mults):
-    """int64 when factor * mass^2 stays below _INT64_SAFE for the largest row
-    mass of the multiplicity arrays, object dtype otherwise."""
-    if any(m.dtype == object or int(m.max(initial=0)) * m.shape[1] >= _INT64_SAFE
-           for m in mults):
-        return object  # a row mass itself might not fit
-    mass = max(int(m.sum(axis=1).max(initial=0)) for m in mults)
+def _weight_dtype(factor: int, *multisets):
+    """int64 when factor * mass^2 < _INT64_SAFE for the largest multiset mass."""
+    if any(m.dtype == object or int(m.max(initial=0)) * int(size.max(initial=0))
+           >= _INT64_SAFE for size, _, m in multisets):
+        return object  # a multiset mass itself might not fit
+    mass = max(int(_per_multiset(size, m)[0].max(initial=0)) for size, _, m in multisets)
     return np.int64 if factor * mass * mass < _INT64_SAFE else object
+
+
+def _per_multiset(support, *values):
+    """Sums of each array of values over every multiset's run of entries."""
+    return [np.add.reduceat(v, np.cumsum(support) - support) for v in values]
 
 
 def _exact_floats(num, den: int = 1) -> np.ndarray:
@@ -371,33 +366,34 @@ def _exact_floats(num, den: int = 1) -> np.ndarray:
 
 
 def mixing_audit(spectrum: Spectrum, dom: PointDomain, member: np.ndarray,
-                 B_idx, B_mult, C_idx, C_mult) -> MixingAudit:
+                 B, C) -> MixingAudit:
     """Audit |e(B,C) - d|B||C|/n| <= lambda * sqrt(sum m_B^2) * sqrt(sum m_C^2)
-    for every pair of a block at once.
+    for every pair of a block at once, under the module's exactness contract.
 
-    Row i of (B_idx, B_mult) and of (C_idx, C_mult) holds the flat indices and
-    multiplicities of B_i and C_i, padded with multiplicity 0 (see
-    `pad_multisets`); a single pair is the one-row case.  member is the
-    boolean table over F_q^d of the connection set, so u -> v iff
-    member[v - u].  One `index_sub` over the block's (b, c) grid and one
-    lookup in member find every edge, and e(B_i, C_i) is the exact weighted
-    sum of m_B * m_C over them.  The counts run in int64 under the overflow
-    policy of `domains._INT64_SAFE` and in Python ints otherwise, and the
-    floats are correctly rounded from exact integers, so each pair's verdict
-    equals the one from Python ints and Fractions.  The bound uses
-    lambda_mixing (max over every nontrivial eigenvalue), the constant under
-    which the inequality is a theorem for normal Cayley digraphs.
+    B and C are merged multisets (support, idx, mult) from `merge_multisets`,
+    multiset i of each making pair i.  member is the boolean table over F_q^d
+    of the connection set, so u -> v iff member[v - u].  The pairs (b, c) run
+    flat, each entry of B_i meeting the run of C_i, and e(B_i, C_i) is the
+    exact sum of m_B * m_C over the edges.  The bound uses lambda_mixing (max
+    over every nontrivial eigenvalue), the constant under which the
+    inequality is a theorem for normal Cayley digraphs.
     """
     n, degree = spectrum.order, spectrum.degree
-    dtype = _weight_dtype(n + degree, B_mult, C_mult)
-    B_mult = B_mult.astype(dtype, copy=False)
-    C_mult = C_mult.astype(dtype, copy=False)
-    hit = member[dom.index_sub(C_idx[:, None, :], B_idx[:, :, None])]
-    e = ((hit * C_mult[:, None, :]).sum(axis=2) * B_mult).sum(axis=1)
-    b_mass = B_mult.sum(axis=1)
-    c_mass = C_mult.sum(axis=1)
-    b_sq = (B_mult * B_mult).sum(axis=1)
-    c_sq = (C_mult * C_mult).sum(axis=1)
+    (b_size, b_idx, b_mult), (c_size, c_idx, c_mult) = B, C
+    dtype = _weight_dtype(n + degree, B, C)
+    b_mult, c_mult = b_mult.astype(dtype, copy=False), c_mult.astype(dtype, copy=False)
+    runs = np.repeat(c_size, b_size)  # |C_i| for each entry of B_i
+    run_start = np.cumsum(runs) - runs
+    c_at = np.repeat(np.repeat(np.cumsum(c_size) - c_size, b_size) - run_start, runs)
+    c_at += np.arange(len(c_at))  # the entry of C in each pair
+    hit = member[dom.index_sub(c_idx[c_at], np.repeat(b_idx, runs),
+                               ((c[c_at] for c in dom.digits(c_idx)),
+                                (np.repeat(b, runs) for b in dom.digits(b_idx))))]
+    weight = c_mult[c_at]
+    weight *= hit
+    e, b_mass, b_sq = _per_multiset(b_size, np.add.reduceat(weight, run_start) * b_mult,
+                                    b_mult, b_mult * b_mult)
+    c_mass, c_sq = _per_multiset(c_size, c_mult, c_mult * c_mult)
     if int(b_sq.max(initial=0)) * int(c_sq.max(initial=0)) >= _INT64_SAFE:
         b_sq = b_sq.astype(object)
     main_num = degree * b_mass * c_mass

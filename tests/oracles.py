@@ -6,7 +6,8 @@ these never call into fqspectra's counting or spectrum code.  The mixing
 reference also covers extension fields, through the digit-wise group law of
 flat indices, and stays here as the per-pair check of the batched audit;
 `draw_multisets_reference` is the randrange loop whose stream the CLI's
-bulk decoder must reproduce.
+bulk decoder must reproduce, and `flat_multisets` lays multisets out as the
+merge takes them.
 
 The affine references are the exceptions that use the library.  The direct
 one enumerates the connection set with `eval_poly_table` and sums characters
@@ -365,6 +366,16 @@ def random_multiset(rng, n, max_support, max_multiplicity):
     for _ in range(rng.randint(1, max_support)):
         out[rng.randrange(n)] += rng.randint(1, max_multiplicity)
     return out
+
+
+def flat_multisets(multisets):
+    """A list of multisets, each a Counter or a list of (point,
+    multiplicity) draws, as the flat arrays (sizes, points, mults) that
+    `merge_multisets` takes."""
+    draws = [list(M.items()) if isinstance(M, Counter) else M for M in multisets]
+    return (np.array([len(M) for M in draws]),
+            np.array([x for M in draws for x, _ in M], dtype=np.int64),
+            np.array([m for M in draws for _, m in M]))
 
 
 def mixing_payload_reference(rng, p, spec, conn, pairs, max_support,

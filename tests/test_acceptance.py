@@ -30,12 +30,12 @@ from fqspectra.spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
     euclidean_spectrum,
+    merge_multisets,
     mixing_audit,
-    pad_multisets,
 )
 from fqspectra.experiments import ExperimentPlan, coverage_experiment
 
-from oracles import brute_delta, brute_lambda, brute_nu, point_of, sub
+from oracles import brute_delta, brute_lambda, brute_nu, flat_multisets, point_of, sub
 
 
 def _report(num, name, ok, detail=""):
@@ -212,16 +212,10 @@ def test_acceptance_5_mixing_never_violated():
         member = np.zeros(dom.size, dtype=bool)
         member[conn] = True
         graphs += 1
-        sizes, points, mults = [], [], []
-        for _ in range(1000):
-            for M in (_random_multiset(rng, dom.size), _random_multiset(rng, dom.size)):
-                sizes.append(len(M))
-                points += M.keys()
-                mults += M.values()
-        idx, mult = pad_multisets(np.array(sizes), np.array(points),
-                                  np.array(mults), dom.size)
-        audit = mixing_audit(spec, dom, member, idx[0::2], mult[0::2],
-                             idx[1::2], mult[1::2])
+        pairs = [(_random_multiset(rng, dom.size), _random_multiset(rng, dom.size))
+                 for _ in range(1000)]
+        B, C = (merge_multisets(*flat_multisets(side), dom.size) for side in zip(*pairs))
+        audit = mixing_audit(spec, dom, member, B, C)
         audits += len(audit.ok)
         rel = np.divide(audit.gap, audit.bound, out=np.zeros(len(audit.gap)),
                         where=audit.bound != 0)

@@ -20,7 +20,7 @@ from fqspectra.experiments import (
     sumset_experiment,
 )
 from fqspectra.field import FieldContext
-from fqspectra.geometry import builtin_variety
+from fqspectra.geometry import QuadraticForm, builtin_variety
 
 F3 = FieldContext(3)
 F5 = FieldContext(5)
@@ -181,6 +181,30 @@ def test_energy_experiment_builds_the_cayley_spectrum_at_most_once(monkeypatch, 
     assert rep.hard_failures == 0
     audited = [r["k4_audit_ok"] for r in rep.records if "k4_audit_ok" in r]
     assert len(audited) == audits and all(audited)
+
+
+@pytest.mark.parametrize("form,level_spectra", [("identity", 3), ("diag:1,2", 4)])
+def test_coverage_takes_the_level_that_is_V_from_set_up(monkeypatch, form, level_spectra):
+    # V is the sphere x.x = 1, the identity form's level t = 1, so set-up's
+    # spectrum of V serves that level; no level of the diag: form is V.
+    levels = []
+    real = experiments_mod.euclidean_spectrum
+    monkeypatch.setattr(experiments_mod, "euclidean_spectrum",
+                        lambda dom, qvals, t: levels.append(t) or real(dom, qvals, t))
+    rep = coverage_experiment(_tiny_coverage_plan(p=5, form=form))
+    assert len(levels) == level_spectra and rep.hard_failures == 0
+
+
+@pytest.mark.parametrize("p,n,d", [(31, 1, 3), (3, 3, 3), (23, 1, 2), (5, 1, 2)])
+def test_the_set_up_spectrum_of_V_is_its_euclidean_level(p, n, d):
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    graph = spectra_mod.cayley_spectrum(ctx, builtin_variety(ctx, "sphere", d, 1).indices, d=d)
+    spec, check = spectra_mod.euclidean_spectrum(
+        dom, QuadraticForm.identity(d).value_table(dom), 1)
+    assert ((graph.lambda_second, graph.argmax_m, graph.lambda_mixing, graph.argmax_mixing)
+            == (spec.lambda_second, spec.argmax_m, spec.lambda_mixing, spec.argmax_mixing))
+    assert spectra_mod.euclidean_check(graph, 1) == check
 
 
 def test_energy_experiment_odd_k_ratio():

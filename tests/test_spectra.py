@@ -1,5 +1,4 @@
 import functools
-import itertools
 import random
 import tracemalloc
 import types
@@ -29,8 +28,8 @@ from fqspectra.spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
     euclidean_spectrum,
+    merge_multisets,
     mixing_audit,
-    pad_multisets,
 )
 
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     affine_eigenvalues_direct,
     brute_second_eigenvalue,
     eigenvalue_table,
+    flat_multisets,
     index_add,
     mixing_reference,
     point_of,
@@ -445,12 +445,13 @@ def test_index_arithmetic_matches_field_arithmetic(p, n, d):
         assert point_of(dom, neg[i]) == tuple(ctx.neg(u) for u in x)
         assert index_add(dom, a, b) == add[i] and dom.index_sub(a, b) == diff[i]
     assert np.array_equal(dom.as_indices([point_of(dom, a) for a in A.tolist()]), A)
-    # The (rows, w, 1) - (rows, 1, w) grid `mixing_audit` subtracts.
-    C, D = A.reshape(30, 10), B.reshape(30, 10)
-    grid = dom.index_sub(C[:, :, None], D[:, None, :])
-    assert grid.shape == (30, 10, 10)
-    for r, i, j in itertools.product(range(30), range(10), range(10)):
-        assert grid[r, i, j] == dom.index_sub(int(C[r, i]), int(D[r, j]))
+    # The flat (c, b) pairs `mixing_audit` subtracts: each entry's digits
+    # taken once, then gathered with the entries.
+    at_a, at_b = rng.integers(0, 300, 1000), rng.integers(0, 300, 1000)
+    pairs = dom.index_sub(A[at_a], B[at_b], ([a[at_a] for a in dom.digits(A)],
+                                             [b[at_b] for b in dom.digits(B)]))
+    for i, j, diff in zip(at_a.tolist(), at_b.tolist(), pairs.tolist()):
+        assert diff == dom.index_sub(int(A[i]), int(B[j]))
     assert dom.index_neg(0) == 0
 
 
@@ -526,11 +527,11 @@ def _member(dom, conn):
 
 
 def _one_pair(B, C):
-    """Index and multiplicity rows of a single pair of {index: mult} dicts."""
-    def row(M):
-        return (np.array([list(M)], dtype=np.int64),
-                np.array([list(M.values())], dtype=np.int64))
-    return (*row(B), *row(C))
+    """The merged multisets of a single pair of {index: mult} dicts."""
+    def one(M):
+        return (np.array([len(M)]), np.array(list(M), dtype=np.int64),
+                np.array(list(M.values()), dtype=np.int64))
+    return one(B), one(C)
 
 
 def test_mixing_audit_whole_vertex_set():
@@ -592,30 +593,73 @@ def _mixing_block(draw):
     return dom, conn, pairs
 
 
+def _audit_against_reference(dom, conn, pairs):
+    """Merge a block of pairs of (point, multiplicity) draws, audit it, and
+    check every pair against the per-pair reference."""
+    spec = cayley_spectrum(dom.ctx, np.array(conn, dtype=np.int64), d=dom.d)
+    B, C = (merge_multisets(*flat_multisets(side), dom.size) for side in zip(*pairs))
+    counters = [[Counter() for _ in pairs], [Counter() for _ in pairs]]
+    for i, pair in enumerate(pairs):
+        for side, multiset in enumerate(pair):
+            for x, m in multiset:
+                counters[side][i][x] += m
+    for merged, side in zip((B, C), counters):
+        support, idx, mult = merged
+        assert support.tolist() == [len(M) for M in side]
+        assert idx.tolist() == [x for M in side for x in sorted(M)]
+        assert mult.tolist() == [M[x] for M in side for x in sorted(M)]
+    audit = mixing_audit(spec, dom, _member(dom, conn), B, C)
+    for i, (Bi, Ci) in enumerate(zip(*counters)):
+        e, _, _, _, gap, ok = mixing_reference(dom.ctx.p, dom.size, conn,
+                                               spec.lambda_mixing, spec.degree, Bi, Ci)
+        assert (audit.e_observed[i], audit.gap[i], audit.ok[i]) == (e, gap, ok)
+
+
 @given(_mixing_block())
 @settings(max_examples=60, deadline=None)
 def test_mixing_batch_matches_per_pair_reference(block):
-    dom, conn, pairs = block
-    spec = cayley_spectrum(dom.ctx, np.array(conn, dtype=np.int64), d=dom.d)
-    sizes, points, mults = [], [], []
-    for multiset in (M for pair in pairs for M in pair):
-        sizes.append(len(multiset))
-        points += [x for x, _ in multiset]
-        mults += [m for _, m in multiset]
-    idx, mult = pad_multisets(np.array(sizes), np.array(points), np.array(mults),
-                              dom.size)
-    counters = []
-    for multiset in (M for pair in pairs for M in pair):
-        counters.append(Counter())
-        for x, m in multiset:
-            counters[-1][x] += m
-    assert idx.shape[1] == max(len(c) for c in counters)
-    audit = mixing_audit(spec, dom, _member(dom, conn), idx[0::2], mult[0::2],
-                         idx[1::2], mult[1::2])
-    for i, (B, C) in enumerate(zip(counters[0::2], counters[1::2])):
-        e, _, _, _, gap, ok = mixing_reference(dom.ctx.p, dom.size, conn,
-                                               spec.lambda_mixing, spec.degree, B, C)
-        assert (audit.e_observed[i], audit.gap[i], audit.ok[i]) == (e, gap, ok)
+    _audit_against_reference(*block)
+
+
+@pytest.mark.parametrize("pairs", [
+    # a point repeated inside one multiset, on either side
+    [([(3, 2), (7, 1), (3, 5)], [(4, 1)]), ([(1, 1)], [(2, 4), (2, 4), (9, 1)])],
+    # supports 1 and max_support (10) in the same block
+    [([(i, i + 1) for i in range(10)], [(5, 2)]), ([(0, 1)], [(0, 3)]),
+     ([(8, 1)], [(i, 1) for i in range(10, 20)])],
+    # B and C of unequal support
+    [([(1, 1), (2, 1), (3, 1), (4, 2)], [(6, 1)]),
+     ([(5, 3)], [(10, 1), (11, 2), (12, 3), (13, 4), (14, 5)])],
+], ids=["repeated-point", "supports-1-and-max", "unequal-supports"])
+@pytest.mark.parametrize("field,d", [(5, 2), (9, 2), (27, 1)])
+def test_mixing_blocks_match_per_pair_reference(pairs, field, d):
+    dom = PointDomain(MIXING_FIELDS[field], d)
+    conn = sorted({(7 * x + 3) % dom.size for x in range(0, dom.size, 2)})
+    _audit_against_reference(dom, conn, pairs)
+
+
+def test_mixing_audit_memory_follows_the_pairs_not_a_padded_grid():
+    # One 300-point multiset among 1-point ones: 300 + 199 (b, c) pairs.  The
+    # padded layout took (rows, 300, 1) grids, 480 KB each in int64; a pair
+    # may take 64 int64 words here, on top of 64 KB for the entries.
+    dom = PointDomain(FieldContext(31), 2)
+    rows = 200
+    Bs = [[(x, 1) for x in range(300)]] + [[(x % dom.size, 2)] for x in range(rows - 1)]
+    Cs = [[(5, 1)]] * rows
+    B, C = (merge_multisets(*flat_multisets(side), dom.size) for side in (Bs, Cs))
+    sphere = builtin_variety(dom.ctx, "sphere", 2, 1).indices
+    member = _member(dom, sphere)
+    spec = cayley_spectrum(dom.ctx, sphere, d=2)
+    mixing_audit(spec, dom, member, B, C)  # warm-up
+    tracemalloc.start()
+    try:
+        audit = mixing_audit(spec, dom, member, B, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = 300 + rows - 1
+    assert len(audit.ok) == rows
+    assert peak < 64 * 8 * cells + (64 << 10)
 
 
 @pytest.mark.parametrize("p", [3, 5])
