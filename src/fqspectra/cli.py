@@ -192,7 +192,7 @@ def build_parser() -> _Parser:
         if name in ("nu", "delta"):
             ep.add_argument("--form", default="identity", help=_FORM_HELP)
         if name in ("nup", "delta"):
-            ep.add_argument("--s", type=int, default=None,
+            ep.add_argument("--s", type=int, required=name == "nup",
                             help="use the diagonal polynomial sum a_i x_i^s instead of a form")
             ep.add_argument("--coeffs", help="comma-separated diagonal coefficients")
         if name == "nup":
@@ -373,8 +373,6 @@ def _cmd_energy(args) -> int:
         table = nu_k(E, form.value_table(dom), args.k)
         return _emit_table(table, args, extra={"k": args.k, "size": len(E)})
     if args.subcommand == "nup":
-        if args.s is None:
-            raise FqspectraError("energy nup needs --s (diagonal exponent)")
         pvals = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
         X = [int(v) for v in args.x_set.split(",")]
         x_size = len(set(ctx.element(v) for v in X))

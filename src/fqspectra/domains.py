@@ -71,8 +71,8 @@ def flat_indices(points, q: int, d: int) -> np.ndarray:
 class PointDomain:
     """The additive group F_q^d with canonical flat indexing.
 
-    Immutable; coordinate arrays are cached lazily but never mutated after
-    being built, so instances are safe to share across workers.
+    Immutable and stateless beyond its shape, so instances are safe to share
+    across workers.
     """
 
     def __init__(self, ctx: FieldContext, d: int):
@@ -83,7 +83,6 @@ class PointDomain:
         self.size = ctx.q ** d
         self.nd = ctx.n * d
         self.shape = (ctx.p,) * self.nd
-        self._coords = {}
 
     # -- point <-> index ----------------------------------------------------
 
@@ -122,12 +121,9 @@ class PointDomain:
         return values
 
     def coord_array(self, j: int) -> np.ndarray:
-        """x_j over all points in index order (cached)."""
-        if j not in self._coords:
-            q = self.ctx.q
-            idx = np.arange(self.size, dtype=np.int64)
-            self._coords[j] = (idx // q ** (self.d - 1 - j)) % q
-        return self._coords[j]
+        """x_j over all points in index order, built on each call."""
+        q = self.ctx.q
+        return np.arange(self.size, dtype=np.int64) // q ** (self.d - 1 - j) % q
 
     # -- group arithmetic on flat indices ------------------------------------
 
@@ -197,13 +193,14 @@ def character_sum_table(dom: PointDomain, points) -> np.ndarray:
 
 def _character_sums_direct(dom: PointDomain, idx) -> np.ndarray:
     ctx = dom.ctx
-    points = np.stack([dom.coord_array(j)[idx] for j in range(dom.d)], axis=1)
+    coords = [dom.coord_array(j) for j in range(dom.d)]
+    points = np.stack([x[idx] for x in coords], axis=1)
     acc = np.zeros(dom.size, dtype=np.complex128)
     for pt in points.tolist():
         dot = np.zeros(dom.size, dtype=np.int64)
-        for j, c in enumerate(pt):
+        for x, c in zip(coords, pt):
             if c:
-                dot = ctx.add_vec(dot, ctx.mul_vec(dom.coord_array(j), np.int64(c)))
+                dot = ctx.add_vec(dot, ctx.mul_vec(x, np.int64(c)))
         acc += ctx.char_vec(dot)
     return acc
 

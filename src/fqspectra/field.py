@@ -9,12 +9,14 @@ encoding is reproducible bit-for-bit across runs and machines.
 
 Prime fields (n = 1) multiply integers modulo p.  Every extension field
 (n >= 2, up to MAX_ORDER) multiplies through discrete log/antilog tables over
-a fixed generator of F_q^*; polynomial arithmetic only builds those tables
-and the trace.
+a fixed generator of F_q^*.  Those tables and the trace are built from the
+matrices of multiplication on digit rows, see `FieldContext`.
 
 A FieldContext is immutable after construction and every operation is pure,
 so contexts can be shared freely between threads.
 """
+
+import operator
 
 import numpy as np
 
@@ -43,25 +45,6 @@ def is_prime(m: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient lists a*b modulo (modulus, p).  modulus is monic."""
-    n = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce: subtract multiples of the monic modulus from the top down
-    for k in range(len(out) - 1, n - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(n):
-                out[k - n + i] = (out[k - n + i] - c * modulus[i]) % p
-    return out[:n] if len(out) >= n else out + [0] * (n - len(out))
 
 
 def _poly_eval(coeffs, x, p):
@@ -124,6 +107,15 @@ def smallest_irreducible(p: int, n: int) -> tuple:
 class FieldContext:
     """Arithmetic context for F_q with dense tables for the hot paths.
 
+    An extension field is built from one object: the companion matrix C of
+    the modulus, which multiplies a digit row by X, and its powers C^0, ..,
+    C^(n-1).  Row i of C^j holds the digits of X^(i+j), so multiplication by
+    c = sum_j c_j X^j is the matrix M_c = sum_j c_j C^j mod p acting on digit
+    rows: the digits of a*c are digits(a) @ M_c mod p.  Products of elements
+    are products of their matrices, and Tr(c) is the trace of M_c.  The
+    generator search, the exp/log tables and the trace table all read these
+    matrices.
+
     Attributes:
         p, n, q: characteristic, extension degree, order q = p^n.
         modulus: monic modulus coefficients (c_0, ..., c_n), c_n = 1.
@@ -134,7 +126,8 @@ class FieldContext:
     """
 
     def __init__(self, p: int, n: int = 1):
-        if not isinstance(p, int) or not is_prime(p):
+        p, n = operator.index(p), operator.index(n)
+        if not is_prime(p):
             raise NotPrimeError(f"p = {p} is not prime")
         if p == 2:
             raise EvenCharacteristicError("p must be odd (p >= 3); got p = 2")
@@ -148,35 +141,25 @@ class FieldContext:
         self.q = q
         self.modulus = smallest_irreducible(p, n)
 
-        self.generator = self._exp = self._log = None
-        if n >= 2:
-            self._build_log_tables()
-
-        self._trace_basis = self._build_trace_basis()
-        if all(t == 0 for t in self._trace_basis):
-            raise InvariantError("trace is identically zero (modulus not separable?)")
-        self.trace_table = self._build_trace_table()
+        if n == 1:
+            self.generator = self._exp = self._log = None
+            self.trace_table = np.arange(q, dtype=np.int64)
+        else:
+            self._build_tables()
         self.char_table = np.exp(2j * np.pi * np.arange(p) / p)
 
     # -- construction helpers -------------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        da = self.digits(a)
-        db = self.digits(b)
-        res = _poly_mul_mod(list(da), list(db), list(self.modulus), self.p)
-        return self.encode(res)
-
-    def _smallest_generator(self) -> int:
+    def _smallest_generator(self, powers) -> int:
         """The smallest encoding g that generates F_q^*: the first candidate
         with g^((q-1)/f) != 1 for every prime f dividing q - 1.
 
         The encodings below p are F_p^*, whose orders divide p - 1 < q - 1,
         so the candidates start at p.  They are tested in batches, 16 first
         and each next batch four times larger up to 4096, by
-        square-and-multiply on their digit vectors: one array product of all
-        (candidate, exponent) rows per step.  The product of digit vectors a and b is the outer
-        product a_i b_j reduced through the digits of X^(i+j) modulo the
-        modulus.
+        square-and-multiply on the stack of their matrices M_c, one row per
+        (candidate, exponent): the base is squared as a matrix, and the power
+        is kept as its row 0, the digits of c^e.
         """
         q, p, n = self.q, self.p, self.n
         exponents, m, f = [], q - 1, 2
@@ -188,88 +171,67 @@ class FieldContext:
             f += 1
         if m > 1:
             exponents.append((q - 1) // m)
-        # Digits of X^0 .. X^(2n-2): X^(k+1) shifts X^k up one place and
-        # subtracts its top digit times the monic modulus.
-        x_powers = [[int(i == k) for i in range(n)] for k in range(n)]
-        for _ in range(n - 1):
-            prev = x_powers[-1]
-            x_powers.append([((prev[i - 1] if i else 0) - prev[-1] * self.modulus[i]) % p
-                             for i in range(n)])
-        reduce = np.array([x_powers[i + j] for i in range(n) for j in range(n)],
-                          dtype=np.int64)
-
-        def mul(a, b):
-            return (a[:, :, None] * b[:, None, :]).reshape(len(a), n * n) @ reduce % p
-
+        one = np.eye(1, n, dtype=np.int64)
         steps = max(exponents).bit_length()
         start, batch = p, 16
         while start < q:
             cand = np.arange(start, min(start + batch, q), dtype=np.int64)
-            base = np.tile(cand[:, None] // p ** np.arange(n) % p, (len(exponents), 1))
+            base = np.tensordot(cand[:, None] // p ** np.arange(n) % p, powers, 1) % p
+            base = np.tile(base, (len(exponents), 1, 1))
             e = np.repeat(np.array(exponents, dtype=np.int64), len(cand))
-            takes = (e[:, None] >> np.arange(steps)[:, None, None]) & 1 == 1
-            power = np.where(takes[0], base, np.eye(1, n, dtype=np.int64))
+            takes = (e[:, None, None] >> np.arange(steps)[:, None, None, None]) & 1 == 1
+            power = np.where(takes[0], base[:, :1], one)
             for bit in range(1, steps):
-                base = mul(base, base)
-                power = np.where(takes[bit], mul(power, base), power)
-            is_one = (power[:, 0] == 1) & ~power[:, 1:].any(axis=1)
+                base = base @ base % p
+                power = np.where(takes[bit], power @ base % p, power)
+            is_one = (power[:, 0] == one).all(axis=1)
             generates = ~is_one.reshape(len(exponents), len(cand)).any(axis=0)
             if generates.any():
                 return int(cand[np.argmax(generates)])
             start, batch = start + batch, min(4 * batch, 1 << 12)
         raise InvariantError("F_q^* is cyclic; a generator must exist")
 
-    def _build_log_tables(self):
-        q = self.q
-        self.generator = g = self._smallest_generator()
-        # Doubling: exp[k:2k] = exp[:k] * g^k.  Multiplying by the fixed
-        # element g^k is the F_p-linear map on digit vectors whose row i holds
-        # the digits of X^i * g^k.
-        p, n = self.p, self.n
+    def _build_tables(self):
+        """The generator, the exp/log tables and the trace table, from the
+        powers of the companion matrix.
+
+        The digit rows of g^0, .., g^(q-2) are filled by doubling: with M
+        the matrix of g^k, rows[k:2k] = rows[:k] @ M mod p, then M becomes
+        M @ M.  Then exp[i] encodes rows[i], and Tr(g^i) = rows[i] .
+        (Tr C^j)_j mod p.
+        """
+        p, n, q = self.p, self.n, self.q
+        companion = np.eye(n, k=1, dtype=np.int64)
+        companion[-1] = np.negative(self.modulus[:n]) % p
+        powers = [np.eye(n, dtype=np.int64)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ companion % p)
+        powers = np.array(powers)
+        self.generator = g = self._smallest_generator(powers)
         place = p ** np.arange(n, dtype=np.int64)
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        exp[0] = 1
-        k, gk = 1, g
+        rows = np.zeros((q - 1, n), dtype=np.int64)
+        rows[0, 0] = 1
+        M = np.tensordot(g // place % p, powers, 1) % p
+        k = 1
         while k < q - 1:
             m = min(k, q - 1 - k)
-            M = np.array([self.digits(self._mul_poly(p ** i, gk)) for i in range(n)],
-                         dtype=np.int64)
-            digs = (exp[:m, None] // place) % p
-            exp[k:k + m] = ((digs @ M) % p) @ place
-            k, gk = 2 * k, self._mul_poly(gk, gk)
+            np.matmul(rows[:m], M, out=rows[k:k + m])
+            rows[k:k + m] %= p
+            k, M = 2 * k, M @ M % p
+        exp = np.empty(2 * (q - 1), dtype=np.int64)
+        np.matmul(rows, place, out=exp[:q - 1])
+        exp[q - 1:] = exp[:q - 1]
+        trace = rows @ np.trace(powers, axis1=1, axis2=2)
+        trace %= p
+        del rows  # the largest table here; freed before the log table is built
         log = np.full(q, -1, dtype=np.int64)
-        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
+        log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int64)
         if np.any(log[1:] < 0):
             raise InvariantError("powers of the generator miss a nonzero element")
-        exp[q - 1:] = exp[: q - 1]
         self._exp = exp
         self._log = log
-
-    def _build_trace_basis(self):
-        """Tr(X^i) for the monomial basis, via repeated Frobenius (powers
-        from the log/antilog tables, which n >= 2 builds first)."""
-        out = []
-        for i in range(self.n):
-            b = self.encode([0] * i + [1])
-            acc = b
-            cur = b
-            for _ in range(self.n - 1):
-                cur = self.pow(cur, self.p)
-                acc = self.add(acc, cur)
-            if acc >= self.p:
-                raise InvariantError("trace value escaped the prime subfield")
-            out.append(acc)
-        return tuple(out)
-
-    def _build_trace_table(self):
-        idx = np.arange(self.q, dtype=np.int64)
-        if self.n == 1:
-            return idx
-        tr = np.zeros(self.q, dtype=np.int64)
-        for i, t in enumerate(self._trace_basis):
-            if t:
-                tr += ((idx // self.p ** i) % self.p) * t
-        return tr % self.p
+        self.trace_table = np.zeros(q, dtype=np.int64)
+        self.trace_table[exp[:q - 1]] = trace
 
     # -- encodings --------------------------------------------------------
 
@@ -321,16 +283,6 @@ class FieldContext:
         if a == 0 or b == 0:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e (with 0^0 = 1) for e >= 0."""
-        if e < 0:
-            raise ValueError(f"exponent e = {e} must be >= 0")
-        if self.n == 1:
-            return pow(a, e, self.p)
-        if a == 0:
-            return 0 if e else 1
-        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])

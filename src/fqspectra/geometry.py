@@ -125,17 +125,20 @@ def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
 
         def coord(j):
             return (idx // ctx.q ** (dom.d - 1 - j)) % ctx.q
-    pow_tables = {}
+    # Each power table and each coordinate is built once per call.
+    pow_tables, coords = {}, {}
     for _, exps in spec.terms:
-        for e in exps:
+        for j, e in enumerate(exps):
             if e and e not in pow_tables:
                 pow_tables[e] = ctx.pow_table(e)
+            if e and j not in coords:
+                coords[j] = coord(j)
     out = np.zeros(shape, dtype=np.int64)
     for coeff, exps in spec.terms:
         term = np.full(shape, coeff, dtype=np.int64)
         for j, e in enumerate(exps):
             if e:
-                term = ctx.mul_vec(term, pow_tables[e][coord(j)])
+                term = ctx.mul_vec(term, pow_tables[e][coords[j]])
         out = ctx.add_vec(out, term)
     return out
 

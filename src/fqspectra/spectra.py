@@ -105,7 +105,7 @@ class Spectrum:
         }
 
 
-def _scan_spectrum(ctx, dom, degree, slices) -> Spectrum:
+def _scan_spectrum(dom, degree, slices) -> Spectrum:
     """The Spectrum of the eigenvalue table that `slices()` yields in order,
     read in blocks of at most _SCAN_BLOCK cells.
 
@@ -153,7 +153,7 @@ def _scan_spectrum(ctx, dom, degree, slices) -> Spectrum:
     if abs(energy - expected) > 1e-6 * expected:
         raise InvariantError(
             f"Parseval audit failed: {energy} vs {expected} (spectrum inconsistent)")
-    return Spectrum(q=ctx.q, d=dom.d, order=dom.size, degree=degree,
+    return Spectrum(q=dom.ctx.q, d=dom.d, order=dom.size, degree=degree,
                     lambda_second=max(float(lam), 0.0), argmax_m=arg,
                     lambda_mixing=max(lam_mixing, 0.0), argmax_mixing=arg_mixing,
                     slices=slices)
@@ -181,10 +181,7 @@ def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:
     idx = dom.as_indices(points)
     if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("connection set must be duplicate-free")
-    # Each call sums on a fresh domain, so no coordinate array it caches
-    # outlives the call.
-    return _scan_spectrum(ctx, dom, len(idx),
-                          lambda: (character_sum_table(PointDomain(ctx, d), idx),))
+    return _scan_spectrum(dom, len(idx), lambda: (character_sum_table(dom, idx),))
 
 
 @dataclass(frozen=True)
@@ -273,7 +270,7 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
     bu = ctx.mul_vec(u[:, None], u[None, :])
     W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
-    spec = _scan_spectrum(ctx, dom, ctx.q ** (2 * d),
+    spec = _scan_spectrum(dom, ctx.q ** (2 * d),
                           partial(_affine_slices, ctx, W, coeffs))
     bound = float((s - 1) ** (2 * d) * ctx.q ** d)
     check = BoundCheck(spec.lambda_second, bound,

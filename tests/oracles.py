@@ -32,9 +32,9 @@ undercut, and `half_spectrum_reference` the complex numpy.fft transform
 whose axis-0 half the matmul kernel must reproduce.
 
 The scalar references (`point_of`, `index_add`, `eval_poly`,
-`eval_quadratic`, `char`, `pow_poly`, `sub`, `inv`) evaluate one point or
-element at a time with the field's scalar operations, for the array paths
-to be checked against.  `sumset` is X + Delta from the value set Delta, the
+`eval_quadratic`, `char`, `mul_poly`, `pow_poly`, `sub`, `inv`) evaluate
+one point or element at a time, for the array paths to be checked against;
+`mul_poly` is the polynomial product that `pow_poly` and `inv` build on.  `sumset` is X + Delta from the value set Delta, the
 set whose size the library reads as the support of nu_{P,k}.
 """
 
@@ -81,7 +81,7 @@ def eval_poly(ctx, spec, x):
         t = coeff
         for xi, e in zip(x, exps):
             if e:
-                t = ctx.mul(t, ctx.pow(int(xi), e))
+                t = ctx.mul(t, pow_poly(ctx, int(xi), e))
         acc = ctx.add(acc, t)
     return acc
 
@@ -118,14 +118,29 @@ def sumset(ctx, X, values):
     return tuple(np.unique(ctx.add_vec(xs[:, None], vs[None, :])).tolist())
 
 
+def mul_poly(ctx, a, b):
+    """a * b as the product of digit polynomials, reduced from the top down
+    by the monic modulus: independent of the field's matrices and tables."""
+    p, n, modulus = ctx.p, ctx.n, ctx.modulus
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(ctx.digits(a)):
+        for j, bj in enumerate(ctx.digits(b)):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    for k in range(2 * n - 2, n - 1, -1):
+        c, out[k] = out[k], 0
+        for i in range(n):
+            out[k - n + i] = (out[k - n + i] - c * modulus[i]) % p
+    return ctx.encode(out[:n])
+
+
 def pow_poly(ctx, a, e):
     """a^e by square-and-multiply on polynomials, independent of the
     field's log/antilog tables."""
     result, base = 1, a
     while e > 0:
         if e & 1:
-            result = ctx._mul_poly(result, base)
-        base = ctx._mul_poly(base, base)
+            result = mul_poly(ctx, result, base)
+        base = mul_poly(ctx, base, base)
         e >>= 1
     return result
 

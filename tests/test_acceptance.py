@@ -35,7 +35,7 @@ from fqspectra.spectra import (
 )
 from fqspectra.experiments import ExperimentPlan, coverage_experiment
 
-from oracles import brute_delta, brute_lambda, brute_nu, flat_multisets, point_of, sub
+from oracles import brute_delta, brute_lambda, brute_nu, flat_multisets, point_of, pow_poly, sub
 
 
 def _report(num, name, ok, detail=""):
@@ -164,9 +164,9 @@ def _affine_connection_indices(ctx, dom, s, d):
         x = point_of(pairs, idx)
         val = 0
         for j in range(d):
-            val = ctx.add(val, ctx.mul(1, ctx.pow(x[j], s)))
+            val = ctx.add(val, ctx.mul(1, pow_poly(ctx, x[j], s)))
         for j in range(d, 2 * d):
-            val = sub(ctx, val, ctx.mul(1, ctx.pow(x[j], s)))
+            val = sub(ctx, val, ctx.mul(1, pow_poly(ctx, x[j], s)))
         out.append(dom.index_of((ctx.neg(val),) + x))
     return out
 

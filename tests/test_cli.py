@@ -128,6 +128,14 @@ def test_nup_reports_bound(capsys):
     assert payload["sumset_size"] >= payload["cs_bound"]
 
 
+def test_nup_without_s_is_a_usage_error(capsys):
+    code, out, err = run_cli(["energy", "nup", "--p", "3", "--d", "2",
+                              "--family", "sphere", "--k", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+    assert err.endswith("error: the following arguments are required: --s\n")
+
+
 def test_nup_counts_the_shift_set_as_field_elements(capsys):
     argv = ["energy", "nup", "--p", "3", "--n", "2", "--d", "2", "--family", "sphere",
             "--k", "2", "--s", "2", "--x-set"]

@@ -14,9 +14,10 @@ from fqspectra.errors import (
     NotPrimeError,
     OrderTooLargeError,
 )
+import fqspectra.field as field_mod
 from fqspectra.field import FieldContext, is_prime, smallest_irreducible
 
-from oracles import char, inv, pow_poly, smallest_generator_reference
+from oracles import char, inv, mul_poly, pow_poly, smallest_generator_reference
 
 
 def _poly_eval(coeffs, x, p):
@@ -57,6 +58,30 @@ def test_f9_multiplication_example():
 ])
 def test_construction_errors(p, n, exc):
     with pytest.raises(exc):
+        FieldContext(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(np.int64(5), 1), (3, np.int64(2)), (np.int32(7), np.int8(3))],
+                         ids=["int64-p", "int64-n", "int32-int8"])
+def test_numpy_integers_give_the_same_field(p, n):
+    got, want = FieldContext(p, n), FieldContext(int(p), int(n))
+    assert (type(got.p), type(got.n), type(got.q)) == (int, int, int)
+    assert (got.p, got.n, got.q, got.modulus, got.generator) == (
+        want.p, want.n, want.q, want.modulus, want.generator)
+    assert np.array_equal(got.trace_table, want.trace_table)
+    if want.n > 1:
+        assert np.array_equal(got._exp, want._exp) and np.array_equal(got._log, want._log)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2.0), (5.0, 1), ("3", 1)],
+                         ids=["float-n", "float-p", "str-p"])
+def test_non_integer_p_or_n_raises_type_error_before_construction(p, n, monkeypatch):
+    def fail(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(field_mod, "smallest_irreducible", fail)
+    monkeypatch.setattr(field_mod, "is_prime", fail)
+    with pytest.raises(TypeError):
         FieldContext(p, n)
 
 
@@ -124,12 +149,11 @@ def test_trace_fibers_have_equal_size(p, n):
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])
 def test_frobenius_is_additive(p, n):
     ctx = FieldContext(p, n)
+    frobenius = ctx.pow_table(p).tolist()
     rng = random.Random(7)
     for _ in range(200):
         x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
-        lhs = ctx.pow(ctx.add(x, y), p)
-        rhs = ctx.add(ctx.pow(x, p), ctx.pow(y, p))
-        assert lhs == rhs
+        assert frobenius[ctx.add(x, y)] == ctx.add(frobenius[x], frobenius[y])
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
@@ -154,7 +178,7 @@ def test_log_table_path_matches_polynomial_path(p, n):
         rng = random.Random(ctx.q)
         pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(2000)]
     for a, b in pairs:
-        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+        assert ctx.mul(a, b) == mul_poly(ctx, a, b)
 
 
 def test_vectorized_ops_match_scalar():
@@ -168,7 +192,7 @@ def test_vectorized_ops_match_scalar():
             want = [scal(int(a), int(b)) for a, b in zip(A, B)]
             assert got.tolist() == want
         got = ctx.mul_vec(A, B)
-        want = [ctx._mul_poly(int(a), int(b)) for a, b in zip(A, B)]
+        want = [mul_poly(ctx, int(a), int(b)) for a, b in zip(A, B)]
         assert got.tolist() == want
 
 
@@ -197,19 +221,11 @@ def _ext_elements(draw, count):
     return ctx, [draw(st.integers(0, ctx.q - 1)) for _ in range(count)]
 
 
-@given(_ext_elements(2), st.integers(0, 2 * 17 ** 4))
+@given(_ext_elements(2))
 @settings(max_examples=300, deadline=None)
-def test_extension_scalar_ops_match_polynomial_reference(field_elements, e):
+def test_extension_scalar_ops_match_polynomial_reference(field_elements):
     ctx, (a, b) = field_elements
-    assert ctx.mul(a, b) == ctx._mul_poly(a, b)
-    assert ctx.pow(a, e) == pow_poly(ctx, a, e)
-
-
-@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
-def test_pow_rejects_a_negative_exponent(p, n):
-    ctx = FieldContext(p, n)
-    with pytest.raises(ValueError):
-        ctx.pow(2, -1)
+    assert ctx.mul(a, b) == mul_poly(ctx, a, b)
 
 
 @given(_ext_elements(32))
@@ -218,7 +234,7 @@ def test_extension_mul_vec_matches_polynomial_reference(field_elements):
     ctx, elements = field_elements
     A = np.array(elements[:16], dtype=np.int64)
     B = np.array(elements[16:], dtype=np.int64)
-    want = [ctx._mul_poly(int(a), int(b)) for a, b in zip(A, B)]
+    want = [mul_poly(ctx, int(a), int(b)) for a, b in zip(A, B)]
     assert ctx.mul_vec(A, B).tolist() == want
     assert ctx.mul_vec(A[:, None], B[None, :]).diagonal().tolist() == want
 
@@ -253,7 +269,7 @@ def test_log_inverts_exp(p, n):
 def test_non_generator_is_caught(monkeypatch):
     # With the generator search returning 2 = -1 in F_9, of order 2, its
     # powers miss most of F_9^*.
-    monkeypatch.setattr(FieldContext, "_smallest_generator", lambda self: 2)
+    monkeypatch.setattr(FieldContext, "_smallest_generator", lambda self, powers: 2)
     with pytest.raises(InvariantError):
         FieldContext(3, 2)
 
@@ -268,3 +284,23 @@ def test_generator_search_matches_the_scalar_search(p, n):
     ctx = FieldContext(p, n)
     assert ctx.generator == smallest_generator_reference(ctx)
     assert ctx._exp[1] == ctx.generator
+
+
+def _trace_reference(ctx, a):
+    """Tr(a) = a + a^p + ... + a^(p^(n-1)): Frobenius powers by `pow_poly`,
+    added digit by digit."""
+    acc, power = 0, a
+    for _ in range(ctx.n):
+        acc = ctx.encode(x + y for x, y in zip(ctx.digits(acc), ctx.digits(power)))
+        power = pow_poly(ctx, power, ctx.p)
+    return acc
+
+
+@pytest.mark.parametrize("p,n", SMALL_EXTENSIONS + [(17, 4), (31, 4)])
+def test_trace_table_is_the_sum_of_frobenius_powers(p, n):
+    ctx = FieldContext(p, n)
+    rng = random.Random(ctx.q)
+    elements = (range(ctx.q) if ctx.q <= 1 << 12
+                else [0, 1, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(300)])
+    assert [int(ctx.trace_table[a]) for a in elements] == [
+        _trace_reference(ctx, a) for a in elements]

@@ -188,7 +188,7 @@ def test_regularity_methods_agree():
         tables = {path: getattr(domains_mod, f"_character_sums_{path}")(dom, v.indices)
                   for path in ("direct", "transform")}
         a, b = (regularity_check(spectra_mod._scan_spectrum(
-                    ctx, dom, v.size, lambda table=table: (table,)))
+                    dom, v.size, lambda table=table: (table,)))
                 for table in tables.values())
         assert a.fourier_constant == pytest.approx(b.fourier_constant, rel=1e-6)
         assert a.argmax_m == b.argmax_m

@@ -402,13 +402,13 @@ def test_blocked_scan_equals_the_whole_table_scan(block, monkeypatch):
                       affine_eigenvalues_broadcast(ctx, s, (1,) * d, d), ctx.q ** (2 * d)))
     monkeypatch.setattr(spectra_mod, "_SCAN_BLOCK", block)
     for dom, table, degree in cases:
-        spec = spectra_mod._scan_spectrum(dom.ctx, dom, degree, lambda: (table,))
+        spec = spectra_mod._scan_spectrum(dom, degree, lambda: (table,))
         got = (repr(spec.lambda_second), spec.argmax_m, repr(spec.lambda_mixing),
                spec.argmax_mixing)
         lam, arg, lam_mixing, arg_mixing = scan_reference(table, degree)
         assert got == (repr(lam), arg, repr(lam_mixing), arg_mixing)
         with pytest.raises(InvariantError):
-            spectra_mod._scan_spectrum(dom.ctx, dom, degree + 1, lambda: (table,))
+            spectra_mod._scan_spectrum(dom, degree + 1, lambda: (table,))
     # the blocks must straddle the coset entries of modulus equal to the degree
     one, _ = _coset_spectra(F5)
     deg_idx = np.flatnonzero(np.abs(np.abs(eigenvalue_table(one)) - one.degree) < 1e-9)
