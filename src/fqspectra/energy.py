@@ -644,8 +644,9 @@ def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
     (default every t != 0), given the nu_k table of E.
 
     The energy is the geometric mean of `energy_term`.  graphs_by_t maps t to
-    the Spectrum of the t-level Euclidean graph, whose exact degree feeds the
-    main term.
+    the Spectrum of any Euclidean level graph in t's square class: only its
+    exact degree, which feeds the main term, and its lambda_mixing are read,
+    and both are the same on the whole class.
     """
     dom = E.dom
     q = dom.ctx.q

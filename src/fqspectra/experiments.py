@@ -256,20 +256,37 @@ def _setup(plan: ExperimentPlan):
 
 def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Distance-count coverage: nu_k(t) across t, coverage of F_q^*, relative
-    deviation from |E|^k/q, size-hypothesis margins, and hard deviation audits."""
+    deviation from |E|^k/q, size-hypothesis margins, and hard deviation audits.
+
+    One level spectrum serves each square class t*(F_q^*)^2: x -> c*x maps
+    {Q = t} onto {Q = c^2 t} for the diagonal Q, so lambda_{c^2 t}(m) =
+    lambda_t(c*m) and the class's levels share the degree and lambda_mixing
+    that the audits read.  It is set-up's spectrum of V when V is a level of
+    the class, else its smallest t's; a level whose point count is not that
+    degree raises InvariantError."""
     form = QuadraticForm.parse(plan.form, plan.d)
     ctx, dom, variety, graph, reg = _setup(plan)
     form.require_nondegenerate(ctx)
     qvals = form.value_table(dom)
-    graphs = {}
+    counts = np.bincount(qvals, minlength=ctx.q)
+    v_vals = list(set(qvals[variety.indices].tolist()))  # V is the level v_level, else 0
+    v_level = v_vals[0] if counts[v_vals].tolist() == [variety.size] else 0
+    squares, graphs = ctx.pow_table(2)[1:], {}
     for t in range(1, ctx.q):
-        if np.array_equal(np.flatnonzero(qvals == t), variety.indices):
-            spec, check = graph, euclidean_check(graph, t)  # the level is V
+        if t in graphs:
+            continue
+        level_class = ctx.mul_vec(squares, t).tolist()
+        if v_level in level_class:  # V's spectrum serves V's whole square class
+            t, spec, check = v_level, graph, euclidean_check(graph, v_level)
         else:
             spec, check = euclidean_spectrum(dom, qvals, t)
-        graphs[t] = spec
         if not check.within:
             raise InvariantError(f"euclidean graph bound failed at t={t}")
+        for u in level_class:
+            if counts[u] != spec.degree:
+                raise InvariantError(f"level {u} has {counts[u]} points, but level {t} "
+                                     f"of its square class has degree {spec.degree}")
+            graphs[u] = spec
     records = []
     hard_failures = 0
     sizes = plan.resolve_sizes(variety.size)

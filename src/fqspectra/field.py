@@ -267,11 +267,6 @@ class FieldContext:
 
     # -- scalar arithmetic --------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a + b) % self.p
-        return self.encode((x + y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
-
     def neg(self, a: int) -> int:
         if self.n == 1:
             return (-a) % self.p

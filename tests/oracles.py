@@ -32,7 +32,7 @@ undercut, and `half_spectrum_reference` the complex numpy.fft transform
 whose axis-0 half the matmul kernel must reproduce.
 
 The scalar references (`point_of`, `index_add`, `eval_poly`,
-`eval_quadratic`, `char`, `mul_poly`, `pow_poly`, `sub`, `inv`) evaluate
+`eval_quadratic`, `char`, `mul_poly`, `pow_poly`, `add`, `sub`, `inv`) evaluate
 one point or element at a time, for the array paths to be checked against;
 `mul_poly` is the polynomial product that `pow_poly` and `inv` build on.  `sumset` is X + Delta from the value set Delta, the
 set whose size the library reads as the support of nu_{P,k}.
@@ -82,7 +82,7 @@ def eval_poly(ctx, spec, x):
         for xi, e in zip(x, exps):
             if e:
                 t = ctx.mul(t, pow_poly(ctx, int(xi), e))
-        acc = ctx.add(acc, t)
+        acc = add(ctx, acc, t)
     return acc
 
 
@@ -92,13 +92,20 @@ def eval_quadratic(ctx, form, x):
         raise DimensionMismatchError("point/form dimension mismatch")
     acc = 0
     for a, xi in zip(form.coeffs, x):
-        acc = ctx.add(acc, ctx.mul(ctx.element(a), ctx.mul(int(xi), int(xi))))
+        acc = add(ctx, acc, ctx.mul(ctx.element(a), ctx.mul(int(xi), int(xi))))
     return acc
 
 
 def char(ctx, a):
     """The canonical additive character chi(a) = exp(2*pi*i*Tr(a)/p)."""
     return complex(ctx.char_table[ctx.trace_table[a]])
+
+
+def add(ctx, a, b):
+    """a + b in F_q, digit by digit on the encodings."""
+    if ctx.n == 1:
+        return (a + b) % ctx.p
+    return ctx.encode((x + y) % ctx.p for x, y in zip(ctx.digits(a), ctx.digits(b)))
 
 
 def sub(ctx, a, b):
@@ -233,7 +240,7 @@ def nu_P_reference(ctx, values, r, X):
     out = [0] * ctx.q
     for a in sorted({ctx.element(x) for x in X}):
         for z in np.flatnonzero(r):
-            out[ctx.add(a, int(values[z]))] += int(r[z])
+            out[add(ctx, a, int(values[z]))] += int(r[z])
     return out
 
 

@@ -46,6 +46,7 @@ from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly, ev
 from fqspectra.spectra import affine_cayley_spectrum, cayley_spectrum, euclidean_spectrum
 
 from oracles import (
+    add,
     brute_delta,
     brute_fold,
     brute_lambda,
@@ -383,7 +384,7 @@ def test_sumset_matches_double_loop(pn, data):
     X = data.draw(st.lists(st.integers(-ctx.q, 3 * ctx.q), max_size=6))
     values = tuple(data.draw(st.lists(st.integers(0, ctx.q - 1), unique=True,
                                       max_size=ctx.q)))
-    want = tuple(sorted({ctx.add(int(a), int(v)) for a in X for v in values}))
+    want = tuple(sorted({add(ctx, int(a), int(v)) for a in X for v in values}))
     got = sumset(ctx, X, values)
     assert got == want
     assert all(type(v) is int for v in got)

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -183,16 +184,88 @@ def test_energy_experiment_builds_the_cayley_spectrum_at_most_once(monkeypatch, 
     assert len(audited) == audits and all(audited)
 
 
-@pytest.mark.parametrize("form,level_spectra", [("identity", 3), ("diag:1,2", 4)])
-def test_coverage_takes_the_level_that_is_V_from_set_up(monkeypatch, form, level_spectra):
-    # V is the sphere x.x = 1, the identity form's level t = 1, so set-up's
-    # spectrum of V serves that level; no level of the diag: form is V.
+def _square_classes_without_V(plan):
+    """The square classes t*(F_q^*)^2 that hold no level equal to V, by brute force."""
+    ctx = plan.context()
+    dom = PointDomain(ctx, plan.d)
+    qvals = QuadraticForm.parse(plan.form, plan.d).value_table(dom)
+    v = builtin_variety(ctx, plan.family, plan.d, plan.j).indices
+    classes = {frozenset(ctx.mul(ctx.mul(c, c), t) for c in range(1, ctx.q))
+               for t in range(1, ctx.q)}
+    return sum(1 for cls in classes
+               if not any(np.array_equal(np.flatnonzero(qvals == t), v) for t in cls))
+
+
+@pytest.mark.parametrize("p,n,d,j,form,level_spectra", [
+    (5, 1, 2, 1, "identity", 1), (5, 1, 2, 1, "diag:1,2", 2), (5, 1, 2, 4, "identity", 1),
+    (3, 2, 2, 1, "identity", 1), (3, 2, 2, 1, "diag:1,2", 2), (31, 1, 3, 1, "identity", 1),
+], ids=["F5-identity", "F5-diag:1,2", "F5-identity-j4", "F9-identity", "F9-diag:1,2",
+        "F31^3-identity"])
+def test_coverage_takes_the_level_that_is_V_from_set_up(monkeypatch, p, n, d, j, form,
+                                                         level_spectra):
+    # One level spectrum per square class: V is the sphere x.x = j, the identity
+    # form's level t = j, so set-up's spectrum of V serves j's whole class (for
+    # j = 4 too, though 1 is the smaller level of that class); no level of the
+    # diag: form is V.
     levels = []
     real = experiments_mod.euclidean_spectrum
     monkeypatch.setattr(experiments_mod, "euclidean_spectrum",
                         lambda dom, qvals, t: levels.append(t) or real(dom, qvals, t))
-    rep = coverage_experiment(_tiny_coverage_plan(p=5, form=form))
-    assert len(levels) == level_spectra and rep.hard_failures == 0
+    plan = _tiny_coverage_plan(p=p, n=n, d=d, j=j, form=form)
+    rep = coverage_experiment(plan)
+    assert len(levels) == level_spectra == _square_classes_without_V(plan)
+    assert rep.hard_failures == 0
+
+
+@pytest.mark.parametrize("src,dst", [(2, 3), (1, 4)], ids=["non-squares", "squares-with-V"])
+def test_coverage_rejects_a_level_whose_count_is_not_its_class_degree(monkeypatch, src, dst):
+    # Over F_5 the square classes are {1, 4} and {2, 3}, and V is the level 1.
+    # Moving one point between two levels of a class leaves every spectrum
+    # self-consistent, but the two counts now differ.
+    value_table = QuadraticForm.value_table
+
+    def moved(self, dom):  # one point of the level src moved to the level dst
+        vals = value_table(self, dom)
+        vals[np.flatnonzero(vals == src)[0]] = dst
+        return vals
+
+    monkeypatch.setattr(QuadraticForm, "value_table", moved)
+    with pytest.raises(InvariantError, match=f"level {dst} has"):
+        coverage_experiment(_tiny_coverage_plan(p=5))
+
+
+def test_the_level_count_invariant_survives_optimized_mode():
+    script = """
+import sys
+import numpy as np
+from fqspectra.errors import InvariantError
+from fqspectra.experiments import ExperimentPlan, coverage_experiment
+from fqspectra.geometry import QuadraticForm
+
+assert False, "asserts must be stripped under -O"
+value_table = QuadraticForm.value_table
+
+
+def moved(self, dom):  # one point of the level 2 moved to the level 3
+    vals = value_table(self, dom)
+    vals[np.flatnonzero(vals == 2)[0]] = 3
+    return vals
+
+
+QuadraticForm.value_table = moved
+try:
+    coverage_experiment(ExperimentPlan(p=5, d=2, family="sphere", j=1, k=2, sizes=(4,),
+                                       sizes_mode="absolute", trials=2, seed=7))
+except InvariantError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "level 3 has" in proc.stdout
 
 
 @pytest.mark.parametrize("p,n,d", [(31, 1, 3), (3, 3, 3), (23, 1, 2), (5, 1, 2)])

@@ -33,6 +33,7 @@ from fqspectra.spectra import (
 )
 
 from oracles import (
+    add as field_add,
     affine_eigenvalues_broadcast,
     affine_eigenvalues_direct,
     brute_second_eigenvalue,
@@ -155,6 +156,33 @@ def test_euclidean_spectrum_f5_bound_and_oracle():
     want = brute_second_eigenvalue(5, sphere_points(5, 2, 1), 2)
     assert spec.lambda_second == pytest.approx(want, abs=1e-6)
     assert spec.lambda_second <= 2 * 5 ** 0.5 + 1e-6
+
+
+@pytest.mark.parametrize("p,n,d,form", [
+    (5, 1, 2, "identity"), (3, 2, 2, "identity"), (5, 2, 2, "identity"),
+    (5, 1, 2, "diag:1,2"), (3, 2, 2, "diag:1,2"), (5, 2, 2, "diag:1,2"), (3, 3, 2, "diag:1,2"),
+    (7, 1, 3, "diag:1,3,5"), (13, 1, 2, "diag:2,5"), (3, 3, 3, "identity"),
+    (31, 1, 3, "identity"),
+])
+def test_scaling_by_c_carries_level_t_onto_level_c_squared_t(p, n, d, form):
+    # x -> c*x maps {Q = t} onto {Q = c^2 t}, so lambda_{c^2 t}(m) = lambda_t(c*m):
+    # the levels of one square class share degree, lambda_second and lambda_mixing.
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    qvals = QuadraticForm.parse(form, d).value_table(dom)
+    levels = range(1, ctx.q)
+    specs = {t: euclidean_spectrum(dom, qvals, t)[0] for t in levels}
+    tables = {t: character_sum_table(dom, np.flatnonzero(qvals == t)) for t in levels}
+    for c in levels:
+        scaled = sum(ctx.mul_vec(dom.coord_array(j), np.int64(c)) * ctx.q ** (d - 1 - j)
+                     for j in range(d))
+        for t in levels:
+            s = ctx.mul(ctx.mul(c, c), t)
+            assert specs[s].degree == specs[t].degree
+            assert np.max(np.abs(tables[s] - tables[t][scaled])) <= 1e-9
+            for key in ("lambda_second", "lambda_mixing"):
+                assert getattr(specs[s], key) == pytest.approx(getattr(specs[t], key),
+                                                               rel=1e-9)
 
 
 def test_euclidean_t0_is_flagged_not_asserted():
@@ -440,7 +468,7 @@ def test_index_arithmetic_matches_field_arithmetic(p, n, d):
     for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
         x, y = point_of(dom, a), point_of(dom, b)
         assert dom.index_of(x) == a
-        assert point_of(dom, add[i]) == tuple(ctx.add(u, v) for u, v in zip(x, y))
+        assert point_of(dom, add[i]) == tuple(field_add(ctx, u, v) for u, v in zip(x, y))
         assert point_of(dom, diff[i]) == tuple(sub(ctx, u, v) for u, v in zip(x, y))
         assert point_of(dom, neg[i]) == tuple(ctx.neg(u) for u in x)
         assert index_add(dom, a, b) == add[i] and dom.index_sub(a, b) == diff[i]
