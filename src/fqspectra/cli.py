@@ -360,8 +360,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_energy(args) -> int:
     ctx = _context(args)
-    variety = _variety(ctx, args)
     dom = PointDomain(ctx, args.d)
+    # Lambda_k folds to depth k/2, the others to depth k.  A fold of depth 2
+    # or more is a table over F_q^d: its budget is checked before V and F's
+    # value table are built.
+    if (args.k // 2 if args.subcommand == "lambda" else args.k) >= 2:
+        require_table_budget(dom, "fold")
+    variety = _variety(ctx, args)
     E = FoldLadder(dom, _subset(variety, args))
     if args.subcommand == "lambda":
         value = lambda_k(E, args.k)

@@ -162,50 +162,21 @@ class PointDomain:
 
 def _trace_form(ctx: FieldContext) -> np.ndarray:
     """Gram matrix T[i][j] = Tr(X^i * X^j) of the trace pairing on F_q/F_p."""
-    n = ctx.n
-    basis = [ctx.encode([0] * i + [1]) for i in range(n)]
-    T = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            T[i, j] = ctx.trace(ctx.mul(basis[i], basis[j]))
-    return T
+    basis = ctx.p ** np.arange(ctx.n, dtype=np.int64)
+    return ctx.trace_table[ctx.mul_vec(basis[:, None], basis[None, :])]
 
 
 def character_sum_table(dom: PointDomain, points) -> np.ndarray:
     """lam[m] = sum over s in points of chi(m . s), for every m in F_q^d.
 
     points is an index array or a sequence of coordinate tuples (see
-    `PointDomain.as_indices`).  The set's size picks one of two paths:
-      * direct    — for size <= p*n, where it is cheaper than the transform:
-                    O(q^d * |S| * d) vectorized summation;
-      * transform — otherwise: a (Z_p)^(n*d) Fourier transform of the
-                    indicator, reindexed through the trace pairing,
-                    O(q^d * n * d * p).
-    Both agree to floating precision, and the test suite cross-checks them.
-    The size rule is fixed because the two paths differ in the last bits of
-    the sums they return.
+    `PointDomain.as_indices`).  The table is the (Z_p)^(n*d) Fourier
+    transform of the set's indicator, one product with the length-p DFT
+    matrix per axis, reindexed through the trace pairing: O(q^d * n * d * p)
+    for any set.  The test suite checks it against the direct sum over the
+    set's points.
     """
     idx = dom.as_indices(points)
-    if len(idx) <= dom.ctx.p * dom.ctx.n:
-        return _character_sums_direct(dom, idx)
-    return _character_sums_transform(dom, idx)
-
-
-def _character_sums_direct(dom: PointDomain, idx) -> np.ndarray:
-    ctx = dom.ctx
-    coords = [dom.coord_array(j) for j in range(dom.d)]
-    points = np.stack([x[idx] for x in coords], axis=1)
-    acc = np.zeros(dom.size, dtype=np.complex128)
-    for pt in points.tolist():
-        dot = np.zeros(dom.size, dtype=np.int64)
-        for x, c in zip(coords, pt):
-            if c:
-                dot = ctx.add_vec(dot, ctx.mul_vec(x, np.int64(c)))
-        acc += ctx.char_vec(dot)
-    return acc
-
-
-def _character_sums_transform(dom: PointDomain, idx) -> np.ndarray:
     ctx = dom.ctx
     p, n, d = ctx.p, ctx.n, dom.d
     f = np.bincount(idx, minlength=dom.size).astype(np.complex128)

@@ -279,9 +279,6 @@ class FieldContext:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
-    def trace(self, a: int) -> int:
-        return int(self.trace_table[a])
-
     # -- vectorized arithmetic on int64 arrays of encodings ------------------
 
     def add_vec(self, A, B):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import TABLE_MAX, PointDomain, flat_indices
+from .domains import PointDomain, flat_indices
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -119,12 +119,7 @@ def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
         raise DimensionMismatchError(
             f"polynomial arity {spec.d} != domain dimension {dom.d}")
     if idx is None:
-        shape, coord = dom.size, dom.coord_array
-    else:
-        shape = idx.shape
-
-        def coord(j):
-            return (idx // ctx.q ** (dom.d - 1 - j)) % ctx.q
+        idx = np.arange(dom.size, dtype=np.int64)
     # Each power table and each coordinate is built once per call.
     pow_tables, coords = {}, {}
     for _, exps in spec.terms:
@@ -132,10 +127,10 @@ def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
             if e and e not in pow_tables:
                 pow_tables[e] = ctx.pow_table(e)
             if e and j not in coords:
-                coords[j] = coord(j)
-    out = np.zeros(shape, dtype=np.int64)
+                coords[j] = idx // ctx.q ** (dom.d - 1 - j) % ctx.q
+    out = np.zeros(idx.shape, dtype=np.int64)
     for coeff, exps in spec.terms:
-        term = np.full(shape, coeff, dtype=np.int64)
+        term = np.full(idx.shape, coeff, dtype=np.int64)
         for j, e in enumerate(exps):
             if e:
                 term = ctx.mul_vec(term, pow_tables[e][coords[j]])
@@ -258,16 +253,11 @@ def enumerate_variety(ctx: FieldContext, spec: PolySpec) -> Variety:
         raise SearchSpaceTooLargeError(
             f"q^d = {size} exceeds the enumeration budget {ENUM_MAX}")
     dom = PointDomain(ctx, spec.d)
-    if size <= TABLE_MAX:
-        vals = eval_poly_table(dom, spec)
-        idxs = np.nonzero(vals == 0)[0]
-    else:
-        hits = []
-        for lo in range(0, size, _EVAL_CHUNK):
-            idx = np.arange(lo, min(lo + _EVAL_CHUNK, size), dtype=np.int64)
-            hits.append(idx[eval_poly_table(dom, spec, idx) == 0])
-        idxs = np.concatenate(hits)
-    return Variety(spec=spec, d=spec.d, q=ctx.q, indices=idxs.astype(np.int64, copy=False))
+    hits = []
+    for lo in range(0, size, _EVAL_CHUNK):
+        idx = np.arange(lo, min(lo + _EVAL_CHUNK, size), dtype=np.int64)
+        hits.append(idx[eval_poly_table(dom, spec, idx) == 0])
+    return Variety(spec=spec, d=spec.d, q=ctx.q, indices=np.concatenate(hits))
 
 
 FAMILIES = ("sphere", "paraboloid", "minkowski")

@@ -9,6 +9,11 @@ flat indices, and stays here as the per-pair check of the batched audit;
 bulk decoder must reproduce, and `flat_multisets` lays multisets out as the
 merge takes them.
 
+`character_sums_direct` is the reference for `character_sum_table`: the
+direct sum of chi(m . s) over the points s of the set, one whole-table pass
+per point in the field's vector arithmetic, where the library takes one
+Fourier transform of the set's indicator.
+
 The affine references are the exceptions that use the library.  The direct
 one enumerates the connection set with `eval_poly_table` and sums characters
 with `character_sum_table`, neither of which the closed-form affine
@@ -31,7 +36,7 @@ taken with complex transforms, which the real-input certificate must never
 undercut, and `half_spectrum_reference` the complex numpy.fft transform
 whose axis-0 half the matmul kernel must reproduce.
 
-The scalar references (`point_of`, `index_add`, `eval_poly`,
+The scalar references (`point_of`, `index_add`, `eval_poly`, `variety_reference`,
 `eval_quadratic`, `char`, `mul_poly`, `pow_poly`, `add`, `sub`, `inv`) evaluate
 one point or element at a time, for the array paths to be checked against;
 `mul_poly` is the polynomial product that `pow_poly` and `inv` build on.  `sumset` is X + Delta from the value set Delta, the
@@ -84,6 +89,12 @@ def eval_poly(ctx, spec, x):
                 t = ctx.mul(t, pow_poly(ctx, int(xi), e))
         acc = add(ctx, acc, t)
     return acc
+
+
+def variety_reference(dom, spec):
+    """The zeros of spec over F_q^d as a list of flat indices, ascending,
+    by `eval_poly` at one point at a time."""
+    return [i for i in range(dom.size) if eval_poly(dom.ctx, spec, point_of(dom, i)) == 0]
 
 
 def eval_quadratic(ctx, form, x):
@@ -150,6 +161,22 @@ def pow_poly(ctx, a, e):
         base = mul_poly(ctx, base, base)
         e >>= 1
     return result
+
+
+def character_sums_direct(dom, idx):
+    """lam[m] = sum over s in idx of chi(m . s) for every m in F_q^d, one
+    point s at a time: O(q^d * |S| * d)."""
+    ctx = dom.ctx
+    coords = [dom.coord_array(j) for j in range(dom.d)]
+    points = np.stack([x[idx] for x in coords], axis=1)
+    acc = np.zeros(dom.size, dtype=np.complex128)
+    for pt in points.tolist():
+        dot = np.zeros(dom.size, dtype=np.int64)
+        for x, c in zip(coords, pt):
+            if c:
+                dot = ctx.add_vec(dot, ctx.mul_vec(x, np.int64(c)))
+        acc += ctx.char_vec(dot)
+    return acc
 
 
 def eigenvalue_table(spec):

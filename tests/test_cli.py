@@ -186,6 +186,39 @@ def test_nup_folds_the_subset_once(monkeypatch, capsys):
     assert code == 0 and depths == [3]
 
 
+FOLD_OVER_BUDGET = {
+    "nu": ["--k", "2"],
+    "nup": ["--k", "2", "--s", "2"],
+    "delta": ["--k", "2"],
+    "lambda": ["--k", "4"],
+}
+
+
+@pytest.mark.parametrize("command", FOLD_OVER_BUDGET)
+def test_energy_checks_the_fold_budget_before_building_tables(command, monkeypatch,
+                                                              capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table over F_q^d was built before the budget check")
+
+    monkeypatch.setattr(spectra_mod, "TABLE_MAX", 24)
+    monkeypatch.setattr(cli_mod, "builtin_variety", refuse)
+    monkeypatch.setattr(cli_mod, "eval_poly_table", refuse)
+    monkeypatch.setattr(cli_mod.QuadraticForm, "value_table", refuse)
+    code, out, err = run_cli(["energy", command, "--p", "5", "--d", "2",
+                              "--family", "sphere"] + FOLD_OVER_BUDGET[command], capsys)
+    assert (code, out) == (1, "")
+    assert "q^d = 25 exceeds the fold budget 24" in err
+
+
+@pytest.mark.parametrize("command,k", [("nu", 1), ("lambda", 2)])
+def test_energy_without_a_fold_table_keeps_no_budget(command, k, monkeypatch, capsys):
+    # Depth 1 is the bincount of E, over any q^d.
+    monkeypatch.setattr(spectra_mod, "TABLE_MAX", 24)
+    code, _, _ = run_cli(["energy", command, "--p", "5", "--d", "2", "--family", "sphere",
+                          "--k", str(k)], capsys)
+    assert code == 0
+
+
 def test_variety_roundtrip_preserves_downstream_results(tmp_path, capsys):
     vfile = tmp_path / "sphere.txt"
     code, _, _ = run_cli(["variety", "enum", "--p", "3", "--d", "2",

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fqspectra.domains as domains_mod
 import fqspectra.geometry as geometry_mod
 import fqspectra.spectra as spectra_mod
 
@@ -33,7 +32,13 @@ from fqspectra.geometry import (
 )
 from fqspectra.spectra import cayley_spectrum
 
-from oracles import eval_poly, eval_quadratic, point_of
+from oracles import (
+    character_sums_direct,
+    eval_poly,
+    eval_quadratic,
+    point_of,
+    variety_reference,
+)
 
 F3 = FieldContext(3)
 F5 = FieldContext(5)
@@ -137,12 +142,12 @@ def test_enumeration_is_deterministic():
     (F5, "sphere", 3), (FieldContext(3, 2), "paraboloid", 3), (F3, "minkowski", 2)])
 def test_chunked_enumeration_gives_the_same_variety(ctx, family, d, monkeypatch):
     whole = builtin_variety(ctx, family, d)
-    monkeypatch.setattr(geometry_mod, "TABLE_MAX", 1)
     monkeypatch.setattr(geometry_mod, "_EVAL_CHUNK", 7)
     chunked = builtin_variety(ctx, family, d)
-    assert chunked.indices.dtype == np.int64
-    assert np.array_equal(chunked.indices, whole.indices)
-    assert chunked.points == whole.points
+    want = variety_reference(PointDomain(ctx, d), whole.spec)
+    for v in (whole, chunked):
+        assert v.indices.dtype == np.int64
+        assert v.indices.tolist() == want
 
 
 def test_regularity_sphere_f3():
@@ -185,11 +190,10 @@ def test_regularity_methods_agree():
     for ctx in (F3, F5, FieldContext(3, 2)):
         v = builtin_variety(ctx, "sphere", 2, 1)
         dom = PointDomain(ctx, 2)
-        tables = {path: getattr(domains_mod, f"_character_sums_{path}")(dom, v.indices)
-                  for path in ("direct", "transform")}
+        tables = (character_sums_direct(dom, v.indices), character_sum_table(dom, v.indices))
         a, b = (regularity_check(spectra_mod._scan_spectrum(
                     dom, v.size, lambda table=table: (table,)))
-                for table in tables.values())
+                for table in tables)
         assert a.fourier_constant == pytest.approx(b.fourier_constant, rel=1e-6)
         assert a.argmax_m == b.argmax_m
 
@@ -202,12 +206,25 @@ def test_engine_paths_agree_on_random_sets():
             count = int(rng.integers(1, dom.size))
             idxs = rng.choice(dom.size, size=count, replace=False)
             pts = [point_of(dom, int(i)) for i in idxs]
-            a = domains_mod._character_sums_direct(dom, dom.as_indices(pts))
-            b = domains_mod._character_sums_transform(dom, dom.as_indices(pts))
+            a = character_sums_direct(dom, dom.as_indices(pts))
+            b = character_sum_table(dom, pts)
             assert np.max(np.abs(a - b)) < 1e-6 * max(1, len(pts))
 
 
-# F_9 and F_27 over d = 1..3: the trace reindex of the transform path is
+@pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (3, 2, 1), (3, 3, 1), (101, 1, 1)])
+def test_character_sum_table_matches_the_direct_sum_on_small_sets(p, n, d):
+    # Sets of 1, 2, p*n and p*n + 1 points (at most all of F_q^d), and
+    # d = 1 domains, whose table has only q cells.
+    dom = PointDomain(FieldContext(p, n), d)
+    rng = np.random.default_rng(p * n * d)
+    for size in sorted({min(s, dom.size) for s in (1, 2, p * n, p * n + 1)}):
+        idx = rng.choice(dom.size, size=size, replace=False)
+        a = character_sums_direct(dom, idx)
+        b = character_sum_table(dom, idx)
+        assert np.max(np.abs(a - b)) < 1e-9 * size
+
+
+# F_9 and F_27 over d = 1..3: the trace reindex of `character_sum_table` is
 # the identity over prime fields, so only extension fields exercise it.
 EXTENSION_DOMAINS = [PointDomain(FieldContext(3, n), d) for n in (2, 3) for d in (1, 2, 3)]
 EXTENSION_POINT_SETS = st.sampled_from(EXTENSION_DOMAINS).flatmap(
@@ -220,8 +237,8 @@ EXTENSION_POINT_SETS = st.sampled_from(EXTENSION_DOMAINS).flatmap(
 def test_character_sum_paths_agree_over_extension_fields(case):
     dom, points = case
     idx = np.array(points, dtype=np.int64)
-    a = domains_mod._character_sums_direct(dom, idx)
-    b = domains_mod._character_sums_transform(dom, idx)
+    a = character_sums_direct(dom, idx)
+    b = character_sum_table(dom, idx)
     assert np.max(np.abs(a - b)) < 1e-9 * len(points)
 
 

@@ -104,15 +104,32 @@ def _is_dataclass(cls) -> bool:
     return False
 
 
+def _off_module_or_string(node, modules) -> bool:
+    """Whether an attribute is read off a module that `import` binds
+    (`np.trace`, `np.linalg.norm`) or off a string literal (`", ".join`)."""
+    root = node.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return ((isinstance(root, ast.Name) and root.id in modules)
+            or (isinstance(root, ast.Constant) and isinstance(root.value, str)))
+
+
 def _read_methods(trees) -> set:
     """Names a plain method is read by: an attribute that is called, or one
     read uncalled whose name is no dataclass field and no `self.<name> =`
-    attribute of the trees.  A bare name, or an uncalled read of a name that
-    data also has (`spec.degree` of a field), is no read of a method."""
+    attribute of the trees.  A bare name, an uncalled read of a name that
+    data also has (`spec.degree` of a field), and an attribute of an
+    imported module or a string literal (`np.trace(m)`) are no read of a
+    method."""
     called, uncalled, data = set(), set(), set()
     for tree in trees:
+        modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if isinstance(node, ast.Attribute) and _off_module_or_string(node, modules):
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and not _off_module_or_string(node.func, modules)):
                 called.add(node.func.attr)
             elif isinstance(node, ast.Attribute):
                 if isinstance(node.ctx, ast.Load):
@@ -185,11 +202,28 @@ def test_the_check_sees_a_method_shadowed_by_a_field_or_attribute():
     assert unread_definitions(sources) == ["a.PolySpec.degree", "a.PolySpec.size"]
 
 
+def test_the_check_sees_past_module_and_string_receivers():
+    # numpy's trace, numpy's norm and the string's join read no method of
+    # Field; `field.norm()` on a local and `field.join` uncalled still do,
+    # and so does an attribute of a name bound by `from ... import`.
+    sources = {
+        "a": "import numpy as np\nfrom b import Table\n\n\nclass Field:\n"
+             "    def trace(self):\n        return 0\n\n    def norm(self):\n"
+             "        return 0\n\n    def join(self):\n        return 0\n\n"
+             "    def rank(self):\n        return 0\n\n    def dump(self):\n"
+             "        return 0\n\n\ndef f(field, m, parts):\n"
+             "    return (np.trace(m), np.linalg.norm(m), ', '.join(parts), np.rank,\n"
+             "            field.norm(), field.join, Table.dump())\n\n\nf(1, 2, 3)\n",
+        "b": "class Table:\n    pass\n",
+    }
+    assert unread_definitions(sources) == ["a.Field.rank", "a.Field.trace"]
+
+
 def test_the_check_flags_a_scalar_helper_left_in_the_package():
     # The character chi(a) one element at a time, as FieldContext.char was:
     # only the tests read it, so the check must flag it.
     sources = {p.stem: p.read_text() for p in SOURCES}
-    anchor = "    def trace(self, a: int) -> int:\n"
+    anchor = "    def mul(self, a: int, b: int) -> int:\n"
     assert anchor in sources["field"]
     sources["field"] = sources["field"].replace(anchor, (
         "    def char(self, a: int) -> complex:\n"

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.cli as cli_mod
-import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
 
 from fqspectra.cli import main as cli_main
@@ -37,6 +36,7 @@ from oracles import (
     affine_eigenvalues_broadcast,
     affine_eigenvalues_direct,
     brute_second_eigenvalue,
+    character_sums_direct,
     eigenvalue_table,
     flat_multisets,
     index_add,
@@ -101,8 +101,8 @@ def test_direct_and_transform_agree_on_50_random_sets():
         dom = PointDomain(ctx, 2)
         for pts in _random_sets(ctx, 2, 25, seed=ctx.q):
             idx = dom.as_indices(pts)
-            direct = domains_mod._character_sums_direct(dom, idx)
-            transform = domains_mod._character_sums_transform(dom, idx)
+            direct = character_sums_direct(dom, idx)
+            transform = character_sum_table(dom, idx)
             scale = max(1.0, len(pts))
             assert np.max(np.abs(direct - transform)) < 1e-6 * scale
 
@@ -523,29 +523,6 @@ def test_corrupted_nontrivial_eigenvalue_fails_parseval(monkeypatch):
     monkeypatch.setattr(spectra_mod, "_affine_slices", corrupted)
     with pytest.raises(InvariantError, match="Parseval"):
         affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)
-
-
-@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
-def test_character_sum_path_follows_the_size_rule(p, n, monkeypatch):
-    ran = []
-
-    def recording(path):
-        real = getattr(domains_mod, f"_character_sums_{path}")
-
-        def run(dom, idx):
-            ran.append(path)
-            return real(dom, idx)
-        return run
-
-    for path in ("direct", "transform"):
-        monkeypatch.setattr(domains_mod, f"_character_sums_{path}", recording(path))
-    ctx = FieldContext(p, n)
-    threshold = p * n  # direct up to p*n points, transform above
-    for size, want in [(1, "direct"), (threshold, "direct"),
-                       (threshold + 1, "transform"), (ctx.q ** 2, "transform")]:
-        ran.clear()
-        cayley_spectrum(ctx, np.arange(size, dtype=np.int64), d=2)
-        assert ran == [want]
 
 
 def _member(dom, conn):
