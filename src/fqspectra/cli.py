@@ -237,8 +237,7 @@ def _variety(ctx, args) -> Variety:
                 f"variety file has d = {variety.d}, requested d = {args.d}")
         return variety
     family = args.family or "sphere"
-    return builtin_variety(ctx, family, args.d,
-                           args.j if family != "paraboloid" else None)
+    return builtin_variety(ctx, family, args.d, args.j)
 
 
 def _subset(variety, args):
@@ -332,8 +331,7 @@ def _cmd_spectrum(args) -> int:
         require_table_budget(dom)
         spec, check = euclidean_spectrum(dom, form.value_table(dom), args.t)
     else:
-        pspec = diagonal_poly(ctx, args.d, args.s, _coeffs(args))
-        spec, check = affine_cayley_spectrum(ctx, pspec, args.d)
+        spec, check = affine_cayley_spectrum(ctx, args.d, args.s, _coeffs(args))
     payload = spec.summary()
     lines = [f"n = {spec.order}, degree = {spec.degree}",
              f"lambda = {spec.lambda_second!r} (argmax m = {spec.argmax_m})"]

@@ -8,8 +8,7 @@ n*d digits.  So F_q^d is the group (Z_p)^(n*d) on tables of shape
 (p,) * (n*d): subtraction is digit-wise (`PointDomain.index_sub`), and the
 full character table and every fold (`energy.fold_counts`) are (Z_p)^(n*d)
 Fourier transforms: per-axis matrix products with the length-p DFT matrix
-(`character_sum_table`, and the fold kernel below its crossover) or
-numpy.fft (the fold kernel above it).
+for p <= _MATMUL_P_MAX, and numpy.fft above that one crossover.
 """
 
 import numpy as np
@@ -18,6 +17,10 @@ from .field import FieldContext
 
 # Cap on q^d for any operation that materializes a full table over F_q^d.
 TABLE_MAX = 10 ** 7
+# Largest p whose (Z_p)^(n*d) transforms, character sums and folds alike,
+# run as direct DFTs, one matrix product per axis; above it the O(p) work
+# per cell and the p x p DFT matrix lose to numpy.fft (measured crossover).
+_MATMUL_P_MAX = 373
 
 # The one overflow policy.  An exact integer accumulator runs in int64 only
 # when an a priori bound on everything it can hold (partial sums included;
@@ -172,18 +175,22 @@ def character_sum_table(dom: PointDomain, points) -> np.ndarray:
     points is an index array or a sequence of coordinate tuples (see
     `PointDomain.as_indices`).  The table is the (Z_p)^(n*d) Fourier
     transform of the set's indicator, one product with the length-p DFT
-    matrix per axis, reindexed through the trace pairing: O(q^d * n * d * p)
-    for any set.  The test suite checks it against the direct sum over the
-    set's points.
+    matrix per axis (O(q^d * n * d * p) for any set), or numpy.fft for p
+    above _MATMUL_P_MAX, reindexed through the trace pairing.  The test suite
+    checks it against the direct sum over the set's points.
     """
     idx = dom.as_indices(points)
     ctx = dom.ctx
     p, n, d = ctx.p, ctx.n, dom.d
     f = np.bincount(idx, minlength=dom.size).astype(np.complex128)
     F = f.reshape(dom.shape)
-    W = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    for axis in range(dom.nd):
-        F = np.moveaxis(np.tensordot(W, F, axes=(1, axis)), 0, axis)
+    if p > _MATMUL_P_MAX:
+        # chi has the sign opposite to numpy's, and f is real.
+        F = np.fft.fftn(F).conj()
+    else:
+        W = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+        for axis in range(dom.nd):
+            F = np.moveaxis(np.tensordot(W, F, axes=(1, axis)), 0, axis)
     F = F.reshape(dom.size)
     if n == 1:
         return F

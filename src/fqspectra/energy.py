@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import _FLOAT_EXACT, _INT64_SAFE, PointDomain
+from .domains import _FLOAT_EXACT, _INT64_SAFE, _MATMUL_P_MAX, PointDomain
 from .errors import (
     EmptyXError,
     InconsistentTotalError,
@@ -36,14 +36,11 @@ from .errors import (
     OddKError,
 )
 from .field import FieldContext
-from .spectra import AUDIT_RTOL, Spectrum, require_table_budget
+from .spectra import Spectrum, require_table_budget, within_slack
 
 # Constant C of the per-line error C * p^(3/2) * u of one length-p DFT pass,
 # which `fold_counts` derives for the direct sum that `_rfft` and `_irfft` run.
 _DFT_ERROR_CONST = 8.0
-# Largest p whose fold transforms run as direct DFTs, one BLAS matmul per
-# axis; above it the O(p) work per cell loses to numpy.fft (measured crossover).
-_MATMUL_P_MAX = 373
 
 
 def _exact_total(values: np.ndarray) -> int:
@@ -465,7 +462,7 @@ def nu_P_k(ctx: FieldContext, table: CountTable, X) -> CountTable:
     every table(t - a) is nonnegative, so its count of nonzero cells is
     |X + Delta|.  The count is defined for any P; the paper's P is
     diagonal, and the affine spectrum that the second-moment audit reads
-    rejects any other.
+    takes only a diagonal P's exponent and coefficients.
     """
     xs = sorted(set(ctx.element(a) for a in X))
     if not xs:
@@ -554,10 +551,6 @@ class InequalityAudit:
                 "normalized_ok": self.normalized_ok, **self.detail}
 
 
-def _verdict(deviation: float, bound: float) -> bool:
-    return deviation <= bound + AUDIT_RTOL * bound + 1e-12
-
-
 def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
                         graph: Spectrum) -> InequalityAudit:
     """Even-k energy of E inside a variety V, against the Cayley-graph bound.
@@ -605,9 +598,9 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
     norm_bound = 2.0 * dom.ctx.q ** ((dom.d - 1) / 2) * math.sqrt(float(lam_km2) * float(lam_k))
     return InequalityAudit(
         name="energy-growth", deviation=deviation, bound=bound,
-        ok=_verdict(deviation, bound) and contained,
+        ok=within_slack(deviation, bound) and contained,
         normalized_deviation=norm_dev, normalized_bound=norm_bound,
-        normalized_ok=_verdict(norm_dev, norm_bound),
+        normalized_ok=within_slack(norm_dev, norm_bound),
         detail={"k": k, "size": e_size, "edge_count": e, "k_energy": lam_k,
                 "energy_upper_slack": e - lam_k, "main": float(main)})
 
@@ -631,9 +624,9 @@ def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
     norm_bound = float(dom.ctx.q ** dom.d) * x_size * energy
     return InequalityAudit(
         name="second-moment", deviation=max(excess, 0.0), bound=bound,
-        ok=_verdict(max(excess, 0.0), bound),
+        ok=within_slack(max(excess, 0.0), bound),
         normalized_deviation=max(excess, 0.0), normalized_bound=norm_bound,
-        normalized_ok=_verdict(max(excess, 0.0), norm_bound),
+        normalized_ok=within_slack(max(excess, 0.0), norm_bound),
         detail={"k": k, "size": e_size, "x_size": x_size,
                 "second_moment": sq, "main": float(main)})
 
@@ -668,9 +661,9 @@ def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
         norm_bound = 2.0 * q ** ((dom.d - 1) / 2) * energy
         out.append(InequalityAudit(
             name="nu-deviation", deviation=deviation, bound=bound,
-            ok=_verdict(deviation, bound),
+            ok=within_slack(deviation, bound),
             normalized_deviation=norm_dev, normalized_bound=norm_bound,
-            normalized_ok=_verdict(norm_dev, norm_bound),
+            normalized_ok=within_slack(norm_dev, norm_bound),
             detail={"t": t, "nu_t": table[t], "k": k, "size": e_size,
                     "main": float(main), **energy_detail}))
     return out

@@ -63,10 +63,6 @@ class ExponentDivisibleByCharacteristicError(FqspectraError):
     """Diagonal exponent s is divisible by p; spectra degrade, input rejected."""
 
 
-class NotDiagonalError(FqspectraError):
-    """Polynomial is not of the diagonal shape sum_j a_j * x_j^s."""
-
-
 # -- energy ------------------------------------------------------------------
 
 class OddKError(FqspectraError):

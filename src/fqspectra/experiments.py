@@ -247,8 +247,7 @@ def _setup(plan: ExperimentPlan):
     """The plan's field, domain and variety V, V's Cayley spectrum, and the
     regularity report read off that spectrum."""
     ctx = plan.context()
-    variety = builtin_variety(ctx, plan.family, plan.d,
-                              plan.j if plan.family != "paraboloid" else None)
+    variety = builtin_variety(ctx, plan.family, plan.d, plan.j)
     dom = PointDomain(ctx, plan.d)
     graph = cayley_spectrum(ctx, variety.indices, d=plan.d)
     return ctx, dom, variety, graph, regularity_check(graph)
@@ -399,12 +398,11 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     the nonnegative nu_k(t - a) over a in X, so it is nonzero exactly on
     X + Delta."""
     ctx, dom, variety, _, reg = _setup(plan)
-    pspec = diagonal_poly(ctx, plan.d, plan.s, plan.coeffs)
-    graph, check = affine_cayley_spectrum(ctx, pspec, plan.d)
+    graph, check = affine_cayley_spectrum(ctx, plan.d, plan.s, plan.coeffs)
     if not check.within:
         raise InvariantError(f"affine digraph Weil bound failed: lambda = "
                              f"{check.lambda_measured!r} > {check.bound!r}")
-    pvals = eval_poly_table(dom, pspec)
+    pvals = eval_poly_table(dom, diagonal_poly(ctx, plan.d, plan.s, plan.coeffs))
     records = []
     hard_failures = 0
     q, k = ctx.q, plan.k

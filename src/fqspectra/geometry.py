@@ -56,10 +56,7 @@ def sphere_poly(ctx: FieldContext, d: int, j: int) -> PolySpec:
     j = ctx.element(j)
     if j == 0:
         raise ZeroParameterError("sphere radius j must be nonzero")
-    unit = tuple(tuple(2 if i == k else 0 for i in range(d)) for k in range(d))
-    terms = [(1, e) for e in unit]
-    terms.append((ctx.neg(j), (0,) * d))
-    return PolySpec(d, tuple(terms))
+    return PolySpec(d, diagonal_poly(ctx, d, 2).terms + ((ctx.neg(j), (0,) * d),))
 
 
 def paraboloid_poly(ctx: FieldContext, d: int) -> PolySpec:
@@ -78,37 +75,23 @@ def minkowski_poly(ctx: FieldContext, d: int, j: int) -> PolySpec:
     return PolySpec(d, (((1, (1,) * d)), (ctx.neg(j), (0,) * d)))
 
 
-def diagonal_poly(ctx: FieldContext, d: int, s: int, coeffs=None) -> PolySpec:
-    """a_1 x_1^s + ... + a_d x_d^s with every a_j a nonzero field element,
-    s >= 2."""
+def diagonal_coeffs(ctx: FieldContext, d: int, s: int, coeffs=None) -> tuple:
+    """The checked coefficients (a_1, ..., a_d) of a_1 x_1^s + ... + a_d x_d^s:
+    s >= 2, and d nonzero field elements (see `FieldContext.element`), all 1
+    by default."""
     if s < 2:
         raise ValueError(f"diagonal exponent s = {s} must be >= 2")
     coeffs = (1,) * d if coeffs is None else tuple(ctx.element(c) for c in coeffs)
     if len(coeffs) != d or 0 in coeffs:
         raise ValueError("diagonal polynomial needs d nonzero coefficients")
+    return coeffs
+
+
+def diagonal_poly(ctx: FieldContext, d: int, s: int, coeffs=None) -> PolySpec:
+    """a_1 x_1^s + ... + a_d x_d^s with every a_j a nonzero field element,
+    s >= 2."""
     return PolySpec(d, tuple((c, tuple(s if i == k else 0 for i in range(d)))
-                             for k, c in enumerate(coeffs)))
-
-
-def diagonal_shape(spec: PolySpec):
-    """Return (s, coeffs) if spec is sum_j a_j x_j^s over all d variables, else None."""
-    if len(spec.terms) != spec.d:
-        return None
-    coeffs = [0] * spec.d
-    s = None
-    for coeff, exps in spec.terms:
-        hot = [i for i, e in enumerate(exps) if e]
-        if len(hot) != 1:
-            return None
-        i = hot[0]
-        if s is None:
-            s = exps[i]
-        if exps[i] != s or coeffs[i] != 0:
-            return None
-        coeffs[i] = coeff
-    if s is None or s < 2 or any(c == 0 for c in coeffs):
-        return None
-    return s, tuple(coeffs)
+                             for k, c in enumerate(diagonal_coeffs(ctx, d, s, coeffs))))
 
 
 def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
@@ -264,7 +247,8 @@ FAMILIES = ("sphere", "paraboloid", "minkowski")
 
 
 def builtin_variety(ctx: FieldContext, family: str, d: int, j: int | None = None) -> Variety:
-    """One of the built-in regular-variety families over F_q^d (d >= 2)."""
+    """One of the built-in regular-variety families over F_q^d (d >= 2); j is
+    the sphere or minkowski radius, 1 by default, and the paraboloid's none."""
     if d < 2:
         raise ValueError(f"built-in families need d >= 2, got d = {d}")
     if family == "sphere":

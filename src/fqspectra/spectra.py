@@ -44,11 +44,10 @@ from .domains import (
 from .errors import (
     ExponentDivisibleByCharacteristicError,
     InvariantError,
-    NotDiagonalError,
     SearchSpaceTooLargeError,
 )
 from .field import FieldContext
-from .geometry import PolySpec, diagonal_shape
+from .geometry import diagonal_coeffs
 
 # Relative tolerance used to decide whether |lam_m| equals the degree.
 _DEGREE_EQ_RTOL = 1e-9
@@ -56,6 +55,13 @@ _DEGREE_EQ_RTOL = 1e-9
 AUDIT_RTOL = 1e-6
 # Cells per block of the spectrum scan: bounds its float temporaries.
 _SCAN_BLOCK = 1 << 16
+
+
+def within_slack(deviation, bound):
+    """The one audit verdict, deviation <= bound up to AUDIT_RTOL of the bound
+    plus 1e-12: elementwise on arrays, a Python bool on scalars."""
+    ok = deviation <= bound + AUDIT_RTOL * bound + 1e-12
+    return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
 @dataclass(frozen=True)
@@ -188,11 +194,12 @@ def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:
 class BoundCheck:
     """Outcome of comparing a measured second eigenvalue to a stated bound.
 
-    `bound` is the proven ceiling that `within` asserts (with AUDIT_RTOL
-    slack).  A non-empty `note` means the inputs fall outside that bound's
-    hypothesis and nothing is asserted.  `normalized_bound`, when set, is a
-    reference value reported next to the proven one but never asserted: for
-    the affine digraph it is q^d, exact for s = 2 and not a theorem for s >= 3.
+    `bound` is the proven ceiling that `within` asserts (with the slack of
+    `within_slack`).  A non-empty `note` means the inputs fall outside that
+    bound's hypothesis and nothing is asserted.  `normalized_bound`, when
+    set, is a reference value reported next to the proven one but never
+    asserted: for the affine digraph it is q^d, exact for s = 2 and not a
+    theorem for s >= 3.
     """
 
     lambda_measured: float
@@ -226,13 +233,13 @@ def euclidean_check(spec: Spectrum, t: int) -> BoundCheck:
         return BoundCheck(spec.lambda_second, bound, True,
                           note="t = 0 is outside the bound's hypothesis; not asserted")
     return BoundCheck(spec.lambda_second, bound,
-                      spec.lambda_second <= bound + AUDIT_RTOL * bound, note="")
+                      within_slack(spec.lambda_second, bound), note="")
 
 
-def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
+def affine_cayley_spectrum(ctx: FieldContext, d: int, s: int, coeffs=None):
     """Spectrum of the Cayley digraph on F_q x F_q^{2d} whose connection set
-    is the graph {(x0, x) : x0 + P(x_1..x_d) - P(x_{d+1}..x_{2d}) = 0} of a
-    diagonal polynomial P.
+    is the graph {(x0, x) : x0 + P(x_1..x_d) - P(x_{d+1}..x_{2d}) = 0} of
+    P = a_1 x_1^s + ... + a_d x_d^s, given and checked as by `diagonal_poly`.
 
     The eigenvalues come in closed form from the coordinate-factorized
     one-dimensional Weil sums W(a, b) = sum_u chi(a*u^s + b*u), so the
@@ -253,13 +260,7 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
     theorem and fails (lambda = 13.09 > 5 over F_5 with d = 1, s = 3;
     lambda = 100 = (s-1)^2 * q over F_25 with d = 1, s = 3).
     """
-    shape = diagonal_shape(pspec)
-    if shape is None:
-        raise NotDiagonalError(
-            "affine Cayley spectra need P = sum_j a_j x_j^s with all a_j != 0")
-    s, coeffs = shape
-    if pspec.d != d:
-        raise ValueError(f"polynomial arity {pspec.d} != d = {d}")
+    coeffs = diagonal_coeffs(ctx, d, s, coeffs)
     if s % ctx.p == 0:
         raise ExponentDivisibleByCharacteristicError(
             f"exponent s = {s} is divisible by p = {ctx.p}")
@@ -274,7 +275,7 @@ def affine_cayley_spectrum(ctx: FieldContext, pspec: PolySpec, d: int):
                           partial(_affine_slices, ctx, W, coeffs))
     bound = float((s - 1) ** (2 * d) * ctx.q ** d)
     check = BoundCheck(spec.lambda_second, bound,
-                       spec.lambda_second <= bound + AUDIT_RTOL * bound, note="",
+                       within_slack(spec.lambda_second, bound), note="",
                        normalized_bound=float(ctx.q ** d))
     return spec, check
 
@@ -325,7 +326,7 @@ class MixingAudit:
     Every field is an array over the pairs.  e_observed holds exact
     integers.  main_term = degree*|B||C|/n and deviation =
     |e - main_term| are the correctly rounded floats of exact rationals;
-    gap = bound - deviation; ok allows the usual 1e-6-of-bound floating slack.
+    gap = bound - deviation; ok is `within_slack(deviation, bound)`.
     """
 
     e_observed: np.ndarray
@@ -398,4 +399,4 @@ def mixing_audit(spectrum: Spectrum, dom: PointDomain, member: np.ndarray,
     bound = spectrum.lambda_mixing * np.sqrt(_exact_floats(b_sq * c_sq))
     return MixingAudit(e_observed=e, main_term=_exact_floats(main_num, n),
                        deviation=deviation, bound=bound, gap=bound - deviation,
-                       ok=deviation <= bound + AUDIT_RTOL * bound + 1e-12)
+                       ok=within_slack(deviation, bound))

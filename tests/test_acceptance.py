@@ -144,8 +144,7 @@ AFFINE_ROWS = [(3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 2), (7, 1, 3)]
 def test_acceptance_4_affine_digraph_bound(p, d, s):
     ctx = FieldContext(p)
     assert ctx.q ** (2 * d + 1) <= 16807
-    pspec = diagonal_poly(ctx, d, s)
-    spec, check = affine_cayley_spectrum(ctx, pspec, d)
+    spec, check = affine_cayley_spectrum(ctx, d, s)
     # Weil: each of the 2d coordinate sums has modulus <= (s-1)*sqrt(q).
     lam, qd = spec.lambda_second, ctx.q ** d
     ceiling = float((s - 1) ** (2 * d) * qd)
@@ -205,8 +204,7 @@ def _criterion_graphs():
     for p, d, s in AFFINE_ROWS:
         ctx = FieldContext(p)
         dom = PointDomain(ctx, 2 * d + 1)
-        pspec = diagonal_poly(ctx, d, s)
-        spec, _ = affine_cayley_spectrum(ctx, pspec, d)
+        spec, _ = affine_cayley_spectrum(ctx, d, s)
         yield f"affine p={p} s={s}", spec, dom, _affine_connection_indices(ctx, dom, s, d)
 
 
@@ -256,7 +254,7 @@ def test_acceptance_6_exact_inequality_ledger():
         variety_graph = cayley_spectrum(ctx, variety.indices, d=d)
         V = FoldLadder(dom, variety.indices)
         pspec = diagonal_poly(ctx, d, 2)
-        affine_graph, _ = affine_cayley_spectrum(ctx, pspec, d)
+        affine_graph, _ = affine_cayley_spectrum(ctx, d, 2)
         rng = random.Random(600 + p * d)
 
         def draw_subset(limit):

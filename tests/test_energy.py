@@ -505,7 +505,7 @@ def test_nu_deviation_audit_rejects_t_zero():
 def test_table_taking_audits_reject_tables_of_wrong_total():
     dom = PointDomain(F5, 1)
     P = diagonal_poly(F5, 1, 2)
-    graph, _ = affine_cayley_spectrum(F5, P, 1)
+    graph, _ = affine_cayley_spectrum(F5, 1, 2)
     E, X = FoldLadder(dom, [(1,), (3,)]), [0, 2]
     table = nu_P_k(F5, nu_k(E, eval_poly_table(dom, P), 2), X)
     assert second_moment_audit(E, table, len(X), 2, graph).ok
@@ -596,7 +596,7 @@ def test_second_moment_audit_never_fails(k):
     ctx = F5
     dom = PointDomain(ctx, 1)
     P = diagonal_poly(ctx, 1, 2)
-    graph, _ = affine_cayley_spectrum(ctx, P, 1)
+    graph, _ = affine_cayley_spectrum(ctx, 1, 2)
     rng = random.Random(8)
     for seed in range(15):
         size = rng.randint(1, 5)

@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,32 @@ def test_character_sum_table_matches_the_direct_sum_on_small_sets(p, n, d):
         a = character_sums_direct(dom, idx)
         b = character_sum_table(dom, idx)
         assert np.max(np.abs(a - b)) < 1e-9 * size
+
+
+# Primes above the DFT-matrix crossover (373) take numpy.fft.
+@pytest.mark.parametrize("p,n,d", [(379, 1, 1), (379, 1, 2), (1009, 1, 1), (1009, 1, 2),
+                                   (409, 2, 1)])
+def test_character_sum_table_above_the_crossover_matches_the_direct_sum(p, n, d):
+    dom = PointDomain(FieldContext(p, n), d)
+    rng = np.random.default_rng(p * n * d)
+    for size in (1, 2, 16):
+        idx = rng.choice(dom.size, size=size, replace=False)
+        a = character_sums_direct(dom, idx)
+        b = character_sum_table(dom, idx)
+        assert np.max(np.abs(a - b)) < 1e-9 * size
+
+
+def test_character_sum_table_builds_no_p_by_p_matrix_above_the_crossover():
+    # A p x p twiddle matrix at p = 1009 alone would take 16 MB.
+    dom = PointDomain(FieldContext(1009), 1)
+    idx = np.array([0, 3, 17, 500, 1008])
+    tracemalloc.start()
+    try:
+        character_sum_table(dom, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # F_9 and F_27 over d = 1..3: the trace reindex of `character_sum_table` is

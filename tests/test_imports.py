@@ -1,6 +1,7 @@
 """Every module-level import in the package source is used, every
-module-level function and method is read somewhere in the package, and
-every exception class is raised or caught somewhere in it.
+module-level function and method is read somewhere in the package, every
+exception class is raised or caught somewhere in it, and every module
+imports only modules below it in the package's layer order.
 
 No linter ships with the project, so these stdlib-only checks stand in for
 one.  `__init__.py` is skipped by the import check: its imports are the
@@ -299,3 +300,52 @@ def test_the_check_flags_an_exception_class_left_in_the_package():
 def test_every_exception_class_is_raised_or_caught_in_the_package():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unused_exceptions(sources) == []
+
+
+# The package's layers, lowest first.
+LAYERS = ("errors", "field", "domains", "geometry", "spectra", "energy", "experiments", "cli")
+
+
+def layer_violations(sources: dict) -> list:
+    """Intra-package imports, at any depth of each module of `sources`
+    (module name -> source), that name a module not earlier in LAYERS.
+
+    `from . import __version__` is exempt: `__init__.py` binds `__version__`
+    before it imports any module, so reading it ties a module to no layer.
+    Any other name imported from the package itself is read as a module."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "fqspectra"):
+                path = node.module if node.level else node.module.partition(".")[2]
+                targets = ([path.split(".")[0]] if path else
+                           [a.name for a in node.names if a.name != "__version__"])
+            elif isinstance(node, ast.Import):
+                targets = [a.name.split(".")[1] for a in node.names
+                           if a.name.startswith("fqspectra.")]
+            else:
+                continue
+            out += [f"{module} imports {t} (line {node.lineno})" for t in targets
+                    if rank.get(t, len(LAYERS)) >= rank[module]]
+    return sorted(out)
+
+
+def test_the_check_sees_imports_against_the_layer_order():
+    sources = {
+        "errors": "X = 1\n",
+        "field": "from .errors import X\nfrom . import __version__\n",
+        "domains": "def f():\n    from .spectra import g\n",
+        "geometry": "import fqspectra.cli\nfrom fqspectra.field import y\n",
+        "spectra": "from . import energy, domains\nfrom fqspectra import geometry\n",
+        "energy": "from .energy import z\n",
+    }
+    assert layer_violations(sources) == [
+        "domains imports spectra (line 2)", "energy imports energy (line 1)",
+        "geometry imports cli (line 1)", "spectra imports energy (line 1)"]
+
+
+def test_every_module_imports_only_lower_layers():
+    assert {p.stem for p in MODULES} == set(LAYERS)
+    assert layer_violations({p.stem: p.read_text() for p in MODULES}) == []

@@ -18,11 +18,10 @@ from fqspectra.experiments import ExperimentPlan, sumset_experiment
 from fqspectra.errors import (
     ExponentDivisibleByCharacteristicError,
     InvariantError,
-    NotDiagonalError,
     SearchSpaceTooLargeError,
 )
 from fqspectra.field import FieldContext
-from fqspectra.geometry import PolySpec, QuadraticForm, builtin_variety, diagonal_poly
+from fqspectra.geometry import QuadraticForm, builtin_variety, diagonal_poly
 from fqspectra.spectra import (
     affine_cayley_spectrum,
     cayley_spectrum,
@@ -211,8 +210,7 @@ def test_euclidean_checks_the_budget_before_the_value_table(monkeypatch, capsys)
 
 
 def test_affine_spectrum_q3_s2_exact():
-    P = diagonal_poly(F3, 1, 2)
-    spec, check = affine_cayley_spectrum(F3, P, 1)
+    spec, check = affine_cayley_spectrum(F3, 1, 2)
     assert spec.order == 27 and spec.degree == 9
     dom = PointDomain(F3, 3)
     table = eigenvalue_table(spec)
@@ -228,16 +226,14 @@ def test_affine_spectrum_q3_s2_exact():
 
 
 def test_affine_spectrum_q5_s2():
-    P = diagonal_poly(F5, 1, 2)
-    spec, check = affine_cayley_spectrum(F5, P, 1)
+    spec, check = affine_cayley_spectrum(F5, 1, 2)
     assert abs(spec.lambda_second - 5.0) < 1e-9
     assert check.within
 
 
 def test_affine_closed_matches_direct():
     for ctx, d, s in [(F3, 1, 2), (F5, 1, 2), (F5, 1, 3), (F3, 2, 2)]:
-        P = diagonal_poly(ctx, d, s, tuple(range(1, d + 1)))
-        closed, _ = affine_cayley_spectrum(ctx, P, d)
+        closed, _ = affine_cayley_spectrum(ctx, d, s, tuple(range(1, d + 1)))
         direct = affine_eigenvalues_direct(ctx, s, tuple(range(1, d + 1)), d)
         assert np.max(np.abs(eigenvalue_table(closed) - direct)) < 1e-6 * closed.degree
 
@@ -246,8 +242,7 @@ def test_affine_weil_ceiling_attained_over_f25():
     # Over F_25 with s = 3 a nontrivial eigenvalue reaches Weil's ceiling
     # (s-1)^(2d) * q^d = 100 exactly, while q^d = 25 is exceeded fourfold.
     F25 = FieldContext(5, 2)
-    P = diagonal_poly(F25, 1, 3)
-    closed, check = affine_cayley_spectrum(F25, P, 1)
+    closed, check = affine_cayley_spectrum(F25, 1, 3)
     direct = affine_eigenvalues_direct(F25, 3, (1,), 1)
     assert np.max(np.abs(eigenvalue_table(closed) - direct)) < 1e-6 * closed.degree
     assert closed.lambda_second == pytest.approx(100.0, abs=1e-9)
@@ -256,17 +251,24 @@ def test_affine_weil_ceiling_attained_over_f25():
 
 
 def test_affine_trivial_eigenvalue_is_degree():
-    P = diagonal_poly(F5, 1, 3)
-    spec, _ = affine_cayley_spectrum(F5, P, 1)
+    spec, _ = affine_cayley_spectrum(F5, 1, 3)
     assert eigenvalue_table(spec)[0] == pytest.approx(25.0 + 0j, abs=1e-9)
 
 
 def test_affine_rejects_bad_exponent_and_shape():
     with pytest.raises(ExponentDivisibleByCharacteristicError):
-        affine_cayley_spectrum(F3, diagonal_poly(F3, 1, 3), 1)
-    not_diag = PolySpec(2, ((1, (1, 1)),))
-    with pytest.raises(NotDiagonalError):
-        affine_cayley_spectrum(F5, not_diag, 2)
+        affine_cayley_spectrum(F3, 1, 3)
+
+
+@pytest.mark.parametrize("d,s,coeffs", [(2, 1, None), (2, 2, (1, 0)), (2, 2, (1, 2, 3))])
+def test_affine_spectrum_and_diagonal_poly_reject_alike(d, s, coeffs):
+    # s < 2, a zero coefficient, a wrong coefficient count: one checker.
+    with pytest.raises(ValueError) as poly_error:
+        diagonal_poly(F5, d, s, coeffs)
+    with pytest.raises(ValueError) as spectrum_error:
+        affine_cayley_spectrum(F5, d, s, coeffs)
+    assert spectrum_error.type is poly_error.type
+    assert str(spectrum_error.value) == str(poly_error.value)
 
 
 # Fields F_5, F_7, F_9, F_13, F_23, F_25 with d = 1..3 and s = 2, 3, 4 (p not
@@ -283,7 +285,7 @@ def test_affine_slices_equal_the_broadcast_table_bit_for_bit(pn, d, s):
     # uint64 views compare every bit, signed zeros included.
     ctx = FieldContext(*pn)
     coeffs = tuple(range(1, d + 1))
-    spec, _ = affine_cayley_spectrum(ctx, diagonal_poly(ctx, d, s, coeffs), d)
+    spec, _ = affine_cayley_spectrum(ctx, d, s, coeffs)
     want = affine_eigenvalues_broadcast(ctx, s, coeffs, d).view(np.uint64)
     width = 2 * ctx.q ** (2 * d)  # two uint64 words per complex cell
     count = 0
@@ -311,7 +313,7 @@ AFFINE_PINS = [
 @pytest.mark.parametrize("pn,d,s,coeffs,lam,arg,lam_mixing", AFFINE_PINS)
 def test_affine_summary_constants_are_pinned(pn, d, s, coeffs, lam, arg, lam_mixing):
     ctx = FieldContext(*pn)
-    spec, _ = affine_cayley_spectrum(ctx, diagonal_poly(ctx, d, s, coeffs), d)
+    spec, _ = affine_cayley_spectrum(ctx, d, s, coeffs)
     got = (repr(spec.lambda_second), spec.argmax_m, repr(spec.lambda_mixing))
     assert got == (repr(lam), arg, repr(lam_mixing))
 
@@ -321,7 +323,7 @@ def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
     table_bytes = 23 ** 5 * np.dtype(np.complex128).itemsize  # 103 MB
     tracemalloc.start()
     try:
-        spec, _ = affine_cayley_spectrum(ctx, diagonal_poly(ctx, 2, 2), 2)
+        spec, _ = affine_cayley_spectrum(ctx, 2, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -332,7 +334,7 @@ def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
 def test_affine_table_is_built_only_when_read(tmp_path):
     # The spectrum holds its scan's constants and the slice generator, and
     # no table; only a reader outside the program concatenates one.
-    spec, _ = affine_cayley_spectrum(F5, diagonal_poly(F5, 2, 3), 2)
+    spec, _ = affine_cayley_spectrum(F5, 2, 3)
     path = tmp_path / "spectrum.txt"
     cli_mod._write_spectrum(spec, path)
     assert not any(isinstance(v, np.ndarray) for v in vars(spec).values())
@@ -522,7 +524,7 @@ def test_corrupted_nontrivial_eigenvalue_fails_parseval(monkeypatch):
 
     monkeypatch.setattr(spectra_mod, "_affine_slices", corrupted)
     with pytest.raises(InvariantError, match="Parseval"):
-        affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)
+        affine_cayley_spectrum(F5, 1, 3)
 
 
 def _member(dom, conn):
@@ -685,8 +687,8 @@ def test_spectrum_out_text_equals_the_per_cell_format(case, rows, tmp_path, monk
         "cayley-F9": lambda: cayley_spectrum(F9, builtin_variety(F9, "sphere", 2, 1).indices,
                                              d=2),
         "euclidean-F7": lambda: _euclidean(F7, QuadraticForm.identity(2), 1, 2)[0],
-        "affine-F5": lambda: affine_cayley_spectrum(F5, diagonal_poly(F5, 1, 3), 1)[0],
-        "affine-F25": lambda: affine_cayley_spectrum(F25, diagonal_poly(F25, 1, 3), 1)[0],
+        "affine-F5": lambda: affine_cayley_spectrum(F5, 1, 3)[0],
+        "affine-F25": lambda: affine_cayley_spectrum(F25, 1, 3)[0],
     }[case]()
     monkeypatch.setattr(cli_mod, "_WRITE_ROWS", rows)
     path = tmp_path / "spectrum.txt"
