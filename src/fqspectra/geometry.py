@@ -77,8 +77,10 @@ def minkowski_poly(ctx: FieldContext, d: int, j: int) -> PolySpec:
 
 def diagonal_coeffs(ctx: FieldContext, d: int, s: int, coeffs=None) -> tuple:
     """The checked coefficients (a_1, ..., a_d) of a_1 x_1^s + ... + a_d x_d^s:
-    s >= 2, and d nonzero field elements (see `FieldContext.element`), all 1
-    by default."""
+    d >= 1, s >= 2, and d nonzero field elements (see `FieldContext.element`),
+    all 1 by default."""
+    if d < 1:
+        raise ValueError(f"dimension d = {d} must be >= 1")
     if s < 2:
         raise ValueError(f"diagonal exponent s = {s} must be >= 2")
     coeffs = (1,) * d if coeffs is None else tuple(ctx.element(c) for c in coeffs)

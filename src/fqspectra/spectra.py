@@ -6,14 +6,16 @@ materialized adjacency matrix: lam_m = sum_{s in S} chi(m . s).  The second
 eigenvalue lambda(G) is the maximum modulus over eigenvalues whose modulus
 differs from the degree.
 
-A spectrum is a streamed scan.  Its eigenvalues arrive as consecutive slices
-of the table in index order: the one character-sum table of a connection set
-in F_q^d, or, for the affine digraph on F_q x F_q^{2d}, one closed-form slice
-of q^(2d) cells per m0.  One blocked pass over the moduli is the only reader
-of the eigenvalues: it checks the degree and Parseval's identity, and gives
-lambda_second and lambda_mixing with their first maximisers.  Nothing here
-builds a whole affine table; `spectrum ... --out` writes the slices as they
-stream.
+A spectrum holds its summary constants and a way to stream its eigenvalues
+as consecutive slices of the table in index order.  A Cayley spectrum on
+F_q^d has one slice, the character-sum table of its connection set, and one
+blocked pass over its moduli checks the degree and Parseval's identity and
+gives lambda_second and lambda_mixing with their first maximisers.  The
+affine digraph on F_q x F_q^{2d} has one closed-form slice of q^(2d) cells
+per m0, but its summary comes from the q x q moduli of the Weil sums its
+eigenvalues factor into, checked row by row, and no slice is read for it.
+Nothing here builds a whole affine table; `spectrum ... --out` writes the
+slices as they stream.
 
 Mixing audits count a block of multiset pairs (B_i, C_i) at once, over the
 sum of |B_i||C_i| actual pairs (b, c) only: each side is ragged, flat merged
@@ -53,7 +55,8 @@ from .geometry import diagonal_coeffs
 _DEGREE_EQ_RTOL = 1e-9
 # Additive slack for inequality audits, scaled by the bound.
 AUDIT_RTOL = 1e-6
-# Cells per block of the spectrum scan: bounds its float temporaries.
+# Cells per block of the spectrum scan and of the Weil-sum fill: bounds
+# their temporaries.
 _SCAN_BLOCK = 1 << 16
 
 
@@ -66,26 +69,29 @@ def within_slack(deviation, bound):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue map of a Cayley digraph on F_q^D, read in one streamed scan.
+    """Eigenvalue map of a Cayley digraph on F_q^D and its summary constants.
 
     The eigenvalue at the canonical flat index m is sum_{s in S} chi(m . s).
     `slices` returns, on every call, an iterable of consecutive arrays whose
-    concatenation is that table in index order.  The summary constants below
-    come from one blocked scan of those arrays, which also checks the trivial
-    eigenvalue against the degree and the sum of |lam_m|^2 against
-    order * degree (Parseval).  A Spectrum holds no eigenvalue table: every
-    call rebuilds the slices, a Cayley spectrum's one slice as the
-    character-sum table of its connection set and the affine ones from their
-    closed form.  Nothing in the package joins the slices into one table:
-    the CLI's `--out` writer streams them.
+    concatenation is that table in index order.  A Cayley spectrum's summary
+    constants come from one blocked scan of its one slice (`_scan_spectrum`),
+    the affine spectrum's from the moduli of its Weil sums
+    (`_affine_summary`); both check the trivial eigenvalue against the degree
+    and the sum of |lam_m|^2 against order * degree (Parseval).  A Spectrum
+    holds no eigenvalue table: every call rebuilds the slices, a Cayley
+    spectrum's one slice as the character-sum table of its connection set
+    and the affine ones from their closed form.  Nothing in the package joins
+    the slices into one table: the CLI's `--out` writer streams them.
 
     lambda_second excludes exactly the eigenvalues of modulus equal to the
     degree (so a connection set equal to a coset union of a subgroup still
-    gets a sensible second eigenvalue); argmax_m is its first maximiser in
-    index order.
+    gets a sensible second eigenvalue); argmax_m is a maximiser: the first
+    in index order for a Cayley spectrum, and for the affine one the rule in
+    `_affine_summary`, which can differ from the first where moduli tie up
+    to rounding.
 
     lambda_mixing is the maximum modulus over all m != 0 with no exclusion,
-    and argmax_mixing its first maximiser m != 0.  It is the constant the
+    and argmax_mixing a maximiser m != 0, chosen alike.  It is the constant the
     expander-mixing inequality actually requires: for a connection set inside
     a coset of a proper subgroup, some nontrivial eigenvalue has modulus equal
     to the degree, lambda_second understates it, and the mixing bound with
@@ -247,10 +253,14 @@ def affine_cayley_spectrum(ctx: FieldContext, d: int, s: int, coeffs=None):
     character sums over the enumerated set.
 
     The eigenvalue at m = (m0, m_1..m_2d) is 0 when m0 = 0 and m != 0, and
-    otherwise a product of 2d sums W(+-m0*a_j, m_j).  `_affine_slices`
-    streams the q slices m0 = 0..q-1 of q^(2d) cells each, and the summary
-    constants come from one blocked scan of them: the q^(2d+1) table is never
-    built, and `spectrum affine --out` writes the rows slice by slice.
+    otherwise the product of the 2d sums W(alpha_j, m_j), with the rows
+    alpha = (-m0*a_1, .., -m0*a_d, m0*a_1, .., m0*a_d).  The summary
+    constants come from the q x q moduli |W| alone (`_affine_summary`), and
+    nothing of size q^(2d+1) is built: `Spectrum.slices` streams the table
+    slice by slice only for a reader such as `spectrum affine --out`.
+    argmax_m and argmax_mixing are m0*q^(2d) + sum_j b_j*q^(2d-1-j), with m0
+    the first slice of largest modulus (among the kept slices, or among all)
+    and b_j the first argmax of the row |W(alpha_j, .)|.
 
     With every a_j != 0 and p not dividing s, Weil's bound
     |W(a, b)| <= (s-1)*sqrt(q) for a != 0 gives lambda <= (s-1)^(2d) * q^d;
@@ -266,18 +276,85 @@ def affine_cayley_spectrum(ctx: FieldContext, d: int, s: int, coeffs=None):
             f"exponent s = {s} is divisible by p = {ctx.p}")
     dom = PointDomain(ctx, 2 * d + 1)
     require_table_budget(dom, name="q^(2d+1)")
-    u = np.arange(ctx.q, dtype=np.int64)
-    # W[a, b] = sum_u chi(a*u^s + b*u)
-    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
-    bu = ctx.mul_vec(u[:, None], u[None, :])
-    W = ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
-    spec = _scan_spectrum(dom, ctx.q ** (2 * d),
-                          partial(_affine_slices, ctx, W, coeffs))
+    W = _weil_sums(ctx, s)
+    spec = _affine_summary(dom, W, coeffs, partial(_affine_slices, ctx, W, coeffs))
     bound = float((s - 1) ** (2 * d) * ctx.q ** d)
     check = BoundCheck(spec.lambda_second, bound,
                        within_slack(spec.lambda_second, bound), note="",
                        normalized_bound=float(ctx.q ** d))
     return spec, check
+
+
+def _weil_sums(ctx, s):
+    """The q x q table W[a, b] = sum_u chi(a*u^s + b*u), summed over u in
+    blocks of rows a of about _SCAN_BLOCK cells of the (a, b, u) cube, so
+    that no q^3 temporary is built; each row's sum is the same as from the
+    whole cube, bit for bit."""
+    q = ctx.q
+    u = np.arange(q, dtype=np.int64)
+    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
+    bu = ctx.mul_vec(u[:, None], u[None, :])
+    W = np.empty((q, q), dtype=np.complex128)
+    rows = max(1, _SCAN_BLOCK // (q * q))
+    for a in range(0, q, rows):
+        W[a:a + rows] = ctx.char_vec(
+            ctx.add_vec(au[a:a + rows, None, :], bu[None, :, :])).sum(axis=2)
+    return W
+
+
+def _affine_summary(dom, W, coeffs, slices) -> Spectrum:
+    """The Spectrum of the affine digraph read off the moduli M = |W|.
+
+    Every cell of slice m0 != 0 has modulus prod_j M[alpha_j, m_j], and a
+    float product of nonnegative factors is monotone in each, so the
+    slice's largest modulus is the product of its rows' maxima, taken left
+    to right, at each row's first argmax.  Slice 0 is the degree q^(2d) at
+    m = 0 and 0 elsewhere, since W(0, b) = q*[b = 0].  A slice whose largest
+    modulus is within tolerance of the degree has every row a single entry
+    of modulus q and the rest 0 (by Parseval below), so lambda_second skips
+    it whole; with every slice skipped it is 0.0 at m = 1.  The maximisers
+    follow the rule in `affine_cayley_spectrum`.
+
+    InvariantError unless W(0, 0) = q, which makes the trivial eigenvalue
+    the degree, and unless every row has sum_b M[a, b]^2 = q^2 to within
+    1e-6 relative (Parseval), which gives sum |lam_m|^2 = order * degree.
+    """
+    ctx = dom.ctx
+    q, width = ctx.q, 2 * len(coeffs)
+    degree = q ** width
+    if abs(W[0, 0] - q) > 1e-9 * q:
+        raise InvariantError(
+            f"trivial Weil sum W(0, 0) = {W[0, 0]} != q = {q}; spectrum inconsistent")
+    M = np.abs(W)
+    energy = (M * M).sum(axis=1)
+    bad = np.flatnonzero(np.abs(energy - q * q) > 1e-6 * q * q)
+    if len(bad):
+        raise InvariantError(
+            f"Parseval audit failed: row {bad[0]} of the Weil sums has "
+            f"{energy[bad[0]]} vs {q * q} (spectrum inconsistent)")
+    top, first = M.max(axis=1), M.argmax(axis=1)
+    m0 = np.arange(1, q, dtype=np.int64)
+    signed = np.array([ctx.neg(c) for c in coeffs] + list(coeffs), dtype=np.int64)
+    alphas = ctx.mul_vec(m0[:, None], signed[None, :])  # (q - 1) x 2d rows
+    lam = top[alphas[:, 0]]
+    for j in range(1, width):
+        lam = lam * top[alphas[:, j]]
+
+    def index(i):
+        return (i + 1) * degree + sum(int(first[a]) * q ** (width - 1 - j)
+                                      for j, a in enumerate(alphas[i]))
+
+    kept = np.abs(lam - degree) > _DEGREE_EQ_RTOL * max(1.0, degree)
+    if np.any(kept):
+        i = int(np.argmax(np.where(kept, lam, -1.0)))
+        lambda_second, arg = float(lam[i]), index(i)
+    else:
+        lambda_second, arg = 0.0, 1
+    i = int(np.argmax(lam))
+    return Spectrum(q=q, d=dom.d, order=dom.size, degree=degree,
+                    lambda_second=lambda_second, argmax_m=arg,
+                    lambda_mixing=float(lam[i]), argmax_mixing=index(i),
+                    slices=slices)
 
 
 def _affine_slices(ctx, W, coeffs):

@@ -324,6 +324,15 @@ def affine_eigenvalues_broadcast(ctx, s, coeffs, d):
     return lam.reshape(-1)
 
 
+def weil_sums_cube(ctx, s):
+    """W[a, b] = sum_u chi(a*u^s + b*u), summed over the whole (a, b, u)
+    cube at once."""
+    u = np.arange(ctx.q, dtype=np.int64)
+    au = ctx.mul_vec(u[:, None], ctx.pow_table(s)[None, :])
+    bu = ctx.mul_vec(u[:, None], u[None, :])
+    return ctx.char_vec(ctx.add_vec(au[:, None, :], bu[None, :, :])).sum(axis=2)
+
+
 def scan_reference(eigenvalues, degree):
     """(lambda_second, argmax_m, lambda_mixing, argmax_mixing) of a whole
     eigenvalue table, with every temporary the size of the table;

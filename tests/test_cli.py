@@ -71,6 +71,12 @@ def test_affine_s3_reports_weil_ceiling(capsys):
     assert payload["normalized_bound"] == 5.0
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_affine_dimension_below_1_is_a_usage_error(d, capsys):
+    argv = ["spectrum", "affine", "--p", "5", "--d", d, "--s", "2"]
+    assert run_cli(argv, capsys) == (1, "", f"error: dimension d = {d} must be >= 1\n")
+
+
 def test_variety_check_values(capsys):
     code, out, _ = run_cli(["variety", "check", "--p", "3", "--d", "2",
                             "--family", "sphere", "--j", "1"], capsys)

@@ -45,6 +45,7 @@ from oracles import (
     spectrum_text_reference,
     sphere_points,
     sub,
+    weil_sums_cube,
 )
 
 F3 = FieldContext(3)
@@ -271,6 +272,14 @@ def test_affine_spectrum_and_diagonal_poly_reject_alike(d, s, coeffs):
     assert str(spectrum_error.value) == str(poly_error.value)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_affine_spectrum_and_diagonal_poly_reject_dimension_below_1(d):
+    # The dimension is checked before the coefficients are counted.
+    for build in (diagonal_poly, affine_cayley_spectrum):
+        with pytest.raises(ValueError, match=rf"^dimension d = {d} must be >= 1$"):
+            build(F5, d, 2)
+
+
 # Fields F_5, F_7, F_9, F_13, F_23, F_25 with d = 1..3 and s = 2, 3, 4 (p not
 # dividing s), kept to q^(2d+1) <= 10^6 cells, plus the 23^5-cell F_23, d = 2
 # case that the sumset benchmark runs.
@@ -296,14 +305,64 @@ def test_affine_slices_equal_the_broadcast_table_bit_for_bit(pn, d, s):
     assert count == ctx.q
 
 
+# Beyond the grid: s = 9 over F_5 and s = 13 over F_7 are 1 mod q - 1, so
+# every slice holds one cell of modulus equal to the degree and the rest 0;
+# over F_9 with s = 4 the connection set lies in a coset.
+CLOSED_FORM_CASES = AFFINE_GRID + [((5, 1), 1, 9), ((7, 1), 1, 13), ((3, 2), 3, 4)]
+
+
+@pytest.mark.parametrize("pn,d,s", CLOSED_FORM_CASES)
+def test_affine_closed_form_summary_matches_the_table_scan(pn, d, s):
+    ctx = FieldContext(*pn)
+    spec, _ = affine_cayley_spectrum(ctx, d, s)
+    table = affine_eigenvalues_broadcast(ctx, s, (1,) * d, d)
+    lam, _, lam_mixing, _ = scan_reference(table, spec.degree)
+    mods = np.abs(table)
+    for got, want, arg in ((spec.lambda_second, lam, spec.argmax_m),
+                           (spec.lambda_mixing, lam_mixing, spec.argmax_mixing)):
+        # The scan's value is rounding noise where every slice is excluded.
+        assert (abs(got - want) <= 1e-12 * want
+                or want < 1e-9 * spec.degree and abs(got - want) <= 1e-9 * spec.degree)
+        assert abs(mods[arg] - got) <= 1e-12 * max(got, 1.0)
+        assert arg != 0
+
+
+def _corrupt_weil_sums(monkeypatch, a, b):
+    """Double W(a, b), or set it to 1 where it is 0 up to rounding."""
+    real = spectra_mod._weil_sums
+
+    def corrupted(ctx, s):
+        W = real(ctx, s)
+        W[a, b] = 2 * W[a, b] if abs(W[a, b]) > 1e-9 else 1.0
+        return W
+
+    monkeypatch.setattr(spectra_mod, "_weil_sums", corrupted)
+
+
+@pytest.mark.parametrize("a,b", [(0, 3), (1, 0), (4, 1)])
+def test_corrupted_weil_sum_fails_parseval(a, b, monkeypatch):
+    _corrupt_weil_sums(monkeypatch, a, b)
+    with pytest.raises(InvariantError, match="Parseval"):
+        affine_cayley_spectrum(F5, 1, 3)
+
+
+def test_corrupted_trivial_weil_sum_raises_invariant_error(monkeypatch):
+    _corrupt_weil_sums(monkeypatch, 0, 0)
+    with pytest.raises(InvariantError, match="trivial"):
+        affine_cayley_spectrum(F5, 2, 2)
+
+
 # (p, n), d, s, coeffs and the repr-exact lambda_second, argmax_m and
 # lambda_mixing of the closed-form affine spectrum.  Over F_9 with s = 4 the
-# connection set lies in a coset: lambda_mixing is the degree 9^6.
+# connection set lies in a coset: lambda_mixing is the degree 9^6.  For s = 2
+# every cell of a slice m0 != 0 has the modulus q^d up to rounding, and
+# argmax_m is the first cell of the first maximising rows, not the cell whose
+# complex product happens to round highest.
 AFFINE_PINS = [
-    ((23, 1), 2, 2, None, 529.0000000000013, 483173, 529.0000000000013),
+    ((23, 1), 2, 2, None, 529.0000000000013, 2391560, 529.0000000000013),
     ((5, 1), 1, 3, None, 13.090169943749475, 34, 13.090169943749475),
     ((5, 2), 1, 3, None, 100.0, 625, 100.0),
-    ((7, 1), 2, 2, (1, 2), 49.00000000000003, 4855, 49.00000000000003),
+    ((7, 1), 2, 2, (1, 2), 49.00000000000001, 2401, 49.00000000000001),
     ((3, 2), 2, 2, None, 81.0000000000001, 9001, 81.0000000000001),
     ((13, 1), 2, 3, (2, 5), 1597.4282157187304, 85862, 1597.4282157187304),
     ((3, 2), 3, 4, None, 729.0000000000014, 531441, 531441.0),
@@ -318,17 +377,39 @@ def test_affine_summary_constants_are_pinned(pn, d, s, coeffs, lam, arg, lam_mix
     assert got == (repr(lam), arg, repr(lam_mixing))
 
 
-def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
-    ctx = FieldContext(23)
-    table_bytes = 23 ** 5 * np.dtype(np.complex128).itemsize  # 103 MB
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        spec, _ = affine_cayley_spectrum(ctx, 2, 2)
+        out = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < table_bytes / 4
+    return out, peak
+
+
+def test_affine_spectrum_peaks_below_a_quarter_of_its_table():
+    # The summary reads the 23 x 23 Weil sums, not the 103 MB table.
+    (spec, _), peak = _traced_peak(affine_cayley_spectrum, FieldContext(23), 2, 2)
+    assert peak < 2 ** 20
     assert repr(spec.lambda_second) == "529.0000000000013"
+
+
+def test_weil_sums_are_filled_without_their_cube():
+    # Over F_211 the (a, b, u) cube of W would be 150 MB of complex cells;
+    # the blocked fill holds one row of it at a time.
+    (spec, _), peak = _traced_peak(affine_cayley_spectrum, FieldContext(211), 1, 3)
+    assert peak < 6 * 2 ** 20
+    assert repr(spec.lambda_second) == "804.1397129466183"
+
+
+@pytest.mark.parametrize("block", [1, 30, 600, 1 << 16])
+def test_blocked_weil_sums_equal_the_cube_bit_for_bit(block, monkeypatch):
+    # F_47 takes two row blocks at the default size, the others one.
+    monkeypatch.setattr(spectra_mod, "_SCAN_BLOCK", block)
+    for pn, s in [((5, 1), 3), ((3, 2), 4), ((23, 1), 2), ((47, 1), 3)]:
+        ctx = FieldContext(*pn)
+        got = spectra_mod._weil_sums(ctx, s).view(np.uint64)
+        assert np.array_equal(got, weil_sums_cube(ctx, s).view(np.uint64))
 
 
 def test_affine_table_is_built_only_when_read(tmp_path):
@@ -389,9 +470,9 @@ def test_cayley_spectrum_holds_no_table_and_rebuilds_it(p, n, d):
 
 
 def test_sumset_runner_and_spectrum_affine_never_build_the_affine_table(
-        monkeypatch, capsys):
-    # Each affine slice is read once, by the scan, and only one slice at a
-    # time is alive: the runner and the command never hold the table.
+        monkeypatch, capsys, tmp_path):
+    # The summary comes from the Weil sums alone: the runner and the command
+    # read no slice, and `--out` reads the q slices once, one at a time.
     real = spectra_mod._affine_slices
     passes = []
 
@@ -405,10 +486,12 @@ def test_sumset_runner_and_spectrum_affine_never_build_the_affine_table(
     plan = ExperimentPlan(p=7, d=2, k=3, s=2, sizes=(3, 6), sizes_mode="absolute",
                           x_sizes=(1, 3), trials=2, seed=1)
     assert sumset_experiment(plan).hard_failures == 0
-    assert passes == [7]
-    assert cli_main(["spectrum", "affine", "--p", "5", "--d", "1", "--s", "3"]) == 0
+    argv = ["spectrum", "affine", "--p", "5", "--d", "1", "--s", "3"]
+    assert cli_main(argv) == 0
+    assert passes == []
+    assert cli_main(argv + ["--out", str(tmp_path / "spectrum.txt")]) == 0
     capsys.readouterr()
-    assert passes == [7, 5]
+    assert passes == [5]
 
 
 def _coset_spectra(ctx):
@@ -515,14 +598,8 @@ def test_corrupted_nontrivial_eigenvalue_fails_parseval(monkeypatch):
     v = builtin_variety(F5, "sphere", 2, 1)
     with pytest.raises(InvariantError, match="Parseval"):
         cayley_spectrum(F5, v.indices, d=2)
-    # Many slices: the affine spectrum, corrupted in its third slice only.
-    real_slices = spectra_mod._affine_slices
-
-    def corrupted(*args):
-        for m0, part in enumerate(real_slices(*args)):
-            yield _double_largest_after_the_first(part) if m0 == 2 else part
-
-    monkeypatch.setattr(spectra_mod, "_affine_slices", corrupted)
+    # The affine spectrum: one of its Weil sums, W(2, 4), doubled.
+    _corrupt_weil_sums(monkeypatch, 2, 4)
     with pytest.raises(InvariantError, match="Parseval"):
         affine_cayley_spectrum(F5, 1, 3)
 
