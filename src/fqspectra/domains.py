@@ -40,7 +40,9 @@ _MATMUL_P_MAX = 373
 #     table's own dtype, and the `energy.nu_P_k` shift sum of that binned
 #     table, of mass |X| * |E|^k;
 #   * the growth-audit correlation in `energy.energy_growth_audit`, of mass
-#     |V| * |E|^(k/2), and its dot product with r_{k/2-1};
+#     |V| * |E|^(k/2), and its dot product with r_{k/2-1}, both built only
+#     when the edge count at the origin (`energy._fold_at_zero`, a float
+#     below 2^53 rounded to a Python int) refuses;
 #   * the mixing weights in `spectra.mixing_audit`: e, |B|, |C| and sum m^2
 #     per pair, segment sums over the ragged entries, under (n + degree) *
 #     mass^2 for the block's largest multiset mass; the product of the sums

@@ -11,17 +11,22 @@ The transforms are direct DFTs over (Z_p)^(nd), one BLAS matmul per axis
 (`_rfft`, `_irfft`), and numpy.fft only for p above the measured crossover
 `_MATMUL_P_MAX`, in the same half-spectrum layout.
 
-A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and builds each at
-most once.  It also holds the real-input transform of its indicator, taken
-once, so that every certified transform fold of the subset, of any depth, is
-one inverse transform.  A ladder is the one form in which a subset reaches the
-counts and audits here, the growth audit's variety included.  `nu_k` bins a
-fold by any value table, and the generalized distance set (`delta_set`) and
-nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both read off that one
-binned table.
+A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and its even
+energies, and builds each at most once.  It also holds the real-input
+transform of its indicator, taken once, so that every certified transform
+fold of the subset, of any depth, is one inverse transform.  An energy, like
+the growth audit's edge count, is one fold's value at the origin, so it needs
+no inverse transform: it is one weighted sum over the held half spectra
+(`_fold_at_zero`), under a certificate of its own, and only when that refuses
+is a fold table built and summed.  A ladder is the one form in which a subset
+reaches the counts and audits here, the growth audit's variety included.
+`nu_k` bins a fold by any value table, and the generalized distance set
+(`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
+read off that one binned table.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,16 +114,29 @@ def _norms(table: np.ndarray) -> tuple:
     return s, math.sqrt(_exact_dot(table, table, s * int(table.max(initial=0))))
 
 
-def _certificate(dom: PointDomain, factors):
+def _at_zero_error_bound(dom: PointDomain, sizes, norms) -> float:
+    """A priori bound on |computed - exact| of the value at z = 0 of the
+    transform fold of two or more factors, as `_fold_at_zero` reads it (see
+    `fold_counts`, step 3')."""
+    u = 2.0 ** -53
+    n = (dom.ctx.p // 2 + 1) * (dom.size // dom.ctx.p)
+    grow = (1 + n * u / (1 - n * u)) * (1 + u) - 1
+    pair = min(norms[a] * norms[b] * math.prod(s for i, s in enumerate(sizes) if i not in (a, b))
+               for a, b in itertools.combinations(range(len(sizes)), 2))
+    bound = _fold_error_bound(dom, sizes, norms)
+    return bound + grow * (pair + bound)
+
+
+def _certificate(dom: PointDomain, factors, at_zero: bool = False):
     """(mass, B) of the transform fold of `factors`, ((l1, l2), power) pairs,
-    or None when the mass reaches 2^53 or B is not below 1/2 (see
-    `fold_counts`)."""
+    or of its value at z = 0 when `at_zero`, or None when the mass reaches
+    2^53 or B is not below 1/2 (see `fold_counts`)."""
     sizes = [s for (s, _), power in factors for _ in range(power)]
     mass = math.prod(sizes)
     if mass >= _FLOAT_EXACT:
         return None
     norms = [l for (_, l), power in factors for _ in range(power)]
-    bound = _fold_error_bound(dom, sizes, norms)
+    bound = (_at_zero_error_bound if at_zero else _fold_error_bound)(dom, sizes, norms)
     return (mass, bound) if bound < 0.5 else None
 
 
@@ -188,11 +206,7 @@ def _transform_fold(dom: PointDomain, factors):
     if cert is None:
         return None
     mass, bound = cert
-    prod = None
-    for _, hat, power in factors:
-        for _ in range(power):
-            prod = hat if prod is None else prod * hat
-    real = _irfft(dom, prod)
+    real = _irfft(dom, _product(factors))
     r = np.rint(real)
     if np.max(np.abs(real - r), initial=0.0) > bound:
         return None
@@ -200,6 +214,38 @@ def _transform_fold(dom: PointDomain, factors):
     if np.min(r, initial=0) < 0 or _exact_total(r) != mass:
         return None
     return r
+
+
+def _fold_at_zero(dom: PointDomain, factors):
+    """The value at z = 0 of the transform fold of two or more factors, given
+    as to `_transform_fold` (the conjugate half spectrum for a reflected
+    factor f(-.)), as an exact int, or None when the certificate of
+    `fold_counts` step 3' fails.  No inverse transform: the value is
+    N^-1 sum_m G(m) over the full grid, the weighted sum of the product G over
+    the half grid, weights 1 on axis-0 frequency 0 and 2 on the others."""
+    cert = _certificate(dom, [(norms, power) for norms, _, power in factors], at_zero=True)
+    if cert is None:
+        return None
+    mass, bound = cert
+    rows = _product(factors).real.reshape(dom.ctx.p // 2 + 1, -1).sum(axis=1)
+    value = (rows[0] + 2.0 * rows[1:].sum()) / dom.size
+    r = np.rint(value)
+    if abs(value - r) > bound or not 0 <= r <= mass:
+        return None
+    return int(r)
+
+
+def _product(factors) -> np.ndarray:
+    """The bin-by-bin product of the factors' half spectra, each to its power,
+    multiplied in order into one new array (the first hat itself for a
+    single factor)."""
+    hats = [hat for _, hat, power in factors for _ in range(power)]
+    if len(hats) == 1:
+        return hats[0]
+    prod = hats[0] * hats[1]
+    for hat in hats[2:]:
+        prod *= hat
+    return prod
 
 
 def _limbs(table: np.ndarray, w: int) -> list:
@@ -332,6 +378,31 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     (e and e' in their place).  For |E| = 345, j = 3 over F_31^3, B is
     about 6e-6.
 
+    Fold at the origin.  Where one cell r(0) = N^-1 sum_m G(m) is all that
+    is read, `_fold_at_zero` takes it with no inverse transform: an energy
+    Lambda_2h = (r_h (*) r_h(-.))(0) and the growth audit's edge count are
+    such cells, the half spectrum of a reflected real factor f(-.) being the
+    conjugate of f's.  The sum of the Hermitian extension of G~ over the full
+    grid is Re sum w G~ over the n = h N / p bins of the half grid, w = 1 on
+    axis-0 frequency 0 and 2 on 1..(p-1)/2 (p is odd), so step 3 becomes:
+
+    3'. Sum: Higham's (3.5), with the weights exact, bounds the rounding of
+       sum w x, taken in any order, by gamma_n sum w |x|, and sum w |G~| is
+       the l1 norm of the extension, at most ||G||_1 + ||G~ - G||_1 <=
+       N P + N D, where P = min over a != b of l_a l_b prod_{i != a, b} s_i
+       (Cauchy-Schwarz and Parseval on two factors, |F_i| <= s_i on the
+       rest).  The exact sum of the extension is within ||G~ - G||_1 <= N D
+       of N r(0), and the division by N adds u relative.  So |r~(0) - r(0)|
+       <= D + ((1 + gamma_n)(1 + u) - 1)(P + D), at most B0 = B + ((1 +
+       gamma_n)(1 + u) - 1)(P + B), as D <= B.
+
+    Its certificate is the fold's, with B0 in place of B and the one value
+    in place of the table: mass < 2^53, B0 < 1/2, the observed residual at
+    most B0, and the rounded value in [0, mass].  When it fails the caller
+    builds the fold table instead.  For |E| = 561 over F_27^3, Lambda_4 has
+    B0 about 1.5e-3, against B about 1.2e-3 for the table of the same four
+    factors, r_4.
+
     Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
     a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
     fold with its own certificate.  w is the widest width, at most 63 so that
@@ -367,21 +438,25 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
 
 
 class FoldLadder:
-    """The fold tables r_1, r_2, ... of one subset E of F_q^d.
+    """The fold tables r_1, r_2, ... and the even energies of one subset E of
+    F_q^d.
 
     Holds E as flat indices and builds depth j on first use by one call to
     `fold_counts`, passing itself, so that a deep fold is composed from the
-    tables already held here; no depth is built twice.  The half spectrum of
-    E's indicator is taken on first need and held too, so every certified
-    transform fold of E, of any depth, is one inverse transform.  It keeps
-    its tables for its own lifetime only, so callers make one per subset and
-    drop it with the subset.
+    tables already held here; no depth is built twice.  Lambda_k is held the
+    same way, built on first use by one call to `lambda_k`.  The half
+    spectrum of E's indicator and its norms are taken on first need and held
+    too, so every certified transform fold of E, of any depth, is one
+    inverse transform, and every certified energy none.  It keeps its tables for its own
+    lifetime only, so callers make one per subset and drop it with the
+    subset.
     """
 
     def __init__(self, dom: PointDomain, E):
         self.dom = dom
         self.indices = dom.as_indices(E)
         self._tables = {}
+        self._energies = {}
         self._hat = None
 
     def __len__(self) -> int:
@@ -396,20 +471,50 @@ class FoldLadder:
             self._tables[j] = fold_counts(self.dom, self, j)
         return self._tables[j]
 
+    def energy(self, k: int) -> int:
+        if k not in self._energies:
+            self._energies[k] = lambda_k(self, k)
+        return self._energies[k]
+
     def transform(self) -> np.ndarray:
-        """`_rfft` of E's indicator, taken once and held."""
+        """`_rfft` of E's indicator, taken once and held; a table over F_q^d,
+        so under the fold budget."""
         if self._hat is None:
+            require_table_budget(self.dom, "fold")
             self._hat = _rfft(self.dom, np.bincount(self.indices, minlength=self.dom.size))
         return self._hat
+
+    def factors(self, power: int, reflected: int = 0) -> list:
+        """The `_transform_fold` factors of the fold of `power` copies of E's
+        indicator and `reflected` copies of its reflection 1_E(-.), whose half
+        spectrum is the conjugate of E's, the indicator being real."""
+        hat = self.transform()   # checks the budget before any table over F_q^d
+        hats = ((hat, power), (hat.conj() if reflected else None, reflected))
+        return [(self.norms, h, n) for h, n in hats if n]
+
+    @functools.cached_property
+    def norms(self) -> tuple:
+        """`_norms` of E's indicator, held."""
+        return _norms(self.fold(1).values)
 
 
 def lambda_k(E: FoldLadder, k: int) -> int:
     """k-energy of E: ordered k-tuples whose two half-sums agree, the sum of
-    r_{k/2}^2, for even k >= 2."""
+    r_{k/2}^2, for even k >= 2.
+
+    Lambda_2 is the dot product of the depth-1 table with itself.  From k = 4
+    on, Lambda_k = (r_{k/2} (*) r_{k/2}(-.))(0) is read off E's held half
+    spectrum H as N^-1 sum_m |H(m)|^k (`_fold_at_zero`), and only when that
+    refuses is r_{k/2} built and squared.  `FoldLadder.energy` holds it."""
     if k % 2 != 0 or k < 2:
         raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
                         "odd k is handled through the product of neighbours")
-    r = E.fold(k // 2).values
+    half = k // 2
+    if half > 1:
+        lam = _fold_at_zero(E.dom, E.factors(half, half))
+        if lam is not None:
+            return lam
+    r = E.fold(half).values
     return _exact_dot(r, r, len(E) ** k)
 
 
@@ -422,10 +527,10 @@ def energy_term(E: FoldLadder, k: int) -> tuple:
     {"k_energy_product": lo * hi} for odd k.
     """
     if k % 2 == 0:
-        lam = lambda_k(E, k)
+        lam = E.energy(k)
         return lam, lam, {"k_energy": lam}
-    lo = lambda_k(E, k - 1)
-    hi = lambda_k(E, k + 1)
+    lo = E.energy(k - 1)
+    hi = E.energy(k + 1)
     return lo, hi, {"k_energy_product": lo * hi}
 
 
@@ -530,7 +635,15 @@ def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> F
 # with the graph's *measured* second eigenvalue and *exact* degree: in that
 # form the inequality is a theorem, so a violation is a hard bug.  The
 # normalized variant (degree replaced by q^{d-1}, eigenvalue by its classical
-# ceiling) is reported alongside as data, never asserted.
+# ceiling) is reported alongside as data, never asserted.  Main terms are
+# rationals num / den, kept as the two ints.
+
+
+def _gap(count: int, num: int, den: int) -> float:
+    """count - num / den, correctly rounded to a float: one int / int true
+    division, which Python rounds correctly, so it is bit for bit
+    float(Fraction(count) - Fraction(num, den))."""
+    return (den * count - num) / den
 
 
 @dataclass(frozen=True)
@@ -562,39 +675,40 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
     because E is contained in V).  The normalized gap against |E|^{k-1}/q is
     reported only.
 
-    The correlation acc below is the fold 1_{-V} (*) r_{k/2}, exact by the
-    engine of `fold_counts`: the certified transform of the two indicators,
-    the conjugate of V's held half spectrum (the half spectrum of 1_{-V}, for
-    real 1_V) times E's to the power k/2, or else limb products of 1_{-V} and
-    r_{k/2}.
+    e = sum_u r_{k/2-1}(u) acc(u), with the correlation acc(u) = sum_{v in V}
+    r_{k/2}(u + v) = (1_{-V} (*) r_{k/2})(u), is the fold of 1_{-V}, r_{k/2}
+    and r_{k/2-1}(-.) at 0.  It is read off the held half spectra
+    (`_fold_at_zero`): the conjugate of V's, for the reflected 1_V, times
+    E's to the power k/2 and its conjugate to the power k/2 - 1.  Only when
+    that refuses is acc built, exact by the engine of `fold_counts`: the
+    certified transform of the two indicators, or else limb products of
+    1_{-V} and r_{k/2}.
     """
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
     dom = E.dom
-    if not np.isin(E.indices, V.indices).all():
+    if not V.fold(1).values[E.indices].all():
         raise ValueError("E must be a subset of the variety")
     half = k // 2
     e_size = len(E)
-    # e = sum_u r_{k/2-1}(u) * acc(u), acc(u) = sum_{v in V} r_{k/2}(u + v):
-    # acc is the fold of 1_{-V} with r_{k/2}, of mass |V| |E|^{k/2}.
-    acc_mass = len(V) * e_size ** half
-    acc = None
-    if _table_dtype(acc_mass) is np.int64:
-        # 1_{-V} has the norms of 1_V, and its half spectrum is V's conjugate.
-        acc = _transform_fold(dom, [(_norms(V.fold(1).values), V.transform().conj(), 1),
-                                    (_norms(E.fold(1).values), E.transform(), half)])
-    if acc is None:
-        neg_v = np.bincount(dom.index_neg(V.indices), minlength=dom.size)
-        acc = _convolve(dom, neg_v, E.fold(half).values)
-    e = _exact_dot(E.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
-    lam_k = lambda_k(E, k)
-    lam_km2 = lambda_k(E, k - 2)
-    main = Fraction(len(V) * e_size ** (k - 1), dom.size)
-    deviation = abs(float(Fraction(e) - main))
+    e = _fold_at_zero(dom, V.factors(0, 1) + E.factors(half, half - 1))
+    if e is None:
+        # acc is of mass |V| |E|^{k/2}.
+        acc_mass = len(V) * e_size ** half
+        acc = None
+        if _table_dtype(acc_mass) is np.int64:
+            acc = _transform_fold(dom, V.factors(0, 1) + E.factors(half))
+        if acc is None:
+            neg_v = np.bincount(dom.index_neg(V.indices), minlength=dom.size)
+            acc = _convolve(dom, neg_v, E.fold(half).values)
+        e = _exact_dot(E.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
+    lam_k = E.energy(k)
+    lam_km2 = E.energy(k - 2)
+    main = len(V) * e_size ** (k - 1)   # over q^d
+    deviation = abs(_gap(e, main, dom.size))
     bound = graph.lambda_mixing * math.sqrt(float(lam_km2) * float(lam_k))
     contained = lam_k <= e
-    norm_main = Fraction(e_size ** (k - 1), dom.ctx.q)
-    norm_dev = abs(float(Fraction(lam_k) - norm_main))
+    norm_dev = abs(_gap(lam_k, e_size ** (k - 1), dom.ctx.q))
     norm_bound = 2.0 * dom.ctx.q ** ((dom.d - 1) / 2) * math.sqrt(float(lam_km2) * float(lam_k))
     return InequalityAudit(
         name="energy-growth", deviation=deviation, bound=bound,
@@ -602,7 +716,7 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
         normalized_deviation=norm_dev, normalized_bound=norm_bound,
         normalized_ok=within_slack(norm_dev, norm_bound),
         detail={"k": k, "size": e_size, "edge_count": e, "k_energy": lam_k,
-                "energy_upper_slack": e - lam_k, "main": float(main)})
+                "energy_upper_slack": e - lam_k, "main": main / dom.size})
 
 
 def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
@@ -618,8 +732,8 @@ def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
     sq = second_moment(table)
     lo, hi, _ = energy_term(E, k)
     energy = float(lo) * float(hi)
-    main = Fraction(x_size ** 2 * e_size ** (2 * k), dom.ctx.q)
-    excess = float(Fraction(sq) - main)   # audit is one-sided
+    main = x_size ** 2 * e_size ** (2 * k)   # over q
+    excess = _gap(sq, main, dom.ctx.q)   # audit is one-sided
     bound = graph.lambda_mixing * x_size * energy
     norm_bound = float(dom.ctx.q ** dom.d) * x_size * energy
     return InequalityAudit(
@@ -628,7 +742,7 @@ def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
         normalized_deviation=max(excess, 0.0), normalized_bound=norm_bound,
         normalized_ok=within_slack(max(excess, 0.0), norm_bound),
         detail={"k": k, "size": e_size, "x_size": x_size,
-                "second_moment": sq, "main": float(main)})
+                "second_moment": sq, "main": main / dom.ctx.q})
 
 
 def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
@@ -653,11 +767,10 @@ def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
     out = []
     for t in ts:
         graph = graphs_by_t[t]
-        main = Fraction(graph.degree * e_size ** k, dom.size)
-        deviation = abs(float(Fraction(table[t]) - main))
+        main = graph.degree * e_size ** k   # over q^d
+        deviation = abs(_gap(table[t], main, dom.size))
         bound = graph.lambda_mixing * energy
-        norm_main = Fraction(e_size ** k, q)
-        norm_dev = abs(float(Fraction(table[t]) - norm_main))
+        norm_dev = abs(_gap(table[t], e_size ** k, q))
         norm_bound = 2.0 * q ** ((dom.d - 1) / 2) * energy
         out.append(InequalityAudit(
             name="nu-deviation", deviation=deviation, bound=bound,
@@ -665,7 +778,7 @@ def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
             normalized_deviation=norm_dev, normalized_bound=norm_bound,
             normalized_ok=within_slack(norm_dev, norm_bound),
             detail={"t": t, "nu_t": table[t], "k": k, "size": e_size,
-                    "main": float(main), **energy_detail}))
+                    "main": main / dom.size, **energy_detail}))
     return out
 
 
@@ -674,7 +787,7 @@ def energy_recursion_ratio(E: FoldLadder, k: int) -> dict:
     q^{(d-1)(k-2)/2} |E| + |E|^{k-1}/q.  Reported, never asserted."""
     if k % 2 != 0 or k < 2:
         raise OddKError(f"energy recursion ratio needs even k, got {k}")
-    lam = lambda_k(E, k)
+    lam = E.energy(k)
     q, d, size = E.dom.ctx.q, E.dom.d, len(E)
     denom = q ** ((d - 1) * (k - 2) / 2) * size + size ** (k - 1) / q
     return {"k": k, "size": size, "k_energy": lam,

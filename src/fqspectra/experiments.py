@@ -27,7 +27,6 @@ from .energy import (
     energy_growth_audit,
     energy_recursion_ratio,
     energy_term,
-    lambda_k,
     nu_deviation_audits,
     nu_k,
     nu_P_k,
@@ -59,6 +58,13 @@ def _derive_rng(seed: int, trial: int, salt: str = "subset") -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _trial_order(variety: Variety, seed: int, trial: int) -> list:
+    """The variety's index list, shuffled by the (seed, trial) stream."""
+    order = variety.indices.tolist()
+    _derive_rng(seed, trial).shuffle(order)
+    return order
+
+
 def sample_subset(variety: Variety, size: int, seed: int, trial: int) -> np.ndarray:
     """Uniform random size-subset of the variety, as sorted flat indices.
 
@@ -75,9 +81,23 @@ def sample_subset(variety: Variety, size: int, seed: int, trial: int) -> np.ndar
             f"requested {size} points from a variety of size {variety.size}")
     if size == variety.size:
         return variety.indices
-    order = variety.indices.tolist()
-    _derive_rng(seed, trial).shuffle(order)
-    return np.array(sorted(order[:size]), dtype=np.int64)
+    return np.array(sorted(_trial_order(variety, seed, trial)[:size]), dtype=np.int64)
+
+
+def _trial_subsets(variety: Variety, sizes, seed: int, trials: int):
+    """(size_index, trial, subset) for every size and trial, in report order:
+    the subset is `sample_subset(variety, size, seed, trial)`, cut from the
+    trial's order, which is shuffled once, on first need.  The sizes are
+    within [0, variety.size], as `ExperimentPlan.resolve_sizes` gives them."""
+    orders = {}
+    for size_index, size in enumerate(sizes):
+        for trial in range(trials):
+            if size == variety.size:
+                yield size_index, trial, variety.indices
+                continue
+            if trial not in orders:
+                orders[trial] = _trial_order(variety, seed, trial)
+            yield size_index, trial, np.array(sorted(orders[trial][:size]), dtype=np.int64)
 
 
 def sample_scalar_subset(q: int, size: int, seed: int, trial: int):
@@ -290,32 +310,31 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     hard_failures = 0
     sizes = plan.resolve_sizes(variety.size)
     k, q = plan.k, ctx.q
-    for size_index, size in enumerate(sizes):
-        for trial in range(plan.trials):
-            E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
-            rec = {"size_index": size_index, "trial": trial, "size": len(E)}
-            table = nu_k(E, qvals, k)
-            nonzero_t = [table[t] for t in range(1, q)]
-            rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
-            ds = delta_set(table)
-            rec["covers_Fq_star"], rec["covers_Fq"] = ds.covers_Fq_star, ds.covers_Fq
-            if len(E) > 0:
-                main = len(E) ** k / q
-                rec["rel_deviation"] = max(abs(table[t] / main - 1) for t in range(1, q))
-                lo, hi, _ = energy_term(E, k)
-                rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
-                                            * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
-                audits = nu_deviation_audits(E, table, k, graphs)
-                failures = sum(1 for a in audits if not a.ok)
-                rec["audit_failures"] = failures
-                rec["max_audit_gap_used"] = max(
-                    (a.deviation / a.bound if a.bound else 0.0) for a in audits)
-                hard_failures += failures
-            else:
-                rec["rel_deviation"] = None
-                rec["hypothesis_margin"] = None
-                rec["audit_failures"] = 0
-            records.append(rec)
+    for size_index, trial, subset in _trial_subsets(variety, sizes, plan.seed, plan.trials):
+        E = FoldLadder(dom, subset)
+        rec = {"size_index": size_index, "trial": trial, "size": len(E)}
+        table = nu_k(E, qvals, k)
+        nonzero_t = [table[t] for t in range(1, q)]
+        rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
+        ds = delta_set(table)
+        rec["covers_Fq_star"], rec["covers_Fq"] = ds.covers_Fq_star, ds.covers_Fq
+        if len(E) > 0:
+            main = len(E) ** k / q
+            rec["rel_deviation"] = max(abs(table[t] / main - 1) for t in range(1, q))
+            lo, hi, _ = energy_term(E, k)
+            rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
+                                        * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
+            audits = nu_deviation_audits(E, table, k, graphs)
+            failures = sum(1 for a in audits if not a.ok)
+            rec["audit_failures"] = failures
+            rec["max_audit_gap_used"] = max(
+                (a.deviation / a.bound if a.bound else 0.0) for a in audits)
+            hard_failures += failures
+        else:
+            rec["rel_deviation"] = None
+            rec["hypothesis_margin"] = None
+            rec["audit_failures"] = 0
+        records.append(rec)
     nonempty = [r for r in records if r["size"] > 0]
     aggregates = {
         "coverage_rate_star": (sum(1 for r in records if r["covers_Fq_star"])
@@ -346,38 +365,37 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
     q = ctx.q
     hypothesis_floor = q ** ((plan.d - 1) / 2)
     sizes = plan.resolve_sizes(variety.size)
-    for size_index, size in enumerate(sizes):
-        for trial in range(plan.trials):
-            E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
-            rec = {"size_index": size_index, "trial": trial, "size": len(E)}
-            if len(E) <= hypothesis_floor:
-                rec["skipped"] = "SubsetTooSmall"
-                records.append(rec)
-                continue
-            for k in ks:
-                if k % 2 == 0:
-                    if k == 2:
-                        lam2 = lambda_k(E, 2)
-                        rec["k2_identity_ok"] = (lam2 == len(E))
-                        if lam2 != len(E):
-                            hard_failures += 1
-                        continue
-                    rr = energy_recursion_ratio(E, k)
-                    rec[f"k{k}_energy"] = rr["k_energy"]
-                    rec[f"k{k}_ratio"] = rr["ratio"]
-                    audit = energy_growth_audit(V, E, k, graph)
-                    rec[f"k{k}_audit_ok"] = audit.ok
-                    if not audit.ok:
-                        hard_failures += 1
-                else:
-                    lo, hi, _ = energy_term(E, k)
-                    prod = lo * hi
-                    bound = (q ** ((plan.d - 1) * (k - 2)) * len(E) ** 2
-                             + q ** (((plan.d - 1) * (k - 3) - 2) / 2) * len(E) ** (k + 1)
-                             + len(E) ** (2 * k - 2) / q ** 2)
-                    rec[f"k{k}_energy_product"] = prod
-                    rec[f"k{k}_ratio"] = float(prod) / bound if bound else math.inf
+    for size_index, trial, subset in _trial_subsets(variety, sizes, plan.seed, plan.trials):
+        E = FoldLadder(dom, subset)
+        rec = {"size_index": size_index, "trial": trial, "size": len(E)}
+        if len(E) <= hypothesis_floor:
+            rec["skipped"] = "SubsetTooSmall"
             records.append(rec)
+            continue
+        for k in ks:
+            if k % 2 == 0:
+                if k == 2:
+                    lam2 = E.energy(2)
+                    rec["k2_identity_ok"] = (lam2 == len(E))
+                    if lam2 != len(E):
+                        hard_failures += 1
+                    continue
+                rr = energy_recursion_ratio(E, k)
+                rec[f"k{k}_energy"] = rr["k_energy"]
+                rec[f"k{k}_ratio"] = rr["ratio"]
+                audit = energy_growth_audit(V, E, k, graph)
+                rec[f"k{k}_audit_ok"] = audit.ok
+                if not audit.ok:
+                    hard_failures += 1
+            else:
+                lo, hi, _ = energy_term(E, k)
+                prod = lo * hi
+                bound = (q ** ((plan.d - 1) * (k - 2)) * len(E) ** 2
+                         + q ** (((plan.d - 1) * (k - 3) - 2) / 2) * len(E) ** (k + 1)
+                         + len(E) ** (2 * k - 2) / q ** 2)
+                rec[f"k{k}_energy_product"] = prod
+                rec[f"k{k}_ratio"] = float(prod) / bound if bound else math.inf
+        records.append(rec)
     ratios = {}
     for k in ks:
         vals = [r[f"k{k}_ratio"] for r in records if f"k{k}_ratio" in r]
@@ -407,39 +425,38 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     hard_failures = 0
     q, k = ctx.q, plan.k
     sizes = plan.resolve_sizes(variety.size)
-    for size_index, size in enumerate(sizes):
-        for trial in range(plan.trials):
-            E = FoldLadder(dom, sample_subset(variety, size, plan.seed, trial))
-            binned = nu_k(E, pvals, k)
-            ds = delta_set(binned)
-            for x_size in plan.x_sizes:
-                X = sample_scalar_subset(q, x_size, plan.seed, trial)
-                rec = {"size_index": size_index, "trial": trial,
-                       "size": len(E), "x_size": len(X)}
-                table = nu_P_k(ctx, binned, X)
-                ss_size = int(np.count_nonzero(table.values))
-                rec["delta_size"] = len(ds.values)
-                rec["sumset_size"] = ss_size
-                rec["verdict_cq"] = ss_size >= plan.c * q
-                if len(E) > 0:
-                    bound = sumset_lower_bound(table, len(X), len(E), k)
-                    rec["cs_bound"] = float(bound)
-                    rec["cs_bound_ok"] = ss_size >= bound
-                    if ss_size < bound:
-                        hard_failures += 1
-                    audit = second_moment_audit(E, table, len(X), k, graph)
-                    rec["second_moment"] = audit.detail["second_moment"]
-                    rec["mixing_audit_ok"] = audit.ok
-                    if not audit.ok:
-                        hard_failures += 1
-                    rec["hypothesis_margin"] = (
-                        len(X) * len(E) ** (2 * k - 2)
-                        / q ** ((plan.d - 1) * (k - 1) + 2))
-                else:
-                    rec["cs_bound"] = 0.0
-                    rec["cs_bound_ok"] = True
-                    rec["hypothesis_margin"] = 0.0
-                records.append(rec)
+    for size_index, trial, subset in _trial_subsets(variety, sizes, plan.seed, plan.trials):
+        E = FoldLadder(dom, subset)
+        binned = nu_k(E, pvals, k)
+        ds = delta_set(binned)
+        for x_size in plan.x_sizes:
+            X = sample_scalar_subset(q, x_size, plan.seed, trial)
+            rec = {"size_index": size_index, "trial": trial,
+                   "size": len(E), "x_size": len(X)}
+            table = nu_P_k(ctx, binned, X)
+            ss_size = int(np.count_nonzero(table.values))
+            rec["delta_size"] = len(ds.values)
+            rec["sumset_size"] = ss_size
+            rec["verdict_cq"] = ss_size >= plan.c * q
+            if len(E) > 0:
+                bound = sumset_lower_bound(table, len(X), len(E), k)
+                rec["cs_bound"] = float(bound)
+                rec["cs_bound_ok"] = ss_size >= bound
+                if ss_size < bound:
+                    hard_failures += 1
+                audit = second_moment_audit(E, table, len(X), k, graph)
+                rec["second_moment"] = audit.detail["second_moment"]
+                rec["mixing_audit_ok"] = audit.ok
+                if not audit.ok:
+                    hard_failures += 1
+                rec["hypothesis_margin"] = (
+                    len(X) * len(E) ** (2 * k - 2)
+                    / q ** ((plan.d - 1) * (k - 1) + 2))
+            else:
+                rec["cs_bound"] = 0.0
+                rec["cs_bound_ok"] = True
+                rec["hypothesis_margin"] = 0.0
+            records.append(rec)
     rates = {}
     if records:
         rates["verdict_rate"] = sum(1 for r in records if r["verdict_cq"]) / len(records)

@@ -118,49 +118,42 @@ class Spectrum:
 
 
 def _scan_spectrum(dom, degree, slices) -> Spectrum:
-    """The Spectrum of the eigenvalue table that `slices()` yields in order,
-    read in blocks of at most _SCAN_BLOCK cells.
+    """The Spectrum of the eigenvalue table that `slices()` yields as its one
+    slice, read in blocks of at most _SCAN_BLOCK cells.
 
     Each block's moduli are one np.abs; its largest modulus, when not within
     tolerance of the degree, is the largest kept one, and only a block whose
-    largest modulus is within tolerance takes the masked path.  Maxima and
-    first maximisers are exact, and blocks are compared with a strict `>`, so
-    the result is that of one whole-table scan, bit for bit.  The squared
-    moduli are summed on the way; InvariantError unless the sum is
-    order * degree to within 1e-6 relative (Parseval), or unless the trivial
-    eigenvalue is the degree.
+    largest modulus is within tolerance takes the masked path.  The mixing
+    maximum skips the trivial eigenvalue, the first block's first cell.
+    Maxima and first maximisers are exact, and blocks are compared with a
+    strict `>`, so the result is that of one whole-table scan, bit for bit.
+    The squared moduli are summed on the way; InvariantError unless the sum
+    is order * degree to within 1e-6 relative (Parseval), or unless the
+    trivial eigenvalue is the degree.
     """
+    (table,) = slices()
+    if abs(table[0] - degree) > 1e-9 * max(1.0, degree):
+        raise InvariantError(f"trivial eigenvalue {table[0]} != degree {degree}; "
+                             "spectrum inconsistent")
     tol = _DEGREE_EQ_RTOL * max(1.0, degree)
     arg, lam = 0, -1.0  # lam < 0 until a modulus is kept
     arg_mixing, lam_mixing = 0, -1.0  # lam_mixing < 0 until an m != 0 is read
-    energy, offset = 0.0, 0
-    for part in slices():
-        for start in range(0, len(part), _SCAN_BLOCK):
-            block = part[start:start + _SCAN_BLOCK]
-            mods = np.abs(block)
-            energy += float(np.dot(mods, mods))
-            hi = int(np.argmax(mods))
-            top = mods[hi]
-            if offset == 0:
-                lam0 = block[0]
-                if abs(lam0 - degree) > 1e-9 * max(1.0, degree):
-                    raise InvariantError(
-                        f"trivial eigenvalue {lam0} != degree {degree}; "
-                        "spectrum inconsistent")
-                if len(block) > 1:
-                    arg_mixing = 1 + int(np.argmax(mods[1:]))
-                    lam_mixing = float(mods[arg_mixing])
-            elif top > lam_mixing:
-                arg_mixing, lam_mixing = offset + hi, float(top)
-            if abs(top - degree) > tol:
-                i, value = hi, top
-            else:
-                masked = np.where(np.abs(mods - degree) > tol, mods, -1.0)
-                i = int(np.argmax(masked))
-                value = masked[i]
-            if value > lam:
-                arg, lam = offset + i, value
-            offset += len(block)
+    energy = 0.0
+    for start in range(0, len(table), _SCAN_BLOCK):
+        mods = np.abs(table[start:start + _SCAN_BLOCK])
+        energy += float(np.dot(mods, mods))
+        skip = 1 if start == 0 else 0
+        if len(mods) > skip:
+            hi = skip + int(np.argmax(mods[skip:]))
+            if mods[hi] > lam_mixing:
+                arg_mixing, lam_mixing = start + hi, float(mods[hi])
+        kept = mods
+        i = int(np.argmax(kept))
+        if abs(kept[i] - degree) <= tol:
+            kept = np.where(np.abs(mods - degree) > tol, mods, -1.0)
+            i = int(np.argmax(kept))
+        if kept[i] > lam:
+            arg, lam = start + i, kept[i]
     expected = float(dom.size * degree)
     if abs(energy - expected) > 1e-6 * expected:
         raise InvariantError(

@@ -943,7 +943,7 @@ def test_ladder_builds_each_depth_once(monkeypatch):
     energy_term(ladder, 3)
     lambda_k(ladder, 2)
     energy_recursion_ratio(ladder, 4)
-    assert sorted(depths) == [1, 2, 3]
+    assert sorted(depths) == [1, 3]     # Lambda_4 is read off the half spectrum
     assert len(ladder) == 6
 
 
@@ -1101,3 +1101,149 @@ sys.exit(1)
                           text=True, env={"PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "fold mass conservation violated" in proc.stdout
+
+
+# -- energies and the growth audit's edge count at the origin ------------------
+
+# (p, n, d) of F_5^2, F_9^2, F_27^3 and F_31^3
+ORIGIN_DOMAINS = [(5, 1, 2), (3, 2, 2), (3, 3, 3), (31, 1, 3)]
+
+
+def _counting_at_zero(monkeypatch):
+    """Record what every `_fold_at_zero` call returns (None for a refusal)."""
+    seen = []
+    original = energy_mod._fold_at_zero
+
+    def counting(dom, factors):
+        seen.append(original(dom, factors))
+        return seen[-1]
+
+    monkeypatch.setattr(energy_mod, "_fold_at_zero", counting)
+    return seen
+
+
+def _fold_path_only(monkeypatch):
+    monkeypatch.setattr(energy_mod, "_fold_at_zero", lambda dom, factors: None)
+
+
+def _brute_energy(dom, idx, k):
+    """sum_z r_{k/2}(z)^2, the k/2-fold sums of idx counted one tuple at a time."""
+    sums = Counter()
+    for tup in itertools.product([int(i) for i in idx], repeat=k // 2):
+        z = 0
+        for i in tup:
+            z = index_add(dom, z, i)
+        sums[z] += 1
+    return sum(c * c for c in sums.values())
+
+
+def _origin_subsets(dom, seed):
+    """Flat index arrays: a set, a multiset and a larger set."""
+    rng = random.Random(seed)
+    subsets = [rng.sample(range(dom.size), 4), rng.choices(range(dom.size), k=4) * 2,
+               rng.sample(range(dom.size), min(30, dom.size // 2))]
+    return [np.array(sorted(idx), dtype=np.int64) for idx in subsets]
+
+
+@pytest.mark.parametrize("p,n,d", ORIGIN_DOMAINS)
+def test_energies_at_the_origin_equal_the_fold_path_and_brute_force(monkeypatch, p, n, d):
+    dom = PointDomain(FieldContext(p, n), d)
+    subsets = _origin_subsets(dom, p * n * d)
+    with monkeypatch.context() as m:
+        _fold_path_only(m)
+        want = {(i, k): lambda_k(FoldLadder(dom, idx), k)
+                for i, idx in enumerate(subsets) for k in (4, 6, 8)}
+    seen = _counting_at_zero(monkeypatch)
+    for i, idx in enumerate(subsets):
+        for k in (4, 6, 8):
+            got = lambda_k(FoldLadder(dom, idx), k)
+            assert got == want[i, k]
+            if len(idx) <= 8 and k <= 6:
+                assert got == _brute_energy(dom, idx, k)
+    if n == 1:
+        assert want[0, 4] == brute_lambda(p, [point_of(dom, i) for i in subsets[0]], 4)
+    # the small subsets certify at every k; 30 points refuse only at k = 8
+    # over F_31^3, where the a priori bound passes 1/2
+    refused = [key for key, value in zip(want, seen) if value is None]
+    assert refused == ([(2, 8)] if p == 31 else [])
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("p,n,d,family", [(5, 1, 2, "sphere"), (3, 2, 2, "sphere"),
+                                          (5, 1, 2, "paraboloid"), (3, 3, 3, "sphere")])
+def test_growth_edge_count_at_the_origin_equals_the_correlation(monkeypatch, p, n, d, family,
+                                                                k):
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    v = builtin_variety(ctx, family, d, 1)
+    graph = cayley_spectrum(ctx, v.indices, d=d)
+    rng = random.Random(p * n * d + k)
+    subsets = [np.array(sorted(rng.sample(v.indices.tolist(), min(5, v.size)))), v.indices]
+    for E in subsets:
+        with monkeypatch.context() as m:
+            _fold_path_only(m)
+            want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k,
+                                       graph).as_dict()
+        with monkeypatch.context() as m:
+            seen = _counting_at_zero(m)
+            got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k, graph)
+        assert got.as_dict() == want
+        # the edge count certifies on the small subsets; |V|^6 passes 2^53 on F_27^3
+        assert seen[0] == (None if (p ** n, k, len(E)) == (27, 6, v.size)
+                           else got.detail["edge_count"])
+
+
+def test_growth_correlation_fall_back_switches_to_big_integers(monkeypatch):
+    v = builtin_variety(F5, "sphere", 2, 1)
+    dom = PointDomain(F5, 2)
+    graph = cayley_spectrum(F5, v.indices, d=2)
+    E = sorted(random.Random(4).sample(list(v.points), 3))
+    want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
+    _fold_path_only(monkeypatch)
+    monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
+    got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
+    assert got.as_dict() == want.as_dict()
+
+
+def test_refused_energies_equal_the_certified_ones(monkeypatch):
+    dom = PointDomain(FieldContext(3, 2), 2)
+    subsets = _origin_subsets(dom, 9)
+    want = [lambda_k(FoldLadder(dom, idx), k) for idx in subsets for k in (4, 6)]
+    calls = _refuse_indicator_transforms(monkeypatch)
+    seen = _counting_at_zero(monkeypatch)
+    assert [lambda_k(FoldLadder(dom, idx), k) for idx in subsets for k in (4, 6)] == want
+    assert seen == [None] * len(want)
+    assert calls                       # r_3 = r_2 (*) r_1 by limb products
+
+
+@pytest.mark.parametrize("p,n,d", ORIGIN_DOMAINS[:3])
+def test_corrupted_held_spectrum_is_refused_never_miscounted(monkeypatch, p, n, d):
+    # One bin of the held half spectrum is off by 1/2: the value at the
+    # origin refuses, and so does the indicator fold that reads the same held
+    # spectrum, so the count comes from limb products of fresh transforms.
+    ctx = FieldContext(p, n)
+    dom = PointDomain(ctx, d)
+    v = builtin_variety(ctx, "sphere", d, 1)
+    graph = cayley_spectrum(ctx, v.indices, d=d)
+    idx = np.array(sorted(random.Random(p).sample(v.indices.tolist(), min(6, v.size - 1))))
+    lam = lambda_k(FoldLadder(dom, idx), 4)
+    audit = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, idx), 4,
+                                graph).as_dict()
+    seen = _counting_at_zero(monkeypatch)
+    E, V = FoldLadder(dom, idx), FoldLadder(dom, v.indices)
+    E.transform().flat[1] += 0.5
+    assert E.energy(4) == lam
+    assert energy_growth_audit(V, E, 4, graph).as_dict() == audit
+    assert seen == [None, None]         # Lambda_4, then the edge count
+    E, V = FoldLadder(dom, idx), FoldLadder(dom, v.indices)
+    V.transform().flat[1] += 0.5
+    assert energy_growth_audit(V, E, 4, graph).as_dict() == audit
+    assert seen[2:] == [None, lam]      # the edge count, then E's own Lambda_4
+
+
+@given(st.integers(0, 2 ** 200), st.integers(0, 2 ** 200), st.integers(1, 2 ** 120))
+@settings(max_examples=300, deadline=None)
+def test_gap_is_the_fraction_difference_bit_for_bit(count, num, den):
+    want = float(Fraction(count) - Fraction(num, den))
+    assert energy_mod._gap(count, num, den) == want
+    assert math.copysign(1.0, energy_mod._gap(count, num, den)) == math.copysign(1.0, want)

@@ -64,6 +64,25 @@ def test_sample_chains_are_nested():
     assert small <= large
 
 
+def test_runner_subsets_are_sample_subset_cut_from_one_shuffle_per_trial(monkeypatch):
+    v = builtin_variety(F5, "sphere", 3, 1)
+    sizes = [0, 7, 12, v.size, 3]
+    draws = []
+    real = experiments_mod._derive_rng
+
+    def counting(seed, trial, salt="subset"):
+        draws.append((seed, trial, salt))
+        return real(seed, trial, salt)
+
+    monkeypatch.setattr(experiments_mod, "_derive_rng", counting)
+    got = list(experiments_mod._trial_subsets(v, sizes, 42, 3))
+    assert draws == [(42, trial, "subset") for trial in range(3)]
+    assert [(i, trial) for i, trial, _ in got] == [(i, trial) for i in range(len(sizes))
+                                                   for trial in range(3)]
+    for i, trial, subset in got:
+        assert np.array_equal(subset, sample_subset(v, sizes[i], 42, trial))
+
+
 def test_sample_size_guard():
     v = builtin_variety(F3, "sphere", 2, 1)
     with pytest.raises(SizeExceedsVarietyError):
@@ -439,3 +458,21 @@ def test_perfbench_workload_matches_its_pinned_reference(program, name, seed):
     for kind, plan in (("setup", workloads.setup_workload(w)), ("full", w)):
         _, result = workloads.run_once(program, plan, seed)
         assert checker.check(kind, result) == [], kind
+
+
+@pytest.mark.parametrize("name,inverse", [("energy-f27", 0), ("coverage-p31", 8),
+                                          ("sumset-affine-p23", 6)])
+def test_runner_plans_inverse_transform_only_the_folds_they_bin(program, monkeypatch, name,
+                                                                inverse):
+    # Energies and edge counts are read at the origin of the held half
+    # spectra; only nu_k's fold, one per coverage or sumset trial, is a table.
+    calls = []
+    real = program.energy._irfft
+
+    def counting(dom, hat):
+        calls.append(dom.size)
+        return real(dom, hat)
+
+    monkeypatch.setattr(program.energy, "_irfft", counting)
+    workloads.run_once(program, workloads.WORKLOADS[name], 1)
+    assert len(calls) == inverse
