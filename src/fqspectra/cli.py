@@ -11,12 +11,12 @@ wall-clock entropy), so identical invocations produce identical output.
 randrange(1, max_support + 1) for the support size, then per point
 randrange(n) and randrange(1, max_multiplicity + 1), B before C in each pair.
 `_MultisetDraws` reproduces exactly that randrange stream from 32-bit words
-pulled in bulk, using two CPython facts the test suite pins: getrandbits(32m)
-is the next m outputs with the first least significant, and randrange(a, b)
-is a + the first getrandbits(k) attempt below b - a, k = (b - a).bit_length(),
+pulled in bulk from a NumPy MT19937 given the generator's state (624 key
+words and position), using facts the test suite pins: its random_raw outputs
+are the generator's getrandbits(32) outputs, and randrange(a, b) is
+a + the first getrandbits(k) attempt below b - a, k = (b - a).bit_length(),
 whose ceil(k/32) words are used whole except the last, shifted right by
-32 * ceil(k/32) - k.  The generator is local to the command, so it may end
-ahead of where the randrange calls would leave it.
+32 * ceil(k/32) - k.  The generator itself is left unadvanced.
 """
 
 import argparse
@@ -478,13 +478,15 @@ class _MultisetDraws:
     Mersenne Twister words by the randrange rule of the module docstring;
     randint(a, b) is documented as randrange(a, b + 1), so this is also the
     stream of those randint calls, bit for bit.  Words pulled past the last
-    multiset of a `draw` carry into the next one, so rng ends ahead of where
-    the randrange calls would leave it; the caller owns rng and draws nothing
-    else from it.
+    multiset of a `draw` carry into the next one.  rng is only read: the
+    words come from an MT19937 that starts at its state.
     """
 
     def __init__(self, rng, n, max_support, max_multiplicity):
-        self._rng = rng
+        *key, pos = rng.getstate()[1]
+        self._bits = np.random.MT19937(0)  # seeded only to be overwritten
+        self._bits.state = {"bit_generator": "MT19937",
+                            "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
         self._widths = (max_support, n, max_multiplicity)
         self._words = np.zeros(0, dtype=np.uint32)
         # Expected words one draw of each range takes, and one multiset.
@@ -492,9 +494,8 @@ class _MultisetDraws:
         self._expected = per[0] + (max_support + 1) / 2 * (per[1] + per[2])
 
     def _pull(self, count):
-        count = min(count, _DRAW_MAX_WORDS)
-        raw = self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-        self._words = np.concatenate([self._words, np.frombuffer(raw, dtype="<u4")])
+        raw = self._bits.random_raw(min(count, _DRAW_MAX_WORDS)).astype(np.uint32)
+        self._words = np.concatenate([self._words, raw])
 
     def draw(self, count):
         """The next `count` multisets of the stream as flat arrays (sizes,

@@ -125,11 +125,6 @@ class PointDomain:
                              f"expected ({self.size},): one value per point of F_q^d")
         return values
 
-    def coord_array(self, j: int) -> np.ndarray:
-        """x_j over all points in index order, built on each call."""
-        q = self.ctx.q
-        return np.arange(self.size, dtype=np.int64) // q ** (self.d - 1 - j) % q
-
     # -- group arithmetic on flat indices ------------------------------------
 
     def digits(self, A) -> tuple:
@@ -200,5 +195,6 @@ def character_sum_table(dom: PointDomain, points) -> np.ndarray:
     # It acts on each coordinate alone: lin[u] encodes digits(u) . T mod p.
     digits = np.arange(ctx.q, dtype=np.int64)[:, None] // p ** np.arange(n) % p
     lin = (digits @ _trace_form(ctx)) % p @ p ** np.arange(n)
-    flat = sum(lin[dom.coord_array(j)] * ctx.q ** (d - 1 - j) for j in range(d))
-    return F[flat]
+    flat = sum((lin * ctx.q ** (d - 1 - j)).reshape((-1,) + (1,) * (d - 1 - j))
+               for j in range(d))
+    return F[flat.reshape(dom.size)]

@@ -425,12 +425,14 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     hard_failures = 0
     q, k = ctx.q, plan.k
     sizes = plan.resolve_sizes(variety.size)
+    shifts = {(trial, x_size): sample_scalar_subset(q, x_size, plan.seed, trial)
+              for trial in range(plan.trials) for x_size in plan.x_sizes}
     for size_index, trial, subset in _trial_subsets(variety, sizes, plan.seed, plan.trials):
         E = FoldLadder(dom, subset)
         binned = nu_k(E, pvals, k)
         ds = delta_set(binned)
         for x_size in plan.x_sizes:
-            X = sample_scalar_subset(q, x_size, plan.seed, trial)
+            X = shifts[trial, x_size]
             rec = {"size_index": size_index, "trial": trial,
                    "size": len(E), "x_size": len(X)}
             table = nu_P_k(ctx, binned, X)

@@ -284,7 +284,7 @@ class FieldContext:
     def add_vec(self, A, B):
         if self.n == 1:
             return (A + B) % self.p
-        out = np.zeros_like(A + B)  # broadcasts shapes
+        out = np.zeros(np.broadcast_shapes(np.shape(A), np.shape(B)), dtype=np.int64)
         pk = 1
         for _ in range(self.n):
             out += (((A // pk) + (B // pk)) % self.p) * pk

@@ -2,8 +2,8 @@
 built-in variety families, and the regularity certifier.
 
 A variety here is always the zero set {x in F_q^d : F(x) = 0} of a single
-polynomial, enumerated exhaustively and stored in lexicographic coordinate
-order so that every downstream computation is reproducible.
+polynomial, read off F's value table (built by broadcasting, see `_eval_rows`)
+and stored in lexicographic order so that every downstream step is reproducible.
 """
 
 from dataclasses import dataclass
@@ -96,31 +96,36 @@ def diagonal_poly(ctx: FieldContext, d: int, s: int, coeffs=None) -> PolySpec:
                              for k, c in enumerate(diagonal_coeffs(ctx, d, s, coeffs))))
 
 
-def eval_poly_table(dom: PointDomain, spec: PolySpec, idx=None) -> np.ndarray:
-    """F(x) at the points with flat indices idx, by default every point of
-    F_q^d in canonical index order."""
-    ctx = dom.ctx
+def _eval_rows(ctx: FieldContext, spec: PolySpec, rows: np.ndarray, t: int) -> np.ndarray:
+    """F at the flat indices r * q^t + s, r in rows and 0 <= s < q^t, as an
+    int64 array of shape (len(rows),) + (q,) * t.
+
+    Row r fixes the leading d - t coordinates to its digits.  A monomial is
+    a product of power tables, each shaped to broadcast along its axis, so
+    only sums of terms on different axes are full-size; terms on fewer axes
+    are added first."""
+    q, d = ctx.q, spec.d
+    axes = [x.reshape((-1,) + (1,) * t) for x in np.unravel_index(rows, (q,) * (d - t))]
+    axes += [np.arange(q).reshape((q,) + (1,) * (d - 1 - j)) for j in range(d - t, d)]
+    pows = {e: ctx.pow_table(e) for e in {e for _, exps in spec.terms for e in exps if e}}
+    out = np.int64(0)
+    for coeff, exps in sorted(spec.terms, key=lambda term: sum(map(bool, term[1]))):
+        term = np.int64(coeff)
+        for x, e in zip(axes, exps):
+            if e:
+                term = ctx.mul_vec(term, pows[e][x])
+        out = ctx.add_vec(out, term)
+    shape = (len(rows),) + (q,) * t
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
+def eval_poly_table(dom: PointDomain, spec: PolySpec) -> np.ndarray:
+    """F(x) at every point of F_q^d in canonical index order, as a new
+    C-contiguous int64 array, by `_eval_rows` with one row per value of x_1."""
     if spec.d != dom.d:
         raise DimensionMismatchError(
             f"polynomial arity {spec.d} != domain dimension {dom.d}")
-    if idx is None:
-        idx = np.arange(dom.size, dtype=np.int64)
-    # Each power table and each coordinate is built once per call.
-    pow_tables, coords = {}, {}
-    for _, exps in spec.terms:
-        for j, e in enumerate(exps):
-            if e and e not in pow_tables:
-                pow_tables[e] = ctx.pow_table(e)
-            if e and j not in coords:
-                coords[j] = idx // ctx.q ** (dom.d - 1 - j) % ctx.q
-    out = np.zeros(idx.shape, dtype=np.int64)
-    for coeff, exps in spec.terms:
-        term = np.full(idx.shape, coeff, dtype=np.int64)
-        for j, e in enumerate(exps):
-            if e:
-                term = ctx.mul_vec(term, pow_tables[e][coords[j]])
-        out = ctx.add_vec(out, term)
-    return out
+    return _eval_rows(dom.ctx, spec, np.arange(dom.ctx.q), dom.d - 1).reshape(dom.size)
 
 
 @dataclass(frozen=True)
@@ -162,14 +167,9 @@ class QuadraticForm:
         if self.d != dom.d:
             raise DimensionMismatchError(
                 f"form dimension {self.d} != domain dimension {dom.d}")
-        ctx = dom.ctx
-        out = np.zeros(dom.size, dtype=np.int64)
-        for i, a in enumerate(self.coeffs):
-            a = ctx.element(a)
-            if a:
-                xi = dom.coord_array(i)
-                out = ctx.add_vec(out, ctx.mul_vec(ctx.mul_vec(xi, xi), np.int64(a)))
-        return out
+        terms = ((dom.ctx.element(a), tuple(2 * (i == k) for i in range(self.d)))
+                 for k, a in enumerate(self.coeffs))
+        return eval_poly_table(dom, PolySpec(self.d, tuple((a, e) for a, e in terms if a)))
 
     def require_nondegenerate(self, ctx: FieldContext):
         """A diagonal form is nondegenerate iff no coefficient is 0 in F_q."""
@@ -232,17 +232,24 @@ class Variety:
 
 
 def enumerate_variety(ctx: FieldContext, spec: PolySpec) -> Variety:
-    """All and only the zeros of the polynomial, lexicographically ordered."""
-    size = ctx.q ** spec.d
+    """All and only the zeros of the polynomial, lexicographically ordered.
+
+    F is tabulated by `_eval_rows` in blocks of at most _EVAL_CHUNK points,
+    t < d the largest with q^(t+1) <= _EVAL_CHUNK (or 0): one block up to
+    _EVAL_CHUNK points, and past it about q^d / _EVAL_CHUNK blocks."""
+    q, d = ctx.q, spec.d
+    size = q ** d
     if size > ENUM_MAX:
         raise SearchSpaceTooLargeError(
             f"q^d = {size} exceeds the enumeration budget {ENUM_MAX}")
-    dom = PointDomain(ctx, spec.d)
-    hits = []
-    for lo in range(0, size, _EVAL_CHUNK):
-        idx = np.arange(lo, min(lo + _EVAL_CHUNK, size), dtype=np.int64)
-        hits.append(idx[eval_poly_table(dom, spec, idx) == 0])
-    return Variety(spec=spec, d=spec.d, q=ctx.q, indices=np.concatenate(hits))
+    t = 0
+    while t < d - 1 and q ** (t + 2) <= _EVAL_CHUNK:
+        t += 1
+    per = _EVAL_CHUNK // q ** t
+    rows = np.arange(size // q ** t, dtype=np.int64)
+    hits = [np.flatnonzero(_eval_rows(ctx, spec, rows[lo:lo + per], t) == 0) + lo * q ** t
+            for lo in range(0, len(rows), per)]
+    return Variety(spec=spec, d=d, q=q, indices=np.concatenate(hits))
 
 
 FAMILIES = ("sphere", "paraboloid", "minkowski")

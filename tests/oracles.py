@@ -38,7 +38,8 @@ whose axis-0 half the matmul kernel must reproduce.
 
 The scalar references (`point_of`, `index_add`, `eval_poly`, `variety_reference`,
 `eval_quadratic`, `char`, `mul_poly`, `pow_poly`, `add`, `sub`, `inv`) evaluate
-one point or element at a time, for the array paths to be checked against;
+one point or element at a time, for the array paths to be checked against,
+and `coord_array` lists one coordinate of every point by integer division;
 `mul_poly` is the polynomial product that `pow_poly` and `inv` build on.  `sumset` is X + Delta from the value set Delta, the
 set whose size the library reads as the support of nu_{P,k}.
 """
@@ -63,6 +64,12 @@ def point_of(dom, idx):
         out.append(int(idx % q))
         idx //= q
     return tuple(reversed(out))
+
+
+def coord_array(dom, j):
+    """x_j at every point of F_q^d, in index order."""
+    q = dom.ctx.q
+    return np.arange(dom.size, dtype=np.int64) // q ** (dom.d - 1 - j) % q
 
 
 def index_add(dom, A, B):
@@ -167,7 +174,7 @@ def character_sums_direct(dom, idx):
     """lam[m] = sum over s in idx of chi(m . s) for every m in F_q^d, one
     point s at a time: O(q^d * |S| * d)."""
     ctx = dom.ctx
-    coords = [dom.coord_array(j) for j in range(dom.d)]
+    coords = [coord_array(dom, j) for j in range(dom.d)]
     points = np.stack([x[idx] for x in coords], axis=1)
     acc = np.zeros(dom.size, dtype=np.complex128)
     for pt in points.tolist():

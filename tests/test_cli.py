@@ -490,6 +490,20 @@ def test_cpython_randrange_stream_facts(bits):
     assert drawn.getstate() == stream.getstate()
 
 
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 40])
+def test_numpy_mt19937_continues_the_python_stream(seed):
+    # An MT19937 given random.Random's state (624 key words and the position)
+    # yields its next getrandbits(32) outputs, from any position in the key;
+    # the bulk draws take their words from one, and leave rng where it was.
+    rng = random.Random(seed)
+    rng.getrandbits(32 * 1000 + 7)
+    state = rng.getstate()
+    bits = cli_mod._MultisetDraws(rng, 2, 1, 1)._bits
+    assert rng.getstate() == state
+    want = [rng.getrandbits(32) for _ in range(100_000)]
+    assert bits.random_raw(100_000).astype(np.uint32).tolist() == want
+
+
 def test_format_flag_is_a_usage_error_outside_count_tables(capsys):
     code, out, _ = run_cli(["spectrum", "cayley", "--p", "3", "--d", "2",
                             "--family", "sphere", "--format", "csv"], capsys)

@@ -535,17 +535,6 @@ def test_energy_growth_audit_on_sphere_subsets():
         assert audit.detail["k_energy"] <= audit.detail["edge_count"]
 
 
-def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
-    v = builtin_variety(F5, "sphere", 2, 1)
-    dom = PointDomain(F5, 2)
-    graph = cayley_spectrum(F5, v.indices, d=2)
-    E = sorted(random.Random(4).sample(list(v.points), 3))
-    fast = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
-    monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
-    slow = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
-    assert slow.as_dict() == fast.as_dict()
-
-
 def _refuse_indicator_transforms(monkeypatch):
     """Refuse every transform of more than two factors, which leaves the limb
     products (two factors each) and refuses the indicator transforms of folds
@@ -1201,8 +1190,23 @@ def test_growth_correlation_fall_back_switches_to_big_integers(monkeypatch):
     want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
     _fold_path_only(monkeypatch)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
+    neg_v = np.bincount(dom.index_neg(v.indices), minlength=dom.size)
+    correlations = []
+    convolve = energy_mod._convolve
+
+    def recording(dom, a, b):
+        out = convolve(dom, a, b)
+        if np.array_equal(a, neg_v):
+            correlations.append(out)
+        return out
+
+    monkeypatch.setattr(energy_mod, "_convolve", recording)
     got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
     assert got.as_dict() == want.as_dict()
+    # The edge count refused at the origin, so the correlation 1_{-V} (*) r_2
+    # was built by limb products and held in Python ints.
+    assert len(correlations) == 1 and correlations[0].dtype == object
+    assert all(type(x) is int for x in correlations[0].tolist())
 
 
 def test_refused_energies_equal_the_certified_ones(monkeypatch):

@@ -353,9 +353,9 @@ def test_sumset_runner_evaluates_P_once(monkeypatch):
     calls = []
     real = geometry_mod.eval_poly_table
 
-    def counting(dom, spec, idx=None):
-        calls.append((dom.d, spec, idx is None))
-        return real(dom, spec, idx)
+    def counting(dom, spec):
+        calls.append((dom.d, spec, True))
+        return real(dom, spec)
 
     monkeypatch.setattr(geometry_mod, "eval_poly_table", counting)
     monkeypatch.setattr(experiments_mod, "eval_poly_table", counting)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -24,6 +25,7 @@ from fqspectra.geometry import (
     QuadraticForm,
     Variety,
     builtin_variety,
+    diagonal_poly,
     enumerate_variety,
     eval_poly_table,
     minkowski_poly,
@@ -64,13 +66,31 @@ def test_eval_poly_dimension_mismatch():
         eval_poly(F3, spec, (1, 2, 3))
 
 
+def _table_cases(ctx, d):
+    """Polynomials on F_q^d: terms on one axis each (sphere, paraboloid,
+    diagonal), one term on every axis (Minkowski), a constant, and none."""
+    top = ctx.q - 1
+    return [sphere_poly(ctx, d, 1), paraboloid_poly(ctx, d), minkowski_poly(ctx, d, top),
+            diagonal_poly(ctx, d, 3, [1 + i % top for i in range(d)]),
+            PolySpec(d, ((top, (0,) * d),)), PolySpec(d, ())]
+
+
+def _assert_fresh_table(table, size):
+    # Callers write into value tables.
+    assert table.shape == (size,) and table.dtype == np.int64
+    assert table.flags.c_contiguous and table.flags.writeable
+
+
 def test_eval_table_matches_pointwise():
-    for ctx, d in [(F3, 2), (F5, 2), (FieldContext(3, 2), 2)]:
-        spec = sphere_poly(ctx, d, 1)
+    for (p, n), d in [((3, 1), 2), ((5, 1), 2), ((3, 2), 2), ((7, 1), 3), ((3, 3), 2),
+                      ((3, 1), 4)]:
+        ctx = FieldContext(p, n)
         dom = PointDomain(ctx, d)
-        table = eval_poly_table(dom, spec)
-        for idx in range(dom.size):
-            assert int(table[idx]) == eval_poly(ctx, spec, point_of(dom, idx))
+        points = [point_of(dom, idx) for idx in range(dom.size)]
+        for spec in _table_cases(ctx, d):
+            table = eval_poly_table(dom, spec)
+            _assert_fresh_table(table, dom.size)
+            assert table.tolist() == [eval_poly(ctx, spec, pt) for pt in points], spec
 
 
 def test_enumerate_sphere_f3():
@@ -151,6 +171,34 @@ def test_chunked_enumeration_gives_the_same_variety(ctx, family, d, monkeypatch)
         assert v.indices.tolist() == want
 
 
+@pytest.mark.parametrize("ctx,chunk", [(F5, 3), (F5, 100), (FieldContext(3, 2), 500)])
+@pytest.mark.parametrize("family", ["sphere", "paraboloid", "minkowski"])
+def test_enumeration_in_blocks_smaller_than_q_or_a_row(ctx, chunk, family, monkeypatch):
+    # d = 4 with blocks below q (every coordinate is fixed per cell) and below
+    # q^(d-1) (a block runs over rows of several leading coordinates).
+    q, d = ctx.q, 4
+    whole = builtin_variety(ctx, family, d)
+    blocks = []
+    eval_rows = geometry_mod._eval_rows
+
+    def recording(ctx, spec, rows, t):
+        block = eval_rows(ctx, spec, rows, t)
+        blocks.append(block.shape)
+        return block
+
+    monkeypatch.setattr(geometry_mod, "_EVAL_CHUNK", chunk)
+    monkeypatch.setattr(geometry_mod, "_eval_rows", recording)
+    chunked = builtin_variety(ctx, family, d)
+    assert chunked.indices.dtype == np.int64
+    assert chunked.indices.tolist() == whole.indices.tolist() == variety_reference(
+        PointDomain(ctx, d), whole.spec)
+    cells = [math.prod(shape) for shape in blocks]
+    assert sum(cells) == q ** d and max(cells) <= chunk
+    assert len(blocks) <= math.ceil(q ** d * q / ((q - 1) * chunk))
+    # a block's leading coordinates are those its trailing axes leave
+    assert min(d - (len(shape) - 1) for shape in blocks) > 1
+
+
 def test_regularity_sphere_f3():
     v = builtin_variety(F3, "sphere", 2, 1)
     rep = _regularity(F3, v)
@@ -212,7 +260,8 @@ def test_engine_paths_agree_on_random_sets():
             assert np.max(np.abs(a - b)) < 1e-6 * max(1, len(pts))
 
 
-@pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (3, 2, 1), (3, 3, 1), (101, 1, 1)])
+@pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (3, 2, 1), (3, 3, 1), (101, 1, 1),
+                                   (3, 2, 3), (3, 3, 2)])
 def test_character_sum_table_matches_the_direct_sum_on_small_sets(p, n, d):
     # Sets of 1, 2, p*n and p*n + 1 points (at most all of F_q^d), and
     # d = 1 domains, whose table has only q cells.
@@ -336,17 +385,20 @@ def test_quadratic_form_validation_and_nondegeneracy():
 
 
 def test_quadratic_form_tables_match_pointwise():
-    for (p, n), coeffs in (((5, 1), (1, 3)), ((5, 1), (2, 0)), ((3, 2), (1, 5))):
+    # Degenerate forms, with zero coefficients, keep their tables.
+    for (p, n), coeffs in (((5, 1), (1, 3)), ((5, 1), (2, 0)), ((3, 2), (1, 5)),
+                           ((3, 2), (0, 7)), ((3, 3), (0, 0)), ((7, 1), (0, 3, 5)),
+                           ((3, 1), (1, 0, 2, 0))):
         ctx = FieldContext(p, n)
         form = QuadraticForm(coeffs)
-        dom = PointDomain(ctx, 2)
+        dom = PointDomain(ctx, form.d)
         table = form.value_table(dom)
+        _assert_fresh_table(table, dom.size)
         for idx in range(dom.size):
             pt = point_of(dom, idx)
             assert int(table[idx]) == eval_quadratic(ctx, form, pt)
             if n == 1:
-                a, b = coeffs
-                assert int(table[idx]) == (a * pt[0] ** 2 + b * pt[1] ** 2) % p
+                assert int(table[idx]) == sum(a * x ** 2 for a, x in zip(coeffs, pt)) % p
 
 
 def test_polyspec_validation():

@@ -36,6 +36,7 @@ from oracles import (
     affine_eigenvalues_direct,
     brute_second_eigenvalue,
     character_sums_direct,
+    coord_array,
     eigenvalue_table,
     flat_multisets,
     index_add,
@@ -174,7 +175,7 @@ def test_scaling_by_c_carries_level_t_onto_level_c_squared_t(p, n, d, form):
     specs = {t: euclidean_spectrum(dom, qvals, t)[0] for t in levels}
     tables = {t: character_sum_table(dom, np.flatnonzero(qvals == t)) for t in levels}
     for c in levels:
-        scaled = sum(ctx.mul_vec(dom.coord_array(j), np.int64(c)) * ctx.q ** (d - 1 - j)
+        scaled = sum(ctx.mul_vec(coord_array(dom, j), np.int64(c)) * ctx.q ** (d - 1 - j)
                      for j in range(d))
         for t in levels:
             s = ctx.mul(ctx.mul(c, c), t)
