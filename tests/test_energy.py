@@ -535,6 +535,17 @@ def test_energy_growth_audit_on_sphere_subsets():
         assert audit.detail["k_energy"] <= audit.detail["edge_count"]
 
 
+def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
+    v = builtin_variety(F5, "sphere", 2, 1)
+    dom = PointDomain(F5, 2)
+    graph = cayley_spectrum(F5, v.indices, d=2)
+    E = sorted(random.Random(4).sample(list(v.points), 3))
+    fast = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
+    monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
+    slow = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
+    assert slow.as_dict() == fast.as_dict()
+
+
 def _refuse_indicator_transforms(monkeypatch):
     """Refuse every transform of more than two factors, which leaves the limb
     products (two factors each) and refuses the indicator transforms of folds
