@@ -12,14 +12,17 @@ The transforms are direct DFTs over (Z_p)^(nd), one BLAS matmul per axis
 `_MATMUL_P_MAX`, in the same half-spectrum layout.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and its even
-energies, and builds each at most once.  It also holds the real-input
-transform of its indicator, taken once, so that every certified transform
-fold of the subset, of any depth, is one inverse transform.  An energy, like
-the growth audit's edge count, is one fold's value at the origin, so it needs
-no inverse transform: it is one weighted sum over the held half spectra
-(`_fold_at_zero`), under a certificate of its own, and only when that refuses
-is a fold table built and summed.  A ladder is the one form in which a subset
-reaches the counts and audits here, the growth audit's variety included.
+energies, and builds each at most once.  It bins the subset's indicator 1_E
+once, and that one array is the depth-1 table, the source of the indicator's
+norms and of its real-input transform, and the variety's membership test in
+the growth audit.  The transform too is taken once, so that every certified
+transform fold of the subset, of any depth, is one inverse transform.  An
+energy, like the growth audit's edge count, is one fold's value at the
+origin, so it needs no inverse transform: it is one weighted sum over the
+held half spectra (`_fold_at_zero`), under a certificate of its own, and only
+when that refuses is a fold table built and summed.  A ladder is the one form
+in which a subset reaches the counts and audits here, the growth audit's
+variety included.
 `nu_k` bins a fold by any value table, and the generalized distance set
 (`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
 read off that one binned table.
@@ -297,12 +300,14 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     """r_j(z) = number of ordered j-tuples from E summing to z, exact.
 
     E is a `FoldLadder` over dom, a sequence of points or a 1-D integer
-    array of flat indices.  Depth 1 is the bincount of E, over any q^d.
-    Depth j >= 2 needs q^d <= TABLE_MAX (SearchSpaceTooLargeError otherwise).
-    It is the transform fold of the indicator when the table is int64 and
-    that fold certifies, and otherwise r_a (*) r_b, a = ceil(j/2) and
-    b = floor(j/2), by limb products, with r_a and r_b read from E's ladder
-    (a new one when E is not a ladder), so that no depth is folded twice.
+    array of flat indices.  Depth 1 is the indicator that E's ladder bins
+    once and holds, over any q^d: that read-only array itself when the table
+    is int64.  Depth j >= 2 needs q^d <= TABLE_MAX (SearchSpaceTooLargeError
+    otherwise).  It is the transform fold of the ladder's `factors` when the
+    table is int64 and that fold certifies, and otherwise r_a (*) r_b,
+    a = ceil(j/2) and b = floor(j/2), by limb products, with r_a and r_b
+    read from E's ladder (a new one when E is not a ladder), so that no
+    depth is folded twice.
 
     Transform fold.  F_q^d is (Z_p)^(nd) on flat indices, so with N = q^d
     the convolution of count vectors f_1..f_m is the inverse transform of
@@ -424,13 +429,12 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     if j < 1:
         raise ValueError(f"fold depth j = {j} must be >= 1")
     ladder = E if isinstance(E, FoldLadder) else FoldLadder(dom, E)
-    dtype = _table_dtype(len(ladder) ** j)
-    indicator = np.bincount(ladder.indices, minlength=dom.size)
     if j == 1:
-        return CountTable(q=dom.ctx.q, values=indicator.astype(dtype))
+        return CountTable(q=dom.ctx.q,
+                          values=ladder.indicator.astype(_table_dtype(len(ladder)), copy=False))
     require_table_budget(dom, "fold")
-    r = (_transform_fold(dom, [(_norms(indicator), ladder.transform(), j)])
-         if dtype is np.int64 else None)
+    r = (_transform_fold(dom, ladder.factors(j))
+         if _table_dtype(len(ladder) ** j) is np.int64 else None)
     if r is None:
         a = ladder.fold((j + 1) // 2).values
         r = _convolve(dom, a, a if j % 2 == 0 else ladder.fold(j // 2).values)
@@ -444,12 +448,13 @@ class FoldLadder:
     Holds E as flat indices and builds depth j on first use by one call to
     `fold_counts`, passing itself, so that a deep fold is composed from the
     tables already held here; no depth is built twice.  Lambda_k is held the
-    same way, built on first use by one call to `lambda_k`.  The half
-    spectrum of E's indicator and its norms are taken on first need and held
+    same way, built on first use by one call to `lambda_k`.  E's indicator
+    is binned once, on first need, and held read-only: it is the depth-1
+    table, and its norms and half spectrum are taken from it once and held
     too, so every certified transform fold of E, of any depth, is one
-    inverse transform, and every certified energy none.  It keeps its tables for its own
-    lifetime only, so callers make one per subset and drop it with the
-    subset.
+    inverse transform, and every certified energy none.  It keeps its tables
+    for its own lifetime only, so callers make one per subset and drop it
+    with the subset.
     """
 
     def __init__(self, dom: PointDomain, E):
@@ -476,12 +481,21 @@ class FoldLadder:
             self._energies[k] = lambda_k(self, k)
         return self._energies[k]
 
+    @functools.cached_property
+    def indicator(self) -> np.ndarray:
+        """1_E as int64 counts over F_q^d, a multiset's multiplicities
+        included: E's one bincount, held read-only.  It is the depth-1 table,
+        so it is read over any q^d, with no budget check."""
+        counts = np.bincount(self.indices, minlength=self.dom.size)
+        counts.setflags(write=False)
+        return counts
+
     def transform(self) -> np.ndarray:
-        """`_rfft` of E's indicator, taken once and held; a table over F_q^d,
-        so under the fold budget."""
+        """`_rfft` of the held indicator, taken once and held; a table over
+        F_q^d, so under the fold budget."""
         if self._hat is None:
             require_table_budget(self.dom, "fold")
-            self._hat = _rfft(self.dom, np.bincount(self.indices, minlength=self.dom.size))
+            self._hat = _rfft(self.dom, self.indicator)
         return self._hat
 
     def factors(self, power: int, reflected: int = 0) -> list:
@@ -494,8 +508,8 @@ class FoldLadder:
 
     @functools.cached_property
     def norms(self) -> tuple:
-        """`_norms` of E's indicator, held."""
-        return _norms(self.fold(1).values)
+        """`_norms` of the held indicator, held."""
+        return _norms(self.indicator)
 
 
 def lambda_k(E: FoldLadder, k: int) -> int:
@@ -687,7 +701,7 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
     if k % 2 != 0 or k < 4:
         raise OddKError(f"energy growth audit needs even k >= 4, got {k}")
     dom = E.dom
-    if not V.fold(1).values[E.indices].all():
+    if not V.indicator[E.indices].all():
         raise ValueError("E must be a subset of the variety")
     half = k // 2
     e_size = len(E)
@@ -748,7 +762,10 @@ def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
 def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
                         graphs_by_t: dict, ts=None) -> list:
     """Deviation of nu_k(t) from its mixing main term, for each t in `ts`
-    (default every t != 0), given the nu_k table of E.
+    (default every t != 0), given the nu_k table of E.  Each t is read as
+    the field element it names (`FieldContext.element`), so over a prime
+    field it is taken mod p, and over an extension field an integer that is
+    no encoding raises ValueError, as does t = 0.
 
     The energy is the geometric mean of `energy_term`.  graphs_by_t maps t to
     the Spectrum of any Euclidean level graph in t's square class: only its
@@ -757,8 +774,8 @@ def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
     """
     dom = E.dom
     q = dom.ctx.q
-    ts = tuple(range(1, q) if ts is None else ts)
-    if any(t % q == 0 for t in ts):
+    ts = tuple(range(1, q) if ts is None else map(dom.ctx.element, ts))
+    if 0 in ts:
         raise ValueError("deviation audit is stated for t != 0 only")
     e_size = len(E)
     _require_total(table, 1, e_size, k)

@@ -171,16 +171,19 @@ class ExperimentPlan:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentPlan":
-        """Parse the documented flat `key = value` plan format."""
+        """Parse the documented flat `key = value` plan format; a key given
+        twice is refused, naming its second line."""
         raw = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
                     raise ValueError(f"plan line without '=': {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
+                if key in raw:
+                    raise ValueError(f"plan key {key!r} repeated on line {lineno}")
                 raw[key] = value
         return cls.from_mapping(raw)
 

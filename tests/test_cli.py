@@ -593,8 +593,13 @@ def test_prime_field_elements_reduce_modulo_p(capsys):
 
 
 def _plan(tmp_path, text):
+    """A small plan: the default lines for the keys `text` leaves out, then
+    `text`, so that no key is given twice."""
+    given = {line.split("=", 1)[0].strip() for line in text.splitlines() if "=" in line}
+    defaults = {"p": 5, "d": 2, "sizes": 3, "sizes_mode": "absolute", "trials": 1}
     path = tmp_path / "plan.txt"
-    path.write_text("p = 5\nd = 2\nsizes = 3\nsizes_mode = absolute\ntrials = 1\n" + text)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in defaults.items()
+                            if key not in given) + text)
     return str(path)
 
 
@@ -603,6 +608,16 @@ def test_plan_k_below_2_is_a_usage_error(kind, tmp_path, capsys):
     code, out, err = run_cli(["experiment", kind, "--plan", _plan(tmp_path, "k = 1\n")],
                              capsys)
     assert (code, out, err) == (1, "", "error: k = 1 must be >= 2\n")
+
+
+def test_repeated_plan_key_is_a_usage_error(tmp_path, capsys):
+    # The last value used to win, so this plan ran silently over F_7.
+    plan = tmp_path / "plan.txt"
+    plan.write_text("p = 5\nd = 2\nk = 2\n\n# over F_7 instead\np = 7\n")
+    with pytest.raises(ValueError, match="^plan key 'p' repeated on line 6$"):
+        ExperimentPlan.from_file(plan)
+    code, out, err = run_cli(["experiment", "coverage", "--plan", str(plan)], capsys)
+    assert (code, out, err) == (1, "", "error: plan key 'p' repeated on line 6\n")
 
 
 def test_negative_subset_sizes_are_usage_errors(tmp_path, capsys):

@@ -502,6 +502,28 @@ def test_nu_deviation_audit_rejects_t_zero():
         nu_deviation_audits(ladder, table, 2, {0: spec}, ts=(0,))
 
 
+def test_nu_deviation_audit_reads_t_as_a_field_element():
+    # Over F_5 an integer names its residue: t = 6 is level 1, and t = 5 is 0.
+    dom = PointDomain(F5, 2)
+    qvals = QuadraticForm.identity(2).value_table(dom)
+    spec, _ = euclidean_spectrum(dom, qvals, 1)
+    ladder = FoldLadder(dom, _random_subset(dom, 6, seed=2))
+    table = nu_k(ladder, qvals, 2)
+    assert (nu_deviation_audits(ladder, table, 2, {1: spec}, ts=[6])
+            == nu_deviation_audits(ladder, table, 2, {1: spec}, ts=[1]))
+    with pytest.raises(ValueError, match="t != 0"):
+        nu_deviation_audits(ladder, table, 2, {1: spec}, ts=[5])
+    # Over F_9 only 0..8 are encodings: 10 is no element, not a missing graph.
+    dom9 = PointDomain(FieldContext(3, 2), 2)
+    qvals9 = QuadraticForm.identity(2).value_table(dom9)
+    spec9, _ = euclidean_spectrum(dom9, qvals9, 1)
+    ladder9 = FoldLadder(dom9, _random_subset(dom9, 6, seed=3))
+    table9 = nu_k(ladder9, qvals9, 2)
+    for t in (9, 10, -1):
+        with pytest.raises(ValueError, match="not an element of F_9"):
+            nu_deviation_audits(ladder9, table9, 2, {1: spec9}, ts=[t])
+
+
 def test_table_taking_audits_reject_tables_of_wrong_total():
     dom = PointDomain(F5, 1)
     P = diagonal_poly(F5, 1, 2)
@@ -998,6 +1020,45 @@ def test_ladder_transforms_its_indicator_once(monkeypatch):
     for j in (2, 3, 4):
         assert ladder.fold(j).total() == 200 ** j
     assert seen == [200]
+
+
+@pytest.mark.parametrize("multiset", [False, True])
+def test_ladder_bins_its_indicator_once(monkeypatch, multiset):
+    dom = PointDomain(F5, 2)
+    idx = np.array(random.Random(11).sample(range(dom.size), 7), dtype=np.int64)
+    if multiset:
+        idx = np.concatenate([idx, idx[:3], idx[:1]])
+    binned = []
+    bincount = np.bincount
+
+    def counting(x, *args, **kwargs):
+        if np.array_equal(x, idx):
+            binned.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    ladder = FoldLadder(dom, idx)
+    folds = [ladder.fold(j).values for j in (1, 2, 3, 4)]
+    energies = [ladder.energy(4), ladder.energy(6)]
+    ladder.transform()
+    ladder.norms
+    assert binned == [len(idx)]
+    for j, r in enumerate(folds, 1):
+        assert np.array_equal(r, roll_fold(dom, idx, j))
+    assert energies == [int(np.dot(r, r)) for r in folds[1:3]]
+
+
+def test_held_indicator_is_the_read_only_depth_one_table():
+    dom = PointDomain(F5, 2)
+    idx = np.array([3, 17, 3, 24, 0], dtype=np.int64)
+    ladder = FoldLadder(dom, idx)
+    assert not ladder.indicator.flags.writeable
+    with pytest.raises(ValueError):
+        ladder.indicator[0] = 1
+    r1 = ladder.fold(1).values
+    assert np.array_equal(r1, np.bincount(idx, minlength=dom.size))
+    assert r1 is ladder.indicator
+    assert ladder.norms == (5, math.sqrt(2 ** 2 + 1 + 1 + 1))
 
 
 def test_energy_plan_transforms_the_variety_once_and_each_audited_subset_once(
