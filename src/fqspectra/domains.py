@@ -7,8 +7,11 @@ flat index is simultaneously the base-p digit string of the point over
 n*d digits.  So F_q^d is the group (Z_p)^(n*d) on tables of shape
 (p,) * (n*d): subtraction is digit-wise (`PointDomain.index_sub`), and the
 full character table and every fold (`energy.fold_counts`) are (Z_p)^(n*d)
-Fourier transforms: per-axis matrix products with the length-p DFT matrix
-for p <= _MATMUL_P_MAX, and numpy.fft above that one crossover.
+Fourier transforms: for p <= _MATMUL_P_MAX, matrix products with DFT
+matrices, one per axis for the character table (the length-p matrix) and
+one per group of axes for a fold (`energy._axis_groups`: pairs of axes,
+the 9 x 9 matrix of (Z_3)^2, for p = 3, single axes for every other p),
+and numpy.fft above that one crossover.
 """
 
 import numpy as np
@@ -18,8 +21,9 @@ from .field import FieldContext
 # Cap on q^d for any operation that materializes a full table over F_q^d.
 TABLE_MAX = 10 ** 7
 # Largest p whose (Z_p)^(n*d) transforms, character sums and folds alike,
-# run as direct DFTs, one matrix product per axis; above it the O(p) work
-# per cell and the p x p DFT matrix lose to numpy.fft (measured crossover).
+# run as direct DFTs, one matrix product per axis (per pair of axes in a
+# fold over p = 3); above it the O(p) work per cell and the p x p DFT matrix
+# lose to numpy.fft (measured crossover).
 _MATMUL_P_MAX = 373
 
 # The one overflow policy.  An exact integer accumulator runs in int64 only

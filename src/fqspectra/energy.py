@@ -7,9 +7,11 @@ int64, so inequality audits always compare an exact integer against a
 floating bound.  Every fold is a product of Fourier transforms under the
 rounding certificate of `fold_counts`: the indicator's transform, or else
 limb products of two shallower folds; no count comes from an uncertified one.
-The transforms are direct DFTs over (Z_p)^(nd), one BLAS matmul per axis
-(`_rfft`, `_irfft`), and numpy.fft only for p above the measured crossover
-`_MATMUL_P_MAX`, in the same half-spectrum layout.
+The transforms are direct DFTs over (Z_p)^(nd), one BLAS matmul per group
+of axes whose lines are at most `_DFT_LINE_MAX` = 9 long, so pairs of axes
+for p = 3 and single axes for every other p (`_rfft`, `_irfft`), and
+numpy.fft only for p above the measured crossover `_MATMUL_P_MAX`, in the
+same half-spectrum layout.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and its even
 energies, and builds each at most once.  It bins the subset's indicator 1_E
@@ -18,11 +20,12 @@ norms and of its real-input transform, and the variety's membership test in
 the growth audit.  The transform too is taken once, so that every certified
 transform fold of the subset, of any depth, is one inverse transform.  An
 energy, like the growth audit's edge count, is one fold's value at the
-origin, so it needs no inverse transform: it is one weighted sum over the
-held half spectra (`_fold_at_zero`), under a certificate of its own, and only
-when that refuses is a fold table built and summed.  A ladder is the one form
-in which a subset reaches the counts and audits here, the growth audit's
-variety included.
+origin, so it needs no inverse transform: it is one real weighted sum over
+the held power spectrum |H|^2 (`_fold_at_zero`), which the ladder takes from
+its half spectrum H at the first such read, under a certificate of its own,
+and only when that refuses is a fold table built and summed.  A ladder is
+the one form in which a subset reaches the counts and audits here, the
+growth audit's variety included.
 `nu_k` bins a fold by any value table, and the generalized distance set
 (`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
 read off that one binned table.
@@ -46,9 +49,13 @@ from .errors import (
 from .field import FieldContext
 from .spectra import Spectrum, require_table_budget, within_slack
 
-# Constant C of the per-line error C * p^(3/2) * u of one length-p DFT pass,
-# which `fold_counts` derives for the direct sum that `_rfft` and `_irfft` run.
+# Constant C of the per-line error C * L^(3/2) * u of one DFT pass along lines
+# of length L, which `fold_counts` derives for the direct sum that `_rfft` and
+# `_irfft` run, for any L >= 3.
 _DFT_ERROR_CONST = 8.0
+# Longest line of one direct pass: the axes go in groups of a, p^a at most
+# this (`_axis_groups`), so p = 3 runs one 9-point pass per pair of axes.
+_DFT_LINE_MAX = 9
 
 
 def _exact_total(values: np.ndarray) -> int:
@@ -97,8 +104,11 @@ def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
     """A priori bound on max |computed - exact| of the transform fold whose
     factors have l1 norms `sizes` and l2 norms `norms`; see `fold_counts`."""
     u = 2.0 ** -53
-    alpha = _DFT_ERROR_CONST * dom.ctx.p ** 1.5 * u
-    per_pass = math.expm1(dom.nd * math.log1p(alpha))
+    p = dom.ctx.p
+    # Each pass over a axes charges its own line length p^a.
+    groups = _axis_groups(p, dom.nd)
+    per_pass = math.expm1(sum(groups.count(a) * math.log1p(_DFT_ERROR_CONST * (p ** a) ** 1.5 * u)
+                              for a in set(groups)))
     # Half spectra: an error extends to the full grid with at most sqrt(2) times its norm.
     eps = math.sqrt(2) * per_pass
     eps_inv = math.sqrt(2) * ((1 + per_pass) * (1 + u) ** 2 - 1)
@@ -143,27 +153,43 @@ def _certificate(dom: PointDomain, factors, at_zero: bool = False):
     return (mass, bound) if bound < 0.5 else None
 
 
-@functools.lru_cache(maxsize=8)
-def _dft_matrices(p: int) -> tuple:
-    """(W, W*, first, last) of the direct length-p DFT (see `fold_counts`).
+def _axis_groups(p: int, nd: int) -> tuple:
+    """The axis counts a of the direct passes over (Z_p)^(nd), in axis order:
+    a is the largest with p^a <= _DFT_LINE_MAX, and a last group takes the
+    remainder.  So p = 3 passes over pairs of axes, (2, ..., 2, 1) for odd
+    nd, and every p >= 5 over single axes."""
+    a = 1
+    while p ** (a + 1) <= _DFT_LINE_MAX:
+        a += 1
+    return (a,) * (nd // a) + ((nd % a,) if nd % a else ())
 
-    W[j, l] = exp(-2 pi i jl / p), from cos and sin of the reduced angle
-    pi g / p, g = 2 jl mod 2p taken in (-p, p], so |angle| <= pi.  first is
-    the top h = p // 2 + 1 rows of W, transposed; last is the first h
-    columns of W weighted 1, 2, ..., 2.  Both are (p, 2h) float64 arrays
-    with real and imaginary parts interleaved, so a float64 matmul against
-    them is a complex one."""
-    g = 2 * (np.outer(np.arange(p), np.arange(p)) % p)
+
+@functools.lru_cache(maxsize=8)
+def _dft_matrices(p: int, a: int) -> tuple:
+    """(W, W*, first, last) of the direct DFT of (Z_p)^a, one pass over a
+    axes, with lines of length L = p^a (see `fold_counts`).
+
+    W[j, l] = exp(-2 pi i (j . l) / p) for the base-p digit vectors j and l
+    of the row and column, from cos and sin of the reduced angle pi g / p,
+    g = 2 (j . l) mod 2p taken in (-p, p], so |angle| <= pi.  first is the
+    top h L / p rows of W, h = p // 2 + 1, those whose leading digit is
+    below h, transposed; last is the same columns of W weighted 1 where
+    that digit is 0 and 2 elsewhere.  Both are float64 arrays of L rows with
+    real and imaginary parts interleaved, so a float64 matmul against them
+    is a complex one."""
+    size = p ** a
+    digits = np.arange(size)[:, None] // p ** np.arange(a - 1, -1, -1) % p
+    g = 2 * ((digits @ digits.T) % p)
     g[g > p] -= 2 * p
     angle = np.pi * g / p
-    w = np.empty((p, p), dtype=np.complex128)
+    w = np.empty((size, size), dtype=np.complex128)
     w.real = np.cos(angle)
     w.imag = -np.sin(angle)
-    h = p // 2 + 1
-    weights = np.full(h, 2.0)
-    weights[0] = 1.0
-    out = (w, w.conj(), np.ascontiguousarray(w[:h].T).view(np.float64),
-           np.ascontiguousarray(w[:, :h] * weights).view(np.float64))
+    half = (p // 2 + 1) * size // p
+    weights = np.full(half, 2.0)
+    weights[: size // p] = 1.0
+    out = (w, w.conj(), np.ascontiguousarray(w[:half].T).view(np.float64),
+           np.ascontiguousarray(w[:, :half] * weights).view(np.float64))
     for m in out:
         m.setflags(write=False)
     return out
@@ -175,12 +201,14 @@ def _rfft(dom: PointDomain, table: np.ndarray) -> np.ndarray:
     p = dom.ctx.p
     if p > _MATMUL_P_MAX:
         return np.fft.rfftn(table.reshape(dom.shape), axes=(*range(1, dom.nd), 0))
-    w, _, first, _ = _dft_matrices(p)
-    # Each pass transforms the leading axis, and the transposed operand
-    # leaves it trailing, so after nd passes the axes are back in order.
-    y = (np.asarray(table, dtype=np.float64).reshape(p, -1).T @ first).view(np.complex128)
-    for _ in range(dom.nd - 1):
-        y = y.reshape(p, -1).T @ w
+    first_group, *groups = _axis_groups(p, dom.nd)
+    # Each pass transforms the leading axis group, and the transposed operand
+    # leaves it trailing, so after the last group the axes are back in order.
+    first = _dft_matrices(p, first_group)[2]
+    y = np.asarray(table, dtype=np.float64).reshape(p ** first_group, -1).T @ first
+    y = y.view(np.complex128)
+    for a in groups:
+        y = y.reshape(p ** a, -1).T @ _dft_matrices(p, a)[0]
     return y.reshape((p // 2 + 1,) + dom.shape[1:])
 
 
@@ -189,13 +217,15 @@ def _irfft(dom: PointDomain, hat: np.ndarray) -> np.ndarray:
     p = dom.ctx.p
     if p > _MATMUL_P_MAX:
         return np.fft.irfftn(hat, s=dom.shape, axes=(*range(1, dom.nd), 0)).reshape(dom.size)
-    _, w_conj, _, last = _dft_matrices(p)
-    # Each pass transforms the trailing axis and leaves it leading; the
-    # half axis, trailing after nd - 1 passes, goes last and gives reals.
+    first_group, *groups = _axis_groups(p, dom.nd)
+    # Each pass transforms the trailing axis group and leaves it leading; the
+    # group of the half axis, trailing after the others, goes last and gives
+    # reals.
     z = hat
-    for _ in range(dom.nd - 1):
-        z = w_conj @ z.reshape(-1, p).T
-    real = last @ z.reshape(-1, p // 2 + 1).view(np.float64).T
+    for a in reversed(groups):
+        z = _dft_matrices(p, a)[1] @ z.reshape(-1, p ** a).T
+    last = _dft_matrices(p, first_group)[3]
+    real = last @ z.reshape(-1, last.shape[1] // 2).view(np.float64).T
     real *= 1.0 / dom.size
     return real.reshape(dom.size)
 
@@ -219,18 +249,20 @@ def _transform_fold(dom: PointDomain, factors):
     return r
 
 
-def _fold_at_zero(dom: PointDomain, factors):
+def _fold_at_zero(dom: PointDomain, factors, integrand: np.ndarray):
     """The value at z = 0 of the transform fold of two or more factors, given
-    as to `_transform_fold` (the conjugate half spectrum for a reflected
-    factor f(-.)), as an exact int, or None when the certificate of
-    `fold_counts` step 3' fails.  No inverse transform: the value is
-    N^-1 sum_m G(m) over the full grid, the weighted sum of the product G over
-    the half grid, weights 1 on axis-0 frequency 0 and 2 on the others."""
-    cert = _certificate(dom, [(norms, power) for norms, _, power in factors], at_zero=True)
+    as ((l1, l2), power) pairs, as an exact int, or None when the certificate
+    of `fold_counts` step 3' fails.  integrand is the real part of the
+    product G of their half spectra (the conjugate one for a reflected
+    factor f(-.)), taken as a real array (see `lambda_k`).  No inverse
+    transform: the value is N^-1 sum_m G(m) over the full grid, the weighted
+    sum of the integrand over the half grid, weights 1 on axis-0 frequency 0
+    and 2 on the others."""
+    cert = _certificate(dom, factors, at_zero=True)
     if cert is None:
         return None
     mass, bound = cert
-    rows = _product(factors).real.reshape(dom.ctx.p // 2 + 1, -1).sum(axis=1)
+    rows = integrand.reshape(dom.ctx.p // 2 + 1, -1).sum(axis=1)
     value = (rows[0] + 2.0 * rows[1:].sum()) / dom.size
     r = np.rint(value)
     if abs(value - r) > bound or not 0 <= r <= mass:
@@ -249,6 +281,14 @@ def _product(factors) -> np.ndarray:
     for hat in hats[2:]:
         prod *= hat
     return prod
+
+
+def _times_power(x: np.ndarray, power: np.ndarray, h: int) -> np.ndarray:
+    """x power^h, by h real products in order, into one new array."""
+    out = x * power
+    for _ in range(h - 1):
+        out *= power
+    return out
 
 
 def _limbs(table: np.ndarray, w: int) -> list:
@@ -316,14 +356,18 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     0..floor(p/2) and all of the other axes', `_irfft` reads such an array
     as half of a Hermitian one, and r_j is _irfft(_rfft(1_E)^j), where E's
     ladder takes _rfft(1_E) once and holds it.  For p <= _MATMUL_P_MAX both
-    run the direct DFT: nd passes, each one BLAS matmul of the p x p twiddle
-    matrix W of `_dft_matrices` against the table read as (p, N / p), whose
-    transposed operand leaves the transformed axis at the back.  The forward
-    transform's first pass multiplies the real table by the real and
-    imaginary parts of the top h = floor(p/2) + 1 rows of W; the inverse's
-    last pass rebuilds the real table from the h bins of the half axis,
-    weighted 1, 2, ..., 2, and one 1/N scaling follows.  Above the crossover
-    both call numpy.fft with axis 0 halved, which gives the same layout.  Its
+    run the direct DFT, one pass per group of a axes (`_axis_groups`: a is
+    the largest with L = p^a <= _DFT_LINE_MAX, so a = 2 for p = 3, the last
+    group taking what remains, and a = 1 for every other p).  A pass is one
+    BLAS matmul of the L x L twiddle matrix W of (Z_p)^a (`_dft_matrices`)
+    against the table read as (L, N / L), whose transposed operand leaves
+    the transformed group at the back.  The forward transform's first pass
+    multiplies the real table by the real and imaginary parts of the top
+    h L / p rows of W, h = floor(p/2) + 1, those whose axis-0 digit is below
+    h; the inverse's last pass rebuilds the real table from those bins,
+    weighted 1 on axis-0 frequency 0 and 2 on the others, and one 1/N
+    scaling follows.  Above the crossover both call numpy.fft with axis 0
+    halved, which gives the same layout.  Its
     certificate: the mass prod_i ||f_i||_1 < 2^53, so every count is exact
     in float64; the a priori bound B below on max |computed - exact| is
     < 1/2, so rint is exact, and the observed residual is at most B; the
@@ -333,31 +377,34 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     fold has f_i = 1_E, s_i = |E|, l_i = sqrt|E|, m = j; a limb product has
     m = 2).  Let u = 2^-53 and gamma_n = n u / (1 - n u).
 
-    0. One pass.  Each length-p DFT along one line, y_l = sum_j W[j, l] x_j,
-       has relative 2-norm error at most a = C p^(3/2) u with C = 8.  W[j, l]
-       is exp(-i theta), theta = pi g / p for the integer g = 2 jl mod 2p
-       taken in (-p, p], so |theta| <= pi.  np.pi is within 0.36 u of pi,
-       relative, and g is exact, so fl(fl(pi g) / p) is within
+    0. One pass.  Each DFT of length L along one line, y_l = sum_j W[j, l]
+       x_j, has relative 2-norm error at most a_L = C L^(3/2) u with C = 8.
+       W[j, l] is exp(-i theta), theta = pi g / p for the integer
+       g = 2 (j . l) mod 2p taken in (-p, p], j . l the dot product of the
+       base-p digits of j and l, so |theta| <= pi.  np.pi is within 0.36 u
+       of pi, relative, and g is exact, so fl(fl(pi g) / p) is within
        2.36 u |theta| <= 7.42 u of theta; with cos and sin within 4 ulp, at
        most 4 u each on [-1, 1], every twiddle has |W~ - W| <= tau = 13.1 u.
-       The real and imaginary parts of y_l are each a sum of at most 2p real
+       The real and imaginary parts of y_l are each a sum of at most 2L real
        products, in whatever order and with whatever fused multiply-adds BLAS
        takes, so Higham's inner-product bound (Accuracy and Stability of
        Numerical Algorithms, (3.5)), on both parts, gives |y~_l - y_l| <=
-       (tau + sqrt(2) gamma_2p (1 + tau)) sum_j |x_j|.  As sum_j |x_j| <=
-       sqrt(p) ||x||_2 and the exact pass has ||y||_2 = sqrt(p) ||x||_2, the
-       pass has the relative error sqrt(p) (tau + sqrt(2) gamma_2p (1 + tau)),
-       under a = sqrt(p) C p u for every p >= 3: at p = 3 the bracket is
-       (13.1 + 8.5) u against C p u = 24 u, and it grows by about 2.83 u
-       per unit of p, C p u by 8 u.  The forward transform's first pass (p
-       products per part) does no worse; the inverse's last pass (2h <= p + 1
-       products per output) is bounded the same way against the Hermitian
-       extension of its line, whose l1 norm the weights 1, 2, ..., 2 count.
-       Above _MATMUL_P_MAX the same a is assumed of numpy.fft's radix and
-       Bluestein passes, which do better than the direct sum.
+       (tau + sqrt(2) gamma_2L (1 + tau)) sum_j |x_j|.  As sum_j |x_j| <=
+       sqrt(L) ||x||_2 and the exact pass has ||y||_2 = sqrt(L) ||x||_2, the
+       pass has the relative error sqrt(L) (tau + sqrt(2) gamma_2L (1 + tau)),
+       under a_L = sqrt(L) C L u for every line length L >= 3: at L = 3 the
+       bracket is (13.1 + 8.5) u against C L u = 24 u, and it grows by about
+       2.83 u per unit of L, C L u by 8 u.  The forward transform's first
+       pass (L products per part) does no worse; the inverse's last pass
+       (2 h L / p <= L + L / p products per output) is bounded the same way
+       against the Hermitian extension of its line, whose l1 norm the
+       weights 1, 2, ..., 2 count.  Above _MATMUL_P_MAX the same a_p is
+       assumed of numpy.fft's radix and Bluestein passes, one per axis,
+       which do better than the direct sum.
 
-    The exact pass scales every line by sqrt(p), so nd passes give a complex
-    transform the relative error e = (1 + a)^(nd) - 1, and its inverse with
+    The exact pass scales every line by sqrt(L), so the passes give a
+    complex transform the relative error e = prod (1 + a_L) - 1 over their
+    line lengths L, e = (1 + a_p)^(nd) - 1 for p >= 5, and its inverse with
     the 1/N scaling e' = (1 + e)(1 + u)^2 - 1.  The Hermitian extension of a
     half-spectrum array, its missing bins filled by conjugates of mirrored
     ones, has at most sqrt(2) times its 2-norm, as no bin appears in it more
@@ -372,6 +419,10 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
        eta = eps sqrt(N).
     2. Product: the m - 1 complex products each add relative error at most
        mu = sqrt(2) gamma_2 (Higham, Lemma 3.5); theta = (1 + mu)^(m-1) - 1.
+       At the origin (step 3') a power |F|^2 = re^2 + im^2, or a cross term
+       Re(conj(F) F') = re re' + im im', stands for one of the m - 1
+       products, with error at most gamma_2 < mu times |F|^2, or |F| |F'|;
+       each real product of two such terms adds u < mu.
        Telescoping prod F~ - prod F and putting A_i = l_i prod_{l != i} s_l,
        ||G~ - G||_2 <= sqrt(N) (1 + eta)^(m-1) (eps sum_i A_i
        + theta (1 + eps) min_i A_i) =: sqrt(N) D.
@@ -389,7 +440,11 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     such cells, the half spectrum of a reflected real factor f(-.) being the
     conjugate of f's.  The sum of the Hermitian extension of G~ over the full
     grid is Re sum w G~ over the n = h N / p bins of the half grid, w = 1 on
-    axis-0 frequency 0 and 2 on 1..(p-1)/2 (p is odd), so step 3 becomes:
+    axis-0 frequency 0 and 2 on 1..(p-1)/2 (p is odd).  Only Re G~ is read,
+    so it is taken as a real array from E's power spectrum |H|^2: |H|^(2h)
+    for Lambda_2h, and Re(conj(V^) H) |H|^(2h-2) for the edge count, |H|^2
+    and the cross term as in step 2 and each further factor one real
+    product.  So step 3 becomes:
 
     3'. Sum: Higham's (3.5), with the weights exact, bounds the rounding of
        sum w x, taken in any order, by gamma_n sum w |x|, and sum w |G~| is
@@ -405,8 +460,8 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     in place of the table: mass < 2^53, B0 < 1/2, the observed residual at
     most B0, and the rounded value in [0, mass].  When it fails the caller
     builds the fold table instead.  For |E| = 561 over F_27^3, Lambda_4 has
-    B0 about 1.5e-3, against B about 1.2e-3 for the table of the same four
-    factors, r_4.
+    B0 about 3.2e-3, against B about 3.0e-3 for the table of the same four
+    factors, r_4 (1.5e-3 and 1.2e-3 were the transforms one axis per pass).
 
     Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
     a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
@@ -450,11 +505,13 @@ class FoldLadder:
     tables already held here; no depth is built twice.  Lambda_k is held the
     same way, built on first use by one call to `lambda_k`.  E's indicator
     is binned once, on first need, and held read-only: it is the depth-1
-    table, and its norms and half spectrum are taken from it once and held
+    table, and its norms and half spectrum H are taken from it once and held
     too, so every certified transform fold of E, of any depth, is one
-    inverse transform, and every certified energy none.  It keeps its tables
-    for its own lifetime only, so callers make one per subset and drop it
-    with the subset.
+    inverse transform.  The power spectrum |H|^2 is taken from H at the
+    first read at the origin and held read-only, so every certified energy
+    and edge count is one real weighted sum, with no inverse transform and
+    no complex product.  It keeps its tables for its own lifetime only, so
+    callers make one per subset and drop it with the subset.
     """
 
     def __init__(self, dom: PointDomain, E):
@@ -511,21 +568,32 @@ class FoldLadder:
         """`_norms` of the held indicator, held."""
         return _norms(self.indicator)
 
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        """The power spectrum |H|^2 = re^2 + im^2 of the held half spectrum
+        H, taken at the first read at the origin and held read-only."""
+        hat = self.transform()
+        power = np.square(hat.real)
+        power += np.square(hat.imag)
+        power.setflags(write=False)
+        return power
+
 
 def lambda_k(E: FoldLadder, k: int) -> int:
     """k-energy of E: ordered k-tuples whose two half-sums agree, the sum of
     r_{k/2}^2, for even k >= 2.
 
     Lambda_2 is the dot product of the depth-1 table with itself.  From k = 4
-    on, Lambda_k = (r_{k/2} (*) r_{k/2}(-.))(0) is read off E's held half
-    spectrum H as N^-1 sum_m |H(m)|^k (`_fold_at_zero`), and only when that
-    refuses is r_{k/2} built and squared.  `FoldLadder.energy` holds it."""
+    on, Lambda_k = (r_{k/2} (*) r_{k/2}(-.))(0) is read off E's held power
+    spectrum P = |H|^2 as N^-1 sum_m P(m)^(k/2) (`_fold_at_zero`), P^(k/2)
+    by k/2 - 1 real products, and only when that refuses is r_{k/2} built
+    and squared.  `FoldLadder.energy` holds it."""
     if k % 2 != 0 or k < 2:
         raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
                         "odd k is handled through the product of neighbours")
     half = k // 2
     if half > 1:
-        lam = _fold_at_zero(E.dom, E.factors(half, half))
+        lam = _fold_at_zero(E.dom, [(E.norms, k)], _times_power(E.power, E.power, half - 1))
         if lam is not None:
             return lam
     r = E.fold(half).values
@@ -691,9 +759,12 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
 
     e = sum_u r_{k/2-1}(u) acc(u), with the correlation acc(u) = sum_{v in V}
     r_{k/2}(u + v) = (1_{-V} (*) r_{k/2})(u), is the fold of 1_{-V}, r_{k/2}
-    and r_{k/2-1}(-.) at 0.  It is read off the held half spectra
-    (`_fold_at_zero`): the conjugate of V's, for the reflected 1_V, times
-    E's to the power k/2 and its conjugate to the power k/2 - 1.  Only when
+    and r_{k/2-1}(-.) at 0.  It is read off the held spectra
+    (`_fold_at_zero`) as N^-1 sum_m Re(conj(V^(m)) H(m)) P(m)^(k/2 - 1): V's
+    half spectrum V^ is conjugated for the reflected 1_V, and E's half
+    spectrum H to the power k/2 times its conjugate to the power k/2 - 1 is
+    H times E's power spectrum P = |H|^2 to the power k/2 - 1, all of it
+    real arithmetic, the cross term as re re' + im im'.  Only when
     that refuses is acc built, exact by the engine of `fold_counts`: the
     certified transform of the two indicators, or else limb products of
     1_{-V} and r_{k/2}.
@@ -705,7 +776,12 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
         raise ValueError("E must be a subset of the variety")
     half = k // 2
     e_size = len(E)
-    e = _fold_at_zero(dom, V.factors(0, 1) + E.factors(half, half - 1))
+    hat, v_hat = E.transform(), V.transform()
+    # Re(conj(V^) H), by real products, times |H|^(k - 2).
+    cross = v_hat.real * hat.real
+    cross += v_hat.imag * hat.imag
+    e = _fold_at_zero(dom, [(V.norms, 1), (E.norms, k - 1)],
+                      _times_power(cross, E.power, half - 1))
     if e is None:
         # acc is of mass |V| |E|^{k/2}.
         acc_mass = len(V) * e_size ** half

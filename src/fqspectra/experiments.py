@@ -145,6 +145,9 @@ class ExperimentPlan:
             raise ValueError(f"x_sizes entry {min(self.x_sizes)} must be >= 1")
         if self.sizes_mode not in ("threshold", "absolute"):
             raise ValueError(f"unknown sizes_mode {self.sizes_mode!r}")
+        # |X + Delta| <= q, so a c above 1 is never met; nan fails this too.
+        if not 0 < self.c <= 1:
+            raise ValueError(f"c = {self.c} must be in (0, 1]")
 
     def context(self) -> FieldContext:
         return FieldContext(self.p, self.n)
@@ -172,39 +175,56 @@ class ExperimentPlan:
     @classmethod
     def from_file(cls, path) -> "ExperimentPlan":
         """Parse the documented flat `key = value` plan format; a key given
-        twice is refused, naming its second line."""
-        raw = {}
+        twice, a line without '=' and a key or value that does not read are
+        refused, naming the line."""
+        raw, lines = {}, {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"plan line without '=': {line!r}")
+                    raise ValueError(f"plan line {lineno} without '=': {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key in raw:
                     raise ValueError(f"plan key {key!r} repeated on line {lineno}")
-                raw[key] = value
-        return cls.from_mapping(raw)
+                raw[key], lines[key] = value, lineno
+        return cls.from_mapping(raw, lines)
 
     @classmethod
-    def from_mapping(cls, raw: dict) -> "ExperimentPlan":
+    def from_mapping(cls, raw: dict, lines: dict | None = None) -> "ExperimentPlan":
+        """The plan of `raw`, key -> value; ValueError naming the key, and its
+        line when `lines` (key -> line number) gives one, for an unknown key
+        or a value that does not read."""
         kwargs = {}
-        int_keys = {"p", "n", "d", "j", "k", "s", "trials", "seed"}
         for key, value in raw.items():
-            if key in int_keys:
-                kwargs[key] = int(value)
-            elif key == "c":
-                kwargs[key] = float(value)
-            elif key == "sizes":
-                kwargs[key] = tuple(float(v) for v in str(value).split(","))
-            elif key in ("ks", "x_sizes", "coeffs"):
-                kwargs[key] = tuple(int(v) for v in str(value).split(","))
-            elif key in ("family", "form", "sizes_mode"):
-                kwargs[key] = str(value)
-            else:
-                raise ValueError(f"unknown plan key {key!r}")
+            where = f" on line {lines[key]}" if lines else ""
+            if key not in _PLAN_KEYS:
+                raise ValueError(f"unknown plan key {key!r}{where}")
+            read, what = _PLAN_KEYS[key]
+            try:
+                kwargs[key] = read(value)
+            except ValueError:
+                raise ValueError(f"plan key {key!r}{where}: {value!r} is not {what}") from None
         return cls(**kwargs)
+
+
+def _ints(value) -> tuple:
+    return tuple(int(v) for v in str(value).split(","))
+
+
+def _floats(value) -> tuple:
+    return tuple(float(v) for v in str(value).split(","))
+
+
+# How each plan key's value is read, and what it must be.
+_PLAN_KEYS = {
+    **dict.fromkeys(("p", "n", "d", "j", "k", "s", "trials", "seed"), (int, "an integer")),
+    "c": (float, "a number"),
+    "sizes": (_floats, "a list of numbers"),
+    **dict.fromkeys(("ks", "x_sizes", "coeffs"), (_ints, "a list of integers")),
+    **dict.fromkeys(("family", "form", "sizes_mode"), (str, "text")),
+}
 
 
 @dataclass

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -618,6 +619,47 @@ def test_repeated_plan_key_is_a_usage_error(tmp_path, capsys):
         ExperimentPlan.from_file(plan)
     code, out, err = run_cli(["experiment", "coverage", "--plan", str(plan)], capsys)
     assert (code, out, err) == (1, "", "error: plan key 'p' repeated on line 6\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p = 5\nd = 2\nk = x\n", "plan key 'k' on line 3: 'x' is not an integer"),
+    ("p = 5\n# sizes\nsizes = 1,,2\n",
+     "plan key 'sizes' on line 3: '1,,2' is not a list of numbers"),
+    ("p = 5\nc = half\n", "plan key 'c' on line 2: 'half' is not a number"),
+    ("p = 5\nd 2\n", "plan line 2 without '=': 'd 2'"),
+    ("p = 5\n\nbogus = 1\n", "unknown plan key 'bogus' on line 3"),
+], ids=["int", "sizes", "c", "no-equals", "unknown-key"])
+def test_unreadable_plan_lines_name_their_key_and_line(text, message, tmp_path, capsys):
+    # The conversion error used to pass through as it was, naming neither.
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentPlan.from_file(plan)
+    code, out, err = run_cli(["experiment", "coverage", "--plan", str(plan)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_plan_mapping_values_that_do_not_read_name_their_key():
+    with pytest.raises(ValueError, match="^plan key 'k': 'x' is not an integer$"):
+        ExperimentPlan.from_mapping({"p": "5", "k": "x"})
+    with pytest.raises(ValueError, match=r"^plan key 'ks': '4,y' is not a list of integers$"):
+        ExperimentPlan.from_mapping({"p": "5", "ks": "4,y"})
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
+def test_plan_c_outside_0_1_is_a_usage_error(c, tmp_path, capsys):
+    # |X + Delta| <= q, so no c above 1 is ever met, and c = nan ran with
+    # every verdict_cq false.
+    plan = _plan(tmp_path, f"k = 2\nc = {c}\n")
+    message = f"c = {float(c)} must be in (0, 1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentPlan.from_file(plan)
+    code, out, err = run_cli(["experiment", "sumset", "--plan", plan], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_plan_c_of_1_is_accepted():
+    assert ExperimentPlan(p=5, c=1.0).c == 1.0
 
 
 def test_negative_subset_sizes_are_usage_errors(tmp_path, capsys):

@@ -691,10 +691,14 @@ TWIDDLE_ERROR = 13.1 * 2.0 ** -53
 
 
 def _transform_error(dom):
-    """The derivation's relative error e = (1 + a)^(nd) - 1 of nd passes,
-    a = C p^(3/2) u (see `fold_counts`)."""
-    a = energy_mod._DFT_ERROR_CONST * dom.ctx.p ** 1.5 * 2.0 ** -53
-    return math.expm1(dom.nd * math.log1p(a))
+    """The derivation's relative error e = prod (1 + a_L) - 1 over the passes,
+    a_L = C L^(3/2) u for a pass along lines of length L (see `fold_counts`):
+    p = 3 takes its axes in pairs, L = 9, and a last single axis when nd is
+    odd; every other p takes them one by one, L = p."""
+    p = dom.ctx.p
+    lines = [9] * (dom.nd // 2) + [3] * (dom.nd % 2) if p == 3 else [p] * dom.nd
+    return math.expm1(sum(math.log1p(energy_mod._DFT_ERROR_CONST * L ** 1.5 * 2.0 ** -53)
+                          for L in lines))
 
 
 def _draw_table(dom, data):
@@ -767,12 +771,15 @@ def test_matmul_and_numpy_fft_branches_agree(monkeypatch):
                     reason="longdouble is no wider than float64")
 @pytest.mark.parametrize("p", [3, 5, 7, 31, 101, 211, 373])
 def test_twiddles_are_within_the_stated_error_of_a_longdouble_reference(p):
-    w = energy_mod._dft_matrices(p)[0]
+    # Every pass matrix of p: one axis, and for p = 3 also a pair of axes.
     pi = 4 * np.arctan(np.longdouble(1))
-    angle = 2 * pi * (np.outer(np.arange(p), np.arange(p)) % p).astype(np.longdouble) / p
-    err = np.hypot(w.real.astype(np.longdouble) - np.cos(angle),
-                   w.imag.astype(np.longdouble) + np.sin(angle))
-    assert float(err.max()) <= TWIDDLE_ERROR
+    for a in set(energy_mod._axis_groups(p, 3)):
+        w = energy_mod._dft_matrices(p, a)[0]
+        digits = np.arange(p ** a)[:, None] // p ** np.arange(a - 1, -1, -1) % p
+        angle = 2 * pi * ((digits @ digits.T) % p).astype(np.longdouble) / p
+        err = np.hypot(w.real.astype(np.longdouble) - np.cos(angle),
+                       w.imag.astype(np.longdouble) + np.sin(angle))
+        assert float(err.max()) <= TWIDDLE_ERROR, a
 
 
 def test_direct_sum_error_fits_under_the_stated_constant():
@@ -783,6 +790,142 @@ def test_direct_sum_error_fits_under_the_stated_constant():
         gamma = 2 * p * u / (1 - 2 * p * u)
         slack = energy_mod._DFT_ERROR_CONST * p * u
         assert TWIDDLE_ERROR + math.sqrt(2) * gamma * (1 + TWIDDLE_ERROR) <= slack, p
+
+
+# (p, n, d) over (Z_3)^(nd): F_3^1 (a group shorter than 2), F_3^3 and
+# F_27^1 (odd nd, a last single axis), F_9^2, F_81^1 and F_27^3.
+GROUPED_DOMAINS = [(3, 1, 1), (3, 1, 3), (3, 3, 1), (3, 2, 2), (3, 4, 1), (3, 3, 3)]
+
+
+def _counting_passes(monkeypatch):
+    """Record the axis count a of every pass matrix the transforms ask for;
+    each direct pass asks once."""
+    seen = []
+    matrices = energy_mod._dft_matrices
+
+    def counting(p, a):
+        seen.append(a)
+        return matrices(p, a)
+
+    monkeypatch.setattr(energy_mod, "_dft_matrices", counting)
+    return seen
+
+
+@pytest.mark.parametrize("p,n,d", GROUPED_DOMAINS)
+def test_grouped_kernels_equal_the_complex_transform_in_pairs_of_axes(monkeypatch, p, n, d):
+    dom = PointDomain(FieldContext(p, n), d)
+    rng = random.Random(p * n * d)
+    table = np.bincount([rng.randrange(dom.size) for _ in range(40)], minlength=dom.size)
+    want = half_spectrum_reference(dom, table)
+    pairs = [2] * (dom.nd // 2) + [1] * (dom.nd % 2)
+    seen = _counting_passes(monkeypatch)
+    got = energy_mod._rfft(dom, table)
+    assert seen == pairs                        # ceil(nd / 2) passes, in axis order
+    assert got.shape == want.shape == (2,) + (3,) * (dom.nd - 1)
+    tol = _half_spectrum_tolerance(dom, table)
+    assert np.linalg.norm(got - want) <= tol
+    seen.clear()
+    back = energy_mod._irfft(dom, want)
+    assert sorted(seen) == sorted(pairs)
+    # The reference is within tol of the exact spectrum, which the inverse,
+    # scaled by 1/N, maps at most tol / sqrt(N) away in 2-norm.
+    s, l2 = energy_mod._norms(table)
+    slack = tol / math.sqrt(dom.size) + energy_mod._fold_error_bound(dom, [s], [l2])
+    assert np.max(np.abs(back - table)) <= slack
+    assert np.array_equal(np.rint(energy_mod._irfft(dom, got)).astype(np.int64), table)
+
+
+def test_only_p_3_groups_its_axes():
+    assert energy_mod._axis_groups(3, 9) == (2, 2, 2, 2, 1)
+    assert energy_mod._axis_groups(3, 4) == (2, 2)
+    assert energy_mod._axis_groups(3, 1) == (1,)
+    for p in (5, 7, 31, 373):
+        assert energy_mod._axis_groups(p, 3) == (1, 1, 1)
+
+
+def _single_axis_matrices(p):
+    """`_dft_matrices` as it was before axes were grouped: the length-p pass."""
+    g = 2 * (np.outer(np.arange(p), np.arange(p)) % p)
+    g[g > p] -= 2 * p
+    angle = np.pi * g / p
+    w = np.empty((p, p), dtype=np.complex128)
+    w.real = np.cos(angle)
+    w.imag = -np.sin(angle)
+    h = p // 2 + 1
+    weights = np.full(h, 2.0)
+    weights[0] = 1.0
+    return (w, w.conj(), np.ascontiguousarray(w[:h].T).view(np.float64),
+            np.ascontiguousarray(w[:, :h] * weights).view(np.float64))
+
+
+@pytest.mark.parametrize("p", [5, 7, 31, 373])
+def test_single_axis_matrices_are_unchanged_bit_for_bit(p):
+    for got, want in zip(energy_mod._dft_matrices(p, 1), _single_axis_matrices(p), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_fold_error_bound_charges_each_pass_its_line_length():
+    # F_27^3: four 9-point passes and one 3-point pass, against nine 3-point ones.
+    dom = PointDomain(FieldContext(3, 3), 3)
+    u = 2.0 ** -53
+    grouped = (1 + 8.0 * 9 ** 1.5 * u) ** 4 * (1 + 8.0 * 3 ** 1.5 * u) - 1
+    single = (1 + 8.0 * 3 ** 1.5 * u) ** 9 - 1
+    assert _transform_error(dom) == pytest.approx(grouped, rel=1e-12)
+    assert grouped > single
+    sizes, norms = [561] * 4, [math.sqrt(561)] * 4
+    bound = energy_mod._fold_error_bound(dom, sizes, norms)
+    assert 2.9e-3 < bound < 3.1e-3
+
+
+def test_held_power_spectrum_is_read_only_and_taken_once_at_the_first_origin_read():
+    ctx = FieldContext(3, 3)
+    dom = PointDomain(ctx, 3)
+    v = builtin_variety(ctx, "sphere", 3, 1)
+    graph = cayley_spectrum(ctx, v.indices, d=3)
+    idx = np.array(sorted(random.Random(27).sample(v.indices.tolist(), 40)))
+    ladder = FoldLadder(dom, idx)
+    hat = ladder.transform()
+    assert "power" not in vars(ladder)          # the transform takes none
+    ladder.energy(4)
+    power = vars(ladder)["power"]
+    assert not power.flags.writeable and power.dtype == np.float64
+    with pytest.raises(ValueError):
+        power[0, 0] = 1.0
+    assert np.array_equal(power, hat.real ** 2 + hat.imag ** 2)
+    assert np.allclose(power, np.abs(hat) ** 2, rtol=1e-12, atol=0)
+    ladder.energy(6)
+    energy_growth_audit(FoldLadder(dom, v.indices), ladder, 4, graph)
+    assert ladder.power is power
+
+
+def test_origin_reads_are_real_sums_with_no_complex_product(monkeypatch):
+    ctx = FieldContext(3, 3)
+    dom = PointDomain(ctx, 3)
+    v = builtin_variety(ctx, "sphere", 3, 1)
+    graph = cayley_spectrum(ctx, v.indices, d=3)
+    idx = np.array(sorted(random.Random(3).sample(v.indices.tolist(), 30)))
+    want = (lambda_k(FoldLadder(dom, idx), 4), lambda_k(FoldLadder(dom, idx), 6),
+            energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, idx), 4,
+                                graph).as_dict())
+    integrands = []
+    original = energy_mod._fold_at_zero
+
+    def recording(dom, factors, integrand):
+        integrands.append(integrand.dtype)
+        return original(dom, factors, integrand)
+
+    def no_product(factors):
+        raise AssertionError("complex product on the origin path")
+
+    monkeypatch.setattr(energy_mod, "_fold_at_zero", recording)
+    monkeypatch.setattr(energy_mod, "_product", no_product)
+    E = FoldLadder(dom, idx)
+    got = (E.energy(4), E.energy(6),
+           energy_growth_audit(FoldLadder(dom, v.indices), E, 4, graph).as_dict())
+    assert got == want
+    assert integrands == [np.float64] * 3       # Lambda_4, Lambda_6, the edge count
 
 
 def test_folds_above_the_matmul_crossover_run_on_numpy_fft(monkeypatch):
@@ -1175,8 +1318,8 @@ def _counting_at_zero(monkeypatch):
     seen = []
     original = energy_mod._fold_at_zero
 
-    def counting(dom, factors):
-        seen.append(original(dom, factors))
+    def counting(dom, factors, integrand):
+        seen.append(original(dom, factors, integrand))
         return seen[-1]
 
     monkeypatch.setattr(energy_mod, "_fold_at_zero", counting)
@@ -1184,7 +1327,7 @@ def _counting_at_zero(monkeypatch):
 
 
 def _fold_path_only(monkeypatch):
-    monkeypatch.setattr(energy_mod, "_fold_at_zero", lambda dom, factors: None)
+    monkeypatch.setattr(energy_mod, "_fold_at_zero", lambda dom, factors, integrand: None)
 
 
 def _brute_energy(dom, idx, k):

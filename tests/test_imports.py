@@ -1,7 +1,8 @@
 """Every module-level import in the package source is used, every
 module-level function and method is read somewhere in the package, every
-exception class is raised or caught somewhere in it, and every module
-imports only modules below it in the package's layer order.
+exception class is raised or caught somewhere in it, every module
+imports only modules below it in the package's layer order, and no module
+holds an `assert` statement, which `python -O` would strip.
 
 No linter ships with the project, so these stdlib-only checks stand in for
 one.  `__init__.py` is skipped by the import check: its imports are the
@@ -349,3 +350,21 @@ def test_the_check_sees_imports_against_the_layer_order():
 def test_every_module_imports_only_lower_layers():
     assert {p.stem for p in MODULES} == set(LAYERS)
     assert layer_violations({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def assert_statements(source: str) -> list:
+    """Lines of the `assert` statements in a module, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_the_check_sees_assert_statements():
+    source = ("def f(x):\n    assert x > 0, 'x must be positive'\n    return x\n\n"
+              "assert f(1)\nname = 'assert'\nif name:\n    raise ValueError('assert')\n")
+    assert assert_statements(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statements_in_the_package(path):
+    # An invariant must survive `python -O`: raise InvariantError instead.
+    assert assert_statements(path.read_text()) == []
