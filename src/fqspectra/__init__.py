@@ -36,7 +36,6 @@ from .spectra import (
     mixing_audit,
 )
 from .energy import (
-    CountTable,
     DeltaSet,
     FoldLadder,
     delta_set,

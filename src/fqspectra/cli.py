@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domains import PointDomain
+from .domains import PointDomain, require_table_budget
 from .energy import (
     FoldLadder,
     delta_set,
@@ -54,6 +54,7 @@ from .geometry import (
     builtin_variety,
     diagonal_poly,
     eval_poly_table,
+    int_list,
     regularity_check,
 )
 from .spectra import (
@@ -62,7 +63,6 @@ from .spectra import (
     euclidean_spectrum,
     merge_multisets,
     mixing_audit,
-    require_table_budget,
 )
 
 EXIT_OK = 0
@@ -107,6 +107,24 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _reads_as(read, what: str):
+    """argparse type: read(text), else a usage error that names the option
+    and says what its value must be."""
+    def parse(text):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+    return parse
+
+
+def _subset_size(text):
+    return text if text == "all" else int(text)
+
+
+_INT_LIST = _reads_as(int_list, "a list of integers")
+
+
 def _add_field_args(p):
     p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     p.add_argument("--n", type=int, default=1, help="extension degree (default 1)")
@@ -121,7 +139,7 @@ def _add_variety_args(p):
 
 
 def _add_subset_args(p):
-    p.add_argument("--subset", default="all",
+    p.add_argument("--subset", default="all", type=_reads_as(_subset_size, "'all' or a count"),
                    help="'all' or a subset size sampled with --seed/--trial")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
@@ -173,7 +191,7 @@ def build_parser() -> _Parser:
     saff = ssub.add_parser("affine")
     _add_field_args(saff)
     saff.add_argument("--s", type=int, default=2, help="diagonal exponent")
-    saff.add_argument("--coeffs", help="comma-separated diagonal coefficients")
+    saff.add_argument("--coeffs", type=_INT_LIST, help="comma-separated diagonal coefficients")
     _add_out_arg(saff)
     _add_pretty_arg(saff)
 
@@ -194,9 +212,10 @@ def build_parser() -> _Parser:
         if name in ("nup", "delta"):
             ep.add_argument("--s", type=int, required=name == "nup",
                             help="use the diagonal polynomial sum a_i x_i^s instead of a form")
-            ep.add_argument("--coeffs", help="comma-separated diagonal coefficients")
+            ep.add_argument("--coeffs", type=_INT_LIST,
+                            help="comma-separated diagonal coefficients")
         if name == "nup":
-            ep.add_argument("--x-set", default="0",
+            ep.add_argument("--x-set", default="0", type=_INT_LIST,
                             help="comma-separated shift set X inside F_q")
 
     experiment = sub.add_parser("experiment", help="seeded theorem-level sweeps")
@@ -243,13 +262,7 @@ def _variety(ctx, args) -> Variety:
 def _subset(variety, args):
     if args.subset == "all":
         return variety.indices
-    return sample_subset(variety, int(args.subset), args.seed, args.trial)
-
-
-def _coeffs(args):
-    if args.coeffs:
-        return tuple(int(c) for c in args.coeffs.split(","))
-    return None
+    return sample_subset(variety, args.subset, args.seed, args.trial)
 
 
 def _emit(payload: dict, args, pretty_lines=None):
@@ -331,7 +344,7 @@ def _cmd_spectrum(args) -> int:
         require_table_budget(dom)
         spec, check = euclidean_spectrum(dom, form.value_table(dom), args.t)
     else:
-        spec, check = affine_cayley_spectrum(ctx, args.d, args.s, _coeffs(args))
+        spec, check = affine_cayley_spectrum(ctx, args.d, args.s, args.coeffs)
     payload = spec.summary()
     lines = [f"n = {spec.order}, degree = {spec.degree}",
              f"lambda = {spec.lambda_second!r} (argmax m = {spec.argmax_m})"]
@@ -376,15 +389,14 @@ def _cmd_energy(args) -> int:
         table = nu_k(E, form.value_table(dom), args.k)
         return _emit_table(table, args, extra={"k": args.k, "size": len(E)})
     if args.subcommand == "nup":
-        pvals = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
-        X = [int(v) for v in args.x_set.split(",")]
-        x_size = len(set(ctx.element(v) for v in X))
+        pvals = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, args.coeffs))
+        x_size = len(set(ctx.element(v) for v in args.x_set))
         binned = nu_k(E, pvals, args.k)
-        table = nu_P_k(ctx, binned, X)
+        table = nu_P_k(ctx, binned, args.x_set)
         sq = second_moment(table)
         bound = sumset_lower_bound(table, x_size, len(E), args.k)
         # |X + Delta| is the support size of nu_{P,k}.
-        ss_size = int(np.count_nonzero(table.values))
+        ss_size = int(np.count_nonzero(table))
         code = EXIT_OK if ss_size >= bound else EXIT_AUDIT
         extra = {"k": args.k, "size": len(E), "x_size": x_size,
                  "second_moment": sq, "cs_bound": float(bound),
@@ -392,7 +404,7 @@ def _cmd_energy(args) -> int:
         rc = _emit_table(table, args, extra=extra)
         return max(rc, code)
     if args.s is not None:
-        values = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, _coeffs(args)))
+        values = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, args.coeffs))
     else:
         values = QuadraticForm.parse(args.form, args.d).value_table(dom)
     ds = delta_set(nu_k(E, values, args.k))
@@ -404,7 +416,8 @@ def _cmd_energy(args) -> int:
 
 def _emit_table(table, args, extra=None) -> int:
     # --out always gets the CSV file; --pretty changes only what stdout shows.
-    text = "t,count\n" + "\n".join(f"{t},{v}" for t, v in table.to_rows())
+    rows = list(enumerate(table.tolist()))
+    text = "t,count\n" + "\n".join(f"{t},{v}" for t, v in rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -412,8 +425,8 @@ def _emit_table(table, args, extra=None) -> int:
     elif args.format == "csv":
         print(text)
     else:
-        payload = {"counts": {str(t): v for t, v in table.to_rows()}, **(extra or {})}
-        _emit(payload, args, [f"{t}: {v}" for t, v in table.to_rows()])
+        payload = {"counts": {str(t): v for t, v in rows}, **(extra or {})}
+        _emit(payload, args, [f"{t}: {v}" for t, v in rows])
     return EXIT_OK
 
 
@@ -614,28 +627,20 @@ def _as_ints(values, width):
     return values.astype(np.int64 if width < 1 << 63 else object)
 
 
+_COMMANDS = {"variety": _cmd_variety, "spectrum": _cmd_spectrum, "energy": _cmd_energy,
+             "experiment": _cmd_experiment, "audit": _cmd_audit}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "variety":
-            return _cmd_variety(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "energy":
-            return _cmd_energy(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except FqspectraError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

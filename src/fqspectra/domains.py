@@ -6,31 +6,32 @@ coordinate tuples.  Because element encodings are base-p digit vectors, the
 flat index is simultaneously the base-p digit string of the point over
 n*d digits.  So F_q^d is the group (Z_p)^(n*d) on tables of shape
 (p,) * (n*d): subtraction is digit-wise (`PointDomain.index_sub`), and the
-full character table and every fold (`energy.fold_counts`) are (Z_p)^(n*d)
-Fourier transforms: for p <= _MATMUL_P_MAX, matrix products with DFT
-matrices, one per axis for the character table (the length-p matrix) and
-one per group of axes for a fold (`energy._axis_groups`: pairs of axes,
-the 9 x 9 matrix of (Z_3)^2, for p = 3, single axes for every other p),
-and numpy.fft above that one crossover.
+full character table and every fold are (Z_p)^(n*d) Fourier transforms:
+direct DFTs for p <= _MATMUL_P_MAX and numpy.fft above it.  The character
+table takes one length-p pass per axis; the fold kernel is stated in
+`energy.fold_counts`.
 """
 
 import numpy as np
 
+from .errors import SearchSpaceTooLargeError
 from .field import FieldContext
 
 # Cap on q^d for any operation that materializes a full table over F_q^d.
 TABLE_MAX = 10 ** 7
 # Largest p whose (Z_p)^(n*d) transforms, character sums and folds alike,
-# run as direct DFTs, one matrix product per axis (per pair of axes in a
-# fold over p = 3); above it the O(p) work per cell and the p x p DFT matrix
-# lose to numpy.fft (measured crossover).
+# run as direct DFTs (a fold's passes: `energy.fold_counts`); above it the
+# O(p) work per cell and the p x p DFT matrix lose to numpy.fft (measured
+# crossover).
 _MATMUL_P_MAX = 373
 
 # The one overflow policy.  An exact integer accumulator runs in int64 only
 # when an a priori bound on everything it can hold (partial sums included;
 # all of them are sums of nonnegative terms or differences of two such sums)
-# is below _INT64_SAFE, and in Python ints (object dtype) otherwise.  It
-# covers:
+# is below _INT64_SAFE, and in Python ints (object dtype) otherwise.  A count
+# table is a plain 1-D array of either dtype, so a single count is read out
+# as a Python int (`tolist()` or `int()`) before any arithmetic with Python
+# ints: an int64 count times q^d can pass 2^63.  It covers:
 #   * fold count tables, whose dtype `energy._table_dtype` picks from the
 #     total mass: |E|^j, or |a| * |b| for the sum of limb products in
 #     `energy._convolve`, none of whose partial sums exceeds the total;
@@ -60,6 +61,15 @@ _INT64_SAFE = 1 << 62
 # and one float operation on such integers is as correctly rounded as the
 # same operation on Python ints.
 _FLOAT_EXACT = 1 << 53
+
+
+def require_table_budget(dom: "PointDomain", use: str = "spectrum", name: str = "q^d"):
+    """Raise SearchSpaceTooLargeError when a table over dom, the eigenvalues
+    of a spectrum or a fold of depth 2 or more, would have more than
+    TABLE_MAX cells; callers check before they build any table over dom."""
+    if dom.size > TABLE_MAX:
+        raise SearchSpaceTooLargeError(
+            f"{name} = {dom.size} exceeds the {use} budget {TABLE_MAX}")
 
 
 def flat_indices(points, q: int, d: int) -> np.ndarray:

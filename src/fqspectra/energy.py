@@ -1,31 +1,18 @@
 """Exact fold counts, k-energies, the distance-count tables nu_k and nu_{P,k},
 generalized distance sets, and second-moment/sumset quantities.
 
-Everything on the counting side is exact integer arithmetic: tables switch to
-Python-int (object dtype) storage automatically once |E|^k could overflow
-int64, so inequality audits always compare an exact integer against a
-floating bound.  Every fold is a product of Fourier transforms under the
-rounding certificate of `fold_counts`: the indicator's transform, or else
-limb products of two shallower folds; no count comes from an uncertified one.
-The transforms are direct DFTs over (Z_p)^(nd), one BLAS matmul per group
-of axes whose lines are at most `_DFT_LINE_MAX` = 9 long, so pairs of axes
-for p = 3 and single axes for every other p (`_rfft`, `_irfft`), and
-numpy.fft only for p above the measured crossover `_MATMUL_P_MAX`, in the
-same half-spectrum layout.
+Everything on the counting side is exact integer arithmetic.  A count
+table, over F_q^d (a fold) or over F_q (nu_k, nu_{P,k}), is a plain 1-D
+array: int64 while its total mass is below `domains._INT64_SAFE`, Python
+ints (object dtype) once it could overflow int64, so inequality audits
+always compare an exact integer against a floating bound.  Every fold is
+certified exact by the transform kernel and rounding certificate that
+`fold_counts` states and derives; no count comes from an uncertified one.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and its even
-energies, and builds each at most once.  It bins the subset's indicator 1_E
-once, and that one array is the depth-1 table, the source of the indicator's
-norms and of its real-input transform, and the variety's membership test in
-the growth audit.  The transform too is taken once, so that every certified
-transform fold of the subset, of any depth, is one inverse transform.  An
-energy, like the growth audit's edge count, is one fold's value at the
-origin, so it needs no inverse transform: it is one real weighted sum over
-the held power spectrum |H|^2 (`_fold_at_zero`), which the ladder takes from
-its half spectrum H at the first such read, under a certificate of its own,
-and only when that refuses is a fold table built and summed.  A ladder is
-the one form in which a subset reaches the counts and audits here, the
-growth audit's variety included.
+energies, builds each at most once and holds every one read-only; it is the
+one form in which a subset reaches the counts and audits here, the growth
+audit's variety included.
 `nu_k` bins a fold by any value table, and the generalized distance set
 (`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
 read off that one binned table.
@@ -39,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import _FLOAT_EXACT, _INT64_SAFE, _MATMUL_P_MAX, PointDomain
+from .domains import _FLOAT_EXACT, _INT64_SAFE, _MATMUL_P_MAX, PointDomain, require_table_budget
 from .errors import (
     EmptyXError,
     InconsistentTotalError,
@@ -47,11 +34,10 @@ from .errors import (
     OddKError,
 )
 from .field import FieldContext
-from .spectra import Spectrum, require_table_budget, within_slack
+from .spectra import Spectrum, within_slack
 
-# Constant C of the per-line error C * L^(3/2) * u of one DFT pass along lines
-# of length L, which `fold_counts` derives for the direct sum that `_rfft` and
-# `_irfft` run, for any L >= 3.
+# Constant C of the relative error C * L^(3/2) * u of one DFT pass along
+# lines of length L >= 3 (`fold_counts`, step 0).
 _DFT_ERROR_CONST = 8.0
 # Longest line of one direct pass: the axes go in groups of a, p^a at most
 # this (`_axis_groups`), so p = 3 runs one 9-point pass per pair of axes.
@@ -75,24 +61,6 @@ def _exact_dot(a: np.ndarray, b: np.ndarray, worst: int) -> int:
     if worst < _INT64_SAFE:
         return int(np.dot(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)))
     return int(np.dot(a.astype(object), b.astype(object)))
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Exact nonnegative-integer counts, over F_q^d or over F_q."""
-
-    q: int
-    values: np.ndarray
-
-    def total(self) -> int:
-        return _exact_total(self.values)
-
-    def __getitem__(self, i) -> int:
-        return int(self.values[i])
-
-    def to_rows(self):
-        for i, v in enumerate(self.values):
-            yield i, int(v)
 
 
 def _table_dtype(mass: int):
@@ -254,10 +222,8 @@ def _fold_at_zero(dom: PointDomain, factors, integrand: np.ndarray):
     as ((l1, l2), power) pairs, as an exact int, or None when the certificate
     of `fold_counts` step 3' fails.  integrand is the real part of the
     product G of their half spectra (the conjugate one for a reflected
-    factor f(-.)), taken as a real array (see `lambda_k`).  No inverse
-    transform: the value is N^-1 sum_m G(m) over the full grid, the weighted
-    sum of the integrand over the half grid, weights 1 on axis-0 frequency 0
-    and 2 on the others."""
+    factor f(-.)), taken as a real array; the value is its weighted sum over
+    the half grid, with no inverse transform (`fold_counts`, step 3')."""
     cert = _certificate(dom, factors, at_zero=True)
     if cert is None:
         return None
@@ -336,7 +302,7 @@ def _convolve(dom: PointDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise InvariantError(f"no limb width certifies a fold of mass {mass}")
 
 
-def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
+def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
     """r_j(z) = number of ordered j-tuples from E summing to z, exact.
 
     E is a `FoldLadder` over dom, a sequence of points or a 1-D integer
@@ -461,7 +427,7 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
     most B0, and the rounded value in [0, mass].  When it fails the caller
     builds the fold table instead.  For |E| = 561 over F_27^3, Lambda_4 has
     B0 about 3.2e-3, against B about 3.0e-3 for the table of the same four
-    factors, r_4 (1.5e-3 and 1.2e-3 were the transforms one axis per pass).
+    factors, r_4.
 
     Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
     a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
@@ -485,15 +451,14 @@ def fold_counts(dom: PointDomain, E, j: int) -> CountTable:
         raise ValueError(f"fold depth j = {j} must be >= 1")
     ladder = E if isinstance(E, FoldLadder) else FoldLadder(dom, E)
     if j == 1:
-        return CountTable(q=dom.ctx.q,
-                          values=ladder.indicator.astype(_table_dtype(len(ladder)), copy=False))
+        return ladder.indicator.astype(_table_dtype(len(ladder)), copy=False)
     require_table_budget(dom, "fold")
     r = (_transform_fold(dom, ladder.factors(j))
          if _table_dtype(len(ladder) ** j) is np.int64 else None)
     if r is None:
-        a = ladder.fold((j + 1) // 2).values
-        r = _convolve(dom, a, a if j % 2 == 0 else ladder.fold(j // 2).values)
-    return CountTable(q=dom.ctx.q, values=r)
+        a = ladder.fold((j + 1) // 2)
+        r = _convolve(dom, a, a if j % 2 == 0 else ladder.fold(j // 2))
+    return r
 
 
 class FoldLadder:
@@ -502,15 +467,15 @@ class FoldLadder:
 
     Holds E as flat indices and builds depth j on first use by one call to
     `fold_counts`, passing itself, so that a deep fold is composed from the
-    tables already held here; no depth is built twice.  Lambda_k is held the
-    same way, built on first use by one call to `lambda_k`.  E's indicator
-    is binned once, on first need, and held read-only: it is the depth-1
-    table, and its norms and half spectrum H are taken from it once and held
-    too, so every certified transform fold of E, of any depth, is one
-    inverse transform.  The power spectrum |H|^2 is taken from H at the
-    first read at the origin and held read-only, so every certified energy
-    and edge count is one real weighted sum, with no inverse transform and
-    no complex product.  It keeps its tables for its own lifetime only, so
+    tables already held here; no depth is built twice, and every table held
+    is read-only, so no caller can change a cached depth.  Lambda_k is held
+    the same way, built on first use by one call to `lambda_k`.  E's
+    indicator is binned once: it is the depth-1 table (itself, when int64)
+    and the variety's membership test in the growth audit.  Its norms, its
+    half spectrum H and the power spectrum |H|^2 are each taken once and
+    held, so that a certified fold of any depth is one inverse transform
+    and a certified value at the origin one real weighted sum
+    (`fold_counts`).  It keeps its tables for its own lifetime only, so
     callers make one per subset and drop it with the subset.
     """
 
@@ -528,9 +493,11 @@ class FoldLadder:
         """E's flat indices: np.asarray reads a ladder as its subset."""
         return np.array(self.indices, dtype=dtype, copy=copy)
 
-    def fold(self, j: int) -> CountTable:
+    def fold(self, j: int) -> np.ndarray:
         if j not in self._tables:
-            self._tables[j] = fold_counts(self.dom, self, j)
+            table = fold_counts(self.dom, self, j)
+            table.setflags(write=False)
+            self._tables[j] = table
         return self._tables[j]
 
     def energy(self, k: int) -> int:
@@ -584,10 +551,10 @@ def lambda_k(E: FoldLadder, k: int) -> int:
     r_{k/2}^2, for even k >= 2.
 
     Lambda_2 is the dot product of the depth-1 table with itself.  From k = 4
-    on, Lambda_k = (r_{k/2} (*) r_{k/2}(-.))(0) is read off E's held power
-    spectrum P = |H|^2 as N^-1 sum_m P(m)^(k/2) (`_fold_at_zero`), P^(k/2)
-    by k/2 - 1 real products, and only when that refuses is r_{k/2} built
-    and squared.  `FoldLadder.energy` holds it."""
+    on, Lambda_k = (r_{k/2} (*) r_{k/2}(-.))(0) is the certified value at the
+    origin (`fold_counts`, step 3') of E's held power spectrum P = |H|^2 to
+    the power k/2, and only when that refuses is r_{k/2} built and squared.
+    `FoldLadder.energy` holds it."""
     if k % 2 != 0 or k < 2:
         raise OddKError(f"k-energy needs even k >= 2, got k = {k}; "
                         "odd k is handled through the product of neighbours")
@@ -596,7 +563,7 @@ def lambda_k(E: FoldLadder, k: int) -> int:
         lam = _fold_at_zero(E.dom, [(E.norms, k)], _times_power(E.power, E.power, half - 1))
         if lam is not None:
             return lam
-    r = E.fold(half).values
+    r = E.fold(half)
     return _exact_dot(r, r, len(E) ** k)
 
 
@@ -616,7 +583,7 @@ def energy_term(E: FoldLadder, k: int) -> tuple:
     return lo, hi, {"k_energy_product": lo * hi}
 
 
-def nu_k(E: FoldLadder, values, k: int) -> CountTable:
+def nu_k(E: FoldLadder, values, k: int) -> np.ndarray:
     """nu_k(t) = k-tuples from E whose coordinate sum z has F(z) = t.
 
     values is F's value table over E's domain, built once per F and domain
@@ -624,22 +591,23 @@ def nu_k(E: FoldLadder, values, k: int) -> CountTable:
     count, and `geometry.eval_poly_table(dom, P)` the table that `nu_P_k`
     shifts; either one's support is `delta_set`.  The count is defined for
     any F; callers that need a nondegenerate form check it with
-    `QuadraticForm.require_nondegenerate`.  np.add.at bins in the fold
-    table's own dtype: int64 entries in int64, object entries as Python ints.
+    `QuadraticForm.require_nondegenerate`.  The table has length q, one
+    count per t, and np.add.at bins in the fold table's own dtype: int64
+    entries in int64, object entries as Python ints.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     values = E.dom.as_values(values)
-    r = E.fold(k).values
+    r = E.fold(k)
     nz = np.flatnonzero(r)
-    table = CountTable(q=E.dom.ctx.q, values=np.zeros(E.dom.ctx.q, dtype=r.dtype))
-    np.add.at(table.values, values[nz], r[nz])
-    if table.total() != len(E) ** k:
+    table = np.zeros(E.dom.ctx.q, dtype=r.dtype)
+    np.add.at(table, values[nz], r[nz])
+    if _exact_total(table) != len(E) ** k:
         raise InvariantError("value-binning lost mass")
     return table
 
 
-def nu_P_k(ctx: FieldContext, table: CountTable, X) -> CountTable:
+def nu_P_k(ctx: FieldContext, table: np.ndarray, X) -> np.ndarray:
     """nu_{P,k}(t) = pairs (a, k-tuple) with a in X and a + P(sum) = t, the
     sum over a in X of table(t - a).
 
@@ -654,18 +622,17 @@ def nu_P_k(ctx: FieldContext, table: CountTable, X) -> CountTable:
     xs = sorted(set(ctx.element(a) for a in X))
     if not xs:
         raise EmptyXError("shift set X must be nonempty")
-    mass = len(xs) * table.total()
+    mass = len(xs) * _exact_total(table)
     dtype = _table_dtype(mass)
-    shifted = table.values.astype(dtype)
+    shifted = table.astype(dtype)
     ts = np.arange(ctx.q, dtype=np.int64)
     out = np.zeros(ctx.q, dtype=dtype)
     for a in xs:
         # nu(t + a) += table(t): adding a permutes the scalar domain
         out[ctx.add_vec(ts, np.int64(a))] += shifted
-    result = CountTable(q=ctx.q, values=out)
-    if result.total() != mass:
+    if _exact_total(out) != mass:
         raise InvariantError("shift-sum lost mass")
-    return result
+    return out
 
 
 @dataclass(frozen=True)
@@ -681,28 +648,30 @@ class DeltaSet:
                 "covers_Fq": self.covers_Fq}
 
 
-def delta_set(table: CountTable) -> DeltaSet:
+def delta_set(table: np.ndarray) -> DeltaSet:
     """Generalized distance set of E under F, over k-fold sums: the support
-    {t : nu(t) > 0} of table = `nu_k(E, values, k)` for F's value table."""
-    seen = tuple(np.flatnonzero(table.values).tolist())
-    covers_star = np.count_nonzero(table.values[1:]) == table.q - 1
-    return DeltaSet(values=seen, covers_Fq_star=bool(covers_star),
-                    covers_Fq=len(seen) == table.q)
+    {t : nu(t) > 0} of table = `nu_k(E, values, k)` for F's value table,
+    whose length is q."""
+    seen = tuple(np.flatnonzero(table).tolist())
+    q = len(table)
+    return DeltaSet(values=seen, covers_Fq_star=bool(np.count_nonzero(table[1:]) == q - 1),
+                    covers_Fq=len(seen) == q)
 
 
-def second_moment(table: CountTable) -> int:
+def second_moment(table: np.ndarray) -> int:
     """Exact sum of squared counts."""
-    return _exact_dot(table.values, table.values, table.total() ** 2)
+    return _exact_dot(table, table, _exact_total(table) ** 2)
 
 
-def _require_total(table: CountTable, x_size: int, e_size: int, k: int):
+def _require_total(table: np.ndarray, x_size: int, e_size: int, k: int):
     expected = x_size * e_size ** k
-    if table.total() != expected:
+    total = _exact_total(table)
+    if total != expected:
         raise InconsistentTotalError(
-            f"nu table totals {table.total()}, expected {x_size}*{e_size}^{k} = {expected}")
+            f"nu table totals {total}, expected {x_size}*{e_size}^{k} = {expected}")
 
 
-def sumset_lower_bound(table: CountTable, x_size: int, e_size: int, k: int) -> Fraction:
+def sumset_lower_bound(table: np.ndarray, x_size: int, e_size: int, k: int) -> Fraction:
     """Cauchy-Schwarz lower bound |X|^2 |E|^{2k} / sum_t nu(t)^2 as an exact rational."""
     _require_total(table, x_size, e_size, k)
     sq = second_moment(table)
@@ -759,13 +728,10 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
 
     e = sum_u r_{k/2-1}(u) acc(u), with the correlation acc(u) = sum_{v in V}
     r_{k/2}(u + v) = (1_{-V} (*) r_{k/2})(u), is the fold of 1_{-V}, r_{k/2}
-    and r_{k/2-1}(-.) at 0.  It is read off the held spectra
-    (`_fold_at_zero`) as N^-1 sum_m Re(conj(V^(m)) H(m)) P(m)^(k/2 - 1): V's
-    half spectrum V^ is conjugated for the reflected 1_V, and E's half
-    spectrum H to the power k/2 times its conjugate to the power k/2 - 1 is
-    H times E's power spectrum P = |H|^2 to the power k/2 - 1, all of it
-    real arithmetic, the cross term as re re' + im im'.  Only when
-    that refuses is acc built, exact by the engine of `fold_counts`: the
+    and r_{k/2-1}(-.) at 0: the certified value at the origin (`fold_counts`,
+    step 3') of Re(conj(V^) H) P^(k/2 - 1), from the ladders' held half
+    spectra V^ and H and E's power spectrum P = |H|^2.  Only when that
+    refuses is acc built, exact by the engine of `fold_counts`: the
     certified transform of the two indicators, or else limb products of
     1_{-V} and r_{k/2}.
     """
@@ -790,8 +756,8 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
             acc = _transform_fold(dom, V.factors(0, 1) + E.factors(half))
         if acc is None:
             neg_v = np.bincount(dom.index_neg(V.indices), minlength=dom.size)
-            acc = _convolve(dom, neg_v, E.fold(half).values)
-        e = _exact_dot(E.fold(half - 1).values, acc, e_size ** (half - 1) * acc_mass)
+            acc = _convolve(dom, neg_v, E.fold(half))
+        e = _exact_dot(E.fold(half - 1), acc, e_size ** (half - 1) * acc_mass)
     lam_k = E.energy(k)
     lam_km2 = E.energy(k - 2)
     main = len(V) * e_size ** (k - 1)   # over q^d
@@ -809,7 +775,7 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
                 "energy_upper_slack": e - lam_k, "main": main / dom.size})
 
 
-def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
+def second_moment_audit(E: FoldLadder, table: np.ndarray, x_size: int, k: int,
                         graph: Spectrum) -> InequalityAudit:
     """sum_t nu_{P,k}(t)^2 against |X|^2|E|^{2k}/q + lambda * |X| * (energy term).
 
@@ -835,7 +801,7 @@ def second_moment_audit(E: FoldLadder, table: CountTable, x_size: int, k: int,
                 "second_moment": sq, "main": main / dom.ctx.q})
 
 
-def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
+def nu_deviation_audits(E: FoldLadder, table: np.ndarray, k: int,
                         graphs_by_t: dict, ts=None) -> list:
     """Deviation of nu_k(t) from its mixing main term, for each t in `ts`
     (default every t != 0), given the nu_k table of E.  Each t is read as
@@ -857,20 +823,22 @@ def nu_deviation_audits(E: FoldLadder, table: CountTable, k: int,
     _require_total(table, 1, e_size, k)
     lo, hi, energy_detail = energy_term(E, k)
     energy = math.sqrt(float(lo) * float(hi))
+    # Python ints: an int64 count times q^d in `_gap` can pass 2^63.
+    counts = table.tolist()
     out = []
     for t in ts:
         graph = graphs_by_t[t]
         main = graph.degree * e_size ** k   # over q^d
-        deviation = abs(_gap(table[t], main, dom.size))
+        deviation = abs(_gap(counts[t], main, dom.size))
         bound = graph.lambda_mixing * energy
-        norm_dev = abs(_gap(table[t], e_size ** k, q))
+        norm_dev = abs(_gap(counts[t], e_size ** k, q))
         norm_bound = 2.0 * q ** ((dom.d - 1) / 2) * energy
         out.append(InequalityAudit(
             name="nu-deviation", deviation=deviation, bound=bound,
             ok=within_slack(deviation, bound),
             normalized_deviation=norm_dev, normalized_bound=norm_bound,
             normalized_ok=within_slack(norm_dev, norm_bound),
-            detail={"t": t, "nu_t": table[t], "k": k, "size": e_size,
+            detail={"t": t, "nu_t": counts[t], "k": k, "size": e_size,
                     "main": main / dom.size, **energy_detail}))
     return out
 

@@ -41,6 +41,7 @@ from .geometry import (
     builtin_variety,
     diagonal_poly,
     eval_poly_table,
+    int_list,
     regularity_check,
 )
 from .spectra import (
@@ -209,10 +210,6 @@ class ExperimentPlan:
         return cls(**kwargs)
 
 
-def _ints(value) -> tuple:
-    return tuple(int(v) for v in str(value).split(","))
-
-
 def _floats(value) -> tuple:
     return tuple(float(v) for v in str(value).split(","))
 
@@ -222,7 +219,7 @@ _PLAN_KEYS = {
     **dict.fromkeys(("p", "n", "d", "j", "k", "s", "trials", "seed"), (int, "an integer")),
     "c": (float, "a number"),
     "sizes": (_floats, "a list of numbers"),
-    **dict.fromkeys(("ks", "x_sizes", "coeffs"), (_ints, "a list of integers")),
+    **dict.fromkeys(("ks", "x_sizes", "coeffs"), (int_list, "a list of integers")),
     **dict.fromkeys(("family", "form", "sizes_mode"), (str, "text")),
 }
 
@@ -337,13 +334,13 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
         E = FoldLadder(dom, subset)
         rec = {"size_index": size_index, "trial": trial, "size": len(E)}
         table = nu_k(E, qvals, k)
-        nonzero_t = [table[t] for t in range(1, q)]
+        nonzero_t = table.tolist()[1:]
         rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
         ds = delta_set(table)
         rec["covers_Fq_star"], rec["covers_Fq"] = ds.covers_Fq_star, ds.covers_Fq
         if len(E) > 0:
             main = len(E) ** k / q
-            rec["rel_deviation"] = max(abs(table[t] / main - 1) for t in range(1, q))
+            rec["rel_deviation"] = max(abs(count / main - 1) for count in nonzero_t)
             lo, hi, _ = energy_term(E, k)
             rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
                                         * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
@@ -459,7 +456,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
             rec = {"size_index": size_index, "trial": trial,
                    "size": len(E), "x_size": len(X)}
             table = nu_P_k(ctx, binned, X)
-            ss_size = int(np.count_nonzero(table.values))
+            ss_size = int(np.count_nonzero(table))
             rec["delta_size"] = len(ds.values)
             rec["sumset_size"] = ss_size
             rec["verdict_cq"] = ss_size >= plan.c * q

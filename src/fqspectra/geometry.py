@@ -128,6 +128,12 @@ def eval_poly_table(dom: PointDomain, spec: PolySpec) -> np.ndarray:
     return _eval_rows(dom.ctx, spec, np.arange(dom.ctx.q), dom.d - 1).reshape(dom.size)
 
 
+def int_list(text) -> tuple:
+    """The integers of a comma-separated list, as form specs, plan files and
+    CLI options write them; ValueError unless every entry reads as one."""
+    return tuple(int(v) for v in str(text).split(","))
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """The diagonal quadratic form Q(x) = a_1 x_1^2 + ... + a_d x_d^2, stored
@@ -156,7 +162,11 @@ class QuadraticForm:
             return cls.identity(d)
         if not spec.startswith("diag:"):
             raise ValueError(f"unknown form spec {spec!r}; use identity or diag:a1,a2,...")
-        form = cls(tuple(int(c) for c in spec[5:].split(",")))
+        try:
+            form = cls(int_list(spec[5:]))
+        except ValueError:
+            raise ValueError(f"form spec {spec!r}: {spec[5:]!r} is not a list of "
+                             "integers") from None
         if form.d != d:
             raise DimensionMismatchError(
                 f"form {spec!r} has dimension {form.d}, expected d = {d}")

@@ -39,15 +39,11 @@ import numpy as np
 from .domains import (
     _FLOAT_EXACT,
     _INT64_SAFE,
-    TABLE_MAX,
     PointDomain,
     character_sum_table,
+    require_table_budget,
 )
-from .errors import (
-    ExponentDivisibleByCharacteristicError,
-    InvariantError,
-    SearchSpaceTooLargeError,
-)
+from .errors import ExponentDivisibleByCharacteristicError, InvariantError
 from .field import FieldContext
 from .geometry import diagonal_coeffs
 
@@ -162,15 +158,6 @@ def _scan_spectrum(dom, degree, slices) -> Spectrum:
                     lambda_second=max(float(lam), 0.0), argmax_m=arg,
                     lambda_mixing=max(lam_mixing, 0.0), argmax_mixing=arg_mixing,
                     slices=slices)
-
-
-def require_table_budget(dom: PointDomain, use: str = "spectrum", name: str = "q^d"):
-    """Raise SearchSpaceTooLargeError when a table over dom, the eigenvalues
-    of a spectrum or a fold of depth 2 or more, would have more than
-    TABLE_MAX cells; callers check before they build any table over dom."""
-    if dom.size > TABLE_MAX:
-        raise SearchSpaceTooLargeError(
-            f"{name} = {dom.size} exceeds the {use} budget {TABLE_MAX}")
 
 
 def cayley_spectrum(ctx: FieldContext, points, d: int) -> Spectrum:

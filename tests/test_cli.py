@@ -7,10 +7,12 @@ checks that an exported variety file reproduces the family-based results.
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.cli as cli_mod
+import fqspectra.domains as domains_mod
 import fqspectra.energy as energy_mod
 import fqspectra.spectra as spectra_mod
 from fqspectra.cli import MIXING_BLOCK_CELLS, main
@@ -207,7 +210,7 @@ def test_energy_checks_the_fold_budget_before_building_tables(command, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("a table over F_q^d was built before the budget check")
 
-    monkeypatch.setattr(spectra_mod, "TABLE_MAX", 24)
+    monkeypatch.setattr(domains_mod, "TABLE_MAX", 24)
     monkeypatch.setattr(cli_mod, "builtin_variety", refuse)
     monkeypatch.setattr(cli_mod, "eval_poly_table", refuse)
     monkeypatch.setattr(cli_mod.QuadraticForm, "value_table", refuse)
@@ -220,7 +223,7 @@ def test_energy_checks_the_fold_budget_before_building_tables(command, monkeypat
 @pytest.mark.parametrize("command,k", [("nu", 1), ("lambda", 2)])
 def test_energy_without_a_fold_table_keeps_no_budget(command, k, monkeypatch, capsys):
     # Depth 1 is the bincount of E, over any q^d.
-    monkeypatch.setattr(spectra_mod, "TABLE_MAX", 24)
+    monkeypatch.setattr(domains_mod, "TABLE_MAX", 24)
     code, _, _ = run_cli(["energy", command, "--p", "5", "--d", "2", "--family", "sphere",
                           "--k", str(k)], capsys)
     assert code == 0
@@ -290,6 +293,64 @@ def test_experiment_cli(tmp_path, capsys):
     report = json.loads(out_json.read_text())
     assert report["plan"]["seed"] == 7
     assert len(report["records"]) == 2
+
+
+def test_experiment_pretty_prints_the_summary(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("p = 3\nd = 2\nk = 2\nsizes = 4\nsizes_mode = absolute\ntrials = 2\n")
+    _, out, _ = run_cli(["experiment", "coverage", "--plan", str(plan)], capsys)
+    aggregates = json.loads(out)["aggregates"]
+    code, pretty, err = run_cli(["experiment", "coverage", "--plan", str(plan), "--pretty"],
+                                capsys)
+    assert (code, err) == (0, "")
+    assert pretty.splitlines() == ["coverage: 2 records, 0 hard failures"] + [
+        f"  {key} = {value}" for key, value in sorted(aggregates.items())]
+
+
+def test_variety_check_out_writes_the_payload(tmp_path, capsys):
+    path = tmp_path / "check.json"
+    argv = ["variety", "check", "--p", "3", "--d", "2", "--family", "sphere", "--j", "1"]
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(path.read_text()) == json.loads(out)
+    assert run_cli(argv, capsys) == (code, out, err)
+
+
+def test_nup_of_an_empty_subset_has_a_zero_bound(capsys):
+    code, out, _ = run_cli(["energy", "nup", "--p", "5", "--d", "2", "--k", "2", "--s", "2",
+                            "--subset", "0"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and '"cs_bound": 0.0' in out
+    assert (payload["size"], payload["sumset_size"], payload["cs_bound_ok"]) == (0, 0, True)
+
+
+UNREADABLE_LISTS = {
+    "subset": (["energy", "lambda", "--p", "5", "--k", "2", "--subset", "x"],
+               "argument --subset: 'x' is not 'all' or a count"),
+    "x-set": (["energy", "nup", "--p", "5", "--k", "2", "--s", "2", "--x-set", "1,a"],
+              "argument --x-set: '1,a' is not a list of integers"),
+    "coeffs": (["spectrum", "affine", "--p", "5", "--d", "1", "--coeffs", "1,,2"],
+               "argument --coeffs: '1,,2' is not a list of integers"),
+    "form": (["spectrum", "euclidean", "--p", "5", "--t", "1", "--form", "diag:1,x"],
+             "form spec 'diag:1,x': '1,x' is not a list of integers"),
+    "form-empty": (["energy", "nu", "--p", "5", "--k", "2", "--form", "diag:"],
+                   "form spec 'diag:': '' is not a list of integers"),
+    "plan-form": (["experiment", "coverage", "--plan", "{plan}"],
+                  "form spec 'diag:1,x': '1,x' is not a list of integers"),
+}
+
+
+@pytest.mark.parametrize("argv,message", UNREADABLE_LISTS.values(),
+                         ids=UNREADABLE_LISTS.keys())
+def test_unreadable_lists_name_their_option_or_spec(argv, message, tmp_path, capsys):
+    # Each used to print only int()'s own "invalid literal" message.
+    plan = _plan(tmp_path, "k = 2\nform = diag:1,x\n")
+    code, out, err = run_cli([a.format(plan=plan) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    if message.startswith("argument "):   # argparse's usage error
+        assert err.startswith("usage: ") and err.endswith(f"\nerror: {message}\n")
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_experiment_missing_plan(capsys):
@@ -713,10 +774,13 @@ def test_invariant_error_exits_1_without_traceback(monkeypatch, capsys):
 
 
 def test_console_script_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "fqspectra.cli", "variety", "check",
          "--p", "3", "--d", "2", "--family", "sphere", "--j", "1", "--pretty"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "C1 = 1.3333" in proc.stdout
     assert "REGULAR" in proc.stdout

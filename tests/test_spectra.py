@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqspectra.cli as cli_mod
+import fqspectra.domains as domains_mod
 import fqspectra.spectra as spectra_mod
 
 from fqspectra.cli import main as cli_main
@@ -200,7 +201,7 @@ def test_euclidean_degenerate_form_rejected(capsys):
 
 
 def test_euclidean_checks_the_budget_before_the_value_table(monkeypatch, capsys):
-    monkeypatch.setattr(spectra_mod, "TABLE_MAX", 24)
+    monkeypatch.setattr(domains_mod, "TABLE_MAX", 24)
     built = []
     monkeypatch.setattr(QuadraticForm, "value_table", lambda *a: built.append(a))
     assert cli_main(["spectrum", "euclidean", "--p", "5", "--d", "2", "--t", "1"]) == 1
