@@ -26,8 +26,8 @@ from .geometry import (
     sphere_poly,
 )
 from .spectra import (
+    Audit,
     BoundCheck,
-    MixingAudit,
     Spectrum,
     affine_cayley_spectrum,
     cayley_spectrum,

@@ -208,7 +208,9 @@ def build_parser() -> _Parser:
             _add_out_arg(ep)
             ep.add_argument("--format", choices=("json", "csv"), default="json")
         if name in ("nu", "delta"):
-            ep.add_argument("--form", default="identity", help=_FORM_HELP)
+            # delta's None is identity, told apart from a --form given with --s.
+            ep.add_argument("--form", default="identity" if name == "nu" else None,
+                            help=_FORM_HELP)
         if name in ("nup", "delta"):
             ep.add_argument("--s", type=int, required=name == "nup",
                             help="use the diagonal polynomial sum a_i x_i^s instead of a form")
@@ -312,9 +314,7 @@ def _cmd_variety(args) -> int:
             _emit({"q": ctx.q, "d": variety.d, "size": variety.size, "out": args.out},
                   args, [f"|V| = {variety.size} -> {args.out}"])
         else:
-            sys.stdout.write(f"{ctx.q} {variety.d} {variety.size}\n")
-            for pt in variety.points:
-                sys.stdout.write(",".join(str(c) for c in pt) + "\n")
+            variety.write(sys.stdout)
         return EXIT_OK
     graph = cayley_spectrum(ctx, variety.indices, d=variety.d)
     report = regularity_check(graph, thresholds=(args.c1_lo, args.c1_hi, args.c2_max))
@@ -404,9 +404,13 @@ def _cmd_energy(args) -> int:
         rc = _emit_table(table, args, extra=extra)
         return max(rc, code)
     if args.s is not None:
+        if args.form is not None:
+            raise ValueError("--form does not apply with --s, which sets the polynomial")
         values = eval_poly_table(dom, diagonal_poly(ctx, args.d, args.s, args.coeffs))
     else:
-        values = QuadraticForm.parse(args.form, args.d).value_table(dom)
+        if args.coeffs is not None:
+            raise ValueError("--coeffs needs --s: the form's coefficients go in --form")
+        values = QuadraticForm.parse(args.form or "identity", args.d).value_table(dom)
     ds = delta_set(nu_k(E, values, args.k))
     _emit({"k": args.k, "size": len(E), **ds.as_dict()}, args,
           [f"delta = {list(ds.values)}",
@@ -471,7 +475,7 @@ def _cmd_audit(args) -> int:
         of_c = np.repeat(np.arange(2 * count) % 2 == 1, support)  # B_i is drawn before C_i
         audit = mixing_audit(spec, dom, member, (support[0::2], idx[~of_c], mult[~of_c]),
                              (support[1::2], idx[of_c], mult[of_c]))
-        rel_gap = np.divide(audit.gap, audit.bound, out=np.zeros(count),
+        rel_gap = np.divide(audit.bound - audit.deviation, audit.bound, out=np.zeros(count),
                             where=audit.bound != 0)
         low = float(rel_gap.min())
         min_gap = low if min_gap is None else min(min_gap, low)

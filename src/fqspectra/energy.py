@@ -34,7 +34,7 @@ from .errors import (
     OddKError,
 )
 from .field import FieldContext
-from .spectra import Spectrum, within_slack
+from .spectra import Audit, Spectrum, within_slack
 
 # Constant C of the relative error C * L^(3/2) * u of one DFT pass along
 # lines of length L >= 3 (`fold_counts`, step 0).
@@ -568,19 +568,15 @@ def lambda_k(E: FoldLadder, k: int) -> int:
 
 
 def energy_term(E: FoldLadder, k: int) -> tuple:
-    """(lo, hi, detail): the even energies that control k-fold counts.
+    """(lo, hi): the even energies that control k-fold counts.
 
     Even k gives lo = hi = Lambda_k; odd k gives Lambda_{k-1} and
-    Lambda_{k+1}.  Bounds use the geometric mean sqrt(lo * hi), and `detail`
-    is what reports record: {"k_energy": Lambda_k} for even k,
-    {"k_energy_product": lo * hi} for odd k.
+    Lambda_{k+1}.  Bounds use the geometric mean sqrt(lo * hi).
     """
     if k % 2 == 0:
         lam = E.energy(k)
-        return lam, lam, {"k_energy": lam}
-    lo = E.energy(k - 1)
-    hi = E.energy(k + 1)
-    return lo, hi, {"k_energy_product": lo * hi}
+        return lam, lam
+    return E.energy(k - 1), E.energy(k + 1)
 
 
 def nu_k(E: FoldLadder, values, k: int) -> np.ndarray:
@@ -682,12 +678,12 @@ def sumset_lower_bound(table: np.ndarray, x_size: int, e_size: int, k: int) -> F
 
 # -- inequality audits ---------------------------------------------------------
 #
-# Each audit compares exact integer counts against the expander-mixing bound
+# Each audit compares an exact integer count against the expander-mixing bound
 # with the graph's *measured* second eigenvalue and *exact* degree: in that
-# form the inequality is a theorem, so a violation is a hard bug.  The
-# normalized variant (degree replaced by q^{d-1}, eigenvalue by its classical
-# ceiling) is reported alongside as data, never asserted.  Main terms are
-# rationals num / den, kept as the two ints.
+# form the inequality is a theorem, so a violation is a hard bug.  Each
+# returns a `spectra.Audit` of that count, its deviation from the main term,
+# the bound and the verdict.  Main terms are rationals num / den, kept as the
+# two ints.
 
 
 def _gap(count: int, num: int, den: int) -> float:
@@ -697,34 +693,15 @@ def _gap(count: int, num: int, den: int) -> float:
     return (den * count - num) / den
 
 
-@dataclass(frozen=True)
-class InequalityAudit:
-    name: str
-    deviation: float
-    bound: float
-    ok: bool
-    normalized_deviation: float
-    normalized_bound: float
-    normalized_ok: bool
-    detail: dict
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "deviation": self.deviation, "bound": self.bound,
-                "ok": self.ok, "normalized_deviation": self.normalized_deviation,
-                "normalized_bound": self.normalized_bound,
-                "normalized_ok": self.normalized_ok, **self.detail}
-
-
 def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
-                        graph: Spectrum) -> InequalityAudit:
+                        graph: Spectrum) -> Audit:
     """Even-k energy of E inside a variety V, against the Cayley-graph bound.
 
     V is the variety's ladder and `graph` its Cayley spectrum, both of which
     callers build once per variety.  Hard checks: (a) the multiset mixing
     inequality for the exact edge count e between the half-sum multisets,
     and (b) Lambda_k <= e (every k-tuple counted by the energy lands in V
-    because E is contained in V).  The normalized gap against |E|^{k-1}/q is
-    reported only.
+    because E is contained in V).  The audit's count is e.
 
     e = sum_u r_{k/2-1}(u) acc(u), with the correlation acc(u) = sum_{v in V}
     r_{k/2}(u + v) = (1_{-V} (*) r_{k/2})(u), is the fold of 1_{-V}, r_{k/2}
@@ -759,46 +736,31 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
             acc = _convolve(dom, neg_v, E.fold(half))
         e = _exact_dot(E.fold(half - 1), acc, e_size ** (half - 1) * acc_mass)
     lam_k = E.energy(k)
-    lam_km2 = E.energy(k - 2)
     main = len(V) * e_size ** (k - 1)   # over q^d
     deviation = abs(_gap(e, main, dom.size))
-    bound = graph.lambda_mixing * math.sqrt(float(lam_km2) * float(lam_k))
-    contained = lam_k <= e
-    norm_dev = abs(_gap(lam_k, e_size ** (k - 1), dom.ctx.q))
-    norm_bound = 2.0 * dom.ctx.q ** ((dom.d - 1) / 2) * math.sqrt(float(lam_km2) * float(lam_k))
-    return InequalityAudit(
-        name="energy-growth", deviation=deviation, bound=bound,
-        ok=within_slack(deviation, bound) and contained,
-        normalized_deviation=norm_dev, normalized_bound=norm_bound,
-        normalized_ok=within_slack(norm_dev, norm_bound),
-        detail={"k": k, "size": e_size, "edge_count": e, "k_energy": lam_k,
-                "energy_upper_slack": e - lam_k, "main": main / dom.size})
+    bound = graph.lambda_mixing * math.sqrt(float(E.energy(k - 2)) * float(lam_k))
+    return Audit(count=e, deviation=deviation, bound=bound,
+                 ok=within_slack(deviation, bound) and lam_k <= e)
 
 
 def second_moment_audit(E: FoldLadder, table: np.ndarray, x_size: int, k: int,
-                        graph: Spectrum) -> InequalityAudit:
+                        graph: Spectrum) -> Audit:
     """sum_t nu_{P,k}(t)^2 against |X|^2|E|^{2k}/q + lambda * |X| * (energy term).
 
     `table` is nu_{P,k} of E for a shift set of x_size distinct elements, and
-    `graph` the spectrum of the affine Cayley digraph of P.
+    `graph` the spectrum of the affine Cayley digraph of P.  The audit's
+    count is the second moment, and it is one-sided: its deviation is the
+    excess over the main term, or 0.
     """
     dom = E.dom
     e_size = len(E)
     _require_total(table, x_size, e_size, k)
     sq = second_moment(table)
-    lo, hi, _ = energy_term(E, k)
-    energy = float(lo) * float(hi)
+    lo, hi = energy_term(E, k)
     main = x_size ** 2 * e_size ** (2 * k)   # over q
-    excess = _gap(sq, main, dom.ctx.q)   # audit is one-sided
-    bound = graph.lambda_mixing * x_size * energy
-    norm_bound = float(dom.ctx.q ** dom.d) * x_size * energy
-    return InequalityAudit(
-        name="second-moment", deviation=max(excess, 0.0), bound=bound,
-        ok=within_slack(max(excess, 0.0), bound),
-        normalized_deviation=max(excess, 0.0), normalized_bound=norm_bound,
-        normalized_ok=within_slack(max(excess, 0.0), norm_bound),
-        detail={"k": k, "size": e_size, "x_size": x_size,
-                "second_moment": sq, "main": main / dom.ctx.q})
+    excess = max(_gap(sq, main, dom.ctx.q), 0.0)
+    bound = graph.lambda_mixing * x_size * (float(lo) * float(hi))
+    return Audit(count=sq, deviation=excess, bound=bound, ok=within_slack(excess, bound))
 
 
 def nu_deviation_audits(E: FoldLadder, table: np.ndarray, k: int,
@@ -812,7 +774,8 @@ def nu_deviation_audits(E: FoldLadder, table: np.ndarray, k: int,
     The energy is the geometric mean of `energy_term`.  graphs_by_t maps t to
     the Spectrum of any Euclidean level graph in t's square class: only its
     exact degree, which feeds the main term, and its lambda_mixing are read,
-    and both are the same on the whole class.
+    and both are the same on the whole class.  Each audit's count is nu_k(t),
+    as a Python int.
     """
     dom = E.dom
     q = dom.ctx.q
@@ -821,25 +784,17 @@ def nu_deviation_audits(E: FoldLadder, table: np.ndarray, k: int,
         raise ValueError("deviation audit is stated for t != 0 only")
     e_size = len(E)
     _require_total(table, 1, e_size, k)
-    lo, hi, energy_detail = energy_term(E, k)
+    lo, hi = energy_term(E, k)
     energy = math.sqrt(float(lo) * float(hi))
     # Python ints: an int64 count times q^d in `_gap` can pass 2^63.
     counts = table.tolist()
     out = []
     for t in ts:
         graph = graphs_by_t[t]
-        main = graph.degree * e_size ** k   # over q^d
-        deviation = abs(_gap(counts[t], main, dom.size))
+        deviation = abs(_gap(counts[t], graph.degree * e_size ** k, dom.size))
         bound = graph.lambda_mixing * energy
-        norm_dev = abs(_gap(counts[t], e_size ** k, q))
-        norm_bound = 2.0 * q ** ((dom.d - 1) / 2) * energy
-        out.append(InequalityAudit(
-            name="nu-deviation", deviation=deviation, bound=bound,
-            ok=within_slack(deviation, bound),
-            normalized_deviation=norm_dev, normalized_bound=norm_bound,
-            normalized_ok=within_slack(norm_dev, norm_bound),
-            detail={"t": t, "nu_t": counts[t], "k": k, "size": e_size,
-                    "main": main / dom.size, **energy_detail}))
+        out.append(Audit(count=counts[t], deviation=deviation, bound=bound,
+                         ok=within_slack(deviation, bound)))
     return out
 
 

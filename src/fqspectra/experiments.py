@@ -3,11 +3,15 @@ theorem-level verdicts with reproducible JSON/CSV reports.
 
 Design rule inherited from the inequality audits: statements that are exact
 at fixed q (mixing-type inequalities with measured eigenvalues) are hard
-verdicts and count as failures; asymptotic conclusions (coverage of F_q^*,
-relative deviation shrinking) are measured and recorded, never asserted.
+verdicts and count as failures; asymptotic conclusions are measured and
+recorded, never asserted.  The record keys `covers_Fq_star` and
+`rel_deviation` (coverage of F_q^* and the deviation from |E|^k/q),
+`hypothesis_margin` (the size hypothesis) and `k<k>_ratio` (the measured
+energy-bound constants) carry them.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -80,9 +84,15 @@ def sample_subset(variety: Variety, size: int, seed: int, trial: int) -> np.ndar
     if size > variety.size:
         raise SizeExceedsVarietyError(
             f"requested {size} points from a variety of size {variety.size}")
+    return _cut(variety, size, functools.partial(_trial_order, variety, seed, trial))
+
+
+def _cut(variety: Variety, size: int, order) -> np.ndarray:
+    """The size-subset of a seeded shuffle: the whole variety as it is, else
+    the sorted prefix of the list `order()` gives, which only then is made."""
     if size == variety.size:
         return variety.indices
-    return np.array(sorted(_trial_order(variety, seed, trial)[:size]), dtype=np.int64)
+    return np.array(sorted(order()[:size]), dtype=np.int64)
 
 
 def _trial_subsets(variety: Variety, sizes, seed: int, trials: int):
@@ -90,15 +100,10 @@ def _trial_subsets(variety: Variety, sizes, seed: int, trials: int):
     the subset is `sample_subset(variety, size, seed, trial)`, cut from the
     trial's order, which is shuffled once, on first need.  The sizes are
     within [0, variety.size], as `ExperimentPlan.resolve_sizes` gives them."""
-    orders = {}
+    order = functools.cache(functools.partial(_trial_order, variety, seed))
     for size_index, size in enumerate(sizes):
         for trial in range(trials):
-            if size == variety.size:
-                yield size_index, trial, variety.indices
-                continue
-            if trial not in orders:
-                orders[trial] = _trial_order(variety, seed, trial)
-            yield size_index, trial, np.array(sorted(orders[trial][:size]), dtype=np.int64)
+            yield size_index, trial, _cut(variety, size, functools.partial(order, trial))
 
 
 def sample_scalar_subset(q: int, size: int, seed: int, trial: int):
@@ -341,7 +346,7 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
         if len(E) > 0:
             main = len(E) ** k / q
             rec["rel_deviation"] = max(abs(count / main - 1) for count in nonzero_t)
-            lo, hi, _ = energy_term(E, k)
+            lo, hi = energy_term(E, k)
             rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
                                         * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
             audits = nu_deviation_audits(E, table, k, graphs)
@@ -408,7 +413,7 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 if not audit.ok:
                     hard_failures += 1
             else:
-                lo, hi, _ = energy_term(E, k)
+                lo, hi = energy_term(E, k)
                 prod = lo * hi
                 bound = (q ** ((plan.d - 1) * (k - 2)) * len(E) ** 2
                          + q ** (((plan.d - 1) * (k - 3) - 2) / 2) * len(E) ** (k + 1)
@@ -467,7 +472,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 if ss_size < bound:
                     hard_failures += 1
                 audit = second_moment_audit(E, table, len(X), k, graph)
-                rec["second_moment"] = audit.detail["second_moment"]
+                rec["second_moment"] = audit.count
                 rec["mixing_audit_ok"] = audit.ok
                 if not audit.ok:
                     hard_failures += 1

@@ -6,6 +6,7 @@ polynomial, read off F's value table (built by broadcasting, see `_eval_rows`)
 and stored in lexicographic order so that every downstream step is reproducible.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +190,9 @@ class QuadraticForm:
 
 @dataclass(frozen=True, eq=False)
 class Variety:
-    """Zero set of a polynomial as sorted flat indices, which is
-    lexicographic order of the points.
+    """Zero set of a polynomial, or a loaded point set, as sorted flat
+    indices, which is lexicographic order of the points."""
 
-    spec is None for varieties loaded from a point file.
-    """
-
-    spec: PolySpec | None
     d: int
     q: int
     indices: np.ndarray  # sorted, duplicate-free int64 flat indices
@@ -213,15 +210,20 @@ class Variety:
         digits = self.indices[:, None] // self.q ** np.arange(self.d - 1, -1, -1) % self.q
         return tuple(map(tuple, digits.tolist()))
 
+    def write(self, fh):
+        """The point file: a header 'q d |V|', then one point per line as
+        comma-separated coordinates."""
+        fh.write(f"{self.q} {self.d} {self.size}\n")
+        for pt in self.points:
+            fh.write(",".join(str(c) for c in pt) + "\n")
+
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write(f"{self.q} {self.d} {self.size}\n")
-            for pt in self.points:
-                fh.write(",".join(str(c) for c in pt) + "\n")
+            self.write(fh)
 
     @classmethod
     def load(cls, path) -> "Variety":
-        """Read a `save` file; rejects a wrong count, wrong arity, a
+        """Read a `write` file; rejects a wrong count, wrong arity, a
         coordinate outside [0, q) and a repeated point."""
         with open(path) as fh:
             header = fh.readline().split()
@@ -238,7 +240,7 @@ class Variety:
         idx = np.unique(flat_indices(pts, q, d))
         if len(idx) != size:
             raise ValueError("variety file lists a point more than once")
-        return cls(spec=None, d=d, q=q, indices=idx)
+        return cls(d=d, q=q, indices=idx)
 
 
 def enumerate_variety(ctx: FieldContext, spec: PolySpec) -> Variety:
@@ -259,7 +261,7 @@ def enumerate_variety(ctx: FieldContext, spec: PolySpec) -> Variety:
     rows = np.arange(size // q ** t, dtype=np.int64)
     hits = [np.flatnonzero(_eval_rows(ctx, spec, rows[lo:lo + per], t) == 0) + lo * q ** t
             for lo in range(0, len(rows), per)]
-    return Variety(spec=spec, d=d, q=q, indices=np.concatenate(hits))
+    return Variety(d=d, q=q, indices=np.concatenate(hits))
 
 
 FAMILIES = ("sphere", "paraboloid", "minkowski")
@@ -329,13 +331,18 @@ def regularity_check(graph, thresholds=DEFAULT_THRESHOLDS) -> RegularityReport:
     c2 = lambda_mixing / q^((d-1)/2), and argmax_m is the scan's
     argmax_mixing, the first maximizer m != 0 in index order.  The scan that
     built `graph` already checked Parseval's identity on the eigenvalues.
+    A window that no variety can pass, c1_lo > c1_hi or a nan threshold,
+    raises ValueError.
     """
+    c1_lo, c1_hi, c2_max = thresholds
+    if c1_lo > c1_hi or any(map(math.isnan, thresholds)):
+        raise ValueError(f"thresholds (c1_lo, c1_hi, c2_max) = {tuple(thresholds)} can never "
+                         "pass: need c1_lo <= c1_hi and no nan")
     q, d, size = graph.q, graph.d, graph.degree
     if size == 0:
         raise EmptyVarietyError("regularity check needs a nonempty variety")
     c1 = size / q ** (d - 1)
     c2 = graph.lambda_mixing / q ** ((d - 1) / 2)
-    c1_lo, c1_hi, c2_max = thresholds
     return RegularityReport(
         q=q, d=d, size=size, size_constant=c1, fourier_constant=c2,
         argmax_m=tuple(int(c) for c in np.unravel_index(graph.argmax_mixing, (q,) * d)),

@@ -64,6 +64,21 @@ def within_slack(deviation, bound):
 
 
 @dataclass(frozen=True)
+class Audit:
+    """One expander-mixing inequality checked against exact data: the exact
+    integer `count` that it compares with its main term, the deviation
+    |count - main term| (one-sided where the inequality is), its bound, and
+    the verdict ok: `within_slack(deviation, bound)`, and with it any hard
+    side condition of the audit.  One inequality gives scalars, count a
+    Python int; a block of `mixing_audit` pairs gives arrays over the pairs."""
+
+    count: int | np.ndarray
+    deviation: float | np.ndarray
+    bound: float | np.ndarray
+    ok: bool | np.ndarray
+
+
+@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalue map of a Cayley digraph on F_q^D and its summary constants.
 
@@ -376,24 +391,6 @@ def merge_multisets(sizes, points, mults, n: int):
     return np.bincount(row, minlength=rows), idx, merged
 
 
-@dataclass(frozen=True)
-class MixingAudit:
-    """The multiset expander-mixing inequality on a block of pairs (B_i, C_i).
-
-    Every field is an array over the pairs.  e_observed holds exact
-    integers.  main_term = degree*|B||C|/n and deviation =
-    |e - main_term| are the correctly rounded floats of exact rationals;
-    gap = bound - deviation; ok is `within_slack(deviation, bound)`.
-    """
-
-    e_observed: np.ndarray
-    main_term: np.ndarray
-    deviation: np.ndarray
-    bound: np.ndarray
-    gap: np.ndarray
-    ok: np.ndarray
-
-
 def _weight_dtype(factor: int, *multisets):
     """int64 when factor * mass^2 < _INT64_SAFE for the largest multiset mass."""
     if any(m.dtype == object or int(m.max(initial=0)) * int(size.max(initial=0))
@@ -421,7 +418,7 @@ def _exact_floats(num, den: int = 1) -> np.ndarray:
 
 
 def mixing_audit(spectrum: Spectrum, dom: PointDomain, member: np.ndarray,
-                 B, C) -> MixingAudit:
+                 B, C) -> Audit:
     """Audit |e(B,C) - d|B||C|/n| <= lambda * sqrt(sum m_B^2) * sqrt(sum m_C^2)
     for every pair of a block at once, under the module's exactness contract.
 
@@ -432,6 +429,10 @@ def mixing_audit(spectrum: Spectrum, dom: PointDomain, member: np.ndarray,
     exact sum of m_B * m_C over the edges.  The bound uses lambda_mixing (max
     over every nontrivial eigenvalue), the constant under which the
     inequality is a theorem for normal Cayley digraphs.
+
+    The `Audit` holds arrays over the pairs: count is the exact e(B_i, C_i),
+    deviation = |e - d|B||C|/n| and the bound are the correctly rounded
+    floats of exact values, and ok is `within_slack(deviation, bound)`.
     """
     n, degree = spectrum.order, spectrum.degree
     (b_size, b_idx, b_mult), (c_size, c_idx, c_mult) = B, C
@@ -451,9 +452,6 @@ def mixing_audit(spectrum: Spectrum, dom: PointDomain, member: np.ndarray,
     c_mass, c_sq = _per_multiset(c_size, c_mult, c_mult * c_mult)
     if int(b_sq.max(initial=0)) * int(c_sq.max(initial=0)) >= _INT64_SAFE:
         b_sq = b_sq.astype(object)
-    main_num = degree * b_mass * c_mass
-    deviation = _exact_floats(abs(n * e - main_num), n)
+    deviation = _exact_floats(abs(n * e - degree * b_mass * c_mass), n)
     bound = spectrum.lambda_mixing * np.sqrt(_exact_floats(b_sq * c_sq))
-    return MixingAudit(e_observed=e, main_term=_exact_floats(main_num, n),
-                       deviation=deviation, bound=bound, gap=bound - deviation,
-                       ok=within_slack(deviation, bound))
+    return Audit(count=e, deviation=deviation, bound=bound, ok=within_slack(deviation, bound))

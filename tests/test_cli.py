@@ -316,6 +316,44 @@ def test_variety_check_out_writes_the_payload(tmp_path, capsys):
     assert run_cli(argv, capsys) == (code, out, err)
 
 
+@pytest.mark.parametrize("window", [["--c1-lo", "3", "--c1-hi", "1"], ["--c2-max", "nan"]],
+                         ids=["c1-lo-above-c1-hi", "c2-max-nan"])
+def test_variety_check_window_that_can_never_pass_is_a_usage_error(window, capsys):
+    code, out, err = run_cli(["variety", "check", "--p", "7", "--d", "2"] + window, capsys)
+    assert (code, out) == (1, "") and "can never pass" in err
+
+
+@pytest.mark.parametrize("p,d,family", [(7, 2, "sphere"), (3, 3, "paraboloid")])
+def test_variety_enum_stdout_is_the_out_file(p, d, family, tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    argv = ["variety", "enum", "--p", str(p), "--d", str(d), "--family", family]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert run_cli(argv + ["--out", str(path)], capsys)[0] == 0
+    assert path.read_bytes() == out.encode()
+
+
+DELTA = ["energy", "delta", "--p", "5", "--d", "2", "--k", "2"]
+
+
+@pytest.mark.parametrize("extra,option", [
+    (["--coeffs", "1,2"], "--coeffs"),
+    (["--s", "2", "--form", "diag:1,2"], "--form"),
+], ids=["coeffs-without-s", "form-with-s"])
+def test_delta_option_that_does_not_apply_is_a_usage_error(extra, option, capsys):
+    code, out, err = run_cli(DELTA + extra, capsys)
+    assert (code, out) == (1, "") and option in err
+
+
+def test_delta_reads_the_options_that_apply(capsys):
+    def delta(*extra):
+        code, out, err = run_cli(DELTA + list(extra), capsys)
+        assert (code, err) == (0, "")
+        return json.loads(out)["delta"]
+    assert delta() == delta("--form", "identity") == [0, 2, 4]
+    assert delta("--s", "2", "--coeffs", "1,2") == delta("--form", "diag:1,2") == [0, 3, 4]
+
+
 def test_nup_of_an_empty_subset_has_a_zero_bound(capsys):
     code, out, _ = run_cli(["energy", "nup", "--p", "5", "--d", "2", "--k", "2", "--s", "2",
                             "--subset", "0"], capsys)
@@ -467,7 +505,7 @@ def test_audit_mixing_python_int_path_is_byte_identical(extra, monkeypatch):
 
     def recording(*a):
         audit = spectra_mod.mixing_audit(*a)
-        dtypes.append(audit.e_observed.dtype)
+        dtypes.append(audit.count.dtype)
         return audit
 
     monkeypatch.setattr(spectra_mod, "_INT64_SAFE", 1)

@@ -447,11 +447,10 @@ def test_sumset_bound_of_an_all_zero_table_is_zero():
 
 def test_energy_term_odd_k_products():
     ladder = FoldLadder(DOM32, S1_F3.points)
-    assert energy_term(ladder, 3) == (4, 36, {"k_energy_product": 144})
-    lo, hi, detail = energy_term(ladder, 5)
+    assert energy_term(ladder, 3) == (4, 36)
+    lo, hi = energy_term(ladder, 5)
     assert lo == 36 and hi == lambda_k(ladder, 6)
-    assert detail == {"k_energy_product": 36 * hi}
-    assert energy_term(ladder, 4) == (36, 36, {"k_energy": 36})
+    assert energy_term(ladder, 4) == (36, 36)
 
 
 def test_energy_recursion_ratio_fixture():
@@ -503,7 +502,7 @@ def test_nu_deviation_audit_never_fails(k):
         ladder = FoldLadder(dom, E)
         table = nu_k(ladder, form.value_table(dom), k)
         audit = nu_deviation_audits(ladder, table, k, {t: spectra[t]}, ts=(t,))[0]
-        assert audit.ok, audit.as_dict()
+        assert audit.ok, audit
 
 
 def test_nu_deviation_audit_rejects_t_zero():
@@ -549,13 +548,12 @@ def test_nu_deviations_read_int64_counts_as_python_ints():
     assert table.dtype == np.int64 and int(table.max()) * dom.size >= 2 ** 63
     graphs = {t: euclidean_spectrum(dom, qvals, t)[0] for t in range(1, 5)}
     audits = nu_deviation_audits(E, table, 4, graphs)
-    assert [a.detail["t"] for a in audits] == [1, 2, 3, 4]
-    for a in audits:
-        t, nu_t = a.detail["t"], a.detail["nu_t"]
+    assert len(audits) == 4
+    for t, a in zip(range(1, 5), audits):
+        nu_t = a.count
         assert type(nu_t) is int and nu_t == int(table[t])
         main = Fraction(graphs[t].degree * len(E) ** 4, dom.size)
         assert a.deviation == float(abs(nu_t - main))
-        assert a.normalized_deviation == float(abs(nu_t - Fraction(len(E) ** 4, 5)))
 
 
 def test_table_taking_audits_reject_tables_of_wrong_total():
@@ -585,10 +583,10 @@ def test_energy_growth_audit_on_sphere_subsets():
     rng = random.Random(3)
     for _ in range(10):
         size = rng.randint(1, v.size)
-        E = sorted(rng.sample(list(v.points), size))
-        audit = energy_growth_audit(V, FoldLadder(dom, E), 4, graph)
-        assert audit.ok, audit.as_dict()
-        assert audit.detail["k_energy"] <= audit.detail["edge_count"]
+        E = FoldLadder(dom, sorted(rng.sample(list(v.points), size)))
+        audit = energy_growth_audit(V, E, 4, graph)
+        assert audit.ok, audit
+        assert lambda_k(E, 4) <= audit.count
 
 
 def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
@@ -599,7 +597,7 @@ def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
     fast = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
     slow = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
-    assert slow.as_dict() == fast.as_dict()
+    assert slow == fast
 
 
 def _refuse_indicator_transforms(monkeypatch):
@@ -629,12 +627,11 @@ def test_growth_audit_with_the_indicator_transform_refused_equals_the_unrefused_
     v = builtin_variety(ctx, "sphere", 2, 1)
     graph = cayley_spectrum(ctx, v.indices, d=2)
     for E in (v.indices[:5], v.indices):
-        want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k,
-                                   graph).as_dict()
+        want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k, graph)
         with monkeypatch.context() as m:
             calls = _refuse_indicator_transforms(m)
             got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k, graph)
-            assert got.as_dict() == want
+            assert got == want
         # the correlation 1_{-V} (*) r_{k/2}, of mass |V| |E|^{k/2}
         assert (v.size, len(E) ** (k // 2)) in calls
 
@@ -660,7 +657,7 @@ def test_second_moment_audit_never_fails(k):
         X = sorted(rng.sample(range(5), rng.randint(1, 5)))
         table = nu_P_k(ctx, nu_k(E, eval_poly_table(dom, P), k), X)
         audit = second_moment_audit(E, table, len(X), k, graph)
-        assert audit.ok, audit.as_dict()
+        assert audit.ok, audit
 
 
 # -- certified transform fold and the fold ladder ----------------------------
@@ -941,8 +938,7 @@ def test_origin_reads_are_real_sums_with_no_complex_product(monkeypatch):
     graph = cayley_spectrum(ctx, v.indices, d=3)
     idx = np.array(sorted(random.Random(3).sample(v.indices.tolist(), 30)))
     want = (lambda_k(FoldLadder(dom, idx), 4), lambda_k(FoldLadder(dom, idx), 6),
-            energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, idx), 4,
-                                graph).as_dict())
+            energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, idx), 4, graph))
     integrands = []
     original = energy_mod._fold_at_zero
 
@@ -957,7 +953,7 @@ def test_origin_reads_are_real_sums_with_no_complex_product(monkeypatch):
     monkeypatch.setattr(energy_mod, "_product", no_product)
     E = FoldLadder(dom, idx)
     got = (E.energy(4), E.energy(6),
-           energy_growth_audit(FoldLadder(dom, v.indices), E, 4, graph).as_dict())
+           energy_growth_audit(FoldLadder(dom, v.indices), E, 4, graph))
     assert got == want
     assert integrands == [np.float64] * 3       # Lambda_4, Lambda_6, the edge count
 
@@ -1117,7 +1113,7 @@ def test_energy_growth_edge_count_matches_brute_force_off_symmetric_varieties():
                    if int(dom.index_sub(index_add(dom, int(b1), int(b2)), int(a))) in vset)
         # through the conjugate of the V ladder's held transform
         audit = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
-        assert audit.detail["edge_count"] == want
+        assert audit.count == want
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 2, 2), (7, 1, 2)])
@@ -1435,14 +1431,13 @@ def test_growth_edge_count_at_the_origin_equals_the_correlation(monkeypatch, p, 
         with monkeypatch.context() as m:
             _fold_path_only(m)
             want = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k,
-                                       graph).as_dict()
+                                       graph)
         with monkeypatch.context() as m:
             seen = _counting_at_zero(m)
             got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), k, graph)
-        assert got.as_dict() == want
+        assert got == want
         # the edge count certifies on the small subsets; |V|^6 passes 2^53 on F_27^3
-        assert seen[0] == (None if (p ** n, k, len(E)) == (27, 6, v.size)
-                           else got.detail["edge_count"])
+        assert seen[0] == (None if (p ** n, k, len(E)) == (27, 6, v.size) else got.count)
 
 
 def test_growth_correlation_fall_back_switches_to_big_integers(monkeypatch):
@@ -1465,7 +1460,7 @@ def test_growth_correlation_fall_back_switches_to_big_integers(monkeypatch):
 
     monkeypatch.setattr(energy_mod, "_convolve", recording)
     got = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
-    assert got.as_dict() == want.as_dict()
+    assert got == want
     # The edge count refused at the origin, so the correlation 1_{-V} (*) r_2
     # was built by limb products and held in Python ints.
     assert len(correlations) == 1 and correlations[0].dtype == object
@@ -1494,17 +1489,16 @@ def test_corrupted_held_spectrum_is_refused_never_miscounted(monkeypatch, p, n, 
     graph = cayley_spectrum(ctx, v.indices, d=d)
     idx = np.array(sorted(random.Random(p).sample(v.indices.tolist(), min(6, v.size - 1))))
     lam = lambda_k(FoldLadder(dom, idx), 4)
-    audit = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, idx), 4,
-                                graph).as_dict()
+    audit = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, idx), 4, graph)
     seen = _counting_at_zero(monkeypatch)
     E, V = FoldLadder(dom, idx), FoldLadder(dom, v.indices)
     E.transform().flat[1] += 0.5
     assert E.energy(4) == lam
-    assert energy_growth_audit(V, E, 4, graph).as_dict() == audit
+    assert energy_growth_audit(V, E, 4, graph) == audit
     assert seen == [None, None]         # Lambda_4, then the edge count
     E, V = FoldLadder(dom, idx), FoldLadder(dom, v.indices)
     V.transform().flat[1] += 0.5
-    assert energy_growth_audit(V, E, 4, graph).as_dict() == audit
+    assert energy_growth_audit(V, E, 4, graph) == audit
     assert seen[2:] == [None, lam]      # the edge count, then E's own Lambda_4
 
 

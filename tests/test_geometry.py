@@ -51,6 +51,13 @@ def _regularity(ctx, v):
     return regularity_check(cayley_spectrum(ctx, v.indices, d=v.d))
 
 
+def _family_poly(ctx, family, d, j=1):
+    """The polynomial `builtin_variety` enumerates for a family."""
+    if family == "paraboloid":
+        return paraboloid_poly(ctx, d)
+    return (sphere_poly if family == "sphere" else minkowski_poly)(ctx, d, j)
+
+
 def test_eval_poly_fixed_values():
     sphere0 = PolySpec(2, ((1, (2, 0)), (1, (0, 2))))
     assert eval_poly(F3, sphere0, (1, 1)) == 2
@@ -115,7 +122,8 @@ def test_enumeration_matches_brute_force_scan():
     for ctx, family, j in [(F3, "sphere", 2), (F5, "minkowski", 3),
                            (F5, "paraboloid", None)]:
         v = builtin_variety(ctx, family, 2, j)
-        spec = v.spec
+        spec = _family_poly(ctx, family, 2, j)
+        assert np.array_equal(enumerate_variety(ctx, spec).indices, v.indices)
         expected = sorted(pt for pt in itertools.product(range(ctx.q), repeat=2)
                           if eval_poly(ctx, spec, pt) == 0)
         assert list(v.points) == expected
@@ -165,7 +173,7 @@ def test_chunked_enumeration_gives_the_same_variety(ctx, family, d, monkeypatch)
     whole = builtin_variety(ctx, family, d)
     monkeypatch.setattr(geometry_mod, "_EVAL_CHUNK", 7)
     chunked = builtin_variety(ctx, family, d)
-    want = variety_reference(PointDomain(ctx, d), whole.spec)
+    want = variety_reference(PointDomain(ctx, d), _family_poly(ctx, family, d))
     for v in (whole, chunked):
         assert v.indices.dtype == np.int64
         assert v.indices.tolist() == want
@@ -191,7 +199,7 @@ def test_enumeration_in_blocks_smaller_than_q_or_a_row(ctx, chunk, family, monke
     chunked = builtin_variety(ctx, family, d)
     assert chunked.indices.dtype == np.int64
     assert chunked.indices.tolist() == whole.indices.tolist() == variety_reference(
-        PointDomain(ctx, d), whole.spec)
+        PointDomain(ctx, d), _family_poly(ctx, family, d))
     cells = [math.prod(shape) for shape in blocks]
     assert sum(cells) == q ** d and max(cells) <= chunk
     assert len(blocks) <= math.ceil(q ** d * q / ((q - 1) * chunk))
@@ -225,6 +233,21 @@ def test_regularity_full_space_fails_size():
     assert rep.fourier_constant == pytest.approx(0.0, abs=1e-9)
     assert rep.size_constant == pytest.approx(3.0)
     assert not rep.verdict and not rep.size_ok and rep.fourier_ok
+
+
+@pytest.mark.parametrize("thresholds", [(3.0, 1.0, 3.0), (0.5, 2.0, math.nan),
+                                        (math.nan, 2.0, 3.0), (0.5, math.nan, 3.0)],
+                         ids=["c1-lo-above-c1-hi", "c2-max-nan", "c1-lo-nan", "c1-hi-nan"])
+def test_regularity_window_that_can_never_pass_is_rejected(thresholds):
+    graph = cayley_spectrum(F3, builtin_variety(F3, "sphere", 2, 1).indices, d=2)
+    with pytest.raises(ValueError, match="can never pass"):
+        regularity_check(graph, thresholds=thresholds)
+
+
+def test_regularity_default_and_point_windows_are_accepted():
+    graph = cayley_spectrum(F3, builtin_variety(F3, "sphere", 2, 1).indices, d=2)
+    assert regularity_check(graph).thresholds == (0.5, 2.0, 3.0)
+    assert not regularity_check(graph, thresholds=(1.0, 1.0, 3.0)).size_ok
 
 
 def test_regularity_empty_variety():
@@ -342,7 +365,7 @@ def test_variety_serialization_roundtrip(tmp_path):
 @settings(max_examples=60, deadline=None)
 def test_variety_save_load_roundtrip_over_extension_fields(case):
     dom, points = case
-    v = Variety(spec=None, d=dom.d, q=dom.ctx.q,
+    v = Variety(d=dom.d, q=dom.ctx.q,
                 indices=np.array(sorted(points), dtype=np.int64))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.txt"
@@ -351,7 +374,7 @@ def test_variety_save_load_roundtrip_over_extension_fields(case):
         loaded = Variety.load(path)
         loaded.save(path)
         assert path.read_text() == text
-    assert (loaded.q, loaded.d, loaded.spec) == (v.q, v.d, None)
+    assert (loaded.q, loaded.d) == (v.q, v.d)
     assert np.array_equal(loaded.indices, v.indices)
     assert loaded.points == v.points
 

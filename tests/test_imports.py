@@ -1,8 +1,9 @@
 """Every module-level import in the package source is used, every
-module-level function and method is read somewhere in the package, every
-exception class is raised or caught somewhere in it, every module
-imports only modules below it in the package's layer order, and no module
-holds an `assert` statement, which `python -O` would strip.
+module-level function and method is read somewhere in the package, so is
+every field of a package dataclass, every exception class is raised or
+caught somewhere in it, every module imports only modules below it in the
+package's layer order, and no module holds an `assert` statement, which
+`python -O` would strip.
 
 No linter ships with the project, so these stdlib-only checks stand in for
 one.  `__init__.py` is skipped by the import check: its imports are the
@@ -250,6 +251,38 @@ def test_the_check_flags_a_private_method_left_for_the_tests():
 def test_every_function_and_public_method_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert set(unread_definitions(sources)) == UNREAD_ALLOWED
+
+
+def unread_fields(sources: dict) -> list:
+    """Fields of the module-level dataclasses of `sources` (module name ->
+    source) that no module in it reads as an attribute.  A keyword of the
+    constructor, a bare name and an assignment are no read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{node.name}.{stmt.target.id}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+def test_the_check_sees_unread_dataclass_fields():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
+             "class Audit:\n    count: int\n    main_term: float\n    ok: bool\n"
+             "    gap: float\n\n\nclass Plain:\n    note: str\n",
+        "b": "import dataclasses\nfrom a import Audit\n\n\n@dataclasses.dataclass\n"
+             "class Row:\n    size: int\n    spec: object = None\n\n\n"
+             "def f(row, gap, main_term=0):\n    a = Audit(count=1, main_term=main_term, ok=True,\n"
+             "              gap=gap)\n    row.spec = None\n    return a.count, a.ok, row.size\n",
+    }
+    assert unread_fields(sources) == ["a.Audit.gap", "a.Audit.main_term", "b.Row.spec"]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_fields({p.stem: p.read_text() for p in SOURCES}) == []
 
 
 def _exception_names(node) -> set:
