@@ -38,6 +38,7 @@ from .spectra import (
 from .energy import (
     DeltaSet,
     FoldLadder,
+    FormLevels,
     delta_set,
     energy_term,
     fold_counts,

@@ -40,11 +40,9 @@ from .energy import (
 )
 from .errors import FqspectraError
 from .experiments import (
+    RUNNERS,
     ExperimentPlan,
-    coverage_experiment,
-    energy_bound_experiment,
     sample_subset,
-    sumset_experiment,
     _derive_rng,
 )
 from .field import FieldContext
@@ -222,7 +220,7 @@ def build_parser() -> _Parser:
 
     experiment = sub.add_parser("experiment", help="seeded theorem-level sweeps")
     xsub = experiment.add_subparsers(dest="subcommand", required=True)
-    for name in ("coverage", "energy", "sumset"):
+    for name in RUNNERS:
         xp = xsub.add_parser(name)
         xp.add_argument("--plan", required=True, help="plan file (key = value lines)")
         xp.add_argument("--out", help="write the JSON report here")
@@ -435,11 +433,8 @@ def _emit_table(table, args, extra=None) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    plan = ExperimentPlan.from_file(args.plan)
-    runner = {"coverage": coverage_experiment,
-              "energy": energy_bound_experiment,
-              "sumset": sumset_experiment}[args.subcommand]
-    report = runner(plan)
+    runner, _ = RUNNERS[args.subcommand]
+    report = runner(ExperimentPlan.from_file(args.plan, args.subcommand))
     if args.out:
         report.write_json(args.out)
     if args.csv:

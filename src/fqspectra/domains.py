@@ -174,10 +174,20 @@ class PointDomain:
         return shifted.reshape(table.shape)
 
 
-def _trace_form(ctx: FieldContext) -> np.ndarray:
-    """Gram matrix T[i][j] = Tr(X^i * X^j) of the trace pairing on F_q/F_p."""
-    basis = ctx.p ** np.arange(ctx.n, dtype=np.int64)
-    return ctx.trace_table[ctx.mul_vec(basis[:, None], basis[None, :])]
+def trace_frequencies(ctx: FieldContext) -> np.ndarray:
+    """lin[u], the digit frequency of the character x -> chi(u x) of F_q: the
+    encoding of digits(u) . T mod p, T[i][j] = Tr(X^i * X^j) the Gram matrix
+    of the trace pairing, so that chi(u x) = exp(2 pi i lin[u] . digits(x) / p).
+    A permutation of F_q, the identity over a prime field.  On F_q^d it acts
+    on each coordinate alone: the character of m is the (Z_p)^(n*d)
+    frequency with coordinates lin[m_j]."""
+    if ctx.n == 1:
+        return np.arange(ctx.q, dtype=np.int64)
+    p, n = ctx.p, ctx.n
+    basis = p ** np.arange(n, dtype=np.int64)
+    gram = ctx.trace_table[ctx.mul_vec(basis[:, None], basis[None, :])]
+    digits = np.arange(ctx.q, dtype=np.int64)[:, None] // basis % p
+    return (digits @ gram) % p @ basis
 
 
 def character_sum_table(dom: PointDomain, points) -> np.ndarray:
@@ -205,10 +215,8 @@ def character_sum_table(dom: PointDomain, points) -> np.ndarray:
     F = F.reshape(dom.size)
     if n == 1:
         return F
-    # Reindex: chi(m . s) pairs digit blocks through the trace Gram matrix.
-    # It acts on each coordinate alone: lin[u] encodes digits(u) . T mod p.
-    digits = np.arange(ctx.q, dtype=np.int64)[:, None] // p ** np.arange(n) % p
-    lin = (digits @ _trace_form(ctx)) % p @ p ** np.arange(n)
+    # Reindex: chi(m . s) pairs digit blocks through the trace pairing.
+    lin = trace_frequencies(ctx)
     flat = sum((lin * ctx.q ** (d - 1 - j)).reshape((-1,) + (1,) * (d - 1 - j))
                for j in range(d))
     return F[flat.reshape(dom.size)]

@@ -15,7 +15,11 @@ one form in which a subset reaches the counts and audits here, the growth
 audit's variety included.
 `nu_k` bins a fold by any value table, and the generalized distance set
 (`delta_set`) and nu_{P,k} (`nu_P_k`), whose support is X + Delta, are both
-read off that one binned table.
+read off that one binned table.  For the distance count of a nondegenerate
+diagonal form, `FormLevels` reads the same table off a ladder's held half
+spectrum by dual classes, against a q x q class table built once from two
+level transforms, with no inverse transform and no fold table; it falls
+back to `nu_k` whenever its certificate (`fold_counts`, step 3'') fails.
 """
 
 import functools
@@ -26,7 +30,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import _FLOAT_EXACT, _INT64_SAFE, _MATMUL_P_MAX, PointDomain, require_table_budget
+from .domains import (
+    _FLOAT_EXACT,
+    _INT64_SAFE,
+    _MATMUL_P_MAX,
+    PointDomain,
+    require_table_budget,
+    trace_frequencies,
+)
 from .errors import (
     EmptyXError,
     InconsistentTotalError,
@@ -34,6 +45,7 @@ from .errors import (
     OddKError,
 )
 from .field import FieldContext
+from .geometry import QuadraticForm
 from .spectra import Audit, Spectrum, within_slack
 
 # Constant C of the relative error C * L^(3/2) * u of one DFT pass along
@@ -68,9 +80,9 @@ def _table_dtype(mass: int):
     return object if mass >= _INT64_SAFE else np.int64
 
 
-def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
-    """A priori bound on max |computed - exact| of the transform fold whose
-    factors have l1 norms `sizes` and l2 norms `norms`; see `fold_counts`."""
+def _pass_errors(dom: PointDomain) -> tuple:
+    """(eps, eps') of `_rfft` and `_irfft` read on the full grid, relative to
+    the 2-norm (`fold_counts`, step 0)."""
     u = 2.0 ** -53
     p = dom.ctx.p
     # Each pass over a axes charges its own line length p^a.
@@ -78,14 +90,38 @@ def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
     per_pass = math.expm1(sum(groups.count(a) * math.log1p(_DFT_ERROR_CONST * (p ** a) ** 1.5 * u)
                               for a in set(groups)))
     # Half spectra: an error extends to the full grid with at most sqrt(2) times its norm.
-    eps = math.sqrt(2) * per_pass
-    eps_inv = math.sqrt(2) * ((1 + per_pass) * (1 + u) ** 2 - 1)
+    return math.sqrt(2) * per_pass, math.sqrt(2) * ((1 + per_pass) * (1 + u) ** 2 - 1)
+
+
+def _product_error_bound(dom: PointDomain, sizes, norms) -> tuple:
+    """(D, min_i A_i) of `fold_counts` step 2 for the factors whose l1 norms
+    are `sizes` and l2 norms `norms`: the computed product G~ of their half
+    spectra has ||G~ - G||_2 <= sqrt(N) D on the full grid."""
+    u = 2.0 ** -53
+    eps = _pass_errors(dom)[0]
     eta = eps * math.sqrt(dom.size)
     m = len(sizes)
     theta = math.expm1((m - 1) * math.log1p(math.sqrt(2) * 2 * u / (1 - 2 * u)))
     terms = [norms[i] * math.prod(sizes[:i] + sizes[i + 1:]) for i in range(m)]
-    spread = (1 + eta) ** (m - 1) * (eps * sum(terms) + theta * (1 + eps) * min(terms))
-    return spread * (1 + eps_inv) + eps_inv * min(terms)
+    return (1 + eta) ** (m - 1) * (eps * sum(terms) + theta * (1 + eps) * min(terms)), min(terms)
+
+
+def _fold_error_bound(dom: PointDomain, sizes, norms) -> float:
+    """A priori bound on max |computed - exact| of the transform fold whose
+    factors have l1 norms `sizes` and l2 norms `norms`; see `fold_counts`."""
+    spread, least = _product_error_bound(dom, sizes, norms)
+    eps_inv = _pass_errors(dom)[1]
+    return spread * (1 + eps_inv) + eps_inv * least
+
+
+def _l1_bound(sizes, norms) -> float:
+    """P of `fold_counts` step 3', ||G||_1 <= N P for the product G of the
+    factors' transforms: the least l_a l_b prod_{i != a, b} s_i over a != b,
+    and l_1 for one factor."""
+    if len(sizes) == 1:
+        return norms[0]
+    return min(norms[a] * norms[b] * math.prod(s for i, s in enumerate(sizes) if i not in (a, b))
+               for a, b in itertools.combinations(range(len(sizes)), 2))
 
 
 def _norms(table: np.ndarray) -> tuple:
@@ -102,10 +138,8 @@ def _at_zero_error_bound(dom: PointDomain, sizes, norms) -> float:
     u = 2.0 ** -53
     n = (dom.ctx.p // 2 + 1) * (dom.size // dom.ctx.p)
     grow = (1 + n * u / (1 - n * u)) * (1 + u) - 1
-    pair = min(norms[a] * norms[b] * math.prod(s for i, s in enumerate(sizes) if i not in (a, b))
-               for a, b in itertools.combinations(range(len(sizes)), 2))
     bound = _fold_error_bound(dom, sizes, norms)
-    return bound + grow * (pair + bound)
+    return bound + grow * (_l1_bound(sizes, norms) + bound)
 
 
 def _certificate(dom: PointDomain, factors, at_zero: bool = False):
@@ -429,6 +463,56 @@ def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
     B0 about 3.2e-3, against B about 3.0e-3 for the table of the same four
     factors, r_4.
 
+    Distance counts by dual class.  The distance count of a nondegenerate
+    diagonal form Q = sum_j a_j x_j^2 with levels L_t = {Q = t}, N(t) =
+    |L_t|, is nu_k(t) = sum_z r_k(z) 1_{L_t}(z) = N^-1 sum_m H(m)^k L^_t(m) by
+    Parseval, H the transform of 1_E and L^_t that of 1_{L_t}, real because
+    L_t = -L_t.  For m != 0, completing the square in the Gauss sums of L^_t
+    shows that it depends on m only through the dual form Q*(m) = sum_j
+    m_j^2 / a_j (the Fourier transform of the sphere in Iosevich-Rudnev
+    (2007), used for k-fold sums in Covert-Koh-Pi (2015)): L^_t(m) =
+    g_t(Q*(m)).  So, with B_k(c) = sum of H(m)^k over m != 0 with Q*(m) = c,
+
+        nu_k(t) = N^-1 (|E|^k N(t) + sum_c g_t(c) B_k(c)),
+
+    which `FormLevels` reads off E's held half spectrum with no inverse
+    transform.  The character of m has the digit frequency omega with
+    coordinates lin(m_j) (`domains.trace_frequencies`), so a half-grid bin
+    omega has the class cls(omega) = Q*(m); Q*(-m) = Q*(m), so a bin and its
+    mirror share a class, and B_k(c) is the sum over the half grid of w Re
+    H^k on class c, w as at the origin, the bin omega = 0 left out.  x -> s x
+    maps L_t onto L_{s^2 t}, so g_{s^2 t}(x) = g_t(s^2 x): the transforms of
+    two levels, one per square class of F_q^*, give every row t != 0, and as
+    sum_t 1_{L_t} = 1 has transform 0 off m = 0, g_0 = -sum_{t != 0} g_t.
+
+    3''. Certificate.  By step 1 a level's computed transform has 2-norm
+       error at most eps sqrt(N N(t)), so each of its bins is within delta_t
+       = eps sqrt(N N(t)) of the exact one.  The table keeps the least bin
+       of each class as g~_t(c), and a class whose bins spread over more
+       than 2 delta_t raises InvariantError, since the exact bins of a class
+       agree: a wrong class map shows there.  The rows s^2 t are exact
+       permutations, and the row t = 0 has delta_0 = sum_{t != 0} delta_t +
+       gamma_(q-1) sum_{t != 0} (N(t) + delta_t).  The exact |g_t| is at most
+       M_t = N(t), as |L^_t| <= |L_t|.  With D and P of steps 2 and 3' for
+       the k factors 1_E, the computed G~ = H~^k and the exact sum S(t) =
+       sum_{m != 0} g_t(Q*(m)) G(m), the split sum g~ G~ - sum g G = sum g
+       (G~ - G) + sum (g~ - g) G~ bounds the error before rounding by N (M_t D +
+       delta_t (P + D)).  The class sums, by Higham's (3.5) as in step 3',
+       and the q-term dot product with g~ add at most c s_t N, s_t = (M_t +
+       delta_t)(P + D) and c = (1 + gamma_n)(1 + gamma_q) - 1, n the half
+       grid's cells, and |S~(t)| <= (1 + c) s_t N.  The main term |E|^k N(t)
+       (at most N |E|^k) rounds once, its sum with S~ once and the division
+       by N once.  So
+
+           |nu~(t) - nu(t)| <= B_t = M_t D + delta_t (P + D) + c s_t
+                                    + ((1 + u)^3 - 1)(|E|^k + (1 + c) s_t).
+
+    Its certificate is the fold's with B_t for each t: mass |E|^k < 2^53,
+    every B_t < 1/2, every observed residual at most its B_t, no negative
+    count and the total |E|^k; when it fails `nu_k` bins the fold instead.
+    For |E| = 345 and k = 3 over F_31^3, B_t is about 5e-3 for t != 0 and
+    2e-2 for t = 0, whose delta_0 sums the other rows'.
+
     Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
     a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
     fold with its own certificate.  w is the widest width, at most 63 so that
@@ -601,6 +685,144 @@ def nu_k(E: FoldLadder, values, k: int) -> np.ndarray:
     if _exact_total(table) != len(E) ** k:
         raise InvariantError("value-binning lost mass")
     return table
+
+
+class FormLevels:
+    """The distance counts nu_k of one nondegenerate diagonal form Q =
+    sum_j a_j x_j^2 over dom, read by dual class off a subset's held half
+    spectrum, with no inverse transform (`fold_counts`, step 3'').
+
+    values is Q's value table over dom and counts its bincount, N(t) =
+    |{Q = t}| for every t, both built once by the caller.  The class map of
+    the half grid and the q x q class table are built on the first read of
+    a nonempty subset and held: the table from `_rfft` of two level
+    indicators, one per square class of F_q^*.  `nu_k` stays the engine for
+    any value table and the fallback here.
+    """
+
+    def __init__(self, dom: PointDomain, form: QuadraticForm, values, counts):
+        form.require_nondegenerate(dom.ctx)
+        self.dom = dom
+        self.form = form
+        self.values = dom.as_values(values)
+        self.counts = np.asarray(counts, dtype=np.int64)
+
+    def nu_k(self, E: FoldLadder, k: int) -> np.ndarray:
+        """The table `nu_k(E, values, k)`: read by dual class, in int64, when
+        its certificate holds, else binned off E's fold by `nu_k`.  An empty
+        E gives int64 zeros with no transform.  Needs q^d <= TABLE_MAX, as a
+        fold of depth 2 does."""
+        if k < 1:
+            raise ValueError(f"k = {k} must be >= 1")
+        if len(E) == 0:
+            return np.zeros(self.dom.ctx.q, dtype=np.int64)
+        table = self._read(E, k)
+        return nu_k(E, self.values, k) if table is None else table
+
+    def _read(self, E: FoldLadder, k: int):
+        """The table of step 3'', or None when its certificate fails."""
+        mass = len(E) ** k
+        if mass >= _FLOAT_EXACT:
+            return None
+        bound = self._error_bounds(E, k)
+        if bound.max() >= 0.5:
+            return None
+        value = self._estimate(E, k)
+        r = np.rint(value)
+        if np.any(np.abs(value - r) > bound):
+            return None
+        r = r.astype(np.int64)
+        if r.min() < 0 or _exact_total(r) != mass:
+            return None
+        return r
+
+    def _estimate(self, E: FoldLadder, k: int) -> np.ndarray:
+        """nu_k(t) for every t as floats, (|E|^k N(t) + sum_c g_t(c) B_k(c)) / N,
+        B_k(c) the sum over class c of w Re(H^k) on the half grid, the bin
+        at 0 left out (step 3'')."""
+        dom = self.dom
+        hat = E.transform()
+        g, _ = self._table
+        x = (np.real(_product([(None, hat, k)])) * 2.0).reshape(-1)
+        x[: dom.size // dom.ctx.p] *= 0.5   # axis-0 frequency 0 has weight 1
+        x[0] = 0.0
+        sums = np.bincount(self._classes, weights=x, minlength=dom.ctx.q)
+        return (float(len(E) ** k) * self.counts + g @ sums) / dom.size
+
+    def _error_bounds(self, E: FoldLadder, k: int) -> np.ndarray:
+        """B_t of step 3'' for every t, for the k factors 1_E."""
+        _, delta = self._table
+        u = 2.0 ** -53
+        sizes, norms = [E.norms[0]] * k, [E.norms[1]] * k
+        err = _product_error_bound(self.dom, sizes, norms)[0]   # D
+        l1 = _l1_bound(sizes, norms) + err                     # P + D
+        n, q = len(self._classes), self.dom.ctx.q
+        c = (1 + n * u / (1 - n * u)) * (1 + q * u / (1 - q * u)) - 1
+        s = (self.counts + delta) * l1
+        return (self.counts * err + delta * l1 + c * s
+                + ((1 + u) ** 3 - 1) * (len(E) ** k + (1 + c) * s))
+
+    @functools.cached_property
+    def _classes(self) -> np.ndarray:
+        """cls(omega) = Q*(m), Q*(m) = sum_j m_j^2 / a_j, for the frequencies
+        omega of the half grid in `_rfft`'s flat order, where the character
+        of m has frequency omega (m_j = lin^-1(omega_j), `trace_frequencies`),
+        in the smallest unsigned dtype that holds q - 1."""
+        ctx = self.dom.ctx
+        q = ctx.q
+        squares = ctx.pow_table(2)[np.argsort(trace_frequencies(ctx))]
+        inverse = ctx.pow_table(q - 2)
+        cls = np.zeros(1, dtype=np.int64)
+        for j, a in enumerate(self.form.coeffs):
+            axis = ctx.mul_vec(squares, inverse[ctx.element(a)])
+            if j == 0:   # the half grid keeps the leading digits below p // 2 + 1
+                axis = axis[: (ctx.p // 2 + 1) * q // ctx.p]
+            cls = ctx.add_vec(cls[:, None], axis).reshape(-1)
+        return cls.astype(np.min_scalar_type(q - 1))
+
+    @functools.cached_property
+    def _table(self) -> tuple:
+        """(g, delta): g[t, c] is g_t(c) as read off the level transforms, 0
+        on a class that no frequency m != 0 meets, and delta[t] bounds
+        |g[t] - g_t| (step 3'').  InvariantError when a level transform is
+        not constant on a class within 2 delta."""
+        dom, ctx = self.dom, self.dom.ctx
+        require_table_budget(dom, "fold")
+        q = ctx.q
+        u = 2.0 ** -53
+        eps = _pass_errors(dom)[0]
+        squares = ctx.pow_table(2)[1:]
+        scale = ctx.mul_vec(squares[:, None], np.arange(q))   # row i: x -> s_i x
+        g = np.zeros((q, q))
+        delta = np.zeros(q)
+        done = np.zeros(q, dtype=bool)
+        for t in range(1, q):
+            if done[t]:
+                continue
+            level = ctx.mul_vec(squares, t)   # t's square class, s_i t
+            delta[level] = eps * math.sqrt(dom.size * int(self.counts[t]))
+            bins = _rfft(dom, (self.values == t).astype(np.float64)).reshape(-1).real
+            g[level] = self._class_values(bins, delta[t])[scale]   # g_{s t}(x) = g_t(s x)
+            done[level] = True
+        # sum_t 1_{Q = t} = 1, whose transform vanishes off 0.
+        g[0] = -g[1:].sum(axis=0)
+        delta[0] = delta[1:].sum() + (q - 1) * u / (1 - (q - 1) * u) * (
+            self.counts[1:].sum() + delta[1:].sum())
+        return g, delta
+
+    def _class_values(self, bins: np.ndarray, delta: float) -> np.ndarray:
+        """The least of the bins at m != 0 on each class, 0 on an empty one;
+        InvariantError when a class spreads over more than 2 delta."""
+        q = self.dom.ctx.q
+        lo, hi = np.full(q, np.inf), np.full(q, -np.inf)
+        np.minimum.at(lo, self._classes[1:], bins[1:])
+        np.maximum.at(hi, self._classes[1:], bins[1:])
+        spread = hi - lo
+        if np.any(spread > 2 * delta):
+            c = int(np.argmax(spread))
+            raise InvariantError(f"a level transform spreads by {spread[c]:.3g} on dual "
+                                 f"class {c}, above twice its bound {delta:.3g}")
+        return np.where(spread >= 0, lo, 0.0)
 
 
 def nu_P_k(ctx: FieldContext, table: np.ndarray, X) -> np.ndarray:

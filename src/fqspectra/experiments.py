@@ -27,6 +27,7 @@ from . import __version__
 from .domains import PointDomain
 from .energy import (
     FoldLadder,
+    FormLevels,
     delta_set,
     energy_growth_audit,
     energy_recursion_ratio,
@@ -179,9 +180,10 @@ class ExperimentPlan:
         }
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentPlan":
+    def from_file(cls, path, kind: str | None = None) -> "ExperimentPlan":
         """Parse the documented flat `key = value` plan format; a key given
-        twice, a line without '=' and a key or value that does not read are
+        twice, a line without '=', a key or value that does not read and,
+        for a `kind` of `RUNNERS`, a key its runner does not read are
         refused, naming the line."""
         raw, lines = {}, {}
         with open(path) as fh:
@@ -195,13 +197,15 @@ class ExperimentPlan:
                 if key in raw:
                     raise ValueError(f"plan key {key!r} repeated on line {lineno}")
                 raw[key], lines[key] = value, lineno
-        return cls.from_mapping(raw, lines)
+        return cls.from_mapping(raw, lines, kind)
 
     @classmethod
-    def from_mapping(cls, raw: dict, lines: dict | None = None) -> "ExperimentPlan":
+    def from_mapping(cls, raw: dict, lines: dict | None = None,
+                     kind: str | None = None) -> "ExperimentPlan":
         """The plan of `raw`, key -> value; ValueError naming the key, and its
-        line when `lines` (key -> line number) gives one, for an unknown key
-        or a value that does not read."""
+        line when `lines` (key -> line number) gives one, for an unknown key,
+        a value that does not read, or, when `kind` names a runner of
+        `RUNNERS`, a key that runner does not read."""
         kwargs = {}
         for key, value in raw.items():
             where = f" on line {lines[key]}" if lines else ""
@@ -212,6 +216,8 @@ class ExperimentPlan:
                 kwargs[key] = read(value)
             except ValueError:
                 raise ValueError(f"plan key {key!r}{where}: {value!r} is not {what}") from None
+            if kind is not None and key not in RUNNERS[kind][1]:
+                raise ValueError(f"plan key {key!r}{where} is not read by a {kind} plan")
         return cls(**kwargs)
 
 
@@ -307,12 +313,20 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     lambda_t(c*m) and the class's levels share the degree and lambda_mixing
     that the audits read.  It is set-up's spectrum of V when V is a level of
     the class, else its smallest t's; a level whose point count is not that
-    degree raises InvariantError."""
+    degree raises InvariantError.
+
+    Each trial's nu_k table is read by dual class off its ladder's held half
+    spectrum (`energy.FormLevels`, built once per run next to the value
+    table), so a trial makes no inverse transform and no fold table over
+    F_q^d; the first nonempty trial builds the q x q class table from two
+    level transforms, one per square class.  Where the read's certificate
+    fails, the table is binned off the fold by `energy.nu_k`, as exact."""
     form = QuadraticForm.parse(plan.form, plan.d)
     ctx, dom, variety, graph, reg = _setup(plan)
     form.require_nondegenerate(ctx)
     qvals = form.value_table(dom)
     counts = np.bincount(qvals, minlength=ctx.q)
+    levels = FormLevels(dom, form, qvals, counts)
     v_vals = list(set(qvals[variety.indices].tolist()))  # V is the level v_level, else 0
     v_level = v_vals[0] if counts[v_vals].tolist() == [variety.size] else 0
     squares, graphs = ctx.pow_table(2)[1:], {}
@@ -338,7 +352,7 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     for size_index, trial, subset in _trial_subsets(variety, sizes, plan.seed, plan.trials):
         E = FoldLadder(dom, subset)
         rec = {"size_index": size_index, "trial": trial, "size": len(E)}
-        table = nu_k(E, qvals, k)
+        table = levels.nu_k(E, k)
         nonzero_t = table.tolist()[1:]
         rec["min_nu_nonzero_t"] = min(nonzero_t) if nonzero_t else 0
         ds = delta_set(table)
@@ -491,3 +505,13 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     return ExperimentReport(kind="sumset", plan=plan.as_dict(), stamp=_stamp(plan),
                             regularity=reg.as_dict(), records=records,
                             aggregates=aggregates, hard_failures=hard_failures)
+
+
+# Each experiment kind's runner and the plan keys it reads; `as_dict` keeps
+# all of them, so every report names the whole plan.
+_COMMON_KEYS = ("p", "n", "d", "family", "j", "sizes", "sizes_mode", "trials", "seed")
+RUNNERS = {
+    "coverage": (coverage_experiment, _COMMON_KEYS + ("k", "form")),
+    "energy": (energy_bound_experiment, _COMMON_KEYS + ("k", "ks")),
+    "sumset": (sumset_experiment, _COMMON_KEYS + ("k", "s", "coeffs", "x_sizes", "c")),
+}

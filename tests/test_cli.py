@@ -822,3 +822,20 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert "C1 = 1.3333" in proc.stdout
     assert "REGULAR" in proc.stdout
+
+
+@pytest.mark.parametrize("kind,line", [
+    ("coverage", "x_sizes = 2"), ("coverage", "ks = 4"), ("coverage", "c = 0.5"),
+    ("energy", "form = identity"), ("energy", "s = 2"), ("sumset", "ks = 4"),
+    ("sumset", "form = identity"),
+])
+def test_plan_key_its_kind_does_not_read_is_a_usage_error(kind, line, tmp_path, capsys):
+    # Such a key used to be ignored without a word, and the plan ran.
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"p = 5\nd = 2\nk = 2\n{line}\nsizes = 3\nsizes_mode = absolute\n")
+    message = f"plan key {line.split()[0]!r} on line 4 is not read by a {kind} plan"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentPlan.from_file(plan, kind)
+    assert ExperimentPlan.from_file(plan).p == 5   # no kind: every plan key reads
+    code, out, err = run_cli(["experiment", kind, "--plan", str(plan)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

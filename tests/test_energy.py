@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -53,10 +54,13 @@ from oracles import (
     brute_lambda,
     brute_nu,
     brute_nu_P,
+    character_sums_direct,
     complex_fold_error_bound,
     delta_reference,
+    eval_quadratic,
     half_spectrum_reference,
     index_add,
+    inv,
     nu_P_reference,
     point_of,
     roll_fold,
@@ -595,9 +599,24 @@ def test_energy_growth_correlation_switches_to_big_integers(monkeypatch):
     graph = cayley_spectrum(F5, v.indices, d=2)
     E = sorted(random.Random(4).sample(list(v.points), 3))
     fast = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
+    # A refused certificate at the origin leaves the edge count to the
+    # correlation 1_{-V} (*) r_2, of mass |V| |E|^2 >= _INT64_SAFE here.
+    monkeypatch.setattr(energy_mod, "_at_zero_error_bound", lambda dom, sizes, norms: 1.0)
     monkeypatch.setattr(energy_mod, "_INT64_SAFE", 1)  # correlation and dots in Python ints
+    neg_v = np.bincount(dom.index_neg(v.indices), minlength=dom.size)
+    correlations = []
+    convolve = energy_mod._convolve
+
+    def recording(dom, a, b):
+        out = convolve(dom, a, b)
+        if np.array_equal(a, neg_v):
+            correlations.append(out)
+        return out
+
+    monkeypatch.setattr(energy_mod, "_convolve", recording)
     slow = energy_growth_audit(FoldLadder(dom, v.indices), FoldLadder(dom, E), 4, graph)
     assert slow == fast
+    assert len(correlations) == 1 and correlations[0].dtype == object
 
 
 def _refuse_indicator_transforms(monkeypatch):
@@ -1508,3 +1527,190 @@ def test_gap_is_the_fraction_difference_bit_for_bit(count, num, den):
     want = float(Fraction(count) - Fraction(num, den))
     assert energy_mod._gap(count, num, den) == want
     assert math.copysign(1.0, energy_mod._gap(count, num, den)) == math.copysign(1.0, want)
+
+
+# -- distance counts by dual class (FormLevels) --------------------------------
+
+# (p, n, d, form) of F_5^2, F_9^2, F_25^2, F_27^2, F_7^3, F_13^3 diag(1, 2, 5)
+# and F_7^4.
+DUAL_CLASS_CASES = [(5, 1, 2, None), (3, 2, 2, None), (5, 2, 2, None), (3, 3, 2, None),
+                    (7, 1, 3, None), (13, 1, 3, (1, 2, 5)), (7, 1, 4, None)]
+
+
+@functools.cache
+def _form_levels(p, n, d, coeffs):
+    dom = PointDomain(FieldContext(p, n), d)
+    form = QuadraticForm(coeffs) if coeffs else QuadraticForm.identity(d)
+    values = form.value_table(dom)
+    return energy_mod.FormLevels(dom, form, values, np.bincount(values, minlength=dom.ctx.q))
+
+
+def _brute_distance_counts(levels, idx, k):
+    """nu_k(t) for every t, one k-tuple of the multiset idx at a time: its sum
+    by digit-wise addition and Q at that sum by `eval_quadratic`."""
+    dom = levels.dom
+    out = [0] * dom.ctx.q
+    for tup in itertools.product(idx.tolist(), repeat=k):
+        z = 0
+        for i in tup:
+            z = index_add(dom, z, i)
+        out[eval_quadratic(dom.ctx, levels.form, point_of(dom, z))] += 1
+    return out
+
+
+@given(st.sampled_from(DUAL_CLASS_CASES), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_distance_counts_by_dual_class_equal_the_binned_fold_and_brute_force(case, k, data):
+    levels = _form_levels(*case)
+    dom = levels.dom
+    # a multiset: indices may repeat
+    idx = data.draw(st.lists(st.integers(0, dom.size - 1), min_size=1,
+                             max_size=6 if k < 4 else 4))
+    idx = np.array(idx, dtype=np.int64)
+    E = FoldLadder(dom, idx)
+    read = levels._read(E, k)
+    assert read is not None          # certified, not the fallback
+    assert read.dtype == np.int64
+    assert np.array_equal(levels.nu_k(E, k), read)
+    assert read.tolist() == nu_k(FoldLadder(dom, idx), levels.values, k).tolist()
+    assert read.tolist() == _brute_distance_counts(levels, idx, k)
+
+
+@pytest.mark.parametrize("case", [(7, 1, 3, None), (3, 2, 2, None), (13, 1, 3, (1, 2, 5))],
+                         ids=["F7^3", "F9^2", "F13^3-diag"])
+def test_dual_class_table_rows_match_every_level_transform(case):
+    # The rows t != 0 of the two non-base levels of each square class are
+    # scaled copies, and the row t = 0 is minus their sum; each must equal the
+    # direct character sum of its level at every m != 0, read at Q*(m), Q*
+    # evaluated point by point with the inverted coefficients.
+    levels = _form_levels(*case)
+    dom, ctx = levels.dom, levels.dom.ctx
+    g, delta = levels._table
+    dual = QuadraticForm(tuple(inv(ctx, ctx.element(a)) for a in levels.form.coeffs))
+    qstar = [eval_quadratic(ctx, dual, point_of(dom, m)) for m in range(1, dom.size)]
+    eps = energy_mod._pass_errors(dom)[0]
+    for t in range(ctx.q):
+        direct = character_sums_direct(dom, np.flatnonzero(levels.values == t))
+        assert np.abs(direct.imag).max() < 1e-9
+        count = int(levels.counts[t])
+        assert abs(direct[0].real - count) < 1e-9
+        # the direct sum is the exact transform to within 1e-9 at these sizes
+        assert np.abs(g[t, qstar] - direct[1:].real).max() <= delta[t] + 1e-9
+        assert delta[t] >= eps * math.sqrt(dom.size * count)
+
+
+def test_empty_subset_distance_counts_are_zero_with_no_transform(monkeypatch):
+    levels = energy_mod.FormLevels(DOM32, QuadraticForm.identity(2),
+                                   QuadraticForm.identity(2).value_table(DOM32),
+                                   [1, 4, 4])
+    calls = []
+    monkeypatch.setattr(energy_mod, "_rfft", lambda dom, table: calls.append(1))
+    for k in (1, 3):
+        table = levels.nu_k(FoldLadder(DOM32, []), k)
+        assert table.dtype == np.int64 and table.tolist() == [0, 0, 0]
+    assert calls == [] and "_table" not in vars(levels)
+    with pytest.raises(ValueError, match="k = 0 must be >= 1"):
+        levels.nu_k(FoldLadder(DOM32, [(1, 0)]), 0)
+
+
+def _refuse(monkeypatch, reason):
+    """Make the certificate of step 3'' refuse for `reason` on a case it
+    certifies."""
+    if reason == "bound":
+        monkeypatch.setattr(energy_mod.FormLevels, "_error_bounds",
+                            lambda self, E, k: np.full(self.dom.ctx.q, 0.5))
+        return
+    real = energy_mod.FormLevels._estimate
+
+    def estimate(self, E, k):
+        value = real(self, E, k)
+        if reason == "residual":
+            value += 0.25      # off every integer by more than its bound
+        elif reason == "negative":
+            value[1] = -1.0    # an integer, so only its sign refuses
+        else:
+            value[0] += 1.0    # integers, but the total is one too many
+        return value
+
+    monkeypatch.setattr(energy_mod.FormLevels, "_estimate", estimate)
+
+
+@pytest.mark.parametrize("reason", ["bound", "residual", "negative", "total", "mass"])
+def test_refused_dual_class_read_falls_back_to_the_binned_fold(reason, monkeypatch):
+    if reason == "mass":   # 100^8 > 2^53: no float table is exact
+        levels, k = _form_levels(3, 1, 2, None), 8
+        idx = np.arange(100) % 9
+    else:
+        levels, k = _form_levels(7, 1, 3, None), 3
+        idx = np.array(random.Random(5).sample(range(levels.dom.size), 40))
+    dom = levels.dom
+    want = nu_k(FoldLadder(dom, idx), levels.values, k)
+    if reason != "mass":
+        assert levels._read(FoldLadder(dom, idx), k).tolist() == want.tolist()
+        _refuse(monkeypatch, reason)
+    fallbacks = []
+
+    def binned(E, values, k):
+        fallbacks.append(k)
+        return nu_k(E, values, k)
+
+    monkeypatch.setattr(energy_mod, "nu_k", binned)
+    E = FoldLadder(dom, idx)
+    assert levels._read(E, k) is None
+    assert levels.nu_k(E, k).tolist() == want.tolist()
+    assert fallbacks == [k]
+
+
+def _corrupting_rfft(real):
+    def rfft(dom, table):
+        hat = real(dom, table)
+        hat.reshape(-1)[1] += 1.0   # one bin of a class with other members
+        return hat
+    return rfft
+
+
+def test_level_transform_off_its_classes_raises(monkeypatch):
+    dom = PointDomain(FieldContext(7), 3)
+    form = QuadraticForm.identity(3)
+    values = form.value_table(dom)
+    levels = energy_mod.FormLevels(dom, form, values, np.bincount(values, minlength=7))
+    monkeypatch.setattr(energy_mod, "_rfft", _corrupting_rfft(energy_mod._rfft))
+    with pytest.raises(InvariantError, match="spreads by 1 on dual class"):
+        levels.nu_k(FoldLadder(dom, np.array([1, 2, 3])), 2)
+
+
+def test_level_transform_check_survives_python_O():
+    script = """
+import sys
+import numpy as np
+import fqspectra.energy as energy
+from fqspectra.domains import PointDomain
+from fqspectra.errors import InvariantError
+from fqspectra.field import FieldContext
+from fqspectra.geometry import QuadraticForm
+
+assert False, "asserts must be stripped under -O"
+real = energy._rfft
+
+def rfft(dom, table):
+    hat = real(dom, table)
+    hat.reshape(-1)[1] += 1.0
+    return hat
+
+energy._rfft = rfft
+dom = PointDomain(FieldContext(7), 3)
+values = QuadraticForm.identity(3).value_table(dom)
+levels = energy.FormLevels(dom, QuadraticForm.identity(3), values,
+                           np.bincount(values, minlength=7))
+try:
+    levels.nu_k(energy.FoldLadder(dom, np.array([1, 2, 3])), 2)
+except InvariantError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "on dual class" in proc.stdout

@@ -12,6 +12,7 @@ import fqspectra.spectra as spectra_mod
 from fqspectra.domains import PointDomain
 from fqspectra.errors import InvariantError, SizeExceedsVarietyError
 from fqspectra.experiments import (
+    RUNNERS,
     ExperimentPlan,
     _derive_rng,
     coverage_experiment,
@@ -444,12 +445,27 @@ def test_plan_sizes_clamp_down_to_the_variety_and_never_below_zero():
         ExperimentPlan(p=5, d=2, k=2, ks=(1, 2))
 
 
+def test_runner_registry_names_every_plan_key_and_the_reports_keep_them_all():
+    plan_keys = set(ExperimentPlan(p=5).as_dict())
+    assert len(plan_keys) == 16
+    assert set().union(*(keys for _, keys in RUNNERS.values())) == plan_keys
+    for kind, (runner, keys) in RUNNERS.items():
+        raw = {"p": "5", "d": "2", "k": "2", "sizes": "3", "sizes_mode": "absolute",
+               "trials": "1"}
+        plan = ExperimentPlan.from_mapping(raw, kind=kind)
+        report = runner(plan)
+        assert report.kind == kind and set(report.plan) == plan_keys
+    for w in workloads.WORKLOADS.values():
+        if w.entry in RUNNERS:
+            assert set(w.plan) <= set(RUNNERS[w.entry][1]), w.name
+
+
 @pytest.fixture(scope="module")
 def program():
     return workloads.load_program()
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(1, 11))
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_perfbench_workload_matches_its_pinned_reference(program, name, seed):
     w = workloads.WORKLOADS[name]
@@ -460,19 +476,24 @@ def test_perfbench_workload_matches_its_pinned_reference(program, name, seed):
         assert checker.check(kind, result) == [], kind
 
 
-@pytest.mark.parametrize("name,inverse", [("energy-f27", 0), ("coverage-p31", 8),
+# Forward transforms per run at seed 1: one per subset, the variety's in the
+# energy runner, and the coverage runner's two level transforms.
+FORWARD_TRANSFORMS = {"coverage-p31": 8 + 2, "energy-f27": 6 + 1, "sumset-affine-p23": 6}
+
+
+@pytest.mark.parametrize("name,inverse", [("energy-f27", 0), ("coverage-p31", 0),
                                           ("sumset-affine-p23", 6)])
 def test_runner_plans_inverse_transform_only_the_folds_they_bin(program, monkeypatch, name,
                                                                 inverse):
     # Energies and edge counts are read at the origin of the held half
-    # spectra; only nu_k's fold, one per coverage or sumset trial, is a table.
-    calls = []
-    real = program.energy._irfft
+    # spectra, and the coverage runner's distance counts by dual class off
+    # them; only nu_k's fold, one per sumset trial, is a table.
+    calls = {"_rfft": [], "_irfft": []}
+    for attr, seen in calls.items():
+        def counting(dom, table, real=getattr(program.energy, attr), seen=seen):
+            seen.append(dom.size)
+            return real(dom, table)
 
-    def counting(dom, hat):
-        calls.append(dom.size)
-        return real(dom, hat)
-
-    monkeypatch.setattr(program.energy, "_irfft", counting)
+        monkeypatch.setattr(program.energy, attr, counting)
     workloads.run_once(program, workloads.WORKLOADS[name], 1)
-    assert len(calls) == inverse
+    assert [len(seen) for seen in calls.values()] == [FORWARD_TRANSFORMS[name], inverse]
