@@ -5,9 +5,10 @@ Everything on the counting side is exact integer arithmetic.  A count
 table, over F_q^d (a fold) or over F_q (nu_k, nu_{P,k}), is a plain 1-D
 array: int64 while its total mass is below `domains._INT64_SAFE`, Python
 ints (object dtype) once it could overflow int64, so inequality audits
-always compare an exact integer against a floating bound.  Every fold is
-certified exact by the transform kernel and rounding certificate that
-`fold_counts` states and derives; no count comes from an uncertified one.
+always compare an exact integer against a floating bound.  Every float
+read, a fold table, a fold's value at the origin or the distance counts by
+dual class, becomes counts through the one rounding gate that `fold_counts`
+states, against the bounds it derives; no count comes from a refused read.
 
 A `FoldLadder` holds one subset's fold tables r_1, r_2, ... and its even
 energies, builds each at most once and holds every one read-only; it is the
@@ -19,7 +20,7 @@ read off that one binned table.  For the distance count of a nondegenerate
 diagonal form, `FormLevels` reads the same table off a ladder's held half
 spectrum by dual classes, against a q x q class table built once from two
 level transforms, with no inverse transform and no fold table; it falls
-back to `nu_k` whenever its certificate (`fold_counts`, step 3'') fails.
+back to `nu_k` whenever the gate refuses that read (`fold_counts`, step 3'').
 """
 
 import functools
@@ -142,17 +143,31 @@ def _at_zero_error_bound(dom: PointDomain, sizes, norms) -> float:
     return bound + grow * (_l1_bound(sizes, norms) + bound)
 
 
-def _certificate(dom: PointDomain, factors, at_zero: bool = False):
-    """(mass, B) of the transform fold of `factors`, ((l1, l2), power) pairs,
-    or of its value at z = 0 when `at_zero`, or None when the mass reaches
-    2^53 or B is not below 1/2 (see `fold_counts`)."""
-    sizes = [s for (s, _), power in factors for _ in range(power)]
-    mass = math.prod(sizes)
+def _admitted(mass: int, bound):
+    """The a priori half of the gate of `fold_counts`: the bound or bounds
+    `bound()` of a read of this mass, or None when the mass reaches 2^53
+    (no bound is then taken) or a bound is not below 1/2."""
     if mass >= _FLOAT_EXACT:
         return None
-    norms = [l for (_, l), power in factors for _ in range(power)]
-    bound = (_at_zero_error_bound if at_zero else _fold_error_bound)(dom, sizes, norms)
-    return (mass, bound) if bound < 0.5 else None
+    bound = bound()
+    return bound if np.less(bound, 0.5).all() else None
+
+
+def _rounded(mass: int, bound, estimate):
+    """The one float-to-exact read (the gate of `fold_counts`): `estimate()`
+    rounded to int64 counts, or None when the gate refuses: the mass reaches
+    2^53, a bound `bound()` is not below 1/2, a residual exceeds its bound,
+    or a count lies outside [0, mass].  Both arguments are deferred, so a
+    refused mass takes no bound and a refused bound no estimate."""
+    bound = _admitted(mass, bound)
+    if bound is None:
+        return None
+    value = estimate()
+    r = np.rint(value)
+    # One reduction, by method: on the single value of step 3' each numpy
+    # function call would cost more than the comparisons themselves.
+    ok = (np.abs(value - r) <= bound) & (r >= 0) & (r <= mass)
+    return r.astype(np.int64) if ok.all() else None
 
 
 def _axis_groups(p: int, nd: int) -> tuple:
@@ -166,6 +181,14 @@ def _axis_groups(p: int, nd: int) -> tuple:
     return (a,) * (nd // a) + ((nd % a,) if nd % a else ())
 
 
+def _half_weights(p: int) -> np.ndarray:
+    """The weights of the axis-0 frequencies 0..p // 2 of a half spectrum: 1
+    on 0 and 2 on the others, which stand for their mirrors too, so that a
+    weighted sum over the half grid is the sum of the Hermitian extension
+    over the full grid (p is odd)."""
+    return np.array([1.0] + [2.0] * (p // 2))
+
+
 @functools.lru_cache(maxsize=8)
 def _dft_matrices(p: int, a: int) -> tuple:
     """(W, W*, first, last) of the direct DFT of (Z_p)^a, one pass over a
@@ -175,10 +198,10 @@ def _dft_matrices(p: int, a: int) -> tuple:
     of the row and column, from cos and sin of the reduced angle pi g / p,
     g = 2 (j . l) mod 2p taken in (-p, p], so |angle| <= pi.  first is the
     top h L / p rows of W, h = p // 2 + 1, those whose leading digit is
-    below h, transposed; last is the same columns of W weighted 1 where
-    that digit is 0 and 2 elsewhere.  Both are float64 arrays of L rows with
-    real and imaginary parts interleaved, so a float64 matmul against them
-    is a complex one."""
+    below h, transposed; last is the same columns of W weighted by
+    `_half_weights`.  Both are float64 arrays of L rows with real and
+    imaginary parts interleaved, so a float64 matmul against them is a
+    complex one."""
     size = p ** a
     digits = np.arange(size)[:, None] // p ** np.arange(a - 1, -1, -1) % p
     g = 2 * ((digits @ digits.T) % p)
@@ -188,10 +211,9 @@ def _dft_matrices(p: int, a: int) -> tuple:
     w.real = np.cos(angle)
     w.imag = -np.sin(angle)
     half = (p // 2 + 1) * size // p
-    weights = np.full(half, 2.0)
-    weights[: size // p] = 1.0
+    last = w[:, :half] * np.repeat(_half_weights(p), size // p)
     out = (w, w.conj(), np.ascontiguousarray(w[:half].T).view(np.float64),
-           np.ascontiguousarray(w[:, :half] * weights).view(np.float64))
+           np.ascontiguousarray(last).view(np.float64))
     for m in out:
         m.setflags(write=False)
     return out
@@ -232,49 +254,35 @@ def _irfft(dom: PointDomain, hat: np.ndarray) -> np.ndarray:
     return real.reshape(dom.size)
 
 
-def _transform_fold(dom: PointDomain, factors):
+def _transform_fold(dom: PointDomain, norms, hats):
     """The convolution of nonnegative count tables by a Fourier transform over
-    (Z_p)^(nd), as int64 counts, or None when the certificate described in
-    `fold_counts` fails.  `factors` is a list of (norms, hat, power): a
-    factor's `_norms` and its half spectrum (`_rfft`)."""
-    cert = _certificate(dom, [(norms, power) for norms, _, power in factors])
-    if cert is None:
-        return None
-    mass, bound = cert
-    real = _irfft(dom, _product(factors))
-    r = np.rint(real)
-    if np.max(np.abs(real - r), initial=0.0) > bound:
-        return None
-    r = r.astype(np.int64)
-    if np.min(r, initial=0) < 0 or _exact_total(r) != mass:
-        return None
-    return r
+    (Z_p)^(nd), as int64 counts, or None when the gate of `fold_counts`
+    refuses it or its total is not its mass.  norms and hats hold one entry
+    per copy of a factor: its `_norms` and its half spectrum (`_rfft`)."""
+    sizes, l2s = zip(*norms)
+    mass = math.prod(sizes)
+    r = _rounded(mass, lambda: _fold_error_bound(dom, sizes, l2s),
+                 lambda: _irfft(dom, _product(hats)))
+    return r if r is not None and _exact_total(r) == mass else None
 
 
-def _fold_at_zero(dom: PointDomain, factors, integrand: np.ndarray):
-    """The value at z = 0 of the transform fold of two or more factors, given
-    as ((l1, l2), power) pairs, as an exact int, or None when the certificate
-    of `fold_counts` step 3' fails.  integrand is the real part of the
-    product G of their half spectra (the conjugate one for a reflected
-    factor f(-.)), taken as a real array; the value is its weighted sum over
-    the half grid, with no inverse transform (`fold_counts`, step 3')."""
-    cert = _certificate(dom, factors, at_zero=True)
-    if cert is None:
-        return None
-    mass, bound = cert
-    rows = integrand.reshape(dom.ctx.p // 2 + 1, -1).sum(axis=1)
-    value = (rows[0] + 2.0 * rows[1:].sum()) / dom.size
-    r = np.rint(value)
-    if abs(value - r) > bound or not 0 <= r <= mass:
-        return None
-    return int(r)
+def _fold_at_zero(dom: PointDomain, norms, integrand: np.ndarray):
+    """The value at z = 0 of the transform fold of two or more factors, whose
+    `_norms` are norms, one per copy, as an exact int, or None when the gate
+    of `fold_counts` refuses it (with B0 of step 3').  integrand is the real
+    part of the product G of their half spectra (the conjugate one for a
+    reflected factor f(-.)), taken as a real array; the value is its
+    weighted sum over the half grid, with no inverse transform."""
+    sizes, l2s = zip(*norms)
+    rows = integrand.reshape(dom.ctx.p // 2 + 1, -1)
+    r = _rounded(math.prod(sizes), lambda: _at_zero_error_bound(dom, sizes, l2s),
+                 lambda: _half_weights(dom.ctx.p) @ rows.sum(axis=1) / dom.size)
+    return None if r is None else int(r)
 
 
-def _product(factors) -> np.ndarray:
-    """The bin-by-bin product of the factors' half spectra, each to its power,
-    multiplied in order into one new array (the first hat itself for a
-    single factor)."""
-    hats = [hat for _, hat, power in factors for _ in range(power)]
+def _product(hats) -> np.ndarray:
+    """The bin-by-bin product of half spectra, multiplied in order into one
+    new array (the first hat itself for one)."""
     if len(hats) == 1:
         return hats[0]
     prod = hats[0] * hats[1]
@@ -310,18 +318,18 @@ def _convolve(dom: PointDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                           for shift, limb in _limbs(b, w)]
         # A square is symmetric in its limbs: each unordered pair once, doubled.
         pairs = [(x, y) for x in limbs_a for y in limbs_b if b is not a or x[0] <= y[0]]
-        if any(_certificate(dom, [(x[2], 1), (y[2], 1)]) is None for x, y in pairs):
+        # The gate's a priori half for every product, before any transform.
+        if any(_admitted(x[2][0] * y[2][0], lambda: _fold_error_bound(dom, *zip(x[2], y[2])))
+               is None for x, y in pairs):
             continue
         hats_a = {shift: _rfft(dom, limb) for shift, limb, _ in limbs_a}
         hats_b = hats_a if b is a else {shift: _rfft(dom, limb) for shift, limb, _ in limbs_b}
         groups = {}
         for (sx, _, nx), (sy, _, ny) in pairs:
-            square = b is a and sx == sy
-            r = _transform_fold(dom, [(nx, hats_a[sx], 2)] if square
-                                else [(nx, hats_a[sx], 1), (ny, hats_b[sy], 1)])
+            r = _transform_fold(dom, [nx, ny], [hats_a[sx], hats_b[sy]])
             if r is None:
                 break
-            if b is a and not square:
+            if b is a and sx != sy:
                 r *= 2
             # Products that share a shift are summed in int64 (see _INT64_SAFE).
             shift = sx + sy
@@ -343,8 +351,8 @@ def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
     array of flat indices.  Depth 1 is the indicator that E's ladder bins
     once and holds, over any q^d: that read-only array itself when the table
     is int64.  Depth j >= 2 needs q^d <= TABLE_MAX (SearchSpaceTooLargeError
-    otherwise).  It is the transform fold of the ladder's `factors` when the
-    table is int64 and that fold certifies, and otherwise r_a (*) r_b,
+    otherwise).  It is the transform fold of j copies of 1_E when the table
+    is int64 and the gate below passes it, and otherwise r_a (*) r_b,
     a = ceil(j/2) and b = floor(j/2), by limb products, with r_a and r_b
     read from E's ladder (a new one when E is not a ladder), so that no
     depth is folded twice.
@@ -367,11 +375,19 @@ def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
     h; the inverse's last pass rebuilds the real table from those bins,
     weighted 1 on axis-0 frequency 0 and 2 on the others, and one 1/N
     scaling follows.  Above the crossover both call numpy.fft with axis 0
-    halved, which gives the same layout.  Its
-    certificate: the mass prod_i ||f_i||_1 < 2^53, so every count is exact
-    in float64; the a priori bound B below on max |computed - exact| is
-    < 1/2, so rint is exact, and the observed residual is at most B; the
-    rounded table has that mass and no negative entry.
+    halved, which gives the same layout.  A fold's factors are one `_norms`
+    pair (l1, l2) per copy and, where a table is built, one half spectrum
+    per copy.
+
+    The gate (`_rounded`).  A fold table, a fold's value at the origin (step
+    3') and the distance counts by dual class (step 3'') are read through
+    one gate, given the mass, the a priori bound or bounds B, B0 or B_t on
+    |computed - exact| derived below, and a deferred estimate.  It refuses,
+    and the caller takes an exact path, when the mass reaches 2^53 (a count
+    need not be exact in float64), a bound is not below 1/2 (rint need not
+    be exact), a residual exceeds its bound, or a rounded count lies
+    outside [0, mass]; the two table reads also refuse a total other than
+    the mass.
 
     Derivation of B, for s_i = ||f_i||_1 and l_i = ||f_i||_2 (the indicator
     fold has f_i = 1_E, s_i = |E|, l_i = sqrt|E|, m = j; a limb product has
@@ -456,11 +472,9 @@ def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
        <= D + ((1 + gamma_n)(1 + u) - 1)(P + D), at most B0 = B + ((1 +
        gamma_n)(1 + u) - 1)(P + B), as D <= B.
 
-    Its certificate is the fold's, with B0 in place of B and the one value
-    in place of the table: mass < 2^53, B0 < 1/2, the observed residual at
-    most B0, and the rounded value in [0, mass].  When it fails the caller
-    builds the fold table instead.  For |E| = 561 over F_27^3, Lambda_4 has
-    B0 about 3.2e-3, against B about 3.0e-3 for the table of the same four
+    The gate reads the one value with B0; when it refuses, the caller builds
+    the fold table instead.  For |E| = 561 over F_27^3, Lambda_4 has B0
+    about 3.2e-3, against B about 3.0e-3 for the table of the same four
     factors, r_4.
 
     Distance counts by dual class.  The distance count of a nondegenerate
@@ -507,26 +521,26 @@ def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
            |nu~(t) - nu(t)| <= B_t = M_t D + delta_t (P + D) + c s_t
                                     + ((1 + u)^3 - 1)(|E|^k + (1 + c) s_t).
 
-    Its certificate is the fold's with B_t for each t: mass |E|^k < 2^53,
-    every B_t < 1/2, every observed residual at most its B_t, no negative
-    count and the total |E|^k; when it fails `nu_k` bins the fold instead.
-    For |E| = 345 and k = 3 over F_31^3, B_t is about 5e-3 for t != 0 and
-    2e-2 for t = 0, whose delta_0 sums the other rows'.
+    The gate reads the q counts with B_t for each t, of mass |E|^k; when it
+    refuses, `nu_k` bins the fold instead.  For |E| = 345 and k = 3 over
+    F_31^3, B_t is about 5e-3 for t != 0 and 2e-2 for t = 0, whose delta_0
+    sums the other rows'.
 
     Limb products.  With base-2^w limbs a = sum_i 2^(w i) a_i and b likewise,
     a (*) b = sum_{i,l} 2^(w(i+l)) (a_i (*) b_l), each limb product a transform
-    fold with its own certificate.  w is the widest width, at most 63 so that
-    limbs are int64, at which all products certify; InvariantError if none
+    fold through the gate.  w is the widest width, at most 63 so that limbs
+    are int64, at which all products certify; InvariantError if none
     does, or if their sum, in int64 or Python ints as `_table_dtype` picks
     from ||a||_1 ||b||_1 (no partial sum exceeds the total), lacks that mass.
     The products that share a shift w(i+l) are first summed in int64 (see
     `domains._INT64_SAFE`), so a product of L and L' limbs makes only
-    L + L' - 1 additions into that table.  Cost: every product's a priori
-    bound is checked before any transform, so a width that it refuses costs
-    none.  At the width taken, each limb is transformed once: a square of L
-    limbs takes L forward and L (L + 1) / 2 inverse transforms, a product of
-    L and L' limbs L + L' forward and L L' inverse, each O(N p nd) as direct
-    sums and O(N log N) above the crossover.  On the full F_101^3 sphere
+    L + L' - 1 additions into that table.  Cost: the gate's a priori half
+    (`_admitted`: mass and bound) is checked for every product before any
+    transform, so a width that it refuses costs none.  At the width taken,
+    each limb is transformed once: a square of L limbs takes L forward and
+    L (L + 1) / 2 inverse transforms, a product of L and L' limbs L + L'
+    forward and L L' inverse, each O(N p nd) as direct sums and O(N log N)
+    above the crossover.  On the full F_101^3 sphere
     (|E| = 10,302), r_4 = r_2 (*) r_2 takes 5-bit limbs, 3 forward and 6
     inverse transforms, and r_5 = r_3 (*) r_2 takes 3-bit limbs, 7 of r_3
     and 5 of r_2, so 12 forward and 35 inverse transforms.
@@ -537,7 +551,7 @@ def fold_counts(dom: PointDomain, E, j: int) -> np.ndarray:
     if j == 1:
         return ladder.indicator.astype(_table_dtype(len(ladder)), copy=False)
     require_table_budget(dom, "fold")
-    r = (_transform_fold(dom, ladder.factors(j))
+    r = (_transform_fold(dom, [ladder.norms] * j, [ladder.transform()] * j)
          if _table_dtype(len(ladder) ** j) is np.int64 else None)
     if r is None:
         a = ladder.fold((j + 1) // 2)
@@ -559,7 +573,8 @@ class FoldLadder:
     half spectrum H and the power spectrum |H|^2 are each taken once and
     held, so that a certified fold of any depth is one inverse transform
     and a certified value at the origin one real weighted sum
-    (`fold_counts`).  It keeps its tables for its own lifetime only, so
+    (`fold_counts`); a fold of j copies of 1_E has the factors j copies of
+    `norms` and of H.  It keeps its tables for its own lifetime only, so
     callers make one per subset and drop it with the subset.
     """
 
@@ -606,14 +621,6 @@ class FoldLadder:
             self._hat = _rfft(self.dom, self.indicator)
         return self._hat
 
-    def factors(self, power: int, reflected: int = 0) -> list:
-        """The `_transform_fold` factors of the fold of `power` copies of E's
-        indicator and `reflected` copies of its reflection 1_E(-.), whose half
-        spectrum is the conjugate of E's, the indicator being real."""
-        hat = self.transform()   # checks the budget before any table over F_q^d
-        hats = ((hat, power), (hat.conj() if reflected else None, reflected))
-        return [(self.norms, h, n) for h, n in hats if n]
-
     @functools.cached_property
     def norms(self) -> tuple:
         """`_norms` of the held indicator, held."""
@@ -644,7 +651,7 @@ def lambda_k(E: FoldLadder, k: int) -> int:
                         "odd k is handled through the product of neighbours")
     half = k // 2
     if half > 1:
-        lam = _fold_at_zero(E.dom, [(E.norms, k)], _times_power(E.power, E.power, half - 1))
+        lam = _fold_at_zero(E.dom, [E.norms] * k, _times_power(E.power, E.power, half - 1))
         if lam is not None:
             return lam
     r = E.fold(half)
@@ -709,7 +716,7 @@ class FormLevels:
 
     def nu_k(self, E: FoldLadder, k: int) -> np.ndarray:
         """The table `nu_k(E, values, k)`: read by dual class, in int64, when
-        its certificate holds, else binned off E's fold by `nu_k`.  An empty
+        the gate passes it, else binned off E's fold by `nu_k`.  An empty
         E gives int64 zeros with no transform.  Needs q^d <= TABLE_MAX, as a
         fold of depth 2 does."""
         if k < 1:
@@ -720,21 +727,11 @@ class FormLevels:
         return nu_k(E, self.values, k) if table is None else table
 
     def _read(self, E: FoldLadder, k: int):
-        """The table of step 3'', or None when its certificate fails."""
+        """The table of step 3'', or None when the gate of `fold_counts`
+        refuses it (with B_t) or its total is not the mass |E|^k."""
         mass = len(E) ** k
-        if mass >= _FLOAT_EXACT:
-            return None
-        bound = self._error_bounds(E, k)
-        if bound.max() >= 0.5:
-            return None
-        value = self._estimate(E, k)
-        r = np.rint(value)
-        if np.any(np.abs(value - r) > bound):
-            return None
-        r = r.astype(np.int64)
-        if r.min() < 0 or _exact_total(r) != mass:
-            return None
-        return r
+        r = _rounded(mass, lambda: self._error_bounds(E, k), lambda: self._estimate(E, k))
+        return r if r is not None and _exact_total(r) == mass else None
 
     def _estimate(self, E: FoldLadder, k: int) -> np.ndarray:
         """nu_k(t) for every t as floats, (|E|^k N(t) + sum_c g_t(c) B_k(c)) / N,
@@ -743,17 +740,16 @@ class FormLevels:
         dom = self.dom
         hat = E.transform()
         g, _ = self._table
-        x = (np.real(_product([(None, hat, k)])) * 2.0).reshape(-1)
-        x[: dom.size // dom.ctx.p] *= 0.5   # axis-0 frequency 0 has weight 1
-        x[0] = 0.0
-        sums = np.bincount(self._classes, weights=x, minlength=dom.ctx.q)
+        x = np.real(_product([hat] * k)).reshape(len(hat), -1) * _half_weights(dom.ctx.p)[:, None]
+        x[0, 0] = 0.0
+        sums = np.bincount(self._classes, weights=x.reshape(-1), minlength=dom.ctx.q)
         return (float(len(E) ** k) * self.counts + g @ sums) / dom.size
 
     def _error_bounds(self, E: FoldLadder, k: int) -> np.ndarray:
         """B_t of step 3'' for every t, for the k factors 1_E."""
         _, delta = self._table
         u = 2.0 ** -53
-        sizes, norms = [E.norms[0]] * k, [E.norms[1]] * k
+        sizes, norms = zip(*[E.norms] * k)
         err = _product_error_bound(self.dom, sizes, norms)[0]   # D
         l1 = _l1_bound(sizes, norms) + err                     # P + D
         n, q = len(self._classes), self.dom.ctx.q
@@ -945,14 +941,16 @@ def energy_growth_audit(V: FoldLadder, E: FoldLadder, k: int,
     # Re(conj(V^) H), by real products, times |H|^(k - 2).
     cross = v_hat.real * hat.real
     cross += v_hat.imag * hat.imag
-    e = _fold_at_zero(dom, [(V.norms, 1), (E.norms, k - 1)],
+    e = _fold_at_zero(dom, [V.norms] + [E.norms] * (k - 1),
                       _times_power(cross, E.power, half - 1))
     if e is None:
         # acc is of mass |V| |E|^{k/2}.
         acc_mass = len(V) * e_size ** half
         acc = None
         if _table_dtype(acc_mass) is np.int64:
-            acc = _transform_fold(dom, V.factors(0, 1) + E.factors(half))
+            # The half spectrum of the reflection 1_{-V} is the conjugate of V's.
+            acc = _transform_fold(dom, [V.norms] + [E.norms] * half,
+                                  [v_hat.conj()] + [hat] * half)
         if acc is None:
             neg_v = np.bincount(dom.index_neg(V.indices), minlength=dom.size)
             acc = _convolve(dom, neg_v, E.fold(half))

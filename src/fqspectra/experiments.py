@@ -245,8 +245,14 @@ class ExperimentReport:
     regularity: dict | None
     records: list
     aggregates: dict
-    hard_failures: int = 0
     notes: list = field(default_factory=list)
+
+    @property
+    def hard_failures(self) -> int:
+        """The failed hard verdicts: each record's False `*_ok` flags plus
+        its `audit_failures`."""
+        return sum(sum(not ok for key, ok in rec.items() if key.endswith("_ok"))
+                   + rec.get("audit_failures", 0) for rec in self.records)
 
     def as_dict(self) -> dict:
         return {
@@ -317,13 +323,13 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     Each trial's nu_k table is read by dual class off its ladder's held half
     spectrum (`energy.FormLevels`, built once per run next to the value
-    table), so a trial makes no inverse transform and no fold table over
-    F_q^d; the first nonempty trial builds the q x q class table from two
-    level transforms, one per square class.  Where the read's certificate
-    fails, the table is binned off the fold by `energy.nu_k`, as exact."""
+    table; it refuses a degenerate form), so a trial makes no inverse
+    transform and no fold table over F_q^d; the first nonempty trial builds
+    the q x q class table from two level transforms, one per square class.
+    Where the rounding gate refuses the read, the table is binned off the
+    fold by `energy.nu_k`, as exact."""
     form = QuadraticForm.parse(plan.form, plan.d)
     ctx, dom, variety, graph, reg = _setup(plan)
-    form.require_nondegenerate(ctx)
     qvals = form.value_table(dom)
     counts = np.bincount(qvals, minlength=ctx.q)
     levels = FormLevels(dom, form, qvals, counts)
@@ -346,7 +352,6 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
                                      f"of its square class has degree {spec.degree}")
             graphs[u] = spec
     records = []
-    hard_failures = 0
     sizes = plan.resolve_sizes(variety.size)
     k, q = plan.k, ctx.q
     for size_index, trial, subset in _trial_subsets(variety, sizes, plan.seed, plan.trials):
@@ -364,11 +369,9 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
             rec["hypothesis_margin"] = (q ** ((plan.d + 1) / 2)
                                         * math.sqrt(float(lo) * float(hi)) / len(E) ** k)
             audits = nu_deviation_audits(E, table, k, graphs)
-            failures = sum(1 for a in audits if not a.ok)
-            rec["audit_failures"] = failures
+            rec["audit_failures"] = sum(1 for a in audits if not a.ok)
             rec["max_audit_gap_used"] = max(
                 (a.deviation / a.bound if a.bound else 0.0) for a in audits)
-            hard_failures += failures
         else:
             rec["rel_deviation"] = None
             rec["hypothesis_margin"] = None
@@ -385,7 +388,7 @@ def coverage_experiment(plan: ExperimentPlan) -> ExperimentReport:
     }
     return ExperimentReport(kind="coverage", plan=plan.as_dict(), stamp=_stamp(plan),
                             regularity=reg.as_dict(), records=records,
-                            aggregates=aggregates, hard_failures=hard_failures)
+                            aggregates=aggregates)
 
 
 def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
@@ -400,7 +403,6 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
     V = FoldLadder(dom, variety.indices)
     ks = plan.ks or (plan.k,)
     records = []
-    hard_failures = 0
     q = ctx.q
     hypothesis_floor = q ** ((plan.d - 1) / 2)
     sizes = plan.resolve_sizes(variety.size)
@@ -414,18 +416,13 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
         for k in ks:
             if k % 2 == 0:
                 if k == 2:
-                    lam2 = E.energy(2)
-                    rec["k2_identity_ok"] = (lam2 == len(E))
-                    if lam2 != len(E):
-                        hard_failures += 1
+                    rec["k2_identity_ok"] = (E.energy(2) == len(E))
                     continue
                 rr = energy_recursion_ratio(E, k)
                 rec[f"k{k}_energy"] = rr["k_energy"]
                 rec[f"k{k}_ratio"] = rr["ratio"]
                 audit = energy_growth_audit(V, E, k, graph)
                 rec[f"k{k}_audit_ok"] = audit.ok
-                if not audit.ok:
-                    hard_failures += 1
             else:
                 lo, hi = energy_term(E, k)
                 prod = lo * hi
@@ -444,7 +441,7 @@ def energy_bound_experiment(plan: ExperimentPlan) -> ExperimentReport:
                   "hypothesis_floor": hypothesis_floor}
     return ExperimentReport(kind="energy", plan=plan.as_dict(), stamp=_stamp(plan),
                             regularity=reg.as_dict(), records=records,
-                            aggregates=aggregates, hard_failures=hard_failures)
+                            aggregates=aggregates)
 
 
 def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
@@ -461,7 +458,6 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
                              f"{check.lambda_measured!r} > {check.bound!r}")
     pvals = eval_poly_table(dom, diagonal_poly(ctx, plan.d, plan.s, plan.coeffs))
     records = []
-    hard_failures = 0
     q, k = ctx.q, plan.k
     sizes = plan.resolve_sizes(variety.size)
     shifts = {(trial, x_size): sample_scalar_subset(q, x_size, plan.seed, trial)
@@ -483,13 +479,9 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 bound = sumset_lower_bound(table, len(X), len(E), k)
                 rec["cs_bound"] = float(bound)
                 rec["cs_bound_ok"] = ss_size >= bound
-                if ss_size < bound:
-                    hard_failures += 1
                 audit = second_moment_audit(E, table, len(X), k, graph)
                 rec["second_moment"] = audit.count
                 rec["mixing_audit_ok"] = audit.ok
-                if not audit.ok:
-                    hard_failures += 1
                 rec["hypothesis_margin"] = (
                     len(X) * len(E) ** (2 * k - 2)
                     / q ** ((plan.d - 1) * (k - 1) + 2))
@@ -504,7 +496,7 @@ def sumset_experiment(plan: ExperimentPlan) -> ExperimentReport:
     aggregates = {"sizes": sizes, "lambda_affine": graph.lambda_second, **rates}
     return ExperimentReport(kind="sumset", plan=plan.as_dict(), stamp=_stamp(plan),
                             regularity=reg.as_dict(), records=records,
-                            aggregates=aggregates, hard_failures=hard_failures)
+                            aggregates=aggregates)
 
 
 # Each experiment kind's runner and the plan keys it reads; `as_dict` keeps

@@ -707,7 +707,7 @@ def test_transform_fold_equals_roll_fold_and_brute_force(shape, j, data):
     idx = np.array(base + repeats, dtype=np.int64)
     table = np.bincount(idx, minlength=dom.size)
     transform = energy_mod._transform_fold(
-        dom, [(energy_mod._norms(table), energy_mod._rfft(dom, table), j)])
+        dom, [energy_mod._norms(table)] * j, [energy_mod._rfft(dom, table)] * j)
     assert transform is not None
     assert np.array_equal(transform, roll_fold(dom, idx, j))
     want = np.zeros(dom.size, dtype=np.int64)
@@ -961,11 +961,11 @@ def test_origin_reads_are_real_sums_with_no_complex_product(monkeypatch):
     integrands = []
     original = energy_mod._fold_at_zero
 
-    def recording(dom, factors, integrand):
+    def recording(dom, norms, integrand):
         integrands.append(integrand.dtype)
-        return original(dom, factors, integrand)
+        return original(dom, norms, integrand)
 
-    def no_product(factors):
+    def no_product(hats):
         raise AssertionError("complex product on the origin path")
 
     monkeypatch.setattr(energy_mod, "_fold_at_zero", recording)
@@ -1111,8 +1111,8 @@ def test_transform_fold_refuses_masses_beyond_float_precision(monkeypatch):
     dom = PointDomain(F3, 2)
     idx = np.arange(9, dtype=np.int64)
     indicator = np.ones(9, dtype=np.int64)
-    factor = (energy_mod._norms(indicator), energy_mod._rfft(dom, indicator), 17)
-    assert energy_mod._transform_fold(dom, [factor]) is None  # 9^17 > 2^53
+    norms, hat = energy_mod._norms(indicator), energy_mod._rfft(dom, indicator)
+    assert energy_mod._transform_fold(dom, [norms] * 17, [hat] * 17) is None  # 9^17 > 2^53
     r = fold_counts(dom, idx, 17)
     assert r.dtype == np.int64 and _exact_total(r) == 9 ** 17
     assert set(r.tolist()) == {9 ** 16}  # the whole group, evenly
@@ -1354,7 +1354,7 @@ from fqspectra.field import FieldContext
 
 assert False, "asserts must be stripped under -O"
 # Every limb product returns zeros, so the recombined mass is 0, not 3 * 3.
-energy._transform_fold = lambda dom, factors: np.zeros(dom.size, dtype=np.int64)
+energy._transform_fold = lambda dom, norms, hats: np.zeros(dom.size, dtype=np.int64)
 table = np.bincount([1, 5, 5], minlength=9)
 try:
     energy._convolve(PointDomain(FieldContext(3), 2), table, table)
@@ -1381,8 +1381,8 @@ def _counting_at_zero(monkeypatch):
     seen = []
     original = energy_mod._fold_at_zero
 
-    def counting(dom, factors, integrand):
-        seen.append(original(dom, factors, integrand))
+    def counting(dom, norms, integrand):
+        seen.append(original(dom, norms, integrand))
         return seen[-1]
 
     monkeypatch.setattr(energy_mod, "_fold_at_zero", counting)
@@ -1390,7 +1390,7 @@ def _counting_at_zero(monkeypatch):
 
 
 def _fold_path_only(monkeypatch):
-    monkeypatch.setattr(energy_mod, "_fold_at_zero", lambda dom, factors, integrand: None)
+    monkeypatch.setattr(energy_mod, "_fold_at_zero", lambda dom, norms, integrand: None)
 
 
 def _brute_energy(dom, idx, k):

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fqspectra.energy as energy_mod
 import fqspectra.experiments as experiments_mod
 import fqspectra.spectra as spectra_mod
+from fqspectra.cli import EXIT_AUDIT, EXIT_USAGE, main
 from fqspectra.domains import PointDomain
-from fqspectra.errors import InvariantError, SizeExceedsVarietyError
+from fqspectra.errors import DegenerateFormError, InvariantError, SizeExceedsVarietyError
 from fqspectra.experiments import (
     RUNNERS,
     ExperimentPlan,
@@ -497,3 +499,41 @@ def test_runner_plans_inverse_transform_only_the_folds_they_bin(program, monkeyp
         monkeypatch.setattr(program.energy, attr, counting)
     workloads.run_once(program, workloads.WORKLOADS[name], 1)
     assert [len(seen) for seen in calls.values()] == [FORWARD_TRANSFORMS[name], inverse]
+
+
+# Small plans on F_3^2 and, with every audit refusing, the hard failures each
+# must count: coverage 2 trials x 2 deviation audits (t = 1, 2); energy 2
+# trials of |E| = 4 with a failed k = 4 growth audit (the |E| = 1 trials are
+# skipped); sumset 2 trials of |E| = 4 x 2 shift sets with a failed mixing
+# audit (the |E| = 0 trials have none).
+FAILING_PLANS = {
+    "coverage": ("k = 2\nsizes = 4\n", 4),
+    "energy": ("ks = 2,4\nsizes = 1,4\n", 2),
+    "sumset": ("k = 2\nx_sizes = 1,3\nsizes = 0,4\n", 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING_PLANS))
+def test_failed_hard_verdicts_are_counted_and_exit_with_the_audit_code(kind, monkeypatch,
+                                                                       tmp_path, capsys):
+    monkeypatch.setattr(energy_mod, "within_slack", lambda deviation, bound: False)
+    text, failures = FAILING_PLANS[kind]
+    path = tmp_path / "plan.txt"
+    path.write_text(f"p = 3\nd = 2\nsizes_mode = absolute\ntrials = 2\n{text}")
+    report = RUNNERS[kind][0](ExperimentPlan.from_file(path, kind))
+    flags = sum(ok is False for rec in report.records
+                for key, ok in rec.items() if key.endswith("_ok"))
+    audits = sum(rec.get("audit_failures", 0) for rec in report.records)
+    assert report.hard_failures == flags + audits == failures
+    assert main(["experiment", kind, "--plan", str(path)]) == EXIT_AUDIT
+    assert json.loads(capsys.readouterr().out)["hard_failures"] == failures
+
+
+def test_coverage_of_a_degenerate_form_is_refused(tmp_path, capsys):
+    path = tmp_path / "plan.txt"
+    path.write_text("p = 3\nd = 3\nk = 2\nform = diag:1,0,1\nsizes = 4\n"
+                    "sizes_mode = absolute\ntrials = 1\n")
+    with pytest.raises(DegenerateFormError, match="degenerate over F_q"):
+        coverage_experiment(ExperimentPlan.from_file(path, "coverage"))
+    assert main(["experiment", "coverage", "--plan", str(path)]) == EXIT_USAGE
+    assert "DegenerateFormError" in capsys.readouterr().err

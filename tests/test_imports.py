@@ -2,8 +2,9 @@
 module-level function and method is read somewhere in the package, so is
 every field of a package dataclass, every exception class is raised or
 caught somewhere in it, every module imports only modules below it in the
-package's layer order, and no module holds an `assert` statement, which
-`python -O` would strip.
+package's layer order, no module holds an `assert` statement, which
+`python -O` would strip, and `np.rint` is called at one site only, the
+rounding gate that every float-to-exact read goes through.
 
 No linter ships with the project, so these stdlib-only checks stand in for
 one.  `__init__.py` is skipped by the import check: its imports are the
@@ -403,3 +404,36 @@ def test_the_check_sees_assert_statements():
 def test_no_assert_statements_in_the_package(path):
     # An invariant must survive `python -O`: raise InvariantError instead.
     assert assert_statements(path.read_text()) == []
+
+
+def rint_calls(source: str) -> list:
+    """(line, enclosing function) of each `np.rint` call in `source`."""
+    out = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "rint" and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("np", "numpy")):
+                out.append((child.lineno, name))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_check_sees_rint_calls():
+    source = ("import numpy as np\n\ndef f(x):\n    return np.rint(x)\n\n"
+              "y = np.rint(2.5)\nrint = 'np.rint(x)'\nz = np.round(1.5)\n")
+    assert rint_calls(source) == [(4, "f"), (6, None)]
+
+
+def test_np_rint_is_called_only_in_the_rounding_gate():
+    # A float becomes exact counts only through `energy._rounded`, which
+    # checks the mass, the a priori bounds, the residuals and the range.
+    sites = [(path.name, name) for path in SOURCES
+             for _, name in rint_calls(path.read_text())]
+    assert sites == [("energy.py", "_rounded")]
